@@ -49,8 +49,9 @@ int Run(int argc, char** argv) {
     sizes[v] = engine->StorageBytes();
 
     uint64_t leaf_pages = 0;
-    for (size_t t = 0; t < engine->forest()->num_trees(); ++t) {
-      leaf_pages += engine->forest()->tree(t)->rtree()->num_leaf_pages();
+    const ForestSnapshot snapshot = engine->forest()->AcquireSnapshot();
+    for (size_t t = 0; t < snapshot.num_trees(); ++t) {
+      leaf_pages += snapshot.tree(t)->rtree()->num_leaf_pages();
     }
 
     // Query cost: the Figure-12 batch over all views.
@@ -126,7 +127,7 @@ int Run(int argc, char** argv) {
     std::printf("  %-14s %12llu bytes across %zu trees\n",
                 variants[v].name,
                 static_cast<unsigned long long>(fig6_sizes[v]),
-                engine->forest()->num_trees());
+                engine->forest()->plan().trees.size());
   }
   std::printf("  compression saves %.0f%% on this configuration\n",
               100.0 * (1.0 - static_cast<double>(fig6_sizes[0]) /

@@ -62,7 +62,8 @@ int Run(int argc, char** argv) {
       refresh_total += phase.modeled_seconds;
       std::printf("%-6u %13.3fs %16.3f %16.3f %10zu\n", day + 1,
                   phase.wall_seconds, phase.modeled_seconds, queries,
-                  warehouse->cubetrees()->forest()->TotalDeltas());
+                  warehouse->cubetrees()->forest()->AcquireSnapshot()
+                      .TotalDeltas());
     }
     if (partial) {
       PhaseReport compaction =
@@ -70,7 +71,8 @@ int Run(int argc, char** argv) {
       refresh_total += compaction.modeled_seconds;
       std::printf("compaction: %.3fs wall, %.3f modeled; deltas now %zu\n",
                   compaction.wall_seconds, compaction.modeled_seconds,
-                  warehouse->cubetrees()->forest()->TotalDeltas());
+                  warehouse->cubetrees()->forest()->AcquireSnapshot()
+                      .TotalDeltas());
     }
     std::printf("total refresh (1997 disk): %.3f s; forest %s\n",
                 refresh_total,

@@ -57,7 +57,7 @@ int Run(int argc, char** argv) {
         bench::CheckOk(engine->Execute(query, nullptr).status(), "query");
       }
     }
-    const size_t trees = engine->forest()->num_trees();
+    const size_t trees = engine->forest()->plan().trees.size();
     const uint64_t bytes = engine->StorageBytes();
     const double query_s = disk.ModeledSeconds(*io - before);
     const double hit_ratio = pool.stats().HitRatio();

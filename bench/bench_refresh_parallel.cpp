@@ -99,12 +99,14 @@ int Run(int argc, char** argv) {
     auto forest = bench::CheckOk(
         CubetreeForest::Create(forest_options, &pool, run_io), "forest");
     bench::CheckOk(forest->Build(views, base.data.get()), "build");
-    num_trees = forest->num_trees();
+    ForestSnapshot loaded = forest->AcquireSnapshot();
+    num_trees = loaded.num_trees();
 
     std::vector<uint64_t> old_pages;
-    for (size_t t = 0; t < forest->num_trees(); ++t) {
-      old_pages.push_back(forest->tree(t)->TotalSizeBytes() / kPageSize);
+    for (size_t t = 0; t < loaded.num_trees(); ++t) {
+      old_pages.push_back(loaded.tree(t)->TotalSizeBytes() / kPageSize);
     }
+    loaded.Release();
 
     // Four readers serve snapshot queries (the small views, so the reader
     // traffic does not swamp the refresh's I/O accounting) for the whole
@@ -149,7 +151,8 @@ int Run(int argc, char** argv) {
     const IoStats refresh_io = *run_io - before;
 
     // Every width must converge to the identical refreshed forest.
-    const uint64_t points = forest->TotalPoints();
+    const ForestSnapshot refreshed = forest->AcquireSnapshot();
+    const uint64_t points = refreshed.TotalPoints();
     if (expected_points == 0) {
       expected_points = points;
     } else if (points != expected_points) {
@@ -165,9 +168,9 @@ int Run(int argc, char** argv) {
     // in, stream the repacked tree out (the delta read rides along and is
     // proportionally small).
     std::vector<double> costs;
-    for (size_t t = 0; t < forest->num_trees(); ++t) {
+    for (size_t t = 0; t < refreshed.num_trees(); ++t) {
       const uint64_t new_pages =
-          forest->tree(t)->TotalSizeBytes() / kPageSize;
+          refreshed.tree(t)->TotalSizeBytes() / kPageSize;
       costs.push_back(static_cast<double>(old_pages[t] + new_pages) *
                       disk.PageTransferSeconds());
     }

@@ -65,9 +65,9 @@ int Run(int argc, char** argv) {
   }
 
   std::printf("\nPer-tree breakdown:\n");
-  CubetreeForest* f = cbt->forest();
-  for (size_t t = 0; t < f->num_trees(); ++t) {
-    std::shared_ptr<Cubetree> tree = f->tree(t);
+  const ForestSnapshot snapshot = cbt->forest()->AcquireSnapshot();
+  for (size_t t = 0; t < snapshot.num_trees(); ++t) {
+    Cubetree* tree = snapshot.tree(t);
     std::printf("  R%zu (dims %u): %8llu points, %5u leaf pages, %10s —",
                 t + 1, tree->dims(),
                 static_cast<unsigned long long>(tree->rtree()->num_points()),

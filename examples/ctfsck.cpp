@@ -171,6 +171,9 @@ int SelfDemo(const CliOptions& cli) {
   v.id = 1;
   v.attrs = {0};
   Status built = forest->Build({v}, &provider);
+  // A partial refresh on top leaves a pending delta tree, so the check
+  // covers delta files as well as the main tree.
+  if (built.ok()) built = forest->ApplyDeltaPartial(&provider);
   if (!built.ok()) {
     std::fprintf(stderr, "ctfsck: demo build failed: %s\n",
                  built.ToString().c_str());

@@ -111,9 +111,9 @@ int main() {
   CHECK_OK(data->Destroy());
 
   std::printf("forest: %zu cubetree(s), %llu points, %llu bytes\n",
-              engine->forest()->num_trees(),
+              engine->forest()->plan().trees.size(),
               static_cast<unsigned long long>(
-                  engine->forest()->TotalPoints()),
+                  engine->forest()->AcquireSnapshot().TotalPoints()),
               static_cast<unsigned long long>(engine->StorageBytes()));
 
   // 4. Ask a question in SQL. The engine routes it to the best view (here:

@@ -6,9 +6,9 @@
 //
 // If a previous run left a forest behind — say it was crashed mid-refresh
 // via CUBETREE_FAILPOINTS='forest.manifest.rename=crash@2' — the program
-// recovers it instead of reloading: the refresh journal is replayed,
-// half-built files are reclaimed, and the dashboard queries run against
-// whichever generation the crash left committed.
+// recovers it instead of reloading: the files the manifest does not name
+// (half-built or retired generations) are reclaimed, and the dashboard
+// queries run against whichever generation the crash left committed.
 //
 // If the volume fills mid-week (simulate with
 // CUBETREE_FAILPOINTS='disk.preflight=enospc'), the refresh is refused
@@ -81,7 +81,8 @@ int RecoverAndQuery(Warehouse* warehouse) {
               recovered->wall_seconds,
               warehouse->cubetrees()->StorageBytes() / 1048576.0,
               static_cast<unsigned long long>(
-                  warehouse->cubetrees()->forest()->TotalPoints()));
+                  warehouse->cubetrees()->forest()->AcquireSnapshot()
+                      .TotalPoints()));
   SliceQueryGenerator gen = warehouse->MakeQueryGenerator(99);
   uint64_t rows = 0;
   for (int q = 0; q < 25; ++q) {
@@ -295,7 +296,8 @@ int main(int argc, char** argv) {
               load->TotalWallSeconds(),
               warehouse->cubetrees()->StorageBytes() / 1048576.0,
               static_cast<unsigned long long>(
-                  warehouse->cubetrees()->forest()->TotalPoints()));
+                  warehouse->cubetrees()->forest()->AcquireSnapshot()
+                      .TotalPoints()));
 
   // CUBETREE_SCRUB_ENABLE=1 turns on the background integrity scrubber:
   // it re-reads every page of the live generation between refreshes
@@ -366,6 +368,7 @@ int main(int argc, char** argv) {
               "down-time window needed beyond each merge-pack\n",
               warehouse->cubetrees()->StorageBytes() / 1048576.0,
               static_cast<unsigned long long>(
-                  warehouse->cubetrees()->forest()->TotalPoints()));
+                  warehouse->cubetrees()->forest()->AcquireSnapshot()
+                      .TotalPoints()));
   return 0;
 }

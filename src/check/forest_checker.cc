@@ -100,61 +100,65 @@ Status ForestChecker::Run(CheckReport* report) {
   }
 
   // --- Per-tree scans: membership, contiguity, counts -------------------
+  // Every file of the published generation — each tree's main file and its
+  // pending delta files — is scanned and counted.
+  const ForestSnapshot snapshot = forest->AcquireSnapshot();
   uint64_t scanned_total = 0;
   uint64_t meta_total = 0;
-  for (size_t t = 0; t < forest->num_trees(); ++t) {
-    std::shared_ptr<Cubetree> tree = forest->tree(t);
+  for (size_t t = 0; t < snapshot.num_trees(); ++t) {
     std::set<uint32_t> planned(plan.trees[t].view_ids.begin(),
                                plan.trees[t].view_ids.end());
     std::set<uint32_t> present;
-    uint64_t scanned = 0;
-    PackedRTree::Scanner scanner = tree->rtree()->ScanAll();
-    while (true) {
-      const PointRecord* rec = nullptr;
-      Status status = scanner.Next(&rec);
-      if (!status.ok()) {
-        report->AddError("forest", "tree-scan",
-                         "scan of tree " + std::to_string(t) +
-                             " failed: " + status.ToString(),
-                         tree->rtree()->path());
-        break;
+    for (PackedRTree* rtree : snapshot.tree(t)->main_and_deltas()) {
+      uint64_t scanned = 0;
+      PackedRTree::Scanner scanner = rtree->ScanAll();
+      while (true) {
+        const PointRecord* rec = nullptr;
+        Status status = scanner.Next(&rec);
+        if (!status.ok()) {
+          report->AddError("forest", "tree-scan",
+                           "scan of tree " + std::to_string(t) +
+                               " failed: " + status.ToString(),
+                           rtree->path());
+          break;
+        }
+        if (rec == nullptr) break;
+        if (present.insert(rec->view_id).second &&
+            planned.count(rec->view_id) == 0) {
+          report->AddError("forest", "stray-view",
+                           "tree " + std::to_string(t) +
+                               " stores points of view " +
+                               std::to_string(rec->view_id) +
+                               " which the plan does not place there",
+                           rtree->path());
+        }
+        ++scanned;
       }
-      if (rec == nullptr) break;
-      if (present.insert(rec->view_id).second &&
-          planned.count(rec->view_id) == 0) {
-        report->AddError("forest", "stray-view",
-                         "tree " + std::to_string(t) +
-                             " stores points of view " +
-                             std::to_string(rec->view_id) +
-                             " which the plan does not place there",
-                         tree->rtree()->path());
+      if (scanned != rtree->num_points()) {
+        report->AddError("forest", "point-count",
+                         "tree " + std::to_string(t) + " scan found " +
+                             std::to_string(scanned) +
+                             " points, metadata records " +
+                             std::to_string(rtree->num_points()),
+                         rtree->path());
       }
-      ++scanned;
+      scanned_total += scanned;
+      meta_total += rtree->num_points();
     }
-    if (scanned != tree->rtree()->num_points()) {
-      report->AddError("forest", "point-count",
-                       "tree " + std::to_string(t) + " scan found " +
-                           std::to_string(scanned) +
-                           " points, metadata records " +
-                           std::to_string(tree->rtree()->num_points()),
-                       tree->rtree()->path());
-    }
-    scanned_total += scanned;
-    meta_total += tree->rtree()->num_points();
     for (uint32_t vid : plan.trees[t].view_ids) {
       if (present.count(vid) == 0) {
         report->AddInfo("forest", "empty-view",
                         "view " + std::to_string(vid) +
                             " has no points in tree " + std::to_string(t),
-                        tree->rtree()->path());
+                        snapshot.tree(t)->rtree()->path());
       }
     }
   }
-  if (scanned_total != meta_total || meta_total != forest->TotalPoints()) {
+  if (scanned_total != meta_total || meta_total != snapshot.TotalPoints()) {
     report->AddError("forest", "total-points",
                      "forest point totals disagree (scanned " +
                          std::to_string(scanned_total) + ", metadata " +
-                         std::to_string(forest->TotalPoints()) + ")",
+                         std::to_string(snapshot.TotalPoints()) + ")",
                      forest_ctx);
   }
 
@@ -243,15 +247,10 @@ Status ForestChecker::Run(CheckReport* report) {
       auto view = forest->view(view_id);
       return view.ok() ? (*view)->arity() : 0;
     };
-    for (size_t t = 0; t < forest->num_trees(); ++t) {
-      std::shared_ptr<Cubetree> tree = forest->tree(t);
-      RTreeChecker main_checker(tree->rtree()->path(), impl_->options,
-                                arity_of);
-      CT_RETURN_NOT_OK(main_checker.Run(report));
-      for (size_t d = 0; d < tree->num_deltas(); ++d) {
-        RTreeChecker delta_checker(tree->delta(d)->path(), impl_->options,
-                                   arity_of);
-        CT_RETURN_NOT_OK(delta_checker.Run(report));
+    for (size_t t = 0; t < snapshot.num_trees(); ++t) {
+      for (PackedRTree* rtree : snapshot.tree(t)->main_and_deltas()) {
+        RTreeChecker checker(rtree->path(), impl_->options, arity_of);
+        CT_RETURN_NOT_OK(checker.Run(report));
       }
     }
   }

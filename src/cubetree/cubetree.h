@@ -31,8 +31,8 @@ namespace cubetree {
 /// refresh publishes a new Cubetree sharing the old main tree plus one more
 /// delta, while snapshots pinned to the previous generation keep the old
 /// object alive. A built tree is immutable, so concurrent QueryBox calls
-/// from many threads are safe; the mutators (ReplaceTree/AddDelta/
-/// TakeDeltas) are reserved for construction before the tree is published.
+/// from many threads are safe; the mutator AddDelta is reserved for
+/// construction before the tree is published.
 class Cubetree {
  public:
   Cubetree(std::vector<ViewDef> views, std::shared_ptr<PackedRTree> tree)
@@ -47,25 +47,20 @@ class Cubetree {
   const std::shared_ptr<PackedRTree>& shared_rtree() const { return tree_; }
   uint8_t dims() const { return tree_->dims(); }
 
-  /// Replaces the packed tree (after a merge-pack produced a new file).
-  void ReplaceTree(std::shared_ptr<PackedRTree> tree) {
-    tree_ = std::move(tree);
-  }
-
   /// Attaches one more delta tree (most recent last).
   void AddDelta(std::shared_ptr<PackedRTree> delta) {
     deltas_.push_back(std::move(delta));
   }
   size_t num_deltas() const { return deltas_.size(); }
   bool HasDeltas() const { return !deltas_.empty(); }
-  PackedRTree* delta(size_t i) { return deltas_[i].get(); }
+  /// The main tree followed by every pending delta tree.
+  std::vector<PackedRTree*> main_and_deltas() {
+    std::vector<PackedRTree*> trees = {tree_.get()};
+    for (const auto& d : deltas_) trees.push_back(d.get());
+    return trees;
+  }
   const std::vector<std::shared_ptr<PackedRTree>>& shared_deltas() const {
     return deltas_;
-  }
-  /// Drops all delta trees (after a compaction folded them into the main
-  /// tree). Does not remove files.
-  std::vector<std::shared_ptr<PackedRTree>> TakeDeltas() {
-    return std::move(deltas_);
   }
 
   /// Bytes across the main tree and all delta trees.

@@ -13,7 +13,6 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <string_view>
 
 #include "check/checkers.h"
 #include "check/invariant_checker.h"
@@ -22,7 +21,6 @@
 #include "common/parallel_for.h"
 #include "cubetree/merge_pack.h"
 #include "common/timer.h"
-#include "engine/wal.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -98,46 +96,53 @@ class CancellablePointSource : public PointSource {
   uint64_t polls_ = 0;
 };
 
-/// Sets `path` aside under a ".quarantine" suffix. Best effort: a rename
-/// failure is logged, and the original path is left for a later recovery
-/// pass. Returns the new path on success.
-bool SetAsideQuarantined(const std::string& path, std::string* aside) {
-  *aside = path + ".quarantine";
-  // Not a commit point: best-effort tidying of an already-quarantined
-  // file; crash coverage lives at the manifest swap.
-  // ct-lint: allow(fault-pair)
-  if (std::rename(path.c_str(), aside->c_str()) != 0) {
-    CT_LOG(Warn) << "forest: cannot quarantine " << path << ": "
-                 << std::strerror(errno);
-    return false;
-  }
-  return true;
-}
-
-/// Sets aside `path` and its checksum sidecar, recording the aside names
-/// for the post-rebuild cleanup. The sidecar follows its data file so a
-/// rebuilt generation never pairs with stale checksums.
-void SetAsideWithSidecar(const std::string& path,
-                         std::vector<std::string>* aside_files) {
-  std::string aside;
-  if (FileExists(path) && SetAsideQuarantined(path, &aside)) {
-    aside_files->push_back(aside);
-  }
-  const std::string sidecar = ChecksumSidecarPath(path);
-  if (FileExists(sidecar) && SetAsideQuarantined(sidecar, &aside)) {
-    aside_files->push_back(aside);
-  }
-}
-
-/// Best-effort removal of a tree file plus its checksum sidecar on refresh
-/// abort paths; failures only leave orphans for recovery's sweep.
-void RemoveTreeFileBestEffort(const std::string& path, const char* what) {
-  for (const std::string& p : {path, ChecksumSidecarPath(path)}) {
-    Status removed = RemoveFileIfExists(p);
-    if (!removed.ok()) {
-      CT_LOG(Warn) << "forest: " << what << ": " << removed.ToString();
+/// Owns a chain of pairwise merges over N pack-ordered sources.
+class ChainedMergeSource {
+ public:
+  ChainedMergeSource(std::vector<PointSource*> inputs, uint8_t dims) {
+    head_ = inputs.empty() ? nullptr : inputs[0];
+    for (size_t i = 1; i < inputs.size(); ++i) {
+      merges_.push_back(
+          std::make_unique<MergePointSource>(head_, inputs[i], dims));
+      head_ = merges_.back().get();
     }
   }
+
+  PointSource* head() { return head_; }
+
+ private:
+  std::vector<std::unique_ptr<MergePointSource>> merges_;
+  PointSource* head_ = nullptr;
+};
+
+/// Sets aside `path` and its checksum sidecar under a ".quarantine"
+/// suffix, recording the aside names for the post-rebuild cleanup. The
+/// sidecar follows its data file so a rebuilt generation never pairs with
+/// stale checksums. Best effort: a rename failure is logged, and the
+/// original path is left for a later recovery pass.
+void SetAsideWithSidecar(const std::string& path,
+                         std::vector<std::string>* aside_files) {
+  for (const std::string& file : {path, ChecksumSidecarPath(path)}) {
+    if (!FileExists(file)) continue;
+    const std::string aside = file + ".quarantine";
+    // Not a commit point: best-effort tidying of an already-quarantined
+    // file; crash coverage lives at the manifest swap.
+    // ct-lint: allow(fault-pair)
+    if (std::rename(file.c_str(), aside.c_str()) != 0) {
+      CT_LOG(Warn) << "forest: cannot quarantine " << file << ": "
+                   << std::strerror(errno);
+      continue;
+    }
+    aside_files->push_back(aside);
+  }
+}
+
+/// True when a refresh of `kind` writes tree `slot`: a rebuild writes
+/// exactly the quarantined trees, every other kind the healthy ones.
+bool IsRefreshTarget(CubetreeForest::RefreshKind kind,
+                     const forest_internal::TreeState& slot) {
+  return (kind == CubetreeForest::RefreshKind::kRebuild) ==
+         (slot.tree == nullptr);
 }
 
 }  // namespace
@@ -230,9 +235,15 @@ EpochState::~EpochState() {
 
 bool ForestSnapshot::IsViewQuarantined(uint32_t view_id) const {
   auto it = state_->view_to_tree.find(view_id);
-  if (it == state_->view_to_tree.end()) return false;
-  return it->second < state_->quarantined.size() &&
-         state_->quarantined[it->second];
+  return it != state_->view_to_tree.end() &&
+         state_->trees[it->second].tree == nullptr;
+}
+
+bool ForestSnapshot::HasQuarantine() const {
+  for (const auto& slot : state_->trees) {
+    if (slot.tree == nullptr) return true;
+  }
+  return false;
 }
 
 Result<Cubetree*> ForestSnapshot::TreeForView(uint32_t view_id) const {
@@ -240,27 +251,36 @@ Result<Cubetree*> ForestSnapshot::TreeForView(uint32_t view_id) const {
   if (it == state_->view_to_tree.end()) {
     return Status::NotFound("forest: view not materialized");
   }
-  if (state_->quarantined[it->second]) {
+  Cubetree* tree = state_->trees[it->second].tree.get();
+  if (tree == nullptr) {
     return Status::Unavailable("forest: view " + std::to_string(view_id) +
                                " is quarantined awaiting rebuild");
   }
-  return state_->trees[it->second].get();
+  return tree;
 }
 
-uint64_t ForestSnapshot::TotalPoints() const {
-  uint64_t total = 0;
-  for (const auto& tree : state_->trees) {
-    if (tree) total += tree->TotalPoints();
+Result<std::map<uint32_t, uint64_t>> ForestSnapshot::CountPointsPerView()
+    const {
+  std::map<uint32_t, uint64_t> counts;
+  for (const auto& entry : state_->view_to_tree) counts[entry.first] = 0;
+  for (const auto& slot : state_->trees) {
+    if (slot.tree == nullptr) continue;
+    for (PackedRTree* rtree : slot.tree->main_and_deltas()) {
+      ScannerPointSource source(rtree);
+      const PointRecord* record = nullptr;
+      while (true) {
+        CT_RETURN_NOT_OK(source.Next(&record));
+        if (record == nullptr) break;
+        ++counts[record->view_id];
+      }
+    }
   }
-  return total;
+  return counts;
 }
 
 std::string ForestRecoveryReport::ToString() const {
   std::ostringstream out;
-  out << "recovery: journal="
-      << (journal_found ? (refresh_in_flight ? "in-flight" : "committed")
-                        : "none")
-      << " orphans_removed=" << removed_orphans.size()
+  out << "recovery: orphans_removed=" << removed_orphans.size()
       << " quarantined_trees=" << quarantined_trees.size();
   for (const std::string& note : notes) out << "\n  " << note;
   return out.str();
@@ -293,13 +313,14 @@ std::string CubetreeForest::ManifestPath() const {
   return options_.dir + "/" + options_.name + ".manifest";
 }
 
-std::string CubetreeForest::JournalPath() const {
-  return options_.dir + "/" + options_.name + ".refresh.wal";
+std::vector<std::string> CubetreeForest::TreeFiles(
+    size_t t, const TreeState& slot) const {
+  std::vector<std::string> paths = {TreePath(t, slot.generation)};
+  for (uint32_t g : slot.delta_generations) paths.push_back(DeltaPath(t, g));
+  return paths;
 }
 
-std::string CubetreeForest::SerializeManifest(
-    const std::vector<uint32_t>& generations,
-    const std::vector<std::vector<uint32_t>>& delta_generations) const {
+std::string CubetreeForest::SerializeManifest(const EpochState& state) const {
   std::ostringstream out;
   // v2 adds the `checksums` line: every tree file this manifest names was
   // built with a checksum sidecar, and the loader refuses to serve a tree
@@ -316,27 +337,25 @@ std::string CubetreeForest::SerializeManifest(
   out << "trees " << plan_.trees.size() << "\n";
   for (size_t t = 0; t < plan_.trees.size(); ++t) {
     out << "tree " << static_cast<int>(plan_.trees[t].dims) << " "
-        << generations[t];
+        << state.trees[t].generation;
     for (uint32_t vid : plan_.trees[t].view_ids) out << " " << vid;
     out << "\n";
   }
-  for (size_t t = 0; t < delta_generations.size(); ++t) {
-    for (uint32_t generation : delta_generations[t]) {
+  for (size_t t = 0; t < state.trees.size(); ++t) {
+    for (uint32_t generation : state.trees[t].delta_generations) {
       out << "delta " << t << " " << generation << "\n";
     }
   }
   return out.str();
 }
 
-Status CubetreeForest::SaveManifestDurable(
-    const std::vector<uint32_t>& generations,
-    const std::vector<std::vector<uint32_t>>& delta_generations) const {
+Status CubetreeForest::SaveManifestDurable(const EpochState& state) const {
   // The manifest names tree files, so those files must be durable before
   // the manifest can point at them (PackedRTree::Build fsyncs). The swap
   // itself: write tmp -> fsync(tmp) -> fsync(dir) -> rename -> fsync(dir).
   // A crash anywhere before the rename leaves the old manifest in effect;
   // after it, the new one. There is no in-between.
-  const std::string data = SerializeManifest(generations, delta_generations);
+  const std::string data = SerializeManifest(state);
   const std::string tmp = ManifestPath() + ".tmp";
   CT_FAULT("forest.manifest.create");
   const int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
@@ -382,11 +401,20 @@ Status CubetreeForest::SaveManifestDurable(
   return Status::OK();
 }
 
-Status CubetreeForest::SaveManifest() const {
-  return SaveManifestDurable(generations_, delta_generations_);
+Result<std::shared_ptr<PackedRTree>> CubetreeForest::OpenTreeFile(
+    const std::string& path, bool expect_checksums) const {
+  CT_ASSIGN_OR_RETURN(std::shared_ptr<PackedRTree> rtree,
+                      PackedRTree::Open(path, pool_, io_stats_));
+  if (expect_checksums && !rtree->checksums_enabled()) {
+    // A v2 manifest promises a sidecar for every file it names; a missing
+    // one means the file set was tampered with or torn.
+    return Status::Corruption("missing checksum sidecar for " +
+                              ChecksumSidecarPath(path));
+  }
+  return rtree;
 }
 
-Status CubetreeForest::LoadManifest(bool tolerant,
+Status CubetreeForest::LoadManifest(bool tolerant, EpochState* state,
                                     ForestRecoveryReport* report) {
   std::ifstream in(ManifestPath());
   if (!in) {
@@ -428,11 +456,10 @@ Status CubetreeForest::LoadManifest(bool tolerant,
   }
   size_t num_trees = 0;
   if (!(in >> word >> num_trees) || word != "trees") return malformed();
-  std::vector<Status> main_failures;
   for (size_t t = 0; t < num_trees; ++t) {
     int dims = 0;
-    uint32_t generation = 0;
-    if (!(in >> word >> dims >> generation) || word != "tree") {
+    TreeState slot;
+    if (!(in >> word >> dims >> slot.generation) || word != "tree") {
       return malformed();
     }
     ForestPlan::TreeSpec spec;
@@ -441,89 +468,45 @@ Status CubetreeForest::LoadManifest(bool tolerant,
     std::getline(in, line);
     std::istringstream ids(line);
     uint32_t vid;
-    std::vector<ViewDef> tree_views;
     while (ids >> vid) {
-      auto it = views_by_id_.find(vid);
-      if (it == views_by_id_.end()) return malformed();
+      if (views_by_id_.count(vid) == 0) return malformed();
       spec.view_ids.push_back(vid);
-      tree_views.push_back(it->second);
       plan_.view_to_tree[vid] = t;
     }
     plan_.trees.push_back(std::move(spec));
-    generations_.push_back(generation);
-    const std::string tree_path = TreePath(t, generation);
-    auto rtree = PackedRTree::Open(tree_path, pool_, io_stats_);
-    Status opened = rtree.status();
-    if (opened.ok() && expect_checksums &&
-        !rtree.value()->checksums_enabled()) {
-      // A v2 manifest promises a sidecar for every file it names; a
-      // missing one means the file set was tampered with or torn.
-      opened = Status::Corruption("missing checksum sidecar for " +
-                                  ChecksumSidecarPath(tree_path));
-    }
-    if (opened.ok()) {
-      trees_.push_back(std::make_shared<Cubetree>(std::move(tree_views),
-                                                  std::move(rtree).value()));
-      main_failures.push_back(Status::OK());
-    } else if (tolerant) {
-      trees_.push_back(nullptr);
-      main_failures.push_back(opened);
-    } else {
-      return opened;
-    }
+    state->trees.push_back(std::move(slot));
   }
-  delta_generations_.assign(num_trees, {});
   next_delta_generation_.assign(num_trees, 0);
-  quarantined_.assign(num_trees, false);
   quarantine_files_.assign(num_trees, {});
-  for (size_t t = 0; t < num_trees; ++t) {
-    if (!main_failures[t].ok()) quarantined_[t] = true;
-  }
   while (in >> word) {
     if (word != "delta") return malformed();
-    size_t tree_index = 0;
+    size_t t = 0;
     uint32_t generation = 0;
-    if (!(in >> tree_index >> generation) || tree_index >= trees_.size()) {
-      return malformed();
-    }
-    next_delta_generation_[tree_index] =
-        std::max(next_delta_generation_[tree_index], generation + 1);
-    if (quarantined_[tree_index]) {
-      // The tree is already out of service; set its delta file aside too.
-      SetAsideWithSidecar(DeltaPath(tree_index, generation),
-                          &quarantine_files_[tree_index]);
-      continue;
-    }
-    delta_generations_[tree_index].push_back(generation);
-    const std::string delta_path = DeltaPath(tree_index, generation);
-    auto delta_tree = PackedRTree::Open(delta_path, pool_, io_stats_);
-    Status delta_opened = delta_tree.status();
-    if (delta_opened.ok() && expect_checksums &&
-        !delta_tree.value()->checksums_enabled()) {
-      delta_opened = Status::Corruption("missing checksum sidecar for " +
-                                        ChecksumSidecarPath(delta_path));
-    }
-    if (delta_opened.ok()) {
-      trees_[tree_index]->AddDelta(std::move(delta_tree).value());
-    } else if (tolerant) {
-      QuarantineTree(tree_index, delta_opened, report);
-    } else {
-      return delta_opened;
-    }
+    if (!(in >> t >> generation) || t >= num_trees) return malformed();
+    state->trees[t].delta_generations.push_back(generation);
+    next_delta_generation_[t] =
+        std::max(next_delta_generation_[t], generation + 1);
   }
-  // Finish quarantining trees whose main file would not open: set aside
-  // whatever is left of them and record the event.
+  // Open every tree: its main file, then its pending deltas.
   for (size_t t = 0; t < num_trees; ++t) {
-    if (main_failures[t].ok()) continue;
-    SetAsideWithSidecar(TreePath(t, generations_[t]), &quarantine_files_[t]);
-    if (report != nullptr) {
-      report->quarantined_trees.push_back(t);
-      for (uint32_t vid : plan_.trees[t].view_ids) {
-        report->quarantined_views.push_back(vid);
+    TreeState& slot = state->trees[t];
+    auto open_tree = [&]() -> Status {
+      CT_ASSIGN_OR_RETURN(
+          auto main, OpenTreeFile(TreePath(t, slot.generation),
+                                  expect_checksums));
+      auto tree = std::make_shared<Cubetree>(TreeViews(t), std::move(main));
+      for (uint32_t g : slot.delta_generations) {
+        CT_ASSIGN_OR_RETURN(auto delta,
+                            OpenTreeFile(DeltaPath(t, g), expect_checksums));
+        tree->AddDelta(std::move(delta));
       }
-      report->notes.push_back("quarantined tree " + std::to_string(t) +
-                              ": " + main_failures[t].ToString());
-    }
+      slot.tree = std::move(tree);
+      return Status::OK();
+    };
+    Status opened = open_tree();
+    if (opened.ok()) continue;
+    if (!tolerant) return opened;
+    QuarantineTree(state, t, opened, report);
   }
   return Status::OK();
 }
@@ -533,19 +516,22 @@ Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Open(
   CT_ASSIGN_OR_RETURN(auto forest,
                       Create(std::move(options), pool, std::move(io_stats)));
   MutexLock lock(forest->refresh_mu_);
-  CT_RETURN_NOT_OK(forest->LoadManifest(/*tolerant=*/false, nullptr));
-  forest->PublishState();
+  auto state = std::make_shared<EpochState>();
+  CT_RETURN_NOT_OK(
+      forest->LoadManifest(/*tolerant=*/false, state.get(), nullptr));
+  forest->PublishState(std::move(state));
   return forest;
 }
 
-void CubetreeForest::QuarantineTree(size_t t, const Status& why,
+void CubetreeForest::QuarantineTree(EpochState* state, size_t t,
+                                    const Status& why,
                                     ForestRecoveryReport* report) {
-  std::vector<std::string> paths = {TreePath(t, generations_[t])};
-  for (uint32_t g : delta_generations_[t]) paths.push_back(DeltaPath(t, g));
-  // Close before renaming so the buffer pool drops the file's pages.
-  trees_[t].reset();
-  delta_generations_[t].clear();
-  quarantined_[t] = true;
+  TreeState& slot = state->trees[t];
+  const std::vector<std::string> paths = TreeFiles(t, slot);
+  // Drop the staged reference before renaming; the buffer pool drops the
+  // file's pages once no published epoch holds the tree either.
+  slot.tree.reset();
+  slot.delta_generations.clear();
   for (const std::string& path : paths) {
     SetAsideWithSidecar(path, &quarantine_files_[t]);
   }
@@ -579,132 +565,77 @@ void CubetreeForest::RemoveOrphan(const std::string& path,
 
 Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Recover(
     Options options, BufferPool* pool, std::shared_ptr<IoStats> io_stats,
-    ForestRecoveryReport* report, RecoverOptions recover) {
+    ForestRecoveryReport* report) {
   CT_ASSIGN_OR_RETURN(auto forest,
                       Create(std::move(options), pool, std::move(io_stats)));
   ForestRecoveryReport local_report;
   if (report == nullptr) report = &local_report;
 
-  // 1. Refresh journal: replay it (tolerantly — the crash may have torn
-  // its tail) to learn whether a refresh was in flight, then retire it.
-  // The journal is advisory; correctness rests on the atomic manifest swap
-  // plus the directory sweep below.
-  const std::string journal = forest->JournalPath();
-  if (FileExists(journal)) {
-    report->journal_found = true;
-    bool saw_commit = false;
-    auto replayed = WriteAheadLog::ReplayTolerant(
-        journal, [&saw_commit](const char* data, size_t size) {
-          if (std::string_view(data, size) == "commit") saw_commit = true;
-        });
-    if (replayed.ok()) {
-      report->journal_records = replayed->records;
-      report->refresh_in_flight = !saw_commit;
-      if (replayed->torn) {
-        report->notes.push_back(
-            "refresh journal had a torn tail (" +
-            std::to_string(replayed->torn_bytes) + " bytes discarded)");
-      }
-    } else {
-      report->refresh_in_flight = true;
-      report->notes.push_back("refresh journal unreadable: " +
-                              replayed.status().ToString());
-    }
-    forest->RemoveOrphan(journal, report);
-  }
-
-  // 2. Load the manifest, quarantining any tree that will not open. The
+  // 1. Load the manifest, quarantining any tree that will not open. The
   // forest is not yet visible to other threads; the lock covers the whole
-  // remaining recovery so the guarded state is built under it.
+  // recovery so the guarded state is built under it.
   MutexLock lock(forest->refresh_mu_);
-  CT_RETURN_NOT_OK(forest->LoadManifest(/*tolerant=*/true, report));
+  auto state = std::make_shared<EpochState>();
+  CT_RETURN_NOT_OK(forest->LoadManifest(/*tolerant=*/true, state.get(),
+                                        report));
 
-  // 3. Deep-check the trees that did open; quarantine the ones that fail
+  // 2. Deep-check the trees that did open; quarantine the ones that fail
   // their invariants (a torn page write can leave an openable but
   // inconsistent file).
-  if (recover.deep_check) {
-    for (size_t t = 0; t < forest->trees_.size(); ++t) {
-      if (forest->trees_[t] == nullptr) continue;
-      std::vector<std::string> paths = {
-          forest->TreePath(t, forest->generations_[t])};
-      for (uint32_t g : forest->delta_generations_[t]) {
-        paths.push_back(forest->DeltaPath(t, g));
+  for (size_t t = 0; t < state->trees.size(); ++t) {
+    if (state->trees[t].tree == nullptr) continue;
+    Status verdict;
+    for (const std::string& path : forest->TreeFiles(t, state->trees[t])) {
+      RTreeChecker checker(path, CheckOptions{/*deep=*/true},
+                           forest->ArityFn());
+      CheckReport check_report;
+      verdict = checker.Run(&check_report);
+      if (verdict.ok() && !check_report.clean()) {
+        verdict = Status::Corruption("invariant check failed for " + path);
       }
-      Status verdict;
-      for (const std::string& path : paths) {
-        RTreeChecker checker(path, CheckOptions{/*deep=*/true},
-                             forest->ArityFn());
-        CheckReport check_report;
-        verdict = checker.Run(&check_report);
-        if (verdict.ok() && !check_report.clean()) {
-          verdict = Status::Corruption("invariant check failed for " + path);
-        }
-        if (!verdict.ok()) break;
-      }
-      if (!verdict.ok()) forest->QuarantineTree(t, verdict, report);
+      if (!verdict.ok()) break;
     }
+    if (!verdict.ok()) forest->QuarantineTree(state.get(), t, verdict, report);
   }
+  forest->PublishState(std::move(state));
 
-  // 4. Sweep the directory: any tree-generation file of this forest the
+  // 3. Sweep the directory: any tree-generation file of this forest the
   // manifest does not reference is the debris of an interrupted refresh
   // (either the half-built next generation or the un-reclaimed previous
   // one) — as is a stale manifest tmp. ".quarantine" files are kept for
   // RebuildQuarantined.
-  std::set<std::string> live;
-  for (size_t t = 0; t < forest->trees_.size(); ++t) {
-    if (forest->trees_[t] == nullptr) continue;
-    live.insert(forest->TreePath(t, forest->generations_[t]));
-    for (uint32_t g : forest->delta_generations_[t]) {
-      live.insert(forest->DeltaPath(t, g));
-    }
-  }
-  DIR* dir = ::opendir(forest->options_.dir.c_str());
-  if (dir == nullptr) {
-    return Status::IOError("opendir " + forest->options_.dir + ": " +
-                           std::strerror(errno));
-  }
-  std::vector<std::string> orphans;
-  const std::string& name = forest->options_.name;
-  while (struct dirent* entry = ::readdir(dir)) {
-    const std::string file = entry->d_name;
-    if (!file.starts_with(name)) continue;
-    const std::string path = forest->options_.dir + "/" + file;
-    const bool tree_file =
-        file.starts_with(name + "_t") && file.ends_with(".ctr");
-    // A checksum sidecar is live exactly when its data file is: one
-    // surviving alone is debris from the same interrupted refresh.
-    const bool sidecar_file =
-        file.starts_with(name + "_t") && file.ends_with(".ctr.crc");
-    const bool sidecar_orphan =
-        sidecar_file &&
-        live.find(path.substr(0, path.size() - 4)) == live.end();
-    const bool stale_tmp = file == name + ".manifest.tmp";
-    const bool stale_journal = file == name + ".refresh.wal";
-    if ((tree_file && live.find(path) == live.end()) || sidecar_orphan ||
-        stale_tmp || stale_journal) {
-      orphans.push_back(path);
-    }
-  }
-  ::closedir(dir);
-  std::sort(orphans.begin(), orphans.end());  // deterministic GC order
+  CT_ASSIGN_OR_RETURN(std::vector<std::string> orphans,
+                      forest->OrphanFiles());
   for (const std::string& path : orphans) {
     forest->RemoveOrphan(path, report);
   }
-  forest->PublishState();
   return forest;
 }
 
-std::vector<const ViewDef*> CubetreeForest::TreeViewsAscArity(
-    size_t tree_index) const {
-  std::vector<const ViewDef*> result;
-  for (uint32_t vid : plan_.trees[tree_index].view_ids) {
-    result.push_back(&views_by_id_.at(vid));
+std::vector<ViewDef> CubetreeForest::TreeViews(size_t t) const {
+  std::vector<ViewDef> views;
+  for (uint32_t vid : plan_.trees[t].view_ids) {
+    views.push_back(views_by_id_.at(vid));
   }
-  std::sort(result.begin(), result.end(),
-            [](const ViewDef* a, const ViewDef* b) {
-              return a->arity() < b->arity();
+  return views;
+}
+
+Result<std::unique_ptr<PointSource>> CubetreeForest::OpenTreeSource(
+    size_t t, ViewDataProvider* provider) const {
+  // Ascending arity is pack order across the tree's views (see
+  // MultiViewPointSource).
+  std::vector<ViewDef> views = TreeViews(t);
+  std::sort(views.begin(), views.end(),
+            [](const ViewDef& a, const ViewDef& b) {
+              return a.arity() < b.arity();
             });
-  return result;
+  std::vector<MultiViewPointSource::ViewStream> streams;
+  for (ViewDef& view : views) {
+    CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(view));
+    streams.push_back({std::move(view), std::move(stream)});
+  }
+  return std::unique_ptr<PointSource>(
+      new MultiViewPointSource(std::move(streams)));
 }
 
 std::function<uint8_t(uint32_t)> CubetreeForest::ArityFn() const {
@@ -720,7 +651,7 @@ std::function<uint8_t(uint32_t)> CubetreeForest::ArityFn() const {
 Status CubetreeForest::Build(const std::vector<ViewDef>& views,
                              ViewDataProvider* provider) {
   MutexLock refresh_lock(refresh_mu_);
-  if (!trees_.empty()) {
+  if (published_.load(std::memory_order_acquire) != nullptr) {
     return Status::InvalidArgument("forest: already built");
   }
   views_ = views;
@@ -755,571 +686,269 @@ Status CubetreeForest::Build(const std::vector<ViewDef>& views,
     }
     CT_DCHECK(placed.size() == views_.size()) << "plan left a view unplaced";
   }
-  generations_.assign(plan_.trees.size(), 0);
-  delta_generations_.assign(plan_.trees.size(), {});
   next_delta_generation_.assign(plan_.trees.size(), 0);
-  quarantined_.assign(plan_.trees.size(), false);
   quarantine_files_.assign(plan_.trees.size(), {});
 
+  auto state = std::make_shared<EpochState>();
   for (size_t t = 0; t < plan_.trees.size(); ++t) {
-    std::vector<MultiViewPointSource::ViewStream> streams;
-    for (const ViewDef* view : TreeViewsAscArity(t)) {
-      CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(*view));
-      streams.push_back({*view, std::move(stream)});
-    }
-    MultiViewPointSource source(std::move(streams));
+    CT_ASSIGN_OR_RETURN(auto source, OpenTreeSource(t, provider));
     RTreeOptions tree_options = options_.rtree;
     tree_options.dims = plan_.trees[t].dims;
     CT_ASSIGN_OR_RETURN(
         auto rtree,
-        PackedRTree::Build(TreePath(t, 0), tree_options, pool_, &source,
+        PackedRTree::Build(TreePath(t, 0), tree_options, pool_, source.get(),
                            ArityFn(), io_stats_));
-    std::vector<ViewDef> tree_views;
-    for (uint32_t vid : plan_.trees[t].view_ids) {
-      tree_views.push_back(views_by_id_.at(vid));
-    }
-    trees_.push_back(
-        std::make_shared<Cubetree>(std::move(tree_views), std::move(rtree)));
+    state->trees.push_back(
+        {std::make_shared<Cubetree>(TreeViews(t), std::move(rtree)), 0, {}});
   }
-  CT_RETURN_NOT_OK(SaveManifest());
-  PublishState();
+  CT_RETURN_NOT_OK(SaveManifestDurable(*state));
+  PublishState(std::move(state));
   return Status::OK();
-}
-
-Result<std::unique_ptr<PointSource>> CubetreeForest::MakeDeltaSource(
-    size_t tree_index, ViewDataProvider* provider) {
-  std::vector<MultiViewPointSource::ViewStream> streams;
-  for (const ViewDef* view : TreeViewsAscArity(tree_index)) {
-    CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(*view));
-    streams.push_back({*view, std::move(stream)});
-  }
-  return std::unique_ptr<PointSource>(
-      new MultiViewPointSource(std::move(streams)));
-}
-
-namespace {
-
-/// Owns a chain of pairwise merges over N pack-ordered sources.
-class ChainedMergeSource {
- public:
-  ChainedMergeSource(std::vector<PointSource*> inputs, uint8_t dims) {
-    head_ = inputs.empty() ? nullptr : inputs[0];
-    for (size_t i = 1; i < inputs.size(); ++i) {
-      merges_.push_back(
-          std::make_unique<MergePointSource>(head_, inputs[i], dims));
-      head_ = merges_.back().get();
-    }
-  }
-
-  PointSource* head() { return head_; }
-
- private:
-  std::vector<std::unique_ptr<MergePointSource>> merges_;
-  PointSource* head_ = nullptr;
-};
-
-}  // namespace
-
-Status CubetreeForest::BuildNextGenerations(
-    ViewDataProvider* delta_provider, std::vector<uint32_t>* generations,
-    std::vector<std::unique_ptr<PackedRTree>>* new_trees) {
-  const size_t num_trees = trees_.size();
-  generations->assign(num_trees, 0);
-  new_trees->clear();
-  new_trees->resize(num_trees);
-
-  // Prepare the work list serially under refresh_mu_: providers are not
-  // thread-safe (see ViewDataProvider), and the worker lambda must not
-  // touch guarded members — it gets plain-value tasks instead, each owning
-  // its tree handle and pre-opened delta source, and writes into its own
-  // pre-sized output slot.
-  struct TreeTask {
-    std::shared_ptr<Cubetree> tree;
-    std::unique_ptr<PointSource> delta;
-    std::string path;
-    uint32_t new_generation = 0;
-    uint8_t dims = 0;
-  };
-  std::vector<TreeTask> tasks(num_trees);
-  for (size_t t = 0; t < num_trees; ++t) {
-    TreeTask& task = tasks[t];
-    task.tree = trees_[t];
-    CT_ASSIGN_OR_RETURN(task.delta, MakeDeltaSource(t, delta_provider));
-    task.new_generation = generations_[t] + 1;
-    task.path = TreePath(t, task.new_generation);
-    task.dims = plan_.trees[t].dims;
-  }
-
-  const auto arity_fn = ArityFn();
-  const RTreeOptions base_rtree = options_.rtree;
-  BufferPool* const pool = pool_;
-  const std::shared_ptr<IoStats> io_stats = io_stats_;
-  // Each worker builds its merge_pack spans in a private child trace and
-  // splices them back under the refresh trace when its task ends.
-  obs::TraceHandoff handoff;
-  return ParallelFor(
-      num_trees, ResolvedRefreshThreads(num_trees),
-      [&](size_t t, CancelFlag* cancel) -> Status {
-        obs::TraceHandoff::Adopt adopt(handoff);
-        TreeTask& task = tasks[t];
-        obs::Span merge_span("refresh.merge_pack");
-        merge_span.Annotate("tree", static_cast<uint64_t>(t));
-
-        // Fold any pending delta trees into the same merge-pack.
-        ScannerPointSource main_source(task.tree->rtree());
-        std::vector<std::unique_ptr<ScannerPointSource>> delta_scans;
-        std::vector<PointSource*> inputs = {&main_source};
-        for (size_t d = 0; d < task.tree->num_deltas(); ++d) {
-          delta_scans.push_back(
-              std::make_unique<ScannerPointSource>(task.tree->delta(d)));
-          inputs.push_back(delta_scans.back().get());
-        }
-        inputs.push_back(task.delta.get());
-        ChainedMergeSource chain(inputs, task.dims);
-        CancellablePointSource source(chain.head(), cancel);
-
-        RTreeOptions tree_options = base_rtree;
-        tree_options.dims = task.dims;
-        CT_ASSIGN_OR_RETURN(
-            (*new_trees)[t],
-            PackedRTree::Build(task.path, tree_options, pool, &source,
-                               arity_fn, io_stats));
-        (*generations)[t] = task.new_generation;
-        merge_span.Annotate("points", (*new_trees)[t]->num_points());
-        CT_FAULT("forest.refresh.build");
-        return Status::OK();
-      });
 }
 
 Status CubetreeForest::ApplyDelta(ViewDataProvider* delta_provider) {
   MutexLock refresh_lock(refresh_mu_);
-  if (trees_.empty()) {
-    return Status::InvalidArgument("forest: not built yet");
-  }
-  if (HasQuarantineLocked()) {
-    return Status::Unavailable(
-        "forest: quarantined trees must be rebuilt before a refresh");
-  }
-
-  // Space preflight: the refresh transiently needs the old and the new
-  // generation (plus sort runs and sidecars) on disk at once. Refuse up
-  // front with a typed, retriable StorageFull naming the shortfall rather
-  // than hit ENOSPC halfway through the merge-pack — the published epoch
-  // keeps serving either way.
-  CT_RETURN_NOT_OK(PreflightRefreshLocked(EstimateRefreshBytes(
-      TotalSizeBytesLocked(), delta_provider->EstimatedInputBytes(),
-      ResolvedRefreshThreads(trees_.size()))));
-
-  // Advisory journal: records that a refresh started (and whether it
-  // committed), so recovery can report an interrupted refresh. Correctness
-  // does not depend on it — the atomic manifest swap and the recovery
-  // sweep carry that.
-  CT_ASSIGN_OR_RETURN(auto journal,
-                      WriteAheadLog::Create(JournalPath(), io_stats_));
-  static constexpr char kBeginRecord[] = "begin";
-  static constexpr char kCommitRecord[] = "commit";
-  CT_FAULT("forest.journal.append");
-  CT_RETURN_NOT_OK(journal->LogRecord(kBeginRecord, sizeof(kBeginRecord) - 1));
-  CT_RETURN_NOT_OK(journal->Force());
-  CT_FAULT("forest.refresh.begin");
-
-  // Phase 1: merge-pack every tree's next generation beside the current
-  // files. The live trees keep serving queries; nothing is mutated yet.
-  std::vector<uint32_t> new_generations;
-  std::vector<std::unique_ptr<PackedRTree>> new_trees;
-  Status phase =
-      BuildNextGenerations(delta_provider, &new_generations, &new_trees);
-
-  // Phase 2: the durable manifest swap — the commit point.
-  if (phase.ok()) {
-    obs::Span commit_span("refresh.manifest_commit");
-    phase = SaveManifestDurable(
-        new_generations, std::vector<std::vector<uint32_t>>(trees_.size()));
-  }
-  if (!phase.ok()) {
-    // Clean abort: delete whatever phase 1 managed to build (including a
-    // partial file from a failed build) and leave the live state alone.
-    for (size_t t = 0; t < trees_.size(); ++t) {
-      const std::string path = TreePath(t, generations_[t] + 1);
-      if (t < new_trees.size()) new_trees[t].reset();
-      RemoveTreeFileBestEffort(path, "refresh abort");
-    }
-    journal.reset();
-    Status removed = RemoveFileIfExists(JournalPath());
-    if (!removed.ok()) {
-      CT_LOG(Warn) << "forest: refresh abort: " << removed.ToString();
-    }
-    return phase;
-  }
-
-  // Phase 3: the manifest now names the new generation — install fresh
-  // Cubetree objects and publish a new epoch. The previous epoch's objects
-  // are never mutated: readers pinned to it keep serving main + deltas of
-  // the old generation until their snapshots drop, at which point the
-  // retired files are reclaimed (PublishState arms the tokens).
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    std::vector<ViewDef> tree_views;
-    for (uint32_t vid : plan_.trees[t].view_ids) {
-      tree_views.push_back(views_by_id_.at(vid));
-    }
-    trees_[t] = std::make_shared<Cubetree>(std::move(tree_views),
-                                           std::move(new_trees[t]));
-    delta_generations_[t].clear();
-  }
-  generations_ = std::move(new_generations);
-  CT_FAULT("forest.refresh.commit");
-  // Publishing retires the replaced generation's files; a crash between the
-  // manifest swap above and this point leaks them for recovery to sweep.
-  PublishState();
-
-  // Mark the journal committed and retire it. Every failure past the commit
-  // point only leaks files for recovery to sweep.
-  Status logged = journal->LogRecord(kCommitRecord, sizeof(kCommitRecord) - 1);
-  if (logged.ok()) logged = journal->Force();
-  if (!logged.ok()) {
-    CT_LOG(Warn) << "forest: refresh journal: " << logged.ToString();
-  }
-  journal.reset();
-  Status removed = RemoveFileIfExists(JournalPath());
-  if (!removed.ok()) {
-    CT_LOG(Warn) << "forest: refresh journal removal: " << removed.ToString();
-  }
-  return Status::OK();
+  return RefreshTxn(RefreshKind::kMerge, delta_provider);
 }
 
 Status CubetreeForest::ApplyDeltaPartial(ViewDataProvider* delta_provider) {
   MutexLock refresh_lock(refresh_mu_);
-  if (trees_.empty()) {
-    return Status::InvalidArgument("forest: not built yet");
-  }
-  if (HasQuarantineLocked()) {
-    return Status::Unavailable(
-        "forest: quarantined trees must be rebuilt before a refresh");
-  }
-  // A partial refresh only writes the increment (no repack of the mains),
-  // so the preflight covers the delta trees, their sort runs and sidecars.
-  CT_RETURN_NOT_OK(PreflightRefreshLocked(
-      EstimateRefreshBytes(0, delta_provider->EstimatedInputBytes(),
-                           ResolvedRefreshThreads(trees_.size()))));
-  // Phase 1: pack each tree's increment into a delta tree file, one worker
-  // per tree. The task list (streams, generation numbers) is prepared
-  // serially under refresh_mu_; workers only touch their own task and
-  // their own output slots.
-  const size_t num_trees = trees_.size();
-  std::vector<std::unique_ptr<PackedRTree>> built(num_trees);
-  std::vector<int64_t> built_generations(num_trees, -1);
-  struct DeltaTask {
-    std::unique_ptr<PointSource> delta;
-    std::string path;
-    uint32_t generation = 0;
-    uint8_t dims = 0;
-  };
-  std::vector<DeltaTask> tasks(num_trees);
-  auto prepare_all = [&]() -> Status {
-    for (size_t t = 0; t < num_trees; ++t) {
-      DeltaTask& task = tasks[t];
-      CT_ASSIGN_OR_RETURN(task.delta, MakeDeltaSource(t, delta_provider));
-      task.generation = next_delta_generation_[t]++;
-      task.path = DeltaPath(t, task.generation);
-      task.dims = plan_.trees[t].dims;
-    }
-    return Status::OK();
-  };
-  Status phase = prepare_all();
-  if (phase.ok()) {
-    const auto arity_fn = ArityFn();
-    const RTreeOptions base_rtree = options_.rtree;
-    BufferPool* const pool = pool_;
-    const std::shared_ptr<IoStats> io_stats = io_stats_;
-    obs::TraceHandoff handoff;
-    phase = ParallelFor(
-        num_trees, ResolvedRefreshThreads(num_trees),
-        [&](size_t t, CancelFlag* cancel) -> Status {
-          obs::TraceHandoff::Adopt adopt(handoff);
-          DeltaTask& task = tasks[t];
-          obs::Span delta_span("refresh.delta_pack");
-          delta_span.Annotate("tree", static_cast<uint64_t>(t));
-          CancellablePointSource source(task.delta.get(), cancel);
-          RTreeOptions tree_options = base_rtree;
-          tree_options.dims = task.dims;
-          CT_ASSIGN_OR_RETURN(
-              auto delta_tree,
-              PackedRTree::Build(task.path, tree_options, pool, &source,
-                                 arity_fn, io_stats));
-          if (delta_tree->num_points() == 0) {
-            // Nothing in this tree's increment; drop the empty file.
-            const std::string path = delta_tree->path();
-            delta_tree.reset();
-            CT_RETURN_NOT_OK(RemoveFileIfExists(path));
-            CT_RETURN_NOT_OK(RemoveChecksumSidecar(path));
-            return Status::OK();
-          }
-          built[t] = std::move(delta_tree);
-          built_generations[t] = static_cast<int64_t>(task.generation);
-          return Status::OK();
-        });
-  }
-
-  // Phase 2: commit the new delta list durably.
-  if (phase.ok()) {
-    std::vector<std::vector<uint32_t>> next_deltas = delta_generations_;
-    for (size_t t = 0; t < trees_.size(); ++t) {
-      if (built_generations[t] >= 0) {
-        next_deltas[t].push_back(static_cast<uint32_t>(built_generations[t]));
-      }
-    }
-    obs::Span commit_span("refresh.manifest_commit");
-    phase = SaveManifestDurable(generations_, next_deltas);
-  }
-  if (!phase.ok()) {
-    // Clean abort: release and remove every output the workers produced —
-    // completed delta packs and the partial file of a failed or cancelled
-    // worker alike (an unprepared task has an empty path).
-    for (size_t t = 0; t < num_trees; ++t) {
-      built[t].reset();
-      if (!tasks[t].path.empty()) {
-        RemoveTreeFileBestEffort(tasks[t].path, "partial-refresh abort");
-      }
-    }
-    return phase;
-  }
-
-  // Phase 3: attach in memory (infallible). A touched tree gets a fresh
-  // Cubetree sharing the old main and delta trees plus the new delta, so
-  // the previously published epoch stays exactly as it was.
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    if (built_generations[t] < 0) continue;
-    std::vector<ViewDef> tree_views;
-    for (uint32_t vid : plan_.trees[t].view_ids) {
-      tree_views.push_back(views_by_id_.at(vid));
-    }
-    auto next_tree = std::make_shared<Cubetree>(std::move(tree_views),
-                                                trees_[t]->shared_rtree());
-    for (const auto& old_delta : trees_[t]->shared_deltas()) {
-      next_tree->AddDelta(old_delta);
-    }
-    next_tree->AddDelta(std::move(built[t]));
-    trees_[t] = std::move(next_tree);
-    delta_generations_[t].push_back(
-        static_cast<uint32_t>(built_generations[t]));
-  }
-  PublishState();
-  return Status::OK();
+  return RefreshTxn(RefreshKind::kDelta, delta_provider);
 }
 
 Status CubetreeForest::Compact() {
-  struct EmptyProvider : ViewDataProvider {
-    Result<std::unique_ptr<RecordStream>> OpenViewStream(
-        const ViewDef& view) override {
-      return std::unique_ptr<RecordStream>(new MemoryRecordStream(
-          {}, ViewRecordBytes(view.arity())));
-    }
-  } empty;
-  // ApplyDelta with an empty increment folds all pending deltas in (and
-  // re-checks the built/quarantine preconditions under its own lock).
-  return ApplyDelta(&empty);
+  // A merge refresh without an increment folds all pending deltas in.
+  MutexLock refresh_lock(refresh_mu_);
+  return RefreshTxn(RefreshKind::kMerge, nullptr);
 }
 
 Status CubetreeForest::RebuildQuarantined(ViewDataProvider* provider) {
   MutexLock refresh_lock(refresh_mu_);
-  if (!HasQuarantineLocked()) return Status::OK();
-  std::vector<size_t> targets;
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    if (quarantined_[t]) targets.push_back(t);
+  return RefreshTxn(RefreshKind::kRebuild, provider);
+}
+
+uint64_t CubetreeForest::RefreshEstimate(
+    RefreshKind kind, const ViewDataProvider* provider) const {
+  // The transaction transiently needs the repacked trees' old and new
+  // generations (plus sort runs and sidecars) on disk at once, and one
+  // packer's slack per concurrent worker.
+  uint64_t live_bytes = 0;
+  size_t packs = 0;
+  if (auto live = published_.load(std::memory_order_acquire)) {
+    for (const TreeState& slot : live->trees) {
+      if (!IsRefreshTarget(kind, slot)) continue;
+      ++packs;
+      if (kind == RefreshKind::kMerge) {
+        live_bytes += slot.tree->TotalSizeBytes();
+      }
+    }
   }
-  // The rebuild writes fresh full generations of the quarantined trees
-  // from base data; preflight that footprint like any other refresh.
-  CT_RETURN_NOT_OK(PreflightRefreshLocked(
-      EstimateRefreshBytes(0, provider->EstimatedInputBytes(),
-                           ResolvedRefreshThreads(targets.size()))));
-  // Phase 1: bulk-build a fresh generation of each quarantined tree from
-  // the full view contents the provider supplies. Streams open serially
-  // (providers are not thread-safe); the builds fan out one per tree.
-  std::vector<std::unique_ptr<PackedRTree>> built(trees_.size());
-  std::vector<uint32_t> new_generations = generations_;
-  struct RebuildTask {
-    size_t t = 0;
-    std::unique_ptr<MultiViewPointSource> source;
+  return EstimateRefreshBytes(
+      live_bytes, provider == nullptr ? 0 : provider->EstimatedInputBytes(),
+      ResolvedRefreshThreads(packs));
+}
+
+Status CubetreeForest::RefreshTxn(RefreshKind kind,
+                                  ViewDataProvider* provider) {
+  std::shared_ptr<EpochState> live = published_.load(std::memory_order_acquire);
+  if (live == nullptr) return Status::InvalidArgument("forest: not built yet");
+
+  // One task per tree the transaction writes. Workers touch only their own
+  // task: the inputs are prepared serially under refresh_mu_ (providers are
+  // not thread-safe), and each worker fills its own output slot.
+  struct Task {
+    size_t tree = 0;
+    /// kMerge folds this tree's main file and pending deltas in.
+    std::shared_ptr<Cubetree> folded;
+    std::unique_ptr<PointSource> stream;
     std::string path;
     uint32_t generation = 0;
-    uint8_t dims = 0;
+    std::unique_ptr<PackedRTree> output;
   };
-  std::vector<RebuildTask> tasks(targets.size());
-  auto prepare_all = [&]() -> Status {
-    for (size_t i = 0; i < targets.size(); ++i) {
-      const size_t t = targets[i];
-      std::vector<MultiViewPointSource::ViewStream> streams;
-      for (const ViewDef* view : TreeViewsAscArity(t)) {
-        CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(*view));
-        streams.push_back({*view, std::move(stream)});
-      }
-      RebuildTask& task = tasks[i];
-      task.t = t;
-      task.source =
-          std::make_unique<MultiViewPointSource>(std::move(streams));
-      task.generation = generations_[t] + 1;
-      task.path = TreePath(t, task.generation);
-      task.dims = plan_.trees[t].dims;
+  std::vector<Task> tasks;
+  for (size_t t = 0; t < live->trees.size(); ++t) {
+    if (kind != RefreshKind::kRebuild && live->trees[t].tree == nullptr) {
+      return Status::Unavailable(
+          "forest: quarantined trees must be rebuilt before a refresh");
     }
-    return Status::OK();
-  };
-  Status phase = prepare_all();
-  if (phase.ok()) {
+    if (IsRefreshTarget(kind, live->trees[t])) tasks.emplace_back().tree = t;
+  }
+  if (tasks.empty()) return Status::OK();
+
+  // 1. Space preflight: refuse up front with a typed, retriable
+  // StorageFull naming the shortfall rather than hit ENOSPC halfway through
+  // the pack — the published epoch keeps serving either way.
+  CT_RETURN_NOT_OK(PreflightRefreshLocked(RefreshEstimate(kind, provider)));
+
+  // 2. Serial task preparation. Delta numbers come from the monotonic
+  // counter; main files take the next generation of the live one.
+  Status status;
+  for (Task& task : tasks) {
+    const TreeState& slot = live->trees[task.tree];
+    if (kind == RefreshKind::kDelta) {
+      task.generation = next_delta_generation_[task.tree]++;
+      task.path = DeltaPath(task.tree, task.generation);
+    } else {
+      task.generation = slot.generation + 1;
+      task.path = TreePath(task.tree, task.generation);
+    }
+    if (kind == RefreshKind::kMerge) task.folded = slot.tree;
+    if (provider == nullptr) continue;
+    auto stream = OpenTreeSource(task.tree, provider);
+    status = stream.status();
+    if (!status.ok()) break;
+    task.stream = std::move(stream).value();
+  }
+
+  // 3. Pack every task's output beside the live files, one worker per
+  // tree. The live trees keep serving queries; nothing is mutated yet.
+  if (status.ok()) {
+    const char* span_name = kind == RefreshKind::kMerge ? "refresh.merge_pack"
+                            : kind == RefreshKind::kDelta
+                                ? "refresh.delta_pack"
+                                : "refresh.rebuild_pack";
     const auto arity_fn = ArityFn();
-    const RTreeOptions base_rtree = options_.rtree;
-    BufferPool* const pool = pool_;
-    const std::shared_ptr<IoStats> io_stats = io_stats_;
+    // Each worker builds its spans in a private child trace and splices
+    // them back under the refresh trace when its task ends.
     obs::TraceHandoff handoff;
-    phase = ParallelFor(
+    status = ParallelFor(
         tasks.size(), ResolvedRefreshThreads(tasks.size()),
         [&](size_t i, CancelFlag* cancel) -> Status {
           obs::TraceHandoff::Adopt adopt(handoff);
-          RebuildTask& task = tasks[i];
-          obs::Span rebuild_span("refresh.rebuild_pack");
-          rebuild_span.Annotate("tree", static_cast<uint64_t>(task.t));
-          CancellablePointSource source(task.source.get(), cancel);
-          RTreeOptions tree_options = base_rtree;
-          tree_options.dims = task.dims;
+          Task& task = tasks[i];
+          obs::Span pack_span(span_name);
+          pack_span.Annotate("tree", static_cast<uint64_t>(task.tree));
+          std::vector<std::unique_ptr<ScannerPointSource>> scans;
+          std::vector<PointSource*> inputs;
+          if (task.folded != nullptr) {
+            for (PackedRTree* rtree : task.folded->main_and_deltas()) {
+              scans.push_back(std::make_unique<ScannerPointSource>(rtree));
+              inputs.push_back(scans.back().get());
+            }
+          }
+          if (task.stream != nullptr) inputs.push_back(task.stream.get());
+          RTreeOptions tree_options = options_.rtree;
+          tree_options.dims = plan_.trees[task.tree].dims;
+          ChainedMergeSource chain(inputs, tree_options.dims);
+          CancellablePointSource source(chain.head(), cancel);
           CT_ASSIGN_OR_RETURN(
-              built[task.t],
-              PackedRTree::Build(task.path, tree_options, pool, &source,
-                                 arity_fn, io_stats));
-          new_generations[task.t] = task.generation;
+              task.output,
+              PackedRTree::Build(task.path, tree_options, pool_, &source,
+                                 arity_fn, io_stats_));
+          pack_span.Annotate("points", task.output->num_points());
+          CT_FAULT("forest.refresh.build");
+          if (kind == RefreshKind::kDelta && task.output->num_points() == 0) {
+            // Nothing in this tree's increment; drop the empty file.
+            task.output.reset();
+            CT_RETURN_NOT_OK(RemoveFileIfExists(task.path));
+            CT_RETURN_NOT_OK(RemoveChecksumSidecar(task.path));
+          }
           return Status::OK();
         });
   }
-  if (phase.ok()) {
-    phase = SaveManifestDurable(new_generations, delta_generations_);
-  }
-  if (!phase.ok()) {
-    for (size_t t : targets) {
-      const std::string path = TreePath(t, generations_[t] + 1);
-      built[t].reset();
-      RemoveTreeFileBestEffort(path, "rebuild abort");
+
+  // 4. Stage the next generation: fresh Cubetree objects for the touched
+  // trees. The published epoch's objects are never mutated — readers
+  // pinned to it keep serving the old files until their snapshots drop.
+  std::shared_ptr<EpochState> next;
+  if (status.ok()) {
+    next = StageState();
+    for (Task& task : tasks) {
+      if (task.output == nullptr) continue;
+      TreeState& slot = next->trees[task.tree];
+      if (kind == RefreshKind::kDelta) {
+        auto tree = std::make_shared<Cubetree>(TreeViews(task.tree),
+                                               slot.tree->shared_rtree());
+        for (const auto& delta : slot.tree->shared_deltas()) {
+          tree->AddDelta(delta);
+        }
+        tree->AddDelta(std::move(task.output));
+        slot.tree = std::move(tree);
+        slot.delta_generations.push_back(task.generation);
+      } else {
+        slot.tree = std::make_shared<Cubetree>(TreeViews(task.tree),
+                                               std::move(task.output));
+        slot.generation = task.generation;
+        slot.delta_generations.clear();
+      }
     }
-    return phase;
+    // 5. The durable manifest swap — the commit point.
+    obs::Span commit_span("refresh.manifest_commit");
+    status = SaveManifestDurable(*next);
   }
-  for (size_t t : targets) {
-    std::vector<ViewDef> tree_views;
-    for (uint32_t vid : plan_.trees[t].view_ids) {
-      tree_views.push_back(views_by_id_.at(vid));
+
+  // 6. Clean abort: close and delete every output the transaction wrote
+  // (including the partial file of a failed or cancelled worker) and its
+  // sidecar, and leave the live state alone. A failed removal only leaves
+  // an orphan for the next sweep.
+  if (!status.ok()) {
+    next.reset();
+    for (Task& task : tasks) {
+      task.output.reset();
+      if (task.path.empty()) continue;
+      for (const std::string& path :
+           {task.path, ChecksumSidecarPath(task.path)}) {
+        Status removed = RemoveFileIfExists(path);
+        if (!removed.ok()) {
+          CT_LOG(Warn) << "forest: refresh abort: " << removed.ToString();
+        }
+      }
     }
-    trees_[t] =
-        std::make_shared<Cubetree>(std::move(tree_views), std::move(built[t]));
-    quarantined_[t] = false;
+    return status;
   }
-  generations_ = std::move(new_generations);
-  // Quarantined slots were nullptr in every published epoch, so the
-  // ".quarantine" files are not epoch-tracked; remove them directly.
-  for (size_t t : targets) {
-    for (const std::string& path : quarantine_files_[t]) {
+
+  // 7. Publish. The manifest already names the staged state, so it is
+  // published even when the failpoint injects an error; a crash or throw
+  // there leaves the replaced files for recovery to sweep.
+  Status committed;
+  if (FaultInjector::AnyArmed()) {
+    committed = FaultInjector::Instance().MaybeFail("forest.refresh.commit");
+  }
+  PublishState(std::move(next));
+  // A rebuilt tree's ".quarantine" files were never epoch-tracked (its slot
+  // was empty in every published epoch); remove them directly.
+  for (const Task& task : tasks) {
+    for (const std::string& path : quarantine_files_[task.tree]) {
       Status removed = RemoveFileIfExists(path);
       if (!removed.ok()) {
         CT_LOG(Warn) << "forest: quarantine cleanup: " << removed.ToString();
       }
     }
-    quarantine_files_[t].clear();
+    quarantine_files_[task.tree].clear();
   }
-  PublishState();
-  return Status::OK();
+  return committed;
 }
 
 Result<bool> CubetreeForest::QuarantineForCorruption(
     uint32_t view_id, const std::string& file_path, const Status& why) {
   MutexLock lock(refresh_mu_);
+  std::shared_ptr<EpochState> next = StageState();
   auto it = plan_.view_to_tree.find(view_id);
-  if (it == plan_.view_to_tree.end() || it->second >= trees_.size()) {
+  if (it == plan_.view_to_tree.end() || it->second >= next->trees.size()) {
     return Status::NotFound("forest: unknown view id " +
                             std::to_string(view_id));
   }
   const size_t t = it->second;
-  if (quarantined_[t]) return false;
-  if (!file_path.empty()) {
-    bool still_live = TreePath(t, generations_[t]) == file_path;
-    for (uint32_t g : delta_generations_[t]) {
-      still_live = still_live || DeltaPath(t, g) == file_path;
-    }
-    // The corrupt file already left the live generation (a refresh
-    // replaced it since the caller read from it); its epoch dies with the
-    // last snapshot pinning it, so there is nothing left to repair.
-    if (!still_live) return false;
+  if (next->trees[t].tree == nullptr) return false;
+  const std::vector<std::string> files = TreeFiles(t, next->trees[t]);
+  // The corrupt file already left the live generation (a refresh replaced
+  // it since the caller read from it); its epoch dies with the last
+  // snapshot pinning it, so there is nothing left to repair.
+  if (!file_path.empty() &&
+      std::find(files.begin(), files.end(), file_path) == files.end()) {
+    return false;
   }
   CT_LOG(Warn) << "forest: quarantining tree " << t << " for corruption: "
                << why.ToString();
-  QuarantineTree(t, why, nullptr);
+  QuarantineTree(next.get(), t, why, nullptr);
   // Publish immediately: in-flight queries keep their pinned snapshots,
   // but every re-route from here on skips the quarantined views.
-  PublishState();
+  PublishState(std::move(next));
   static obs::Counter* const quarantines =
       obs::MetricsRegistry::Instance().GetCounter(
           "forest.corruption_quarantines");
   quarantines->Increment();
   return true;
-}
-
-bool CubetreeForest::IsViewQuarantined(uint32_t view_id) const {
-  auto it = plan_.view_to_tree.find(view_id);
-  if (it == plan_.view_to_tree.end()) return false;
-  MutexLock lock(refresh_mu_);
-  return it->second < quarantined_.size() && quarantined_[it->second];
-}
-
-size_t CubetreeForest::NumQuarantinedTreesLocked() const {
-  size_t total = 0;
-  for (bool q : quarantined_) total += q ? 1 : 0;
-  return total;
-}
-
-size_t CubetreeForest::NumQuarantinedTrees() const {
-  MutexLock lock(refresh_mu_);
-  return NumQuarantinedTreesLocked();
-}
-
-Result<std::map<uint32_t, uint64_t>> CubetreeForest::CountPointsPerView() {
-  MutexLock lock(refresh_mu_);
-  std::map<uint32_t, uint64_t> counts;
-  for (const ViewDef& v : views_) counts[v.id] = 0;
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    if (trees_[t] == nullptr) continue;
-    auto scan_tree = [&counts](PackedRTree* rtree) -> Status {
-      ScannerPointSource source(rtree);
-      const PointRecord* record = nullptr;
-      while (true) {
-        CT_RETURN_NOT_OK(source.Next(&record));
-        if (record == nullptr) break;
-        ++counts[record->view_id];
-      }
-      return Status::OK();
-    };
-    CT_RETURN_NOT_OK(scan_tree(trees_[t]->rtree()));
-    for (size_t d = 0; d < trees_[t]->num_deltas(); ++d) {
-      CT_RETURN_NOT_OK(scan_tree(trees_[t]->delta(d)));
-    }
-  }
-  return counts;
-}
-
-size_t CubetreeForest::TotalDeltas() const {
-  MutexLock lock(refresh_mu_);
-  size_t total = 0;
-  for (const auto& tree : trees_) {
-    if (tree) total += tree->num_deltas();
-  }
-  return total;
-}
-
-Result<std::shared_ptr<Cubetree>> CubetreeForest::TreeForView(
-    uint32_t view_id) {
-  auto it = plan_.view_to_tree.find(view_id);
-  if (it == plan_.view_to_tree.end()) {
-    return Status::NotFound("forest: view not materialized");
-  }
-  MutexLock lock(refresh_mu_);
-  if (it->second < quarantined_.size() && quarantined_[it->second]) {
-    return Status::Unavailable("forest: view " + std::to_string(view_id) +
-                               " is quarantined awaiting rebuild");
-  }
-  return trees_[it->second];
 }
 
 Result<const ViewDef*> CubetreeForest::view(uint32_t view_id) const {
@@ -1330,17 +959,46 @@ Result<const ViewDef*> CubetreeForest::view(uint32_t view_id) const {
   return &it->second;
 }
 
-uint64_t CubetreeForest::TotalSizeBytes() const {
-  MutexLock lock(refresh_mu_);
-  return TotalSizeBytesLocked();
-}
-
-uint64_t CubetreeForest::TotalSizeBytesLocked() const {
-  uint64_t total = 0;
-  for (const auto& tree : trees_) {
-    if (tree) total += tree->TotalSizeBytes();
+Result<std::vector<std::string>> CubetreeForest::OrphanFiles() const {
+  // A file with a live TrackedFile token is referenced by some epoch —
+  // the published one, or a retired one a reader still pins — and must
+  // survive. refresh_mu_ keeps a refresh's not-yet-published outputs out of
+  // the directory while this runs.
+  std::set<std::string> keep;
+  {
+    MutexLock gc_lock(gc_->mu);
+    keep = gc_->tracked_paths;
   }
-  return total;
+  DIR* dir = ::opendir(options_.dir.c_str());
+  if (dir == nullptr) {
+    return Status::IOError("opendir " + options_.dir + ": " +
+                           std::strerror(errno));
+  }
+  std::vector<std::string> orphans;
+  const std::string& name = options_.name;
+  while (struct dirent* entry = ::readdir(dir)) {
+    const std::string file = entry->d_name;
+    if (!file.starts_with(name)) continue;
+    const std::string path = options_.dir + "/" + file;
+    const bool tree_file =
+        file.starts_with(name + "_t") && file.ends_with(".ctr");
+    // A checksum sidecar is live exactly when its data file is: one
+    // surviving alone is debris from the same interrupted refresh.
+    const bool sidecar_file =
+        file.starts_with(name + "_t") && file.ends_with(".ctr.crc");
+    const std::string data_path =
+        sidecar_file ? path.substr(0, path.size() - 4) : path;
+    const bool stale_tmp = file == name + ".manifest.tmp";
+    // Stores written before the refresh journal was retired may hold one.
+    const bool stale_journal = file == name + ".refresh.wal";
+    if (((tree_file || sidecar_file) && keep.count(data_path) == 0) ||
+        stale_tmp || stale_journal) {
+      orphans.push_back(path);
+    }
+  }
+  ::closedir(dir);
+  std::sort(orphans.begin(), orphans.end());  // deterministic sweep order
+  return orphans;
 }
 
 uint64_t CubetreeForest::ReclaimSpace() {
@@ -1349,48 +1007,12 @@ uint64_t CubetreeForest::ReclaimSpace() {
 }
 
 uint64_t CubetreeForest::ReclaimSpaceLocked() {
-  // Same classification as Recover's step-4 sweep, with one extra guard:
-  // a file with a live TrackedFile token is referenced by some epoch —
-  // possibly a retired one a reader still pins — and must survive. The GC
-  // counters are left alone; they describe the deferred-unlink backlog,
-  // not this sweep.
-  std::set<std::string> keep;
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    if (trees_[t] == nullptr) continue;
-    keep.insert(TreePath(t, generations_[t]));
-    for (uint32_t g : delta_generations_[t]) {
-      keep.insert(DeltaPath(t, g));
-    }
-  }
-  {
-    MutexLock gc_lock(gc_->mu);
-    keep.insert(gc_->tracked_paths.begin(), gc_->tracked_paths.end());
-  }
-  DIR* dir = ::opendir(options_.dir.c_str());
-  if (dir == nullptr) return 0;
-  std::vector<std::string> sweep;
-  const std::string& name = options_.name;
-  while (struct dirent* entry = ::readdir(dir)) {
-    const std::string file = entry->d_name;
-    if (!file.starts_with(name)) continue;
-    const std::string path = options_.dir + "/" + file;
-    const bool tree_file =
-        file.starts_with(name + "_t") && file.ends_with(".ctr");
-    const bool sidecar_file =
-        file.starts_with(name + "_t") && file.ends_with(".ctr.crc");
-    const bool sidecar_orphan =
-        sidecar_file &&
-        keep.find(path.substr(0, path.size() - 4)) == keep.end();
-    const bool stale_tmp = file == name + ".manifest.tmp";
-    if ((tree_file && keep.find(path) == keep.end()) || sidecar_orphan ||
-        stale_tmp) {
-      sweep.push_back(path);
-    }
-  }
-  ::closedir(dir);
-  std::sort(sweep.begin(), sweep.end());  // deterministic sweep order
+  // The GC counters are left alone; they describe the deferred-unlink
+  // backlog, not this sweep.
+  auto orphans = OrphanFiles();
+  if (!orphans.ok()) return 0;
   uint64_t reclaimed = 0;
-  for (const std::string& path : sweep) {
+  for (const std::string& path : *orphans) {
     struct stat st;
     const uint64_t bytes =
         ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
@@ -1415,11 +1037,6 @@ unsigned CubetreeForest::ResolvedRefreshThreads(size_t num_tasks) const {
       std::min<size_t>(std::max(configured, 1u), num_tasks));
 }
 
-unsigned CubetreeForest::RefreshConcurrency() const {
-  MutexLock lock(refresh_mu_);
-  return ResolvedRefreshThreads(trees_.size());
-}
-
 Status CubetreeForest::PreflightRefreshLocked(uint64_t estimated_bytes) {
   DiskSpaceManager disk(
       DiskSpaceManager::Options{options_.dir, options_.disk_reserve_bytes});
@@ -1437,27 +1054,23 @@ Status CubetreeForest::PreflightRefreshLocked(uint64_t estimated_bytes) {
   return space;
 }
 
-uint64_t CubetreeForest::TotalPoints() const {
-  MutexLock lock(refresh_mu_);
-  uint64_t total = 0;
-  for (const auto& tree : trees_) {
-    if (tree) total += tree->TotalPoints();
+std::shared_ptr<forest_internal::EpochState> CubetreeForest::StageState()
+    const {
+  auto next = std::make_shared<EpochState>();
+  if (auto live = published_.load(std::memory_order_acquire)) {
+    next->trees = live->trees;
   }
-  return total;
+  return next;
 }
 
-void CubetreeForest::PublishState() {
-  using forest_internal::EpochState;
+void CubetreeForest::PublishState(std::shared_ptr<EpochState> next) {
   using forest_internal::TrackedFile;
   obs::Span publish_span("refresh.publish");
   Timer publish_timer;
   std::shared_ptr<EpochState> old = published_.load(std::memory_order_acquire);
-  auto next = std::make_shared<EpochState>();
   next->epoch = next_epoch_++;
   next->gc = gc_;
   next->view_to_tree = plan_.view_to_tree;
-  next->quarantined = quarantined_;
-  next->trees = trees_;
   // File-reclamation tokens: carry over the token of every file still live
   // (so one file has one token across all epochs that reference it), mint
   // tokens for new files.
@@ -1466,11 +1079,10 @@ void CubetreeForest::PublishState() {
     for (const auto& file : old->files) old_tokens[file->path()] = file;
   }
   std::set<std::string> live_paths;
-  for (const auto& tree : trees_) {
-    if (tree == nullptr) continue;
-    live_paths.insert(tree->rtree()->path());
-    for (const auto& delta : tree->shared_deltas()) {
-      live_paths.insert(delta->path());
+  for (size_t t = 0; t < next->trees.size(); ++t) {
+    if (next->trees[t].tree == nullptr) continue;
+    for (std::string& path : TreeFiles(t, next->trees[t])) {
+      live_paths.insert(std::move(path));
     }
   }
   for (const std::string& path : live_paths) {
@@ -1529,32 +1141,22 @@ std::vector<std::string> CubetreeForest::LiveFiles() const {
 
 Status CubetreeForest::Destroy() {
   MutexLock refresh_lock(refresh_mu_);
+  const std::vector<std::string> paths = LiveFiles();
   // Drop the published epoch first (snapshots must already be released per
-  // the API contract); its tokens are unretired, so this deletes nothing —
-  // the explicit removal below does.
+  // the API contract), closing its trees; its tokens are unretired, so this
+  // deletes nothing — the explicit removal below does.
   published_.store(nullptr, std::memory_order_release);
-  for (auto& tree : trees_) {
-    if (!tree) continue;
-    std::vector<std::string> paths = {tree->rtree()->path()};
-    for (size_t d = 0; d < tree->num_deltas(); ++d) {
-      paths.push_back(tree->delta(d)->path());
-    }
-    tree.reset();
-    for (const std::string& path : paths) {
-      CT_RETURN_NOT_OK(RemoveFileIfExists(path));
-      CT_RETURN_NOT_OK(RemoveChecksumSidecar(path));
-    }
+  for (const std::string& path : paths) {
+    CT_RETURN_NOT_OK(RemoveFileIfExists(path));
+    CT_RETURN_NOT_OK(RemoveChecksumSidecar(path));
   }
-  trees_.clear();
   for (const auto& files : quarantine_files_) {
     for (const std::string& path : files) {
       CT_RETURN_NOT_OK(RemoveFileIfExists(path));
     }
   }
   quarantine_files_.clear();
-  quarantined_.clear();
   CT_RETURN_NOT_OK(RemoveFileIfExists(ManifestPath() + ".tmp"));
-  CT_RETURN_NOT_OK(RemoveFileIfExists(JournalPath()));
   return RemoveFileIfExists(ManifestPath());
 }
 

@@ -78,9 +78,23 @@ class TrackedFile {
   std::atomic<bool> leaked_{false};
 };
 
+/// One tree's slot in a forest generation. Copyable, so a mutator stages
+/// the next generation by copying the published slots and editing them.
+struct TreeState {
+  /// nullptr while the tree is quarantined.
+  std::shared_ptr<Cubetree> tree;
+  /// Generation number of the main file (`_g<N>.ctr`); kept while the tree
+  /// is quarantined so a rebuild writes the next one.
+  uint32_t generation = 0;
+  /// Generation numbers of the pending delta files (`_d<N>.ctr`), oldest
+  /// first.
+  std::vector<uint32_t> delta_generations;
+};
+
 /// One committed generation of the whole forest: the immutable tree set a
-/// snapshot pins. Destroying the state (last reference dropped) releases
-/// the Cubetrees and then reclaims any files retired since.
+/// snapshot pins, and the forest's only record of its per-tree state.
+/// Destroying the state (last reference dropped) releases the Cubetrees and
+/// then reclaims any files retired since.
 struct EpochState {
   ~EpochState();
 
@@ -88,12 +102,10 @@ struct EpochState {
   std::shared_ptr<GcShared> gc;
   std::atomic<bool> retired{false};
   std::map<uint32_t, size_t> view_to_tree;
-  std::vector<bool> quarantined;
   /// Declared before `trees` so the trees (and their open file handles)
   /// are destroyed first, then retired files are unlinked.
   std::vector<std::shared_ptr<TrackedFile>> files;
-  /// nullptr in quarantined slots.
-  std::vector<std::shared_ptr<Cubetree>> trees;
+  std::vector<TreeState> trees;
 };
 
 }  // namespace forest_internal
@@ -113,13 +125,21 @@ class ForestSnapshot {
   uint64_t epoch() const { return state_->epoch; }
   size_t num_trees() const { return state_->trees.size(); }
   /// nullptr when tree `i` is quarantined in this generation.
-  Cubetree* tree(size_t i) const { return state_->trees[i].get(); }
+  Cubetree* tree(size_t i) const { return state_->trees[i].tree.get(); }
   bool IsViewQuarantined(uint32_t view_id) const;
+  bool HasQuarantine() const;
   /// The tree materializing `view_id` in this generation (NotFound for an
   /// unknown view, Unavailable for a quarantined one).
   Result<Cubetree*> TreeForView(uint32_t view_id) const;
-  /// Stored points across the generation's healthy trees.
-  uint64_t TotalPoints() const;
+  /// Stored points, file bytes and pending delta trees across the
+  /// generation's healthy trees (main + deltas).
+  uint64_t TotalPoints() const { return Sum(&Cubetree::TotalPoints); }
+  uint64_t TotalSizeBytes() const { return Sum(&Cubetree::TotalSizeBytes); }
+  size_t TotalDeltas() const { return Sum(&Cubetree::num_deltas); }
+  /// Stored points per view id, from a full scan of every healthy tree
+  /// (main + deltas); views of quarantined trees count 0. Used to re-derive
+  /// router statistics after recovery.
+  Result<std::map<uint32_t, uint64_t>> CountPointsPerView() const;
 
   /// Drops the pin early (the destructor also releases it).
   void Release() { state_.reset(); }
@@ -130,6 +150,16 @@ class ForestSnapshot {
       std::shared_ptr<const forest_internal::EpochState> state)
       : state_(std::move(state)) {}
 
+  /// Sums `per_tree` over the generation's healthy trees.
+  template <typename T>
+  uint64_t Sum(T (Cubetree::*per_tree)() const) const {
+    uint64_t total = 0;
+    for (const auto& slot : state_->trees) {
+      if (slot.tree) total += ((*slot.tree).*per_tree)();
+    }
+    return total;
+  }
+
   std::shared_ptr<const forest_internal::EpochState> state_;
 };
 
@@ -137,13 +167,8 @@ class ForestSnapshot {
 /// itself either succeeds (possibly with quarantined trees) or returns an
 /// error for genuinely unreadable state (e.g. a corrupt manifest).
 struct ForestRecoveryReport {
-  /// A refresh journal was present on disk (a refresh was interrupted).
-  bool journal_found = false;
-  /// The journal recorded a refresh begin without a matching commit.
-  bool refresh_in_flight = false;
-  uint64_t journal_records = 0;
   /// Files recovery deleted: stale manifest tmp, tree generations no
-  /// manifest references, leftover journal.
+  /// manifest references, and the refresh journal of an older store.
   std::vector<std::string> removed_orphans;
   /// Indices of trees recovery had to take out of service (unopenable or
   /// failed their invariant check); their files were renamed aside with a
@@ -156,8 +181,7 @@ struct ForestRecoveryReport {
   std::vector<std::string> notes;
 
   bool clean() const {
-    return !journal_found && removed_orphans.empty() &&
-           quarantined_trees.empty();
+    return removed_orphans.empty() && quarantined_trees.empty();
   }
   std::string ToString() const;
 };
@@ -168,16 +192,15 @@ struct ForestRecoveryReport {
 /// streams, and refreshes all trees by merge-packing sorted deltas.
 ///
 /// Concurrency model: every committed state is published as an immutable
-/// generation (EpochState) behind one atomic shared_ptr. Readers call
+/// generation (EpochState) behind one atomic shared_ptr, and that
+/// generation is the forest's only per-tree state. Readers call
 /// AcquireSnapshot() — wait-free, one atomic load — and query the pinned
 /// generation while refreshes build and commit the next one off to the
 /// side; mutators (ApplyDelta/ApplyDeltaPartial/Compact/RebuildQuarantined)
 /// serialize on an internal mutex. Files replaced by a refresh are retired,
 /// not unlinked: reclamation happens when the last epoch referencing them
 /// dies (epoch-based reclamation), so a reader pinned three refreshes back
-/// still completes against intact files. The direct accessors
-/// (tree/TreeForView/TotalPoints/...) remain single-threaded conveniences
-/// for loaders and tools; concurrent queries must go through snapshots.
+/// still completes against intact files.
 class CubetreeForest {
  public:
   struct Options {
@@ -222,6 +245,15 @@ class CubetreeForest {
     virtual uint64_t EstimatedInputBytes() const { return 0; }
   };
 
+  /// What one refresh transaction writes, per tree:
+  ///   kMerge    ApplyDelta/Compact: main + pending deltas + the provider
+  ///             stream merge-packed into a new main file.
+  ///   kDelta    ApplyDeltaPartial: the provider stream packed into one
+  ///             more delta file (empty outputs are dropped).
+  ///   kRebuild  RebuildQuarantined: the provider stream packed into a new
+  ///             main file, for the quarantined trees only.
+  enum class RefreshKind { kMerge, kDelta, kRebuild };
+
   static Result<std::unique_ptr<CubetreeForest>> Create(
       Options options, BufferPool* pool,
       std::shared_ptr<IoStats> io_stats = nullptr);
@@ -236,32 +268,21 @@ class CubetreeForest {
       Options options, BufferPool* pool,
       std::shared_ptr<IoStats> io_stats = nullptr);
 
-  struct RecoverOptions {
-    /// Run the deep R-tree invariant checker over every tree after opening
-    /// and quarantine any tree that fails. Turning this off skips the full
-    /// file scan and only quarantines trees that fail to open.
-    /// (Initialized in the constructor, not inline: an inline initializer
-    /// may not be used in a default argument inside the enclosing class.)
-    bool deep_check;
-    RecoverOptions() : deep_check(true) {}
-  };
-
-  /// Crash-recovery variant of Open. Replays and retires the refresh
-  /// journal, removes the stale manifest tmp and any tree-generation files
-  /// the manifest does not reference (the half-built output of an
-  /// interrupted refresh, or the un-reclaimed input of a committed one),
-  /// and quarantines trees that cannot be opened or fail their invariant
-  /// check — renaming their files aside with a ".quarantine" suffix so the
-  /// forest stays queryable on the surviving trees. Recovery is
-  /// idempotent: crashing inside Recover and running it again converges to
-  /// the same state. Only a missing or corrupt manifest is an error.
+  /// Crash-recovery variant of Open. Quarantines trees that cannot be
+  /// opened or fail the deep invariant check — renaming their files aside
+  /// with a ".quarantine" suffix so the forest stays queryable on the
+  /// surviving trees — then removes the stale manifest tmp and any
+  /// tree-generation files the manifest does not reference (the half-built
+  /// output of an interrupted refresh, or the un-reclaimed input of a
+  /// committed one). Recovery is idempotent: crashing inside Recover and
+  /// running it again converges to the same state. Only a missing or
+  /// corrupt manifest is an error.
   static Result<std::unique_ptr<CubetreeForest>> Recover(
       Options options, BufferPool* pool,
       std::shared_ptr<IoStats> io_stats = nullptr,
-      ForestRecoveryReport* report = nullptr,
-      RecoverOptions recover = RecoverOptions());
+      ForestRecoveryReport* report = nullptr);
 
-  /// Plans placement and bulk-builds every tree. Call once.
+  /// Plans placement and bulk-builds every tree, one at a time. Call once.
   Status Build(const std::vector<ViewDef>& views, ViewDataProvider* provider)
       EXCLUDES(refresh_mu_);
 
@@ -289,6 +310,12 @@ class CubetreeForest {
   Status RebuildQuarantined(ViewDataProvider* provider)
       EXCLUDES(refresh_mu_);
 
+  /// The disk-space estimate the refresh transaction of `kind` over
+  /// `provider` (nullptr: no input, as for Compact) preflights against the
+  /// current generation. The engine admits writes with the same number.
+  uint64_t RefreshEstimate(RefreshKind kind,
+                           const ViewDataProvider* provider) const;
+
   /// Read-repair entry point: takes the tree currently materializing
   /// `view_id` out of service after a read surfaced Corruption (checksum
   /// mismatch, bad magic, short read) and publishes a new epoch so routing
@@ -303,56 +330,9 @@ class CubetreeForest {
                                        const Status& why)
       EXCLUDES(refresh_mu_);
 
-  /// True if the tree materializing `view_id` is quarantined (queries
-  /// against it return Unavailable until RebuildQuarantined runs).
-  bool IsViewQuarantined(uint32_t view_id) const EXCLUDES(refresh_mu_);
-  size_t NumQuarantinedTrees() const EXCLUDES(refresh_mu_);
-  bool HasQuarantine() const EXCLUDES(refresh_mu_) {
-    return NumQuarantinedTrees() > 0;
-  }
-
-  /// Stored points per view id, from a full scan of every healthy tree
-  /// (main + deltas). Used to re-derive router statistics after recovery.
-  Result<std::map<uint32_t, uint64_t>> CountPointsPerView()
-      EXCLUDES(refresh_mu_);
-
-  /// Pending delta trees across the forest.
-  size_t TotalDeltas() const EXCLUDES(refresh_mu_);
-
   const ForestPlan& plan() const { return plan_; }
-  size_t num_trees() const EXCLUDES(refresh_mu_) {
-    MutexLock lock(refresh_mu_);
-    return trees_.size();
-  }
-  /// nullptr when tree `i` is quarantined. Returns the shared_ptr, not a
-  /// raw pointer: a refresh publishing concurrently swaps trees_[i], and a
-  /// raw pointer handed out before the swap would dangle the moment the
-  /// last pinning epoch died. The returned handle keeps the tree (and its
-  /// open file) alive even across a concurrent publish; the tree may just
-  /// no longer be the serving generation. Multi-tree consistency still
-  /// requires AcquireSnapshot().
-  std::shared_ptr<Cubetree> tree(size_t i) EXCLUDES(refresh_mu_) {
-    MutexLock lock(refresh_mu_);
-    return trees_[i];
-  }
-
-  Result<std::shared_ptr<Cubetree>> TreeForView(uint32_t view_id)
-      EXCLUDES(refresh_mu_);
   Result<const ViewDef*> view(uint32_t view_id) const;
   const std::vector<ViewDef>& views() const { return views_; }
-
-  /// Total bytes across all tree files (storage footprint of the
-  /// organization, index included — there is nothing else).
-  uint64_t TotalSizeBytes() const EXCLUDES(refresh_mu_);
-  /// Total stored points across all trees.
-  uint64_t TotalPoints() const EXCLUDES(refresh_mu_);
-
-  /// The worker-pool width a refresh of the current forest would use:
-  /// options_.refresh_threads (or the CUBETREE_REFRESH_THREADS /
-  /// hardware_concurrency default) capped at the number of trees. The
-  /// disk-space preflight and the engine's admission estimates use this so
-  /// the reserved temp space covers every concurrent packer.
-  unsigned RefreshConcurrency() const EXCLUDES(refresh_mu_);
 
   /// Pins the currently published generation. Wait-free; safe to call from
   /// any thread concurrently with refreshes. Returns an invalid snapshot
@@ -380,6 +360,9 @@ class CubetreeForest {
   Status Destroy() EXCLUDES(refresh_mu_);
 
  private:
+  using EpochState = forest_internal::EpochState;
+  using TreeState = forest_internal::TreeState;
+
   CubetreeForest(Options options, BufferPool* pool,
                  std::shared_ptr<IoStats> io_stats)
       : options_(std::move(options)),
@@ -389,48 +372,54 @@ class CubetreeForest {
   std::string TreePath(size_t tree_index, uint32_t generation) const;
   std::string DeltaPath(size_t tree_index, uint32_t generation) const;
   std::string ManifestPath() const;
-  std::string JournalPath() const;
-  /// Serializes the manifest for the given generation vectors (state is
-  /// passed in, not read from members, so the commit protocol can write
-  /// the next state before mutating the in-memory one).
-  std::string SerializeManifest(
-      const std::vector<uint32_t>& generations,
-      const std::vector<std::vector<uint32_t>>& delta_generations) const;
+  /// The main file of tree `t` followed by its pending delta files.
+  std::vector<std::string> TreeFiles(size_t t, const TreeState& slot) const;
+  /// Serializes the manifest naming `state`'s files.
+  std::string SerializeManifest(const EpochState& state) const;
   /// Durable manifest swap: write tmp, fsync it, rename into place, fsync
   /// the directory. Once the rename has happened the commit is in effect;
   /// later failures are logged, not returned.
-  Status SaveManifestDurable(
-      const std::vector<uint32_t>& generations,
-      const std::vector<std::vector<uint32_t>>& delta_generations) const;
-  Status SaveManifest() const REQUIRES(refresh_mu_);
-  /// Parses the manifest and opens every tree. In tolerant mode an
-  /// unopenable tree is quarantined instead of failing the load.
-  Status LoadManifest(bool tolerant, ForestRecoveryReport* report)
-      REQUIRES(refresh_mu_);
-  /// Takes tree `t` out of service: closes it, renames its files aside
-  /// with a ".quarantine" suffix, and records the event.
-  void QuarantineTree(size_t t, const Status& why,
+  Status SaveManifestDurable(const EpochState& state) const;
+  /// Parses the manifest into `state` and opens every tree. In tolerant
+  /// mode an unopenable tree is quarantined instead of failing the load.
+  Status LoadManifest(bool tolerant, EpochState* state,
                       ForestRecoveryReport* report) REQUIRES(refresh_mu_);
-  /// Phase 1 of ApplyDelta: merge-pack every tree's next generation beside
-  /// the current files, without touching any live state.
-  Status BuildNextGenerations(
-      ViewDataProvider* delta_provider, std::vector<uint32_t>* generations,
-      std::vector<std::unique_ptr<PackedRTree>>* new_trees)
+  /// Opens one tree file the manifest names, enforcing its checksum
+  /// sidecar when the manifest promises one.
+  Result<std::shared_ptr<PackedRTree>> OpenTreeFile(
+      const std::string& path, bool expect_checksums) const;
+  /// Takes tree `t` of the staged `state` out of service: drops it,
+  /// renames its files aside with a ".quarantine" suffix, and records the
+  /// event.
+  void QuarantineTree(EpochState* state, size_t t, const Status& why,
+                      ForestRecoveryReport* report) REQUIRES(refresh_mu_);
+  /// The one refresh transaction behind ApplyDelta, ApplyDeltaPartial,
+  /// Compact and RebuildQuarantined: preflight, serial task preparation,
+  /// one parallel pack, stage the next EpochState, durable manifest swap,
+  /// abort sweep on failure, publish. A nullptr `provider` merges without
+  /// an increment (Compact).
+  Status RefreshTxn(RefreshKind kind, ViewDataProvider* provider)
       REQUIRES(refresh_mu_);
+  /// This forest's files on disk that no live epoch references: tree and
+  /// sidecar files without a TrackedFile token, a stale manifest tmp, and
+  /// the refresh journal older stores left behind. Sorted.
+  Result<std::vector<std::string>> OrphanFiles() const REQUIRES(refresh_mu_);
   /// Deletes files recovery identified as orphans, consulting the
   /// forest.recover.gc failpoint per file.
   void RemoveOrphan(const std::string& path, ForestRecoveryReport* report);
-  /// Builds the pack-ordered point source over one tree's delta streams.
-  Result<std::unique_ptr<PointSource>> MakeDeltaSource(
-      size_t tree_index, ViewDataProvider* provider);
-  /// Views of tree `i` in ascending arity = pack order of their regions.
-  std::vector<const ViewDef*> TreeViewsAscArity(size_t tree_index) const;
+  /// Views of tree `t`, in plan order.
+  std::vector<ViewDef> TreeViews(size_t t) const;
+  /// The pack-ordered point source over `provider`'s streams of tree `t`.
+  Result<std::unique_ptr<PointSource>> OpenTreeSource(
+      size_t t, ViewDataProvider* provider) const;
   std::function<uint8_t(uint32_t)> ArityFn() const;
-  /// Publishes the current in-memory state as the next generation: copies
-  /// the tree set into a fresh EpochState, carries over file-reclamation
-  /// tokens for files still live, retires tokens for files this generation
-  /// dropped, and swaps the atomic pointer.
-  void PublishState() REQUIRES(refresh_mu_);
+  /// A fresh, unpublished EpochState holding a copy of the published tree
+  /// slots, for a mutator to edit.
+  std::shared_ptr<EpochState> StageState() const REQUIRES(refresh_mu_);
+  /// Publishes `next` as the serving generation: numbers it, carries over
+  /// file-reclamation tokens for files still live, retires tokens for
+  /// files this generation dropped, and swaps the atomic pointer.
+  void PublishState(std::shared_ptr<EpochState> next) REQUIRES(refresh_mu_);
   /// Disk-space preflight for a refresh estimated at `estimated_bytes`:
   /// probe the volume, and when short first run the online reclaim sweep
   /// and re-probe. StorageFull (typed, retriable, naming the shortfall)
@@ -441,13 +430,6 @@ class CubetreeForest {
   /// the configured/env-resolved pool width, capped at num_tasks, >= 1.
   unsigned ResolvedRefreshThreads(size_t num_tasks) const;
   uint64_t ReclaimSpaceLocked() REQUIRES(refresh_mu_);
-  uint64_t TotalSizeBytesLocked() const REQUIRES(refresh_mu_);
-  /// Lock-held variants of the quarantine accessors, for use inside
-  /// mutators that already hold refresh_mu_.
-  size_t NumQuarantinedTreesLocked() const REQUIRES(refresh_mu_);
-  bool HasQuarantineLocked() const REQUIRES(refresh_mu_) {
-    return NumQuarantinedTreesLocked() > 0;
-  }
 
   Options options_;
   BufferPool* pool_;
@@ -457,15 +439,11 @@ class CubetreeForest {
   ForestPlan plan_;
   std::vector<ViewDef> views_;
   std::map<uint32_t, ViewDef> views_by_id_;
-  std::vector<std::shared_ptr<Cubetree>> trees_ GUARDED_BY(refresh_mu_);
-  std::vector<uint32_t> generations_ GUARDED_BY(refresh_mu_);
-  /// Per tree: the generation numbers of its pending delta trees.
-  std::vector<std::vector<uint32_t>> delta_generations_
-      GUARDED_BY(refresh_mu_);
+  /// Per tree: the next delta generation number. Monotonic within the
+  /// process, never re-derived from the live delta list: a retired delta's
+  /// TrackedFile unlinks by path when its last epoch dies, so a path must
+  /// not be reused while that token lives.
   std::vector<uint32_t> next_delta_generation_ GUARDED_BY(refresh_mu_);
-  /// Per tree: out of service after recovery found it unreadable. A
-  /// quarantined slot holds nullptr in trees_.
-  std::vector<bool> quarantined_ GUARDED_BY(refresh_mu_);
   /// Per tree: the ".quarantine" files to delete once the tree is rebuilt.
   std::vector<std::vector<std::string>> quarantine_files_
       GUARDED_BY(refresh_mu_);

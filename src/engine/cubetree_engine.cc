@@ -135,8 +135,9 @@ Result<std::unique_ptr<CubetreeEngine>> CubetreeEngine::Recover(
                               engine->options_.io_stats, report));
   // Row counts were derived from the spools at load time; after a crash
   // the spools are gone, so re-derive them from the trees themselves.
-  CT_ASSIGN_OR_RETURN(engine->view_rows_,
-                      engine->forest_->CountPointsPerView());
+  CT_ASSIGN_OR_RETURN(
+      engine->view_rows_,
+      engine->forest_->AcquireSnapshot().CountPointsPerView());
   return engine;
 }
 
@@ -144,11 +145,11 @@ Status CubetreeEngine::RebuildQuarantined(ComputedViews* data) {
   if (forest_ == nullptr) {
     return Status::InvalidArgument("cubetree engine: not loaded");
   }
-  CT_RETURN_NOT_OK(
-      GatedWrite(EstimateRefreshBytes(0, data->EstimatedInputBytes(),
-                                      forest_->RefreshConcurrency()),
-                 [&] { return forest_->RebuildQuarantined(data); }));
-  CT_ASSIGN_OR_RETURN(view_rows_, forest_->CountPointsPerView());
+  CT_RETURN_NOT_OK(GatedWrite(
+      forest_->RefreshEstimate(CubetreeForest::RefreshKind::kRebuild, data),
+      [&] { return forest_->RebuildQuarantined(data); }));
+  CT_ASSIGN_OR_RETURN(view_rows_,
+                      forest_->AcquireSnapshot().CountPointsPerView());
   return Status::OK();
 }
 
@@ -156,12 +157,9 @@ Status CubetreeEngine::RepairFromReplicas() {
   if (forest_ == nullptr) {
     return Status::InvalidArgument("cubetree engine: not loaded");
   }
-  if (!forest_->HasQuarantine()) return Status::OK();
-  obs::Span repair_span("repair.replicas");
   ForestSnapshot snapshot = forest_->AcquireSnapshot();
-  if (!snapshot.valid()) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
+  if (!snapshot.valid() || !snapshot.HasQuarantine()) return Status::OK();
+  obs::Span repair_span("repair.replicas");
   const std::vector<ViewDef>& views = forest_->views();
   ReplicaRepairProvider provider;
   size_t repaired_views = 0;
@@ -241,8 +239,11 @@ Status CubetreeEngine::RepairFromReplicas() {
   // quarantined files it retires can be reclaimed promptly.
   snapshot.Release();
   CT_RETURN_NOT_OK(GatedWrite(
-      0, [&] { return forest_->RebuildQuarantined(&provider); }));
-  CT_ASSIGN_OR_RETURN(view_rows_, forest_->CountPointsPerView());
+      forest_->RefreshEstimate(CubetreeForest::RefreshKind::kRebuild,
+                               &provider),
+      [&] { return forest_->RebuildQuarantined(&provider); }));
+  CT_ASSIGN_OR_RETURN(view_rows_,
+                      forest_->AcquireSnapshot().CountPointsPerView());
   static obs::Counter* const repairs =
       obs::MetricsRegistry::Instance().GetCounter("engine.replica_repairs");
   repairs->Increment();
@@ -286,28 +287,27 @@ Status CubetreeEngine::ApplyDelta(ComputedViews* delta) {
   // Per-view row counts are not tracked inside the trees after a merge;
   // the stale counts only influence the routing heuristic, which stays
   // stable under proportional growth.
-  return GatedWrite(EstimateRefreshBytes(forest_->TotalSizeBytes(),
-                                         delta->EstimatedInputBytes(),
-                                         forest_->RefreshConcurrency()),
-                    [&] { return forest_->ApplyDelta(delta); });
+  return GatedWrite(
+      forest_->RefreshEstimate(CubetreeForest::RefreshKind::kMerge, delta),
+      [&] { return forest_->ApplyDelta(delta); });
 }
 
 Status CubetreeEngine::ApplyDeltaPartial(ComputedViews* delta) {
   if (forest_ == nullptr) {
     return Status::InvalidArgument("cubetree engine: not loaded");
   }
-  return GatedWrite(EstimateRefreshBytes(0, delta->EstimatedInputBytes(),
-                                         forest_->RefreshConcurrency()),
-                    [&] { return forest_->ApplyDeltaPartial(delta); });
+  return GatedWrite(
+      forest_->RefreshEstimate(CubetreeForest::RefreshKind::kDelta, delta),
+      [&] { return forest_->ApplyDeltaPartial(delta); });
 }
 
 Status CubetreeEngine::Compact() {
   if (forest_ == nullptr) {
     return Status::InvalidArgument("cubetree engine: not loaded");
   }
-  return GatedWrite(EstimateRefreshBytes(forest_->TotalSizeBytes(), 0,
-                                         forest_->RefreshConcurrency()),
-                    [&] { return forest_->Compact(); });
+  return GatedWrite(
+      forest_->RefreshEstimate(CubetreeForest::RefreshKind::kMerge, nullptr),
+      [&] { return forest_->Compact(); });
 }
 
 double CubetreeEngine::EstimateCost(const ViewDef& view,
@@ -665,7 +665,9 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
 }
 
 uint64_t CubetreeEngine::StorageBytes() const {
-  return forest_ == nullptr ? 0 : forest_->TotalSizeBytes();
+  if (forest_ == nullptr) return 0;
+  const ForestSnapshot snapshot = forest_->AcquireSnapshot();
+  return snapshot.valid() ? snapshot.TotalSizeBytes() : 0;
 }
 
 }  // namespace cubetree

@@ -192,7 +192,7 @@ Result<PhaseReport> Warehouse::RecoverCubetrees(uint32_t increments_applied,
   CT_ASSIGN_OR_RETURN(cubetree_,
                       CubetreeEngine::Recover(schema_, engine_options,
                                               cbt_pool_.get(), report));
-  if (cubetree_->forest()->HasQuarantine()) {
+  if (cubetree_->forest()->AcquireSnapshot().HasQuarantine()) {
     // Fast path first: re-derive the lost views from surviving replicas /
     // superset views — no fact-table recomputation. Falls through to the
     // base-data rebuild when no healthy covering source survives.
@@ -201,7 +201,7 @@ Result<PhaseReport> Warehouse::RecoverCubetrees(uint32_t increments_applied,
       return replica_repair;
     }
   }
-  if (cubetree_->forest()->HasQuarantine()) {
+  if (cubetree_->forest()->AcquireSnapshot().HasQuarantine()) {
     // Rebuild the lost views from base data: recompute their contents over
     // everything the forest had absorbed before the crash.
     auto facts = increments_applied == 0

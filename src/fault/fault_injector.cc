@@ -42,8 +42,6 @@ const FaultInjector::PointInfo kRegistry[] = {
     {"forest.manifest.sync", "fsync of the manifest tmp file"},
     {"forest.manifest.rename", "renaming manifest tmp into place"},
     {"forest.manifest.dirsync", "fsync of the forest directory"},
-    {"forest.journal.append", "appending to the refresh journal"},
-    {"forest.refresh.begin", "after the refresh journal's begin record"},
     {"forest.refresh.build", "after building one tree's next generation"},
     {"forest.refresh.commit", "after the durable manifest swap"},
     {"forest.refresh.gc", "before unlinking one retired tree file"},

@@ -82,7 +82,8 @@ bool Scrubber::TryRepair(uint32_t first_view_id) {
                  << first_view_id << " stays quarantined";
     return false;
   }
-  return repair_().ok() && !forest_->IsViewQuarantined(first_view_id);
+  return repair_().ok() &&
+         !forest_->AcquireSnapshot().IsViewQuarantined(first_view_id);
 }
 
 void Scrubber::ScrubFile(const std::string& path, uint32_t first_view_id,
@@ -204,9 +205,8 @@ Status Scrubber::ScrubOnce(ScrubPassStats* stats) {
     const uint32_t view_id = tree->views()[0].id;
     // A tree already quarantined has no live files worth scanning.
     if (snapshot.IsViewQuarantined(view_id)) continue;
-    ScrubFile(tree->rtree()->path(), view_id, stats);
-    for (size_t d = 0; d < tree->num_deltas(); ++d) {
-      ScrubFile(tree->delta(d)->path(), view_id, stats);
+    for (PackedRTree* rtree : tree->main_and_deltas()) {
+      ScrubFile(rtree->path(), view_id, stats);
     }
     {
       MutexLock lock(mu_);

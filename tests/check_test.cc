@@ -243,6 +243,34 @@ TEST_F(ForestCheckerTest, CleanForestHasNoFindings) {
   EXPECT_EQ(report.warnings(), 0u) << report.ToString();
 }
 
+TEST_F(ForestCheckerTest, PendingDeltaTreeIsScannedAndCounted) {
+  // One partial refresh leaves a pending delta tree beside each main tree.
+  // The checker must scan and count the delta files too, or its scanned
+  // total falls short of the metadata total of a healthy forest.
+  {
+    CubetreeForest::Options options;
+    options.dir = dir_;
+    options.name = "f";
+    ASSERT_OK_AND_ASSIGN(auto forest,
+                         CubetreeForest::Open(options, pool_.get()));
+    struct Provider : CubetreeForest::ViewDataProvider {
+      Result<std::unique_ptr<RecordStream>> OpenViewStream(
+          const ViewDef& view) override {
+        std::vector<char> rec(ViewRecordBytes(view.arity()));
+        Coord coords[kMaxDims] = {7, 5};
+        EncodeViewRecord(rec.data(), coords, view.arity(), AggValue{7, 1});
+        return std::unique_ptr<RecordStream>(new MemoryRecordStream(
+            std::move(rec), ViewRecordBytes(view.arity())));
+      }
+    } provider;
+    ASSERT_OK(forest->ApplyDeltaPartial(&provider));
+    ASSERT_EQ(forest->AcquireSnapshot().TotalDeltas(), 1u);
+  }
+  CheckReport report = Check();
+  EXPECT_EQ(report.errors(), 0u) << report.ToString();
+  EXPECT_EQ(report.warnings(), 0u) << report.ToString();
+}
+
 TEST_F(ForestCheckerTest, DetectsSelectMappingViolation) {
   // Tamper with the manifest: list view 1 twice on its tree line, so the
   // tree claims two views of arity 1.

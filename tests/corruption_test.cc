@@ -158,7 +158,8 @@ class CorruptionTest : public ::testing::Test {
   }
 
   std::string TreePath(uint32_t view_id) {
-    auto tree = cbt_->forest()->TreeForView(view_id);
+    const ForestSnapshot snap = cbt_->forest()->AcquireSnapshot();
+    auto tree = snap.TreeForView(view_id);
     EXPECT_TRUE(tree.ok()) << tree.status().ToString();
     return (*tree)->rtree()->path();
   }
@@ -232,9 +233,9 @@ TEST_F(CorruptionTest, ReadRepairReroutesToReplicaOnDiskCorruption) {
   // declaration order), hits the damage, quarantines the tree, and must
   // re-route to a replica — transparently returning the right answer.
   ExpectMatchesReference(query);
-  EXPECT_TRUE(cbt_->forest()->IsViewQuarantined(7));
-  EXPECT_FALSE(cbt_->forest()->IsViewQuarantined(1000));
-  EXPECT_FALSE(cbt_->forest()->IsViewQuarantined(1001));
+  EXPECT_TRUE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(7));
+  EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(1000));
+  EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(1001));
   EXPECT_GT(CounterValue("engine.read_repair_reroutes"), reroutes_before);
 
   // Subsequent queries skip the quarantined view at routing time: no new
@@ -259,9 +260,9 @@ TEST_F(CorruptionTest, TypedCorruptionWhenNoHealthyRouteRemains) {
   EXPECT_NE(result.status().ToString().find("checksum mismatch"),
             std::string::npos)
       << result.status().ToString();
-  EXPECT_TRUE(cbt_->forest()->IsViewQuarantined(7));
-  EXPECT_TRUE(cbt_->forest()->IsViewQuarantined(1000));
-  EXPECT_TRUE(cbt_->forest()->IsViewQuarantined(1001));
+  EXPECT_TRUE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(7));
+  EXPECT_TRUE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(1000));
+  EXPECT_TRUE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(1001));
 
   // Lattice nodes with a healthy covering view keep answering.
   SliceQuery ps;
@@ -275,11 +276,11 @@ TEST_F(CorruptionTest, RepairFromReplicasRestoresQuarantinedView) {
   const SliceQuery query = TopQuery();
   CorruptAllDataPages(TreePath(7));
   ExpectMatchesReference(query);  // Trigger quarantine via read-repair.
-  ASSERT_TRUE(cbt_->forest()->IsViewQuarantined(7));
+  ASSERT_TRUE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(7));
 
   const uint64_t repairs_before = CounterValue("engine.replica_repairs");
   ASSERT_OK(cbt_->RepairFromReplicas());
-  EXPECT_FALSE(cbt_->forest()->IsViewQuarantined(7));
+  EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(7));
   EXPECT_GT(CounterValue("engine.replica_repairs"), repairs_before);
 
   // The rebuilt tree serves correct content again, for the full scan and
@@ -303,12 +304,12 @@ TEST_F(CorruptionTest, RepairUnavailableWithoutSourceFallsBackToBaseData) {
   // the base-data rebuild — the warehouse recovery fallback — restores it.
   Status replica_repair = cbt_->RepairFromReplicas();
   ASSERT_TRUE(replica_repair.IsUnavailable()) << replica_repair.ToString();
-  ASSERT_TRUE(cbt_->forest()->HasQuarantine());
+  ASSERT_TRUE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
 
   auto data = Compute(views_, facts_, "rebuild");
   ASSERT_OK(cbt_->RebuildQuarantined(data.get()));
   ASSERT_OK(data->Destroy());
-  EXPECT_FALSE(cbt_->forest()->HasQuarantine());
+  EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
   ExpectMatchesReference(TopQuery());
 }
 
@@ -327,7 +328,8 @@ TEST_F(CorruptionTest, SweepTransientBitflipsHealViaReread) {
         << "hit " << hit << ": " << result.status().ToString();
     result->SortRows();
     EXPECT_TRUE(result->SameRowsAs(expected)) << "hit " << hit;
-    EXPECT_FALSE(cbt_->forest()->HasQuarantine()) << "hit " << hit;
+    EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine())
+        << "hit " << hit;
     FaultInjector::Instance().DisarmAll();
   }
 }
@@ -356,7 +358,7 @@ TEST_F(CorruptionTest, SweepPersistentCorruptionNeverReturnsWrongRows) {
     // The on-disk files are healthy (corruption was injected on the read
     // path only), but a quarantine decision is deliberately sticky:
     // restore via the replica path before the next round.
-    if (cbt_->forest()->HasQuarantine()) {
+    if (cbt_->forest()->AcquireSnapshot().HasQuarantine()) {
       Status repaired = cbt_->RepairFromReplicas();
       if (repaired.IsUnavailable()) {
         auto data = Compute(views_, facts_, "sweep_rebuild");
@@ -365,7 +367,8 @@ TEST_F(CorruptionTest, SweepPersistentCorruptionNeverReturnsWrongRows) {
       } else {
         ASSERT_OK(repaired);
       }
-      ASSERT_FALSE(cbt_->forest()->HasQuarantine()) << "hit " << hit;
+      ASSERT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine())
+          << "hit " << hit;
     }
     ExpectMatchesReference(query);
   }
@@ -399,7 +402,7 @@ TEST_F(CorruptionTest, ScrubberDrivesReplicaRepairEndToEnd) {
   EXPECT_EQ(stats.corruptions_found, 1u);  // Scan stops at first finding.
   EXPECT_EQ(stats.corruptions_repaired, 1u);
   EXPECT_EQ(stats.corruptions_unrepairable, 0u);
-  EXPECT_FALSE(cbt_->forest()->HasQuarantine());
+  EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
   ExpectMatchesReference(TopQuery());
 
   // The rebuilt generation scrubs clean.
@@ -452,7 +455,8 @@ ScrubForest MakeScrubForest(const std::string& tag) {
 }
 
 std::string ForestTreePath(CubetreeForest* forest, uint32_t view_id) {
-  auto tree = forest->TreeForView(view_id);
+  const ForestSnapshot snap = forest->AcquireSnapshot();
+  auto tree = snap.TreeForView(view_id);
   EXPECT_TRUE(tree.ok()) << tree.status().ToString();
   return (*tree)->rtree()->path();
 }
@@ -466,7 +470,7 @@ TEST(ScrubberTest, CleanForestScrubsClean) {
   EXPECT_GT(stats.pages_scrubbed, 0u);
   EXPECT_EQ(stats.files_unverified, 0u);
   EXPECT_EQ(stats.corruptions_found, 0u);
-  EXPECT_FALSE(sf.forest->HasQuarantine());
+  EXPECT_FALSE(sf.forest->AcquireSnapshot().HasQuarantine());
 }
 
 TEST(ScrubberTest, FindsAndQuarantinesSingleFlippedByte) {
@@ -480,8 +484,8 @@ TEST(ScrubberTest, FindsAndQuarantinesSingleFlippedByte) {
   // stays quarantined, and the healthy sibling is untouched.
   EXPECT_EQ(stats.corruptions_repaired, 0u);
   EXPECT_EQ(stats.corruptions_unrepairable, 1u);
-  EXPECT_TRUE(sf.forest->IsViewQuarantined(1));
-  EXPECT_FALSE(sf.forest->IsViewQuarantined(2));
+  EXPECT_TRUE(sf.forest->AcquireSnapshot().IsViewQuarantined(1));
+  EXPECT_FALSE(sf.forest->AcquireSnapshot().IsViewQuarantined(2));
 }
 
 TEST(ScrubberTest, RepairCallbackRestoresTree) {
@@ -495,7 +499,7 @@ TEST(ScrubberTest, RepairCallbackRestoresTree) {
   EXPECT_EQ(stats.corruptions_found, 1u);
   EXPECT_EQ(stats.corruptions_repaired, 1u);
   EXPECT_EQ(stats.corruptions_unrepairable, 0u);
-  EXPECT_FALSE(sf.forest->HasQuarantine());
+  EXPECT_FALSE(sf.forest->AcquireSnapshot().HasQuarantine());
 
   ScrubPassStats clean;
   ASSERT_OK(scrubber.ScrubOnce(&clean));

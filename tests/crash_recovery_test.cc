@@ -2,7 +2,9 @@
 //
 // The sweep tests enumerate EVERY registered failpoint and interrupt a
 // forest refresh at each one — with a real process crash (_Exit in a
-// forked child) and with the in-process throw action (sanitizer-friendly).
+// forked child) and with the in-process throw action (sanitizer-friendly)
+// — once for a merge-pack refresh and once for a partial (delta-tree)
+// refresh followed by a compaction.
 // After each interruption the forest is reopened through Recover and must
 // come back checker-clean, holding exactly the pre-refresh or the
 // post-refresh contents — never a hybrid — with all orphaned files
@@ -129,9 +131,10 @@ using Contents = std::vector<std::string>;
 
 Contents Dump(CubetreeForest* forest) {
   std::map<std::string, std::pair<int64_t, uint64_t>> groups;
+  const ForestSnapshot snap = forest->AcquireSnapshot();
   for (const ViewDef& view : forest->views()) {
-    EXPECT_FALSE(forest->IsViewQuarantined(view.id)) << view.id;
-    auto tree_result = forest->TreeForView(view.id);
+    EXPECT_FALSE(snap.IsViewQuarantined(view.id)) << view.id;
+    auto tree_result = snap.TreeForView(view.id);
     EXPECT_TRUE(tree_result.ok()) << tree_result.status().ToString();
     if (!tree_result.ok()) continue;
     std::vector<std::optional<Coord>> open(view.arity(), std::nullopt);
@@ -181,29 +184,44 @@ const Snapshots& ReferenceSnapshots() {
   return *snapshots;
 }
 
-/// The workload every sweep interrupts: reopen the forest, refresh it with
-/// the standard delta. Returns the refresh status.
-Status OpenAndRefresh(const std::string& dir) {
+/// The refresh workloads the sweeps interrupt. Both apply the standard
+/// delta, so either one ends at the reference "after" contents.
+enum class Workload { kMerge, kPartialThenCompact };
+constexpr Workload kWorkloads[] = {Workload::kMerge,
+                                   Workload::kPartialThenCompact};
+
+std::string WorkloadName(Workload workload) {
+  return workload == Workload::kMerge ? "merge" : "partial+compact";
+}
+
+/// Reopens the forest and runs `workload` with the standard delta: one
+/// merge-pack refresh, or a partial refresh then a compaction. Returns the
+/// first failing status.
+Status OpenAndRefresh(const std::string& dir,
+                      Workload workload = Workload::kMerge) {
   BufferPool pool(256);
   auto forest_result = CubetreeForest::Open(ForestOptions(dir), &pool);
   if (!forest_result.ok()) return forest_result.status();
   auto forest = std::move(forest_result).value();
   VectorViewProvider delta;
   FillDelta(&delta, PaperViews());
-  return forest->ApplyDelta(&delta);
+  if (workload == Workload::kMerge) return forest->ApplyDelta(&delta);
+  CT_RETURN_NOT_OK(forest->ApplyDeltaPartial(&delta));
+  return forest->Compact();
 }
 
 /// Forked child: arm `failpoint` with the crash action and run the refresh
 /// workload. Exits 0 when the refresh completes (the failpoint was not on
 /// this workload's path), kCrashExitCode on the simulated crash, and a
 /// distinct code on any unexpected error.
-int RunCrashChild(const std::string& dir, const char* failpoint) {
+int RunCrashChild(const std::string& dir, const char* failpoint,
+                  Workload workload) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     if (!FaultInjector::Instance().Arm(failpoint, "crash").ok()) {
       std::_Exit(11);
     }
-    const Status status = OpenAndRefresh(dir);
+    const Status status = OpenAndRefresh(dir, workload);
     std::_Exit(status.ok() ? 0 : 12);
   }
   EXPECT_GT(pid, 0) << "fork failed";
@@ -265,56 +283,66 @@ class CrashRecoveryTest : public ::testing::Test {
 TEST_F(CrashRecoveryTest, CrashAtEveryFailpoint) {
   const auto& points = FaultInjector::RegisteredPoints();
   ASSERT_GE(points.size(), 20u);
-  int crashed = 0;
-  for (size_t i = 0; i < points.size(); ++i) {
-    const std::string dir =
-        MakeTestDir("crash_fork_" + std::to_string(i));
-    BuildBaseForest(dir);
-    const int code = RunCrashChild(dir, points[i].name);
-    ASSERT_TRUE(code == 0 || code == FaultInjector::kCrashExitCode)
-        << points[i].name << ": child exited " << code;
-    if (code == FaultInjector::kCrashExitCode) ++crashed;
-    ExpectRecoversToOldOrNew(dir, points[i].name);
+  for (Workload workload : kWorkloads) {
+    int crashed = 0;
+    for (size_t i = 0; i < points.size(); ++i) {
+      const std::string at = WorkloadName(workload) + ":" + points[i].name;
+      const std::string dir =
+          MakeTestDir("crash_fork_" + std::to_string(i));
+      BuildBaseForest(dir);
+      const int code = RunCrashChild(dir, points[i].name, workload);
+      ASSERT_TRUE(code == 0 || code == FaultInjector::kCrashExitCode)
+          << at << ": child exited " << code;
+      if (code == FaultInjector::kCrashExitCode) ++crashed;
+      ExpectRecoversToOldOrNew(dir, at);
+    }
+    // The refresh path must actually cross most of the registry — a sweep
+    // where nothing fires would silently test nothing.
+    EXPECT_GE(crashed, 15) << WorkloadName(workload) << ": only " << crashed
+                           << " failpoints fired";
   }
-  // The refresh path must actually cross most of the registry — a sweep
-  // where nothing fires would silently test nothing.
-  EXPECT_GE(crashed, 15) << "only " << crashed << " failpoints fired";
 }
 
 TEST_F(CrashRecoveryTest, ThrowAtEveryFailpoint) {
-  for (const auto& point : FaultInjector::RegisteredPoints()) {
-    const std::string dir = MakeTestDir(std::string("crash_throw_") +
-                                        point.name);
-    BuildBaseForest(dir);
-    ASSERT_OK(FaultInjector::Instance().Arm(point.name, "throw"));
-    bool crashed = false;
-    try {
-      const Status status = OpenAndRefresh(dir);
-      ASSERT_OK(status);  // Throw-armed points never return an error.
-    } catch (const SimulatedCrash& crash) {
-      crashed = true;
-      EXPECT_EQ(crash.failpoint(), point.name);
+  for (Workload workload : kWorkloads) {
+    for (const auto& point : FaultInjector::RegisteredPoints()) {
+      const std::string dir = MakeTestDir(std::string("crash_throw_") +
+                                          point.name);
+      BuildBaseForest(dir);
+      ASSERT_OK(FaultInjector::Instance().Arm(point.name, "throw"));
+      bool crashed = false;
+      try {
+        const Status status = OpenAndRefresh(dir, workload);
+        ASSERT_OK(status);  // Throw-armed points never return an error.
+      } catch (const SimulatedCrash& crash) {
+        crashed = true;
+        EXPECT_EQ(crash.failpoint(), point.name);
+      }
+      FaultInjector::Instance().DisarmAll();
+      (void)crashed;
+      ExpectRecoversToOldOrNew(
+          dir, "throw:" + WorkloadName(workload) + ":" + point.name);
     }
-    FaultInjector::Instance().DisarmAll();
-    (void)crashed;
-    ExpectRecoversToOldOrNew(dir, std::string("throw:") + point.name);
   }
 }
 
 TEST_F(CrashRecoveryTest, ErrorAtEveryFailpoint) {
-  for (const auto& point : FaultInjector::RegisteredPoints()) {
-    const std::string dir = MakeTestDir(std::string("crash_error_") +
-                                        point.name);
-    BuildBaseForest(dir);
-    PageManager::SetReadRetryPolicy(2, 0);  // Keep read retries cheap.
-    ASSERT_OK(FaultInjector::Instance().Arm(point.name, "error"));
-    // The refresh either fails with the injected error or succeeds (point
-    // off-path, or the protocol absorbs the failure — e.g. post-commit
-    // dirsync/gc). Either way the on-disk state must stay two-sided.
-    (void)OpenAndRefresh(dir);
-    FaultInjector::Instance().DisarmAll();
-    PageManager::SetReadRetryPolicy(4, 0);
-    ExpectRecoversToOldOrNew(dir, std::string("error:") + point.name);
+  for (Workload workload : kWorkloads) {
+    for (const auto& point : FaultInjector::RegisteredPoints()) {
+      const std::string dir = MakeTestDir(std::string("crash_error_") +
+                                          point.name);
+      BuildBaseForest(dir);
+      PageManager::SetReadRetryPolicy(2, 0);  // Keep read retries cheap.
+      ASSERT_OK(FaultInjector::Instance().Arm(point.name, "error"));
+      // The refresh either fails with the injected error or succeeds (point
+      // off-path, or the protocol absorbs the failure — e.g. post-commit
+      // dirsync/gc). Either way the on-disk state must stay two-sided.
+      (void)OpenAndRefresh(dir, workload);
+      FaultInjector::Instance().DisarmAll();
+      PageManager::SetReadRetryPolicy(4, 0);
+      ExpectRecoversToOldOrNew(
+          dir, "error:" + WorkloadName(workload) + ":" + point.name);
+    }
   }
 }
 
@@ -363,21 +391,24 @@ TEST_F(CrashRecoveryTest, QuarantineAndRebuildFromBaseData) {
                                         &report));
   ASSERT_EQ(report.quarantined_trees.size(), 1u) << report.ToString();
   EXPECT_EQ(report.quarantined_trees[0], 0u);
-  EXPECT_TRUE(forest->HasQuarantine());
+  EXPECT_TRUE(forest->AcquireSnapshot().HasQuarantine());
   ASSERT_FALSE(report.quarantined_views.empty());
 
   // Graceful degradation: quarantined views answer Unavailable, the other
   // tree keeps serving.
   size_t available = 0;
-  for (const ViewDef& view : forest->views()) {
-    auto tree_result = forest->TreeForView(view.id);
-    if (forest->IsViewQuarantined(view.id)) {
-      ASSERT_FALSE(tree_result.ok());
-      EXPECT_TRUE(tree_result.status().IsUnavailable())
-          << tree_result.status().ToString();
-    } else {
-      ASSERT_TRUE(tree_result.ok()) << tree_result.status().ToString();
-      ++available;
+  {
+    const ForestSnapshot snap = forest->AcquireSnapshot();
+    for (const ViewDef& view : forest->views()) {
+      auto tree_result = snap.TreeForView(view.id);
+      if (snap.IsViewQuarantined(view.id)) {
+        ASSERT_FALSE(tree_result.ok());
+        EXPECT_TRUE(tree_result.status().IsUnavailable())
+            << tree_result.status().ToString();
+      } else {
+        ASSERT_TRUE(tree_result.ok()) << tree_result.status().ToString();
+        ++available;
+      }
     }
   }
   EXPECT_GT(available, 0u);
@@ -386,7 +417,7 @@ TEST_F(CrashRecoveryTest, QuarantineAndRebuildFromBaseData) {
   VectorViewProvider base;
   FillBase(&base, PaperViews());
   ASSERT_OK(forest->RebuildQuarantined(&base));
-  EXPECT_FALSE(forest->HasQuarantine());
+  EXPECT_FALSE(forest->AcquireSnapshot().HasQuarantine());
   EXPECT_EQ(Dump(forest.get()), ReferenceSnapshots().before);
   forest.reset();
 
@@ -404,7 +435,7 @@ TEST_F(CrashRecoveryTest, CrashDuringRecoveryIsIdempotent) {
   const std::string dir = MakeTestDir("crash_in_recovery");
   BuildBaseForest(dir);
   // Crash right after the manifest swap: the new generation is committed
-  // but the journal and the retired generation-0 files are still on disk.
+  // but the retired generation-0 files are still on disk.
   ASSERT_OK(FaultInjector::Instance().Arm("forest.refresh.commit", "throw"));
   bool crashed = false;
   try {
@@ -483,8 +514,9 @@ TEST_F(CrashRecoveryTest, WarehouseRecoversAndRebuildsFromBase) {
     ASSERT_OK_AND_ASSIGN(auto warehouse, Warehouse::Create(options));
     ForestRecoveryReport report;
     ASSERT_OK(warehouse->RecoverCubetrees(0, &report).status());
-    EXPECT_TRUE(report.journal_found) << report.ToString();
-    EXPECT_FALSE(warehouse->cubetrees()->forest()->HasQuarantine());
+    EXPECT_FALSE(report.removed_orphans.empty()) << report.ToString();
+    EXPECT_FALSE(
+        warehouse->cubetrees()->forest()->AcquireSnapshot().HasQuarantine());
     EXPECT_EQ(warehouse->cubetrees()->StorageBytes(), loaded_bytes);
   }
 
@@ -504,7 +536,8 @@ TEST_F(CrashRecoveryTest, WarehouseRecoversAndRebuildsFromBase) {
     ForestRecoveryReport report;
     ASSERT_OK(warehouse->RecoverCubetrees(0, &report).status());
     EXPECT_FALSE(report.quarantined_trees.empty()) << report.ToString();
-    EXPECT_FALSE(warehouse->cubetrees()->forest()->HasQuarantine());
+    EXPECT_FALSE(
+        warehouse->cubetrees()->forest()->AcquireSnapshot().HasQuarantine());
     // A refresh over the recovered store works end to end.
     ASSERT_OK(warehouse->UpdateCubetrees(0).status());
   }

@@ -234,13 +234,14 @@ TEST_F(ForestTest, BuildQueryPaperViews) {
   ASSERT_OK_AND_ASSIGN(auto forest, MakeForest());
   ASSERT_OK(forest->Build(views, &provider));
   // V1 and V2 have the same arity: they must land in different trees.
-  EXPECT_EQ(forest->num_trees(), 2u);
+  const ForestSnapshot snap = forest->AcquireSnapshot();
+  EXPECT_EQ(snap.num_trees(), 2u);
   EXPECT_NE(forest->plan().view_to_tree.at(1),
             forest->plan().view_to_tree.at(2));
-  EXPECT_EQ(forest->TotalPoints(), 100u + 40u + 20u + 1u);
+  EXPECT_EQ(snap.TotalPoints(), 100u + 40u + 20u + 1u);
 
   // Slice on V1: partkey free, suppkey = 3 (the paper's Q1 shape).
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Cubetree> tree, forest->TreeForView(1));
+  ASSERT_OK_AND_ASSIGN(Cubetree * tree, snap.TreeForView(1));
   std::vector<std::pair<Coord, int64_t>> hits;
   ASSERT_OK(tree->QuerySlice(
       1, {std::nullopt, Coord{3}},
@@ -253,7 +254,7 @@ TEST_F(ForestTest, BuildQueryPaperViews) {
   }
 
   // The none view is the origin point.
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Cubetree> tree_none, forest->TreeForView(4));
+  ASSERT_OK_AND_ASSIGN(Cubetree * tree_none, snap.TreeForView(4));
   int none_hits = 0;
   ASSERT_OK(tree_none->QuerySlice(
       4, {},
@@ -271,7 +272,8 @@ TEST_F(ForestTest, SliceRectValidation) {
   provider.Add(views[0], {1, 1}, AggValue{1, 1});
   ASSERT_OK_AND_ASSIGN(auto forest, MakeForest());
   ASSERT_OK(forest->Build(views, &provider));
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Cubetree> tree, forest->TreeForView(1));
+  const ForestSnapshot snap = forest->AcquireSnapshot();
+  ASSERT_OK_AND_ASSIGN(Cubetree * tree, snap.TreeForView(1));
   // Wrong binding arity.
   EXPECT_FALSE(tree->SliceRect(1, {std::nullopt}).ok());
   // Unknown view.
@@ -289,7 +291,7 @@ TEST_F(ForestTest, TreeForUnknownViewFails) {
   VectorViewProvider provider;
   ASSERT_OK_AND_ASSIGN(auto forest, MakeForest());
   ASSERT_OK(forest->Build(views, &provider));
-  EXPECT_FALSE(forest->TreeForView(42).ok());
+  EXPECT_FALSE(forest->AcquireSnapshot().TreeForView(42).ok());
 }
 
 TEST_F(ForestTest, DuplicateViewIdRejected) {
@@ -366,7 +368,7 @@ TEST_F(ForestTest, ApplyDeltaMergePacks) {
   }
   ASSERT_OK_AND_ASSIGN(auto forest, MakeForest());
   ASSERT_OK(forest->Build(views, &base));
-  const uint64_t points_before = forest->TotalPoints();
+  const uint64_t points_before = forest->AcquireSnapshot().TotalPoints();
 
   // Delta: updates to existing groups (p <= 50) and brand-new groups.
   VectorViewProvider delta;
@@ -375,10 +377,11 @@ TEST_F(ForestTest, ApplyDeltaMergePacks) {
   delta.Add(views[1], {10}, AggValue{1000, 1});
   delta.Add(views[1], {60}, AggValue{600, 1});
   ASSERT_OK(forest->ApplyDelta(&delta));
-  EXPECT_EQ(forest->TotalPoints(), points_before + 2);
+  const ForestSnapshot snap = forest->AcquireSnapshot();
+  EXPECT_EQ(snap.TotalPoints(), points_before + 2);
 
   // Existing group merged.
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Cubetree> tree, forest->TreeForView(1));
+  ASSERT_OK_AND_ASSIGN(Cubetree * tree, snap.TreeForView(1));
   int64_t sum = 0;
   ASSERT_OK(tree->QuerySlice(1, {Coord{10}, Coord{1}},
                              [&](const Coord*, const AggValue& agg) {
@@ -411,7 +414,8 @@ TEST_F(ForestTest, RepeatedDeltasAccumulate) {
     delta.Add(views[0], {1}, AggValue{10, 1});
     ASSERT_OK(forest->ApplyDelta(&delta));
   }
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Cubetree> tree, forest->TreeForView(1));
+  const ForestSnapshot snap = forest->AcquireSnapshot();
+  ASSERT_OK_AND_ASSIGN(Cubetree * tree, snap.TreeForView(1));
   int64_t sum = 0;
   uint32_t count = 0;
   ASSERT_OK(tree->QuerySlice(1, {Coord{1}},
@@ -421,7 +425,7 @@ TEST_F(ForestTest, RepeatedDeltasAccumulate) {
                              }));
   EXPECT_EQ(sum, 51);
   EXPECT_EQ(count, 6u);
-  EXPECT_EQ(forest->TotalPoints(), 1u);
+  EXPECT_EQ(snap.TotalPoints(), 1u);
 }
 
 TEST_F(ForestTest, PartialDeltasAnswerLikeMergedDeltas) {
@@ -452,7 +456,7 @@ TEST_F(ForestTest, PartialDeltasAnswerLikeMergedDeltas) {
     make_delta(&delta, k);
     ASSERT_OK(partial->ApplyDeltaPartial(&delta));
   }
-  EXPECT_GT(partial->TotalDeltas(), 0u);
+  EXPECT_GT(partial->AcquireSnapshot().TotalDeltas(), 0u);
 
   // Forest B: same increments via full merge-packs.
   CubetreeForest::Options options_b;
@@ -474,7 +478,8 @@ TEST_F(ForestTest, PartialDeltasAnswerLikeMergedDeltas) {
   auto collect = [&](CubetreeForest* forest, uint32_t view_id,
                      uint8_t arity) {
     std::map<std::vector<Coord>, AggValue> out;
-    auto tree_result = forest->TreeForView(view_id);
+    const ForestSnapshot snap = forest->AcquireSnapshot();
+    auto tree_result = snap.TreeForView(view_id);
     EXPECT_TRUE(tree_result.ok());
     std::vector<std::optional<Coord>> open(arity, std::nullopt);
     EXPECT_OK((*tree_result)
@@ -496,17 +501,18 @@ TEST_F(ForestTest, PartialDeltasAnswerLikeMergedDeltas) {
   // Compaction folds the deltas away and preserves the answers.
   auto before = collect(partial.get(), 1, 2);
   ASSERT_OK(partial->Compact());
-  EXPECT_EQ(partial->TotalDeltas(), 0u);
+  const ForestSnapshot compacted = partial->AcquireSnapshot();
+  EXPECT_EQ(compacted.TotalDeltas(), 0u);
   auto after = collect(partial.get(), 1, 2);
   EXPECT_EQ(before, after);
-  for (size_t t = 0; t < partial->num_trees(); ++t) {
-    EXPECT_OK(partial->tree(t)->rtree()->Validate());
+  for (size_t t = 0; t < compacted.num_trees(); ++t) {
+    EXPECT_OK(compacted.tree(t)->rtree()->Validate());
   }
 }
 
-// Regression: Compact() used to read trees_ before taking the refresh
-// lock. The unlocked pre-check is gone; the not-built error must still
-// surface through ApplyDelta's locked check.
+// Regression: Compact() used to read the tree list before taking the
+// refresh lock. The unlocked pre-check is gone; the not-built error must
+// still surface through the refresh transaction's locked check.
 TEST_F(ForestTest, CompactBeforeBuildFails) {
   ASSERT_OK_AND_ASSIGN(auto forest, MakeForest());
   Status status = forest->Compact();
@@ -531,8 +537,9 @@ TEST_F(ForestTest, PartialDeltasSurviveReopen) {
   }
   ASSERT_OK_AND_ASSIGN(auto forest,
                        CubetreeForest::Open(options, pool_.get()));
-  EXPECT_EQ(forest->TotalDeltas(), 1u);
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Cubetree> tree, forest->TreeForView(1));
+  const ForestSnapshot snap = forest->AcquireSnapshot();
+  EXPECT_EQ(snap.TotalDeltas(), 1u);
+  ASSERT_OK_AND_ASSIGN(Cubetree * tree, snap.TreeForView(1));
   std::map<Coord, AggValue> got;
   ASSERT_OK(tree->QuerySlice(1, {std::nullopt},
                              [&](const Coord* coords, const AggValue& agg) {
@@ -570,8 +577,9 @@ TEST_F(ForestTest, ReopenFromManifest) {
   ASSERT_OK_AND_ASSIGN(auto forest,
                        CubetreeForest::Open(options, pool_.get()));
   EXPECT_EQ(forest->views().size(), 3u);
-  EXPECT_EQ(forest->TotalPoints(), 201u);
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Cubetree> tree, forest->TreeForView(1));
+  const ForestSnapshot snap = forest->AcquireSnapshot();
+  EXPECT_EQ(snap.TotalPoints(), 201u);
+  ASSERT_OK_AND_ASSIGN(Cubetree * tree, snap.TreeForView(1));
   int64_t sum = -1;
   ASSERT_OK(tree->QuerySlice(1, {Coord{42}, Coord{3}},
                              [&](const Coord*, const AggValue& agg) {
@@ -589,7 +597,8 @@ TEST_F(ForestTest, ReopenFromManifest) {
   {
     ASSERT_OK_AND_ASSIGN(auto reopened,
                          CubetreeForest::Open(options, pool_.get()));
-    ASSERT_OK_AND_ASSIGN(std::shared_ptr<Cubetree> t2, reopened->TreeForView(1));
+    const ForestSnapshot snap2 = reopened->AcquireSnapshot();
+    ASSERT_OK_AND_ASSIGN(Cubetree * t2, snap2.TreeForView(1));
     int64_t sum2 = -1;
     ASSERT_OK(t2->QuerySlice(1, {Coord{42}, Coord{3}},
                              [&](const Coord*, const AggValue& agg) {
@@ -626,7 +635,8 @@ TEST_F(ForestTest, BoxRectClampsZeroLowerBound) {
   base.Add(views[0], {1, 1}, AggValue{1, 1});
   ASSERT_OK_AND_ASSIGN(auto forest, MakeForest());
   ASSERT_OK(forest->Build(views, &base));
-  ASSERT_OK_AND_ASSIGN(std::shared_ptr<Cubetree> tree, forest->TreeForView(1));
+  const ForestSnapshot snap = forest->AcquireSnapshot();
+  ASSERT_OK_AND_ASSIGN(Cubetree * tree, snap.TreeForView(1));
   // A caller-provided interval starting at 0 must still exclude the zero
   // plane (it belongs to lower-arity views).
   ASSERT_OK_AND_ASSIGN(Rect rect, tree->BoxRect(1, {{0, 10}, {0, 5}}));
@@ -652,10 +662,11 @@ TEST_F(ForestTest, StorageAccounting) {
   }
   ASSERT_OK_AND_ASSIGN(auto forest, MakeForest());
   ASSERT_OK(forest->Build(views, &base));
-  EXPECT_GT(forest->TotalSizeBytes(), 0u);
-  // Destroy removes all files.
+  EXPECT_GT(forest->AcquireSnapshot().TotalSizeBytes(), 0u);
+  // Destroy removes all files and unpublishes the forest.
   ASSERT_OK(forest->Destroy());
-  EXPECT_EQ(forest->TotalSizeBytes(), 0u);
+  EXPECT_FALSE(forest->AcquireSnapshot().valid());
+  EXPECT_TRUE(forest->LiveFiles().empty());
 }
 
 }  // namespace

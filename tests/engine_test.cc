@@ -411,7 +411,7 @@ TEST_F(EngineTest, DeltaTreeRefreshMatchesBruteForce) {
     ASSERT_OK(d->Destroy());
     all.insert(all.end(), delta.begin(), delta.end());
   }
-  EXPECT_GT(cbt_->forest()->TotalDeltas(), 0u);
+  EXPECT_GT(cbt_->forest()->AcquireSnapshot().TotalDeltas(), 0u);
 
   SliceQueryGenerator gen(schema_, 3);
   for (int draw = 0; draw < 10; ++draw) {
@@ -425,7 +425,7 @@ TEST_F(EngineTest, DeltaTreeRefreshMatchesBruteForce) {
   }
   // Compaction preserves the answers and clears the deltas.
   ASSERT_OK(cbt_->Compact());
-  EXPECT_EQ(cbt_->forest()->TotalDeltas(), 0u);
+  EXPECT_EQ(cbt_->forest()->AcquireSnapshot().TotalDeltas(), 0u);
   for (int draw = 0; draw < 5; ++draw) {
     SliceQuery query = gen.ForNode({0, 2}, false);
     QueryResult expected = Reference(query, all);

@@ -140,9 +140,10 @@ using Contents = std::vector<std::string>;
 
 Contents Dump(CubetreeForest* forest) {
   std::map<std::string, std::pair<int64_t, uint64_t>> groups;
+  const ForestSnapshot snap = forest->AcquireSnapshot();
   for (const ViewDef& view : forest->views()) {
-    EXPECT_FALSE(forest->IsViewQuarantined(view.id)) << view.id;
-    auto tree_result = forest->TreeForView(view.id);
+    EXPECT_FALSE(snap.IsViewQuarantined(view.id)) << view.id;
+    auto tree_result = snap.TreeForView(view.id);
     EXPECT_TRUE(tree_result.ok()) << tree_result.status().ToString();
     if (!tree_result.ok()) continue;
     std::vector<std::optional<Coord>> open(view.arity(), std::nullopt);
@@ -198,12 +199,10 @@ std::set<std::string> ListFiles(const std::string& dir) {
   return names;
 }
 
-/// Files a cleanly-aborted refresh may legitimately add: the refresh
-/// journal and a not-yet-renamed manifest draft. Both are removed by the
-/// next Recover. Anything else new — a pack file, a sidecar, a sorter
-/// run — is a leaked partial file.
+/// Files a cleanly-aborted refresh may legitimately add: a not-yet-renamed
+/// manifest draft, removed by the next Recover. Anything else new — a pack
+/// file, a sidecar, a sorter run — is a leaked partial file.
 bool AllowedAbortResidue(const std::string& name) {
-  if (name == "f.refresh.wal") return true;
   const std::string tmp = ".manifest.tmp";
   return name.size() >= tmp.size() &&
          name.compare(name.size() - tmp.size(), tmp.size(), tmp) == 0;
@@ -420,7 +419,7 @@ void SweepPoint(const char* point, const char* action, int* fired,
 
   if (!status.ok() && recovered == expected.before) {
     // The refresh aborted before commit: no partial pack, sidecar, or run
-    // file may outlive the abort (journal and manifest draft excepted).
+    // file may outlive the abort (the manifest draft excepted).
     for (const std::string& name : after_abort) {
       EXPECT_TRUE(baseline.count(name) != 0 || AllowedAbortResidue(name))
           << "leaked partial file after aborted refresh: " << name;

@@ -159,7 +159,8 @@ TEST_F(WarehouseTest, DeltaTreeRefreshThenCompactionAgrees) {
   ASSERT_OK_AND_ASSIGN(PhaseReport partial,
                        warehouse_->UpdateCubetreesPartial(0));
   EXPECT_GT(partial.io.TotalOps(), 0u);
-  EXPECT_GT(warehouse_->cubetrees()->forest()->TotalDeltas(), 0u);
+  EXPECT_GT(
+      warehouse_->cubetrees()->forest()->AcquireSnapshot().TotalDeltas(), 0u);
   SliceQueryGenerator gen = warehouse_->MakeQueryGenerator(8);
   auto agree = [&](int n) {
     for (int i = 0; i < n; ++i) {
@@ -177,7 +178,8 @@ TEST_F(WarehouseTest, DeltaTreeRefreshThenCompactionAgrees) {
   agree(30);
   ASSERT_OK_AND_ASSIGN(PhaseReport compaction,
                        warehouse_->CompactCubetrees());
-  EXPECT_EQ(warehouse_->cubetrees()->forest()->TotalDeltas(), 0u);
+  EXPECT_EQ(
+      warehouse_->cubetrees()->forest()->AcquireSnapshot().TotalDeltas(), 0u);
   agree(20);
 }
 

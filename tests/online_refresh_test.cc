@@ -308,6 +308,44 @@ TEST_F(OnlineRefreshTest, PartialRefreshSharesMainTreeFiles) {
   for (uint64_t c : counts) EXPECT_EQ(c, kBaseCount + kCycleCount);
 }
 
+TEST_F(OnlineRefreshTest, DeltaPathsAreNotReusedWhilePinned) {
+  // A retired file's token unlinks it by path when the last epoch pinning
+  // it dies, so a delta generation number must stay unused while such an
+  // epoch lives — even after a Compact leaves the live delta list empty.
+  const std::string dir = MakeTestDir("online");
+  {
+    BufferPool pool(256);
+    ASSERT_OK_AND_ASSIGN(auto forest,
+                         CubetreeForest::Create(ForestOptions(dir), &pool));
+    const auto views = PaperViews();
+    VectorViewProvider base;
+    FillBase(&base, views);
+    ASSERT_OK(forest->Build(views, &base));
+    VectorViewProvider cycle1;
+    FillCycle(&cycle1, views, 1);
+    ASSERT_OK(forest->ApplyDeltaPartial(&cycle1));
+    ForestSnapshot pinned = forest->AcquireSnapshot();  // Pins the deltas.
+    ASSERT_OK(forest->Compact());
+    VectorViewProvider cycle2;
+    FillCycle(&cycle2, views, 2);
+    ASSERT_OK(forest->ApplyDeltaPartial(&cycle2));
+
+    // Dropping the pin unlinks the compacted-away delta files; every file
+    // of the live generation must survive it.
+    pinned.Release();
+    for (const std::string& path : forest->LiveFiles()) {
+      EXPECT_TRUE(FileExists(path)) << path << " unlinked while live";
+    }
+  }
+  // The store on disk still holds base + both cycles.
+  BufferPool pool(256);
+  ASSERT_OK_AND_ASSIGN(auto reopened,
+                       CubetreeForest::Open(ForestOptions(dir), &pool));
+  std::vector<uint64_t> counts;
+  ASSERT_OK(CountAll(reopened->AcquireSnapshot(), PaperViews(), &counts));
+  for (uint64_t c : counts) EXPECT_EQ(c, kBaseCount + 2 * kCycleCount);
+}
+
 // --- Deadlines & cancellation -------------------------------------------
 
 TEST_F(OnlineRefreshTest, DeadlineBoundsQueryUnderStorageStall) {
@@ -924,13 +962,13 @@ TEST_F(OnlineRefreshTest, StressLongPinsDeferReclamation) {
   EXPECT_EQ(ForestDataFiles(dir).size(), num_trees);
 }
 
-// Regression for the raw-pointer accessor dangle: tree() / TreeForView()
-// used to hand out a Cubetree* into the live generation, which a
-// concurrent refresh could retire and destroy mid-query (nothing pinned
-// the generation for the caller). The accessors now return shared
-// ownership: a handle acquired just before a refresh keeps its
-// generation's tree alive — and its possibly-unlinked file readable —
-// for as long as the caller holds it. Run under TSan via
+// Regression for the raw-pointer accessor dangle: the forest's direct
+// tree accessors used to hand out a Cubetree* into the live generation,
+// which a concurrent refresh could retire and destroy mid-query (nothing
+// pinned the generation for the caller). Those accessors are gone; tree
+// handles come from snapshots, and a snapshot acquired just before a
+// refresh keeps its generation's trees alive — and their possibly-unlinked
+// files readable — for as long as the caller holds it. Run under TSan via
 // CUBETREE_SANITIZE=thread: with the raw accessors this races on freed
 // Cubetree state.
 TEST_F(OnlineRefreshTest, TreeAccessorHandlesSurviveConcurrentRefresh) {
@@ -953,16 +991,18 @@ TEST_F(OnlineRefreshTest, TreeAccessorHandlesSurviveConcurrentRefresh) {
     while (!stop.load(std::memory_order_relaxed)) {
       // Hold a handle to every tree across the whole iteration; a refresh
       // may retire their generation at any point in between.
-      std::vector<std::shared_ptr<Cubetree>> held;
-      for (size_t t = 0; t < forest->num_trees(); ++t) {
-        held.push_back(forest->tree(t));
+      const ForestSnapshot held_snapshot = forest->AcquireSnapshot();
+      std::vector<Cubetree*> held;
+      for (size_t t = 0; t < held_snapshot.num_trees(); ++t) {
+        held.push_back(held_snapshot.tree(t));
       }
-      auto tree_result = forest->TreeForView(views[0].id);
+      const ForestSnapshot fresh = forest->AcquireSnapshot();
+      auto tree_result = fresh.TreeForView(views[0].id);
       if (!tree_result.ok()) {
         if (errors[r].empty()) errors[r] = tree_result.status().ToString();
         return;
       }
-      std::shared_ptr<Cubetree> tree = *std::move(tree_result);
+      Cubetree* tree = *tree_result;
       uint64_t count = 0;
       std::vector<std::optional<Coord>> open(views[0].arity(), std::nullopt);
       const Status status = tree->QuerySlice(
