@@ -66,9 +66,9 @@ int Run(int argc, char** argv) {
         // Draw a random key for the bound attribute.
         SliceQuery draw = gen.ForNode({bound}, true);
         query.bindings[bound] = draw.bindings[0];
-        QueryExecStats stats;
-        bench::CheckOk(engine->Execute(query, &stats).status(), "query");
-        tuples += stats.tuples_accessed;
+        obs::QueryProfile profile;
+        bench::CheckOk(engine->Execute(query, &profile).status(), "query");
+        tuples += profile.points_examined;
       }
       const double modeled_s = disk.ModeledSeconds(*io - before);
       const double tuples_per_query =

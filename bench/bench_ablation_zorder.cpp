@@ -17,6 +17,7 @@
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
+#include "obs/query_profile.h"
 #include "rtree/packed_rtree.h"
 #include "rtree/zorder.h"
 #include "storage/buffer_pool.h"
@@ -58,10 +59,10 @@ std::vector<PointRecord> TopViewPoints(const bench::BenchArgs& args) {
 double AvgLeafPages(PackedRTree* tree, const std::vector<Rect>& queries) {
   uint64_t total = 0;
   for (const Rect& query : queries) {
-    SearchStats stats;
-    bench::CheckOk(tree->Search(query, [](const PointRecord&) {}, &stats),
-                   "search");
-    total += stats.leaf_pages;
+    obs::QueryProfile profile;
+    obs::QueryProfile::Scope scope(&profile);
+    bench::CheckOk(tree->Search(query, [](const PointRecord&) {}), "search");
+    total += profile.leaf_pages;
   }
   return static_cast<double>(total) / queries.size();
 }

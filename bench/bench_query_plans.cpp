@@ -42,11 +42,11 @@ int Run(int argc, char** argv) {
       query.bindings = {std::nullopt, std::nullopt};
       SliceQuery draw = gen.ForNode({1}, true);
       query.bindings[1] = draw.bindings[0];
-      QueryExecStats stats;
-      auto result = engine->Execute(query, &stats);
+      obs::QueryProfile profile;
+      auto result = engine->Execute(query, &profile);
       bench::CheckOk(result.status(), "q1");
-      tuples += stats.tuples_accessed;
-      *plan = stats.plan;
+      tuples += profile.points_examined;
+      *plan = profile.plan;
     }
     const double seconds =
         timer.ElapsedSeconds() + disk.ModeledSeconds(*io - before);

@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
       plan_only = true;
       line = line.substr(6);
     }
-    QueryExecStats stats;
+    obs::QueryProfile profile;
     Timer timer;
     {
       // One trace covers parse + execute; the engine's own TraceScope
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
         std::printf("error: %s\n", parsed.status().ToString().c_str());
         continue;
       }
-      auto result = warehouse->cubetrees()->Execute(parsed->query, &stats);
+      auto result = warehouse->cubetrees()->Execute(parsed->query, &profile);
       if (!result.ok()) {
         std::printf("error: %s\n", result.status().ToString().c_str());
         continue;
@@ -142,9 +142,10 @@ int main(int argc, char** argv) {
       const double ms = timer.ElapsedSeconds() * 1000;
       if (plan_only) {
         std::printf("plan: %s  (%llu tuples examined, %llu pages)\n",
-                    stats.plan.c_str(),
-                    static_cast<unsigned long long>(stats.tuples_accessed),
-                    static_cast<unsigned long long>(stats.pages_accessed));
+                    profile.plan.c_str(),
+                    static_cast<unsigned long long>(profile.points_examined),
+                    static_cast<unsigned long long>(profile.internal_pages +
+                                                    profile.leaf_pages));
         continue;
       }
       result->SortRows();
@@ -183,7 +184,7 @@ int main(int argc, char** argv) {
         std::printf("... (%zu rows)\n", result->rows.size());
       }
       std::printf("%zu row(s) in %.2f ms  [%s]\n\n", result->rows.size(), ms,
-                  stats.plan.c_str());
+                  profile.plan.c_str());
     }
   }
   obs::WorkloadProfiler::SetDefault(nullptr);

@@ -123,12 +123,12 @@ int main() {
       "GROUP BY partkey",
       schema);
   if (!parsed_result.ok()) return 1;
-  QueryExecStats stats;
-  auto answer = engine->Execute(parsed_result->query, &stats);
+  obs::QueryProfile profile;
+  auto answer = engine->Execute(parsed_result->query, &profile);
   if (!answer.ok()) return 1;
   answer->SortRows();
   std::printf("\nTotal quantity per part from supplier 3 (plan: %s):\n",
-              stats.plan.c_str());
+              profile.plan.c_str());
   for (size_t i = 0; i < answer->rows.size() && i < 5; ++i) {
     std::printf("  partkey %-4u sum %lld\n", answer->rows[i].group[0],
                 static_cast<long long>(answer->rows[i].agg.sum));

@@ -60,8 +60,7 @@ Result<Rect> Cubetree::BoxRect(
 
 Status Cubetree::QuerySlice(
     uint32_t view_id, const std::vector<std::optional<Coord>>& bindings,
-    const std::function<void(const Coord*, const AggValue&)>& emit,
-    SearchStats* stats) {
+    const std::function<void(const Coord*, const AggValue&)>& emit) {
   std::vector<std::pair<Coord, Coord>> intervals;
   intervals.reserve(bindings.size());
   for (const auto& binding : bindings) {
@@ -71,22 +70,21 @@ Status Cubetree::QuerySlice(
       intervals.emplace_back(1, kCoordMax);
     }
   }
-  return QueryBox(view_id, intervals, emit, stats);
+  return QueryBox(view_id, intervals, emit);
 }
 
 Status Cubetree::QueryBox(
     uint32_t view_id, const std::vector<std::pair<Coord, Coord>>& intervals,
-    const std::function<void(const Coord*, const AggValue&)>& emit,
-    SearchStats* stats) {
+    const std::function<void(const Coord*, const AggValue&)>& emit) {
   CT_ASSIGN_OR_RETURN(Rect rect, BoxRect(view_id, intervals));
   auto filter = [&](const PointRecord& rec) {
     CT_DCHECK(rect.ContainsPoint(rec.coords, tree_->dims()))
         << "search emitted a point outside the query box";
     if (rec.view_id == view_id) emit(rec.coords, rec.agg);
   };
-  CT_RETURN_NOT_OK(tree_->Search(rect, filter, stats));
+  CT_RETURN_NOT_OK(tree_->Search(rect, filter));
   for (const auto& delta : deltas_) {
-    CT_RETURN_NOT_OK(delta->Search(rect, filter, stats));
+    CT_RETURN_NOT_OK(delta->Search(rect, filter));
   }
   return Status::OK();
 }

@@ -104,8 +104,7 @@ class Cubetree {
   Status QuerySlice(uint32_t view_id,
                     const std::vector<std::optional<Coord>>& bindings,
                     const std::function<void(const Coord*, const AggValue&)>&
-                        emit,
-                    SearchStats* stats = nullptr);
+                        emit);
 
   /// Box-query variant of QuerySlice with per-attribute intervals. Emits
   /// from the main tree and every delta tree; a group key present in
@@ -113,8 +112,7 @@ class Cubetree {
   Status QueryBox(uint32_t view_id,
                   const std::vector<std::pair<Coord, Coord>>& intervals,
                   const std::function<void(const Coord*, const AggValue&)>&
-                      emit,
-                  SearchStats* stats = nullptr);
+                      emit);
 
  private:
   std::vector<ViewDef> views_;

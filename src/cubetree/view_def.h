@@ -61,20 +61,21 @@ inline size_t ViewRecordBytes(uint8_t arity) {
   return static_cast<size_t>(arity) * sizeof(Coord) + kAggValueBytes;
 }
 
+/// `coords` may be null for the arity-0 apex view, which has no key.
 inline void EncodeViewRecord(char* dst, const Coord* coords, uint8_t arity,
                              const AggValue& agg) {
-  std::memcpy(dst, coords, static_cast<size_t>(arity) * sizeof(Coord));
-  char* p = dst + static_cast<size_t>(arity) * sizeof(Coord);
-  EncodeFixed64(p, static_cast<uint64_t>(agg.sum));
-  EncodeFixed32(p + 8, agg.count);
+  const size_t key_bytes = static_cast<size_t>(arity) * sizeof(Coord);
+  if (key_bytes != 0) std::memcpy(dst, coords, key_bytes);
+  EncodeFixed64(dst + key_bytes, static_cast<uint64_t>(agg.sum));
+  EncodeFixed32(dst + key_bytes + 8, agg.count);
 }
 
 inline void DecodeViewRecord(const char* src, uint8_t arity, Coord* coords,
                              AggValue* agg) {
-  std::memcpy(coords, src, static_cast<size_t>(arity) * sizeof(Coord));
-  const char* p = src + static_cast<size_t>(arity) * sizeof(Coord);
-  agg->sum = static_cast<int64_t>(DecodeFixed64(p));
-  agg->count = DecodeFixed32(p + 8);
+  const size_t key_bytes = static_cast<size_t>(arity) * sizeof(Coord);
+  if (key_bytes != 0) std::memcpy(coords, src, key_bytes);
+  agg->sum = static_cast<int64_t>(DecodeFixed64(src + key_bytes));
+  agg->count = DecodeFixed32(src + key_bytes + 8);
 }
 
 /// Comparator for view records of one view in pack order: the LAST

@@ -349,7 +349,7 @@ Result<ConventionalEngine::ViewState*> ConventionalEngine::StateForView(
 Status ConventionalEngine::ExecuteScan(ViewState* state,
                                        const SliceQuery& query,
                                        QueryResult* result,
-                                       QueryExecStats* stats) {
+                                       obs::QueryProfile* profile) {
   const ViewDef& view = state->def;
   CT_ASSIGN_OR_RETURN(std::vector<size_t> positions,
                       PositionsInView(view, query.attrs));
@@ -383,9 +383,9 @@ Status ConventionalEngine::ExecuteScan(ViewState* state,
     agg.sum += ref.GetInt64(view.arity());
     agg.count += ref.GetUInt32(view.arity() + 1);
   }
-  if (stats != nullptr) {
-    stats->tuples_accessed += accessed;
-    stats->plan = "scan " + view.Name(schema_);
+  if (profile != nullptr) {
+    profile->points_examined = accessed;
+    profile->plan = "scan " + view.Name(schema_);
   }
   for (auto& [key, agg] : groups) {
     result->rows.push_back(ResultRow{key, agg});
@@ -396,7 +396,7 @@ Status ConventionalEngine::ExecuteScan(ViewState* state,
 Status ConventionalEngine::ExecuteIndex(ViewState* state, size_t index_pos,
                                         const SliceQuery& query,
                                         QueryResult* result,
-                                        QueryExecStats* stats) {
+                                        obs::QueryProfile* profile) {
   const ViewDef& view = state->def;
   const IndexDef& def = state->indices[index_pos].first;
   BPlusTree* tree = state->indices[index_pos].second.get();
@@ -459,9 +459,9 @@ Status ConventionalEngine::ExecuteIndex(ViewState* state, size_t index_pos,
     agg.sum += ref.GetInt64(view.arity());
     agg.count += ref.GetUInt32(view.arity() + 1);
   }
-  if (stats != nullptr) {
-    stats->tuples_accessed += accessed;
-    stats->plan = "index " + def.Name(schema_) + " -> " + view.Name(schema_);
+  if (profile != nullptr) {
+    profile->points_examined = accessed;
+    profile->plan = "index " + def.Name(schema_) + " -> " + view.Name(schema_);
   }
   for (auto& [key, agg] : groups) {
     result->rows.push_back(ResultRow{key, agg});
@@ -470,7 +470,7 @@ Status ConventionalEngine::ExecuteIndex(ViewState* state, size_t index_pos,
 }
 
 Result<QueryResult> ConventionalEngine::Execute(const SliceQuery& query,
-                                                QueryExecStats* stats) {
+                                                obs::QueryProfile* profile) {
   obs::TraceScope trace("query", options_.io_stats.get());
   trace.Annotate("engine", "conventional");
   // Plan: cheapest (view, access path) by the GHRU tuple-cost model.
@@ -542,11 +542,11 @@ Result<QueryResult> ConventionalEngine::Execute(const SliceQuery& query,
   }
   if (best_index < 0) {
     obs::Span scan_span("scan");
-    CT_RETURN_NOT_OK(ExecuteScan(best_state, query, &result, stats));
+    CT_RETURN_NOT_OK(ExecuteScan(best_state, query, &result, profile));
   } else {
     obs::Span index_span("index");
     CT_RETURN_NOT_OK(ExecuteIndex(best_state, static_cast<size_t>(best_index),
-                                  query, &result, stats));
+                                  query, &result, profile));
   }
   return result;
 }

@@ -79,7 +79,7 @@ class ConventionalEngine : public ViewStore {
   Status Rebuild(ComputedViews* full_data);
 
   Result<QueryResult> Execute(const SliceQuery& query,
-                              QueryExecStats* stats) override;
+                              obs::QueryProfile* profile) override;
 
   uint64_t StorageBytes() const override;
   uint64_t TableBytes() const;
@@ -111,10 +111,10 @@ class ConventionalEngine : public ViewStore {
   /// Chooses the cheapest (view, index-or-scan) plan for `query` using the
   /// GHRU tuple-cost model, then runs it.
   Status ExecuteScan(ViewState* state, const SliceQuery& query,
-                     QueryResult* result, QueryExecStats* stats);
+                     QueryResult* result, obs::QueryProfile* profile);
   Status ExecuteIndex(ViewState* state, size_t index_pos,
                       const SliceQuery& query, QueryResult* result,
-                      QueryExecStats* stats);
+                      obs::QueryProfile* profile);
 
   CubeSchema schema_;
   Options options_;

@@ -1,16 +1,17 @@
 #include "engine/cubetree_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
-#include <cstring>
 #include <map>
-#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
+#include "obs/query_profile.h"
 #include "obs/trace.h"
 #include "obs/workload.h"
 #include "sort/external_sorter.h"
@@ -24,64 +25,46 @@ struct EngineMetrics {
   /// per-outcome counter below instead of skewing the distribution.
   obs::Histogram* query_latency_us;
   obs::Histogram* admission_wait_us;
+  /// Every Execute, once; the per-outcome counters partition it.
   obs::Counter* queries;
   obs::Counter* pages_touched;
   obs::Counter* read_repair_reroutes;
-  /// Typed query outcomes; `ok` + the rest partition engine.queries.
-  obs::Counter* ok;
-  obs::Counter* deadline;
-  obs::Counter* cancelled;
-  obs::Counter* shed;
-  obs::Counter* degraded;
-  obs::Counter* corruption_rerouted;
-  obs::Counter* error;
-
-  obs::Counter* ForOutcome(const char* outcome) const {
-    if (std::strcmp(outcome, "ok") == 0) return ok;
-    if (std::strcmp(outcome, "deadline") == 0) return deadline;
-    if (std::strcmp(outcome, "cancelled") == 0) return cancelled;
-    if (std::strcmp(outcome, "shed") == 0) return shed;
-    if (std::strcmp(outcome, "degraded") == 0) return degraded;
-    if (std::strcmp(outcome, "corruption_rerouted") == 0) {
-      return corruption_rerouted;
-    }
-    return error;
-  }
+  /// engine.queries.<outcome>, indexed by obs::QueryOutcome.
+  std::array<obs::Counter*, obs::kNumQueryOutcomes> outcomes;
 
   static const EngineMetrics& Get() {
     static const EngineMetrics m = [] {
       auto& reg = obs::MetricsRegistry::Instance();
-      return EngineMetrics{
-          reg.GetHistogram("engine.query_latency_us"),
-          reg.GetHistogram("engine.admission_wait_us"),
-          reg.GetCounter("engine.queries"),
-          reg.GetCounter("engine.pages_touched"),
-          reg.GetCounter("engine.read_repair_reroutes"),
-          reg.GetCounter("engine.queries.ok"),
-          reg.GetCounter("engine.queries.deadline"),
-          reg.GetCounter("engine.queries.cancelled"),
-          reg.GetCounter("engine.queries.shed"),
-          reg.GetCounter("engine.queries.degraded"),
-          reg.GetCounter("engine.queries.corruption_rerouted"),
-          reg.GetCounter("engine.queries.error")};
+      EngineMetrics metrics{reg.GetHistogram("engine.query_latency_us"),
+                            reg.GetHistogram("engine.admission_wait_us"),
+                            reg.GetCounter("engine.queries"),
+                            reg.GetCounter("engine.pages_touched"),
+                            reg.GetCounter("engine.read_repair_reroutes"),
+                            {}};
+      for (size_t i = 0; i < obs::kNumQueryOutcomes; ++i) {
+        metrics.outcomes[i] = reg.GetCounter(
+            std::string("engine.queries.") +
+            obs::QueryOutcomeName(static_cast<obs::QueryOutcome>(i)));
+      }
+      return metrics;
     }();
     return m;
   }
 };
 
-/// The typed outcome of a finished Execute. Success precedence:
-/// corruption_rerouted (the answer needed a read-repair re-route) beats
-/// degraded (a quarantined view was routed around) beats plain ok.
-const char* OutcomeName(const Status& status, bool rerouted, bool degraded) {
+/// The typed outcome of a finished Execute. On success a read-repair
+/// re-route beats a routed-around quarantine beats plain ok.
+obs::QueryOutcome OutcomeOf(const Status& status,
+                            const obs::QueryProfile& profile) {
   if (status.ok()) {
-    if (rerouted) return "corruption_rerouted";
-    if (degraded) return "degraded";
-    return "ok";
+    if (profile.reroutes > 0) return obs::QueryOutcome::kCorruptionRerouted;
+    if (profile.route.degraded) return obs::QueryOutcome::kDegraded;
+    return obs::QueryOutcome::kOk;
   }
-  if (status.IsDeadlineExceeded()) return "deadline";
-  if (status.IsCancelled()) return "cancelled";
-  if (status.IsResourceExhausted()) return "shed";
-  return "error";
+  if (status.IsDeadlineExceeded()) return obs::QueryOutcome::kDeadline;
+  if (status.IsCancelled()) return obs::QueryOutcome::kCancelled;
+  if (status.IsResourceExhausted()) return obs::QueryOutcome::kShed;
+  return obs::QueryOutcome::kError;
 }
 
 /// ViewDataProvider over per-view record buffers derived in memory ahead of
@@ -310,181 +293,168 @@ Status CubetreeEngine::Compact() {
       [&] { return forest_->Compact(); });
 }
 
-double CubetreeEngine::EstimateCost(const ViewDef& view,
-                                    const SliceQuery& query,
-                                    uint64_t rows) const {
-  // Selectivity of the query's constraint on `attr` (1 = unconstrained).
-  auto selectivity = [&](uint32_t attr) -> double {
+namespace {
+
+/// Estimated tuples touched answering `query` from `view`: the router's
+/// cost model (obs::PackOrderCost) seeded with the view's row count.
+double EstimateCost(const CubeSchema& schema, const ViewDef& view,
+                    const SliceQuery& query, uint64_t rows) {
+  // Selectivity of the query's constraint on the view's attr at `pos`
+  // (1 = unconstrained).
+  auto selectivity = [&](size_t pos) -> double {
+    const uint32_t attr = view.attrs[pos];
     for (size_t qi = 0; qi < query.attrs.size(); ++qi) {
       if (query.attrs[qi] != attr || !query.AttrConstrained(qi)) continue;
       const auto [lo, hi] = query.AttrInterval(qi);
-      const double domain =
-          std::max<double>(1.0, schema_.attr_domains[attr]);
+      const double domain = std::max<double>(1.0, schema.attr_domains[attr]);
       const double span =
           std::min<double>(domain, static_cast<double>(hi) - lo + 1);
       return span / domain;
     }
     return 1.0;
   };
-  double cost = static_cast<double>(std::max<uint64_t>(rows, 1));
-  // Constrained attrs forming a suffix of the projection list are a
-  // prefix of the packing sort order: full pruning at their selectivity.
-  size_t i = view.attrs.size();
-  while (i > 0 && selectivity(view.attrs[i - 1]) < 1.0) {
-    cost *= selectivity(view.attrs[i - 1]);
-    --i;
-  }
-  // Remaining constrained attrs still prune via MBR intersection, but
-  // only partially; credit a modest constant factor each.
-  for (size_t j = 0; j < i; ++j) {
-    if (selectivity(view.attrs[j]) < 1.0) cost /= 2.0;
-  }
+  const double cost =
+      obs::PackOrderCost(static_cast<double>(std::max<uint64_t>(rows, 1)),
+                         view.attrs.size(), selectivity);
   return std::max(cost, 1.0);
-}
-
-Result<QueryResult> CubetreeEngine::Execute(const SliceQuery& query,
-                                            QueryExecStats* stats) {
-  return Execute(query, stats, QueryContext::Current());
-}
-
-namespace {
-
-/// Builds the durable per-query record from the finished Execute. Only
-/// runs when a query log or profiler is attached, so none of the string
-/// assembly here touches the default hot path.
-obs::QueryLogRecord BuildQueryRecord(
-    const CubeSchema& schema, const SliceQuery& query, const char* outcome,
-    const CubetreeEngine::AttemptInfo& info,
-    const obs::trace_internal::QueryCounters& pages, uint64_t latency_us,
-    uint64_t trace_id) {
-  obs::QueryLogRecord record;
-  record.ts_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-  record.outcome = outcome;
-  record.route = info.route;
-  if (info.view != nullptr) {
-    record.view = info.view->Name(schema);
-    record.order.reserve(info.view->attrs.size());
-    for (uint32_t attr : info.view->attrs) {
-      record.order.push_back(schema.attr_names[attr]);
-    }
-  }
-  record.attrs.reserve(query.attrs.size());
-  for (size_t qi = 0; qi < query.attrs.size(); ++qi) {
-    const uint32_t attr = query.attrs[qi];
-    obs::QueryLogAttr out;
-    out.name = schema.attr_names[attr];
-    out.domain = schema.attr_domains[attr];
-    const auto [lo, hi] = query.AttrInterval(qi);
-    out.lo = lo;
-    out.hi = std::min<uint64_t>(hi, out.domain);
-    out.bound = query.bindings[qi].has_value();
-    out.grouped = query.IsGrouped(qi);
-    record.attrs.push_back(std::move(out));
-  }
-  record.latency_us = latency_us;
-  record.admission_wait_us = info.admission_wait_us;
-  record.pages_read = pages.pages_read;
-  record.pool_hits = pages.pool_hits;
-  record.points_examined = info.points_examined;
-  record.rows = info.rows;
-  record.trace_id = trace_id;
-  return record;
 }
 
 }  // namespace
 
 Result<QueryResult> CubetreeEngine::Execute(const SliceQuery& query,
-                                            QueryExecStats* stats,
+                                            obs::QueryProfile* out,
                                             const QueryContext* ctx) {
-  if (forest_ == nullptr) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
   Timer query_timer;
   obs::TraceScope trace("query", options_.io_stats.get());
   trace.Annotate("engine", "cubetree");
   if (ctx != nullptr && trace.active()) ctx->set_trace_id(trace.trace_id());
-  if (ctx != nullptr) CT_RETURN_NOT_OK(ctx->Check());
-
-  // Per-query page accounting: a stack counter fed by the same storage
-  // hooks as span attribution. Installing it is two thread-local stores —
-  // no allocation — so it is unconditional.
-  obs::trace_internal::QueryCounters page_counters;
-  obs::QueryAccountingScope accounting_scope(&page_counters);
-
-  // Read-repair retry loop. Each attempt routes against a freshly pinned
-  // snapshot; a Corruption from the search quarantines the routed tree
-  // (publishing a new epoch, so the next attempt's routing skips it) and
-  // re-runs against the next-cheapest healthy covering view. Every retry
-  // quarantines one more tree, so the number of views bounds the loop.
-  Status first_corruption;
-  bool rerouted = false;
-  AttemptInfo info;
-  std::optional<Result<QueryResult>> final_result;
-  const size_t max_attempts = forest_->views().size() + 1;
-  for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    info = AttemptInfo();
-    Result<QueryResult> result = ExecuteAttempt(query, stats, ctx, &info);
-    if (result.ok()) {
-      final_result = std::move(result);
-      break;
-    }
-    if (result.status().IsCorruption()) {
-      if (first_corruption.ok()) first_corruption = result.status();
-      rerouted = true;
-      EngineMetrics::Get().read_repair_reroutes->Increment();
-      // Empty file_path: the engine saw the corruption through the routed
-      // tree itself, no staleness to guard against.
-      auto q = forest_->QuarantineForCorruption(info.routed_view, "",
-                                               result.status());
-      if (q.ok()) continue;  // Re-route (also when already quarantined).
-      final_result = std::move(result);
-      break;
-    }
-    if (result.status().IsNotFound() && !first_corruption.ok()) {
-      // Routing ran dry because corruption quarantined the only covering
-      // views; surface the typed root cause, not "no view".
-      final_result = Result<QueryResult>(first_corruption);
-      break;
-    }
-    final_result = std::move(result);
-    break;
-  }
-  if (!final_result.has_value()) {
-    // Loop exhausted: every attempt hit corruption; surface the first.
-    final_result = Result<QueryResult>(
-        first_corruption.ok()
-            ? Status::Internal("cubetree engine: retry loop exhausted")
-            : first_corruption);
-  }
-
-  const uint64_t latency_us = query_timer.ElapsedMicros();
-  const char* outcome =
-      OutcomeName(final_result->status(), rerouted, info.degraded);
-  const EngineMetrics& metrics = EngineMetrics::Get();
-  metrics.ForOutcome(outcome)->Increment();
-  if (final_result->ok()) metrics.query_latency_us->Record(latency_us);
-
-  // Record assembly is gated on an attached consumer: with neither a query
-  // log nor a profiler, the whole block is two pointer loads.
-  obs::QueryLog* log = obs::QueryLog::Default();
-  obs::WorkloadProfiler* profiler = obs::WorkloadProfiler::Default();
-  if (log != nullptr || profiler != nullptr) {
-    obs::QueryLogRecord record =
-        BuildQueryRecord(schema_, query, outcome, info, page_counters,
-                         latency_us, trace.trace_id());
-    if (profiler != nullptr) profiler->Observe(record);
-    if (log != nullptr) log->Append(std::move(record));
-  }
-  return std::move(*final_result);
+  // The query's one record, ambient for the storage hooks and the R-tree
+  // (two thread-local stores, no allocation). Every exit goes to Publish.
+  obs::QueryProfile profile;
+  obs::QueryProfile::Scope profile_scope(&profile);
+  Result<QueryResult> result = ExecuteWithRepair(query, ctx, &profile);
+  profile.outcome = OutcomeOf(result.status(), profile);
+  profile.latency_us = query_timer.ElapsedMicros();
+  profile.trace_id = trace.trace_id();
+  Publish(query, profile, out);
+  return result;
 }
 
-Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
-                                                   QueryExecStats* stats,
-                                                   const QueryContext* ctx,
-                                                   AttemptInfo* info) {
+Result<QueryResult> CubetreeEngine::ExecuteWithRepair(
+    const SliceQuery& query, const QueryContext* ctx,
+    obs::QueryProfile* profile) {
+  if (forest_ == nullptr) {
+    return Status::InvalidArgument("cubetree engine: not loaded");
+  }
+  if (ctx != nullptr) CT_RETURN_NOT_OK(ctx->Check());
+  // Each attempt routes against a freshly pinned snapshot; a Corruption
+  // from the search quarantines the routed tree (publishing a new epoch, so
+  // the next attempt's routing skips it) and re-runs against the
+  // next-cheapest healthy covering view. Every retry quarantines one more
+  // tree, so the number of views bounds the loop.
+  Status first_corruption;
+  const size_t max_attempts = forest_->views().size() + 1;
+  for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
+    Result<QueryResult> result = ExecuteAttempt(query, ctx, profile);
+    if (!result.status().IsCorruption()) {
+      // Routing ran dry because corruption quarantined the only covering
+      // views: surface the typed root cause, not "no view".
+      if (result.status().IsNotFound() && !first_corruption.ok()) {
+        return first_corruption;
+      }
+      return result;
+    }
+    if (first_corruption.ok()) first_corruption = result.status();
+    ++profile->reroutes;
+    // Empty file_path: the engine saw the corruption through the routed
+    // tree itself, no staleness to guard against. Re-route also when the
+    // tree was already quarantined.
+    auto quarantined = forest_->QuarantineForCorruption(
+        profile->route.view_id, "", result.status());
+    if (!quarantined.ok()) return result;
+  }
+  return first_corruption;  // Every attempt hit corruption.
+}
+
+void CubetreeEngine::Publish(const SliceQuery& query,
+                             const obs::QueryProfile& profile,
+                             obs::QueryProfile* out) const {
+  const EngineMetrics& metrics = EngineMetrics::Get();
+  metrics.queries->Increment();
+  metrics.outcomes[static_cast<size_t>(profile.outcome)]->Increment();
+  if (profile.outcome <= obs::QueryOutcome::kCorruptionRerouted) {
+    metrics.query_latency_us->Record(profile.latency_us);  // Answered.
+  }
+  metrics.pages_touched->Increment(profile.internal_pages +
+                                   profile.leaf_pages);
+  if (profile.reroutes > 0) {
+    metrics.read_repair_reroutes->Increment(profile.reroutes);
+  }
+
+  // The sinks below build strings, so they are gated on a consumer: with no
+  // out-parameter, query log or profiler this is three pointer checks.
+  obs::QueryLog* log = obs::QueryLog::Default();
+  obs::WorkloadProfiler* profiler = obs::WorkloadProfiler::Default();
+  if (out == nullptr && log == nullptr && profiler == nullptr) return;
+  const ViewDef* view = nullptr;
+  if (profile.route.view_id != obs::QueryProfile::kNoView) {
+    Result<const ViewDef*> routed = forest_->view(profile.route.view_id);
+    if (routed.ok()) view = *routed;
+  }
+  if (out != nullptr) {
+    *out = profile;
+    if (view != nullptr) {
+      out->plan = std::string(profile.route.reaggregated ? "cubetree agg "
+                                                         : "cubetree slice ") +
+                  view->Name(schema_);
+    }
+  }
+  if (log == nullptr && profiler == nullptr) return;
+
+  obs::QueryLogRecord record;
+  record.ts_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+  record.outcome = obs::QueryOutcomeName(profile.outcome);
+  record.route = profile.route.kind;
+  if (view != nullptr) {
+    record.view = view->Name(schema_);
+    record.order.reserve(view->attrs.size());
+    for (uint32_t attr : view->attrs) {
+      record.order.push_back(schema_.attr_names[attr]);
+    }
+  }
+  record.attrs.reserve(query.attrs.size());
+  for (size_t qi = 0; qi < query.attrs.size(); ++qi) {
+    const uint32_t attr = query.attrs[qi];
+    obs::QueryLogAttr shape;
+    shape.name = schema_.attr_names[attr];
+    shape.domain = schema_.attr_domains[attr];
+    const auto [lo, hi] = query.AttrInterval(qi);
+    shape.lo = lo;
+    shape.hi = std::min<uint64_t>(hi, shape.domain);
+    shape.bound = query.bindings[qi].has_value();
+    shape.grouped = query.IsGrouped(qi);
+    record.attrs.push_back(std::move(shape));
+  }
+  record.latency_us = profile.latency_us;
+  record.admission_wait_us = profile.admission_wait_us;
+  record.pages_read = profile.pages_read;
+  record.pool_hits = profile.pool_hits;
+  record.points_examined = profile.points_examined;
+  record.rows = profile.rows;
+  record.trace_id = profile.trace_id;
+  if (profiler != nullptr) profiler->Observe(record);
+  if (log != nullptr) log->Append(std::move(record));
+}
+
+Result<QueryResult> CubetreeEngine::ExecuteAttempt(
+    const SliceQuery& query, const QueryContext* ctx,
+    obs::QueryProfile* profile) {
+  // The route describes this attempt only; work counters keep summing.
+  obs::QueryProfile::Route& route = profile->route;
+  route = {};
   // Pin one committed generation for the whole attempt. Concurrent
   // refreshes publish new generations; this one stays intact (retired
   // files included) until the snapshot is released on return.
@@ -492,16 +462,10 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
   if (!snapshot.valid()) {
     return Status::InvalidArgument("cubetree engine: not loaded");
   }
-  // Route: cheapest covering view (replicas compete here too).
+  // Route: cheapest covering view (replicas compete here too). Routing to a
+  // same-set view other than the family primary (lowest id) is a replica.
   const ViewDef* best = nullptr;
-  double best_cost = 0;
-  // Routing-family bookkeeping for the accounting record: whether a
-  // covering view was quarantined out of contention (degraded service),
-  // and the lowest view id sharing the query node's exact attribute set
-  // (its family primary — routing to any other same-set member means a
-  // replica sort order won).
-  bool exact_family_seen = false;
-  uint32_t exact_family_primary = 0;
+  uint32_t exact_family_primary = UINT32_MAX;
   {
     obs::Span route_span("route");
     for (const ViewDef& view : forest_->views()) {
@@ -509,36 +473,33 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
       // Graceful degradation after recovery: a quarantined view is out of
       // service, but a covering superset view (or replica) can still answer.
       if (snapshot.IsViewQuarantined(view.id)) {
-        info->degraded = true;
+        route.degraded = true;
         continue;
       }
-      if (view.AttrMask() == query.node_mask &&
-          (!exact_family_seen || view.id < exact_family_primary)) {
-        exact_family_seen = true;
-        exact_family_primary = view.id;
+      if (view.AttrMask() == query.node_mask) {
+        exact_family_primary = std::min(exact_family_primary, view.id);
       }
       auto it = view_rows_.find(view.id);
       const uint64_t rows = it == view_rows_.end() ? 1 : it->second;
-      const double cost = EstimateCost(view, query, rows);
-      if (best == nullptr || cost < best_cost) {
+      const double cost = EstimateCost(schema_, view, query, rows);
+      if (best == nullptr || cost < route.estimated_cost) {
         best = &view;
-        best_cost = cost;
+        route.estimated_cost = cost;
       }
     }
     if (best != nullptr && route_span.active()) {
       route_span.Annotate("view", best->Name(schema_));
-      route_span.Annotate("estimated_cost", best_cost);
+      route_span.Annotate("estimated_cost", route.estimated_cost);
     }
   }
   if (best == nullptr) {
     return Status::NotFound("no materialized view answers this query");
   }
-  info->routed_view = best->id;
-  info->view = best;
+  route.view_id = best->id;
   if (best->AttrMask() != query.node_mask) {
-    info->route = "superset";
+    route.kind = "superset";
   } else {
-    info->route = best->id == exact_family_primary ? "exact" : "replica";
+    route.kind = best->id == exact_family_primary ? "exact" : "replica";
   }
 
   // The routing estimate doubles as the admission cost hint: under
@@ -550,14 +511,14 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
     obs::Span admit_span("admission");
     if (options_.admission != nullptr) {
       Timer admit_timer;
-      Result<AdmissionTicket> admitted =
-          options_.admission->Admit(static_cast<uint64_t>(best_cost), ctx);
+      Result<AdmissionTicket> admitted = options_.admission->Admit(
+          static_cast<uint64_t>(route.estimated_cost), ctx);
       // The wait is recorded whether or not the gate admitted: a shed or
       // deadline-expired query waited too, and hiding that wait from the
       // histogram would understate queueing under exactly the overload the
       // gate exists for.
       const uint64_t wait_us = admit_timer.ElapsedMicros();
-      info->admission_wait_us = wait_us;
+      profile->admission_wait_us += wait_us;
       EngineMetrics::Get().admission_wait_us->Record(wait_us);
       admit_span.Annotate("wait_us", wait_us);
       if (!admitted.ok()) return admitted.status();
@@ -610,9 +571,10 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
       exact = false;
     }
   }
-  SearchStats search_stats;
+  route.reaggregated = !exact;
   {
     obs::Span search_span("search");
+    const uint64_t examined_before = profile->points_examined;
     if (exact) {
       // Every qualifying point is exactly one result group.
       CT_RETURN_NOT_OK(tree->QueryBox(
@@ -623,8 +585,7 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
             for (size_t pos : group_positions) row.group.push_back(coords[pos]);
             row.agg = agg;
             result.rows.push_back(std::move(row));
-          },
-          &search_stats));
+          }));
     } else {
       // Superset view: re-aggregate over the extra attributes on the fly
       // (the paper's "additional aggregate step").
@@ -636,31 +597,19 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(const SliceQuery& query,
             key.clear();
             for (size_t pos : group_positions) key.push_back(coords[pos]);
             groups[key].Merge(agg);
-          },
-          &search_stats));
+          }));
       for (auto& [key2, agg] : groups) {
         result.rows.push_back(ResultRow{key2, agg});
       }
     }
     if (search_span.active()) {
       search_span.Annotate("plan", exact ? "slice" : "reaggregate");
-      search_span.Annotate("tuples", search_stats.points_examined);
+      search_span.Annotate("tuples",
+                           profile->points_examined - examined_before);
       search_span.Annotate("rows", static_cast<uint64_t>(result.rows.size()));
     }
   }
-  if (stats != nullptr) {
-    stats->tuples_accessed += search_stats.points_examined;
-    stats->pages_accessed +=
-        search_stats.internal_pages + search_stats.leaf_pages;
-    stats->plan = std::string(exact ? "cubetree slice " : "cubetree agg ") +
-                  best->Name(schema_);
-  }
-  info->points_examined = search_stats.points_examined;
-  info->rows = result.rows.size();
-  const EngineMetrics& metrics = EngineMetrics::Get();
-  metrics.queries->Increment();
-  metrics.pages_touched->Increment(search_stats.internal_pages +
-                                   search_stats.leaf_pages);
+  profile->rows = result.rows.size();
   return result;
 }
 

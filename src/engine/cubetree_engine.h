@@ -90,12 +90,15 @@ class CubetreeEngine : public ViewStore {
   /// Compact refreshes: each call pins one forest generation snapshot, so
   /// it sees entirely-pre- or entirely-post-refresh state, never a mix.
   Result<QueryResult> Execute(const SliceQuery& query,
-                              QueryExecStats* stats) override;
+                              obs::QueryProfile* profile) override {
+    return Execute(query, profile, QueryContext::Current());
+  }
 
   /// Execute under an explicit query session: `ctx` carries the deadline
   /// and cancellation token (checked at page-read granularity inside the
   /// storage layer) and is also respected while queued at the admission
-  /// gate. `ctx` may be nullptr.
+  /// gate. `ctx` may be nullptr. `profile`, when non-null, receives the
+  /// query's finished profile whatever the outcome.
   ///
   /// Read-repair: when the search surfaces Corruption (a checksum mismatch
   /// that survived the storage layer's re-reads), the affected tree is
@@ -103,7 +106,8 @@ class CubetreeEngine : public ViewStore {
   /// healthy covering view — a replica or superset — against a fresh
   /// snapshot. Only when no healthy route remains does the caller see the
   /// typed Corruption; a wrong answer is never returned silently.
-  Result<QueryResult> Execute(const SliceQuery& query, QueryExecStats* stats,
+  Result<QueryResult> Execute(const SliceQuery& query,
+                              obs::QueryProfile* profile,
                               const QueryContext* ctx);
 
   uint64_t StorageBytes() const override;
@@ -115,23 +119,6 @@ class CubetreeEngine : public ViewStore {
   /// probe sees usable space again. Wire its SetOnModeChange hook to the
   /// scrubber's SetRepairPaused so repairs pause while read-only.
   DegradedModeController* degraded() { return &degraded_; }
-
-  /// Per-attempt accounting, filled by ExecuteAttempt whether it succeeds
-  /// or fails: which view served (or would have served) the query — so the
-  /// retry loop in Execute can quarantine it on Corruption — plus what the
-  /// attempt cost, for the query-log record. Strings are avoided here so a
-  /// failed/disabled path allocates nothing; `route` is a literal.
-  struct AttemptInfo {
-    uint32_t routed_view = 0;
-    const ViewDef* view = nullptr;  // Into forest_->views(); may be null.
-    const char* route = "none";     // exact | replica | superset | none.
-    uint64_t admission_wait_us = 0;
-    uint64_t points_examined = 0;
-    uint64_t rows = 0;
-    /// A covering view was skipped during routing because it is
-    /// quarantined: the answer is correct but served by a fallback route.
-    bool degraded = false;
-  };
 
  private:
   CubetreeEngine(const CubeSchema& schema, Options options, BufferPool* pool)
@@ -146,18 +133,22 @@ class CubetreeEngine : public ViewStore {
   Status GatedWrite(uint64_t estimated_bytes,
                     const std::function<Status()>& write);
 
-  /// Estimated tuples touched answering `query` from `view`: the packing
-  /// sort order is (last attr, ..., first attr), so predicates binding a
-  /// suffix of the projection list prune contiguous leaf ranges; other
-  /// bound attrs prune partially via MBRs.
-  double EstimateCost(const ViewDef& view, const SliceQuery& query,
-                      uint64_t rows) const;
+  /// The read-repair loop of Execute: routes and searches, quarantining
+  /// the routed tree and re-routing after each Corruption.
+  Result<QueryResult> ExecuteWithRepair(const SliceQuery& query,
+                                        const QueryContext* ctx,
+                                        obs::QueryProfile* profile);
 
   /// One routing + search attempt against a freshly pinned snapshot.
   Result<QueryResult> ExecuteAttempt(const SliceQuery& query,
-                                     QueryExecStats* stats,
                                      const QueryContext* ctx,
-                                     AttemptInfo* info);
+                                     obs::QueryProfile* profile);
+
+  /// Projects a finished profile into every sink: the outcome metrics, the
+  /// caller's copy (`out`, nullable), and the query log record handed to
+  /// the query log and the workload profiler.
+  void Publish(const SliceQuery& query, const obs::QueryProfile& profile,
+               obs::QueryProfile* out) const;
 
   CubeSchema schema_;
   Options options_;

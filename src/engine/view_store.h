@@ -2,24 +2,13 @@
 #define CUBETREE_ENGINE_VIEW_STORE_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "obs/query_profile.h"
 #include "olap/query_model.h"
 
 namespace cubetree {
-
-/// Execution counters of one query.
-struct QueryExecStats {
-  /// Tuples read from storage (view rows or index entries + row fetches).
-  uint64_t tuples_accessed = 0;
-  /// Logical pages touched (leaf/internal/heap), before buffer-pool caching.
-  uint64_t pages_accessed = 0;
-  /// Human-readable access path, e.g. "scan V{partkey,suppkey}" or
-  /// "index I{custkey,suppkey,partkey} -> heap".
-  std::string plan;
-};
 
 /// Common interface of the two storage organizations under comparison: the
 /// conventional one (heap tables + B-trees) and the Cubetree forest. Both
@@ -30,8 +19,10 @@ class ViewStore {
   virtual ~ViewStore() = default;
 
   /// Answers a slice query from the best materialized view available.
+  /// `profile`, when non-null, receives the query's profile: its plan and
+  /// points examined from both engines, every field from the Cubetree one.
   virtual Result<QueryResult> Execute(const SliceQuery& query,
-                                      QueryExecStats* stats) = 0;
+                                      obs::QueryProfile* profile) = 0;
 
   /// Total bytes of the organization (data + indexing).
   virtual uint64_t StorageBytes() const = 0;

@@ -33,23 +33,16 @@ struct QueryLogAttr {
   bool grouped = false;  // Appears in the output grouping.
 };
 
-/// The per-query accounting record CubetreeEngine::Execute assembles: the
-/// query's shape, where it was routed, what it cost, and how it ended.
-/// Serialized as one JSON line in the durable query log and consumed
-/// directly by the in-process workload profiler.
+/// The query log's projection of one query's obs::QueryProfile, plus the
+/// query's shape and the routed view's name and sort order. Serialized as
+/// one JSON line in the durable query log and consumed directly by the
+/// in-process workload profiler.
 struct QueryLogRecord {
   static constexpr int64_t kSchemaVersion = 1;
 
   uint64_t ts_us = 0;  // Wall clock, microseconds since the Unix epoch.
-  /// ok | deadline | cancelled | shed | degraded | corruption_rerouted |
-  /// error. `degraded` = answered correctly but with at least one covering
-  /// view quarantined out of the routing set; `corruption_rerouted` =
-  /// answered after at least one read-repair re-route.
-  std::string outcome;
-  /// exact | replica | superset | none. `replica` = an extra-sort-order
-  /// copy (same attribute set as the query's node, not the family's
-  /// primary); `none` = no view was routed (e.g. shed before routing).
-  std::string route;
+  std::string outcome;              // QueryOutcomeName of the outcome.
+  std::string route;                // QueryProfile::Route::kind.
   std::string view;                 // Routed view name ("" when route=none).
   std::vector<std::string> order;   // Routed view's projection/sort order.
   std::vector<QueryLogAttr> attrs;  // Query shape over the node's attrs.

@@ -6,18 +6,20 @@
 
 #include "common/logging.h"
 #include "obs/query_log.h"
+#include "obs/query_profile.h"
 
 namespace cubetree {
 namespace obs {
 
 namespace trace_internal {
 thread_local AmbientTrace t_ambient;
-thread_local QueryCounters* t_query_counters = nullptr;
 }  // namespace trace_internal
 
 using trace_internal::t_ambient;
 
 namespace {
+
+thread_local QueryProfile* t_profile = nullptr;
 
 uint64_t SteadyNowMicros() {
   return static_cast<uint64_t>(
@@ -249,6 +251,27 @@ void Span::Annotate(const char* key, uint64_t value) {
 }
 void Span::Annotate(const char* key, double value) {
   if (trace_ != nullptr) trace_->Annotate(index_, key, JsonValue(value));
+}
+
+// ---------------------------------------------------------------------------
+// Query profile and storage attribution
+
+QueryProfile::Scope::Scope(QueryProfile* profile) : saved_(t_profile) {
+  t_profile = profile;
+}
+
+QueryProfile::Scope::~Scope() { t_profile = saved_; }
+
+QueryProfile* QueryProfile::Current() { return t_profile; }
+
+void NotePageRead() {
+  if (t_ambient.trace != nullptr) t_ambient.trace->AddPageRead(t_ambient.span);
+  if (t_profile != nullptr) ++t_profile->pages_read;
+}
+
+void NotePoolHit() {
+  if (t_ambient.trace != nullptr) t_ambient.trace->AddPoolHit(t_ambient.span);
+  if (t_profile != nullptr) ++t_profile->pool_hits;
 }
 
 // ---------------------------------------------------------------------------

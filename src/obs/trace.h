@@ -34,36 +34,7 @@ struct AmbientTrace {
 
 extern thread_local AmbientTrace t_ambient;
 
-/// Per-query storage attribution, independent of tracing: the engine
-/// installs a stack-allocated QueryCounters for the duration of one
-/// Execute (QueryAccountingScope), and the same storage hooks that feed
-/// span attribution bump it. This is what gives a query-log record its
-/// pages_read / pool_hits split without requiring a trace.
-struct QueryCounters {
-  uint64_t pages_read = 0;
-  uint64_t pool_hits = 0;
-};
-
-extern thread_local QueryCounters* t_query_counters;
-
 }  // namespace trace_internal
-
-/// RAII installer for the ambient per-query counters (see QueryCounters).
-/// Nesting restores the outer scope's counters, so a query executed inside
-/// an instrumented refresh attributes to the query only.
-class QueryAccountingScope {
- public:
-  explicit QueryAccountingScope(trace_internal::QueryCounters* counters)
-      : saved_(trace_internal::t_query_counters) {
-    trace_internal::t_query_counters = counters;
-  }
-  ~QueryAccountingScope() { trace_internal::t_query_counters = saved_; }
-  QueryAccountingScope(const QueryAccountingScope&) = delete;
-  QueryAccountingScope& operator=(const QueryAccountingScope&) = delete;
-
- private:
-  trace_internal::QueryCounters* saved_;
-};
 
 /// One node of a trace's span tree. Timestamps are steady-clock
 /// nanoseconds, so spans of different traces in one process share a
@@ -382,26 +353,11 @@ class Tracer {
   bool slow_file_warned_ GUARDED_BY(sink_mu_) = false;
 };
 
-/// Storage-layer attribution hooks: one thread-local load and a branch
-/// when no trace is ambient. Called by PageManager::ReadPage (physical
-/// read) and the BufferPool::Fetch hit path.
-inline void NotePageRead() {
-  const trace_internal::AmbientTrace& a = trace_internal::t_ambient;
-  if (a.trace != nullptr) a.trace->AddPageRead(a.span);
-  if (trace_internal::QueryCounters* q = trace_internal::t_query_counters;
-      q != nullptr) {
-    ++q->pages_read;
-  }
-}
-
-inline void NotePoolHit() {
-  const trace_internal::AmbientTrace& a = trace_internal::t_ambient;
-  if (a.trace != nullptr) a.trace->AddPoolHit(a.span);
-  if (trace_internal::QueryCounters* q = trace_internal::t_query_counters;
-      q != nullptr) {
-    ++q->pool_hits;
-  }
-}
+/// Storage attribution hooks of PageManager::ReadPage (physical read) and
+/// the BufferPool::Fetch hit path: each feeds the innermost open span and
+/// the thread's ambient QueryProfile, whichever are installed.
+void NotePageRead();
+void NotePoolHit();
 
 /// The trace this thread is currently building, or nullptr.
 inline Trace* CurrentTrace() { return trace_internal::t_ambient.trace; }

@@ -106,52 +106,36 @@ std::optional<ReplicaMiss> ScoreReplicaMiss(const QueryLogRecord& record) {
 
   // Look attrs up by name so the scorer does not assume record.attrs and
   // record.order agree on ordering.
-  auto find_attr = [&](const std::string& name) -> const QueryLogAttr* {
+  auto selectivity_of = [&](const std::string& name) {
     for (const QueryLogAttr& attr : record.attrs) {
-      if (attr.name == name) return &attr;
+      if (attr.name == name) return AttrSelectivity(attr);
     }
-    return nullptr;
+    return 1.0;
+  };
+  auto cost_under = [&](const std::vector<std::string>& order) {
+    return PackOrderCost(1.0, order.size(), [&](size_t i) {
+      return selectivity_of(order[i]);
+    });
   };
 
-  // Actual cost factor under the routed order, mirroring
-  // CubetreeEngine::EstimateCost: walk from the pack-order-major end (the
-  // back of the projection list); constrained attributes in that suffix
-  // multiply in their full selectivity, every other constrained attribute
-  // contributes only a halving.
-  double actual = 1.0;
-  size_t suffix_end = record.order.size();
-  while (suffix_end > 0) {
-    const QueryLogAttr* attr = find_attr(record.order[suffix_end - 1]);
-    if (attr == nullptr || !AttrConstrained(*attr)) break;
-    actual *= AttrSelectivity(*attr);
-    --suffix_end;
+  // Recommended permutation: unconstrained attributes first (least
+  // significant), constrained ones moved to the suffix, both keeping their
+  // relative order — deterministic, so recommendations aggregate.
+  std::vector<std::string> recommended;
+  for (const bool constrained : {false, true}) {
+    for (const std::string& name : record.order) {
+      if ((selectivity_of(name) < 1.0) == constrained) {
+        recommended.push_back(name);
+      }
+    }
   }
-  double best = actual;
-  for (size_t i = 0; i < suffix_end; ++i) {
-    const QueryLogAttr* attr = find_attr(record.order[i]);
-    if (attr == nullptr || !AttrConstrained(*attr)) continue;
-    actual *= 0.5;
-    best *= AttrSelectivity(*attr);
-  }
+  const double actual = cost_under(record.order);
+  const double best = cost_under(recommended);
   if (best >= actual * (1.0 - 1e-9)) return std::nullopt;  // Already optimal.
 
   ReplicaMiss miss;
   miss.view = record.view;
-  // Recommended permutation: unconstrained attributes first (least
-  // significant), constrained ones moved to the suffix, both keeping their
-  // relative order — deterministic, so recommendations aggregate.
-  for (const std::string& name : record.order) {
-    const QueryLogAttr* attr = find_attr(name);
-    if (attr == nullptr || !AttrConstrained(*attr)) {
-      miss.recommended_order.push_back(name);
-    }
-  }
-  for (const std::string& name : record.order) {
-    const QueryLogAttr* attr = find_attr(name);
-    if (attr != nullptr && AttrConstrained(*attr)) {
-      miss.recommended_order.push_back(name);
-    }
-  }
+  miss.recommended_order = std::move(recommended);
   miss.cost_ratio = best / actual;
   miss.pages_touched = record.pages_read + record.pool_hits;
   miss.est_pages_saved =

@@ -47,6 +47,25 @@ class SpaceSavingSketch {
   std::map<std::string, Cell> entries_;
 };
 
+/// The router's cost model, seeded by CubetreeEngine with the view's row
+/// count and by ScoreReplicaMiss with 1. A view packs in (last attr, ...,
+/// first attr) order, so each constrained attribute in the suffix of its
+/// projection list prunes contiguous leaf ranges and multiplies in its
+/// selectivity; any other constrained attribute prunes only partially,
+/// via MBRs, and halves the cost. `selectivity(i)` is list position i's,
+/// in (0, 1] and 1 when unconstrained.
+template <typename Selectivity>
+double PackOrderCost(double seed, size_t arity,
+                     const Selectivity& selectivity) {
+  double cost = seed;
+  size_t i = arity;
+  for (; i > 0 && selectivity(i - 1) < 1.0; --i) cost *= selectivity(i - 1);
+  for (size_t j = 0; j < i; ++j) {
+    if (selectivity(j) < 1.0) cost /= 2.0;
+  }
+  return cost;
+}
+
 /// A query served by a sort order that could not fully prune its
 /// predicates, scored against the best permutation of the same view: the
 /// paper's replication feature (extra sort orders instead of secondary
@@ -59,11 +78,8 @@ struct ReplicaMiss {
   uint64_t pages_touched = 0;  // pages_read + pool_hits of the record.
 };
 
-/// Scores one record against the routed view's best same-set sort order.
-/// The cost model mirrors CubetreeEngine::EstimateCost: constrained
-/// attributes forming a suffix of the projection list prune fully (their
-/// selectivity product); any other constrained attribute only halves the
-/// cost via partial MBR pruning. The best permutation moves every
+/// Scores one record against the routed view's best same-set sort order,
+/// both priced by PackOrderCost. The best permutation moves every
 /// constrained attribute into the suffix, so its cost is the full
 /// selectivity product — the ratio needs only the record's [lo, hi]
 /// intervals and domains, not row counts. Returns nullopt when the routed

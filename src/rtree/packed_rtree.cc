@@ -9,6 +9,7 @@
 #include "common/coding.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
+#include "obs/query_profile.h"
 #include "obs/trace.h"
 #include "rtree/node.h"
 #include "storage/checksum.h"
@@ -253,7 +254,7 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Open(
 
 Status PackedRTree::CollectLeaves(PageId node_id, const Rect& query,
                                   std::vector<PageId>* leaves,
-                                  SearchStats* stats) {
+                                  uint64_t* internal_pages) {
   CT_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(file_.get(), node_id));
   const char* page = handle.data();
   if (RNodeIsLeaf(page)) {
@@ -263,7 +264,7 @@ Status PackedRTree::CollectLeaves(PageId node_id, const Rect& query,
     leaves->push_back(node_id);
     return Status::OK();
   }
-  ++stats->internal_pages;
+  ++*internal_pages;
   const uint16_t count = RNodeCount(page);
   const size_t entry_bytes = RInternalEntryBytes(options_.dims);
   // Collect matching children first so the handle is released before
@@ -286,20 +287,20 @@ Status PackedRTree::CollectLeaves(PageId node_id, const Rect& query,
   }
   handle.Release();
   for (PageId m : matches) {
-    CT_RETURN_NOT_OK(CollectLeaves(m, query, leaves, stats));
+    CT_RETURN_NOT_OK(CollectLeaves(m, query, leaves, internal_pages));
   }
   return Status::OK();
 }
 
 Status PackedRTree::ScanLeaf(
     PageId leaf_id, const Rect& query,
-    const std::function<void(const PointRecord&)>& emit, SearchStats* stats) {
+    const std::function<void(const PointRecord&)>& emit, uint64_t* examined,
+    uint64_t* emitted) {
   CT_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(file_.get(), leaf_id));
   const char* page = handle.data();
   if (!RNodeIsLeaf(page)) {
     return Status::Corruption("rtree: expected leaf page in " + path());
   }
-  ++stats->leaf_pages;
   const uint16_t count = RNodeCount(page);
   const uint8_t arity = RNodeArity(page);
   const uint32_t view_id = RNodeViewId(page);
@@ -311,48 +312,59 @@ Status PackedRTree::ScanLeaf(
   for (uint16_t i = 0; i < count; ++i) {
     RLeafReadEntry(page + kRNodeHeaderSize + i * entry_bytes, arity, view_id,
                    &rec);
-    ++stats->points_examined;
+    ++*examined;
     if (query.ContainsPoint(rec.coords, options_.dims)) {
-      ++stats->points_emitted;
+      ++*emitted;
       emit(rec);
     }
   }
   return Status::OK();
 }
 
-Status PackedRTree::Search(const Rect& query,
-                           const std::function<void(const PointRecord&)>& emit,
-                           SearchStats* stats) {
+Status PackedRTree::Search(
+    const Rect& query, const std::function<void(const PointRecord&)>& emit) {
   if (root_ == kInvalidPageId) return Status::OK();
-  SearchStats local;
-  SearchStats* s = stats != nullptr ? stats : &local;
+  // This call's work, counted in locals so its spans report their own
+  // counts, then added to the ambient query profile once, on every path.
+  uint64_t internal_pages = 0;
+  uint64_t leaf_pages = 0;
+  uint64_t examined = 0;
+  uint64_t emitted = 0;
   std::vector<PageId> leaves;
+  Status status;
   {
     obs::Span descent("rtree.descent");
     if (root_ != 0 && root_ <= num_leaf_pages_) {
       // Single-leaf tree: no internal levels to descend.
       leaves.push_back(root_);
     } else {
-      CT_RETURN_NOT_OK(CollectLeaves(root_, query, &leaves, s));
+      status = CollectLeaves(root_, query, &leaves, &internal_pages);
     }
-    if (descent.active()) {
-      descent.Annotate("internal_pages", s->internal_pages);
+    if (status.ok() && descent.active()) {
+      descent.Annotate("internal_pages", internal_pages);
       descent.Annotate("candidate_leaves",
                        static_cast<uint64_t>(leaves.size()));
     }
   }
-  {
+  if (status.ok()) {
     obs::Span scan("rtree.scan");
     for (PageId leaf : leaves) {
-      CT_RETURN_NOT_OK(ScanLeaf(leaf, query, emit, s));
+      status = ScanLeaf(leaf, query, emit, &examined, &emitted);
+      if (!status.ok()) break;
+      ++leaf_pages;
     }
-    if (scan.active()) {
-      scan.Annotate("leaf_pages", s->leaf_pages);
-      scan.Annotate("points_examined", s->points_examined);
-      scan.Annotate("points_emitted", s->points_emitted);
+    if (status.ok() && scan.active()) {
+      scan.Annotate("leaf_pages", leaf_pages);
+      scan.Annotate("points_examined", examined);
+      scan.Annotate("points_emitted", emitted);
     }
   }
-  return Status::OK();
+  if (obs::QueryProfile* profile = obs::QueryProfile::Current()) {
+    profile->internal_pages += internal_pages;
+    profile->leaf_pages += leaf_pages;
+    profile->points_examined += examined;
+  }
+  return status;
 }
 
 namespace {

@@ -65,14 +65,6 @@ class VectorPointSource : public PointSource {
   size_t pos_ = 0;
 };
 
-/// Counters for one Search call.
-struct SearchStats {
-  uint64_t internal_pages = 0;
-  uint64_t leaf_pages = 0;
-  uint64_t points_examined = 0;
-  uint64_t points_emitted = 0;
-};
-
 /// A packed, compressed R-tree: the physical half of a Cubetree.
 ///
 /// The tree is immutable once built. Bulk loading consumes points sorted in
@@ -105,10 +97,10 @@ class PackedRTree {
 
   /// Emits every point contained in `query` (over the first dims()
   /// coordinates). Points carry their view_id; callers typically restrict
-  /// the query rect so only one view's region matches.
+  /// the query rect so only one view's region matches. The call's pages
+  /// and points are added once to the ambient obs::QueryProfile, if any.
   Status Search(const Rect& query,
-                const std::function<void(const PointRecord&)>& emit,
-                SearchStats* stats = nullptr);
+                const std::function<void(const PointRecord&)>& emit);
 
   /// Sequential pack-order scan over all points (merge-pack input). Reads
   /// leaf pages directly (sequential I/O, bypassing the pool).
@@ -164,10 +156,10 @@ class PackedRTree {
   /// level (bottom-up packing), so no node mixes leaf and internal
   /// children.
   Status CollectLeaves(PageId node, const Rect& query,
-                       std::vector<PageId>* leaves, SearchStats* stats);
+                       std::vector<PageId>* leaves, uint64_t* internal_pages);
   Status ScanLeaf(PageId leaf, const Rect& query,
                   const std::function<void(const PointRecord&)>& emit,
-                  SearchStats* stats);
+                  uint64_t* examined, uint64_t* emitted);
 
   std::unique_ptr<PageManager> file_;
   RTreeOptions options_;

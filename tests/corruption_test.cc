@@ -205,12 +205,12 @@ class CorruptionTest : public ::testing::Test {
 
   void ExpectMatchesReference(const SliceQuery& query) {
     QueryResult expected = Reference(query);
-    QueryExecStats stats;
-    auto result = cbt_->Execute(query, &stats);
+    obs::QueryProfile profile;
+    auto result = cbt_->Execute(query, &profile);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     result->SortRows();
     EXPECT_TRUE(result->SameRowsAs(expected))
-        << "plan=" << stats.plan << " got " << result->rows.size()
+        << "plan=" << profile.plan << " got " << result->rows.size()
         << " rows, want " << expected.rows.size();
   }
 
@@ -253,8 +253,8 @@ TEST_F(CorruptionTest, TypedCorruptionWhenNoHealthyRouteRemains) {
   // Every view that can answer the top-node query is damaged: the retry
   // loop quarantines them one by one, runs out of routes, and surfaces the
   // first typed Corruption — never a silently wrong result.
-  QueryExecStats stats;
-  auto result = cbt_->Execute(TopQuery(), &stats);
+  obs::QueryProfile profile;
+  auto result = cbt_->Execute(TopQuery(), &profile);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
   EXPECT_NE(result.status().ToString().find("checksum mismatch"),
@@ -273,19 +273,26 @@ TEST_F(CorruptionTest, TypedCorruptionWhenNoHealthyRouteRemains) {
 }
 
 TEST_F(CorruptionTest, RepairFromReplicasRestoresQuarantinedView) {
-  const SliceQuery query = TopQuery();
-  CorruptAllDataPages(TreePath(7));
-  ExpectMatchesReference(query);  // Trigger quarantine via read-repair.
-  ASSERT_TRUE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(7));
+  // The top view is rebuilt 1:1 from a sort-order replica; the apex view
+  // (arity 0, no key coordinates) is re-aggregated from a superset.
+  SliceQuery apex;
+  apex.node_mask = 0;
+  for (const auto& [view_id, query] :
+       {std::pair{uint32_t{7}, TopQuery()}, std::pair{uint32_t{0}, apex}}) {
+    SCOPED_TRACE(view_id);
+    CorruptAllDataPages(TreePath(view_id));
+    ExpectMatchesReference(query);  // Trigger quarantine via read-repair.
+    ASSERT_TRUE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(view_id));
 
-  const uint64_t repairs_before = CounterValue("engine.replica_repairs");
-  ASSERT_OK(cbt_->RepairFromReplicas());
-  EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(7));
-  EXPECT_GT(CounterValue("engine.replica_repairs"), repairs_before);
+    const uint64_t repairs_before = CounterValue("engine.replica_repairs");
+    ASSERT_OK(cbt_->RepairFromReplicas());
+    EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(view_id));
+    EXPECT_GT(CounterValue("engine.replica_repairs"), repairs_before);
 
-  // The rebuilt tree serves correct content again, for the full scan and
-  // for a selective probe.
-  ExpectMatchesReference(query);
+    // The rebuilt tree serves correct content again.
+    ExpectMatchesReference(query);
+  }
+  // And the rebuilt top view answers a selective probe too.
   SliceQuery bound = TopQuery();
   bound.bindings = {Coord{5}, Coord{3}, std::nullopt};
   ExpectMatchesReference(bound);
@@ -322,8 +329,8 @@ TEST_F(CorruptionTest, SweepTransientBitflipsHealViaReread) {
   for (const uint64_t hit : {1u, 2u, 5u, 9u, 17u, 33u}) {
     ASSERT_OK(FaultInjector::Instance().Arm(
         "storage.page.read", "bitflip(1)@" + std::to_string(hit)));
-    QueryExecStats stats;
-    auto result = cbt_->Execute(query, &stats);
+    obs::QueryProfile profile;
+    auto result = cbt_->Execute(query, &profile);
     ASSERT_TRUE(result.ok())
         << "hit " << hit << ": " << result.status().ToString();
     result->SortRows();

@@ -1,11 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/query_context.h"
 #include "engine/conventional_engine.h"
 #include "engine/cubetree_engine.h"
 #include "engine/query_parser.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/query_log.h"
+#include "obs/trace.h"
 #include "olap/cube_builder.h"
 #include "tests/test_util.h"
 
@@ -158,20 +169,20 @@ class EngineTest : public ::testing::Test {
   void ExpectBothMatchReference(const SliceQuery& query,
                                 const std::vector<FactTuple>& facts) {
     QueryResult expected = Reference(query, facts);
-    QueryExecStats conv_stats, cbt_stats;
-    auto conv_result = conv_->Execute(query, &conv_stats);
+    obs::QueryProfile conv_profile, cbt_profile;
+    auto conv_result = conv_->Execute(query, &conv_profile);
     ASSERT_TRUE(conv_result.ok()) << conv_result.status().ToString();
     conv_result->SortRows();
     EXPECT_TRUE(conv_result->SameRowsAs(expected))
         << "conventional mismatch on " << query.ToString(schema_)
-        << " plan=" << conv_stats.plan << " got " << conv_result->rows.size()
+        << " plan=" << conv_profile.plan << " got " << conv_result->rows.size()
         << " rows, want " << expected.rows.size();
-    auto cbt_result = cbt_->Execute(query, &cbt_stats);
+    auto cbt_result = cbt_->Execute(query, &cbt_profile);
     ASSERT_TRUE(cbt_result.ok()) << cbt_result.status().ToString();
     cbt_result->SortRows();
     EXPECT_TRUE(cbt_result->SameRowsAs(expected))
         << "cubetree mismatch on " << query.ToString(schema_) << " plan="
-        << cbt_stats.plan << " got " << cbt_result->rows.size()
+        << cbt_profile.plan << " got " << cbt_result->rows.size()
         << " rows, want " << expected.rows.size();
   }
 
@@ -207,10 +218,10 @@ TEST_F(EngineTest, QueriesOnUnmaterializedNodesUseSuperset) {
   query.node_mask = 0b101;
   query.attrs = {0, 2};
   query.bindings = {std::nullopt, Coord{5}};
-  QueryExecStats stats;
-  auto result = cbt_->Execute(query, &stats);
+  obs::QueryProfile profile;
+  auto result = cbt_->Execute(query, &profile);
   ASSERT_TRUE(result.ok());
-  EXPECT_NE(stats.plan.find("agg"), std::string::npos) << stats.plan;
+  EXPECT_NE(profile.plan.find("agg"), std::string::npos) << profile.plan;
   ExpectBothMatchReference(query, facts_);
 }
 
@@ -219,12 +230,12 @@ TEST_F(EngineTest, ConventionalUsesIndexWhenPredicateMatches) {
   query.node_mask = 0b111;
   query.attrs = {0, 1, 2};
   query.bindings = {std::nullopt, std::nullopt, Coord{7}};  // custkey = 7.
-  QueryExecStats stats;
-  auto result = conv_->Execute(query, &stats);
+  obs::QueryProfile profile;
+  auto result = conv_->Execute(query, &profile);
   ASSERT_TRUE(result.ok());
-  EXPECT_NE(stats.plan.find("index"), std::string::npos) << stats.plan;
+  EXPECT_NE(profile.plan.find("index"), std::string::npos) << profile.plan;
   // The csp index restricts to ~1/20 of the view.
-  EXPECT_LT(stats.tuples_accessed, 3000u / 4);
+  EXPECT_LT(profile.points_examined, 3000u / 4);
 }
 
 TEST_F(EngineTest, ConventionalFallsBackToScan) {
@@ -232,10 +243,10 @@ TEST_F(EngineTest, ConventionalFallsBackToScan) {
   query.node_mask = 0b011;
   query.attrs = {0, 1};
   query.bindings = {std::nullopt, std::nullopt};
-  QueryExecStats stats;
-  auto result = conv_->Execute(query, &stats);
+  obs::QueryProfile profile;
+  auto result = conv_->Execute(query, &profile);
   ASSERT_TRUE(result.ok());
-  EXPECT_NE(stats.plan.find("scan"), std::string::npos) << stats.plan;
+  EXPECT_NE(profile.plan.find("scan"), std::string::npos) << profile.plan;
 }
 
 TEST_F(EngineTest, CubetreeRoutesToReplicaForBoundSuffix) {
@@ -244,12 +255,12 @@ TEST_F(EngineTest, CubetreeRoutesToReplicaForBoundSuffix) {
   query.node_mask = 0b111;
   query.attrs = {0, 1, 2};
   query.bindings = {Coord{3}, std::nullopt, std::nullopt};
-  QueryExecStats stats;
-  auto result = cbt_->Execute(query, &stats);
+  obs::QueryProfile profile;
+  auto result = cbt_->Execute(query, &profile);
   ASSERT_TRUE(result.ok());
-  EXPECT_NE(stats.plan.find("V{suppkey,custkey,partkey}"),
+  EXPECT_NE(profile.plan.find("V{suppkey,custkey,partkey}"),
             std::string::npos)
-      << stats.plan;
+      << profile.plan;
   ExpectBothMatchReference(query, facts_);
 }
 
@@ -258,14 +269,14 @@ TEST_F(EngineTest, CubetreeExaminesFewTuplesOnSelectiveSlices) {
   query.node_mask = 0b111;
   query.attrs = {0, 1, 2};
   query.bindings = {Coord{3}, Coord{2}, std::nullopt};
-  QueryExecStats stats;
-  auto result = cbt_->Execute(query, &stats);
+  obs::QueryProfile profile;
+  auto result = cbt_->Execute(query, &profile);
   ASSERT_TRUE(result.ok());
   // Pruning works at leaf-page granularity: a couple of leaves (~300
   // entries each) is the honest floor, far below the ~2900-row view.
-  EXPECT_LT(stats.tuples_accessed, 1000u)
+  EXPECT_LT(profile.points_examined, 1000u)
       << "selective slice should not scan the whole view";
-  EXPECT_LE(stats.pages_accessed, 6u);
+  EXPECT_LE(profile.internal_pages + profile.leaf_pages, 6u);
 }
 
 TEST_F(EngineTest, RangeQueriesMatchBruteForce) {
@@ -312,12 +323,12 @@ TEST_F(EngineTest, RangeOnIndexLeadingKeyBoundsTheScan) {
   query.bindings = {std::nullopt, std::nullopt, std::nullopt};
   query.ranges = {std::nullopt, std::nullopt,
                   std::make_pair(Coord{3}, Coord{6})};
-  QueryExecStats stats;
-  auto result = conv_->Execute(query, &stats);
+  obs::QueryProfile profile;
+  auto result = conv_->Execute(query, &profile);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_NE(stats.plan.find("index"), std::string::npos) << stats.plan;
+  EXPECT_NE(profile.plan.find("index"), std::string::npos) << profile.plan;
   // ~4/20 of the view, twice (entry + heap fetch), with slack.
-  EXPECT_LT(stats.tuples_accessed, 3000u);
+  EXPECT_LT(profile.points_examined, 3000u);
   ExpectBothMatchReference(query, facts_);
 }
 
@@ -482,6 +493,209 @@ TEST_F(EngineTest, UnknownNodeFails) {
   query.bindings = {std::nullopt};
   EXPECT_FALSE(conv_->Execute(query, nullptr).ok());
   EXPECT_FALSE(cbt_->Execute(query, nullptr).ok());
+}
+
+// --- Per-query record ----------------------------------------------------
+
+uint64_t CounterValue(const std::string& name) {
+  return obs::MetricsRegistry::Instance().GetCounter(name)->value();
+}
+
+/// engine.queries and the sum of its per-outcome counters.
+std::pair<uint64_t, uint64_t> QueryCounts() {
+  uint64_t outcomes = 0;
+  for (const char* outcome : {"ok", "deadline", "cancelled", "shed", "degraded",
+                              "corruption_rerouted", "error"}) {
+    outcomes += CounterValue(std::string("engine.queries.") + outcome);
+  }
+  return {CounterValue("engine.queries"), outcomes};
+}
+
+/// Attaches a query log and turns tracing on for one test, so every
+/// Execute leaves a durable record and a published trace to compare.
+class RecordedQueries {
+ public:
+  explicit RecordedQueries(const std::string& dir)
+      : path_(dir + "/queries.jsonl"), log_(LogOptions(path_)) {
+    obs::QueryLog::SetDefaultForTest(&log_);
+    obs::Tracer::Instance().Enable(true);
+  }
+  ~RecordedQueries() {
+    obs::Tracer::Instance().Enable(false);
+    obs::QueryLog::SetDefaultForTest(nullptr);
+  }
+
+  /// Every record written so far, oldest first.
+  std::vector<obs::QueryLogRecord> Records() {
+    log_.Flush();
+    std::vector<obs::QueryLogRecord> records;
+    if (!std::filesystem::exists(path_)) return records;  // None written.
+    EXPECT_OK(obs::ForEachLogLine(path_, [&](const std::string& line) {
+      auto doc = obs::JsonValue::Parse(line);
+      ASSERT_TRUE(doc.ok()) << line;
+      auto record = obs::QueryLogRecord::FromJson(*doc);
+      ASSERT_TRUE(record.ok()) << line;
+      records.push_back(std::move(*record));
+    }));
+    return records;
+  }
+
+ private:
+  static obs::QueryLog::Options LogOptions(const std::string& path) {
+    obs::QueryLog::Options options;
+    options.path = path;
+    return options;
+  }
+
+  std::string path_;
+  obs::QueryLog log_;
+};
+
+TEST_F(EngineTest, EachRouteYieldsOneRecordThatSpansAndCallerAgreeWith) {
+  RecordedQueries recorded(dir_);
+  struct Case {
+    const char* name;
+    uint32_t node_mask;
+    std::vector<uint32_t> attrs;
+    std::vector<std::optional<Coord>> bindings;
+    const char* outcome;
+    const char* route;
+    const char* view;
+    std::vector<std::string> order;
+  };
+  const std::vector<Case> cases = {
+      {"exact", 0b111, {0, 1, 2}, {std::nullopt, std::nullopt, Coord{7}},
+       "ok", "exact", "V{partkey,suppkey,custkey}",
+       {"partkey", "suppkey", "custkey"}},
+      {"replica", 0b111, {0, 1, 2}, {Coord{3}, std::nullopt, std::nullopt},
+       "ok", "replica", "V{suppkey,custkey,partkey}",
+       {"suppkey", "custkey", "partkey"}},
+      {"superset", 0b101, {0, 2}, {std::nullopt, Coord{5}}, "ok", "superset",
+       "V{partkey,suppkey,custkey}", {"partkey", "suppkey", "custkey"}},
+      // Runs after the top view's tree is quarantined: the lowest healthy
+      // id of the family, replica 1000, becomes its primary.
+      {"degraded", 0b111, {0, 1, 2}, {std::nullopt, std::nullopt, Coord{7}},
+       "degraded", "exact", "V{suppkey,custkey,partkey}",
+       {"suppkey", "custkey", "partkey"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    if (std::string(c.name) == "degraded") {
+      ASSERT_OK(cbt_->forest()
+                    ->QuarantineForCorruption(
+                        7, "", Status::Corruption("quarantined by the test"))
+                    .status());
+    }
+    SliceQuery query;
+    query.node_mask = c.node_mask;
+    query.attrs = c.attrs;
+    query.bindings = c.bindings;
+    const size_t records_before = recorded.Records().size();
+    const auto [queries_before, outcomes_before] = QueryCounts();
+    obs::QueryProfile profile;
+    auto result = cbt_->Execute(query, &profile);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::vector<obs::QueryLogRecord> records = recorded.Records();
+    ASSERT_EQ(records.size(), records_before + 1);
+    const auto [queries_after, outcomes_after] = QueryCounts();
+    EXPECT_EQ(queries_after - queries_before, 1u);
+    EXPECT_EQ(outcomes_after - outcomes_before, 1u);
+
+    const obs::QueryLogRecord& record = records.back();
+    EXPECT_EQ(record.outcome, c.outcome);
+    EXPECT_EQ(record.route, c.route);
+    EXPECT_EQ(record.view, c.view);
+    EXPECT_EQ(record.order, c.order);
+    EXPECT_EQ(record.rows, result->rows.size());
+
+    // The record's storage work is the trace's, span by span.
+    std::shared_ptr<const obs::Trace> trace =
+        obs::Tracer::Instance().LastTrace();
+    ASSERT_NE(trace, nullptr);
+    EXPECT_EQ(record.trace_id, trace->id());
+    uint64_t span_pages = 0;
+    uint64_t scanned = 0;
+    for (const obs::SpanRecord& span : trace->spans()) {
+      span_pages += span.pages_read + span.pool_hits;
+      if (span.name != "rtree.scan") continue;
+      for (const auto& [key, value] : span.annotations) {
+        if (key == "points_examined") {
+          scanned += static_cast<uint64_t>(value.number());
+        }
+      }
+    }
+    EXPECT_GT(span_pages, 0u);
+    EXPECT_EQ(record.pages_read + record.pool_hits, span_pages);
+    EXPECT_EQ(record.points_examined, scanned);
+
+    // The caller's copy describes the same query.
+    EXPECT_EQ(profile.points_examined, record.points_examined);
+    EXPECT_EQ(profile.internal_pages + profile.leaf_pages,
+              record.pages_read + record.pool_hits);
+    EXPECT_NE(profile.plan.find(record.view), std::string::npos)
+        << profile.plan;
+  }
+}
+
+TEST_F(EngineTest, ExpiredContextIsCountedAndRecordedOnce) {
+  RecordedQueries recorded(dir_);
+  SliceQuery query;
+  query.node_mask = 0b111;
+  query.attrs = {0, 1, 2};
+  query.bindings = {std::nullopt, std::nullopt, Coord{7}};
+  const uint64_t deadline_before = CounterValue("engine.queries.deadline");
+  const auto [queries_before, outcomes_before] = QueryCounts();
+  const QueryContext ctx =
+      QueryContext::WithTimeout(std::chrono::nanoseconds(0));
+  obs::QueryProfile profile;
+  auto result = cbt_->Execute(query, &profile, &ctx);
+  ASSERT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+  EXPECT_EQ(CounterValue("engine.queries.deadline") - deadline_before, 1u);
+  const auto [queries_after, outcomes_after] = QueryCounts();
+  EXPECT_EQ(queries_after - queries_before, 1u);
+  EXPECT_EQ(outcomes_after - outcomes_before, 1u);
+
+  const std::vector<obs::QueryLogRecord> records = recorded.Records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].outcome, "deadline");
+  EXPECT_EQ(records[0].route, "none");
+  EXPECT_EQ(records[0].rows, 0u);
+  EXPECT_EQ(profile.outcome, obs::QueryOutcome::kDeadline);
+}
+
+TEST_F(EngineTest, EachTreeSearchSpanReportsItsOwnCounts) {
+  // With a delta tree pending, one query searches two trees: each search's
+  // rtree.scan span counts its own points, and together they are the
+  // query's.
+  std::vector<FactTuple> delta(facts_.begin(), facts_.begin() + 300);
+  auto d = Compute(cbt_views_, delta, "delta_spans");
+  ASSERT_OK(cbt_->ApplyDeltaPartial(d.get()));
+  ASSERT_OK(d->Destroy());
+  RecordedQueries recorded(dir_);
+  SliceQuery query;
+  query.node_mask = 0b111;
+  query.attrs = {0, 1, 2};
+  query.bindings = {std::nullopt, std::nullopt, Coord{7}};
+  obs::QueryProfile profile;
+  ASSERT_OK(cbt_->Execute(query, &profile).status());
+  std::shared_ptr<const obs::Trace> trace =
+      obs::Tracer::Instance().LastTrace();
+  ASSERT_NE(trace, nullptr);
+  uint64_t scans = 0;
+  uint64_t scanned = 0;
+  for (const obs::SpanRecord& span : trace->spans()) {
+    if (span.name != "rtree.scan") continue;
+    ++scans;
+    for (const auto& [key, value] : span.annotations) {
+      if (key == "points_examined") {
+        scanned += static_cast<uint64_t>(value.number());
+      }
+    }
+  }
+  EXPECT_EQ(scans, 2u);
+  EXPECT_GT(profile.points_examined, 0u);
+  EXPECT_EQ(scanned, profile.points_examined);
 }
 
 // --- Query parser --------------------------------------------------------

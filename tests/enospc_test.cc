@@ -661,8 +661,8 @@ TEST_F(EnospcTest, EngineDegradedModeServesReadOnlyAndAutoRecovers) {
 
   // ...while queries keep serving the published epoch, answers intact.
   {
-    QueryExecStats stats;
-    ASSERT_OK_AND_ASSIGN(auto result, engine->Execute(query, &stats));
+    obs::QueryProfile profile;
+    ASSERT_OK_AND_ASSIGN(auto result, engine->Execute(query, &profile));
     result.SortRows();
     EXPECT_TRUE(result.SameRowsAs(base_expected))
         << "degraded mode changed query answers";
@@ -681,8 +681,8 @@ TEST_F(EnospcTest, EngineDegradedModeServesReadOnlyAndAutoRecovers) {
   all_facts.insert(all_facts.end(), delta_facts.begin(), delta_facts.end());
   const QueryResult merged_expected = GroupByPartkey(all_facts);
   {
-    QueryExecStats stats;
-    ASSERT_OK_AND_ASSIGN(auto result, engine->Execute(query, &stats));
+    obs::QueryProfile profile;
+    ASSERT_OK_AND_ASSIGN(auto result, engine->Execute(query, &profile));
     result.SortRows();
     EXPECT_TRUE(result.SameRowsAs(merged_expected))
         << "post-recovery refresh lost rows";

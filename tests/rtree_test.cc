@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/query_profile.h"
 #include "rtree/geometry.h"
 #include "rtree/node.h"
 #include "rtree/packed_rtree.h"
@@ -258,12 +259,14 @@ TEST_F(PackedRTreeTest, SearchPrunesLeaves) {
   Rect query = Rect::Full(2);
   query.lo[1] = 7;
   query.hi[1] = 7;
-  SearchStats stats;
+  obs::QueryProfile profile;
   uint64_t found = 0;
-  ASSERT_OK(tree->Search(query, [&](const PointRecord&) { ++found; },
-                         &stats));
+  {
+    obs::QueryProfile::Scope scope(&profile);
+    ASSERT_OK(tree->Search(query, [&](const PointRecord&) { ++found; }));
+  }
   EXPECT_GT(found, 0u);
-  EXPECT_LT(stats.leaf_pages, tree->num_leaf_pages() / 10)
+  EXPECT_LT(profile.leaf_pages, tree->num_leaf_pages() / 10)
       << "slice should touch a small fraction of " << tree->num_leaf_pages()
       << " leaves";
 }
