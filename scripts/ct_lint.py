@@ -26,6 +26,13 @@ Rules (each line reported as ``path:line: [rule] message``):
               injection: a CT_FAULT(...) / MaybeFail(...) within the
               preceding 10 lines, so crash tests can fail the commit.
 
+  atomic-shared-ptr  std::atomic<std::shared_ptr<T>> is forbidden.
+              libstdc++ (GCC 12) implements it with an internal spinlock
+              whose load path unlocks with relaxed ordering, so
+              ThreadSanitizer reports every load racing a store as a data
+              race, and the TSan CI leg fails.  Guard a plain shared_ptr
+              with a ct::Mutex held only to copy or swap the pointer.
+
 Escape hatch: ``// ct-lint: allow(<rule>)`` on the same line or the
 immediately preceding line suppresses that rule for that line.  Allows are
 for documented exceptions (leaky singletons, the one primitive fsync
@@ -41,7 +48,8 @@ import os
 import re
 import sys
 
-RULES = ("raw-mutex", "no-system", "no-assert", "no-naked-new", "fault-pair")
+RULES = ("raw-mutex", "no-system", "no-assert", "no-naked-new", "fault-pair",
+         "atomic-shared-ptr")
 
 DEFAULT_DIRS = ("src", "bench", "examples", "tests", "tools")
 CXX_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
@@ -63,6 +71,7 @@ ASSERT_RE = re.compile(r"\bassert\s*\(")
 NAKED_NEW_RE = re.compile(r"(?:=\s*new\b|\breturn\s+new\b)")
 COMMIT_POINT_RE = re.compile(r"(?:\bfsync\s*\(|\brename\s*\()")
 FAULT_COVER_RE = re.compile(r"CT_FAULT\s*\(|MaybeFail\s*\(|FaultInjector")
+ATOMIC_SHARED_PTR_RE = re.compile(r"std::atomic\s*<\s*(?:std::)?shared_ptr\b")
 FAULT_WINDOW = 10  # lines of context in which fault coverage must appear
 
 
@@ -173,6 +182,10 @@ def lint_text(text, relpath):
                 report(lineno, "fault-pair",
                        "fsync/rename commit point without a CT_FAULT "
                        "injection point within %d lines" % FAULT_WINDOW)
+        if ATOMIC_SHARED_PTR_RE.search(line):
+            report(lineno, "atomic-shared-ptr",
+                   "std::atomic<std::shared_ptr> races under TSan on "
+                   "libstdc++; guard a plain shared_ptr with a ct::Mutex")
     return findings
 
 
@@ -274,6 +287,17 @@ SELF_TESTS = [
     ("line numbers survive stripping",
      "/* comment\n spanning\n lines */\nstd::mutex mu;\n", "src/x.cc",
      [(4, "raw-mutex")]),
+    ("atomic shared_ptr flagged",
+     "std::atomic<std::shared_ptr<State>> published_;\n", "src/x.h",
+     [(1, "atomic-shared-ptr")]),
+    ("atomic shared_ptr allow suppresses",
+     "// ct-lint: allow(atomic-shared-ptr)\n"
+     "std::atomic<std::shared_ptr<State>> p;\n", "src/x.h", []),
+    ("atomic shared_ptr in comment or string ignored",
+     "// not std::atomic<std::shared_ptr<T>>: TSan\n"
+     'const char* s = "std::atomic<std::shared_ptr<T>>";\n', "src/x.h", []),
+    ("atomic of a plain value clean",
+     "std::atomic<bool> retired{false};\n", "src/x.h", []),
     ("multiple rules on one file",
      'std::mutex mu;\nint r = system("x");\nassert(r);\n', "src/x.cc",
      [(1, "raw-mutex"), (2, "no-system"), (3, "no-assert")]),

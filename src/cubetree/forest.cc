@@ -651,7 +651,7 @@ std::function<uint8_t(uint32_t)> CubetreeForest::ArityFn() const {
 Status CubetreeForest::Build(const std::vector<ViewDef>& views,
                              ViewDataProvider* provider) {
   MutexLock refresh_lock(refresh_mu_);
-  if (published_.load(std::memory_order_acquire) != nullptr) {
+  if (Published() != nullptr) {
     return Status::InvalidArgument("forest: already built");
   }
   views_ = views;
@@ -734,7 +734,7 @@ uint64_t CubetreeForest::RefreshEstimate(
   // packer's slack per concurrent worker.
   uint64_t live_bytes = 0;
   size_t packs = 0;
-  if (auto live = published_.load(std::memory_order_acquire)) {
+  if (auto live = Published()) {
     for (const TreeState& slot : live->trees) {
       if (!IsRefreshTarget(kind, slot)) continue;
       ++packs;
@@ -750,7 +750,7 @@ uint64_t CubetreeForest::RefreshEstimate(
 
 Status CubetreeForest::RefreshTxn(RefreshKind kind,
                                   ViewDataProvider* provider) {
-  std::shared_ptr<EpochState> live = published_.load(std::memory_order_acquire);
+  std::shared_ptr<EpochState> live = Published();
   if (live == nullptr) return Status::InvalidArgument("forest: not built yet");
 
   // One task per tree the transaction writes. Workers touch only their own
@@ -1057,7 +1057,7 @@ Status CubetreeForest::PreflightRefreshLocked(uint64_t estimated_bytes) {
 std::shared_ptr<forest_internal::EpochState> CubetreeForest::StageState()
     const {
   auto next = std::make_shared<EpochState>();
-  if (auto live = published_.load(std::memory_order_acquire)) {
+  if (auto live = Published()) {
     next->trees = live->trees;
   }
   return next;
@@ -1067,7 +1067,7 @@ void CubetreeForest::PublishState(std::shared_ptr<EpochState> next) {
   using forest_internal::TrackedFile;
   obs::Span publish_span("refresh.publish");
   Timer publish_timer;
-  std::shared_ptr<EpochState> old = published_.load(std::memory_order_acquire);
+  std::shared_ptr<EpochState> old = Published();
   next->epoch = next_epoch_++;
   next->gc = gc_;
   next->view_to_tree = plan_.view_to_tree;
@@ -1098,7 +1098,8 @@ void CubetreeForest::PublishState(std::shared_ptr<EpochState> next) {
   }
   if (old != nullptr) old->retired.store(true, std::memory_order_relaxed);
   const uint64_t published_epoch = next->epoch;
-  published_.store(std::move(next), std::memory_order_release);
+  // The swap hands back the outgoing state; `old` still holds it.
+  SwapPublished(std::move(next));
   // Retire files the new generation dropped — after the swap, so a
   // throw/crash injected at the GC failpoint leaves the commit published
   // (files then leak to recovery, exactly as a crash between commit and GC
@@ -1116,8 +1117,21 @@ void CubetreeForest::PublishState(std::shared_ptr<EpochState> next) {
   live_epoch->Set(static_cast<int64_t>(published_epoch));
 }
 
+std::shared_ptr<forest_internal::EpochState> CubetreeForest::Published()
+    const {
+  MutexLock lock(published_mu_);
+  return published_;
+}
+
+std::shared_ptr<forest_internal::EpochState> CubetreeForest::SwapPublished(
+    std::shared_ptr<EpochState> next) {
+  MutexLock lock(published_mu_);
+  published_.swap(next);
+  return next;
+}
+
 ForestSnapshot CubetreeForest::AcquireSnapshot() const {
-  return ForestSnapshot(published_.load(std::memory_order_acquire));
+  return ForestSnapshot(Published());
 }
 
 ForestGcStats CubetreeForest::GcStats() const {
@@ -1132,7 +1146,7 @@ ForestGcStats CubetreeForest::GcStats() const {
 
 std::vector<std::string> CubetreeForest::LiveFiles() const {
   std::vector<std::string> paths;
-  auto state = published_.load(std::memory_order_acquire);
+  auto state = Published();
   if (state == nullptr) return paths;
   paths.reserve(state->files.size());
   for (const auto& file : state->files) paths.push_back(file->path());
@@ -1144,8 +1158,10 @@ Status CubetreeForest::Destroy() {
   const std::vector<std::string> paths = LiveFiles();
   // Drop the published epoch first (snapshots must already be released per
   // the API contract), closing its trees; its tokens are unretired, so this
-  // deletes nothing — the explicit removal below does.
-  published_.store(nullptr, std::memory_order_release);
+  // deletes nothing — the explicit removal below does. It dies here, after
+  // SwapPublished has unlocked: ~EpochState takes gc_->mu.
+  std::shared_ptr<EpochState> dropped = SwapPublished(nullptr);
+  dropped.reset();
   for (const std::string& path : paths) {
     CT_RETURN_NOT_OK(RemoveFileIfExists(path));
     CT_RETURN_NOT_OK(RemoveChecksumSidecar(path));

@@ -113,10 +113,11 @@ struct EpochState {
 /// A refcounted handle pinning one committed forest generation. Queries run
 /// against a snapshot see that generation's trees — never a mix of pre- and
 /// post-refresh state — no matter how many refreshes commit while they run.
-/// Acquiring costs one atomic shared_ptr load; releasing the last handle of
-/// a retired generation reclaims its replaced tree files. Snapshots may
-/// outlive the forest's mutators but must be released before the forest and
-/// its BufferPool are destroyed (the trees read through that pool).
+/// Acquiring copies one shared_ptr under a leaf mutex; releasing the last
+/// handle of a retired generation reclaims its replaced tree files.
+/// Snapshots may outlive the forest's mutators but must be released before
+/// the forest and its BufferPool are destroyed (the trees read through that
+/// pool).
 class ForestSnapshot {
  public:
   ForestSnapshot() = default;
@@ -192,12 +193,13 @@ struct ForestRecoveryReport {
 /// streams, and refreshes all trees by merge-packing sorted deltas.
 ///
 /// Concurrency model: every committed state is published as an immutable
-/// generation (EpochState) behind one atomic shared_ptr, and that
-/// generation is the forest's only per-tree state. Readers call
-/// AcquireSnapshot() — wait-free, one atomic load — and query the pinned
-/// generation while refreshes build and commit the next one off to the
-/// side; mutators (ApplyDelta/ApplyDeltaPartial/Compact/RebuildQuarantined)
-/// serialize on an internal mutex. Files replaced by a refresh are retired,
+/// generation (EpochState) behind one shared_ptr, and that generation is
+/// the forest's only per-tree state. Readers call AcquireSnapshot() — one
+/// pointer copy under a leaf mutex that only publishing and other readers
+/// take — and query the pinned generation while refreshes build and commit
+/// the next one off to the side; mutators
+/// (ApplyDelta/ApplyDeltaPartial/Compact/RebuildQuarantined) serialize on
+/// an internal mutex. Files replaced by a refresh are retired,
 /// not unlinked: reclamation happens when the last epoch referencing them
 /// dies (epoch-based reclamation), so a reader pinned three refreshes back
 /// still completes against intact files.
@@ -418,8 +420,15 @@ class CubetreeForest {
   std::shared_ptr<EpochState> StageState() const REQUIRES(refresh_mu_);
   /// Publishes `next` as the serving generation: numbers it, carries over
   /// file-reclamation tokens for files still live, retires tokens for
-  /// files this generation dropped, and swaps the atomic pointer.
+  /// files this generation dropped, and swaps the published pointer.
   void PublishState(std::shared_ptr<EpochState> next) REQUIRES(refresh_mu_);
+  /// A reference to the serving generation; nullptr before Build/Recover
+  /// and after Destroy.
+  std::shared_ptr<EpochState> Published() const EXCLUDES(published_mu_);
+  /// Makes `next` the serving generation and hands back the outgoing one,
+  /// so that it is dropped outside published_mu_.
+  std::shared_ptr<EpochState> SwapPublished(std::shared_ptr<EpochState> next)
+      EXCLUDES(published_mu_);
   /// Disk-space preflight for a refresh estimated at `estimated_bytes`:
   /// probe the volume, and when short first run the online reclaim sweep
   /// and re-probe. StorageFull (typed, retriable, naming the shortfall)
@@ -449,16 +458,23 @@ class CubetreeForest {
       GUARDED_BY(refresh_mu_);
 
   /// Serializes mutators (refresh, compaction, rebuild, destroy) against
-  /// each other; snapshot readers never take it (they go through the
-  /// atomic `published_`). Lock order: refresh_mu_ before gc_->mu, never
+  /// each other; snapshot readers never take it (they copy `published_`
+  /// under published_mu_). Lock order: refresh_mu_ before gc_->mu, never
   /// the reverse.
   mutable Mutex refresh_mu_;
   std::shared_ptr<forest_internal::GcShared> gc_ =
       std::make_shared<forest_internal::GcShared>();
-  /// The serving generation; AcquireSnapshot loads it, PublishState swaps
+  /// Guards published_ alone: a leaf under refresh_mu_, held only to copy
+  /// or swap the pointer. A plain mutex, not std::atomic<std::shared_ptr>:
+  /// libstdc++ unlocks that type's internal spinlock with relaxed
+  /// ordering, which ThreadSanitizer reports as a race. No EpochState may
+  /// die under it, because ~EpochState takes gc_->mu.
+  mutable Mutex published_mu_;
+  /// The serving generation; AcquireSnapshot copies it, PublishState swaps
   /// it. Held non-const so PublishState can flag the outgoing state
   /// retired; snapshots only ever see it const.
-  std::atomic<std::shared_ptr<forest_internal::EpochState>> published_;
+  std::shared_ptr<forest_internal::EpochState> published_
+      GUARDED_BY(published_mu_);
   uint64_t next_epoch_ GUARDED_BY(refresh_mu_) = 1;
 };
 

@@ -168,7 +168,6 @@ Status ConventionalEngine::BuildOneIndex(ViewState* state,
   sort_options.memory_budget_bytes = options_.sort_budget_bytes;
   sort_options.temp_dir = options_.dir;
   sort_options.io_stats = options_.io_stats;
-  sort_options.process_budget = options_.memory_budget;
   // Compare decoded components: the on-record encoding is little-endian,
   // so memcmp would not give numeric order.
   ExternalSorter sorter(

@@ -33,9 +33,6 @@ class ConventionalEngine : public ViewStore {
     std::shared_ptr<IoStats> io_stats;
     /// In-memory budget for index-build sorts.
     size_t sort_budget_bytes = 16u << 20;
-    /// Optional process-wide memory budget shared with the buffer pool;
-    /// index-build sorts reserve from it and spill earlier under pressure.
-    MemoryBudget* memory_budget = nullptr;
     /// Log every inserted/updated row through a write-ahead log, as the
     /// relational engine the paper measured does on its SQL insert/update
     /// path. (The Cubetree bulk loader writes fresh files and swaps them,

@@ -111,7 +111,6 @@ Result<std::unique_ptr<CubetreeEngine>> CubetreeEngine::Recover(
   forest_options.name = engine->options_.name;
   forest_options.rtree = engine->options_.rtree;
   forest_options.one_tree_per_view = engine->options_.one_tree_per_view;
-  forest_options.refresh_threads = engine->options_.refresh_threads;
   CT_ASSIGN_OR_RETURN(
       engine->forest_,
       CubetreeForest::Recover(forest_options, engine->pool_,
@@ -240,7 +239,6 @@ Status CubetreeEngine::Load(const std::vector<ViewDef>& views,
   forest_options.name = options_.name;
   forest_options.rtree = options_.rtree;
   forest_options.one_tree_per_view = options_.one_tree_per_view;
-  forest_options.refresh_threads = options_.refresh_threads;
   CT_ASSIGN_OR_RETURN(forest_, CubetreeForest::Create(forest_options, pool_,
                                                       options_.io_stats));
   CT_RETURN_NOT_OK(forest_->Build(views, data));

@@ -30,9 +30,6 @@ class CubetreeEngine : public ViewStore {
     RTreeOptions rtree;
     /// Ablation: bypass SelectMapping and give every view its own tree.
     bool one_tree_per_view = false;
-    /// Refresh worker-pool width, forwarded to CubetreeForest::Options.
-    /// 0 resolves from CUBETREE_REFRESH_THREADS / hardware_concurrency.
-    unsigned refresh_threads = 0;
     std::shared_ptr<IoStats> io_stats;
     /// Optional admission gate every Execute passes through (caller-owned,
     /// shared across engines if desired). The routing cost estimate is the

@@ -352,34 +352,6 @@ TraceHandoff::Adopt::~Adopt() {
   handoff_->parent_trace_->SpliceChild(*local_, handoff_->parent_span_);
 }
 
-TraceHandoff::Defer::Defer(TraceHandoff& handoff) {
-  if (!handoff.active()) return;
-  handoff_ = &handoff;
-  saved_ = t_ambient;
-  local_ = std::make_unique<Trace>(handoff.parent_trace_->id(), nullptr);
-  t_ambient.trace = local_.get();
-  t_ambient.span = -1;
-}
-
-TraceHandoff::Defer::~Defer() {
-  if (handoff_ == nullptr) return;
-  t_ambient = saved_;
-  if (local_->spans().empty()) return;
-  // Unlike Adopt, the parent trace may still be in active use on its
-  // owning thread, so only queue here; SpliceQueued grafts later.
-  MutexLock lock(handoff_->splice_mu_);
-  handoff_->queued_.push_back(std::move(local_));
-}
-
-void TraceHandoff::SpliceQueued() {
-  if (!active()) return;
-  MutexLock lock(splice_mu_);
-  for (const std::unique_ptr<Trace>& child : queued_) {
-    parent_trace_->SpliceChild(*child, parent_span_);
-  }
-  queued_.clear();
-}
-
 // ---------------------------------------------------------------------------
 // Tracer
 

@@ -210,36 +210,10 @@ class TraceHandoff {
     trace_internal::AmbientTrace saved_;
   };
 
-  /// Like Adopt, for pools whose parent thread KEEPS TRACING while the
-  /// workers run (the sorter's background spills: the adding thread still
-  /// opens spans and attributes page reads between Add calls). Splicing
-  /// from the worker would then race with the parent thread's own span
-  /// writes, so the closing Defer scope queues the finished child trace on
-  /// the handoff instead; the parent thread grafts the queue in with
-  /// SpliceQueued() after joining the workers.
-  class Defer {
-   public:
-    explicit Defer(TraceHandoff& handoff);
-    ~Defer();
-    Defer(const Defer&) = delete;
-    Defer& operator=(const Defer&) = delete;
-
-   private:
-    TraceHandoff* handoff_ = nullptr;
-    std::unique_ptr<Trace> local_;
-    trace_internal::AmbientTrace saved_;
-  };
-
-  /// Splices every queued child trace (closed Defer scopes) under the
-  /// captured parent span. Must run on a thread where the parent trace is
-  /// quiescent — in practice the thread that just joined the workers.
-  void SpliceQueued() EXCLUDES(splice_mu_);
-
  private:
   Trace* parent_trace_ = nullptr;
   int32_t parent_span_ = -1;
   Mutex splice_mu_;
-  std::vector<std::unique_ptr<Trace>> queued_ GUARDED_BY(splice_mu_);
 };
 
 /// Process-wide tracing control: the enable flag, the bounded ring buffer

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/parallel_for.h"
-
 namespace cubetree {
 
 Status AggregatingStream::Next(const char** record) {
@@ -256,12 +254,6 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
   sort_options.memory_budget_bytes = options_.sort_budget_bytes;
   sort_options.temp_dir = options_.temp_dir;
   sort_options.io_stats = options_.io_stats;
-  sort_options.process_budget = options_.memory_budget;
-  const unsigned sort_threads = options_.sort_threads != 0
-                                    ? options_.sort_threads
-                                    : RefreshThreadsFromEnv();
-  sort_options.spill_threads = sort_threads;
-  sort_options.merge_read_ahead = sort_threads > 1;
   ExternalSorter sorter(sort_options, [arity](const char* a, const char* b) {
     return ViewRecordCompare(a, b, arity) < 0;
   });

@@ -109,15 +109,6 @@ class CubeBuilder {
     std::string temp_dir = ".";
     /// In-memory budget of each external sort.
     size_t sort_budget_bytes = 16u << 20;
-    /// Optional process-wide memory budget; when set, each sort reserves
-    /// its buffer from it and spills earlier under pressure.
-    MemoryBudget* memory_budget = nullptr;
-    /// Worker-pool width for each external sort: background run
-    /// generation (needs memory_budget as the arbiter for the extra spill
-    /// buffers) plus double-buffered merge read-ahead whenever the
-    /// resolved width exceeds 1. 0 resolves from CUBETREE_REFRESH_THREADS
-    /// / hardware_concurrency, matching the forest's refresh pool.
-    unsigned sort_threads = 0;
     /// Shared I/O accounting for sort runs and spools.
     std::shared_ptr<IoStats> io_stats;
     /// Skip the sort when a child's pack order is a projection-compatible

@@ -2,18 +2,13 @@
 #define CUBETREE_SORT_EXTERNAL_SORTER_H_
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/memory_budget.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
-#include "obs/trace.h"
 #include "storage/io_stats.h"
 #include "storage/page_manager.h"
 
@@ -59,12 +54,13 @@ using RecordComparator = std::function<bool(const char*, const char*)>;
 
 /// External merge sorter over fixed-width records.
 ///
-/// Records are buffered up to `memory_budget_bytes`; full buffers are sorted
-/// and spilled as page-formatted runs in `temp_dir`, and Finish() returns a
-/// stream that merges all runs through a loser tree. If everything fits in
-/// memory no file is created. Run file I/O flows through PageManager so it
-/// shows up (as sequential I/O) in the configuration's IoStats — the paper
-/// counts sorting as part of Cubetree load cost.
+/// Two phases, both on the calling thread. Run generation buffers records
+/// up to `memory_budget_bytes`; each full buffer is sorted and spilled as a
+/// page-formatted run in `temp_dir`. Finish() then returns a stream that
+/// merges all runs through a loser tree. If everything fits in memory no
+/// file is created. Run file I/O flows through PageManager so it shows up
+/// (as sequential I/O) in the configuration's IoStats — the paper counts
+/// sorting as part of Cubetree load cost.
 class ExternalSorter {
  public:
   struct Options {
@@ -77,30 +73,6 @@ class ExternalSorter {
     /// merge passes combine them (bounding open file descriptors and
     /// keeping per-run read-ahead viable on a real disk).
     size_t max_merge_fanin = 64;
-    /// Optional process-wide budget (shared with the buffer pool). When
-    /// set, the run buffer is reserved from it best-effort: under memory
-    /// pressure the sorter gets a smaller buffer and spills earlier; when
-    /// not even the 64-record floor is available, Add/Finish return the
-    /// budget's retriable ResourceExhausted instead of allocating.
-    MemoryBudget* process_budget = nullptr;
-    /// Concurrent background sort+spill workers for run generation.
-    /// 1 (the default) keeps the serial behavior: a full buffer is sorted
-    /// and written on the calling thread before Add returns. K > 1 hands
-    /// full buffers to up to K background threads — the caller keeps
-    /// adding into a replacement buffer while earlier buffers sort and
-    /// write concurrently. Each in-flight buffer needs its own
-    /// reservation: the replacement is taken all-or-nothing from
-    /// `process_budget`, and a denial degrades that spill to the
-    /// synchronous path (earlier blocking, never a failure, never a
-    /// deadlock). Requires process_budget; without one the sorter has no
-    /// arbiter for the extra buffers and stays synchronous.
-    unsigned spill_threads = 1;
-    /// Double-buffered read-ahead during merges: one prefetch thread per
-    /// merge keeps every run's next sequential page loaded before the
-    /// loser tree asks for it, overlapping merge compute with transfer.
-    /// The prefetch thread's page reads land in io_stats but carry no
-    /// ambient trace, so they are not attributed to any span.
-    bool merge_read_ahead = false;
   };
 
   ExternalSorter(Options options, RecordComparator less);
@@ -116,61 +88,42 @@ class ExternalSorter {
   uint64_t num_records() const { return num_records_; }
 
   /// Number of runs spilled to disk so far (0 = in-memory sort).
-  size_t num_runs() const EXCLUDES(spill_mu_) {
-    MutexLock lock(spill_mu_);
-    return runs_.size();
-  }
+  size_t num_runs() const { return runs_.size(); }
 
   /// Sorts everything and returns the fully ordered stream. The sorter (and
   /// its temp files) must outlive the stream. Call at most once.
   Result<std::unique_ptr<RecordStream>> Finish();
 
  private:
-  /// Full-buffer handler for Add: hands the buffer to a background worker
-  /// when spill_threads and the budget allow, else spills synchronously.
-  Status DispatchSpill() EXCLUDES(spill_mu_);
-  /// Synchronous spill of buffer_ on the calling thread.
-  Status SpillRun() EXCLUDES(spill_mu_);
-  /// Background worker: sorts and writes one detached buffer, latching
-  /// any failure in spill_error_ / spill_throw_ for the joining thread.
-  void SpillWorkerBody(std::vector<char> buf, MemoryReservation res);
-  /// Writes the sorted records in `buf` as a new run file and registers it
-  /// under spill_mu_. Shared by the synchronous and background paths.
-  Status WriteRun(const std::vector<char>& buf) EXCLUDES(spill_mu_);
-  /// Joins every outstanding background spill, splices their trace spans,
-  /// and surfaces the first latched failure (rethrowing a worker's
-  /// exception on this thread). Leaves errors latched for later calls.
-  Status WaitForSpills() EXCLUDES(spill_mu_);
-  void SortBuffer();
-  /// Merges runs [begin, end) into one new run appended to runs_. Callers
-  /// must have joined all background spills (WaitForSpills) first.
-  Status MergeRunRange(size_t begin, size_t end) EXCLUDES(spill_mu_);
+  /// One spilled, sorted run file.
+  struct Run {
+    std::unique_ptr<PageManager> file;
+    std::string path;
+    uint64_t records = 0;
+  };
+
+  /// Sorts buffer_ and writes it out as a new run.
+  Status SpillRun();
+  /// Writes the records `next` yields as a new run appended to runs_. Each
+  /// call yields `*count` consecutive records at `*records`; a count of 0
+  /// ends the run.
+  Status WriteRun(
+      const std::function<Status(const char** records, size_t* count)>& next);
+  /// Loser-tree merge over runs_[begin, end).
+  std::unique_ptr<RecordStream> MergeRuns(size_t begin, size_t end) const;
+  /// Merges runs_[begin, end) into one new run appended to runs_.
+  Status MergeRunRange(size_t begin, size_t end);
   /// Reduces runs_ to at most max_merge_fanin via intermediate passes.
-  Status ReduceRuns() EXCLUDES(spill_mu_);
+  Status ReduceRuns();
 
   Options options_;
   RecordComparator less_;
-  /// Reservation against options_.process_budget (empty when unbudgeted).
-  MemoryReservation reservation_;
-  /// Non-OK when the budget denied even the minimum buffer; surfaced on
-  /// the first Add/Finish (constructors cannot fail).
-  Status budget_status_;
+  /// Non-OK when the record size is unusable; surfaced on the first
+  /// Add/Finish (constructors cannot fail).
+  Status init_status_;
   std::vector<char> buffer_;
   uint64_t num_records_ = 0;
-  /// Captured at construction so background spill workers can record
-  /// their sort.spill spans into the caller's trace (spliced at join).
-  obs::TraceHandoff trace_handoff_;
-  /// Serializes run registration between the adding thread and background
-  /// spill workers; merges and Finish read the run vectors after joining
-  /// all workers, so their holds are for the analyzer, not contention.
-  mutable Mutex spill_mu_;
-  /// Background spill threads not yet joined (bounded by spill_threads).
-  std::vector<std::thread> spill_workers_;
-  Status spill_error_ GUARDED_BY(spill_mu_);
-  std::exception_ptr spill_throw_ GUARDED_BY(spill_mu_);
-  std::vector<std::unique_ptr<PageManager>> runs_ GUARDED_BY(spill_mu_);
-  std::vector<std::string> run_paths_ GUARDED_BY(spill_mu_);
-  std::vector<uint64_t> run_record_counts_ GUARDED_BY(spill_mu_);
+  std::vector<Run> runs_;
   bool finished_ = false;
 };
 

@@ -15,15 +15,13 @@ struct PoolMetrics {
   obs::Counter* hits;
   obs::Counter* misses;
   obs::Counter* evictions;
-  obs::Counter* budget_denied;
 
   static const PoolMetrics& Get() {
     static const PoolMetrics m = [] {
       auto& reg = obs::MetricsRegistry::Instance();
       return PoolMetrics{reg.GetCounter("bufferpool.hits"),
                          reg.GetCounter("bufferpool.misses"),
-                         reg.GetCounter("bufferpool.evictions"),
-                         reg.GetCounter("bufferpool.budget_denied")};
+                         reg.GetCounter("bufferpool.evictions")};
     }();
     return m;
   }
@@ -59,16 +57,14 @@ void PageHandle::Release() {
   }
 }
 
-BufferPool::BufferPool(size_t capacity_pages, MemoryBudget* memory_budget)
-    : capacity_(capacity_pages == 0 ? 1 : capacity_pages),
-      memory_budget_(memory_budget) {
+BufferPool::BufferPool(size_t capacity_pages)
+    : capacity_(capacity_pages == 0 ? 1 : capacity_pages) {
   frames_.resize(capacity_);
   free_frames_.reserve(capacity_);
   for (size_t i = capacity_; i > 0; --i) free_frames_.push_back(i - 1);
 }
 
 BufferPool::~BufferPool() {
-  uint64_t charged = 0;
   {
     MutexLock lock(mu_);
     // A frame still pinned here means a PageHandle outlived the pool: its
@@ -87,14 +83,10 @@ BufferPool::~BufferPool() {
       CT_DCHECK(pinned == 0)
           << pinned << " frame(s) still pinned at BufferPool shutdown";
     }
-    charged = charged_bytes_;
   }
   // Best effort: write back whatever is dirty. Errors here cannot be
   // reported; production callers should FlushAll() explicitly.
   (void)FlushAll();
-  if (memory_budget_ != nullptr && charged > 0) {
-    memory_budget_->Release(charged);
-  }
 }
 
 size_t BufferPool::PinnedPagesLocked() const {
@@ -149,26 +141,10 @@ Status BufferPool::EvictFrame(size_t frame_index, bool write_back) {
 Result<size_t> BufferPool::GrabFrame() {
   if (!free_frames_.empty()) {
     size_t idx = free_frames_.back();
-    if (frames_[idx].page) {
-      free_frames_.pop_back();
-      return idx;
-    }
-    // Frames allocate lazily; each first-time allocation is charged to the
-    // process memory budget. When the budget denies a new frame the pool
-    // degrades to its already-charged footprint by evicting instead, and
-    // only surfaces the (retriable) denial when nothing is evictable.
-    Status reserved =
-        memory_budget_ == nullptr
-            ? Status::OK()
-            : memory_budget_->TryReserve(kPageSize, "buffer pool frame");
-    if (reserved.ok()) {
-      if (memory_budget_ != nullptr) charged_bytes_ += kPageSize;
-      frames_[idx].page = std::make_unique<Page>();
-      free_frames_.pop_back();
-      return idx;
-    }
-    if (!reserved.ok()) PoolMetrics::Get().budget_denied->Increment();
-    if (lru_.empty()) return reserved;
+    // Frames allocate lazily, on first use.
+    if (!frames_[idx].page) frames_[idx].page = std::make_unique<Page>();
+    free_frames_.pop_back();
+    return idx;
   }
   if (lru_.empty()) {
     return Status::ResourceExhausted(

@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/memory_budget.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -73,14 +72,9 @@ struct BufferPoolStats {
 /// parallel I/O scheduler — see DESIGN.md §9). Fetch is additionally a
 /// cancellation point for the ambient QueryContext, so queries observing a
 /// deadline abort even when every page they touch is already cached.
-///
-/// When constructed with a MemoryBudget, each lazily allocated frame
-/// charges one page against it; a denied charge surfaces as
-/// ResourceExhausted (retriable) instead of growing past the budget.
 class BufferPool {
  public:
-  explicit BufferPool(size_t capacity_pages,
-                      MemoryBudget* memory_budget = nullptr);
+  explicit BufferPool(size_t capacity_pages);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -141,8 +135,6 @@ class BufferPool {
   Status EvictFrame(size_t frame_index, bool write_back) REQUIRES(mu_);
 
   size_t capacity_;
-  MemoryBudget* memory_budget_;
-  uint64_t charged_bytes_ GUARDED_BY(mu_) = 0;
   mutable Mutex mu_;
   std::vector<Frame> frames_ GUARDED_BY(mu_);
   std::vector<size_t> free_frames_ GUARDED_BY(mu_);

@@ -1,7 +1,7 @@
 // Online-refresh concurrency suite: generation snapshots, epoch-based file
-// reclamation, query deadlines/cancellation, admission control, the shared
-// process memory budget — and a multithreaded stress harness racing reader
-// threads against a stream of refresh cycles with failpoints armed.
+// reclamation, query deadlines/cancellation, admission control — and a
+// multithreaded stress harness racing reader threads against a stream of
+// refresh cycles with failpoints armed.
 //
 // The stress tests carry the suite's core invariant: a pinned snapshot is
 // a single committed generation, so every view's total count inside one
@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/memory_budget.h"
 #include "common/query_context.h"
 #include "cubetree/cubetree.h"
 #include "cubetree/forest.h"
@@ -618,121 +616,6 @@ TEST_F(OnlineRefreshTest, MetricsRegistryIsThreadSafeUnderLoad) {
   EXPECT_EQ(hist->max(), 1000u);
 }
 
-// --- Shared memory budget ------------------------------------------------
-
-TEST_F(OnlineRefreshTest, SorterSpillsEarlierUnderBudgetPressure) {
-  const std::string dir = MakeTestDir("online");
-  constexpr size_t kRecordSize = 64;
-  constexpr int kRecords = 1000;
-  auto key_less = [](const char* a, const char* b) {
-    uint64_t ka, kb;
-    std::memcpy(&ka, a, sizeof(ka));
-    std::memcpy(&kb, b, sizeof(kb));
-    return ka < kb;
-  };
-  auto add_all = [&](ExternalSorter* sorter) -> Status {
-    char rec[kRecordSize] = {};
-    for (int i = 0; i < kRecords; ++i) {
-      const uint64_t key = static_cast<uint64_t>(kRecords - i);
-      std::memcpy(rec, &key, sizeof(key));
-      CT_RETURN_NOT_OK(sorter->Add(rec));
-    }
-    return Status::OK();
-  };
-
-  // Unbudgeted: 1000 * 64B fits the nominal 1 MB buffer, no spill.
-  ExternalSorter::Options plain;
-  plain.record_size = kRecordSize;
-  plain.memory_budget_bytes = 1 << 20;
-  plain.temp_dir = dir;
-  ExternalSorter unbudgeted(plain, key_less);
-  ASSERT_OK(add_all(&unbudgeted));
-  EXPECT_EQ(unbudgeted.num_runs(), 0u);
-
-  // Same sort under memory pressure: the process budget only has 8 KB
-  // left, so the sorter takes the smaller buffer and spills runs instead
-  // of failing — and still produces the same sorted output.
-  MemoryBudget budget(1 << 20);
-  ASSERT_OK(budget.TryReserve((1 << 20) - 8192, "test hog"));
-  ExternalSorter::Options squeezed = plain;
-  squeezed.process_budget = &budget;
-  {
-    ExternalSorter sorter(squeezed, key_less);
-    ASSERT_OK(add_all(&sorter));
-    EXPECT_GT(sorter.num_runs(), 0u);
-    ASSERT_OK_AND_ASSIGN(auto stream, sorter.Finish());
-    uint64_t prev = 0, n = 0;
-    while (true) {
-      const char* rec_out = nullptr;
-      ASSERT_OK(stream->Next(&rec_out));
-      if (rec_out == nullptr) break;
-      uint64_t key;
-      std::memcpy(&key, rec_out, sizeof(key));
-      EXPECT_GT(key, prev);
-      prev = key;
-      ++n;
-    }
-    EXPECT_EQ(n, static_cast<uint64_t>(kRecords));
-  }
-  // The sorter's reservation is returned when it dies.
-  EXPECT_EQ(budget.used(), (1u << 20) - 8192);
-}
-
-TEST_F(OnlineRefreshTest, SorterRejectsRetriablyWhenBudgetExhausted) {
-  const std::string dir = MakeTestDir("online");
-  MemoryBudget budget(4096);
-  ASSERT_OK(budget.TryReserve(4096, "test hog"));
-
-  ExternalSorter::Options options;
-  options.record_size = 64;
-  options.temp_dir = dir;
-  options.process_budget = &budget;
-  ExternalSorter sorter(options, [](const char*, const char*) {
-    return false;
-  });
-  char rec[64] = {};
-  const Status status = sorter.Add(rec);
-  ASSERT_FALSE(status.ok());
-  EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
-  EXPECT_TRUE(status.IsRetriable());
-  EXPECT_NE(status.ToString().find("retry-after-ms"), std::string::npos)
-      << status.ToString();
-}
-
-TEST_F(OnlineRefreshTest, BufferPoolDegradesToEvictionUnderBudget) {
-  const std::string dir = MakeTestDir("online");
-  ASSERT_OK_AND_ASSIGN(auto file,
-                       PageManager::Create(dir + "/pages.pg"));
-  // Budget covers two frames; the pool would happily hold eight.
-  MemoryBudget budget(2 * kPageSize);
-  BufferPool pool(8, &budget);
-
-  ASSERT_OK_AND_ASSIGN(PageHandle h1, pool.New(file.get()));
-  ASSERT_OK_AND_ASSIGN(PageHandle h2, pool.New(file.get()));
-  const PageId id1 = h1.id();
-
-  // Both charged frames pinned + budget refuses a third: hard failure,
-  // reported retriably so the caller can shed load instead of growing.
-  auto denied = pool.New(file.get());
-  ASSERT_FALSE(denied.ok());
-  EXPECT_TRUE(denied.status().IsResourceExhausted())
-      << denied.status().ToString();
-  EXPECT_TRUE(denied.status().IsRetriable());
-
-  // With an unpinned frame available the pool degrades to eviction and
-  // stays inside its two-frame budget footprint.
-  h1.Release();
-  ASSERT_OK_AND_ASSIGN(PageHandle h3, pool.New(file.get()));
-  EXPECT_GE(pool.stats().evictions, 1u);
-  EXPECT_EQ(budget.used(), 2 * kPageSize);
-
-  // The evicted page is still readable (was written back on eviction).
-  h3.Release();
-  ASSERT_OK_AND_ASSIGN(PageHandle h1_again, pool.Fetch(file.get(), id1));
-  h1_again.Release();
-  h2.Release();
-}
-
 // --- The stress harness --------------------------------------------------
 
 /// >= 8 reader threads race >= 20 refresh cycles (full, partial, compact)
@@ -1101,96 +984,6 @@ TEST_F(OnlineRefreshTest, ParallelRefreshAbortSweepsAllWorkerPartials) {
   ASSERT_OK(CountAll(snap, views, &counts));
   for (uint64_t c : counts) EXPECT_EQ(c, kBaseCount + kCycleCount);
   snap.Release();
-}
-
-// N concurrent sorters arbitrated by one process budget. The capacity
-// covers three full 32 KB buffers and then exactly the 4 KB floor, so the
-// fourth sorter degrades to earlier spilling rather than failing; the
-// background-spill replacement buffers are mostly denied (the budget is
-// nearly full), exercising the synchronous-degrade path under contention.
-// Nothing may deadlock, every sorter must produce its complete sorted
-// output, and every reserved byte must return to the budget.
-TEST_F(OnlineRefreshTest, ConcurrentSortersShareBudgetWithoutDeadlock) {
-  const std::string dir = MakeTestDir("online");
-  constexpr int kSorters = 4;
-  constexpr size_t kRecordSize = 64;
-  constexpr int kRecords = 1024;  // 64 KB per sorter: everyone spills.
-  MemoryBudget budget(100 * 1024);
-
-  auto key_less = [](const char* a, const char* b) {
-    uint64_t ka, kb;
-    std::memcpy(&ka, a, sizeof(ka));
-    std::memcpy(&kb, b, sizeof(kb));
-    return ka < kb;
-  };
-
-  std::vector<std::unique_ptr<ExternalSorter>> sorters;
-  for (int i = 0; i < kSorters; ++i) {
-    ExternalSorter::Options options;
-    options.record_size = kRecordSize;
-    options.memory_budget_bytes = 32 * 1024;
-    options.temp_dir = dir;
-    options.process_budget = &budget;
-    options.spill_threads = 2;
-    options.merge_read_ahead = true;
-    sorters.push_back(std::make_unique<ExternalSorter>(options, key_less));
-  }
-  // Deterministic construction-order grants: 32 KB x3, then the floor.
-  EXPECT_EQ(budget.used(), 3u * 32 * 1024 + 64 * kRecordSize);
-
-  std::vector<std::string> errors(kSorters);
-  std::vector<std::thread> threads;
-  threads.reserve(kSorters);
-  for (int i = 0; i < kSorters; ++i) {
-    threads.emplace_back([&, i] {
-      ExternalSorter* sorter = sorters[i].get();
-      char rec[kRecordSize] = {};
-      for (int r = 0; r < kRecords; ++r) {
-        // Descending, sorter-unique keys: worst case for run generation.
-        const uint64_t key =
-            static_cast<uint64_t>(kRecords - r) * kSorters + i;
-        std::memcpy(rec, &key, sizeof(key));
-        const Status status = sorter->Add(rec);
-        if (!status.ok()) {
-          errors[i] = "add: " + status.ToString();
-          return;
-        }
-      }
-      auto stream = sorter->Finish();
-      if (!stream.ok()) {
-        errors[i] = "finish: " + stream.status().ToString();
-        return;
-      }
-      uint64_t prev = 0, n = 0;
-      while (true) {
-        const char* out = nullptr;
-        const Status status = (*stream)->Next(&out);
-        if (!status.ok()) {
-          errors[i] = "drain: " + status.ToString();
-          return;
-        }
-        if (out == nullptr) break;
-        uint64_t key;
-        std::memcpy(&key, out, sizeof(key));
-        if (key <= prev) {
-          errors[i] = "out of order at record " + std::to_string(n);
-          return;
-        }
-        prev = key;
-        ++n;
-      }
-      if (n != static_cast<uint64_t>(kRecords)) {
-        errors[i] = "lost records: " + std::to_string(n);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int i = 0; i < kSorters; ++i) {
-    EXPECT_TRUE(errors[i].empty()) << "sorter " << i << ": " << errors[i];
-    EXPECT_GT(sorters[i]->num_runs(), 0u);
-  }
-  sorters.clear();
-  EXPECT_EQ(budget.used(), 0u);
 }
 
 // ---------------------------------------------------------------------------
