@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +56,23 @@ void InitLogLevelFromEnv() {
                  << " not recognized (want debug|info|warn|error); keeping "
                  << LevelName(GetLogLevel());
   }
+}
+
+uint64_t EnvUint64(const char* name, uint64_t fallback) {
+  const char* text = std::getenv(name);
+  if (text == nullptr || text[0] == '\0') return fallback;
+  const char* end = text + std::strlen(text);
+  uint64_t value = 0;
+  // from_chars takes no sign or whitespace for an unsigned type and
+  // reports overflow, unlike strtoull.
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end) {
+    CT_LOG(Warn) << name << "='" << text
+                 << "' is not a decimal integer below 2^64; using "
+                 << fallback;
+    return fallback;
+  }
+  return value;
 }
 
 namespace internal {

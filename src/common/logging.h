@@ -1,6 +1,7 @@
 #ifndef CUBETREE_COMMON_LOGGING_H_
 #define CUBETREE_COMMON_LOGGING_H_
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -18,6 +19,14 @@ LogLevel GetLogLevel();
 /// the level untouched; unrecognized values also get a WARN line. Called at
 /// startup by every example and bench binary.
 void InitLogLevelFromEnv();
+
+/// Reads the environment variable `name` as an unsigned decimal integer:
+/// digits only (no sign, whitespace or trailing bytes) and below 2^64.
+/// Returns `fallback` when it is unset or empty, and also, after one WARN
+/// line naming the variable, when it is malformed. Every CUBETREE_*
+/// integer setting is read through here; callers add their own range
+/// checks.
+uint64_t EnvUint64(const char* name, uint64_t fallback);
 
 namespace internal {
 

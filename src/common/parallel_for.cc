@@ -1,25 +1,21 @@
 #include "common/parallel_for.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/thread_annotations.h"
 
 namespace cubetree {
 
 unsigned RefreshThreadsFromEnv() {
   constexpr unsigned kMaxThreads = 64;
-  if (const char* env = std::getenv("CUBETREE_REFRESH_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<unsigned>(
-          std::min<long>(parsed, static_cast<long>(kMaxThreads)));
-    }
+  const uint64_t threads = EnvUint64("CUBETREE_REFRESH_THREADS", 0);
+  if (threads > 0) {
+    return static_cast<unsigned>(std::min<uint64_t>(threads, kMaxThreads));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return std::min(std::max(hw, 1u), kMaxThreads);

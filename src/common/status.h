@@ -109,7 +109,7 @@ class [[nodiscard]] Status {
 
   /// True for failures a caller may reasonably retry as-is: transient I/O
   /// errors, temporary unavailability (quarantine pending rebuild),
-  /// resource exhaustion (admission queue full, all buffer frames pinned),
+  /// resource exhaustion (all buffer frames pinned),
   /// and a full disk (space frees up as epochs are reclaimed or the operator
   /// intervenes). A DeadlineExceeded or Cancelled status is the *caller's*
   /// verdict, not a transient server condition, so it is deliberately not

@@ -12,6 +12,14 @@ namespace cubetree {
 
 namespace {
 
+/// Slotted-page emulation: bytes a relational engine spends per heap row
+/// beyond the column data (row header + slot entry).
+constexpr uint32_t kRowOverheadBytes = 8;
+/// Per-index-entry overhead (slot entry) and the default CREATE INDEX fill
+/// factor (IUS: FILLFACTOR 90).
+constexpr uint32_t kIndexEntryOverheadBytes = 4;
+constexpr double kIndexFill = 0.9;
+
 /// Positions of `attrs` (schema attribute indices) inside a view's
 /// projection list. Fails if the view does not project one of them.
 Result<std::vector<size_t>> PositionsInView(const ViewDef& view,
@@ -80,8 +88,6 @@ Result<std::unique_ptr<ConventionalEngine>> ConventionalEngine::Create(
   }
   auto engine = std::unique_ptr<ConventionalEngine>(
       new ConventionalEngine(schema, std::move(options), pool));
-  engine->options_.index_entry_overhead_bytes =
-      std::min<uint32_t>(8, engine->options_.index_entry_overhead_bytes);
   if (engine->options_.enable_wal) {
     CT_ASSIGN_OR_RETURN(
         engine->wal_,
@@ -109,8 +115,7 @@ Status ConventionalEngine::LoadOneTable(ViewState* state,
                            std::to_string(view.id) + ".tbl";
   CT_ASSIGN_OR_RETURN(state->table,
                       HeapTable::Create(path, &state->table_schema, pool_,
-                                        options_.io_stats,
-                                        options_.row_overhead_bytes));
+                                        options_.io_stats, kRowOverheadBytes));
   CT_ASSIGN_OR_RETURN(auto stream, data->OpenViewStream(view));
   const uint8_t arity = view.arity();
   RowBuffer row(&state->table_schema);
@@ -201,8 +206,7 @@ Status ConventionalEngine::BuildOneIndex(ViewState* state,
   tree_options.key_parts = static_cast<uint8_t>(key_parts);
   // Slot-entry overhead rides in the value so leaf capacity matches what a
   // slotted index page holds.
-  tree_options.value_size =
-      sizeof(uint64_t) + options_.index_entry_overhead_bytes;
+  tree_options.value_size = sizeof(uint64_t) + kIndexEntryOverheadBytes;
   const std::string path = options_.dir + "/" + options_.name + "_i" +
                            std::to_string(def.id) + "_v" +
                            std::to_string(def.view_id) + ".idx";
@@ -210,7 +214,7 @@ Status ConventionalEngine::BuildOneIndex(ViewState* state,
                                                    options_.io_stats));
   SortedIndexEntrySource source(sorted.get(), key_parts,
                                 tree_options.value_size);
-  CT_RETURN_NOT_OK(tree->BulkBuild(&source, options_.index_fill));
+  CT_RETURN_NOT_OK(tree->BulkBuild(&source, kIndexFill));
   CT_RETURN_NOT_OK(tree->Flush());
   state->indices.emplace_back(def, std::move(tree));
   return Status::OK();

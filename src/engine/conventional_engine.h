@@ -38,13 +38,6 @@ class ConventionalEngine : public ViewStore {
     /// path. (The Cubetree bulk loader writes fresh files and swaps them,
     /// so its path carries no log — same as the real Datablade.)
     bool enable_wal = true;
-    /// Slotted-page emulation: bytes a relational engine spends per heap
-    /// row beyond the column data (row header + slot entry).
-    uint32_t row_overhead_bytes = 8;
-    /// Per-index-entry overhead (slot entry) and the default CREATE INDEX
-    /// fill factor (IUS: FILLFACTOR 90).
-    uint32_t index_entry_overhead_bytes = 4;
-    double index_fill = 0.9;
   };
 
   static Result<std::unique_ptr<ConventionalEngine>> Create(

@@ -24,7 +24,6 @@ struct EngineMetrics {
   /// Success-only end-to-end latency: error outcomes land in their
   /// per-outcome counter below instead of skewing the distribution.
   obs::Histogram* query_latency_us;
-  obs::Histogram* admission_wait_us;
   /// Every Execute, once; the per-outcome counters partition it.
   obs::Counter* queries;
   obs::Counter* pages_touched;
@@ -36,7 +35,6 @@ struct EngineMetrics {
     static const EngineMetrics m = [] {
       auto& reg = obs::MetricsRegistry::Instance();
       EngineMetrics metrics{reg.GetHistogram("engine.query_latency_us"),
-                            reg.GetHistogram("engine.admission_wait_us"),
                             reg.GetCounter("engine.queries"),
                             reg.GetCounter("engine.pages_touched"),
                             reg.GetCounter("engine.read_repair_reroutes"),
@@ -437,7 +435,6 @@ void CubetreeEngine::Publish(const SliceQuery& query,
     record.attrs.push_back(std::move(shape));
   }
   record.latency_us = profile.latency_us;
-  record.admission_wait_us = profile.admission_wait_us;
   record.pages_read = profile.pages_read;
   record.pool_hits = profile.pool_hits;
   record.points_examined = profile.points_examined;
@@ -500,31 +497,6 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(
     route.kind = best->id == exact_family_primary ? "exact" : "replica";
   }
 
-  // The routing estimate doubles as the admission cost hint: under
-  // overload, the gate sheds the cheapest (least lost work) queries first.
-  AdmissionTicket ticket;
-  {
-    // The span exists even without a gate so every query trace carries an
-    // explicit admission phase (gate=none ≡ nothing to wait on).
-    obs::Span admit_span("admission");
-    if (options_.admission != nullptr) {
-      Timer admit_timer;
-      Result<AdmissionTicket> admitted = options_.admission->Admit(
-          static_cast<uint64_t>(route.estimated_cost), ctx);
-      // The wait is recorded whether or not the gate admitted: a shed or
-      // deadline-expired query waited too, and hiding that wait from the
-      // histogram would understate queueing under exactly the overload the
-      // gate exists for.
-      const uint64_t wait_us = admit_timer.ElapsedMicros();
-      profile->admission_wait_us += wait_us;
-      EngineMetrics::Get().admission_wait_us->Record(wait_us);
-      admit_span.Annotate("wait_us", wait_us);
-      if (!admitted.ok()) return admitted.status();
-      ticket = std::move(*admitted);
-    } else {
-      admit_span.Annotate("gate", "none");
-    }
-  }
   // Install the ambient context so BufferPool::Fetch / PageManager::ReadPage
   // check deadline + cancellation at page granularity for the whole scan.
   QueryContext::Scope context_scope(ctx);

@@ -8,7 +8,6 @@
 #include "common/query_context.h"
 #include "cubetree/forest.h"
 #include "cubetree/view_def.h"
-#include "engine/admission.h"
 #include "engine/degraded.h"
 #include "engine/view_store.h"
 #include "olap/cube_builder.h"
@@ -31,10 +30,6 @@ class CubetreeEngine : public ViewStore {
     /// Ablation: bypass SelectMapping and give every view its own tree.
     bool one_tree_per_view = false;
     std::shared_ptr<IoStats> io_stats;
-    /// Optional admission gate every Execute passes through (caller-owned,
-    /// shared across engines if desired). The routing cost estimate is the
-    /// admission cost hint, so overload sheds the cheapest queries first.
-    AdmissionController* admission = nullptr;
   };
 
   static Result<std::unique_ptr<CubetreeEngine>> Create(
@@ -91,11 +86,12 @@ class CubetreeEngine : public ViewStore {
     return Execute(query, profile, QueryContext::Current());
   }
 
-  /// Execute under an explicit query session: `ctx` carries the deadline
-  /// and cancellation token (checked at page-read granularity inside the
-  /// storage layer) and is also respected while queued at the admission
-  /// gate. `ctx` may be nullptr. `profile`, when non-null, receives the
-  /// query's finished profile whatever the outcome.
+  /// Execute under an explicit query session: routes the query to the
+  /// cheapest covering view, then searches that view's region of its tree.
+  /// `ctx` carries the deadline and cancellation token, checked before
+  /// routing and at page-read granularity inside the storage layer; it may
+  /// be nullptr. `profile`, when non-null, receives the query's finished
+  /// profile whatever the outcome.
   ///
   /// Read-repair: when the search surfaces Corruption (a checksum mismatch
   /// that survived the storage layer's re-reads), the affected tree is

@@ -7,6 +7,13 @@ namespace cubetree {
 
 namespace {
 
+/// Seconds the rejection message tells callers to wait before retrying.
+constexpr uint64_t kRetryAfterSeconds = 30;
+/// Usable bytes the recovery probe requires before leaving read-only mode
+/// when the caller supplies no size estimate of its own: a hysteresis
+/// margin so a few freed kilobytes do not flap the mode.
+constexpr uint64_t kRecoveryHeadroomBytes = 4ull << 20;
+
 struct DegradedMetrics {
   obs::Gauge* read_only;
   obs::Counter* entered;
@@ -62,9 +69,8 @@ void DegradedModeController::Recover() {
 
 Status DegradedModeController::AdmitWrite(uint64_t estimated_bytes) {
   if (!read_only()) return Status::OK();
-  const uint64_t needed = estimated_bytes != 0
-                              ? estimated_bytes
-                              : options_.recovery_headroom_bytes;
+  const uint64_t needed =
+      estimated_bytes != 0 ? estimated_bytes : kRecoveryHeadroomBytes;
   if (disk_.Preflight(needed).ok()) {
     Recover();
     return Status::OK();
@@ -78,12 +84,12 @@ Status DegradedModeController::AdmitWrite(uint64_t estimated_bytes) {
   return Status::StorageFull(
       "engine is in degraded read-only mode (" + cause +
       "); queries keep serving, retry the refresh after " +
-      std::to_string(options_.retry_after_seconds) + "s");
+      std::to_string(kRetryAfterSeconds) + "s");
 }
 
 bool DegradedModeController::ProbeAndMaybeRecover() {
   if (!read_only()) return true;
-  if (disk_.Preflight(options_.recovery_headroom_bytes).ok()) {
+  if (disk_.Preflight(kRecoveryHeadroomBytes).ok()) {
     Recover();
     return true;
   }

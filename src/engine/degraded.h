@@ -31,18 +31,11 @@ class DegradedModeController {
     std::string dir = ".";
     /// Same reserve the refresh preflight honors.
     uint64_t reserve_bytes = DiskSpaceManager::ReserveBytesFromEnv();
-    /// Seconds the rejection message tells callers to wait before retrying.
-    uint64_t retry_after_seconds = 30;
-    /// Usable bytes the recovery probe requires before leaving read-only
-    /// mode when the caller supplies no size estimate of its own: a
-    /// hysteresis margin so a few freed kilobytes do not flap the mode.
-    uint64_t recovery_headroom_bytes = 4ull << 20;
   };
 
   explicit DegradedModeController(Options options)
-      : options_(std::move(options)),
-        disk_(DiskSpaceManager::Options{options_.dir,
-                                        options_.reserve_bytes}) {}
+      : disk_(DiskSpaceManager::Options{std::move(options.dir),
+                                        options.reserve_bytes}) {}
 
   /// Write-path feedback: a StorageFull status enters degraded read-only
   /// mode (idempotent, recording the cause); anything else is ignored.
@@ -74,7 +67,6 @@ class DegradedModeController {
   void Enter(const Status& cause) EXCLUDES(mu_);
   void Recover() EXCLUDES(mu_);
 
-  Options options_;
   DiskSpaceManager disk_;
   std::atomic<bool> read_only_{false};
   std::function<void(bool)> on_mode_change_;

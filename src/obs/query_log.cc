@@ -1,6 +1,7 @@
 #include "obs/query_log.h"
 
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -81,7 +82,6 @@ JsonValue QueryLogRecord::ToJson() const {
     attrs_arr.Append(std::move(entry));
   }
   doc.Set("latency_us", JsonValue(latency_us));
-  doc.Set("admission_wait_us", JsonValue(admission_wait_us));
   doc.Set("pages_read", JsonValue(pages_read));
   doc.Set("pool_hits", JsonValue(pool_hits));
   doc.Set("points_examined", JsonValue(points_examined));
@@ -98,10 +98,12 @@ Result<QueryLogRecord> QueryLogRecord::FromJson(const JsonValue& doc) {
   const JsonValue* version =
       RequireMember(doc, "schema_version", JsonValue::Type::kNumber, &bad);
   if (version == nullptr) return bad;
-  if (static_cast<int64_t>(version->number()) != kSchemaVersion) {
+  // Compared as a double: casting an arbitrary JSON number to an integer
+  // first would be undefined for values out of range.
+  const double schema_version = version->number();
+  if (schema_version != 1 && schema_version != kSchemaVersion) {
     return Status::InvalidArgument(
-        "query log record: unknown schema_version " +
-        std::to_string(static_cast<int64_t>(version->number())));
+        "query log record: unknown schema_version " + version->Dump(-1));
   }
   QueryLogRecord rec;
   struct U64Field {
@@ -111,7 +113,6 @@ Result<QueryLogRecord> QueryLogRecord::FromJson(const JsonValue& doc) {
   const U64Field u64_fields[] = {
       {"ts_us", &rec.ts_us},
       {"latency_us", &rec.latency_us},
-      {"admission_wait_us", &rec.admission_wait_us},
       {"pages_read", &rec.pages_read},
       {"pool_hits", &rec.pool_hits},
       {"points_examined", &rec.points_examined},
@@ -357,16 +358,14 @@ namespace {
 std::atomic<bool> g_default_overridden{false};
 std::atomic<QueryLog*> g_default_override{nullptr};
 
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || v == 0) {
-    CT_LOG(Warn) << name << ": ignoring malformed value '" << text << "'";
-    return fallback;
-  }
-  return static_cast<uint64_t>(v);
+/// A CUBETREE_QUERY_LOG_* count in [1, max], else `fallback`: a log of
+/// zero bytes or zero segments could hold no record.
+uint64_t EnvCount(const char* name, uint64_t fallback, uint64_t max) {
+  const uint64_t value = EnvUint64(name, fallback);
+  if (value != 0 && value <= max) return value;
+  CT_LOG(Warn) << name << "=" << value << " is out of range [1, " << max
+               << "]; using " << fallback;
+  return fallback;
 }
 
 }  // namespace
@@ -380,11 +379,11 @@ QueryLog* QueryLog::Default() {
     if (path == nullptr || *path == '\0') return nullptr;
     Options options;
     options.path = path;
-    options.max_bytes =
-        EnvU64("CUBETREE_QUERY_LOG_MAX_BYTES", options.max_bytes);
+    options.max_bytes = EnvCount("CUBETREE_QUERY_LOG_MAX_BYTES",
+                                 options.max_bytes, UINT64_MAX);
     options.max_segments = static_cast<int>(
-        EnvU64("CUBETREE_QUERY_LOG_SEGMENTS",
-               static_cast<uint64_t>(options.max_segments)));
+        EnvCount("CUBETREE_QUERY_LOG_SEGMENTS",
+                 static_cast<uint64_t>(options.max_segments), INT_MAX));
     // Function-local static (not leaked): destroyed at process exit, which
     // drains the queue so a clean exit leaves every record on disk.
     static QueryLog log(options);

@@ -38,7 +38,9 @@ struct QueryLogAttr {
 /// one JSON line in the durable query log and consumed directly by the
 /// in-process workload profiler.
 struct QueryLogRecord {
-  static constexpr int64_t kSchemaVersion = 1;
+  /// Version 2 dropped a version-1 field no query ever set (a queueing
+  /// wait); FromJson reads both versions.
+  static constexpr int64_t kSchemaVersion = 2;
 
   uint64_t ts_us = 0;  // Wall clock, microseconds since the Unix epoch.
   std::string outcome;              // QueryOutcomeName of the outcome.
@@ -46,8 +48,7 @@ struct QueryLogRecord {
   std::string view;                 // Routed view name ("" when route=none).
   std::vector<std::string> order;   // Routed view's projection/sort order.
   std::vector<QueryLogAttr> attrs;  // Query shape over the node's attrs.
-  uint64_t latency_us = 0;          // End-to-end, including admission wait.
-  uint64_t admission_wait_us = 0;
+  uint64_t latency_us = 0;          // End to end: route, search, re-routes.
   uint64_t pages_read = 0;  // Physical page reads (below the buffer pool).
   uint64_t pool_hits = 0;   // Buffer-pool hits.
   uint64_t points_examined = 0;  // Leaf points scanned (rtree.scan).
@@ -56,8 +57,9 @@ struct QueryLogRecord {
 
   JsonValue ToJson() const;
   /// Strict inverse of ToJson: InvalidArgument on a missing/mistyped field
-  /// or an unknown schema_version. Used by `ctstat check` and the offline
-  /// profiler, so a truncated or hand-edited record fails loudly.
+  /// or an unknown schema_version; a version-1 record's extra field is
+  /// ignored. Used by `ctstat check` and the offline profiler, so a
+  /// truncated or hand-edited record fails loudly.
   static Result<QueryLogRecord> FromJson(const JsonValue& doc);
 };
 

@@ -10,7 +10,8 @@ namespace obs {
 
 /// How a query ended. The first three returned an answer: `degraded` when
 /// a covering view was quarantined out of the routing set, and
-/// `corruption_rerouted` after at least one read-repair re-route.
+/// `corruption_rerouted` after at least one read-repair re-route. `shed`
+/// is a ResourceExhausted: the buffer pool had every frame pinned.
 enum class QueryOutcome : uint8_t {
   kOk,
   kDegraded,
@@ -48,13 +49,12 @@ struct QueryProfile {
   /// Leaf entries scanned; for the conventional engine, view rows or index
   /// entries plus row fetches.
   uint64_t points_examined = 0;
-  uint64_t admission_wait_us = 0;
   uint32_t reroutes = 0;  // Read-repair re-routes after a Corruption.
 
   /// `kind` is `superset` when the view strictly covers the query's node,
   /// `replica` for a same-set view other than the family's primary (its
   /// lowest non-quarantined id), `exact` for the primary, and `none` when
-  /// no view was routed (e.g. shed before routing).
+  /// no view was routed (e.g. the context expired before routing).
   struct Route {
     const char* kind = "none";
     uint32_t view_id = kNoView;
@@ -65,7 +65,7 @@ struct QueryProfile {
 
   QueryOutcome outcome = QueryOutcome::kOk;
   uint64_t rows = 0;        // Result rows returned.
-  uint64_t latency_us = 0;  // End to end, including admission wait.
+  uint64_t latency_us = 0;  // End to end: route, search and any re-route.
   uint64_t trace_id = 0;    // Span-trace id, 0 when untraced.
   /// Access path, e.g. "cubetree slice V{partkey,suppkey}". Filled only in
   /// a caller's copy, so the default path allocates nothing.

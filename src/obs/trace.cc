@@ -364,14 +364,12 @@ Tracer& Tracer::Instance() {
         enable[0] != '\0') {
       t->Enable(true);
     }
-    const char* slow = std::getenv("CUBETREE_SLOW_QUERY_US");
-    if (slow != nullptr && slow[0] != '\0') {
-      char* end = nullptr;
-      const long long us = std::strtoll(slow, &end, 10);
-      if (end != slow && *end == '\0') {
-        t->SetSlowTraceThresholdMicros(us);
-        t->Enable(true);  // A slow-query log needs traces to log.
-      }
+    // Unset reads as UINT64_MAX; a threshold past INT64_MAX could never
+    // fire either.
+    const uint64_t slow_us = EnvUint64("CUBETREE_SLOW_QUERY_US", UINT64_MAX);
+    if (slow_us <= static_cast<uint64_t>(INT64_MAX)) {
+      t->SetSlowTraceThresholdMicros(static_cast<int64_t>(slow_us));
+      t->Enable(true);  // A slow-query log needs traces to log.
     }
     const char* slow_path = std::getenv("CUBETREE_SLOW_QUERY_PATH");
     if (slow_path != nullptr && slow_path[0] != '\0') {

@@ -176,9 +176,7 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
 
   // --- Internal levels, bottom-up ---------------------------------------
   uint32_t height = 1;
-  uint16_t fanout = std::max<uint16_t>(
-      2, static_cast<uint16_t>(RInternalCapacity(options.dims) *
-                               std::clamp(options.internal_fill, 0.1, 1.0)));
+  uint16_t fanout = std::max<uint16_t>(2, RInternalCapacity(options.dims));
   if (options.max_internal_entries > 1) {
     fanout = std::min(fanout, options.max_internal_entries);
   }

@@ -20,9 +20,8 @@ struct RTreeOptions {
   /// Dimensionality of the index space (1..kMaxDims).
   uint8_t dims = 3;
   /// Leaf fill fraction; 1.0 = packed to capacity (the paper's setting).
+  /// Internal nodes are always packed to capacity.
   double leaf_fill = 1.0;
-  /// Internal-node fill fraction.
-  double internal_fill = 1.0;
   /// Hard caps on entries per node (0 = page capacity). Used by tests and
   /// the paper-example program to reproduce the small fan-out figures.
   uint16_t max_leaf_entries = 0;

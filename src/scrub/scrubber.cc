@@ -1,7 +1,6 @@
 #include "scrub/scrubber.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -36,15 +35,6 @@ struct ScrubMetrics {
     return m;
   }
 };
-
-uint64_t EnvUint64(const char* name, uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<uint64_t>(v);
-}
 
 }  // namespace
 

@@ -3,7 +3,6 @@
 #include <sys/statvfs.h>
 
 #include <cerrno>
-#include <cstdlib>
 
 #include "common/logging.h"
 #include "fault/fault_injector.h"
@@ -37,16 +36,7 @@ struct DiskMetrics {
 }  // namespace
 
 uint64_t DiskSpaceManager::ReserveBytesFromEnv() {
-  const char* env = std::getenv("CUBETREE_DISK_RESERVE_BYTES");
-  if (env == nullptr || env[0] == '\0') return kDefaultReserveBytes;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(env, &end, 10);
-  if (end == nullptr || *end != '\0') {
-    CT_LOG(Warn) << "CUBETREE_DISK_RESERVE_BYTES ignored: '" << env
-                 << "' is not a byte count";
-    return kDefaultReserveBytes;
-  }
-  return static_cast<uint64_t>(n);
+  return EnvUint64("CUBETREE_DISK_RESERVE_BYTES", kDefaultReserveBytes);
 }
 
 Result<DiskSpaceInfo> DiskSpaceManager::Probe() const {

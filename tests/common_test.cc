@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/coding.h"
@@ -11,6 +14,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "storage/disk_space.h"
 #include "tests/test_util.h"
 
 namespace cubetree {
@@ -258,6 +262,59 @@ TEST(LoggingTest, RespectsLevel) {
   CT_LOG(Info) << "should be suppressed";
   SetLogLevel(old);
   SUCCEED();
+}
+
+/// Sets one environment variable (nullptr unsets it) and restores its
+/// previous value on destruction.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    Set(value);
+  }
+  ~ScopedEnv() { Set(saved_ ? saved_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  void Set(const char* value) {
+    if (value == nullptr) {
+      ::unsetenv(name_);
+    } else {
+      ::setenv(name_, value, 1);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+TEST(EnvUint64Test, AcceptsOnlyPlainDecimalsBelowTwoToThe64) {
+  constexpr const char* kName = "CUBETREE_TEST_ENV_UINT64";
+  ScopedEnv env(kName, nullptr);
+  EXPECT_EQ(EnvUint64(kName, 9), 9u);
+  for (const char* bad :
+       {"-1", "+5", " 7", "12abc", "", "18446744073709551616"}) {
+    env.Set(bad);
+    EXPECT_EQ(EnvUint64(kName, 9), 9u) << "'" << bad << "'";
+  }
+  const std::pair<const char*, uint64_t> good[] = {
+      {"0", 0}, {"42", 42}, {"18446744073709551615", UINT64_MAX}};
+  for (const auto& [text, want] : good) {
+    env.Set(text);
+    EXPECT_EQ(EnvUint64(kName, 9), want) << text;
+  }
+}
+
+TEST(EnvUint64Test, NegativeDiskReserveFallsBackToTheDefault) {
+  // "-1" is malformed, not 2^64-1: a reserve no volume can honor would
+  // make every refresh preflight refuse with StorageFull.
+  ScopedEnv env("CUBETREE_DISK_RESERVE_BYTES", nullptr);
+  const uint64_t fallback = DiskSpaceManager::ReserveBytesFromEnv();
+  env.Set("-1");
+  EXPECT_EQ(DiskSpaceManager::ReserveBytesFromEnv(), fallback);
+  env.Set("4096");
+  EXPECT_EQ(DiskSpaceManager::ReserveBytesFromEnv(), 4096u);
 }
 
 }  // namespace

@@ -613,6 +613,15 @@ TEST_F(EngineTest, EachRouteYieldsOneRecordThatSpansAndCallerAgreeWith) {
         obs::Tracer::Instance().LastTrace();
     ASSERT_NE(trace, nullptr);
     EXPECT_EQ(record.trace_id, trace->id());
+    // Every Execute is route, then search: those are the root query span's
+    // direct children, in that order.
+    ASSERT_FALSE(trace->spans().empty());
+    EXPECT_EQ(trace->spans()[0].name, "query");
+    std::vector<std::string> phases;
+    for (const obs::SpanRecord& span : trace->spans()) {
+      if (span.parent == 0) phases.push_back(span.name);
+    }
+    EXPECT_EQ(phases, (std::vector<std::string>{"route", "search"}));
     uint64_t span_pages = 0;
     uint64_t scanned = 0;
     for (const obs::SpanRecord& span : trace->spans()) {

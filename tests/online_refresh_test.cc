@@ -1,7 +1,7 @@
 // Online-refresh concurrency suite: generation snapshots, epoch-based file
-// reclamation, query deadlines/cancellation, admission control — and a
-// multithreaded stress harness racing reader threads against a stream of
-// refresh cycles with failpoints armed.
+// reclamation, query deadlines/cancellation — and a multithreaded stress
+// harness racing reader threads against a stream of refresh cycles with
+// failpoints armed.
 //
 // The stress tests carry the suite's core invariant: a pinned snapshot is
 // a single committed generation, so every view's total count inside one
@@ -29,7 +29,6 @@
 #include "cubetree/cubetree.h"
 #include "cubetree/forest.h"
 #include "cubetree/view_def.h"
-#include "engine/admission.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -417,153 +416,6 @@ TEST_F(OnlineRefreshTest, CancelUnblocksStalledQueryFromAnotherThread) {
 
   EXPECT_TRUE(status.IsCancelled()) << status.ToString();
   EXPECT_LE(latency, std::chrono::seconds(2));
-}
-
-// --- Admission control ---------------------------------------------------
-
-TEST_F(OnlineRefreshTest, AdmissionShedsCheapestUnderOverload) {
-  AdmissionController::Options options;
-  options.max_concurrent = 1;
-  options.max_queued = 2;
-  AdmissionController gate(options);
-
-  ASSERT_OK_AND_ASSIGN(AdmissionTicket running, gate.Admit(100, nullptr));
-
-  Status cheap_status, mid_status, pricey_status;
-  std::thread cheap([&] {
-    auto r = gate.Admit(10, nullptr);
-    cheap_status = r.status();
-  });
-  std::thread mid([&] {
-    auto r = gate.Admit(50, nullptr);
-    mid_status = r.status();
-  });
-  for (int i = 0; i < 2000 && gate.queued() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(gate.queued(), 2);
-
-  // Queue full + this arrival is the cheapest of all: rejected with a
-  // retriable hint, nothing already queued loses its place.
-  auto rejected = gate.Admit(5, nullptr);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_TRUE(rejected.status().IsResourceExhausted())
-      << rejected.status().ToString();
-  EXPECT_TRUE(rejected.status().IsRetriable());
-  EXPECT_NE(rejected.status().ToString().find("retry-after-ms"),
-            std::string::npos)
-      << rejected.status().ToString();
-
-  // Queue full + a pricier arrival: the cheapest waiter (cost 10) is shed
-  // to make room.
-  std::thread pricey([&] {
-    auto r = gate.Admit(200, nullptr);
-    pricey_status = r.status();
-  });
-  cheap.join();
-  EXPECT_TRUE(cheap_status.IsResourceExhausted()) << cheap_status.ToString();
-  EXPECT_TRUE(cheap_status.IsRetriable());
-
-  // Draining the running query admits the survivors in FIFO order.
-  running.Release();
-  mid.join();
-  pricey.join();
-  EXPECT_OK(mid_status);
-  EXPECT_OK(pricey_status);
-
-  const AdmissionController::Stats stats = gate.stats();
-  EXPECT_EQ(stats.admitted, 3u);
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(gate.active(), 0);
-  EXPECT_EQ(gate.queued(), 0);
-}
-
-TEST_F(OnlineRefreshTest, AdmissionQueueRespectsDeadlineAndCancel) {
-  AdmissionController::Options options;
-  options.max_concurrent = 1;
-  options.max_queued = 4;
-  AdmissionController gate(options);
-  ASSERT_OK_AND_ASSIGN(AdmissionTicket running, gate.Admit(100, nullptr));
-
-  // Deadline expires while queued.
-  QueryContext deadline_ctx =
-      QueryContext::WithTimeout(std::chrono::milliseconds(50));
-  const auto start = Clock::now();
-  auto timed_out = gate.Admit(10, &deadline_ctx);
-  ASSERT_FALSE(timed_out.ok());
-  EXPECT_TRUE(timed_out.status().IsDeadlineExceeded())
-      << timed_out.status().ToString();
-  EXPECT_LE(Clock::now() - start, std::chrono::milliseconds(1000));
-
-  // Cancelled from another thread while queued.
-  QueryContext cancel_ctx;
-  Status cancelled_status;
-  std::thread waiter([&] {
-    auto r = gate.Admit(10, &cancel_ctx);
-    cancelled_status = r.status();
-  });
-  for (int i = 0; i < 2000 && gate.queued() < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  cancel_ctx.Cancel();
-  waiter.join();
-  EXPECT_TRUE(cancelled_status.IsCancelled()) << cancelled_status.ToString();
-
-  const AdmissionController::Stats stats = gate.stats();
-  EXPECT_EQ(stats.deadline_exits, 2u);
-  EXPECT_EQ(gate.queued(), 0);
-}
-
-// Regression: the max_queued check (and the retry-after hint) used to read
-// the raw queue_.size(), which still counts "zombie" entries — waiters
-// already admitted by ReleaseSlot (or shed) whose threads have not woken
-// to unlink themselves yet. In the window right after a Release, a new
-// arrival saw a full queue and was spuriously rejected even though the
-// effective depth was zero. The controller now tracks the effective depth
-// separately; this loop hammers exactly that window and must never see a
-// ResourceExhausted.
-TEST_F(OnlineRefreshTest, AdmissionZombieWaitersDoNotCountAgainstQueue) {
-  AdmissionController::Options options;
-  options.max_concurrent = 1;
-  options.max_queued = 1;
-  AdmissionController gate(options);
-
-  int spurious_rejections = 0;
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_OK_AND_ASSIGN(AdmissionTicket holder, gate.Admit(100, nullptr));
-    Status waiter_status;
-    std::thread waiter([&] {
-      auto r = gate.Admit(10, nullptr);
-      waiter_status = r.status();
-      if (r.ok()) r->Release();
-    });
-    for (int i = 0; i < 2000 && gate.queued() < 1; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_EQ(gate.queued(), 1);
-
-    // Hand the slot to the waiter; its queue entry lingers until its
-    // thread wakes. Arriving right now must not be rejected: nothing is
-    // effectively queued, and this arrival is cheaper than the zombie
-    // (the buggy path would shed-or-reject it against the stale entry).
-    holder.Release();
-    QueryContext ctx = QueryContext::WithTimeout(std::chrono::milliseconds(100));
-    auto arrival = gate.Admit(5, &ctx);
-    if (arrival.ok()) {
-      arrival->Release();
-    } else if (arrival.status().IsResourceExhausted()) {
-      ++spurious_rejections;
-    }
-    // DeadlineExceeded is fine: it means we queued (not rejected) and the
-    // waiter still held the slot when the clock ran out.
-    waiter.join();
-    EXPECT_OK(waiter_status);
-  }
-  EXPECT_EQ(spurious_rejections, 0);
-  EXPECT_EQ(gate.stats().rejected, 0u);
-  EXPECT_EQ(gate.active(), 0);
-  EXPECT_EQ(gate.queued(), 0);
 }
 
 // --- Metrics under concurrency -------------------------------------------

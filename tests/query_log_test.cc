@@ -50,7 +50,6 @@ QueryLogRecord MakeRecord(uint64_t latency_us = 1000) {
   attr.grouped = true;
   record.attrs.push_back(attr);
   record.latency_us = latency_us;
-  record.admission_wait_us = 12;
   record.pages_read = 5;
   record.pool_hits = 3;
   record.points_examined = 40;
@@ -80,7 +79,6 @@ TEST(QueryLogRecordTest, JsonRoundTrip) {
   EXPECT_EQ(back.attrs[1].hi, 10u);
   EXPECT_TRUE(back.attrs[1].grouped);
   EXPECT_EQ(back.latency_us, record.latency_us);
-  EXPECT_EQ(back.admission_wait_us, 12u);
   EXPECT_EQ(back.pages_read, 5u);
   EXPECT_EQ(back.pool_hits, 3u);
   EXPECT_EQ(back.points_examined, 40u);
@@ -99,6 +97,17 @@ TEST(QueryLogRecordTest, FromJsonRejectsMissingAndMistypedFields) {
   JsonValue bad_version = doc;
   bad_version.Set("schema_version", JsonValue(static_cast<int64_t>(999)));
   EXPECT_FALSE(QueryLogRecord::FromJson(bad_version).ok());
+
+  // ToJson writes version 2; logs written before it stay readable, and a
+  // version-1 record's one extra field is ignored.
+  ASSERT_NE(doc.Find("schema_version"), nullptr);
+  EXPECT_EQ(doc.Find("schema_version")->number(), 2);
+  EXPECT_TRUE(QueryLogRecord::FromJson(doc).ok());
+  JsonValue v1 = doc;
+  v1.Set("schema_version", JsonValue(static_cast<int64_t>(1)));
+  v1.Set("admission_wait_us", JsonValue(static_cast<uint64_t>(12)));
+  ASSERT_OK_AND_ASSIGN(QueryLogRecord from_v1, QueryLogRecord::FromJson(v1));
+  EXPECT_EQ(from_v1.latency_us, 1000u);
 
   EXPECT_FALSE(QueryLogRecord::FromJson(JsonValue::MakeArray()).ok());
 }
