@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the core operations: packed R-tree
 // bulk load (the paper reports a 6 GB/hour packing rate on 1997 hardware),
-// range search, merge-pack, B-tree insert/lookup/bulk-build and the
-// external sorter.
+// range search, merge-pack, the cube builder's sort-based view
+// computation, B-tree insert/lookup/bulk-build and the external sorter.
 
 #include <benchmark/benchmark.h>
 
@@ -12,14 +12,17 @@
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "bench/bench_util.h"
 #include "btree/btree.h"
 #include "common/coding.h"
 #include "common/rng.h"
 #include "cubetree/merge_pack.h"
+#include "olap/cube_builder.h"
 #include "rtree/packed_rtree.h"
 #include "sort/external_sorter.h"
 #include "storage/buffer_pool.h"
 #include "storage/checksum.h"
+#include "tpcd/dbgen.h"
 
 namespace cubetree {
 namespace {
@@ -35,16 +38,21 @@ void MakeBenchDir(const char* dir) {
   }
 }
 
-std::vector<PointRecord> MakeSortedPoints(uint32_t n) {
+/// n unique points of one view of `arity` (1..3) in a 3-d tree, sorted in
+/// pack order; coordinates at or beyond the arity are 0.
+std::vector<PointRecord> MakeSortedPoints(uint32_t n, uint8_t arity = 3) {
   std::vector<PointRecord> points;
   points.reserve(n);
   Rng rng(11);
   for (uint32_t i = 0; i < n; ++i) {
     PointRecord rec;
     rec.view_id = 1;
-    rec.coords[0] = 1 + static_cast<Coord>(rng.Uniform(1u << 20));
-    rec.coords[1] = 1 + static_cast<Coord>(rng.Uniform(1u << 10));
-    rec.coords[2] = static_cast<Coord>(i + 1);  // Guarantees uniqueness.
+    for (uint8_t d = 0; d + 1 < arity; ++d) {
+      rec.coords[d] =
+          1 + static_cast<Coord>(rng.Uniform(d == 0 ? 1u << 20 : 1u << 10));
+    }
+    // The most significant coordinate guarantees uniqueness.
+    rec.coords[arity - 1] = static_cast<Coord>(i + 1);
     rec.agg = AggValue{static_cast<int64_t>(i), 1};
     points.push_back(rec);
   }
@@ -55,10 +63,13 @@ std::vector<PointRecord> MakeSortedPoints(uint32_t n) {
   return points;
 }
 
+// Args: points, view arity (1 or 3) in a 3-d tree. Arity 1 is the
+// compressed-leaf case: 16-byte entries, 511 per leaf.
 void BM_PackedRTreeBuild(benchmark::State& state) {
   MakeBenchDir(kDir);
   const uint32_t n = static_cast<uint32_t>(state.range(0));
-  auto points = MakeSortedPoints(n);
+  const uint8_t arity = static_cast<uint8_t>(state.range(1));
+  auto points = MakeSortedPoints(n, arity);
   BufferPool pool(256);
   RTreeOptions options;
   options.dims = 3;
@@ -66,13 +77,16 @@ void BM_PackedRTreeBuild(benchmark::State& state) {
     VectorPointSource source(points);
     auto tree = PackedRTree::Build(std::string(kDir) + "/build.ctr",
                                    options, &pool, &source,
-                                   [](uint32_t) { return 3; });
+                                   [arity](uint32_t) { return arity; });
     if (!tree.ok()) state.SkipWithError("build failed");
+    benchmark::DoNotOptimize(tree);
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() * n * 24);
+  state.SetBytesProcessed(state.iterations() * n * arity * sizeof(Coord));
 }
-BENCHMARK(BM_PackedRTreeBuild)->Arg(10000)->Arg(100000)->Arg(500000);
+BENCHMARK(BM_PackedRTreeBuild)
+    ->ArgNames({"points", "arity"})
+    ->ArgsProduct({{10000, 100000, 500000}, {1, 3}});
 
 void BM_PackedRTreeSearch(benchmark::State& state) {
   MakeBenchDir(kDir);
@@ -163,29 +177,93 @@ void BM_PackedRTreeSearchColdRead(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedRTreeSearchColdRead)->Arg(1)->Arg(0);
 
+// Args: base points, view arity (1 or 3) in a 3-d tree. The delta is a
+// 10% increment whose keys all coincide with base keys, so every delta
+// point combines with an old one.
 void BM_MergePack(benchmark::State& state) {
   MakeBenchDir(kDir);
   const uint32_t n = static_cast<uint32_t>(state.range(0));
-  auto base = MakeSortedPoints(n);
-  auto delta = MakeSortedPoints(n / 10);
+  const uint8_t arity = static_cast<uint8_t>(state.range(1));
+  auto base = MakeSortedPoints(n, arity);
+  auto delta = MakeSortedPoints(n / 10, arity);
   BufferPool pool(256);
   RTreeOptions options;
   options.dims = 3;
+  const auto arity_fn = [arity](uint32_t) { return arity; };
   VectorPointSource base_source(base);
   auto old_tree = std::move(
       PackedRTree::Build(std::string(kDir) + "/mp_base.ctr", options, &pool,
-                         &base_source, [](uint32_t) { return 3; })
+                         &base_source, arity_fn)
           .value());
   for (auto _ : state) {
     VectorPointSource delta_source(delta);
     auto merged = MergePack(old_tree.get(), &delta_source,
                             std::string(kDir) + "/mp_out.ctr", options,
-                            &pool, [](uint32_t) { return 3; });
+                            &pool, arity_fn);
     if (!merged.ok()) state.SkipWithError("merge failed");
+    benchmark::DoNotOptimize(merged);
   }
   state.SetItemsProcessed(state.iterations() * (n + n / 10));
 }
-BENCHMARK(BM_MergePack)->Arg(100000);
+BENCHMARK(BM_MergePack)
+    ->ArgNames({"points", "arity"})
+    ->ArgsProduct({{100000}, {1, 3}});
+
+/// Re-opens one fact vector, generated once, for every pass of the builder.
+class VectorFactProvider : public FactProvider {
+ public:
+  explicit VectorFactProvider(std::vector<FactTuple> facts)
+      : facts_(std::move(facts)) {}
+
+  Result<std::unique_ptr<FactSource>> Open() override {
+    return std::unique_ptr<FactSource>(new VectorFactSource(&facts_));
+  }
+
+ private:
+  std::vector<FactTuple> facts_;
+};
+
+// The load's view computation: the paper's six views plus the two top-view
+// replicas, computed by CubeBuilder::ComputeAll from TPC-D base facts at
+// SF 0.01 (about 60,000 facts), generated once before timing. Every view
+// is sorted or pipelined from its smallest parent, in memory.
+void BM_CubeBuilderComputeAll(benchmark::State& state) {
+  MakeBenchDir(kDir);
+  tpcd::TpcdOptions gen_options;
+  gen_options.scale_factor = 0.01;
+  tpcd::Generator generator(gen_options);
+  const CubeSchema schema = generator.MakeBaseSchema();
+  std::vector<FactTuple> facts;
+  {
+    auto provider = generator.BaseFacts();
+    auto source = provider->Open();
+    if (!source.ok()) {
+      state.SkipWithError("fact generation failed");
+      return;
+    }
+    const FactTuple* tuple = nullptr;
+    while ((*source)->Next(&tuple).ok() && tuple != nullptr) {
+      facts.push_back(*tuple);
+    }
+  }
+  const size_t num_facts = facts.size();
+  VectorFactProvider provider(std::move(facts));
+  const std::vector<ViewDef> views = bench::PaperViews(/*with_replicas=*/true);
+  CubeBuilder::Options options;
+  options.temp_dir = kDir;
+  CubeBuilder builder(schema, options);
+  for (auto _ : state) {
+    auto computed = builder.ComputeAll(views, &provider, "micro_cube");
+    if (!computed.ok()) {
+      state.SkipWithError("compute failed");
+      break;
+    }
+    benchmark::DoNotOptimize((*computed)->total_rows());
+    if (!(*computed)->Destroy().ok()) state.SkipWithError("destroy failed");
+  }
+  state.SetItemsProcessed(state.iterations() * num_facts);
+}
+BENCHMARK(BM_CubeBuilderComputeAll)->Unit(benchmark::kMillisecond);
 
 void BM_BTreeInsertRandom(benchmark::State& state) {
   MakeBenchDir(kDir);

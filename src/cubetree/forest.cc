@@ -36,6 +36,7 @@ namespace {
 /// one pack-ordered PointSource. Ascending-arity concatenation IS pack
 /// order across views: a view of arity a has zeros in every coordinate
 /// >= a, so all its points precede every point of any higher-arity view.
+/// Every view's arity must be at most kMaxDims.
 class MultiViewPointSource : public PointSource {
  public:
   struct ViewStream {
@@ -44,32 +45,47 @@ class MultiViewPointSource : public PointSource {
   };
 
   explicit MultiViewPointSource(std::vector<ViewStream> streams)
-      : streams_(std::move(streams)) {}
+      : streams_(std::move(streams)) {
+    StartView();
+  }
 
   Status Next(const PointRecord** record) override {
     while (index_ < streams_.size()) {
       const char* raw = nullptr;
       CT_RETURN_NOT_OK(streams_[index_].stream->Next(&raw));
       if (raw != nullptr) {
-        const ViewDef& view = streams_[index_].view;
-        record_.view_id = view.id;
-        DecodeViewRecord(raw, view.arity(), record_.coords, &record_.agg);
-        for (size_t i = view.arity(); i < kMaxDims; ++i) {
-          record_.coords[i] = 0;
-        }
+        decode_(raw, &record_);
         *record = &record_;
         return Status::OK();
       }
       ++index_;
+      StartView();
     }
     *record = nullptr;
     return Status::OK();
   }
 
  private:
+  using Decoder = void (*)(const char* raw, PointRecord* out);
+
+  /// Readies record_ for the view at index_: its id, zero coordinates and
+  /// the decoder for its arity, which writes only the leading coordinates.
+  void StartView() {
+    if (index_ == streams_.size()) return;
+    const ViewDef& view = streams_[index_].view;
+    record_ = PointRecord{};
+    record_.view_id = view.id;
+    decode_ = DispatchArity(view.arity(), [](auto arity) -> Decoder {
+      return [](const char* raw, PointRecord* out) {
+        DecodeViewRecord(raw, decltype(arity)::value, out->coords, &out->agg);
+      };
+    });
+  }
+
   std::vector<ViewStream> streams_;
   size_t index_ = 0;
   PointRecord record_;
+  Decoder decode_ = nullptr;
 };
 
 /// Wraps a PointSource with cooperative cancellation: when a sibling
@@ -631,6 +647,11 @@ Result<std::unique_ptr<PointSource>> CubetreeForest::OpenTreeSource(
             });
   std::vector<MultiViewPointSource::ViewStream> streams;
   for (ViewDef& view : views) {
+    if (view.arity() > kMaxDims) {
+      return Status::InvalidArgument(
+          "forest: view " + std::to_string(view.id) + " has arity " +
+          std::to_string(view.arity()) + " above " + std::to_string(kMaxDims));
+    }
     CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(view));
     streams.push_back({std::move(view), std::move(stream)});
   }

@@ -1,5 +1,6 @@
 #include "cubetree/merge_pack.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/assert.h"
@@ -8,7 +9,17 @@
 
 namespace cubetree {
 
-Status MergePointSource::Next(const PointRecord** record) {
+MergePointSource::MergePointSource(PointSource* a, PointSource* b,
+                                   uint8_t dims)
+    : a_(a),
+      b_(b),
+      // Build refuses dims above kMaxDims before it pulls a point.
+      next_(DispatchArity(std::min<size_t>(dims, kMaxDims), [](auto d) {
+        return &MergePointSource::NextFixed<decltype(d)::value>;
+      })) {}
+
+template <size_t D>
+Status MergePointSource::NextFixed(const PointRecord** record) {
   if (!primed_) {
     CT_RETURN_NOT_OK(a_->Next(&cur_a_));
     CT_RETURN_NOT_OK(b_->Next(&cur_b_));
@@ -24,7 +35,7 @@ Status MergePointSource::Next(const PointRecord** record) {
   } else if (cur_b_ == nullptr) {
     cmp = -1;
   } else {
-    cmp = PackOrderCompare(cur_a_->coords, cur_b_->coords, dims_);
+    cmp = PackOrderCompare(cur_a_->coords, cur_b_->coords, D);
   }
   if (cmp < 0) {
     merged_ = *cur_a_;
@@ -44,7 +55,7 @@ Status MergePointSource::Next(const PointRecord** record) {
   }
   if (CT_DCHECK_IS_ON()) {
     CT_DCHECK(!have_prev_ ||
-              PackOrderCompare(prev_coords_, merged_.coords, dims_) < 0)
+              PackOrderCompare(prev_coords_, merged_.coords, D) < 0)
         << "merge-pack output left pack order";
     std::memcpy(prev_coords_, merged_.coords, sizeof(prev_coords_));
     have_prev_ = true;

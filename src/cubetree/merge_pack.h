@@ -19,15 +19,20 @@ class MergePointSource : public PointSource {
  public:
   /// Either source may immediately report end-of-stream. `dims` is the
   /// dimensionality of the enclosing tree.
-  MergePointSource(PointSource* a, PointSource* b, uint8_t dims)
-      : a_(a), b_(b), dims_(dims) {}
+  MergePointSource(PointSource* a, PointSource* b, uint8_t dims);
 
-  Status Next(const PointRecord** record) override;
+  Status Next(const PointRecord** record) override {
+    return (this->*next_)(record);
+  }
 
  private:
+  /// Next() for a D-dimensional tree; the constructor picks it once.
+  template <size_t D>
+  Status NextFixed(const PointRecord** record);
+
   PointSource* a_;
   PointSource* b_;
-  uint8_t dims_;
+  Status (MergePointSource::*next_)(const PointRecord** record);
   const PointRecord* cur_a_ = nullptr;
   const PointRecord* cur_b_ = nullptr;
   bool primed_ = false;

@@ -57,7 +57,7 @@ struct ViewDef {
 /// Fixed-width on-disk record of one view tuple: arity coordinates followed
 /// by the 12-byte aggregate payload. This is the format of view spools, sort
 /// runs and (identically) compressed Cubetree leaf entries.
-inline size_t ViewRecordBytes(uint8_t arity) {
+constexpr size_t ViewRecordBytes(uint8_t arity) {
   return static_cast<size_t>(arity) * sizeof(Coord) + kAggValueBytes;
 }
 

@@ -5,12 +5,14 @@
 
 namespace cubetree {
 
-Status AggregatingStream::Next(const char** record) {
-  const size_t bytes = ViewRecordBytes(arity_);
-  if (current_.empty()) {
-    current_.resize(bytes);
-    pending_.resize(bytes);
-  }
+AggregatingStream::AggregatingStream(RecordStream* input, uint8_t arity)
+    : input_(input), next_(DispatchArity(arity, [](auto a) {
+        return &AggregatingStream::NextFixed<decltype(a)::value>;
+      })) {}
+
+template <size_t A>
+Status AggregatingStream::NextFixed(const char** record) {
+  constexpr size_t kBytes = ViewRecordBytes(A);
   if (done_ && !have_pending_) {
     *record = nullptr;
     return Status::OK();
@@ -24,12 +26,15 @@ Status AggregatingStream::Next(const char** record) {
       *record = nullptr;
       return Status::OK();
     }
-    std::memcpy(pending_.data(), first, bytes);
+    std::memcpy(pending_, first, kBytes);
     have_pending_ = true;
   }
-  std::memcpy(current_.data(), pending_.data(), bytes);
+  std::memcpy(current_, pending_, kBytes);
   have_pending_ = false;
   // Fold all subsequent records with the same group key into current_.
+  Coord key[kMaxDims] = {0};
+  AggValue agg;
+  DecodeViewRecord(current_, A, key, &agg);
   while (true) {
     const char* next = nullptr;
     CT_RETURN_NOT_OK(input_->Next(&next));
@@ -37,20 +42,17 @@ Status AggregatingStream::Next(const char** record) {
       done_ = true;
       break;
     }
-    if (ViewRecordCompare(current_.data(), next, arity_) == 0) {
-      Coord coords[kMaxDims];
-      AggValue a, b;
-      DecodeViewRecord(current_.data(), arity_, coords, &a);
-      DecodeViewRecord(next, arity_, coords, &b);
-      a.Merge(b);
-      EncodeViewRecord(current_.data(), coords, arity_, a);
-    } else {
-      std::memcpy(pending_.data(), next, bytes);
+    if (ViewRecordCompare(current_, next, A) != 0) {
+      std::memcpy(pending_, next, kBytes);
       have_pending_ = true;
       break;
     }
+    AggValue more;
+    DecodeViewRecord(next, A, key, &more);
+    agg.Merge(more);
   }
-  *record = current_.data();
+  EncodeViewRecord(current_, key, A, agg);
+  *record = current_;
   return Status::OK();
 }
 
@@ -174,18 +176,20 @@ Result<std::unique_ptr<ComputedViews>> CubeBuilder::ComputeAll(
 
 namespace {
 
-/// Streams a child view's (unaggregated) records projected from its
-/// parent's spool.
+/// Streams a child view's (unaggregated) records of arity A projected from
+/// its parent's spool. A view record is its coordinates then the aggregate
+/// payload, so projecting copies A coordinates and the payload verbatim.
+template <size_t A>
 class ProjectingStream : public RecordStream {
  public:
   ProjectingStream(std::unique_ptr<RecordSpool::Reader> reader,
-                   uint8_t parent_arity, std::vector<size_t> positions,
-                   uint8_t child_arity)
+                   uint8_t parent_arity, const std::vector<size_t>& positions)
       : reader_(std::move(reader)),
-        parent_arity_(parent_arity),
-        positions_(std::move(positions)),
-        child_arity_(child_arity),
-        record_(ViewRecordBytes(child_arity)) {}
+        payload_offset_(parent_arity * sizeof(Coord)) {
+    for (size_t i = 0; i < A; ++i) {
+      coord_offsets_[i] = positions[i] * sizeof(Coord);
+    }
+  }
 
   Status Next(const char** record) override {
     const char* raw = nullptr;
@@ -194,24 +198,21 @@ class ProjectingStream : public RecordStream {
       *record = nullptr;
       return Status::OK();
     }
-    Coord parent_coords[kMaxDims];
-    Coord coords[kMaxDims] = {0};
-    AggValue agg;
-    DecodeViewRecord(raw, parent_arity_, parent_coords, &agg);
-    for (size_t i = 0; i < positions_.size(); ++i) {
-      coords[i] = parent_coords[positions_[i]];
+    for (size_t i = 0; i < A; ++i) {
+      std::memcpy(record_ + i * sizeof(Coord), raw + coord_offsets_[i],
+                  sizeof(Coord));
     }
-    EncodeViewRecord(record_.data(), coords, child_arity_, agg);
-    *record = record_.data();
+    std::memcpy(record_ + A * sizeof(Coord), raw + payload_offset_,
+                kAggValueBytes);
+    *record = record_;
     return Status::OK();
   }
 
  private:
   std::unique_ptr<RecordSpool::Reader> reader_;
-  uint8_t parent_arity_;
-  std::vector<size_t> positions_;
-  uint8_t child_arity_;
-  std::vector<char> record_;
+  size_t coord_offsets_[kMaxDims] = {0};
+  size_t payload_offset_;
+  char record_[ViewRecordBytes(A)];
 };
 
 }  // namespace
@@ -220,6 +221,11 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
                                ComputedViews* out, FactProvider* facts,
                                const std::string& tag) {
   const uint8_t arity = view.arity();
+  if (arity > kMaxDims) {
+    return Status::InvalidArgument(
+        "cube builder: view " + std::to_string(view.id) + " has arity " +
+        std::to_string(arity) + " above " + std::to_string(kMaxDims));
+  }
   const size_t record_bytes = ViewRecordBytes(arity);
 
   // Assemble the child's (unaggregated) input stream.
@@ -245,8 +251,10 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
         options_.pipelined_aggregation && IsSuffixProjection(view, *parent);
     CT_ASSIGN_OR_RETURN(RecordSpool * parent_spool, out->spool(parent->id));
     CT_ASSIGN_OR_RETURN(auto reader, parent_spool->NewReader());
-    input = std::make_unique<ProjectingStream>(
-        std::move(reader), parent->arity(), std::move(positions), arity);
+    input = DispatchArity(arity, [&](auto a) -> std::unique_ptr<RecordStream> {
+      return std::make_unique<ProjectingStream<decltype(a)::value>>(
+          std::move(reader), parent->arity(), positions);
+    });
   }
 
   ExternalSorter::Options sort_options;
@@ -254,9 +262,14 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
   sort_options.memory_budget_bytes = options_.sort_budget_bytes;
   sort_options.temp_dir = options_.temp_dir;
   sort_options.io_stats = options_.io_stats;
-  ExternalSorter sorter(sort_options, [arity](const char* a, const char* b) {
-    return ViewRecordCompare(a, b, arity) < 0;
-  });
+  // The run sort calls the comparator for every comparison, so it is
+  // compiled for this view's arity.
+  ExternalSorter sorter(
+      sort_options, DispatchArity(arity, [](auto a) -> RecordComparator {
+        return [](const char* x, const char* y) {
+          return ViewRecordCompare(x, y, decltype(a)::value) < 0;
+        };
+      }));
 
   std::unique_ptr<RecordStream> ordered;
   if (already_sorted) {
@@ -273,20 +286,22 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
       }
     } else {
       // No parent: project straight off the fact stream.
-      std::vector<char> record(record_bytes);
-      Coord coords[kMaxDims] = {0};
       CT_ASSIGN_OR_RETURN(auto fact_stream, facts->Open());
-      const FactTuple* tuple = nullptr;
-      while (true) {
-        CT_RETURN_NOT_OK(fact_stream->Next(&tuple));
-        if (tuple == nullptr) break;
-        for (size_t i = 0; i < view.attrs.size(); ++i) {
-          coords[i] = tuple->attr_values[view.attrs[i]];
+      CT_RETURN_NOT_OK(DispatchArity(arity, [&](auto a) -> Status {
+        constexpr uint8_t A = a;
+        char record[ViewRecordBytes(A)];
+        Coord coords[kMaxDims] = {0};
+        const FactTuple* tuple = nullptr;
+        while (true) {
+          CT_RETURN_NOT_OK(fact_stream->Next(&tuple));
+          if (tuple == nullptr) return Status::OK();
+          for (size_t i = 0; i < A; ++i) {
+            coords[i] = tuple->attr_values[view.attrs[i]];
+          }
+          EncodeViewRecord(record, coords, A, AggValue{tuple->measure, 1});
+          CT_RETURN_NOT_OK(sorter.Add(record));
         }
-        AggValue agg{tuple->measure, 1};
-        EncodeViewRecord(record.data(), coords, arity, agg);
-        CT_RETURN_NOT_OK(sorter.Add(record.data()));
-      }
+      }));
     }
     CT_ASSIGN_OR_RETURN(ordered, sorter.Finish());
     ++sorted_views_;

@@ -148,16 +148,20 @@ class CubeBuilder {
 /// (records must arrive sorted). Exposed for reuse by tests and engines.
 class AggregatingStream : public RecordStream {
  public:
-  AggregatingStream(RecordStream* input, uint8_t arity)
-      : input_(input), arity_(arity) {}
+  /// `arity` must be at most kMaxDims.
+  AggregatingStream(RecordStream* input, uint8_t arity);
 
-  Status Next(const char** record) override;
+  Status Next(const char** record) override { return (this->*next_)(record); }
 
  private:
+  /// Next() for records of arity A; the constructor picks it once.
+  template <size_t A>
+  Status NextFixed(const char** record);
+
   RecordStream* input_;
-  uint8_t arity_;
-  std::vector<char> current_;
-  std::vector<char> pending_;
+  Status (AggregatingStream::*next_)(const char** record);
+  char current_[ViewRecordBytes(kMaxDims)];
+  char pending_[ViewRecordBytes(kMaxDims)];
   bool have_pending_ = false;
   bool done_ = false;
 };

@@ -3,11 +3,37 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+
+#include "common/assert.h"
 
 namespace cubetree {
 
 /// Maximum dimensionality of a Cubetree index space.
 inline constexpr size_t kMaxDims = 8;
+
+/// Calls `f(std::integral_constant<size_t, A>{})` with A == `arity` and
+/// returns its result. The bulk-load and merge-pack record loops run inside
+/// `f`, so each is compiled once per arity 0..kMaxDims and every copy,
+/// comparison and codec call in it has a compile-time length; the switch
+/// runs once per view run or leaf page, not once per record. `arity` must
+/// be at most kMaxDims.
+template <typename F>
+decltype(auto) DispatchArity(size_t arity, F&& f) {
+  static_assert(kMaxDims == 8, "DispatchArity lists arities 0..8");
+  CT_ASSERT(arity <= kMaxDims) << "arity " << arity << " above kMaxDims";
+  switch (arity) {
+    case 0: return f(std::integral_constant<size_t, 0>{});
+    case 1: return f(std::integral_constant<size_t, 1>{});
+    case 2: return f(std::integral_constant<size_t, 2>{});
+    case 3: return f(std::integral_constant<size_t, 3>{});
+    case 4: return f(std::integral_constant<size_t, 4>{});
+    case 5: return f(std::integral_constant<size_t, 5>{});
+    case 6: return f(std::integral_constant<size_t, 6>{});
+    case 7: return f(std::integral_constant<size_t, 7>{});
+    default: return f(std::integral_constant<size_t, 8>{});
+  }
+}
 
 /// Coordinates are unsigned 32-bit key values. The paper reserves 0 as the
 /// "unused dimension" marker: every real key value (partkey, suppkey, ...)

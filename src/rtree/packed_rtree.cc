@@ -83,70 +83,94 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
   std::vector<LevelEntry> level;
 
   // --- Leaf level -------------------------------------------------------
+  // Pack order keeps each view's points in one contiguous run, and every
+  // leaf holds a single view. Each run is packed by a loop compiled for its
+  // leaf arity A: the arity callback is asked once per run, and the
+  // per-point copies and comparisons have fixed lengths.
   Page leaf;
-  uint16_t in_leaf = 0;
-  uint16_t leaf_target = 0;
-  uint8_t leaf_arity = 0;
-  uint32_t leaf_view = 0;
-  Rect leaf_mbr;
-  bool leaf_open = false;
   uint64_t num_points = 0;
-  Coord prev_coords[kMaxDims];
+  Coord prev_coords[kMaxDims] = {0};
   bool have_prev = false;
+  const PointRecord* rec = nullptr;
+  CT_RETURN_NOT_OK(source->Next(&rec));
 
-  auto flush_leaf = [&]() -> Status {
-    RNodeSetCount(leaf.data, in_leaf);
-    CT_ASSIGN_OR_RETURN(PageId id, pm->AppendPage(leaf));
-    level.push_back(LevelEntry{leaf_mbr, id});
-    leaf_open = false;
-    return Status::OK();
+  // Packs the run of rec's view into leaves of arity A, reading on until
+  // the view changes or the input ends; rec is left at the next run.
+  auto pack_run = [&](auto arity_constant) -> Status {
+    constexpr uint8_t A = arity_constant;
+    const uint32_t view = rec->view_id;
+    uint16_t leaf_target = std::max<uint16_t>(
+        1, static_cast<uint16_t>(RLeafCapacity(A) *
+                                 std::clamp(options.leaf_fill, 0.1, 1.0)));
+    if (options.max_leaf_entries > 0) {
+      leaf_target = std::min(leaf_target, options.max_leaf_entries);
+    }
+    uint16_t in_leaf = 0;
+    Rect leaf_mbr;
+    auto flush_leaf = [&]() -> Status {
+      RNodeSetCount(leaf.data, in_leaf);
+      CT_ASSIGN_OR_RETURN(PageId id, pm->AppendPage(leaf));
+      level.push_back(LevelEntry{leaf_mbr, id});
+      in_leaf = 0;
+      return Status::OK();
+    };
+    bool run_start = true;
+    do {
+      // A leaf of arity A stores A coordinates; a non-zero coordinate
+      // beyond them would be dropped, so the point is refused instead.
+      if constexpr (A < kMaxDims) {
+        for (size_t d = A; d < options.dims; ++d) {
+          if (rec->coords[d] != 0) {
+            return Status::InvalidArgument(
+                "rtree: point of view " + std::to_string(view) +
+                " has non-zero coordinate " + std::to_string(d) +
+                " beyond the view's arity " + std::to_string(A));
+          }
+        }
+      }
+      // Inside a run both points are zero beyond A, so comparing A
+      // coordinates is the full pack-order comparison.
+      if (options.enforce_pack_order && have_prev &&
+          (run_start
+               ? PackOrderCompare(prev_coords, rec->coords, options.dims)
+               : PackOrderCompare(prev_coords, rec->coords, A)) >= 0) {
+        return Status::InvalidArgument(
+            "rtree: bulk-load input not strictly ascending in pack order");
+      }
+      std::memcpy(prev_coords, rec->coords, sizeof(prev_coords));
+      have_prev = true;
+      run_start = false;
+
+      if (in_leaf == leaf_target) CT_RETURN_NOT_OK(flush_leaf());
+      if (in_leaf == 0) {
+        leaf.Zero();
+        RNodeSetHeader(leaf.data, /*is_leaf=*/true, A, 0, view);
+        leaf_mbr = Rect::FromPoint(rec->coords, A);
+      }
+      CT_DCHECK(in_leaf < RLeafCapacity(A)) << "leaf overflow during bulk load";
+      RLeafWriteEntry(leaf.data + kRNodeHeaderSize +
+                          static_cast<size_t>(in_leaf) * RLeafEntryBytes(A),
+                      rec->coords, A, rec->agg);
+      leaf_mbr.ExpandToPoint(rec->coords, A);
+      ++in_leaf;
+      ++num_points;
+      CT_RETURN_NOT_OK(source->Next(&rec));
+    } while (rec != nullptr && rec->view_id == view);
+    return flush_leaf();
   };
 
-  while (true) {
-    const PointRecord* rec = nullptr;
-    CT_RETURN_NOT_OK(source->Next(&rec));
-    if (rec == nullptr) break;
-    if (options.enforce_pack_order && have_prev &&
-        PackOrderCompare(prev_coords, rec->coords, options.dims) >= 0) {
-      return Status::InvalidArgument(
-          "rtree: bulk-load input not strictly ascending in pack order");
-    }
-    std::memcpy(prev_coords, rec->coords, sizeof(prev_coords));
-    have_prev = true;
-
-    const uint8_t arity =
-        options.compress_leaves ? view_arity(rec->view_id) : options.dims;
-    if (leaf_open && (rec->view_id != leaf_view || in_leaf == leaf_target)) {
-      CT_RETURN_NOT_OK(flush_leaf());
-    }
-    if (!leaf_open) {
-      leaf.Zero();
-      leaf_arity = arity;
-      leaf_view = rec->view_id;
-      leaf_target = std::max<uint16_t>(
-          1, static_cast<uint16_t>(RLeafCapacity(leaf_arity) *
-                                   std::clamp(options.leaf_fill, 0.1, 1.0)));
-      if (options.max_leaf_entries > 0) {
-        leaf_target = std::min(leaf_target, options.max_leaf_entries);
+  while (rec != nullptr) {
+    uint8_t arity = options.dims;
+    if (options.compress_leaves) {
+      arity = view_arity(rec->view_id);
+      if (arity > options.dims) {
+        return Status::InvalidArgument(
+            "rtree: view " + std::to_string(rec->view_id) + " has arity " +
+            std::to_string(arity) + " above the tree's " +
+            std::to_string(options.dims) + " dimensions");
       }
-      RNodeSetHeader(leaf.data, /*is_leaf=*/true, leaf_arity, 0, leaf_view);
-      in_leaf = 0;
-      leaf_mbr = Rect::FromPoint(rec->coords, options.dims);
-      leaf_open = true;
     }
-    CT_DCHECK(leaf_arity <= options.dims)
-        << "view arity exceeds tree dimensionality";
-    CT_DCHECK(in_leaf < RLeafCapacity(leaf_arity))
-        << "leaf overflow during bulk load";
-    char* dest = leaf.data + kRNodeHeaderSize +
-                 static_cast<size_t>(in_leaf) * RLeafEntryBytes(leaf_arity);
-    RLeafWriteEntry(dest, rec->coords, leaf_arity, rec->agg);
-    leaf_mbr.ExpandToPoint(rec->coords, options.dims);
-    ++in_leaf;
-    ++num_points;
-  }
-  if (leaf_open) {
-    CT_RETURN_NOT_OK(flush_leaf());
+    CT_RETURN_NOT_OK(DispatchArity(arity, pack_run));
   }
   tree->num_points_ = num_points;
   tree->num_leaf_pages_ = static_cast<PageId>(level.size());
@@ -487,34 +511,44 @@ Status PackedRTree::Validate() {
 }
 
 Status PackedRTree::Scanner::Next(const PointRecord** record) {
-  while (true) {
-    if (!loaded_) {
-      if (next_page_ > tree_->num_leaf_pages_) {
-        *record = nullptr;
-        return Status::OK();
-      }
-      CT_RETURN_NOT_OK(tree_->file_->ReadPage(next_page_, &page_));
-      // Pages 1..num_leaf_pages are leaves by the packed file layout.
-      CT_DCHECK(RNodeIsLeaf(page_.data))
-          << "non-leaf page " << next_page_ << " in the leaf region of "
-          << tree_->path();
-      ++next_page_;
-      count_ = RNodeCount(page_.data);
-      slot_ = 0;
-      loaded_ = true;
-    }
-    if (slot_ < count_) {
-      const uint8_t arity = RNodeArity(page_.data);
-      const uint32_t view_id = RNodeViewId(page_.data);
-      RLeafReadEntry(
-          page_.data + kRNodeHeaderSize + slot_ * RLeafEntryBytes(arity),
-          arity, view_id, &record_);
-      ++slot_;
-      *record = &record_;
+  while (slot_ == records_.size()) {
+    if (next_page_ > tree_->num_leaf_pages_) {
+      *record = nullptr;
       return Status::OK();
     }
-    loaded_ = false;
+    CT_RETURN_NOT_OK(LoadPage());
   }
+  *record = &records_[slot_++];
+  return Status::OK();
+}
+
+Status PackedRTree::Scanner::LoadPage() {
+  CT_RETURN_NOT_OK(tree_->file_->ReadPage(next_page_, &page_));
+  const char* page = page_.data;
+  // Pages 1..num_leaf_pages are leaves by the packed file layout.
+  CT_DCHECK(RNodeIsLeaf(page)) << "non-leaf page " << next_page_
+                               << " in the leaf region of " << tree_->path();
+  const uint8_t arity = RNodeArity(page);
+  const uint16_t count = RNodeCount(page);
+  if (arity > tree_->dims() || count > RLeafCapacity(arity)) {
+    return Status::Corruption(
+        "rtree: leaf page " + std::to_string(next_page_) + " of " +
+        tree_->path() + " claims arity " + std::to_string(arity) + " and " +
+        std::to_string(count) + " entries");
+  }
+  ++next_page_;
+  const uint32_t view_id = RNodeViewId(page);
+  records_.resize(count);
+  slot_ = 0;
+  DispatchArity(arity, [&](auto arity_constant) {
+    constexpr uint8_t A = arity_constant;
+    const char* entry = page + kRNodeHeaderSize;
+    for (PointRecord& rec : records_) {
+      RLeafReadEntry(entry, A, view_id, &rec);
+      entry += RLeafEntryBytes(A);
+    }
+  });
+  return Status::OK();
 }
 
 }  // namespace cubetree

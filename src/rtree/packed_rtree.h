@@ -78,7 +78,10 @@ class PackedRTree {
   /// Bulk-builds a tree at `path` from `source` (sorted in pack order; view
   /// boundaries must be respected by the order, which SelectMapping
   /// guarantees). `view_arity(view_id)` gives the number of significant
-  /// coordinates of each view.
+  /// coordinates of each view; it is called once per view run. With
+  /// compressed leaves, a view arity above options.dims, or a point with a
+  /// non-zero coordinate at or beyond its view's arity (which its leaf
+  /// could not store), is InvalidArgument.
   static Result<std::unique_ptr<PackedRTree>> Build(
       const std::string& path, const RTreeOptions& options, BufferPool* pool,
       PointSource* source, std::function<uint8_t(uint32_t)> view_arity,
@@ -102,23 +105,26 @@ class PackedRTree {
                 const std::function<void(const PointRecord&)>& emit);
 
   /// Sequential pack-order scan over all points (merge-pack input). Reads
-  /// leaf pages directly (sequential I/O, bypassing the pool).
+  /// leaf pages directly (sequential I/O, bypassing the pool) and decodes
+  /// each one whole, at its arity.
   class Scanner {
    public:
-    /// Sets *record to the next point or nullptr at end.
+    /// Sets *record to the next point or nullptr at end. The record stays
+    /// valid until the scan moves past its leaf page.
     Status Next(const PointRecord** record);
 
    private:
     friend class PackedRTree;
     explicit Scanner(PackedRTree* tree) : tree_(tree) {}
 
+    /// Reads leaf page next_page_ and decodes its entries into records_.
+    Status LoadPage();
+
     PackedRTree* tree_;
     Page page_;
     PageId next_page_ = 1;  // Leaves start right after the meta page.
-    uint16_t slot_ = 0;
-    uint16_t count_ = 0;
-    bool loaded_ = false;
-    PointRecord record_;
+    std::vector<PointRecord> records_;
+    size_t slot_ = 0;
   };
 
   Scanner ScanAll() { return Scanner(this); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <new>
 #include <numeric>
 
 #include <unistd.h>
@@ -112,11 +113,53 @@ class MergeRecordStream : public RecordStream {
   bool primed_ = false;
 };
 
+/// One W-byte record, moved by value. Its only member is an array of
+/// unsigned char: an array of these has exactly the layout of W-byte
+/// records packed back to back, every access std::sort makes to one is a
+/// byte access (which may alias any storage), and the records are
+/// implicit-lifetime objects that the buffer's allocation created.
+template <size_t W>
+struct FixedRecord {
+  unsigned char bytes[W];
+};
+
+/// Sorts the n W-byte records at `data` in place by moving the records
+/// themselves. std::sort's comparisons and moves depend only on the
+/// comparator's answers, so this leaves the same order as sorting an index
+/// of the records.
+template <size_t W>
+void SortByValue(char* data, size_t n, const RecordComparator& less) {
+  static_assert(sizeof(FixedRecord<W>) == W && alignof(FixedRecord<W>) == 1);
+  FixedRecord<W>* first =
+      std::launder(reinterpret_cast<FixedRecord<W>*>(data));
+  std::sort(first, first + n,
+            [&less](const FixedRecord<W>& a, const FixedRecord<W>& b) {
+              return less(reinterpret_cast<const char*>(a.bytes),
+                          reinterpret_cast<const char*>(b.bytes));
+            });
+}
+
 /// Sorts the fixed-width records held in *buffer in place.
 void SortRecords(std::vector<char>* buffer, size_t record_size,
                  const RecordComparator& less) {
   const size_t rs = record_size;
   const size_t n = buffer->size() / rs;
+  if (n < 2) return;
+  // The widths of the cube builder's view records: 4-byte coordinates,
+  // 0 to 8 of them, then a 12-byte aggregate.
+  switch (rs) {
+    case 12: return SortByValue<12>(buffer->data(), n, less);
+    case 16: return SortByValue<16>(buffer->data(), n, less);
+    case 20: return SortByValue<20>(buffer->data(), n, less);
+    case 24: return SortByValue<24>(buffer->data(), n, less);
+    case 28: return SortByValue<28>(buffer->data(), n, less);
+    case 32: return SortByValue<32>(buffer->data(), n, less);
+    case 36: return SortByValue<36>(buffer->data(), n, less);
+    case 40: return SortByValue<40>(buffer->data(), n, less);
+    case 44: return SortByValue<44>(buffer->data(), n, less);
+    default: break;
+  }
+  // Other widths sort an index, then permute a copy.
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   const char* base = buffer->data();

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -156,10 +157,62 @@ TEST_P(SorterProperty, SortsRandomInput) {
   EXPECT_EQ(out, nullptr);
 }
 
+// Many records share each key; every record's bytes beyond the key must
+// come out intact, whichever way the run sort moves them.
+TEST_P(SorterProperty, EqualKeysKeepTheirPayloads) {
+  const auto [record_size, budget] = GetParam();
+  const std::string dir = MakeTestDir("sortdup_" +
+                                      std::to_string(record_size) + "_" +
+                                      std::to_string(budget));
+  ExternalSorter::Options options;
+  options.record_size = record_size;
+  options.memory_budget_bytes = budget;
+  options.temp_dir = dir;
+  ExternalSorter sorter(options, [](const char* a, const char* b) {
+    return DecodeFixed32(a) < DecodeFixed32(b);
+  });
+  Rng rng(record_size * 17 + budget);
+  std::vector<std::string> records;
+  for (uint32_t i = 0; i < 3000; ++i) {
+    std::string record(record_size, '\0');
+    EncodeFixed32(record.data(), static_cast<uint32_t>(rng.Uniform(8)));
+    // A payload unique to this record fills the bytes past the key.
+    for (int b = 4; b < record_size; ++b) {
+      record[b] = static_cast<char>((i * 131 + b * 7) ^ (i >> 8));
+    }
+    if (record_size >= 8) EncodeFixed32(record.data() + 4, i);
+    ASSERT_OK(sorter.Add(record.data()));
+    records.push_back(std::move(record));
+  }
+  ASSERT_OK_AND_ASSIGN(auto stream, sorter.Finish());
+  std::vector<std::string> sorted;
+  const char* out = nullptr;
+  while (true) {
+    ASSERT_OK(stream->Next(&out));
+    if (out == nullptr) break;
+    if (!sorted.empty()) {
+      ASSERT_LE(DecodeFixed32(sorted.back().data()), DecodeFixed32(out));
+    }
+    sorted.emplace_back(out, record_size);
+  }
+  std::sort(records.begin(), records.end());
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, records);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SorterProperty,
     ::testing::Combine(::testing::Values(4, 8, 24, 100),
                        ::testing::Values(128, 4096, 1 << 20)));
+
+// Every width the in-place by-value run sort handles (view records of
+// arity 0..8: 12 + 4 x arity bytes), then 48, the first width past them,
+// which sorts through an index.
+INSTANTIATE_TEST_SUITE_P(
+    RecordWidths, SorterProperty,
+    ::testing::Combine(::testing::Values(12, 16, 20, 24, 28, 32, 36, 40, 44,
+                                         48),
+                       ::testing::Values(128, 1 << 20)));
 
 // --- B+-tree: key_parts sweep against std::map ---------------------------
 
@@ -302,6 +355,143 @@ TEST_P(MergePackProperty, RepeatedDeltasConverge) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MergePackProperty,
                          ::testing::Values(1, 2, 3, 5));
+
+// --- Multi-view trees: one view per arity, Build -> scan -> merge-pack ----
+
+// A `dims`-dimensional tree holding one view of every arity 0..dims (view
+// 100 + a has arity a), so each leaf arity the bulk load, the leaf-page scan
+// and the merge compile is exercised in one file. Every point and every box
+// answer is compared with a std::map reference.
+class MultiViewTreeProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(MultiViewTreeProperty, BuildScanAndMergePackMatchReference) {
+  const int dims = GetParam();
+  const std::string dir = MakeTestDir("mvprop_" + std::to_string(dims));
+  BufferPool pool(64);
+  RTreeOptions options;
+  options.dims = static_cast<uint8_t>(dims);
+  // Small nodes: views span several leaf pages under internal levels.
+  options.max_leaf_entries = 40;
+  options.max_internal_entries = 8;
+  const auto arity_fn = [](uint32_t view) {
+    return static_cast<uint8_t>(view - 100);
+  };
+  Rng rng(dims * 7919 + 5);
+  // Coordinate 0 ranges over 1..400, the others over 1..6, so every view of
+  // arity >= 1 has hundreds of distinct keys.
+  const auto domain = [](int d) -> Coord { return d == 0 ? 400 : 6; };
+
+  // Keys list the coordinates most significant first, so map order is pack
+  // order.
+  using Key = std::vector<Coord>;
+  const auto key_of = [dims](const PointRecord& rec) {
+    Key key(dims);
+    for (int d = 0; d < dims; ++d) key[d] = rec.coords[dims - 1 - d];
+    return key;
+  };
+  // `per_view` random points of each view (duplicates combined), in pack
+  // order. Arity 0 has a single key, the origin.
+  const auto draw = [&](int per_view) {
+    std::map<Key, PointRecord> batch;
+    for (int arity = 0; arity <= dims; ++arity) {
+      for (int i = 0; i < per_view; ++i) {
+        PointRecord rec;
+        rec.view_id = 100 + arity;
+        for (int d = 0; d < arity; ++d) {
+          rec.coords[d] = static_cast<Coord>(1 + rng.Uniform(domain(d)));
+        }
+        rec.agg = AggValue{static_cast<int64_t>(rng.Uniform(1000)) - 500, 1};
+        auto [it, inserted] = batch.emplace(key_of(rec), rec);
+        if (!inserted) it->second.agg.Merge(rec.agg);
+      }
+    }
+    std::vector<PointRecord> points;
+    for (const auto& entry : batch) points.push_back(entry.second);
+    return points;
+  };
+
+  std::map<Key, PointRecord> reference;
+  const auto add_to_reference = [&](const std::vector<PointRecord>& points) {
+    for (const PointRecord& rec : points) {
+      auto [it, inserted] = reference.emplace(key_of(rec), rec);
+      if (!inserted) it->second.agg.Merge(rec.agg);
+    }
+  };
+  const auto expect_same = [](const PointRecord& got,
+                              const PointRecord& want) {
+    ASSERT_EQ(got.view_id, want.view_id);
+    for (size_t d = 0; d < kMaxDims; ++d) {
+      ASSERT_EQ(got.coords[d], want.coords[d]) << "coordinate " << d;
+    }
+    ASSERT_EQ(got.agg, want.agg);
+  };
+  const auto check = [&](PackedRTree* tree) {
+    ASSERT_OK(tree->Validate());
+    ASSERT_EQ(tree->num_points(), reference.size());
+    // The scan yields every point, in pack order.
+    auto scanner = tree->ScanAll();
+    auto want = reference.begin();
+    while (true) {
+      const PointRecord* rec = nullptr;
+      ASSERT_OK(scanner.Next(&rec));
+      if (rec == nullptr) break;
+      ASSERT_NE(want, reference.end());
+      ASSERT_NO_FATAL_FAILURE(expect_same(*rec, want->second));
+      ++want;
+    }
+    ASSERT_EQ(want, reference.end());
+    // Random boxes; a range that includes 0 reaches lower-arity views.
+    for (int q = 0; q < 40; ++q) {
+      Rect box;
+      for (int d = 0; d < dims; ++d) {
+        const Coord a = static_cast<Coord>(rng.Uniform(domain(d) + 1));
+        const Coord b = static_cast<Coord>(rng.Uniform(domain(d) + 1));
+        box.lo[d] = std::min(a, b);
+        box.hi[d] = std::max(a, b);
+      }
+      std::map<Key, PointRecord> found;
+      ASSERT_OK(tree->Search(box, [&](const PointRecord& rec) {
+        EXPECT_TRUE(found.emplace(key_of(rec), rec).second) << "emitted twice";
+      }));
+      size_t expected = 0;
+      for (const auto& [key, rec] : reference) {
+        if (!box.ContainsPoint(rec.coords, dims)) continue;
+        ++expected;
+        auto it = found.find(key);
+        ASSERT_NE(it, found.end()) << "box " << q << " missed a point of view "
+                                   << rec.view_id;
+        ASSERT_NO_FATAL_FAILURE(expect_same(it->second, rec));
+      }
+      ASSERT_EQ(found.size(), expected) << "box " << q;
+    }
+  };
+
+  std::vector<PointRecord> initial = draw(150);
+  add_to_reference(initial);
+  VectorPointSource source(std::move(initial));
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<PackedRTree> tree,
+      PackedRTree::Build(dir + "/t.ctr", options, &pool, &source, arity_fn));
+  {
+    SCOPED_TRACE("after Build");
+    ASSERT_NO_FATAL_FAILURE(check(tree.get()));
+  }
+  for (int round = 0; round < 3; ++round) {
+    // Deltas both combine with stored keys and add new ones.
+    std::vector<PointRecord> delta = draw(40);
+    add_to_reference(delta);
+    VectorPointSource delta_source(std::move(delta));
+    ASSERT_OK_AND_ASSIGN(
+        tree, MergePack(tree.get(), &delta_source,
+                        dir + "/t_g" + std::to_string(round) + ".ctr",
+                        options, &pool, arity_fn));
+    SCOPED_TRACE("after merge-pack round " + std::to_string(round));
+    ASSERT_NO_FATAL_FAILURE(check(tree.get()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryArity, MultiViewTreeProperty,
+                         ::testing::Range(1, 9));
 
 // --- SelectMapping invariants over random view sets ----------------------
 

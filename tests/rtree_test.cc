@@ -277,6 +277,63 @@ TEST_F(PackedRTreeTest, RejectsUnsortedInput) {
   EXPECT_FALSE(Build(points, 2, [](uint32_t) { return 2; }).ok());
 }
 
+// A compressed leaf stores only its view's arity coordinates, so Build must
+// refuse a point it could only store truncated: such a tree would still
+// validate, yet a box on the dropped coordinate would find none of the
+// points.
+TEST_F(PackedRTreeTest, RejectsPointsItsLeavesWouldTruncate) {
+  std::vector<PointRecord> points;
+  for (Coord i = 1; i <= 5; ++i) {
+    PointRecord rec;
+    rec.view_id = 9;
+    rec.coords[0] = i;
+    rec.coords[1] = 7;
+    points.push_back(rec);
+  }
+  auto built = Build(points, 2, [](uint32_t view) -> uint8_t {
+    return view == 9 ? 1 : 2;
+  });
+  ASSERT_FALSE(built.ok()) << "the y = 7 coordinate would be dropped";
+  EXPECT_TRUE(built.status().IsInvalidArgument()) << built.status().ToString();
+  EXPECT_NE(built.status().message().find("view 9"), std::string::npos)
+      << built.status().ToString();
+  EXPECT_NE(built.status().message().find("coordinate 1"), std::string::npos)
+      << built.status().ToString();
+
+  // A view the arity callback does not know reads as arity 0, so its
+  // points would lose every coordinate.
+  auto unknown = Build(points, 2, [](uint32_t) -> uint8_t { return 0; });
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_TRUE(unknown.status().IsInvalidArgument());
+  EXPECT_NE(unknown.status().message().find("coordinate 0"),
+            std::string::npos)
+      << unknown.status().ToString();
+
+  // Uncompressed leaves store every coordinate, so nothing is dropped.
+  RTreeOptions uncompressed;
+  uncompressed.compress_leaves = false;
+  ASSERT_OK_AND_ASSIGN(
+      auto full, Build(points, 2, [](uint32_t) -> uint8_t { return 1; },
+                       uncompressed));
+  ASSERT_OK(full->Validate());
+  Rect y7 = Rect::Full(2);
+  y7.lo[1] = y7.hi[1] = 7;
+  uint64_t found = 0;
+  ASSERT_OK(full->Search(y7, [&](const PointRecord&) { ++found; }));
+  EXPECT_EQ(found, 5u);
+}
+
+TEST_F(PackedRTreeTest, RejectsViewArityAboveDims) {
+  std::vector<PointRecord> points(1);
+  points[0].view_id = 4;
+  points[0].coords[0] = 1;
+  auto built = Build(points, 2, [](uint32_t) -> uint8_t { return 3; });
+  ASSERT_FALSE(built.ok());
+  EXPECT_TRUE(built.status().IsInvalidArgument()) << built.status().ToString();
+  EXPECT_NE(built.status().message().find("view 4"), std::string::npos)
+      << built.status().ToString();
+}
+
 TEST_F(PackedRTreeTest, EmptyTree) {
   ASSERT_OK_AND_ASSIGN(auto tree,
                        Build({}, 3, [](uint32_t) { return 3; }));
