@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the core operations: packed R-tree
 // bulk load (the paper reports a 6 GB/hour packing rate on 1997 hardware),
 // range search, merge-pack, the cube builder's sort-based view
-// computation, B-tree insert/lookup/bulk-build and the external sorter.
+// computation, B-tree insert/lookup/bulk-build and the external sorter
+// (by a 64-bit key, and over the load's view records).
 
 #include <benchmark/benchmark.h>
 
@@ -323,22 +324,51 @@ void BM_BTreeLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeLookup);
 
-void BM_ExternalSort(benchmark::State& state) {
+/// The records BM_ExternalSort sorts.
+enum class SortInput {
+  /// 24-byte records keyed by a random leading 64-bit field.
+  kU64Key,
+  /// Arity-3 view records (three 4-byte coordinates, then the 12-byte
+  /// aggregate) over TPC-D SF 0.1's partkey, suppkey and custkey domains,
+  /// sorted in pack order: the load's sort of the top view.
+  kViewArity3,
+};
+
+// Args: records, sort budget in bytes. The view-record cases sort 599,592
+// records, SF 0.1's fact count, once at the 1.6 MiB budget a load at that
+// scale factor sorts with (it spills and merges) and once at 16 MiB (in
+// memory). Each iteration adds every record, finishes and drains the sort.
+void BM_ExternalSort(benchmark::State& state, SortInput input) {
   MakeBenchDir(kDir);
-  const int n = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(0));
+  const bool view = input == SortInput::kViewArity3;
+  const size_t record_size = view ? ViewRecordBytes(3) : 24;
+  std::vector<char> records(n * record_size, 0);
+  Rng rng(3);
+  for (size_t i = 0; i < n; ++i) {
+    char* record = records.data() + i * record_size;
+    if (view) {
+      const Coord coords[3] = {1 + static_cast<Coord>(rng.Uniform(20000)),
+                               1 + static_cast<Coord>(rng.Uniform(1000)),
+                               1 + static_cast<Coord>(rng.Uniform(15000))};
+      EncodeViewRecord(record, coords, 3,
+                       AggValue{static_cast<int64_t>(rng.Uniform(50)), 1});
+    } else {
+      EncodeFixed64(record, rng.Next());
+    }
+  }
+  const std::vector<KeyField> key =
+      view ? ViewRecordKey(3) : std::vector<KeyField>{KeyField{0, 8}};
   for (auto _ : state) {
     ExternalSorter::Options options;
-    options.record_size = 24;
-    options.memory_budget_bytes = 1 << 20;  // Forces spills at 100k+.
+    options.record_size = record_size;
+    options.memory_budget_bytes = static_cast<size_t>(state.range(1));
     options.temp_dir = kDir;
-    ExternalSorter sorter(options, [](const char* a, const char* b) {
-      return DecodeFixed64(a) < DecodeFixed64(b);
-    });
-    Rng rng(3);
-    char record[24] = {0};
-    for (int i = 0; i < n; ++i) {
-      EncodeFixed64(record, rng.Next());
-      if (!sorter.Add(record).ok()) state.SkipWithError("add failed");
+    ExternalSorter sorter(options, key);
+    for (size_t i = 0; i < n; ++i) {
+      if (!sorter.Add(records.data() + i * record_size).ok()) {
+        state.SkipWithError("add failed");
+      }
     }
     auto stream = sorter.Finish();
     if (!stream.ok()) {
@@ -354,9 +384,17 @@ void BM_ExternalSort(benchmark::State& state) {
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() * n * 24);
+  state.SetBytesProcessed(state.iterations() * n * record_size);
 }
-BENCHMARK(BM_ExternalSort)->Arg(100000)->Arg(500000);
+BENCHMARK_CAPTURE(BM_ExternalSort, u64_key, SortInput::kU64Key)
+    ->ArgNames({"records", "budget"})
+    ->Args({100000, 1 << 20})
+    ->Args({500000, 1 << 20});
+BENCHMARK_CAPTURE(BM_ExternalSort, view_arity3, SortInput::kViewArity3)
+    ->ArgNames({"records", "budget"})
+    ->Args({599592, (16 << 20) / 10})
+    ->Args({599592, 16 << 20})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cubetree

@@ -5,6 +5,7 @@
 
 #include "common/assert.h"
 #include "cubetree/cubetree.h"
+#include "cubetree/view_def.h"
 #include "rtree/geometry.h"
 
 namespace cubetree {
@@ -49,7 +50,8 @@ Status MergePointSource::NextFixed(const PointRecord** record) {
           "merge-pack: identical coordinates from different views");
     }
     merged_ = *cur_a_;
-    merged_.agg.Merge(cur_b_->agg);
+    CT_RETURN_NOT_OK(
+        MergeViewAggregate(merged_.view_id, cur_b_->agg, &merged_.agg));
     CT_RETURN_NOT_OK(a_->Next(&cur_a_));
     CT_RETURN_NOT_OK(b_->Next(&cur_b_));
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/status.h"
 #include "rtree/geometry.h"
 
 namespace cubetree {
@@ -61,21 +62,44 @@ constexpr size_t ViewRecordBytes(uint8_t arity) {
   return static_cast<size_t>(arity) * sizeof(Coord) + kAggValueBytes;
 }
 
+/// The aggregate payload that follows a view record's coordinates.
+inline void EncodeAggPayload(char* dst, const AggValue& agg) {
+  EncodeFixed64(dst, static_cast<uint64_t>(agg.sum));
+  EncodeFixed32(dst + 8, agg.count);
+}
+
+inline AggValue DecodeAggPayload(const char* src) {
+  return AggValue{static_cast<int64_t>(DecodeFixed64(src)),
+                  DecodeFixed32(src + 8)};
+}
+
 /// `coords` may be null for the arity-0 apex view, which has no key.
 inline void EncodeViewRecord(char* dst, const Coord* coords, uint8_t arity,
                              const AggValue& agg) {
   const size_t key_bytes = static_cast<size_t>(arity) * sizeof(Coord);
   if (key_bytes != 0) std::memcpy(dst, coords, key_bytes);
-  EncodeFixed64(dst + key_bytes, static_cast<uint64_t>(agg.sum));
-  EncodeFixed32(dst + key_bytes + 8, agg.count);
+  EncodeAggPayload(dst + key_bytes, agg);
 }
 
 inline void DecodeViewRecord(const char* src, uint8_t arity, Coord* coords,
                              AggValue* agg) {
   const size_t key_bytes = static_cast<size_t>(arity) * sizeof(Coord);
   if (key_bytes != 0) std::memcpy(coords, src, key_bytes);
-  agg->sum = static_cast<int64_t>(DecodeFixed64(src + key_bytes));
-  agg->count = DecodeFixed32(src + key_bytes + 8);
+  *agg = DecodeAggPayload(src + key_bytes);
+}
+
+/// The error MergeViewAggregate returns when a merge overflows.
+Status AggregateOverflow(uint32_t view_id, const AggValue& agg,
+                         const AggValue& other);
+
+/// Adds `other` into `*agg`, an aggregate of view `view_id`. A sum that
+/// would leave int64 or a count that would leave uint32 is InvalidArgument
+/// naming the view, and leaves `*agg` unchanged.
+[[nodiscard]] inline Status MergeViewAggregate(uint32_t view_id,
+                                               const AggValue& other,
+                                               AggValue* agg) {
+  if (agg->Merge(other)) return Status::OK();
+  return AggregateOverflow(view_id, *agg, other);
 }
 
 /// Comparator for view records of one view in pack order: the LAST

@@ -173,17 +173,14 @@ Status ConventionalEngine::BuildOneIndex(ViewState* state,
   sort_options.memory_budget_bytes = options_.sort_budget_bytes;
   sort_options.temp_dir = options_.dir;
   sort_options.io_stats = options_.io_stats;
-  // Compare decoded components: the on-record encoding is little-endian,
-  // so memcmp would not give numeric order.
-  ExternalSorter sorter(
-      sort_options, [key_parts](const char* a, const char* b) {
-        for (size_t i = 0; i < key_parts; ++i) {
-          const uint32_t ka = DecodeFixed32(a + i * sizeof(uint32_t));
-          const uint32_t kb = DecodeFixed32(b + i * sizeof(uint32_t));
-          if (ka != kb) return ka < kb;
-        }
-        return false;
-      });
+  // The key parts in order, the first most significant.
+  std::vector<KeyField> sort_key;
+  sort_key.reserve(key_parts);
+  for (size_t i = 0; i < key_parts; ++i) {
+    sort_key.push_back(KeyField{static_cast<uint32_t>(i * sizeof(uint32_t)),
+                                sizeof(uint32_t)});
+  }
+  ExternalSorter sorter(sort_options, std::move(sort_key));
 
   HeapTable::Iterator it = state->table->Scan();
   std::vector<char> record(record_bytes);

@@ -196,12 +196,16 @@ Status CubetreeEngine::RepairFromReplicas() {
                                                    {1, kCoordMax});
     CT_ASSIGN_OR_RETURN(Cubetree * tree, snapshot.TreeForView(source->id));
     std::vector<Coord> key(view.attrs.size());
+    Status merged;
     CT_RETURN_NOT_OK(tree->QueryBox(
         source->id, intervals,
         [&](const Coord* coords, const AggValue& agg) {
           for (size_t i = 0; i < pos.size(); ++i) key[i] = coords[pos[i]];
-          groups[key].Merge(agg);
+          if (merged.ok()) {
+            merged = MergeViewAggregate(view.id, agg, &groups[key]);
+          }
         }));
+    CT_RETURN_NOT_OK(merged);
     const size_t record_size = ViewRecordBytes(arity);
     std::vector<char> buffer(groups.size() * record_size);
     size_t off = 0;
@@ -561,13 +565,17 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(
       // (the paper's "additional aggregate step").
       std::map<std::vector<Coord>, AggValue> groups;
       std::vector<Coord> key;
+      Status merged;
       CT_RETURN_NOT_OK(tree->QueryBox(
           best->id, intervals,
           [&](const Coord* coords, const AggValue& agg) {
             key.clear();
             for (size_t pos : group_positions) key.push_back(coords[pos]);
-            groups[key].Merge(agg);
+            if (merged.ok()) {
+              merged = MergeViewAggregate(best->id, agg, &groups[key]);
+            }
           }));
+      CT_RETURN_NOT_OK(merged);
       for (auto& [key2, agg] : groups) {
         result.rows.push_back(ResultRow{key2, agg});
       }

@@ -264,7 +264,7 @@ JsonValue WorkloadProfiler::ReportJson() const {
   out.Set("top_shapes", std::move(shapes));
 
   // Misses sorted by estimated pages saved (desc), then key, so the top
-  // recommendation is first — this ordering is the item-5 advisor's input.
+  // recommendation is first.
   std::vector<const MissAgg*> misses;
   misses.reserve(misses_.size());
   for (const auto& [key, agg] : misses_) misses.push_back(&agg);

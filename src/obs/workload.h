@@ -90,9 +90,8 @@ std::optional<ReplicaMiss> ScoreReplicaMiss(const QueryLogRecord& record);
 /// engine feeds the attached Default() profiler as it logs) and/or from
 /// query-log files — into per-view and per-outcome latency distributions,
 /// a top-K heavy-hitter sketch of query shapes, and the replica-miss
-/// score table the ROADMAP item-5 replica advisor consumes. Observe is
-/// thread-safe (one short mutex hold; only paid when a profiler is
-/// attached).
+/// score table. Observe is thread-safe (one short mutex hold; only paid
+/// when a profiler is attached).
 class WorkloadProfiler {
  public:
   struct Options {

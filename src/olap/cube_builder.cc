@@ -5,55 +5,14 @@
 
 namespace cubetree {
 
-AggregatingStream::AggregatingStream(RecordStream* input, uint8_t arity)
-    : input_(input), next_(DispatchArity(arity, [](auto a) {
-        return &AggregatingStream::NextFixed<decltype(a)::value>;
-      })) {}
-
-template <size_t A>
-Status AggregatingStream::NextFixed(const char** record) {
-  constexpr size_t kBytes = ViewRecordBytes(A);
-  if (done_ && !have_pending_) {
-    *record = nullptr;
-    return Status::OK();
+std::vector<KeyField> ViewRecordKey(uint8_t arity) {
+  std::vector<KeyField> key;
+  key.reserve(arity);
+  for (size_t i = arity; i > 0; --i) {
+    key.push_back(KeyField{static_cast<uint32_t>((i - 1) * sizeof(Coord)),
+                           sizeof(Coord)});
   }
-  // Load the first record of the next group.
-  if (!have_pending_) {
-    const char* first = nullptr;
-    CT_RETURN_NOT_OK(input_->Next(&first));
-    if (first == nullptr) {
-      done_ = true;
-      *record = nullptr;
-      return Status::OK();
-    }
-    std::memcpy(pending_, first, kBytes);
-    have_pending_ = true;
-  }
-  std::memcpy(current_, pending_, kBytes);
-  have_pending_ = false;
-  // Fold all subsequent records with the same group key into current_.
-  Coord key[kMaxDims] = {0};
-  AggValue agg;
-  DecodeViewRecord(current_, A, key, &agg);
-  while (true) {
-    const char* next = nullptr;
-    CT_RETURN_NOT_OK(input_->Next(&next));
-    if (next == nullptr) {
-      done_ = true;
-      break;
-    }
-    if (ViewRecordCompare(current_, next, A) != 0) {
-      std::memcpy(pending_, next, kBytes);
-      have_pending_ = true;
-      break;
-    }
-    AggValue more;
-    DecodeViewRecord(next, A, key, &more);
-    agg.Merge(more);
-  }
-  EncodeViewRecord(current_, key, A, agg);
-  *record = current_;
-  return Status::OK();
+  return key;
 }
 
 Result<std::unique_ptr<RecordStream>> ComputedViews::OpenViewStream(
@@ -180,7 +139,7 @@ namespace {
 /// its parent's spool. A view record is its coordinates then the aggregate
 /// payload, so projecting copies A coordinates and the payload verbatim.
 template <size_t A>
-class ProjectingStream : public RecordStream {
+class ProjectingStream {
  public:
   ProjectingStream(std::unique_ptr<RecordSpool::Reader> reader,
                    uint8_t parent_arity, const std::vector<size_t>& positions)
@@ -191,7 +150,7 @@ class ProjectingStream : public RecordStream {
     }
   }
 
-  Status Next(const char** record) override {
+  Status Next(const char** record) {
     const char* raw = nullptr;
     CT_RETURN_NOT_OK(reader_->Next(&raw));
     if (raw == nullptr) {
@@ -228,12 +187,9 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
   }
   const size_t record_bytes = ViewRecordBytes(arity);
 
-  // Assemble the child's (unaggregated) input stream.
-  std::unique_ptr<RecordStream> input;
-  bool already_sorted = false;
+  // Positions of this view's attributes inside the parent's projection.
+  std::vector<size_t> positions;
   if (parent != nullptr) {
-    // Positions of this view's attributes inside the parent's projection.
-    std::vector<size_t> positions;
     for (uint32_t attr : view.attrs) {
       size_t pos = parent->attrs.size();
       for (size_t i = 0; i < parent->attrs.size(); ++i) {
@@ -247,77 +203,65 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
       }
       positions.push_back(pos);
     }
-    already_sorted =
-        options_.pipelined_aggregation && IsSuffixProjection(view, *parent);
-    CT_ASSIGN_OR_RETURN(RecordSpool * parent_spool, out->spool(parent->id));
-    CT_ASSIGN_OR_RETURN(auto reader, parent_spool->NewReader());
-    input = DispatchArity(arity, [&](auto a) -> std::unique_ptr<RecordStream> {
-      return std::make_unique<ProjectingStream<decltype(a)::value>>(
-          std::move(reader), parent->arity(), positions);
-    });
   }
+  // Pipelined path: the parent's order is the child's pack order.
+  const bool already_sorted = parent != nullptr &&
+                              options_.pipelined_aggregation &&
+                              IsSuffixProjection(view, *parent);
 
+  const std::string path = options_.temp_dir + "/" + tag + "_view" +
+                           std::to_string(view.id) + ".spl";
+  std::unique_ptr<RecordSpool> spool;
   ExternalSorter::Options sort_options;
   sort_options.record_size = record_bytes;
   sort_options.memory_budget_bytes = options_.sort_budget_bytes;
   sort_options.temp_dir = options_.temp_dir;
   sort_options.io_stats = options_.io_stats;
-  // The run sort calls the comparator for every comparison, so it is
-  // compiled for this view's arity.
-  ExternalSorter sorter(
-      sort_options, DispatchArity(arity, [](auto a) -> RecordComparator {
-        return [](const char* x, const char* y) {
-          return ViewRecordCompare(x, y, decltype(a)::value) < 0;
-        };
-      }));
-
-  std::unique_ptr<RecordStream> ordered;
-  if (already_sorted) {
-    // Pipelined path: the parent's order is the child's pack order.
-    ordered = std::move(input);
-    ++pipelined_views_;
-  } else {
-    if (input != nullptr) {
+  ExternalSorter sorter(sort_options, ViewRecordKey(arity));
+  // The projection, the sort input and the combine loop are compiled for
+  // this view's arity; the combine loop appends straight to the spool.
+  CT_RETURN_NOT_OK(DispatchArity(arity, [&](auto a) -> Status {
+    constexpr uint8_t A = a;
+    if (parent != nullptr) {
+      CT_ASSIGN_OR_RETURN(RecordSpool * parent_spool, out->spool(parent->id));
+      CT_ASSIGN_OR_RETURN(auto reader, parent_spool->NewReader());
+      ProjectingStream<A> input(std::move(reader), parent->arity(),
+                                positions);
+      if (already_sorted) {
+        ++pipelined_views_;
+        CT_ASSIGN_OR_RETURN(spool, RecordSpool::Create(path, record_bytes,
+                                                       options_.io_stats));
+        return CombineEqualKeys<A>(&input, view.id, spool.get());
+      }
       const char* rec = nullptr;
       while (true) {
-        CT_RETURN_NOT_OK(input->Next(&rec));
+        CT_RETURN_NOT_OK(input.Next(&rec));
         if (rec == nullptr) break;
         CT_RETURN_NOT_OK(sorter.Add(rec));
       }
     } else {
       // No parent: project straight off the fact stream.
       CT_ASSIGN_OR_RETURN(auto fact_stream, facts->Open());
-      CT_RETURN_NOT_OK(DispatchArity(arity, [&](auto a) -> Status {
-        constexpr uint8_t A = a;
-        char record[ViewRecordBytes(A)];
-        Coord coords[kMaxDims] = {0};
-        const FactTuple* tuple = nullptr;
-        while (true) {
-          CT_RETURN_NOT_OK(fact_stream->Next(&tuple));
-          if (tuple == nullptr) return Status::OK();
-          for (size_t i = 0; i < A; ++i) {
-            coords[i] = tuple->attr_values[view.attrs[i]];
-          }
-          EncodeViewRecord(record, coords, A, AggValue{tuple->measure, 1});
-          CT_RETURN_NOT_OK(sorter.Add(record));
+      char record[ViewRecordBytes(A)];
+      Coord coords[kMaxDims] = {0};
+      const FactTuple* tuple = nullptr;
+      while (true) {
+        CT_RETURN_NOT_OK(fact_stream->Next(&tuple));
+        if (tuple == nullptr) break;
+        for (size_t i = 0; i < A; ++i) {
+          coords[i] = tuple->attr_values[view.attrs[i]];
         }
-      }));
+        EncodeViewRecord(record, coords, A, AggValue{tuple->measure, 1});
+        CT_RETURN_NOT_OK(sorter.Add(record));
+      }
     }
-    CT_ASSIGN_OR_RETURN(ordered, sorter.Finish());
+    CT_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> sorted,
+                        sorter.Finish());
     ++sorted_views_;
-  }
-
-  AggregatingStream aggregated(ordered.get(), arity);
-  const std::string path = options_.temp_dir + "/" + tag + "_view" +
-                           std::to_string(view.id) + ".spl";
-  CT_ASSIGN_OR_RETURN(auto spool, RecordSpool::Create(path, record_bytes,
-                                                      options_.io_stats));
-  const char* agg_record = nullptr;
-  while (true) {
-    CT_RETURN_NOT_OK(aggregated.Next(&agg_record));
-    if (agg_record == nullptr) break;
-    CT_RETURN_NOT_OK(spool->Append(agg_record));
-  }
+    CT_ASSIGN_OR_RETURN(spool, RecordSpool::Create(path, record_bytes,
+                                                   options_.io_stats));
+    return CombineEqualKeys<A>(sorted.get(), view.id, spool.get());
+  }));
   CT_RETURN_NOT_OK(spool->Seal());
   out->entries_[view.id] = ComputedViews::Entry{view, std::move(spool)};
   return Status::OK();

@@ -2,6 +2,7 @@
 #define CUBETREE_OLAP_CUBE_BUILDER_H_
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -144,27 +145,40 @@ class CubeBuilder {
   uint64_t sorted_views_ = 0;
 };
 
-/// Streaming wrapper that merges adjacent records with equal group keys
-/// (records must arrive sorted). Exposed for reuse by tests and engines.
-class AggregatingStream : public RecordStream {
- public:
-  /// `arity` must be at most kMaxDims.
-  AggregatingStream(RecordStream* input, uint8_t arity);
+/// The sort key of view records of `arity`: their coordinates as 4-byte
+/// fields, the last one most significant (pack order).
+std::vector<KeyField> ViewRecordKey(uint8_t arity);
 
-  Status Next(const char** record) override { return (this->*next_)(record); }
-
- private:
-  /// Next() for records of arity A; the constructor picks it once.
-  template <size_t A>
-  Status NextFixed(const char** record);
-
-  RecordStream* input_;
-  Status (AggregatingStream::*next_)(const char** record);
-  char current_[ViewRecordBytes(kMaxDims)];
-  char pending_[ViewRecordBytes(kMaxDims)];
-  bool have_pending_ = false;
-  bool done_ = false;
-};
+/// Appends the view records of arity A that `input` yields, which arrive in
+/// pack order, to `spool`, each run of equal keys combined into one record:
+/// the combine step of sort-based aggregation. The loop is compiled per
+/// arity and calls `input->Next` on the stream's own type, so a final
+/// stream class is called directly. A group whose sum would leave int64 or
+/// whose count would leave uint32 is InvalidArgument naming `view_id`.
+template <size_t A, typename Stream>
+Status CombineEqualKeys(Stream* input, uint32_t view_id, RecordSpool* spool) {
+  constexpr size_t kKeyBytes = A * sizeof(Coord);
+  constexpr size_t kBytes = ViewRecordBytes(A);
+  const char* record = nullptr;
+  CT_RETURN_NOT_OK(input->Next(&record));
+  if (record == nullptr) return Status::OK();
+  char group[kBytes];
+  std::memcpy(group, record, kBytes);
+  AggValue agg = DecodeAggPayload(group + kKeyBytes);
+  while (true) {
+    CT_RETURN_NOT_OK(input->Next(&record));
+    if (record != nullptr && std::memcmp(record, group, kKeyBytes) == 0) {
+      CT_RETURN_NOT_OK(MergeViewAggregate(
+          view_id, DecodeAggPayload(record + kKeyBytes), &agg));
+      continue;
+    }
+    EncodeAggPayload(group + kKeyBytes, agg);
+    CT_RETURN_NOT_OK(spool->Append(group));
+    if (record == nullptr) return Status::OK();
+    std::memcpy(group, record, kBytes);
+    agg = DecodeAggPayload(group + kKeyBytes);
+  }
+}
 
 }  // namespace cubetree
 

@@ -50,9 +50,21 @@ struct AggValue {
   int64_t sum = 0;
   uint32_t count = 0;
 
-  void Merge(const AggValue& other) {
-    sum += other.sum;
-    count += other.count;
+  /// Adds `other` into this aggregate and returns true, or returns false
+  /// and leaves it unchanged when the sum would leave int64 or the count
+  /// would leave uint32. Storage and query paths merge through
+  /// MergeViewAggregate (cubetree/view_def.h), which makes that a typed
+  /// error; reference tallies over small test measures use it directly.
+  bool Merge(const AggValue& other) {
+    int64_t merged_sum = 0;
+    uint32_t merged_count = 0;
+    if (__builtin_add_overflow(sum, other.sum, &merged_sum) ||
+        __builtin_add_overflow(count, other.count, &merged_count)) {
+      return false;
+    }
+    sum = merged_sum;
+    count = merged_count;
+    return true;
   }
 
   double Avg() const { return count == 0 ? 0.0 : static_cast<double>(sum) / count; }

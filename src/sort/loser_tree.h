@@ -2,7 +2,6 @@
 #define CUBETREE_SORT_LOSER_TREE_H_
 
 #include <cstddef>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -15,13 +14,27 @@ namespace cubetree {
 ///
 /// `less(a, b)` compares players a and b by their current records; the tree
 /// itself treats exhausted players via the caller's comparator, which must
-/// rank an exhausted player after every live player.
+/// rank an exhausted player after every live player. `Less` is a callable
+/// type, so each comparison is a direct, inlinable call.
+template <typename Less>
 class LoserTree {
  public:
-  /// `less` is captured by value and must remain valid for the tree's life.
-  LoserTree(size_t num_players, std::function<bool(size_t, size_t)> less)
+  LoserTree(size_t num_players, Less less)
       : k_(num_players), less_(std::move(less)), losers_(k_, kNone) {
-    winner_ = k_ > 0 ? Init(1) : kNone;
+    // Play the initial tournament bottom-up. Nodes are numbered
+    // heap-style: internal nodes 1..k-1, the leaf of player p at k+p.
+    std::vector<size_t> winners(k_, kNone);
+    const auto winner_of = [&](size_t node) {
+      return node >= k_ ? node - k_ : winners[node];
+    };
+    for (size_t node = k_; node-- > 1;) {
+      size_t w1 = winner_of(2 * node);
+      size_t w2 = winner_of(2 * node + 1);
+      if (Beats(w2, w1)) std::swap(w1, w2);
+      winners[node] = w1;
+      losers_[node] = w2;
+    }
+    winner_ = k_ > 0 ? winner_of(1) : kNone;
   }
 
   /// Index of the player holding the current minimum.
@@ -31,7 +44,7 @@ class LoserTree {
   void Replay() {
     size_t winner = winner_;
     for (size_t node = (k_ + winner_) / 2; node >= 1; node /= 2) {
-      if (Less(losers_[node], winner)) {
+      if (Beats(losers_[node], winner)) {
         std::swap(losers_[node], winner);
       }
       if (node == 1) break;
@@ -42,26 +55,14 @@ class LoserTree {
  private:
   static constexpr size_t kNone = static_cast<size_t>(-1);
 
-  bool Less(size_t a, size_t b) const {
+  bool Beats(size_t a, size_t b) const {
     if (a == kNone) return false;
     if (b == kNone) return true;
     return less_(a, b);
   }
 
-  /// Plays the full tournament for the subtree rooted at `node`, storing the
-  /// loser of each match; returns the subtree winner. Nodes are numbered
-  /// heap-style: internal nodes 1..k-1, leaf for player p at k+p.
-  size_t Init(size_t node) {
-    if (node >= k_) return node - k_;
-    size_t w1 = Init(2 * node);
-    size_t w2 = Init(2 * node + 1);
-    if (Less(w2, w1)) std::swap(w1, w2);
-    losers_[node] = w2;
-    return w1;
-  }
-
   size_t k_;
-  std::function<bool(size_t, size_t)> less_;
+  Less less_;
   std::vector<size_t> losers_;  // Index 0 unused.
   size_t winner_ = kNone;
 };

@@ -38,8 +38,9 @@ class RecordSpool {
   uint64_t FileSizeBytes() const { return file_->FileSizeBytes(); }
   const std::string& path() const { return file_->path(); }
 
-  /// Sequential reader over the sealed spool.
-  class Reader : public RecordStream {
+  /// Sequential reader over the sealed spool. Final, so a caller holding
+  /// it by its own type calls Next without a virtual dispatch.
+  class Reader final : public RecordStream {
    public:
     Status Next(const char** record) override;
 

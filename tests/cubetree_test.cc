@@ -357,6 +357,33 @@ TEST(MergePointSourceTest, EmptySides) {
   }
 }
 
+// Two equal points whose counts sum past 2^32: merge-pack must fail with a
+// typed error naming the view, not pack a wrapped count.
+TEST(MergePackTest, CountOverflowIsAnErrorNamingTheView) {
+  const std::string dir = MakeTestDir("mergepack_overflow");
+  BufferPool pool(16);
+  RTreeOptions options;
+  options.dims = 2;
+  const auto arity = [](uint32_t) { return uint8_t{2}; };
+  PointRecord point;
+  point.view_id = 4;
+  point.coords[0] = 3;
+  point.coords[1] = 5;
+  point.agg = AggValue{1, UINT32_MAX};
+  VectorPointSource base({point});
+  ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Build(dir + "/old.ctr", options,
+                                                     &pool, &base, arity));
+  point.agg = AggValue{1, 1};
+  VectorPointSource delta({point});
+  const auto merged =
+      MergePack(tree.get(), &delta, dir + "/new.ctr", options, &pool, arity);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_TRUE(merged.status().IsInvalidArgument())
+      << merged.status().ToString();
+  EXPECT_NE(merged.status().ToString().find("view 4"), std::string::npos)
+      << merged.status().ToString();
+}
+
 TEST_F(ForestTest, ApplyDeltaMergePacks) {
   std::vector<ViewDef> views = {MakeView(1, {0, 1}), MakeView(2, {0})};
   VectorViewProvider base;

@@ -376,8 +376,8 @@ TEST_F(CubeBuilderTest, PipelinedAggregationSkipsSortsAndMatches) {
   ASSERT_OK(slow_data->Destroy());
 }
 
-TEST_F(CubeBuilderTest, AggregatingStreamFoldsAdjacentGroups) {
-  // Direct unit test of the aggregation wrapper.
+TEST_F(CubeBuilderTest, CombineEqualKeysFoldsAdjacentGroups) {
+  // Direct unit test of the combine loop.
   std::vector<char> flat;
   auto push = [&](Coord x, int64_t sum, uint32_t count) {
     std::vector<char> rec(ViewRecordBytes(1));
@@ -392,21 +392,65 @@ TEST_F(CubeBuilderTest, AggregatingStreamFoldsAdjacentGroups) {
   push(3, 2, 1);
   push(3, 3, 1);
   MemoryRecordStream input(std::move(flat), ViewRecordBytes(1));
-  AggregatingStream agg_stream(&input, 1);
+  ASSERT_OK_AND_ASSIGN(
+      auto spool, RecordSpool::Create(dir_ + "/combine.spl",
+                                      ViewRecordBytes(1)));
+  ASSERT_OK(CombineEqualKeys<1>(&input, 1, spool.get()));
+  ASSERT_OK(spool->Seal());
+  ASSERT_OK_AND_ASSIGN(auto reader, spool->NewReader());
   std::vector<std::pair<Coord, AggValue>> out;
   const char* rec = nullptr;
   Coord coords[kMaxDims];
   AggValue agg;
   while (true) {
-    ASSERT_OK(agg_stream.Next(&rec));
+    ASSERT_OK(reader->Next(&rec));
     if (rec == nullptr) break;
     DecodeViewRecord(rec, 1, coords, &agg);
     out.push_back({coords[0], agg});
   }
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].second, (AggValue{30, 3}));
-  EXPECT_EQ(out[1].second, (AggValue{5, 1}));
-  EXPECT_EQ(out[2].second, (AggValue{6, 3}));
+  EXPECT_EQ(out[0], (std::pair<Coord, AggValue>{1, AggValue{30, 3}}));
+  EXPECT_EQ(out[1], (std::pair<Coord, AggValue>{2, AggValue{5, 1}}));
+  EXPECT_EQ(out[2], (std::pair<Coord, AggValue>{3, AggValue{6, 3}}));
+}
+
+// Two facts of one group whose measures sum past INT64_MAX: the load must
+// fail with a typed error naming the view, not store a wrapped sum. The
+// group is the top view's (combined off the sort of the fact stream) or
+// only its child's (combined off the child's sort, or pipelined straight
+// from the parent's spool).
+TEST_F(CubeBuilderTest, SumOverflowIsAnErrorNamingTheView) {
+  const std::vector<ViewDef> views = {MakeView(7, {0, 1}), MakeView(5, {1})};
+  struct Case {
+    Coord second_partkey;
+    bool pipelined;
+    const char* view;
+  };
+  for (const Case& c : {Case{3, true, "view 7"}, Case{4, true, "view 5"},
+                        Case{4, false, "view 5"}}) {
+    facts_.clear();
+    FactTuple t;
+    t.attr_values[0] = 3;
+    t.attr_values[1] = 2;
+    t.measure = INT64_MAX;
+    facts_.push_back(t);
+    t.attr_values[0] = c.second_partkey;
+    t.measure = 1;
+    facts_.push_back(t);
+    CubeBuilder::Options options;
+    options.temp_dir = dir_;
+    options.pipelined_aggregation = c.pipelined;
+    CubeBuilder builder(schema_, options);
+    Provider provider(&facts_);
+    const auto computed = builder.ComputeAll(views, &provider, "overflow");
+    ASSERT_FALSE(computed.ok()) << c.view;
+    EXPECT_TRUE(computed.status().IsInvalidArgument())
+        << computed.status().ToString();
+    EXPECT_NE(computed.status().ToString().find(c.view), std::string::npos)
+        << computed.status().ToString();
+    EXPECT_EQ(builder.pipelined_views(),
+              c.pipelined && c.second_partkey != 3 ? 1u : 0u);
+  }
 }
 
 // --- Query model ---------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "cubetree/merge_pack.h"
 #include "cubetree/select_mapping.h"
+#include "olap/cube_builder.h"
 #include "rtree/packed_rtree.h"
 #include "sort/external_sorter.h"
 #include "storage/buffer_pool.h"
@@ -125,9 +126,7 @@ TEST_P(SorterProperty, SortsRandomInput) {
   options.record_size = record_size;
   options.memory_budget_bytes = budget;
   options.temp_dir = dir;
-  ExternalSorter sorter(options, [](const char* a, const char* b) {
-    return DecodeFixed32(a) < DecodeFixed32(b);
-  });
+  ExternalSorter sorter(options, {KeyField{0, 4}});
   Rng rng(record_size * 31 + budget);
   std::vector<uint32_t> keys;
   std::vector<char> record(record_size, 0);
@@ -168,9 +167,7 @@ TEST_P(SorterProperty, EqualKeysKeepTheirPayloads) {
   options.record_size = record_size;
   options.memory_budget_bytes = budget;
   options.temp_dir = dir;
-  ExternalSorter sorter(options, [](const char* a, const char* b) {
-    return DecodeFixed32(a) < DecodeFixed32(b);
-  });
+  ExternalSorter sorter(options, {KeyField{0, 4}});
   Rng rng(record_size * 17 + budget);
   std::vector<std::string> records;
   for (uint32_t i = 0; i < 3000; ++i) {
@@ -200,19 +197,154 @@ TEST_P(SorterProperty, EqualKeysKeepTheirPayloads) {
   EXPECT_EQ(sorted, records);
 }
 
+/// A sort key layout with the values its fields take.
+struct KeyLayout {
+  std::string name;
+  std::vector<KeyField> key;
+  /// Each field's values are drawn from [0, domain); 0 = full range.
+  std::vector<uint64_t> domains;
+};
+
+/// Every layout the sorter serves that fits a record of `record_size`.
+std::vector<KeyLayout> KeyLayoutsFitting(size_t record_size) {
+  std::vector<KeyLayout> layouts;
+  // View pack orders: 4-byte coordinates, the last most significant, with
+  // full-range values so that no key byte is constant.
+  for (uint8_t arity = 0; arity <= kMaxDims; ++arity) {
+    if (arity * sizeof(Coord) > record_size) break;
+    layouts.push_back({"view arity " + std::to_string(arity),
+                       ViewRecordKey(arity),
+                       std::vector<uint64_t>(arity, 0)});
+  }
+  // The conventional index key: 4-byte key parts, the first most
+  // significant, over small domains so lower parts break ties.
+  if (record_size >= 12) {
+    layouts.push_back({"index key", {{0, 4}, {4, 4}, {8, 4}}, {5, 7, 1000}});
+  }
+  // One 8-byte field at the record's end, full range.
+  if (record_size >= 8) {
+    layouts.push_back(
+        {"8-byte field", {{static_cast<uint32_t>(record_size - 8), 8}}, {0}});
+  }
+  // Long runs of equal keys.
+  layouts.push_back({"equal keys", {{0, 4}}, {3}});
+  // A leading byte with exactly two values, then a full-range field.
+  if (record_size >= 8) {
+    layouts.push_back({"two-valued byte", {{0, 4}, {4, 4}}, {2, 0}});
+  }
+  // Odd widths: a 3-byte field, then a 1-byte one.
+  if (record_size >= 4) {
+    layouts.push_back({"3+1-byte fields", {{1, 3}, {0, 1}}, {0, 0}});
+  }
+  return layouts;
+}
+
+uint64_t FieldOf(const char* record, const KeyField& f) {
+  uint64_t v = 0;
+  for (uint32_t i = f.width; i > 0; --i) {
+    v = v << 8 | static_cast<unsigned char>(record[f.offset + i - 1]);
+  }
+  return v;
+}
+
+std::vector<uint64_t> KeyOf(const std::string& record,
+                            const std::vector<KeyField>& key) {
+  std::vector<uint64_t> out;
+  for (const KeyField& f : key) out.push_back(FieldOf(record.data(), f));
+  return out;
+}
+
+// Every key layout that fits the record, checked against std::stable_sort
+// by key: the keys must come out in the same order, and within each key
+// the same multiset of records (equal keys may come out in any order).
+TEST_P(SorterProperty, KeyLayoutsMatchStableSort) {
+  const auto [record_size, budget] = GetParam();
+  const size_t n = record_size >= 1000 ? 300 : 3000;
+  for (const KeyLayout& layout : KeyLayoutsFitting(record_size)) {
+    SCOPED_TRACE(layout.name);
+    const std::string dir = MakeTestDir(
+        "sortlayout_" + std::to_string(record_size) + "_" +
+        std::to_string(budget));
+    ExternalSorter::Options options;
+    options.record_size = record_size;
+    options.memory_budget_bytes = budget;
+    options.temp_dir = dir;
+    ExternalSorter sorter(options, layout.key);
+    Rng rng(record_size * 7 + budget + layout.key.size());
+    std::vector<std::string> records;
+    for (size_t i = 0; i < n; ++i) {
+      std::string record(record_size, '\0');
+      for (char& c : record) c = static_cast<char>(rng.Uniform(256));
+      for (size_t f = 0; f < layout.key.size(); ++f) {
+        const KeyField& field = layout.key[f];
+        uint64_t v = rng.Next();
+        if (layout.domains[f] != 0) v %= layout.domains[f];
+        for (uint32_t b = 0; b < field.width; ++b) {
+          record[field.offset + b] = static_cast<char>(v >> (8 * b));
+        }
+      }
+      ASSERT_OK(sorter.Add(record.data()));
+      records.push_back(std::move(record));
+    }
+    const bool spills =
+        n * record_size > std::max<size_t>(budget, 64 * record_size);
+    EXPECT_EQ(sorter.num_runs() > 0, spills);
+    ASSERT_OK_AND_ASSIGN(auto stream, sorter.Finish());
+    std::vector<std::string> sorted;
+    const char* out = nullptr;
+    while (true) {
+      ASSERT_OK(stream->Next(&out));
+      if (out == nullptr) break;
+      sorted.emplace_back(out, record_size);
+    }
+    std::vector<std::pair<std::vector<uint64_t>, std::string>> expected;
+    for (std::string& record : records) {
+      expected.emplace_back(KeyOf(record, layout.key), std::move(record));
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    ASSERT_EQ(sorted.size(), expected.size());
+    size_t begin = 0;
+    while (begin < expected.size()) {
+      const std::vector<uint64_t>& key = expected[begin].first;
+      std::vector<std::string> want;
+      std::vector<std::string> got;
+      for (size_t i = begin;
+           i < expected.size() && expected[i].first == key; ++i) {
+        ASSERT_EQ(KeyOf(sorted[i], layout.key), key) << "record " << i;
+        want.push_back(expected[i].second);
+        got.push_back(sorted[i]);
+      }
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << "records from " << begin;
+      begin += want.size();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SorterProperty,
     ::testing::Combine(::testing::Values(4, 8, 24, 100),
                        ::testing::Values(128, 4096, 1 << 20)));
 
-// Every width the in-place by-value run sort handles (view records of
-// arity 0..8: 12 + 4 x arity bytes), then 48, the first width past them,
-// which sorts through an index.
+// The widths of view records of arity 0..8 (12 + 4 x arity bytes), then
+// 48.
 INSTANTIATE_TEST_SUITE_P(
     RecordWidths, SorterProperty,
     ::testing::Combine(::testing::Values(12, 16, 20, 24, 28, 32, 36, 40, 44,
                                          48),
                        ::testing::Values(128, 1 << 20)));
+
+// Record widths from 4 bytes to a page, with a budget that spills and one
+// that holds every record.
+INSTANTIATE_TEST_SUITE_P(
+    PageWidths, SorterProperty,
+    ::testing::Combine(::testing::Values(4, 100, 1000,
+                                         static_cast<int>(kPageSize)),
+                       ::testing::Values(128, 1 << 22)));
 
 // --- B+-tree: key_parts sweep against std::map ---------------------------
 

@@ -91,11 +91,8 @@ ExternalSorter::Options SmallSorterOptions(const std::string& dir,
   return options;
 }
 
-RecordComparator U32Less() {
-  return [](const char* a, const char* b) {
-    return DecodeFixed32(a) < DecodeFixed32(b);
-  };
-}
+/// Sorts by the record's leading 4-byte field.
+std::vector<KeyField> U32Key() { return {KeyField{0, 4}}; }
 
 std::vector<uint32_t> DrainU32(RecordStream* stream) {
   std::vector<uint32_t> out;
@@ -111,7 +108,7 @@ std::vector<uint32_t> DrainU32(RecordStream* stream) {
 
 TEST(ExternalSorterTest, InMemorySort) {
   const std::string dir = MakeTestDir("sort_mem");
-  ExternalSorter sorter(SmallSorterOptions(dir, 4, 1 << 20), U32Less());
+  ExternalSorter sorter(SmallSorterOptions(dir, 4, 1 << 20), U32Key());
   Rng rng(5);
   std::vector<uint32_t> values;
   char buf[4];
@@ -130,7 +127,7 @@ TEST(ExternalSorterTest, InMemorySort) {
 TEST(ExternalSorterTest, SpillsAndMergesRuns) {
   const std::string dir = MakeTestDir("sort_spill");
   // Tiny budget: 100 records per run.
-  ExternalSorter sorter(SmallSorterOptions(dir, 4, 400), U32Less());
+  ExternalSorter sorter(SmallSorterOptions(dir, 4, 400), U32Key());
   Rng rng(6);
   std::vector<uint32_t> values;
   char buf[4];
@@ -154,7 +151,7 @@ TEST(ExternalSorterTest, SpillsAndMergesRuns) {
 TEST(ExternalSorterTest, DestructorRemovesSpilledRunFiles) {
   const std::string dir = MakeTestDir("sort_dtor_cleanup");
   {
-    ExternalSorter sorter(SmallSorterOptions(dir, 4, 400), U32Less());
+    ExternalSorter sorter(SmallSorterOptions(dir, 4, 400), U32Key());
     Rng rng(11);
     char buf[4];
     for (int i = 0; i < 2000; ++i) {
@@ -174,7 +171,7 @@ TEST(ExternalSorterTest, DestructorRemovesSpilledRunFiles) {
 TEST(ExternalSorterTest, SpillFailureLeavesNoPartialRunFile) {
   const std::string dir = MakeTestDir("sort_spill_enospc");
   {
-    ExternalSorter sorter(SmallSorterOptions(dir, 4, 400), U32Less());
+    ExternalSorter sorter(SmallSorterOptions(dir, 4, 400), U32Key());
     // Fail the page append inside the first spill. The run is registered
     // for cleanup only after a complete write, so the partial file used to
     // be invisible even to the destructor's leak sweep; the error path
@@ -201,7 +198,7 @@ TEST(ExternalSorterTest, MergeFailureKeepsInputRunsAndNoPartialOutput) {
   {
     ExternalSorter::Options options = SmallSorterOptions(dir, 4, 400);
     options.max_merge_fanin = 2;  // Merges kick in while adding.
-    ExternalSorter sorter(options, U32Less());
+    ExternalSorter sorter(options, U32Key());
     // Each 100-record run spills as one page, and the fourth spill
     // triggers ReduceRuns, whose merged output is the fifth page append:
     // let the spills succeed and fail the merge output's first page. The
@@ -228,7 +225,7 @@ TEST(ExternalSorterTest, MergeFailureKeepsInputRunsAndNoPartialOutput) {
 
 TEST(ExternalSorterTest, DuplicateKeysSurvive) {
   const std::string dir = MakeTestDir("sort_dup");
-  ExternalSorter sorter(SmallSorterOptions(dir, 4, 64), U32Less());
+  ExternalSorter sorter(SmallSorterOptions(dir, 4, 64), U32Key());
   char buf[4];
   for (int i = 0; i < 300; ++i) {
     EncodeFixed32(buf, static_cast<uint32_t>(i % 3));
@@ -243,7 +240,7 @@ TEST(ExternalSorterTest, DuplicateKeysSurvive) {
 
 TEST(ExternalSorterTest, EmptyInput) {
   const std::string dir = MakeTestDir("sort_empty");
-  ExternalSorter sorter(SmallSorterOptions(dir, 8, 1024), U32Less());
+  ExternalSorter sorter(SmallSorterOptions(dir, 8, 1024), U32Key());
   ASSERT_OK_AND_ASSIGN(auto stream, sorter.Finish());
   const char* rec = nullptr;
   ASSERT_OK(stream->Next(&rec));
@@ -254,7 +251,7 @@ TEST(ExternalSorterTest, WideRecordsSortedByPrefixKey) {
   const std::string dir = MakeTestDir("sort_wide");
   const size_t record_size = 64;
   ExternalSorter sorter(SmallSorterOptions(dir, record_size, 1024),
-                        U32Less());
+                        U32Key());
   std::vector<char> rec(record_size, 0);
   for (int i = 99; i >= 0; --i) {
     EncodeFixed32(rec.data(), static_cast<uint32_t>(i));
@@ -275,7 +272,7 @@ TEST(ExternalSorterTest, WideRecordsSortedByPrefixKey) {
 
 TEST(ExternalSorterTest, AddAfterFinishFails) {
   const std::string dir = MakeTestDir("sort_after");
-  ExternalSorter sorter(SmallSorterOptions(dir, 4, 1024), U32Less());
+  ExternalSorter sorter(SmallSorterOptions(dir, 4, 1024), U32Key());
   char buf[4] = {0};
   ASSERT_OK(sorter.Add(buf));
   ASSERT_OK(sorter.Finish().status());
@@ -291,7 +288,7 @@ TEST(ExternalSorterTest, RejectsRecordLargerThanPage) {
   // Tiny budget so a working sorter would be forced to spill — the exact
   // configuration that used to hang.
   ExternalSorter sorter(SmallSorterOptions(dir, kPageSize + 1, 64),
-                        U32Less());
+                        U32Key());
   std::vector<char> record(kPageSize + 1, 0);
   const Status add = sorter.Add(record.data());
   EXPECT_TRUE(add.IsInvalidArgument()) << add.ToString();
@@ -301,17 +298,36 @@ TEST(ExternalSorterTest, RejectsRecordLargerThanPage) {
 
 TEST(ExternalSorterTest, RejectsZeroRecordSize) {
   const std::string dir = MakeTestDir("sort_zerosize");
-  ExternalSorter sorter(SmallSorterOptions(dir, 0, 1024), U32Less());
+  ExternalSorter sorter(SmallSorterOptions(dir, 0, 1024), U32Key());
   char buf[4] = {0};
   EXPECT_TRUE(sorter.Add(buf).IsInvalidArgument());
   EXPECT_TRUE(sorter.Finish().status().IsInvalidArgument());
+}
+
+// A key that does not fit the record, or has more fields than the run
+// sort's depth bound allows, is InvalidArgument from the first Add/Finish.
+TEST(ExternalSorterTest, RejectsKeysThatDoNotFitTheRecord) {
+  const std::string dir = MakeTestDir("sort_badkey");
+  const std::vector<std::vector<KeyField>> bad_keys = {
+      {KeyField{0, 8}},                  // Wider than the record.
+      {KeyField{2, 4}},                  // Ends past the record.
+      {KeyField{0, 0}},                  // Empty field.
+      {KeyField{0, 9}},                  // Wider than 64 bits.
+      std::vector<KeyField>(kMaxKeyFields + 1, KeyField{0, 1}),
+  };
+  for (const std::vector<KeyField>& key : bad_keys) {
+    ExternalSorter sorter(SmallSorterOptions(dir, 4, 1024), key);
+    char buf[4] = {0};
+    EXPECT_TRUE(sorter.Add(buf).IsInvalidArgument());
+    EXPECT_TRUE(sorter.Finish().status().IsInvalidArgument());
+  }
 }
 
 TEST(ExternalSorterTest, PageSizedRecordStillSorts) {
   // The guard's boundary: exactly one record per page must keep working.
   const std::string dir = MakeTestDir("sort_pagesize");
   ExternalSorter sorter(SmallSorterOptions(dir, kPageSize, 2 * kPageSize),
-                        U32Less());
+                        U32Key());
   std::vector<char> record(kPageSize, 0);
   std::vector<uint32_t> values = {7, 3, 9, 1, 5};
   for (uint32_t v : values) {
@@ -335,7 +351,7 @@ TEST(ExternalSorterTest, RunFileIoIsSequential) {
   auto stats = std::make_shared<IoStats>();
   ExternalSorter::Options options = SmallSorterOptions(dir, 4, 400);
   options.io_stats = stats;
-  ExternalSorter sorter(options, U32Less());
+  ExternalSorter sorter(options, U32Key());
   char buf[4];
   Rng rng(8);
   for (int i = 0; i < 2000; ++i) {
@@ -355,7 +371,7 @@ TEST(ExternalSorterTest, MultiPassMergeWithTinyFanin) {
   const std::string dir = MakeTestDir("sort_multipass");
   ExternalSorter::Options options = SmallSorterOptions(dir, 4, 4 * 64);
   options.max_merge_fanin = 3;  // Forces several intermediate passes.
-  ExternalSorter sorter(options, U32Less());
+  ExternalSorter sorter(options, U32Key());
   Rng rng(41);
   std::vector<uint32_t> values;
   char buf[4];
@@ -376,7 +392,7 @@ TEST(ExternalSorterTest, MultiPassKeepsDuplicatesAndPayloads) {
   const std::string dir = MakeTestDir("sort_multipass_dup");
   ExternalSorter::Options options = SmallSorterOptions(dir, 8, 8 * 64);
   options.max_merge_fanin = 2;
-  ExternalSorter sorter(options, U32Less());
+  ExternalSorter sorter(options, U32Key());
   char buf[8];
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
@@ -428,7 +444,7 @@ TEST(ExternalSorterTest, SpillAndMergeSpansNestUnderCallersTrace) {
     obs::TraceScope root("sort");
     ExternalSorter::Options options = SmallSorterOptions(dir, 4, 400);
     options.max_merge_fanin = 2;
-    ExternalSorter sorter(options, U32Less());
+    ExternalSorter sorter(options, U32Key());
     Rng rng(17);
     char buf[4];
     for (int i = 0; i < 5000; ++i) {
