@@ -210,6 +210,57 @@ BENCHMARK(BM_MergePack)
     ->ArgNames({"points", "arity"})
     ->ArgsProduct({{100000}, {1, 3}});
 
+// The refresh's shape: one arity-3 run of about a million points (the
+// SF 0.1 top view holds 599,592) merged with a ~6% increment spread over
+// the whole key range, half on stored keys and half new, into compressed
+// leaves. Each iteration is one merge-pack of the old tree's leaves with
+// the increment.
+void BM_MergePackRefreshShape(benchmark::State& state) {
+  MakeBenchDir(kDir);
+  constexpr uint32_t kPoints = 1u << 20;
+  const auto base = MakeSortedPoints(kPoints, 3);
+  const auto pack_less = [](const PointRecord& a, const PointRecord& b) {
+    return PackOrderCompare(a.coords, b.coords, 3) < 0;
+  };
+  Rng rng(23);
+  std::vector<PointRecord> drawn;
+  for (uint32_t i = 0; i < kPoints / 16; ++i) {
+    PointRecord rec = base[rng.Uniform(kPoints)];
+    // Odd draws move coordinate 0 past the base's domain: a new key.
+    if (i % 2 == 1) rec.coords[0] += 1u << 20;
+    rec.agg = AggValue{1, 1};
+    drawn.push_back(rec);
+  }
+  std::sort(drawn.begin(), drawn.end(), pack_less);
+  std::vector<PointRecord> delta;
+  for (const PointRecord& rec : drawn) {
+    if (!delta.empty() && !pack_less(delta.back(), rec)) {
+      delta.back().agg.Merge(rec.agg);
+    } else {
+      delta.push_back(rec);
+    }
+  }
+  BufferPool pool(256);
+  RTreeOptions options;
+  options.dims = 3;
+  const auto arity_fn = [](uint32_t) { return uint8_t{3}; };
+  VectorPointSource base_source(base);
+  auto old_tree = std::move(
+      PackedRTree::Build(std::string(kDir) + "/mp_refresh_base.ctr", options,
+                         &pool, &base_source, arity_fn)
+          .value());
+  for (auto _ : state) {
+    VectorPointSource delta_source(delta);
+    auto merged = MergePack(old_tree.get(), &delta_source,
+                            std::string(kDir) + "/mp_refresh_out.ctr",
+                            options, &pool, arity_fn);
+    if (!merged.ok()) state.SkipWithError("merge failed");
+    benchmark::DoNotOptimize(merged);
+  }
+  state.SetItemsProcessed(state.iterations() * (kPoints + delta.size()));
+}
+BENCHMARK(BM_MergePackRefreshShape)->Unit(benchmark::kMillisecond);
+
 /// Re-opens one fact vector, generated once, for every pass of the builder.
 class VectorFactProvider : public FactProvider {
  public:

@@ -12,13 +12,6 @@ Result<const ViewDef*> Cubetree::FindView(uint32_t view_id) const {
                           " not stored in this Cubetree");
 }
 
-uint8_t Cubetree::ViewArity(uint32_t view_id) const {
-  for (const ViewDef& v : views_) {
-    if (v.id == view_id) return v.arity();
-  }
-  return 0;
-}
-
 Result<Rect> Cubetree::SliceRect(
     uint32_t view_id,
     const std::vector<std::optional<Coord>>& bindings) const {

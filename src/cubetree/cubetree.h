@@ -79,10 +79,6 @@ class Cubetree {
 
   Result<const ViewDef*> FindView(uint32_t view_id) const;
 
-  /// Arity of view `view_id`, or 0 if unknown (used as the packer's
-  /// view_arity callback).
-  uint8_t ViewArity(uint32_t view_id) const;
-
   /// Builds the query box of a slice over `view`: bindings[i] pins
   /// view.attrs[i] to an exact key, nullopt leaves it open. Coordinates
   /// beyond the view's arity are pinned to 0 and open coordinates to
@@ -118,20 +114,6 @@ class Cubetree {
   std::vector<ViewDef> views_;
   std::shared_ptr<PackedRTree> tree_;
   std::vector<std::shared_ptr<PackedRTree>> deltas_;
-};
-
-/// Adapts a pack-order leaf scan of an existing tree into a PointSource
-/// (the "old Cubetree" input of the merge-pack of Figure 15).
-class ScannerPointSource : public PointSource {
- public:
-  explicit ScannerPointSource(PackedRTree* tree) : scanner_(tree->ScanAll()) {}
-
-  Status Next(const PointRecord** record) override {
-    return scanner_.Next(record);
-  }
-
- private:
-  PackedRTree::Scanner scanner_;
 };
 
 }  // namespace cubetree

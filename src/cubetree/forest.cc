@@ -24,6 +24,7 @@
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rtree/node.h"
 #include "storage/checksum.h"
 #include "storage/disk_space.h"
 #include "storage/page_manager.h"
@@ -31,105 +32,6 @@
 namespace cubetree {
 
 namespace {
-
-/// Concatenates the record streams of several views (ascending arity) into
-/// one pack-ordered PointSource. Ascending-arity concatenation IS pack
-/// order across views: a view of arity a has zeros in every coordinate
-/// >= a, so all its points precede every point of any higher-arity view.
-/// Every view's arity must be at most kMaxDims.
-class MultiViewPointSource : public PointSource {
- public:
-  struct ViewStream {
-    ViewDef view;
-    std::unique_ptr<RecordStream> stream;
-  };
-
-  explicit MultiViewPointSource(std::vector<ViewStream> streams)
-      : streams_(std::move(streams)) {
-    StartView();
-  }
-
-  Status Next(const PointRecord** record) override {
-    while (index_ < streams_.size()) {
-      const char* raw = nullptr;
-      CT_RETURN_NOT_OK(streams_[index_].stream->Next(&raw));
-      if (raw != nullptr) {
-        decode_(raw, &record_);
-        *record = &record_;
-        return Status::OK();
-      }
-      ++index_;
-      StartView();
-    }
-    *record = nullptr;
-    return Status::OK();
-  }
-
- private:
-  using Decoder = void (*)(const char* raw, PointRecord* out);
-
-  /// Readies record_ for the view at index_: its id, zero coordinates and
-  /// the decoder for its arity, which writes only the leading coordinates.
-  void StartView() {
-    if (index_ == streams_.size()) return;
-    const ViewDef& view = streams_[index_].view;
-    record_ = PointRecord{};
-    record_.view_id = view.id;
-    decode_ = DispatchArity(view.arity(), [](auto arity) -> Decoder {
-      return [](const char* raw, PointRecord* out) {
-        DecodeViewRecord(raw, decltype(arity)::value, out->coords, &out->agg);
-      };
-    });
-  }
-
-  std::vector<ViewStream> streams_;
-  size_t index_ = 0;
-  PointRecord record_;
-  Decoder decode_ = nullptr;
-};
-
-/// Wraps a PointSource with cooperative cancellation: when a sibling
-/// refresh worker fails, the shared CancelFlag flips and every other
-/// worker's merge-pack aborts at its next poll instead of finishing a tree
-/// that is about to be thrown away. Polling every 1024 records keeps the
-/// per-record cost to a predictable branch.
-class CancellablePointSource : public PointSource {
- public:
-  CancellablePointSource(PointSource* inner, const CancelFlag* cancel)
-      : inner_(inner), cancel_(cancel) {}
-
-  Status Next(const PointRecord** record) override {
-    if ((++polls_ & 1023u) == 0 && cancel_->cancelled()) {
-      return Status::Cancelled(
-          "forest: refresh cancelled by sibling worker failure");
-    }
-    return inner_->Next(record);
-  }
-
- private:
-  PointSource* inner_;
-  const CancelFlag* cancel_;
-  uint64_t polls_ = 0;
-};
-
-/// Owns a chain of pairwise merges over N pack-ordered sources.
-class ChainedMergeSource {
- public:
-  ChainedMergeSource(std::vector<PointSource*> inputs, uint8_t dims) {
-    head_ = inputs.empty() ? nullptr : inputs[0];
-    for (size_t i = 1; i < inputs.size(); ++i) {
-      merges_.push_back(
-          std::make_unique<MergePointSource>(head_, inputs[i], dims));
-      head_ = merges_.back().get();
-    }
-  }
-
-  PointSource* head() { return head_; }
-
- private:
-  std::vector<std::unique_ptr<MergePointSource>> merges_;
-  PointSource* head_ = nullptr;
-};
 
 /// Sets aside `path` and its checksum sidecar under a ".quarantine"
 /// suffix, recording the aside names for the post-rebuild cleanup. The
@@ -282,12 +184,12 @@ Result<std::map<uint32_t, uint64_t>> ForestSnapshot::CountPointsPerView()
   for (const auto& slot : state_->trees) {
     if (slot.tree == nullptr) continue;
     for (PackedRTree* rtree : slot.tree->main_and_deltas()) {
-      ScannerPointSource source(rtree);
-      const PointRecord* record = nullptr;
+      PackedRTree::Scanner scanner = rtree->ScanAll();
+      const char* leaf = nullptr;
       while (true) {
-        CT_RETURN_NOT_OK(source.Next(&record));
-        if (record == nullptr) break;
-        ++counts[record->view_id];
+        CT_RETURN_NOT_OK(scanner.NextLeaf(&leaf));
+        if (leaf == nullptr) break;
+        counts[RNodeViewId(leaf)] += RNodeCount(leaf);
       }
     }
   }
@@ -603,7 +505,9 @@ Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Recover(
     Status verdict;
     for (const std::string& path : forest->TreeFiles(t, state->trees[t])) {
       RTreeChecker checker(path, CheckOptions{/*deep=*/true},
-                           forest->ArityFn());
+                           [arity = forest->ArityFn()](uint32_t view) {
+                             return arity(view).value_or(0);
+                           });
       CheckReport check_report;
       verdict = checker.Run(&check_report);
       if (verdict.ok() && !check_report.clean()) {
@@ -636,36 +540,37 @@ std::vector<ViewDef> CubetreeForest::TreeViews(size_t t) const {
   return views;
 }
 
-Result<std::unique_ptr<PointSource>> CubetreeForest::OpenTreeSource(
+Result<std::unique_ptr<ViewStreamSource>> CubetreeForest::OpenTreeSource(
     size_t t, ViewDataProvider* provider) const {
-  // Ascending arity is pack order across the tree's views (see
-  // MultiViewPointSource).
+  // Ascending arity is pack order across the tree's views: a view of arity
+  // a has zeros in every coordinate >= a, so all its points precede every
+  // point of any higher-arity view.
   std::vector<ViewDef> views = TreeViews(t);
   std::sort(views.begin(), views.end(),
             [](const ViewDef& a, const ViewDef& b) {
               return a.arity() < b.arity();
             });
-  std::vector<MultiViewPointSource::ViewStream> streams;
-  for (ViewDef& view : views) {
+  std::vector<ViewStreamSource::ViewStream> streams;
+  for (const ViewDef& view : views) {
     if (view.arity() > kMaxDims) {
       return Status::InvalidArgument(
           "forest: view " + std::to_string(view.id) + " has arity " +
           std::to_string(view.arity()) + " above " + std::to_string(kMaxDims));
     }
     CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(view));
-    streams.push_back({std::move(view), std::move(stream)});
+    streams.push_back({view.id, view.arity(), std::move(stream)});
   }
-  return std::unique_ptr<PointSource>(
-      new MultiViewPointSource(std::move(streams)));
+  return std::make_unique<ViewStreamSource>(std::move(streams));
 }
 
-std::function<uint8_t(uint32_t)> CubetreeForest::ArityFn() const {
+ViewArityFn CubetreeForest::ArityFn() const {
   // Capture a by-value arity map so the callback stays valid.
   std::map<uint32_t, uint8_t> arities;
   for (const auto& [id, view] : views_by_id_) arities[id] = view.arity();
-  return [arities](uint32_t view_id) {
+  return [arities](uint32_t view_id) -> std::optional<uint8_t> {
     auto it = arities.find(view_id);
-    return it == arities.end() ? static_cast<uint8_t>(0) : it->second;
+    if (it == arities.end()) return std::nullopt;
+    return it->second;
   };
 }
 
@@ -717,7 +622,7 @@ Status CubetreeForest::Build(const std::vector<ViewDef>& views,
     tree_options.dims = plan_.trees[t].dims;
     CT_ASSIGN_OR_RETURN(
         auto rtree,
-        PackedRTree::Build(TreePath(t, 0), tree_options, pool_, source.get(),
+        PackedRTree::Build(TreePath(t, 0), tree_options, pool_, {source.get()},
                            ArityFn(), io_stats_));
     state->trees.push_back(
         {std::make_shared<Cubetree>(TreeViews(t), std::move(rtree)), 0, {}});
@@ -781,7 +686,7 @@ Status CubetreeForest::RefreshTxn(RefreshKind kind,
     size_t tree = 0;
     /// kMerge folds this tree's main file and pending deltas in.
     std::shared_ptr<Cubetree> folded;
-    std::unique_ptr<PointSource> stream;
+    std::unique_ptr<ViewStreamSource> stream;
     std::string path;
     uint32_t generation = 0;
     std::unique_ptr<PackedRTree> output;
@@ -839,23 +744,24 @@ Status CubetreeForest::RefreshTxn(RefreshKind kind,
           Task& task = tasks[i];
           obs::Span pack_span(span_name);
           pack_span.Annotate("tree", static_cast<uint64_t>(task.tree));
-          std::vector<std::unique_ptr<ScannerPointSource>> scans;
-          std::vector<PointSource*> inputs;
+          // Inputs in the order equal keys combine: the main tree, the
+          // pending deltas oldest first, then the increment.
+          std::vector<std::unique_ptr<PackedRTree::LeafRunSource>> leaves;
+          std::vector<ViewRunSource*> inputs;
           if (task.folded != nullptr) {
             for (PackedRTree* rtree : task.folded->main_and_deltas()) {
-              scans.push_back(std::make_unique<ScannerPointSource>(rtree));
-              inputs.push_back(scans.back().get());
+              leaves.push_back(
+                  std::make_unique<PackedRTree::LeafRunSource>(rtree, arity_fn));
+              inputs.push_back(leaves.back().get());
             }
           }
           if (task.stream != nullptr) inputs.push_back(task.stream.get());
           RTreeOptions tree_options = options_.rtree;
           tree_options.dims = plan_.trees[task.tree].dims;
-          ChainedMergeSource chain(inputs, tree_options.dims);
-          CancellablePointSource source(chain.head(), cancel);
           CT_ASSIGN_OR_RETURN(
               task.output,
-              PackedRTree::Build(task.path, tree_options, pool_, &source,
-                                 arity_fn, io_stats_));
+              PackedRTree::Build(task.path, tree_options, pool_, inputs,
+                                 arity_fn, io_stats_, cancel));
           pack_span.Annotate("points", task.output->num_points());
           CT_FAULT("forest.refresh.build");
           if (kind == RefreshKind::kDelta && task.output->num_points() == 0) {

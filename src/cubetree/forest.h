@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "cubetree/cubetree.h"
+#include "cubetree/merge_pack.h"
 #include "cubetree/select_mapping.h"
 #include "cubetree/view_def.h"
 #include "sort/external_sorter.h"
@@ -411,10 +412,11 @@ class CubetreeForest {
   void RemoveOrphan(const std::string& path, ForestRecoveryReport* report);
   /// Views of tree `t`, in plan order.
   std::vector<ViewDef> TreeViews(size_t t) const;
-  /// The pack-ordered point source over `provider`'s streams of tree `t`.
-  Result<std::unique_ptr<PointSource>> OpenTreeSource(
+  /// The pack input over `provider`'s streams of tree `t`'s views.
+  Result<std::unique_ptr<ViewStreamSource>> OpenTreeSource(
       size_t t, ViewDataProvider* provider) const;
-  std::function<uint8_t(uint32_t)> ArityFn() const;
+  /// Arity of every view of the forest, by id.
+  ViewArityFn ArityFn() const;
   /// A fresh, unpublished EpochState holding a copy of the published tree
   /// slots, for a mutator to edit.
   std::shared_ptr<EpochState> StageState() const REQUIRES(refresh_mu_);

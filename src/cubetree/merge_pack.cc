@@ -1,84 +1,74 @@
 #include "cubetree/merge_pack.h"
 
-#include <algorithm>
 #include <cstring>
 
-#include "common/assert.h"
-#include "cubetree/cubetree.h"
 #include "cubetree/view_def.h"
-#include "rtree/geometry.h"
+#include "rtree/node.h"
 
 namespace cubetree {
 
-MergePointSource::MergePointSource(PointSource* a, PointSource* b,
-                                   uint8_t dims)
-    : a_(a),
-      b_(b),
-      // Build refuses dims above kMaxDims before it pulls a point.
-      next_(DispatchArity(std::min<size_t>(dims, kMaxDims), [](auto d) {
-        return &MergePointSource::NextFixed<decltype(d)::value>;
-      })) {}
+Status ViewStreamSource::CurrentView(std::optional<uint32_t>* view) {
+  *view = index_ < streams_.size()
+              ? std::optional<uint32_t>(streams_[index_].view)
+              : std::nullopt;
+  return Status::OK();
+}
 
-template <size_t D>
-Status MergePointSource::NextFixed(const PointRecord** record) {
-  if (!primed_) {
-    CT_RETURN_NOT_OK(a_->Next(&cur_a_));
-    CT_RETURN_NOT_OK(b_->Next(&cur_b_));
-    primed_ = true;
-  }
-  if (cur_a_ == nullptr && cur_b_ == nullptr) {
-    *record = nullptr;
+Status ViewStreamSource::NextSpan(uint8_t leaf_arity, const char** records,
+                                  size_t* count) {
+  *count = 0;
+  if (index_ == streams_.size()) return Status::OK();
+  const ViewStream& current = streams_[index_];
+  const char* raw = nullptr;
+  size_t n = 0;
+  CT_RETURN_NOT_OK(current.stream->NextSpan(&raw, &n));
+  if (n == 0) {
+    ++index_;
     return Status::OK();
   }
-  int cmp;
-  if (cur_a_ == nullptr) {
-    cmp = 1;
-  } else if (cur_b_ == nullptr) {
-    cmp = -1;
-  } else {
-    cmp = PackOrderCompare(cur_a_->coords, cur_b_->coords, D);
+  if (leaf_arity == current.arity) {
+    *records = raw;
+    *count = n;
+    return Status::OK();
   }
-  if (cmp < 0) {
-    merged_ = *cur_a_;
-    CT_RETURN_NOT_OK(a_->Next(&cur_a_));
-  } else if (cmp > 0) {
-    merged_ = *cur_b_;
-    CT_RETURN_NOT_OK(b_->Next(&cur_b_));
-  } else {
-    if (cur_a_->view_id != cur_b_->view_id) {
-      return Status::Corruption(
-          "merge-pack: identical coordinates from different views");
-    }
-    merged_ = *cur_a_;
-    CT_RETURN_NOT_OK(
-        MergeViewAggregate(merged_.view_id, cur_b_->agg, &merged_.agg));
-    CT_RETURN_NOT_OK(a_->Next(&cur_a_));
-    CT_RETURN_NOT_OK(b_->Next(&cur_b_));
+  if (leaf_arity < current.arity) {
+    return Status::InvalidArgument(
+        "merge-pack: view " + std::to_string(current.view) + " of arity " +
+        std::to_string(current.arity) + " cannot be stored at leaf arity " +
+        std::to_string(leaf_arity));
   }
-  if (CT_DCHECK_IS_ON()) {
-    CT_DCHECK(!have_prev_ ||
-              PackOrderCompare(prev_coords_, merged_.coords, D) < 0)
-        << "merge-pack output left pack order";
-    std::memcpy(prev_coords_, merged_.coords, sizeof(prev_coords_));
-    have_prev_ = true;
+  const size_t key_bytes = current.arity * sizeof(Coord);
+  const size_t zero_bytes = (leaf_arity - current.arity) * sizeof(Coord);
+  const size_t in_bytes = ViewRecordBytes(current.arity);
+  const size_t out_bytes = RLeafEntryBytes(leaf_arity);
+  widened_.resize(n * out_bytes);
+  for (size_t i = 0; i < n; ++i) {
+    const char* src = raw + i * in_bytes;
+    char* dst = widened_.data() + i * out_bytes;
+    std::memcpy(dst, src, key_bytes);
+    std::memset(dst + key_bytes, 0, zero_bytes);
+    std::memcpy(dst + key_bytes + zero_bytes, src + key_bytes,
+                kAggValueBytes);
   }
-  *record = &merged_;
+  *records = widened_.data();
+  *count = n;
   return Status::OK();
 }
 
 Result<std::unique_ptr<PackedRTree>> MergePack(
     PackedRTree* old_tree, PointSource* delta, const std::string& out_path,
     const RTreeOptions& options, BufferPool* pool,
-    std::function<uint8_t(uint32_t)> view_arity,
-    std::shared_ptr<IoStats> io_stats) {
-  if (old_tree == nullptr) {
-    return PackedRTree::Build(out_path, options, pool, delta,
-                              std::move(view_arity), std::move(io_stats));
+    const ViewArityFn& view_arity, std::shared_ptr<IoStats> io_stats) {
+  PointRunSource delta_input(delta, options.dims);
+  std::vector<ViewRunSource*> inputs;
+  std::optional<PackedRTree::LeafRunSource> old_input;
+  if (old_tree != nullptr) {
+    old_input.emplace(old_tree, view_arity);
+    inputs.push_back(&*old_input);
   }
-  ScannerPointSource old_source(old_tree);
-  MergePointSource merged(&old_source, delta, options.dims);
-  return PackedRTree::Build(out_path, options, pool, &merged,
-                            std::move(view_arity), std::move(io_stats));
+  inputs.push_back(&delta_input);
+  return PackedRTree::Build(out_path, options, pool, inputs, view_arity,
+                            std::move(io_stats));
 }
 
 }  // namespace cubetree

@@ -88,20 +88,6 @@ inline void DecodeViewRecord(const char* src, uint8_t arity, Coord* coords,
   *agg = DecodeAggPayload(src + key_bytes);
 }
 
-/// The error MergeViewAggregate returns when a merge overflows.
-Status AggregateOverflow(uint32_t view_id, const AggValue& agg,
-                         const AggValue& other);
-
-/// Adds `other` into `*agg`, an aggregate of view `view_id`. A sum that
-/// would leave int64 or a count that would leave uint32 is InvalidArgument
-/// naming the view, and leaves `*agg` unchanged.
-[[nodiscard]] inline Status MergeViewAggregate(uint32_t view_id,
-                                               const AggValue& other,
-                                               AggValue* agg) {
-  if (agg->Merge(other)) return Status::OK();
-  return AggregateOverflow(view_id, *agg, other);
-}
-
 /// Comparator for view records of one view in pack order: the LAST
 /// projected attribute is the most significant sort key (the paper sorts
 /// R{x,y} in (y, x) order).

@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "common/assert.h"
+#include "common/status.h"
 
 namespace cubetree {
 
@@ -53,8 +54,8 @@ struct AggValue {
   /// Adds `other` into this aggregate and returns true, or returns false
   /// and leaves it unchanged when the sum would leave int64 or the count
   /// would leave uint32. Storage and query paths merge through
-  /// MergeViewAggregate (cubetree/view_def.h), which makes that a typed
-  /// error; reference tallies over small test measures use it directly.
+  /// MergeViewAggregate (below), which makes that a typed error; reference
+  /// tallies over small test measures use it directly.
   bool Merge(const AggValue& other) {
     int64_t merged_sum = 0;
     uint32_t merged_count = 0;
@@ -74,6 +75,20 @@ struct AggValue {
 
 /// On-disk payload width: int64 sum + uint32 count.
 inline constexpr size_t kAggValueBytes = 12;
+
+/// The error MergeViewAggregate returns when a merge overflows.
+Status AggregateOverflow(uint32_t view_id, const AggValue& agg,
+                         const AggValue& other);
+
+/// Adds `other` into `*agg`, an aggregate of view `view_id`. A sum that
+/// would leave int64 or a count that would leave uint32 is InvalidArgument
+/// naming the view, and leaves `*agg` unchanged.
+[[nodiscard]] inline Status MergeViewAggregate(uint32_t view_id,
+                                               const AggValue& other,
+                                               AggValue* agg) {
+  if (agg->Merge(other)) return Status::OK();
+  return AggregateOverflow(view_id, *agg, other);
+}
 
 /// A point of the multidimensional index space together with its view tag
 /// and aggregate payload. Unused coordinates (>= arity of the owning view)

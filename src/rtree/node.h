@@ -21,7 +21,9 @@ namespace cubetree {
 // Leaf entries (compressed): arity * 4 bytes of coordinates followed by the
 // 12-byte aggregate payload. Coordinates arity..dims-1 are implicitly zero —
 // this is the paper's leaf compression, legal because packing places each
-// view in its own contiguous run of leaves.
+// view in its own contiguous run of leaves. A leaf entry has the byte
+// format of a view record (cubetree/view_def.h) of the same arity, so the
+// packer copies spool records and old leaf entries into leaves as bytes.
 //
 // Internal entries: 2 * dims * 4 bytes MBR (lo then hi) + 4-byte child page.
 
@@ -49,7 +51,7 @@ inline void RNodeSetCount(char* page, uint16_t count) {
   std::memcpy(page + 2, &count, sizeof(count));
 }
 
-inline size_t RLeafEntryBytes(uint8_t arity) {
+constexpr size_t RLeafEntryBytes(uint8_t arity) {
   return static_cast<size_t>(arity) * sizeof(Coord) + kAggValueBytes;
 }
 inline size_t RInternalEntryBytes(uint8_t dims) {
@@ -84,6 +86,36 @@ inline void RLeafReadEntry(const char* src, uint8_t arity, uint32_t view_id,
   const char* p = src + static_cast<size_t>(arity) * sizeof(Coord);
   out->agg.sum = static_cast<int64_t>(DecodeFixed64(p));
   out->agg.count = DecodeFixed32(p + 8);
+}
+
+/// Coordinate `d` of the leaf entry at `entry`.
+inline Coord RLeafEntryCoord(const char* entry, size_t d) {
+  return DecodeFixed32(entry + d * sizeof(Coord));
+}
+
+/// Pack order of two leaf entries of arity A, compared in place: the last
+/// coordinate is the most significant (PackOrderCompare). Returns
+/// negative/zero/positive like memcmp.
+template <size_t A>
+inline int RLeafEntryCompare(const char* a, const char* b) {
+  for (size_t i = A; i > 0; --i) {
+    const Coord ca = RLeafEntryCoord(a, i - 1);
+    const Coord cb = RLeafEntryCoord(b, i - 1);
+    if (ca != cb) return ca < cb ? -1 : 1;
+  }
+  return 0;
+}
+
+/// The aggregate payload of a leaf entry of `arity` coordinates.
+inline AggValue RLeafEntryAgg(const char* entry, uint8_t arity) {
+  const char* p = entry + static_cast<size_t>(arity) * sizeof(Coord);
+  return AggValue{static_cast<int64_t>(DecodeFixed64(p)), DecodeFixed32(p + 8)};
+}
+
+inline void RLeafSetEntryAgg(char* entry, uint8_t arity, const AggValue& agg) {
+  char* p = entry + static_cast<size_t>(arity) * sizeof(Coord);
+  EncodeFixed64(p, static_cast<uint64_t>(agg.sum));
+  EncodeFixed32(p + 8, agg.count);
 }
 
 /// Writes one internal entry (MBR + child) at `dest`.

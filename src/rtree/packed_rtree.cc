@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <optional>
 
 #include "common/assert.h"
 
@@ -44,6 +45,287 @@ void WriteMetaPage(Page* page, const RTreeOptions& options, PageId root,
   EncodeFixed32(p + 24, num_leaf_pages);
 }
 
+/// Checks a node header read from disk before any entry is decoded: a
+/// leaf's arity must be at most the tree's dims and its entry count must
+/// fit its page, as must an internal node's. A tree without a checksum
+/// sidecar (a pre-checksum store) is read unverified, so this check is what
+/// stands between a damaged header and a read past the page frame.
+Status CheckNodeHeader(const char* page, uint8_t dims, PageId id,
+                       const std::string& path) {
+  const uint16_t count = RNodeCount(page);
+  if (RNodeIsLeaf(page)) {
+    const uint8_t arity = RNodeArity(page);
+    if (arity <= dims && count <= RLeafCapacity(arity)) return Status::OK();
+    return Status::Corruption(
+        "rtree: leaf page " + std::to_string(id) + " of " + path +
+        " claims arity " + std::to_string(arity) + " and " +
+        std::to_string(count) + " entries");
+  }
+  if (count <= RInternalCapacity(dims)) return Status::OK();
+  return Status::Corruption("rtree: internal page " + std::to_string(id) +
+                            " of " + path + " claims " +
+                            std::to_string(count) + " entries");
+}
+
+/// Pages of one tree on their way to the file: each page is assembled in
+/// place in an extent buffer, and the buffer is appended kExtentPages pages
+/// per write. Ids follow from the single writer: the page being assembled
+/// lands at the file's page count plus the pages buffered before it.
+class ExtentWriter {
+ public:
+  explicit ExtentWriter(PageManager* file)
+      : file_(file),
+        pages_(std::make_unique_for_overwrite<Page[]>(kExtentPages)) {}
+
+  char* page() { return pages_[used_].data; }
+  PageId page_id() const {
+    return file_->NumPages() + static_cast<PageId>(used_);
+  }
+
+  /// The page being assembled is complete.
+  Status Commit() {
+    return ++used_ == kExtentPages ? Flush() : Status::OK();
+  }
+
+  Status Flush() {
+    if (used_ == 0) return Status::OK();
+    CT_RETURN_NOT_OK(file_->AppendPages(pages_.get(), used_).status());
+    used_ = 0;
+    return Status::OK();
+  }
+
+ private:
+  PageManager* file_;
+  std::unique_ptr<Page[]> pages_;
+  size_t used_ = 0;
+};
+
+struct LevelEntry {
+  Rect mbr;
+  PageId page;
+};
+
+/// The pack loop: merges the inputs of one view run into full leaves of
+/// the run's leaf arity A. Each step copies a span — the records of one
+/// input below every other input's next key — into the current leaf with
+/// one memcpy, then checks pack order and grows the leaf's MBR over the
+/// copied entries in a loop compiled for A. Equal keys from several inputs
+/// combine into one entry.
+class LeafPacker {
+ public:
+  LeafPacker(const RTreeOptions& options, ExtentWriter* out,
+             const CancelFlag* cancel)
+      : options_(options), out_(out), cancel_(cancel) {}
+
+  template <size_t A>
+  Status PackRun(uint32_t view, const std::vector<ViewRunSource*>& inputs);
+
+  std::vector<LevelEntry>& level() { return level_; }
+  uint64_t num_points() const { return num_points_; }
+
+ private:
+  /// The unconsumed part of one input's current span.
+  struct Cursor {
+    ViewRunSource* input;
+    const char* at;
+    size_t left;
+  };
+
+  /// Moves `n` records of arity A into leaves, flushing each full leaf.
+  template <size_t A>
+  Status Emit(const char* records, size_t n);
+  /// Copies `n` records into the current leaf, which has room for them.
+  template <size_t A>
+  Status Append(const char* records, size_t n);
+  Status FlushLeaf(uint8_t arity);
+
+  const RTreeOptions& options_;
+  ExtentWriter* out_;
+  const CancelFlag* cancel_;
+  std::vector<LevelEntry> level_;
+  uint64_t num_points_ = 0;
+  std::vector<Cursor> cursors_;
+  uint32_t view_ = 0;
+  uint16_t leaf_target_ = 0;
+  uint16_t in_leaf_ = 0;
+  Rect leaf_mbr_;
+  /// The last record packed, zero beyond its arity; the pack-order check
+  /// compares every record with it.
+  Coord prev_[kMaxDims] = {0};
+  bool have_prev_ = false;
+  bool run_start_ = false;
+};
+
+template <size_t A>
+Status LeafPacker::PackRun(uint32_t view,
+                           const std::vector<ViewRunSource*>& inputs) {
+  constexpr size_t kBytes = RLeafEntryBytes(A);
+  view_ = view;
+  run_start_ = true;
+  leaf_target_ = std::max<uint16_t>(
+      1, static_cast<uint16_t>(RLeafCapacity(A) *
+                               std::clamp(options_.leaf_fill, 0.1, 1.0)));
+  if (options_.max_leaf_entries > 0) {
+    leaf_target_ = std::min(leaf_target_, options_.max_leaf_entries);
+  }
+  // Cursors stay in input order, which is the order equal keys combine in.
+  cursors_.clear();
+  for (ViewRunSource* input : inputs) {
+    Cursor cursor{input, nullptr, 0};
+    CT_RETURN_NOT_OK(input->NextSpan(A, &cursor.at, &cursor.left));
+    if (cursor.left > 0) cursors_.push_back(cursor);
+  }
+  // Steps cursor j past `n` records, refilling it from its input and
+  // dropping it once the input's run is over.
+  const auto advance = [&](size_t j, size_t n) -> Status {
+    Cursor& cursor = cursors_[j];
+    cursor.at += n * kBytes;
+    cursor.left -= n;
+    if (cursor.left == 0) {
+      CT_RETURN_NOT_OK(cursor.input->NextSpan(A, &cursor.at, &cursor.left));
+      if (cursor.left == 0) cursors_.erase(cursors_.begin() + j);
+    }
+    return Status::OK();
+  };
+  char combined[RLeafEntryBytes(kMaxDims)];
+  while (!cursors_.empty()) {
+    if (cursors_.size() == 1) {
+      CT_RETURN_NOT_OK(Emit<A>(cursors_[0].at, cursors_[0].left));
+      CT_RETURN_NOT_OK(advance(0, cursors_[0].left));
+      continue;
+    }
+    // m: the first input holding the smallest next key; bound: the
+    // smallest larger next key of the others.
+    size_t m = 0;
+    for (size_t j = 1; j < cursors_.size(); ++j) {
+      if (RLeafEntryCompare<A>(cursors_[j].at, cursors_[m].at) < 0) m = j;
+    }
+    const char* bound = nullptr;
+    bool tie = false;
+    for (size_t j = 0; j < cursors_.size(); ++j) {
+      if (j == m) continue;
+      if (RLeafEntryCompare<A>(cursors_[j].at, cursors_[m].at) == 0) {
+        tie = true;
+      } else if (bound == nullptr ||
+                 RLeafEntryCompare<A>(cursors_[j].at, bound) < 0) {
+        bound = cursors_[j].at;
+      }
+    }
+    if (!tie) {
+      // Input m's records below the bound pass on as one span.
+      const Cursor& c = cursors_[m];
+      size_t n = 1;
+      while (n < c.left &&
+             RLeafEntryCompare<A>(c.at + n * kBytes, bound) < 0) {
+        ++n;
+      }
+      CT_RETURN_NOT_OK(Emit<A>(c.at, n));
+      CT_RETURN_NOT_OK(advance(m, n));
+      continue;
+    }
+    // Equal keys: input m's record, with every later equal input's
+    // aggregate added in input order.
+    std::memcpy(combined, cursors_[m].at, kBytes);
+    AggValue agg = RLeafEntryAgg(combined, A);
+    for (size_t j = m + 1; j < cursors_.size(); ++j) {
+      if (RLeafEntryCompare<A>(cursors_[j].at, combined) != 0) continue;
+      CT_RETURN_NOT_OK(
+          MergeViewAggregate(view, RLeafEntryAgg(cursors_[j].at, A), &agg));
+    }
+    RLeafSetEntryAgg(combined, A, agg);
+    CT_RETURN_NOT_OK(Emit<A>(combined, 1));
+    // Backwards, so dropping an exhausted cursor keeps the rest in place.
+    for (size_t j = cursors_.size(); j-- > m;) {
+      if (j == m || RLeafEntryCompare<A>(cursors_[j].at, combined) == 0) {
+        CT_RETURN_NOT_OK(advance(j, 1));
+      }
+    }
+  }
+  return in_leaf_ > 0 ? FlushLeaf(A) : Status::OK();
+}
+
+template <size_t A>
+Status LeafPacker::Emit(const char* records, size_t n) {
+  while (n > 0) {
+    const size_t take = std::min<size_t>(n, leaf_target_ - in_leaf_);
+    CT_RETURN_NOT_OK(Append<A>(records, take));
+    records += take * RLeafEntryBytes(A);
+    n -= take;
+    if (in_leaf_ == leaf_target_) CT_RETURN_NOT_OK(FlushLeaf(A));
+  }
+  return Status::OK();
+}
+
+template <size_t A>
+Status LeafPacker::Append(const char* records, size_t n) {
+  constexpr size_t kBytes = RLeafEntryBytes(A);
+  char* dest = out_->page() + kRNodeHeaderSize + in_leaf_ * kBytes;
+  std::memcpy(dest, records, n * kBytes);
+  size_t i = 0;
+  if (in_leaf_ == 0) {
+    leaf_mbr_ = Rect();
+    for (size_t d = 0; d < A; ++d) {
+      leaf_mbr_.lo[d] = leaf_mbr_.hi[d] = RLeafEntryCoord(dest, d);
+    }
+  }
+  if (run_start_) {
+    // The first record of a run follows the previous view's last record:
+    // compare over all dimensions, both zero beyond their arity.
+    Coord first[kMaxDims] = {0};
+    for (size_t d = 0; d < A; ++d) first[d] = RLeafEntryCoord(dest, d);
+    if (options_.enforce_pack_order && have_prev_ &&
+        PackOrderCompare(prev_, first, options_.dims) >= 0) {
+      return Status::InvalidArgument(
+          "rtree: bulk-load input not strictly ascending in pack order");
+    }
+    std::memcpy(prev_, first, sizeof(prev_));
+    have_prev_ = true;
+    run_start_ = false;
+    i = 1;
+  }
+  for (; i < n; ++i) {
+    const char* entry = dest + i * kBytes;
+    // Inside a run both records are zero beyond A, so comparing A
+    // coordinates is the full pack-order comparison.
+    if (options_.enforce_pack_order) {
+      int cmp = 0;
+      for (size_t d = A; d > 0 && cmp == 0; --d) {
+        const Coord c = RLeafEntryCoord(entry, d - 1);
+        if (prev_[d - 1] != c) cmp = prev_[d - 1] < c ? -1 : 1;
+      }
+      if (cmp >= 0) {
+        return Status::InvalidArgument(
+            "rtree: bulk-load input not strictly ascending in pack order");
+      }
+    }
+    for (size_t d = 0; d < A; ++d) {
+      const Coord c = RLeafEntryCoord(entry, d);
+      prev_[d] = c;
+      leaf_mbr_.lo[d] = std::min(leaf_mbr_.lo[d], c);
+      leaf_mbr_.hi[d] = std::max(leaf_mbr_.hi[d], c);
+    }
+  }
+  in_leaf_ = static_cast<uint16_t>(in_leaf_ + n);
+  return Status::OK();
+}
+
+Status LeafPacker::FlushLeaf(uint8_t arity) {
+  char* page = out_->page();
+  RNodeSetHeader(page, /*is_leaf=*/true, arity, in_leaf_, view_);
+  const size_t used = kRNodeHeaderSize + in_leaf_ * RLeafEntryBytes(arity);
+  std::memset(page + used, 0, kPageSize - used);
+  level_.push_back(LevelEntry{leaf_mbr_, out_->page_id()});
+  num_points_ += in_leaf_;
+  in_leaf_ = 0;
+  CT_RETURN_NOT_OK(out_->Commit());
+  // A sibling worker's failure dooms this tree: stop within a page.
+  if (cancel_ != nullptr && cancel_->cancelled()) {
+    return Status::Cancelled(
+        "rtree: pack cancelled by a sibling worker's failure");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 PackedRTree::PackedRTree(std::unique_ptr<PageManager> file,
@@ -56,8 +338,17 @@ PackedRTree::~PackedRTree() {
 
 Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
     const std::string& path, const RTreeOptions& options, BufferPool* pool,
-    PointSource* source, std::function<uint8_t(uint32_t)> view_arity,
+    PointSource* source, const ViewArityFn& view_arity,
     std::shared_ptr<IoStats> io_stats) {
+  PointRunSource input(source, options.dims);
+  return Build(path, options, pool, {&input}, view_arity,
+               std::move(io_stats));
+}
+
+Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
+    const std::string& path, const RTreeOptions& options, BufferPool* pool,
+    const std::vector<ViewRunSource*>& inputs, const ViewArityFn& view_arity,
+    std::shared_ptr<IoStats> io_stats, const CancelFlag* cancel) {
   if (options.dims == 0 || options.dims > kMaxDims) {
     return Status::InvalidArgument("rtree: dims out of range");
   }
@@ -76,107 +367,60 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
   // Reserve the meta page; it is filled in (one random write) at the end.
   CT_RETURN_NOT_OK(pm->AllocatePage().status());
 
-  struct LevelEntry {
-    Rect mbr;
-    PageId page;
-  };
-  std::vector<LevelEntry> level;
-
   // --- Leaf level -------------------------------------------------------
   // Pack order keeps each view's points in one contiguous run, and every
-  // leaf holds a single view. Each run is packed by a loop compiled for its
-  // leaf arity A: the arity callback is asked once per run, and the
-  // per-point copies and comparisons have fixed lengths.
-  Page leaf;
-  uint64_t num_points = 0;
-  Coord prev_coords[kMaxDims] = {0};
-  bool have_prev = false;
-  const PointRecord* rec = nullptr;
-  CT_RETURN_NOT_OK(source->Next(&rec));
-
-  // Packs the run of rec's view into leaves of arity A, reading on until
-  // the view changes or the input ends; rec is left at the next run.
-  auto pack_run = [&](auto arity_constant) -> Status {
-    constexpr uint8_t A = arity_constant;
-    const uint32_t view = rec->view_id;
-    uint16_t leaf_target = std::max<uint16_t>(
-        1, static_cast<uint16_t>(RLeafCapacity(A) *
-                                 std::clamp(options.leaf_fill, 0.1, 1.0)));
-    if (options.max_leaf_entries > 0) {
-      leaf_target = std::min(leaf_target, options.max_leaf_entries);
+  // leaf holds a single view. Views come in ascending arity, which is pack
+  // order across views; each run is packed by a loop compiled for its leaf
+  // arity.
+  ExtentWriter out(pm);
+  LeafPacker packer(options, &out, cancel);
+  std::vector<ViewRunSource*> run_inputs;
+  while (true) {
+    std::optional<uint32_t> next;
+    uint8_t next_arity = 0;
+    run_inputs.clear();
+    for (ViewRunSource* input : inputs) {
+      std::optional<uint32_t> view;
+      CT_RETURN_NOT_OK(input->CurrentView(&view));
+      if (!view.has_value()) continue;
+      if (next == view) {
+        run_inputs.push_back(input);
+        continue;
+      }
+      const std::optional<uint8_t> arity = view_arity(*view);
+      if (!arity.has_value()) {
+        return Status::InvalidArgument("rtree: view " +
+                                       std::to_string(*view) +
+                                       " is not a view of this tree");
+      }
+      if (!next.has_value() || *arity < next_arity) {
+        next = view;
+        next_arity = *arity;
+        run_inputs.assign(1, input);
+      }
     }
-    uint16_t in_leaf = 0;
-    Rect leaf_mbr;
-    auto flush_leaf = [&]() -> Status {
-      RNodeSetCount(leaf.data, in_leaf);
-      CT_ASSIGN_OR_RETURN(PageId id, pm->AppendPage(leaf));
-      level.push_back(LevelEntry{leaf_mbr, id});
-      in_leaf = 0;
-      return Status::OK();
-    };
-    bool run_start = true;
-    do {
-      // A leaf of arity A stores A coordinates; a non-zero coordinate
-      // beyond them would be dropped, so the point is refused instead.
-      if constexpr (A < kMaxDims) {
-        for (size_t d = A; d < options.dims; ++d) {
-          if (rec->coords[d] != 0) {
-            return Status::InvalidArgument(
-                "rtree: point of view " + std::to_string(view) +
-                " has non-zero coordinate " + std::to_string(d) +
-                " beyond the view's arity " + std::to_string(A));
-          }
-        }
-      }
-      // Inside a run both points are zero beyond A, so comparing A
-      // coordinates is the full pack-order comparison.
-      if (options.enforce_pack_order && have_prev &&
-          (run_start
-               ? PackOrderCompare(prev_coords, rec->coords, options.dims)
-               : PackOrderCompare(prev_coords, rec->coords, A)) >= 0) {
-        return Status::InvalidArgument(
-            "rtree: bulk-load input not strictly ascending in pack order");
-      }
-      std::memcpy(prev_coords, rec->coords, sizeof(prev_coords));
-      have_prev = true;
-      run_start = false;
-
-      if (in_leaf == leaf_target) CT_RETURN_NOT_OK(flush_leaf());
-      if (in_leaf == 0) {
-        leaf.Zero();
-        RNodeSetHeader(leaf.data, /*is_leaf=*/true, A, 0, view);
-        leaf_mbr = Rect::FromPoint(rec->coords, A);
-      }
-      CT_DCHECK(in_leaf < RLeafCapacity(A)) << "leaf overflow during bulk load";
-      RLeafWriteEntry(leaf.data + kRNodeHeaderSize +
-                          static_cast<size_t>(in_leaf) * RLeafEntryBytes(A),
-                      rec->coords, A, rec->agg);
-      leaf_mbr.ExpandToPoint(rec->coords, A);
-      ++in_leaf;
-      ++num_points;
-      CT_RETURN_NOT_OK(source->Next(&rec));
-    } while (rec != nullptr && rec->view_id == view);
-    return flush_leaf();
-  };
-
-  while (rec != nullptr) {
-    uint8_t arity = options.dims;
+    if (!next.has_value()) break;
+    uint8_t leaf_arity = options.dims;
     if (options.compress_leaves) {
-      arity = view_arity(rec->view_id);
-      if (arity > options.dims) {
+      if (next_arity > options.dims) {
         return Status::InvalidArgument(
-            "rtree: view " + std::to_string(rec->view_id) + " has arity " +
-            std::to_string(arity) + " above the tree's " +
+            "rtree: view " + std::to_string(*next) + " has arity " +
+            std::to_string(next_arity) + " above the tree's " +
             std::to_string(options.dims) + " dimensions");
       }
+      leaf_arity = next_arity;
     }
-    CT_RETURN_NOT_OK(DispatchArity(arity, pack_run));
+    CT_RETURN_NOT_OK(DispatchArity(leaf_arity, [&](auto arity_constant) {
+      return packer.PackRun<decltype(arity_constant)::value>(*next,
+                                                            run_inputs);
+    }));
   }
+  std::vector<LevelEntry> level = std::move(packer.level());
+  const uint64_t num_points = packer.num_points();
   tree->num_points_ = num_points;
   tree->num_leaf_pages_ = static_cast<PageId>(level.size());
   {
-    // MergePack funnels through Build too, so these cover both the
-    // initial bulk load and every incremental refresh.
+    // Every bulk load and every refresh packs through here.
     auto& reg = obs::MetricsRegistry::Instance();
     static obs::Counter* const points_packed =
         reg.GetCounter("rtree.points_packed");
@@ -186,49 +430,37 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
     leaves_written->Increment(level.size());
   }
 
-  if (level.empty()) {
-    tree->root_ = kInvalidPageId;
-    tree->height_ = 0;
-    Page meta;
-    WriteMetaPage(&meta, options, kInvalidPageId, 0, 0, 0);
-    CT_RETURN_NOT_OK(pm->WritePage(0, meta));
-    CT_FAULT("rtree.build.sync");
-    CT_RETURN_NOT_OK(pm->Sync());
-    CT_RETURN_NOT_OK(pm->FinalizeChecksums());
-    return tree;
-  }
-
   // --- Internal levels, bottom-up ---------------------------------------
-  uint32_t height = 1;
+  uint32_t height = level.empty() ? 0 : 1;
   uint16_t fanout = std::max<uint16_t>(2, RInternalCapacity(options.dims));
   if (options.max_internal_entries > 1) {
     fanout = std::min(fanout, options.max_internal_entries);
   }
-  Page node;
   while (level.size() > 1) {
     std::vector<LevelEntry> next_level;
     size_t i = 0;
     while (i < level.size()) {
       const size_t children = std::min<size_t>(fanout, level.size() - i);
-      node.Zero();
-      RNodeSetHeader(node.data, /*is_leaf=*/false, options.dims,
+      char* node = out.page();
+      std::memset(node, 0, kPageSize);
+      RNodeSetHeader(node, /*is_leaf=*/false, options.dims,
                      static_cast<uint16_t>(children), 0);
       Rect mbr = level[i].mbr;
       for (size_t c = 0; c < children; ++c) {
-        char* dest = node.data + kRNodeHeaderSize +
-                     c * RInternalEntryBytes(options.dims);
-        RInternalWriteEntry(dest, level[i + c].mbr, options.dims,
-                            level[i + c].page);
+        RInternalWriteEntry(
+            node + kRNodeHeaderSize + c * RInternalEntryBytes(options.dims),
+            level[i + c].mbr, options.dims, level[i + c].page);
         mbr.ExpandToRect(level[i + c].mbr, options.dims);
       }
-      CT_ASSIGN_OR_RETURN(PageId id, pm->AppendPage(node));
-      next_level.push_back(LevelEntry{mbr, id});
+      next_level.push_back(LevelEntry{mbr, out.page_id()});
+      CT_RETURN_NOT_OK(out.Commit());
       i += children;
     }
     level.swap(next_level);
     ++height;
   }
-  tree->root_ = level[0].page;
+  CT_RETURN_NOT_OK(out.Flush());
+  tree->root_ = level.empty() ? kInvalidPageId : level[0].page;
   tree->height_ = height;
 
   Page meta;
@@ -279,6 +511,7 @@ Status PackedRTree::CollectLeaves(PageId node_id, const Rect& query,
                                   uint64_t* internal_pages) {
   CT_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(file_.get(), node_id));
   const char* page = handle.data();
+  CT_RETURN_NOT_OK(CheckNodeHeader(page, options_.dims, node_id, path()));
   if (RNodeIsLeaf(page)) {
     // Descent should never fetch a leaf (the id range test below keeps it
     // out of them); if the invariant is ever violated, still answer
@@ -323,12 +556,10 @@ Status PackedRTree::ScanLeaf(
   if (!RNodeIsLeaf(page)) {
     return Status::Corruption("rtree: expected leaf page in " + path());
   }
+  CT_RETURN_NOT_OK(CheckNodeHeader(page, options_.dims, leaf_id, path()));
   const uint16_t count = RNodeCount(page);
   const uint8_t arity = RNodeArity(page);
   const uint32_t view_id = RNodeViewId(page);
-  CT_DCHECK(arity <= options_.dims) << "corrupt leaf arity in " << path();
-  CT_DCHECK(count <= RLeafCapacity(arity))
-      << "corrupt leaf count in " << path();
   const size_t entry_bytes = RLeafEntryBytes(arity);
   PointRecord rec;
   for (uint16_t i = 0; i < count; ++i) {
@@ -404,6 +635,8 @@ Status ValidateNode(ValidateContext* ctx, PageId node_id, Rect* bounds) {
   CT_ASSIGN_OR_RETURN(PageHandle handle,
                       ctx->pool->Fetch(ctx->file, node_id));
   const char* page = handle.data();
+  CT_RETURN_NOT_OK(
+      CheckNodeHeader(page, ctx->dims, node_id, ctx->file->path()));
   const uint16_t count = RNodeCount(page);
   if (count == 0) {
     return Status::Corruption("rtree validate: empty node " +
@@ -510,45 +743,179 @@ Status PackedRTree::Validate() {
   return Status::OK();
 }
 
+Status PackedRTree::Scanner::NextLeaf(const char** leaf) {
+  if (page_index_ + 1 < extent_pages_) {
+    ++page_index_;
+  } else {
+    const PageId leaves = tree_->num_leaf_pages_;
+    if (next_page_ > leaves) {
+      *leaf = nullptr;
+      return Status::OK();
+    }
+    if (extent_ == nullptr) {
+      extent_ = std::make_unique_for_overwrite<Page[]>(
+          std::min<size_t>(kExtentPages, leaves));
+    }
+    const size_t n = std::min<size_t>(kExtentPages, leaves - next_page_ + 1);
+    // Pages 1..num_leaf_pages are leaves by the packed file layout.
+    CT_RETURN_NOT_OK(tree_->file_->ReadPages(next_page_, n, extent_.get()));
+    next_page_ += static_cast<PageId>(n);
+    extent_pages_ = n;
+    page_index_ = 0;
+  }
+  const char* page = extent_[page_index_].data;
+  if (!RNodeIsLeaf(page)) {
+    return Status::Corruption("rtree: page " + std::to_string(leaf_page()) +
+                              " in the leaf region of " + tree_->path() +
+                              " is not a leaf");
+  }
+  CT_RETURN_NOT_OK(
+      CheckNodeHeader(page, tree_->dims(), leaf_page(), tree_->path()));
+  *leaf = page;
+  return Status::OK();
+}
+
 Status PackedRTree::Scanner::Next(const PointRecord** record) {
   while (slot_ == records_.size()) {
-    if (next_page_ > tree_->num_leaf_pages_) {
+    const char* page = nullptr;
+    CT_RETURN_NOT_OK(NextLeaf(&page));
+    if (page == nullptr) {
       *record = nullptr;
       return Status::OK();
     }
-    CT_RETURN_NOT_OK(LoadPage());
+    const uint32_t view_id = RNodeViewId(page);
+    records_.resize(RNodeCount(page));
+    slot_ = 0;
+    DispatchArity(RNodeArity(page), [&](auto arity_constant) {
+      constexpr uint8_t A = arity_constant;
+      const char* entry = page + kRNodeHeaderSize;
+      for (PointRecord& rec : records_) {
+        RLeafReadEntry(entry, A, view_id, &rec);
+        entry += RLeafEntryBytes(A);
+      }
+    });
   }
   *record = &records_[slot_++];
   return Status::OK();
 }
 
-Status PackedRTree::Scanner::LoadPage() {
-  CT_RETURN_NOT_OK(tree_->file_->ReadPage(next_page_, &page_));
-  const char* page = page_.data;
-  // Pages 1..num_leaf_pages are leaves by the packed file layout.
-  CT_DCHECK(RNodeIsLeaf(page)) << "non-leaf page " << next_page_
-                               << " in the leaf region of " << tree_->path();
-  const uint8_t arity = RNodeArity(page);
-  const uint16_t count = RNodeCount(page);
-  if (arity > tree_->dims() || count > RLeafCapacity(arity)) {
-    return Status::Corruption(
-        "rtree: leaf page " + std::to_string(next_page_) + " of " +
-        tree_->path() + " claims arity " + std::to_string(arity) + " and " +
-        std::to_string(count) + " entries");
+Status PackedRTree::LeafRunSource::LeafError(const std::string& what) const {
+  return Status::Corruption("merge-pack: leaf page " +
+                            std::to_string(scanner_.leaf_page()) + " of " +
+                            tree_->path() + " " + what);
+}
+
+Status PackedRTree::LeafRunSource::Load() {
+  if (!consumed_) return Status::OK();
+  CT_RETURN_NOT_OK(scanner_.NextLeaf(&leaf_));
+  consumed_ = false;
+  if (leaf_ == nullptr) return Status::OK();
+  if (RNodeCount(leaf_) == 0) return LeafError("is empty");
+  const uint32_t view = RNodeViewId(leaf_);
+  if (have_view_ && view == last_view_) return Status::OK();
+  // A new run of this tree: its view must be one the pack knows, and runs
+  // ascend in view arity, each view's run appearing once.
+  const std::optional<uint8_t> arity = view_arity_(view);
+  if (!arity.has_value()) {
+    return LeafError("holds view " + std::to_string(view) +
+                     ", which the tree does not store");
   }
-  ++next_page_;
-  const uint32_t view_id = RNodeViewId(page);
-  records_.resize(count);
-  slot_ = 0;
-  DispatchArity(arity, [&](auto arity_constant) {
-    constexpr uint8_t A = arity_constant;
-    const char* entry = page + kRNodeHeaderSize;
-    for (PointRecord& rec : records_) {
-      RLeafReadEntry(entry, A, view_id, &rec);
-      entry += RLeafEntryBytes(A);
-    }
-  });
+  if (have_view_) closed_views_.push_back(last_view_);
+  if ((have_view_ && *arity < last_arity_) ||
+      std::find(closed_views_.begin(), closed_views_.end(), view) !=
+          closed_views_.end()) {
+    return LeafError("holds view " + std::to_string(view) +
+                     " out of pack order");
+  }
+  have_view_ = true;
+  last_view_ = view;
+  last_arity_ = *arity;
   return Status::OK();
+}
+
+Status PackedRTree::LeafRunSource::CurrentView(std::optional<uint32_t>* view) {
+  CT_RETURN_NOT_OK(Load());
+  *view = leaf_ == nullptr ? std::nullopt
+                           : std::optional<uint32_t>(RNodeViewId(leaf_));
+  return Status::OK();
+}
+
+Status PackedRTree::LeafRunSource::NextSpan(uint8_t leaf_arity,
+                                            const char** records,
+                                            size_t* count) {
+  CT_RETURN_NOT_OK(Load());
+  if (leaf_ == nullptr || (in_run_ && RNodeViewId(leaf_) != run_view_)) {
+    in_run_ = false;
+    *count = 0;
+    return Status::OK();
+  }
+  if (!in_run_) {
+    in_run_ = true;
+    run_view_ = RNodeViewId(leaf_);
+  }
+  if (RNodeArity(leaf_) != leaf_arity) {
+    return LeafError("holds view " + std::to_string(run_view_) +
+                     " at arity " + std::to_string(RNodeArity(leaf_)) +
+                     ", not the " + std::to_string(leaf_arity) +
+                     " the pack stores it at");
+  }
+  *records = leaf_ + kRNodeHeaderSize;
+  *count = RNodeCount(leaf_);
+  consumed_ = true;
+  return Status::OK();
+}
+
+Status PointRunSource::CurrentView(std::optional<uint32_t>* view) {
+  if (!started_) {
+    CT_RETURN_NOT_OK(source_->Next(&point_));
+    started_ = true;
+  }
+  *view = point_ == nullptr ? std::nullopt
+                            : std::optional<uint32_t>(point_->view_id);
+  return Status::OK();
+}
+
+Status PointRunSource::NextSpan(uint8_t leaf_arity, const char** records,
+                                size_t* count) {
+  std::optional<uint32_t> view;
+  CT_RETURN_NOT_OK(CurrentView(&view));
+  if (!view.has_value() || (in_run_ && *view != run_view_)) {
+    in_run_ = false;
+    *count = 0;
+    return Status::OK();
+  }
+  in_run_ = true;
+  run_view_ = *view;
+  buffer_.resize(kPageSize);
+  // Encodes up to a page of the run's points, in a loop compiled for the
+  // leaf arity.
+  return DispatchArity(leaf_arity, [&](auto arity_constant) -> Status {
+    constexpr uint8_t A = arity_constant;
+    constexpr size_t kBytes = RLeafEntryBytes(A);
+    size_t n = 0;
+    while (n < kPageSize / kBytes && point_ != nullptr &&
+           point_->view_id == run_view_) {
+      // A leaf of arity A stores A coordinates; a non-zero coordinate
+      // beyond them would be dropped, so the point is refused.
+      if constexpr (A < kMaxDims) {
+        for (size_t d = A; d < dims_; ++d) {
+          if (point_->coords[d] != 0) {
+            return Status::InvalidArgument(
+                "rtree: point of view " + std::to_string(run_view_) +
+                " has non-zero coordinate " + std::to_string(d) +
+                " beyond the view's arity " + std::to_string(A));
+          }
+        }
+      }
+      RLeafWriteEntry(buffer_.data() + n * kBytes, point_->coords, A,
+                      point_->agg);
+      ++n;
+      CT_RETURN_NOT_OK(source_->Next(&point_));
+    }
+    *records = buffer_.data();
+    *count = n;
+    return Status::OK();
+  });
 }
 
 }  // namespace cubetree

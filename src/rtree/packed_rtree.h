@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "rtree/geometry.h"
@@ -36,7 +38,35 @@ struct RTreeOptions {
   bool enforce_pack_order = true;
 };
 
-/// Pull stream of points in pack order; the input to bulk loading.
+/// The number of significant coordinates of each view a tree stores, by
+/// view id; nullopt for a view the tree does not hold.
+using ViewArityFn = std::function<std::optional<uint8_t>(uint32_t)>;
+
+/// One input of a bulk load or merge-pack: the records of one or more
+/// views, each view's records in one run, a span of encoded leaf entries at
+/// a time. Within a run the records ascend in pack order; across an input,
+/// runs come in ascending view arity. Spools, sort output and the leaves of
+/// an existing tree all hold records in exactly the leaf-entry format
+/// (rtree/node.h), so the packer moves them into leaves as bytes.
+class ViewRunSource {
+ public:
+  virtual ~ViewRunSource() = default;
+
+  /// Sets *view to the view of the current run, or nullopt once the input
+  /// is exhausted.
+  virtual Status CurrentView(std::optional<uint32_t>* view) = 0;
+
+  /// Advances over the current run, whose records the packer stores at
+  /// `leaf_arity` coordinates: sets *records to the first of *count leaf
+  /// entries of that arity that lie back to back (valid until the next
+  /// call). *count is 0 once the run is over; the input then stands at its
+  /// next run.
+  virtual Status NextSpan(uint8_t leaf_arity, const char** records,
+                          size_t* count) = 0;
+};
+
+/// Pull stream of points in pack order; the input to bulk loading from
+/// decoded points (tests, examples and the ablation benches).
 class PointSource {
  public:
   virtual ~PointSource() = default;
@@ -64,6 +94,29 @@ class VectorPointSource : public PointSource {
   size_t pos_ = 0;
 };
 
+/// Presents a PointSource as a ViewRunSource: a run per stretch of one
+/// view's points, encoded as leaf entries a page's worth at a time. A point
+/// with a non-zero coordinate at or beyond its leaf arity, which the leaf
+/// could not store, is InvalidArgument.
+class PointRunSource final : public ViewRunSource {
+ public:
+  PointRunSource(PointSource* source, uint8_t dims)
+      : source_(source), dims_(dims) {}
+
+  Status CurrentView(std::optional<uint32_t>* view) override;
+  Status NextSpan(uint8_t leaf_arity, const char** records,
+                  size_t* count) override;
+
+ private:
+  PointSource* source_;
+  uint8_t dims_;
+  const PointRecord* point_ = nullptr;
+  bool started_ = false;
+  bool in_run_ = false;
+  uint32_t run_view_ = 0;
+  std::vector<char> buffer_;
+};
+
 /// A packed, compressed R-tree: the physical half of a Cubetree.
 ///
 /// The tree is immutable once built. Bulk loading consumes points sorted in
@@ -71,20 +124,36 @@ class VectorPointSource : public PointSource {
 /// leaves first, then each internal level bottom-up, root last, finally the
 /// metadata page (page 0). Each leaf holds points of exactly one view, so
 /// leaves store only the view's arity coordinates per entry (zero
-/// suppression). Updates are performed by merge-packing into a new file (see
-/// cubetree/merge_pack.h) — there is no in-place insert, by design.
+/// suppression). Updates are performed by merge-packing into a new file —
+/// Build over the old tree's leaves and the sorted increment — there is no
+/// in-place insert, by design.
 class PackedRTree {
  public:
-  /// Bulk-builds a tree at `path` from `source` (sorted in pack order; view
-  /// boundaries must be respected by the order, which SelectMapping
-  /// guarantees). `view_arity(view_id)` gives the number of significant
-  /// coordinates of each view; it is called once per view run. With
-  /// compressed leaves, a view arity above options.dims, or a point with a
-  /// non-zero coordinate at or beyond its view's arity (which its leaf
-  /// could not store), is InvalidArgument.
+  /// The one packer: bulk-builds a tree at `path` by merging `inputs` view
+  /// by view, in ascending view arity. Records of one view from several
+  /// inputs merge in pack order; equal keys combine through
+  /// MergeViewAggregate, in input order. Leaf entries move as bytes: a span
+  /// of records below every other input's next key is copied into its leaf
+  /// with one memcpy, and pages leave kExtentPages per write.
+  ///
+  /// `view_arity` gives each view's number of significant coordinates; with
+  /// compressed leaves a view is stored at that arity, and an arity above
+  /// options.dims is InvalidArgument, as is a view it does not know. The
+  /// output must ascend strictly in pack order, record by record, unless
+  /// options.enforce_pack_order is off. `cancel`, when set by a sibling
+  /// worker, stops the pack at its next leaf page with Cancelled.
   static Result<std::unique_ptr<PackedRTree>> Build(
       const std::string& path, const RTreeOptions& options, BufferPool* pool,
-      PointSource* source, std::function<uint8_t(uint32_t)> view_arity,
+      const std::vector<ViewRunSource*>& inputs, const ViewArityFn& view_arity,
+      std::shared_ptr<IoStats> io_stats = nullptr,
+      const CancelFlag* cancel = nullptr);
+
+  /// Build over one stream of decoded points (sorted in pack order; view
+  /// boundaries must be respected by the order, which SelectMapping
+  /// guarantees), through PointRunSource.
+  static Result<std::unique_ptr<PackedRTree>> Build(
+      const std::string& path, const RTreeOptions& options, BufferPool* pool,
+      PointSource* source, const ViewArityFn& view_arity,
       std::shared_ptr<IoStats> io_stats = nullptr);
 
   /// Opens an existing tree file.
@@ -104,30 +173,74 @@ class PackedRTree {
   Status Search(const Rect& query,
                 const std::function<void(const PointRecord&)>& emit);
 
-  /// Sequential pack-order scan over all points (merge-pack input). Reads
-  /// leaf pages directly (sequential I/O, bypassing the pool) and decodes
-  /// each one whole, at its arity.
+  /// Sequential pack-order scan over all leaves. Reads leaf pages directly
+  /// (sequential I/O, bypassing the pool), kExtentPages per read, and
+  /// checks each leaf's header: a page that is not a leaf, or whose arity
+  /// or entry count its page cannot hold, is Corruption.
   class Scanner {
    public:
+    /// Sets *leaf to the next leaf page, or nullptr at end. The page stays
+    /// valid until the next call.
+    Status NextLeaf(const char** leaf);
+
     /// Sets *record to the next point or nullptr at end. The record stays
     /// valid until the scan moves past its leaf page.
     Status Next(const PointRecord** record);
+
+    /// Page id of the leaf NextLeaf returned last.
+    PageId leaf_page() const {
+      return next_page_ - static_cast<PageId>(extent_pages_ - page_index_);
+    }
 
    private:
     friend class PackedRTree;
     explicit Scanner(PackedRTree* tree) : tree_(tree) {}
 
-    /// Reads leaf page next_page_ and decodes its entries into records_.
-    Status LoadPage();
-
     PackedRTree* tree_;
-    Page page_;
-    PageId next_page_ = 1;  // Leaves start right after the meta page.
+    std::unique_ptr<Page[]> extent_;
+    size_t extent_pages_ = 0;  // Leaves loaded into extent_.
+    size_t page_index_ = 0;    // The current leaf within extent_.
+    PageId next_page_ = 1;     // Leaves start right after the meta page.
     std::vector<PointRecord> records_;
     size_t slot_ = 0;
   };
 
   Scanner ScanAll() { return Scanner(this); }
+
+  /// The tree's leaves as the old-tree input of a merge-pack: each span is
+  /// one leaf page's entries, handed on as they lie on the page. A leaf
+  /// whose view `view_arity` does not know, whose view comes out of order
+  /// (after a higher-arity view, or after its own run ended), or whose
+  /// arity is not the one the pack stores its view at is Corruption.
+  class LeafRunSource final : public ViewRunSource {
+   public:
+    LeafRunSource(PackedRTree* tree, ViewArityFn view_arity)
+        : tree_(tree),
+          scanner_(tree->ScanAll()),
+          view_arity_(std::move(view_arity)) {}
+
+    Status CurrentView(std::optional<uint32_t>* view) override;
+    Status NextSpan(uint8_t leaf_arity, const char** records,
+                    size_t* count) override;
+
+   private:
+    /// Makes leaf_ the next unconsumed leaf (nullptr at end), checking its
+    /// view where a new run of this input starts.
+    Status Load();
+    Status LeafError(const std::string& what) const;
+
+    PackedRTree* tree_;
+    Scanner scanner_;
+    ViewArityFn view_arity_;
+    const char* leaf_ = nullptr;
+    bool consumed_ = true;
+    bool in_run_ = false;
+    uint32_t run_view_ = 0;
+    bool have_view_ = false;
+    uint32_t last_view_ = 0;
+    uint8_t last_arity_ = 0;
+    std::vector<uint32_t> closed_views_;
+  };
 
   /// Structural self-check: verifies that every internal entry's MBR
   /// contains its child's actual bounding box, that leaf points are in

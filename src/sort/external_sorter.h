@@ -24,6 +24,17 @@ class RecordStream {
   /// bytes (valid until the next call) or is set to nullptr at end of
   /// stream.
   virtual Status Next(const char** record) = 0;
+
+  /// Advances over a span of consecutive records: on success `*records`
+  /// points at the first of `*count` records that lie back to back (valid
+  /// until the next call), and `*count` is 0 at end of stream. Streams that
+  /// hold records in pages or buffers hand out a page or buffer at a time;
+  /// the default hands out one record per call.
+  virtual Status NextSpan(const char** records, size_t* count) {
+    CT_RETURN_NOT_OK(Next(records));
+    *count = *records == nullptr ? 0 : 1;
+    return Status::OK();
+  }
 };
 
 /// A RecordStream over an in-memory buffer of consecutive records.
@@ -39,6 +50,13 @@ class MemoryRecordStream : public RecordStream {
     }
     *record = buffer_.data() + pos_;
     pos_ += record_size_;
+    return Status::OK();
+  }
+
+  Status NextSpan(const char** records, size_t* count) override {
+    *records = buffer_.data() + pos_;
+    *count = (buffer_.size() - pos_) / record_size_;
+    pos_ += *count * record_size_;
     return Status::OK();
   }
 

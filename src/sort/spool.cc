@@ -1,5 +1,7 @@
 #include "sort/spool.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "fault/fault_injector.h"
@@ -59,20 +61,56 @@ Result<std::unique_ptr<RecordSpool::Reader>> RecordSpool::NewReader() {
 }
 
 Status RecordSpool::Reader::Next(const char** record) {
+  size_t count = 0;
+  return Take(1, record, &count);
+}
+
+Status RecordSpool::Reader::NextSpan(const char** records, size_t* count) {
+  return Take(SIZE_MAX, records, count);
+}
+
+Status RecordSpool::Reader::Take(size_t max, const char** records,
+                                 size_t* count) {
   if (remaining_ == 0) {
-    *record = nullptr;
+    // The last span has been consumed: release the extent buffer, so a
+    // finished reader holds no pages while its owner lives on.
+    extent_.reset();
+    *records = nullptr;
+    *count = 0;
     return Status::OK();
   }
   const size_t per_page = spool_->PerPage();
-  if (!loaded_ || in_page_ == per_page) {
-    CT_RETURN_NOT_OK(spool_->file_->ReadPage(next_page_, &page_));
-    ++next_page_;
-    in_page_ = 0;
-    loaded_ = true;
+  if (page_ == nullptr || in_page_ == per_page) CT_RETURN_NOT_OK(NextPage());
+  const size_t n = static_cast<size_t>(
+      std::min<uint64_t>({max, per_page - in_page_, remaining_}));
+  *records = page_ + in_page_ * spool_->record_size_;
+  *count = n;
+  in_page_ += n;
+  remaining_ -= n;
+  return Status::OK();
+}
+
+Status RecordSpool::Reader::NextPage() {
+  in_page_ = 0;
+  if (page_ != nullptr && ++page_index_ < extent_pages_) {
+    page_ = extent_[page_index_].data;
+    return Status::OK();
   }
-  *record = page_.data + in_page_ * spool_->record_size_;
-  ++in_page_;
-  --remaining_;
+  const PageId file_pages = spool_->file_->NumPages();
+  if (extent_ == nullptr) {
+    extent_capacity_ = std::clamp<size_t>(file_pages, 1, kExtentPages);
+    extent_ = std::make_unique_for_overwrite<Page[]>(extent_capacity_);
+  }
+  // At least one page, so a record count the file cannot hold surfaces as
+  // ReadPage's read-past-end error.
+  const size_t n = std::clamp<size_t>(
+      file_pages > next_page_ ? file_pages - next_page_ : 0, 1,
+      extent_capacity_);
+  CT_RETURN_NOT_OK(spool_->file_->ReadPages(next_page_, n, extent_.get()));
+  next_page_ += static_cast<PageId>(n);
+  extent_pages_ = n;
+  page_index_ = 0;
+  page_ = extent_[0].data;
   return Status::OK();
 }
 

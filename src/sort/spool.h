@@ -38,22 +38,35 @@ class RecordSpool {
   uint64_t FileSizeBytes() const { return file_->FileSizeBytes(); }
   const std::string& path() const { return file_->path(); }
 
-  /// Sequential reader over the sealed spool. Final, so a caller holding
-  /// it by its own type calls Next without a virtual dispatch.
+  /// Sequential reader over the sealed spool. It reads up to kExtentPages
+  /// pages per call into a buffer it holds only while records remain, and
+  /// NextSpan hands out the rest of a page at a time. Final, so a caller
+  /// holding it by its own type calls Next without a virtual dispatch.
   class Reader final : public RecordStream {
    public:
     Status Next(const char** record) override;
+    Status NextSpan(const char** records, size_t* count) override;
 
    private:
     friend class RecordSpool;
     explicit Reader(RecordSpool* spool) : spool_(spool) {}
 
+    /// Returns up to `max` records of the current page, moving to the next
+    /// page first when this one is used up.
+    Status Take(size_t max, const char** records, size_t* count);
+    /// Moves to the next page, reading the next extent when the loaded one
+    /// is used up.
+    Status NextPage();
+
     RecordSpool* spool_;
-    Page page_;
-    PageId next_page_ = 0;
+    std::unique_ptr<Page[]> extent_;
+    size_t extent_capacity_ = 0;
+    size_t extent_pages_ = 0;  // Pages loaded into extent_.
+    size_t page_index_ = 0;    // The current page within extent_.
+    PageId next_page_ = 0;     // First page of the next extent.
+    const char* page_ = nullptr;
     uint64_t remaining_ = 0;
-    size_t in_page_ = 0;
-    bool loaded_ = false;
+    size_t in_page_ = 0;  // Records of the current page handed out.
   };
 
   /// Returns a reader positioned at the first record. The spool must be

@@ -16,6 +16,12 @@ using PageId = uint32_t;
 
 inline constexpr PageId kInvalidPageId = 0xFFFFFFFFu;
 
+/// Pages moved by one pread or pwrite on the sequential paths: packed-tree
+/// writes, old-leaf scans and spool reads. Eight pages (64 KiB per stream)
+/// already take most of the system time of single-page calls away; larger
+/// extents save little more and cost resident memory per open stream.
+inline constexpr size_t kExtentPages = 8;
+
 /// A raw page image. Callers overlay their own layouts on `data`.
 struct Page {
   char data[kPageSize];

@@ -105,24 +105,33 @@ Status ErrnoToStatus(int err, const std::string& context) {
   return Status::IOError(context + ": " + std::strerror(err));
 }
 
-Status PwriteFully(int fd, const void* buf, size_t count, off_t offset,
-                   const std::string& context) {
+namespace {
+
+// The loops behind PwriteFully and PreadFully. `context()` labels an error
+// and is called only when the call fails, so a successful page read or
+// write builds no string.
+template <typename Context>
+Status PwriteLoop(int fd, const void* buf, size_t count, off_t offset,
+                  const Context& context) {
   const off_t start_offset = offset;
   const char* cursor = static_cast<const char*>(buf);
   size_t left = count;
   while (left > 0) {
     const ssize_t n = ::pwrite(fd, cursor, left, offset);
     if (n < 0) {
-      if (errno == EINTR) continue;  // A signal is not a disk failure.
-      return ErrnoStatus(context + " (offset " +
-                         std::to_string(static_cast<long long>(offset)) + ")");
+      const int err = errno;
+      if (err == EINTR) continue;  // A signal is not a disk failure.
+      return ErrnoToStatus(err, context() + " (offset " +
+                                    std::to_string(
+                                        static_cast<long long>(offset)) +
+                                    ")");
     }
     if (n == 0) {
       // pwrite accepting zero bytes with room left means the volume has
       // nothing more to give. Name the file and exact byte range, same
       // shape as PreadFully's short-read finding.
       return Status::StorageFull(
-          "short write to " + context + ": wanted " + std::to_string(count) +
+          "short write to " + context() + ": wanted " + std::to_string(count) +
           " bytes at offset " +
           std::to_string(static_cast<long long>(start_offset)) + ", got " +
           std::to_string(count - left));
@@ -136,25 +145,29 @@ Status PwriteFully(int fd, const void* buf, size_t count, off_t offset,
   return Status::OK();
 }
 
-Status PreadFully(int fd, void* buf, size_t count, off_t offset,
-                  const std::string& context) {
+template <typename Context>
+Status PreadLoop(int fd, void* buf, size_t count, off_t offset,
+                 const Context& context) {
   const off_t start_offset = offset;
   char* cursor = static_cast<char*>(buf);
   size_t left = count;
   while (left > 0) {
     const ssize_t n = ::pread(fd, cursor, left, offset);
     if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus(context + " (offset " +
-                         std::to_string(static_cast<long long>(offset)) + ")");
+      const int err = errno;
+      if (err == EINTR) continue;
+      return ErrnoToStatus(err, context() + " (offset " +
+                                    std::to_string(
+                                        static_cast<long long>(offset)) +
+                                    ")");
     }
     if (n == 0) {
       // Always name the file and the exact byte range: a short read is a
       // structural finding (truncated or mis-sized file) and the operator
       // needs to know where without re-running under a debugger.
       return Status::Corruption(
-          "short read from " + context + ": wanted " + std::to_string(count) +
-          " bytes at offset " +
+          "short read from " + context() + ": wanted " +
+          std::to_string(count) + " bytes at offset " +
           std::to_string(static_cast<long long>(start_offset)) + ", got " +
           std::to_string(count - left));
     }
@@ -163,6 +176,18 @@ Status PreadFully(int fd, void* buf, size_t count, off_t offset,
     left -= static_cast<size_t>(n);
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status PwriteFully(int fd, const void* buf, size_t count, off_t offset,
+                   const std::string& context) {
+  return PwriteLoop(fd, buf, count, offset, [&] { return context; });
+}
+
+Status PreadFully(int fd, void* buf, size_t count, off_t offset,
+                  const std::string& context) {
+  return PreadLoop(fd, buf, count, offset, [&] { return context; });
 }
 
 Status SyncFd(int fd, const std::string& context) {
@@ -299,8 +324,8 @@ Status PageManager::ReadPageOnce(PageId id, Page* page) {
     trash_page = outcome.corrupt_page;
   }
   const off_t offset = static_cast<off_t>(id) * kPageSize;
-  CT_RETURN_NOT_OK(
-      PreadFully(fd_, page->data, kPageSize, offset, "pread " + path_));
+  CT_RETURN_NOT_OK(PreadLoop(fd_, page->data, kPageSize, offset,
+                             [this] { return "pread " + path_; }));
   if (trash_page) {
     // Misdirected read: the transfer "succeeded" but delivered another
     // block's contents. Only checksum verification can tell.
@@ -355,6 +380,38 @@ Status PageManager::ReadPage(PageId id, Page* page) {
   // Attribute the physical read to the innermost span of the ambient trace
   // (one thread-local load when no trace is active).
   obs::NotePageRead();
+  return Status::OK();
+}
+
+Status PageManager::ReadPages(PageId first, size_t n, Page* pages) {
+  const auto page_by_page = [&]() -> Status {
+    for (size_t i = 0; i < n; ++i) {
+      CT_RETURN_NOT_OK(ReadPage(first + static_cast<PageId>(i), &pages[i]));
+    }
+    return Status::OK();
+  };
+  if (n <= 1 || FaultInjector::AnyArmed() ||
+      static_cast<uint64_t>(first) + n > NumPages()) {
+    return page_by_page();
+  }
+  const QueryContext* ctx = QueryContext::Current();
+  if (ctx != nullptr) CT_RETURN_NOT_OK(ctx->Check());
+  const off_t offset = static_cast<off_t>(first) * kPageSize;
+  if (!PreadLoop(fd_, pages, n * kPageSize, offset, [this] {
+         return "pread " + path_;
+       }).ok()) {
+    // Re-read page by page: retries and the error then belong to the page
+    // that failed, exactly as through ReadPage.
+    return page_by_page();
+  }
+  const bool verify = crc_mode_.load(std::memory_order_acquire) == kCrcVerify;
+  for (size_t i = 0; i < n; ++i) {
+    const PageId id = first + static_cast<PageId>(i);
+    if (i > 0 && ctx != nullptr) CT_RETURN_NOT_OK(ctx->Check());
+    if (verify) CT_RETURN_NOT_OK(VerifyPageChecksum(id, &pages[i]));
+    RecordRead(id);
+    obs::NotePageRead();
+  }
   return Status::OK();
 }
 
@@ -454,15 +511,18 @@ Status PageManager::WritePageAt(PageId id, const Page& page,
     }
     if (outcome.fail) return outcome.ToStatus();
   }
-  CT_RETURN_NOT_OK(
-      PwriteFully(fd_, page.data, kPageSize, offset, "pwrite " + path_));
-  if (crc_mode_.load(std::memory_order_relaxed) == kCrcTrack) {
-    // Single-writer build thread (same discipline as appends): fold the
-    // page into the table that FinalizeChecksums persists.
-    if (page_crcs_.size() <= id) page_crcs_.resize(id + 1, 0);
-    page_crcs_[id] = Crc32c(page.data, kPageSize);
-  }
+  CT_RETURN_NOT_OK(PwriteLoop(fd_, page.data, kPageSize, offset,
+                              [this] { return "pwrite " + path_; }));
+  TrackChecksum(id, page);
   return Status::OK();
+}
+
+void PageManager::TrackChecksum(PageId id, const Page& page) {
+  if (crc_mode_.load(std::memory_order_relaxed) != kCrcTrack) return;
+  // Single-writer build thread (same discipline as appends): fold the
+  // page into the table that FinalizeChecksums persists.
+  if (page_crcs_.size() <= id) page_crcs_.resize(id + 1, 0);
+  page_crcs_[id] = Crc32c(page.data, kPageSize);
 }
 
 Status PageManager::WritePage(PageId id, const Page& page) {
@@ -482,6 +542,31 @@ Result<PageId> PageManager::AppendPage(const Page& page) {
   num_pages_.store(id + 1, std::memory_order_relaxed);
   RecordWrite(id);
   return id;
+}
+
+Result<PageId> PageManager::AppendPages(const Page* pages, size_t n) {
+  const PageId first = NumPages();
+  const auto page_by_page = [&]() -> Result<PageId> {
+    for (size_t i = 0; i < n; ++i) CT_RETURN_NOT_OK(AppendPage(pages[i]).status());
+    return first;
+  };
+  if (n <= 1 || FaultInjector::AnyArmed()) return page_by_page();
+  const off_t offset = static_cast<off_t>(first) * kPageSize;
+  if (!PwriteLoop(fd_, pages, n * kPageSize, offset, [this] {
+         return "pwrite " + path_;
+       }).ok()) {
+    // Rewrite page by page from the first: the pages that fit land again,
+    // and the error belongs to the page that failed, exactly as through
+    // AppendPage.
+    return page_by_page();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const PageId id = first + static_cast<PageId>(i);
+    TrackChecksum(id, pages[i]);
+    num_pages_.store(id + 1, std::memory_order_relaxed);
+    RecordWrite(id);
+  }
+  return first;
 }
 
 Status PageManager::Sync() {

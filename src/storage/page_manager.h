@@ -72,12 +72,27 @@ class PageManager {
   /// Reads page `id` into `*page`.
   Status ReadPage(PageId id, Page* page);
 
+  /// Reads pages [first, first + n) into pages[0..n). Every page is
+  /// verified, accounted and attributed exactly as ReadPage does it, in page
+  /// order. The n pages arrive in one pread unless a failpoint is armed or
+  /// that pread fails; then they are read one ReadPage at a time, so
+  /// failpoints, retries and error messages act per page.
+  Status ReadPages(PageId first, size_t n, Page* pages);
+
   /// Writes `page` at page `id`; `id` must be < NumPages().
   Status WritePage(PageId id, const Page& page);
 
   /// Appends `page` at the end of the file (always a sequential write) and
   /// returns its id. This is the packed-structure bulk-write path.
   Result<PageId> AppendPage(const Page& page);
+
+  /// Appends pages[0..n) at the end of the file and returns the id of the
+  /// first. Every page is checksummed and accounted exactly as AppendPage
+  /// does it, in page order. The n pages leave in one pwrite unless a
+  /// failpoint is armed or that pwrite fails; then they are written one
+  /// AppendPage at a time, so failpoints (torn, short-write) and error
+  /// messages act per page.
+  Result<PageId> AppendPages(const Page* pages, size_t n);
 
   /// Flushes the file to stable storage.
   Status Sync();
@@ -132,6 +147,8 @@ class PageManager {
 
   Status ReadPageOnce(PageId id, Page* page);
   Status WritePageAt(PageId id, const Page& page, const char* failpoint);
+  /// Folds a written page into the checksum table while tracking.
+  void TrackChecksum(PageId id, const Page& page);
   /// Verifies `*page` against the loaded table; on mismatch performs a
   /// small number of immediate re-reads (transient transfer corruption
   /// heals, bad bytes on the platter do not) before surfacing Corruption.

@@ -303,60 +303,6 @@ TEST_F(ForestTest, DuplicateViewIdRejected) {
 
 // --- Merge-pack ----------------------------------------------------------
 
-TEST(MergePointSourceTest, MergesAndCombines) {
-  std::vector<PointRecord> a_points, b_points;
-  auto mk = [](uint32_t x, uint32_t y, int64_t sum) {
-    PointRecord rec;
-    rec.view_id = 1;
-    rec.coords[0] = x;
-    rec.coords[1] = y;
-    rec.agg = AggValue{sum, 1};
-    return rec;
-  };
-  a_points = {mk(1, 1, 10), mk(3, 1, 30), mk(1, 2, 100)};
-  b_points = {mk(2, 1, 20), mk(3, 1, 5), mk(5, 3, 50)};
-  VectorPointSource a(a_points), b(b_points);
-  MergePointSource merged(&a, &b, 2);
-  std::vector<PointRecord> out;
-  while (true) {
-    const PointRecord* rec = nullptr;
-    ASSERT_OK(merged.Next(&rec));
-    if (rec == nullptr) break;
-    out.push_back(*rec);
-  }
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(out[0].coords[0], 1u);
-  EXPECT_EQ(out[1].coords[0], 2u);
-  EXPECT_EQ(out[2].coords[0], 3u);
-  EXPECT_EQ(out[2].agg.sum, 35);   // Combined.
-  EXPECT_EQ(out[2].agg.count, 2u);
-  EXPECT_EQ(out[3].coords[1], 2u);
-  EXPECT_EQ(out[4].coords[1], 3u);
-}
-
-TEST(MergePointSourceTest, EmptySides) {
-  std::vector<PointRecord> points(1);
-  points[0].view_id = 1;
-  points[0].coords[0] = 7;
-  {
-    VectorPointSource a(points), b({});
-    MergePointSource merged(&a, &b, 1);
-    const PointRecord* rec = nullptr;
-    ASSERT_OK(merged.Next(&rec));
-    ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->coords[0], 7u);
-    ASSERT_OK(merged.Next(&rec));
-    EXPECT_EQ(rec, nullptr);
-  }
-  {
-    VectorPointSource a({}), b({});
-    MergePointSource merged(&a, &b, 1);
-    const PointRecord* rec = nullptr;
-    ASSERT_OK(merged.Next(&rec));
-    EXPECT_EQ(rec, nullptr);
-  }
-}
-
 // Two equal points whose counts sum past 2^32: merge-pack must fail with a
 // typed error naming the view, not pack a wrapped count.
 TEST(MergePackTest, CountOverflowIsAnErrorNamingTheView) {
@@ -382,6 +328,194 @@ TEST(MergePackTest, CountOverflowIsAnErrorNamingTheView) {
       << merged.status().ToString();
   EXPECT_NE(merged.status().ToString().find("view 4"), std::string::npos)
       << merged.status().ToString();
+}
+
+// Equal keys combine in input order — main tree, pending delta, then the
+// increment — and the merge that leaves uint32 is a typed error naming the
+// view, through the run-based packer.
+TEST(MergePackTest, OverflowAcrossDeltaAndIncrementNamesTheView) {
+  const std::string dir = MakeTestDir("mergepack_overflow3");
+  BufferPool pool(16);
+  RTreeOptions options;
+  options.dims = 2;
+  const ViewArityFn arity = [](uint32_t) { return uint8_t{2}; };
+  PointRecord point;
+  point.view_id = 4;
+  point.coords[0] = 3;
+  point.coords[1] = 5;
+  point.agg = AggValue{1, UINT32_MAX - 1};
+  VectorPointSource main_points({point});
+  ASSERT_OK_AND_ASSIGN(auto main_tree,
+                       PackedRTree::Build(dir + "/main.ctr", options, &pool,
+                                          &main_points, arity));
+  point.agg = AggValue{1, 1};
+  VectorPointSource delta_points({point});
+  ASSERT_OK_AND_ASSIGN(auto delta_tree,
+                       PackedRTree::Build(dir + "/delta.ctr", options, &pool,
+                                          &delta_points, arity));
+  std::vector<char> record(ViewRecordBytes(2));
+  EncodeViewRecord(record.data(), point.coords, 2, point.agg);
+  std::vector<ViewStreamSource::ViewStream> streams;
+  streams.push_back(
+      {4, 2, std::make_unique<MemoryRecordStream>(record, record.size())});
+  ViewStreamSource increment(std::move(streams));
+  PackedRTree::LeafRunSource main_leaves(main_tree.get(), arity);
+  PackedRTree::LeafRunSource delta_leaves(delta_tree.get(), arity);
+  const auto merged =
+      PackedRTree::Build(dir + "/new.ctr", options, &pool,
+                         {&main_leaves, &delta_leaves, &increment}, arity);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_TRUE(merged.status().IsInvalidArgument())
+      << merged.status().ToString();
+  EXPECT_NE(merged.status().ToString().find("view 4"), std::string::npos)
+      << merged.status().ToString();
+}
+
+// Either side of a merge may be empty: an empty old tree and an empty
+// increment pack an empty tree, and a point on one side alone passes on.
+TEST(MergePackTest, EmptySidesMerge) {
+  const std::string dir = MakeTestDir("mergepack_empty");
+  BufferPool pool(16);
+  RTreeOptions options;
+  options.dims = 1;
+  const ViewArityFn arity = [](uint32_t) { return uint8_t{1}; };
+  VectorPointSource nothing({});
+  ASSERT_OK_AND_ASSIGN(auto empty_tree,
+                       PackedRTree::Build(dir + "/empty.ctr", options, &pool,
+                                          &nothing, arity));
+  const auto merge = [&](PackedRTree* old, std::vector<char> increment,
+                         const std::string& name) {
+    std::vector<ViewStreamSource::ViewStream> streams;
+    streams.push_back({1, 1, std::make_unique<MemoryRecordStream>(
+                                 std::move(increment), ViewRecordBytes(1))});
+    ViewStreamSource stream_input(std::move(streams));
+    PackedRTree::LeafRunSource old_input(old, arity);
+    return PackedRTree::Build(dir + "/" + name, options, &pool,
+                              {&old_input, &stream_input}, arity);
+  };
+  ASSERT_OK_AND_ASSIGN(auto both_empty,
+                       merge(empty_tree.get(), {}, "both_empty.ctr"));
+  EXPECT_EQ(both_empty->num_points(), 0u);
+  EXPECT_EQ(both_empty->height(), 0u);
+
+  std::vector<char> record(ViewRecordBytes(1));
+  const Coord key = 7;
+  EncodeViewRecord(record.data(), &key, 1, AggValue{5, 1});
+  ASSERT_OK_AND_ASSIGN(auto one_point,
+                       merge(empty_tree.get(), record, "one_point.ctr"));
+  ASSERT_EQ(one_point->num_points(), 1u);
+  ASSERT_OK_AND_ASSIGN(auto kept, merge(one_point.get(), {}, "kept.ctr"));
+  ASSERT_EQ(kept->num_points(), 1u);
+  auto scanner = kept->ScanAll();
+  const PointRecord* rec = nullptr;
+  ASSERT_OK(scanner.Next(&rec));
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->coords[0], 7u);
+  EXPECT_EQ(rec->agg, (AggValue{5, 1}));
+}
+
+// A sibling worker's failure cancels the flag; the pack stops at its next
+// leaf page with Cancelled instead of finishing a doomed tree.
+TEST(MergePackTest, CancelledPackStopsAtTheNextLeafPage) {
+  const std::string dir = MakeTestDir("mergepack_cancel");
+  BufferPool pool(16);
+  RTreeOptions options;
+  options.dims = 1;
+  options.max_leaf_entries = 10;
+  std::vector<PointRecord> points(1000);
+  for (uint32_t i = 0; i < points.size(); ++i) {
+    points[i].view_id = 1;
+    points[i].coords[0] = i + 1;
+    points[i].agg = AggValue{1, 1};
+  }
+  VectorPointSource source(points);
+  PointRunSource input(&source, options.dims);
+  CancelFlag cancel;
+  cancel.Cancel();
+  auto io = std::make_shared<IoStats>();
+  const auto built =
+      PackedRTree::Build(dir + "/t.ctr", options, &pool, {&input},
+                         [](uint32_t) { return uint8_t{1}; }, io, &cancel);
+  ASSERT_FALSE(built.ok());
+  EXPECT_TRUE(built.status().IsCancelled()) << built.status().ToString();
+  // The meta page only: the cancelled leaf never left its extent buffer.
+  EXPECT_EQ(io->TotalWrites(), 1u);
+}
+
+// The old-tree input vouches for its leaves: a view the pack does not know,
+// a view that comes back after its run ended, and a leaf stored at another
+// arity than the pack stores its view at are Corruption.
+TEST(MergePackTest, OldLeavesOfUnknownMisplacedOrMisshapenViewsAreCorruption) {
+  const std::string dir = MakeTestDir("mergepack_old_leaves");
+  BufferPool pool(16);
+  RTreeOptions options;
+  options.dims = 2;
+  options.max_leaf_entries = 4;
+  const auto point = [](uint32_t view, Coord x, Coord y) {
+    PointRecord rec;
+    rec.view_id = view;
+    rec.coords[0] = x;
+    rec.coords[1] = y;
+    rec.agg = AggValue{1, 1};
+    return rec;
+  };
+  // View 1 (arity 1) then view 2 (arity 2), in pack order.
+  std::vector<PointRecord> ordered;
+  for (Coord x = 1; x <= 6; ++x) ordered.push_back(point(1, x, 0));
+  for (Coord y = 1; y <= 6; ++y) ordered.push_back(point(2, 1, y));
+  const ViewArityFn arity = [](uint32_t view) -> std::optional<uint8_t> {
+    if (view == 1 || view == 2) return static_cast<uint8_t>(view);
+    return std::nullopt;
+  };
+  VectorPointSource ordered_source(ordered);
+  ASSERT_OK_AND_ASSIGN(auto tree,
+                       PackedRTree::Build(dir + "/t.ctr", options, &pool,
+                                          &ordered_source, arity));
+  const auto merge = [&](PackedRTree* old, const ViewArityFn& fn) {
+    PackedRTree::LeafRunSource leaves(old, fn);
+    return PackedRTree::Build(dir + "/out.ctr", options, &pool, {&leaves}, fn)
+        .status();
+  };
+  ASSERT_OK(merge(tree.get(), arity));
+
+  const ViewArityFn only_view_1 = [](uint32_t view) -> std::optional<uint8_t> {
+    if (view == 1) return uint8_t{1};
+    return std::nullopt;
+  };
+  Status status = merge(tree.get(), only_view_1);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find("does not store"), std::string::npos)
+      << status.ToString();
+
+  const ViewArityFn view_2_wider = [](uint32_t view) -> std::optional<uint8_t> {
+    if (view == 1) return uint8_t{1};
+    if (view == 2) return uint8_t{3};
+    return std::nullopt;
+  };
+  RTreeOptions wide = options;
+  wide.dims = 3;
+  PackedRTree::LeafRunSource leaves(tree.get(), view_2_wider);
+  status = PackedRTree::Build(dir + "/wide.ctr", wide, &pool, {&leaves},
+                              view_2_wider)
+               .status();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find("at arity 2, not the 3"), std::string::npos)
+      << status.ToString();
+
+  // View 1's run, then view 2's, then view 1 again: only a tree built
+  // without the pack-order check can hold that.
+  std::vector<PointRecord> interleaved = ordered;
+  interleaved.push_back(point(1, 7, 0));
+  RTreeOptions unchecked = options;
+  unchecked.enforce_pack_order = false;
+  VectorPointSource interleaved_source(interleaved);
+  ASSERT_OK_AND_ASSIGN(auto misplaced,
+                       PackedRTree::Build(dir + "/bad.ctr", unchecked, &pool,
+                                          &interleaved_source, arity));
+  status = merge(misplaced.get(), arity);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find("out of pack order"), std::string::npos)
+      << status.ToString();
 }
 
 TEST_F(ForestTest, ApplyDeltaMergePacks) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <map>
 #include <set>
 #include <string>
@@ -16,9 +19,12 @@
 #include "common/rng.h"
 #include "cubetree/merge_pack.h"
 #include "cubetree/select_mapping.h"
+#include "cubetree/view_def.h"
 #include "olap/cube_builder.h"
 #include "rtree/packed_rtree.h"
 #include "sort/external_sorter.h"
+#include "sort/spool.h"
+#include "storage/checksum.h"
 #include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
@@ -624,6 +630,190 @@ TEST_P(MultiViewTreeProperty, BuildScanAndMergePackMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(EveryArity, MultiViewTreeProperty,
                          ::testing::Range(1, 9));
+
+// --- Merge-pack equals a build from the union, byte for byte --------------
+
+// A `dims`-dimensional tree stores one view of every arity 0..dims (view
+// 100 + a has arity a), with compressed or full-width leaves. An old main
+// tree, zero to two pending delta trees and a spooled increment are
+// merge-packed by PackedRTree::Build over their leaves and the spool; the
+// file and its checksum sidecar must equal those of a Build over the
+// aggregated union. Keys repeat across the inputs, some views are absent
+// from the old tree and one from the increment, small leaves make spans
+// cross leaf boundaries, and the old tree's leaf count sits just below, at
+// and just above one extent.
+class MergePackBytesProperty
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(MergePackBytesProperty, MergeEqualsBuildOfUnion) {
+  const int dims = std::get<0>(GetParam());
+  const bool compress = std::get<1>(GetParam());
+  const std::string dir = MakeTestDir("mpbytes");
+  constexpr uint16_t kLeaf = 12;
+  BufferPool pool(64);
+  RTreeOptions options;
+  options.dims = static_cast<uint8_t>(dims);
+  options.compress_leaves = compress;
+  options.max_leaf_entries = kLeaf;
+  options.max_internal_entries = 4;
+  const ViewArityFn arity_fn =
+      [dims](uint32_t view) -> std::optional<uint8_t> {
+    if (view < 100 || view > 100 + static_cast<uint32_t>(dims)) {
+      return std::nullopt;
+    }
+    return static_cast<uint8_t>(view - 100);
+  };
+  Rng rng(static_cast<uint64_t>(dims) * 31 + (compress ? 1 : 0));
+
+  // Keys list the coordinates most significant first, zero beyond the
+  // view's arity, so map order is pack order across views.
+  using Key = std::vector<Coord>;
+  using Points = std::map<Key, PointRecord>;
+  const auto key_of = [dims](const PointRecord& rec) {
+    Key key(dims);
+    for (int d = 0; d < dims; ++d) key[d] = rec.coords[dims - 1 - d];
+    return key;
+  };
+  const auto random_point = [&](int arity) {
+    PointRecord rec;
+    rec.view_id = 100 + arity;
+    for (int d = 0; d < arity; ++d) {
+      rec.coords[d] = static_cast<Coord>(1 + rng.Uniform(d == 0 ? 1000 : 5));
+    }
+    rec.agg = AggValue{static_cast<int64_t>(rng.Uniform(1000)) - 500,
+                       static_cast<uint32_t>(1 + rng.Uniform(3))};
+    return rec;
+  };
+  // `n` points of view 100 + arity, half of them (where there are any) on
+  // keys `reuse` already holds.
+  const auto draw = [&](int arity, size_t n, const Points& reuse) {
+    std::vector<const PointRecord*> same_view;
+    for (const auto& entry : reuse) {
+      if (entry.second.view_id == 100u + arity) same_view.push_back(&entry.second);
+    }
+    Points batch;
+    for (size_t i = 0; i < n; ++i) {
+      PointRecord rec = random_point(arity);
+      if (!same_view.empty() && rng.Uniform(2) == 0) {
+        const PointRecord* old = same_view[rng.Uniform(same_view.size())];
+        std::copy(old->coords, old->coords + kMaxDims, rec.coords);
+      }
+      auto [it, inserted] = batch.emplace(key_of(rec), rec);
+      if (!inserted) {
+        EXPECT_TRUE(it->second.agg.Merge(rec.agg));
+      }
+    }
+    return batch;
+  };
+  const auto merge_into = [](Points* into, const Points& from) {
+    for (const auto& [key, rec] : from) {
+      auto [it, inserted] = into->emplace(key, rec);
+      if (!inserted) {
+        ASSERT_TRUE(it->second.agg.Merge(rec.agg));
+      }
+    }
+  };
+  const auto build = [&](const std::string& name, const Points& points) {
+    std::vector<PointRecord> sorted;
+    for (const auto& entry : points) sorted.push_back(entry.second);
+    VectorPointSource source(std::move(sorted));
+    return PackedRTree::Build(dir + "/" + name, options, &pool, &source,
+                              arity_fn)
+        .value();
+  };
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  // Old-tree views: the arities of the top view's parity, so lower views
+  // are missing from it. The increment skips arity dims - 1 (arity 1 when
+  // dims is 1).
+  std::vector<int> old_views;
+  for (int a = dims % 2; a <= dims; a += 2) old_views.push_back(a);
+  const int skipped_in_increment = dims >= 2 ? dims - 1 : 1;
+
+  for (const size_t leaves : {kExtentPages - 1, kExtentPages,
+                              kExtentPages + 1}) {
+    for (int num_deltas = 0; num_deltas <= 2; ++num_deltas) {
+      SCOPED_TRACE("old leaves " + std::to_string(leaves) + ", deltas " +
+                   std::to_string(num_deltas));
+      // One leaf for every old view but the top one, which fills the rest.
+      Points main_points;
+      for (int a : old_views) {
+        const size_t n = a == dims ? (leaves - old_views.size() + 1) * kLeaf
+                                   : (a == 0 ? 1 : kLeaf);
+        Points view_points;
+        while (view_points.size() < n) {
+          const PointRecord rec = random_point(a);
+          view_points.emplace(key_of(rec), rec);
+        }
+        merge_into(&main_points, view_points);
+      }
+      auto main_tree = build("main.ctr", main_points);
+      ASSERT_EQ(main_tree->num_leaf_pages(), leaves);
+      Points all = main_points;
+
+      std::vector<std::unique_ptr<PackedRTree>> deltas;
+      for (int i = 0; i < num_deltas; ++i) {
+        Points delta;
+        for (int a = 0; a <= dims; ++a) {
+          merge_into(&delta, draw(a, rng.Uniform(2 * kLeaf), all));
+        }
+        deltas.push_back(build("d" + std::to_string(i) + ".ctr", delta));
+        merge_into(&all, delta);
+      }
+
+      // The increment, one spool per view in ascending arity.
+      std::vector<std::unique_ptr<RecordSpool>> spools;
+      std::vector<ViewStreamSource::ViewStream> streams;
+      for (int a = 0; a <= dims; ++a) {
+        if (a == skipped_in_increment) continue;
+        const Points view_points = draw(a, rng.Uniform(4 * kLeaf), all);
+        merge_into(&all, view_points);
+        auto spool = RecordSpool::Create(
+                         dir + "/inc" + std::to_string(a) + ".spl",
+                         ViewRecordBytes(static_cast<uint8_t>(a)))
+                         .value();
+        std::vector<char> record(ViewRecordBytes(static_cast<uint8_t>(a)));
+        for (const auto& [key, rec] : view_points) {
+          EncodeViewRecord(record.data(), rec.coords,
+                           static_cast<uint8_t>(a), rec.agg);
+          ASSERT_OK(spool->Append(record.data()));
+        }
+        ASSERT_OK(spool->Seal());
+        streams.push_back({100u + a, static_cast<uint8_t>(a),
+                           spool->NewReader().value()});
+        spools.push_back(std::move(spool));
+      }
+      ViewStreamSource increment(std::move(streams));
+
+      std::vector<std::unique_ptr<PackedRTree::LeafRunSource>> old_leaves;
+      std::vector<ViewRunSource*> inputs;
+      old_leaves.push_back(std::make_unique<PackedRTree::LeafRunSource>(
+          main_tree.get(), arity_fn));
+      for (const auto& delta : deltas) {
+        old_leaves.push_back(std::make_unique<PackedRTree::LeafRunSource>(
+            delta.get(), arity_fn));
+      }
+      for (const auto& source : old_leaves) inputs.push_back(source.get());
+      inputs.push_back(&increment);
+      ASSERT_OK_AND_ASSIGN(
+          auto merged, PackedRTree::Build(dir + "/merged.ctr", options, &pool,
+                                          inputs, arity_fn));
+      auto expected = build("union.ctr", all);
+      ASSERT_EQ(merged->num_points(), all.size());
+      ASSERT_EQ(merged->num_leaf_pages(), expected->num_leaf_pages());
+      ASSERT_EQ(bytes(dir + "/merged.ctr"), bytes(dir + "/union.ctr"));
+      ASSERT_EQ(bytes(ChecksumSidecarPath(dir + "/merged.ctr")),
+                bytes(ChecksumSidecarPath(dir + "/union.ctr")));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryArity, MergePackBytesProperty,
+                         ::testing::Combine(::testing::Range(1, 9),
+                                            ::testing::Bool()));
 
 // --- SelectMapping invariants over random view sets ----------------------
 

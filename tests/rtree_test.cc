@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -643,6 +644,51 @@ TEST_F(PackedRTreeTest, ValidateDetectsCorruptedLeaf) {
   ASSERT_OK(RemoveChecksumSidecar(path));
   ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(path, pool_.get()));
   EXPECT_TRUE(tree->Validate().IsCorruption());
+}
+
+// Without a checksum sidecar a tree is read unverified, so a damaged node
+// header must be refused before any entry is decoded: a leaf whose arity is
+// above the tree's dims or whose count is above its page's capacity, and an
+// internal node whose count is above its page's capacity, make Search and
+// Validate return Corruption in every build.
+TEST_F(PackedRTreeTest, SmashedNodeHeadersAreCorruption) {
+  struct Smash {
+    const char* what;
+    bool leaf;
+    size_t offset;  // Header byte to overwrite.
+    size_t width;   // 1 (arity) or 2 (count).
+  };
+  for (const Smash& smash : {Smash{"leaf arity", true, 1, 1},
+                             Smash{"leaf count", true, 2, 2},
+                             Smash{"internal count", false, 2, 2}}) {
+    SCOPED_TRACE(smash.what);
+    std::string path;
+    PageId victim = 0;
+    {
+      ASSERT_OK_AND_ASSIGN(auto tree, Build(MakeGridPoints(20000), 2,
+                                            [](uint32_t) { return 2; }));
+      ASSERT_GE(tree->height(), 2u);
+      path = tree->path();
+      // The first leaf, or the first internal node above the leaves.
+      victim = smash.leaf ? 1 : tree->num_leaf_pages() + 1;
+    }
+    {
+      ASSERT_OK_AND_ASSIGN(auto file, PageManager::Open(path));
+      Page page;
+      ASSERT_OK(file->ReadPage(victim, &page));
+      ASSERT_EQ(RNodeIsLeaf(page.data), smash.leaf);
+      std::memset(page.data + smash.offset, 0xFF, smash.width);
+      ASSERT_OK(file->WritePage(victim, page));
+    }
+    ASSERT_OK(RemoveChecksumSidecar(path));
+    BufferPool pool(64);
+    ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(path, &pool));
+    const Status searched =
+        tree->Search(Rect::Full(2), [](const PointRecord&) {});
+    EXPECT_TRUE(searched.IsCorruption()) << searched.ToString();
+    const Status validated = tree->Validate();
+    EXPECT_TRUE(validated.IsCorruption()) << validated.ToString();
+  }
 }
 
 TEST_F(PackedRTreeTest, PointQueryFindsExactlyOne) {

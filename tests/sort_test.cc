@@ -499,6 +499,48 @@ TEST(RecordSpoolTest, AppendSealRead) {
   for (uint32_t i = 0; i < 5000; ++i) EXPECT_EQ(out[i], i);
 }
 
+// The reader moves kExtentPages pages per read and hands out a page's
+// records per span; every record arrives once, in order, and every page is
+// read once, sequentially after the first, as page at a time.
+TEST(RecordSpoolTest, SpansCrossExtents) {
+  const std::string dir = MakeTestDir("spool_spans");
+  constexpr size_t kRecord = 24;
+  constexpr size_t kPerPage = kPageSize / kRecord;
+  for (const size_t pages : {kExtentPages - 1, kExtentPages, kExtentPages + 1,
+                             2 * kExtentPages + 1}) {
+    auto stats = std::make_shared<IoStats>();
+    ASSERT_OK_AND_ASSIGN(
+        auto spool, RecordSpool::Create(dir + "/s.spl", kRecord, stats));
+    const uint32_t records = static_cast<uint32_t>((pages - 1) * kPerPage + 5);
+    char buf[kRecord] = {0};
+    for (uint32_t i = 0; i < records; ++i) {
+      EncodeFixed32(buf, i);
+      ASSERT_OK(spool->Append(buf));
+    }
+    ASSERT_OK(spool->Seal());
+    stats->Clear();
+    ASSERT_OK_AND_ASSIGN(auto reader, spool->NewReader());
+    uint32_t next = 0;
+    while (true) {
+      const char* span = nullptr;
+      size_t count = 0;
+      ASSERT_OK(reader->NextSpan(&span, &count));
+      if (count == 0) break;
+      ASSERT_LE(count, kPerPage);
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(DecodeFixed32(span + i * kRecord), next++);
+      }
+    }
+    EXPECT_EQ(next, records);
+    EXPECT_EQ(stats->random_reads, 1u);
+    EXPECT_EQ(stats->sequential_reads, pages - 1);
+    ASSERT_OK_AND_ASSIGN(auto by_record, spool->NewReader());
+    std::vector<uint32_t> out = DrainU32(by_record.get());
+    ASSERT_EQ(out.size(), records);
+    for (uint32_t i = 0; i < records; ++i) ASSERT_EQ(out[i], i);
+  }
+}
+
 TEST(RecordSpoolTest, MultipleReaders) {
   const std::string dir = MakeTestDir("spool_multi");
   ASSERT_OK_AND_ASSIGN(auto spool, RecordSpool::Create(dir + "/s.spl", 4));

@@ -3,8 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/crc32.h"
@@ -271,6 +275,123 @@ TEST(PageManagerTest, ShortReadCorruptionCarriesContextAndOffset) {
   EXPECT_NE(text.find(path), std::string::npos) << text;
   EXPECT_NE(text.find("offset 50"), std::string::npos) << text;
   EXPECT_NE(text.find("got 50"), std::string::npos) << text;
+}
+
+// A page read that comes up short and a page write the volume refuses name
+// the file, the byte range and the outcome in the same words whether the
+// page moved alone or in an extent. The "pread <path>" and "pwrite <path>"
+// labels are built only when a call fails.
+TEST(PageManagerTest, ShortPageReadNamesFileAndRange) {
+  const std::string dir = MakeTestDir("pm_short_page");
+  const std::string path = dir + "/f.pg";
+  {
+    ASSERT_OK_AND_ASSIGN(auto pm, PageManager::Create(path));
+    Page page;
+    page.Zero();
+    for (int i = 0; i < 3; ++i) ASSERT_OK(pm->AppendPage(page).status());
+  }
+  ASSERT_OK_AND_ASSIGN(auto pm, PageManager::Open(path));
+  ASSERT_EQ(::truncate(path.c_str(), 2 * kPageSize), 0);
+  const std::string want = "Corruption: short read from pread " + path +
+                           ": wanted 8192 bytes at offset 16384, got 0";
+  Page page;
+  EXPECT_EQ(pm->ReadPage(2, &page).ToString(), want);
+  Page pages[3];
+  EXPECT_EQ(pm->ReadPages(0, 3, pages).ToString(), want);
+  EXPECT_EQ(pm->stats().TotalReads(), 2u) << "pages 0 and 1 were read";
+}
+
+TEST(PageManagerTest, FailedPageWriteNamesFileAndOffset) {
+  if (!FileExists("/dev/full")) GTEST_SKIP() << "no /dev/full to write to";
+  ASSERT_OK_AND_ASSIGN(auto pm, PageManager::Open("/dev/full"));
+  const std::string want =
+      "StorageFull: pwrite /dev/full (offset 0): " + std::string(
+          std::strerror(ENOSPC));
+  Page pages[3];
+  for (Page& page : pages) page.Zero();
+  EXPECT_EQ(pm->AppendPage(pages[0]).status().ToString(), want);
+  EXPECT_EQ(pm->AppendPages(pages, 3).status().ToString(), want);
+  EXPECT_EQ(pm->NumPages(), 0u);
+  EXPECT_EQ(pm->stats().TotalWrites(), 0u);
+}
+
+// Extents change the number of system calls, nothing else: the same file
+// bytes, checksum table and sequential/random counts as page at a time,
+// and verify-on-read still checks every page of an extent.
+TEST(PageManagerTest, ExtentIoMatchesPageAtATime) {
+  const std::string dir = MakeTestDir("pm_extents");
+  constexpr size_t kPages = 2 * kExtentPages + 3;
+  std::vector<Page> pages(kPages);
+  for (size_t i = 0; i < kPages; ++i) {
+    std::memset(pages[i].data, static_cast<int>('a' + i % 26), kPageSize);
+  }
+  const auto write = [&](const std::string& path, bool extents) {
+    auto pm = PageManager::Create(path).value();
+    pm->StartChecksumTracking();
+    EXPECT_OK(pm->AllocatePage().status());
+    if (extents) {
+      for (size_t i = 0; i < kPages; i += kExtentPages) {
+        const size_t n = std::min(kExtentPages, kPages - i);
+        EXPECT_EQ(pm->AppendPages(&pages[i], n).value(), i + 1);
+      }
+    } else {
+      for (const Page& page : pages) EXPECT_OK(pm->AppendPage(page).status());
+    }
+    EXPECT_OK(pm->Sync());
+    EXPECT_OK(pm->FinalizeChecksums());
+    return pm;
+  };
+  auto single = write(dir + "/single.pg", false);
+  auto extent = write(dir + "/extent.pg", true);
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(bytes(dir + "/single.pg"), bytes(dir + "/extent.pg"));
+  EXPECT_EQ(bytes(ChecksumSidecarPath(dir + "/single.pg")),
+            bytes(ChecksumSidecarPath(dir + "/extent.pg")));
+  EXPECT_EQ(single->stats().sequential_writes,
+            extent->stats().sequential_writes);
+  EXPECT_EQ(single->stats().random_writes, extent->stats().random_writes);
+
+  std::vector<Page> read(kPages);
+  for (size_t i = 0; i < kPages; ++i) {
+    ASSERT_OK(single->ReadPage(static_cast<PageId>(i + 1), &read[i]));
+  }
+  ASSERT_OK(extent->ReadPages(1, kExtentPages, read.data()));
+  ASSERT_OK(extent->ReadPages(1 + kExtentPages, kPages - kExtentPages,
+                              read.data() + kExtentPages));
+  for (size_t i = 0; i < kPages; ++i) {
+    ASSERT_EQ(std::memcmp(read[i].data, pages[i].data, kPageSize), 0) << i;
+  }
+  EXPECT_EQ(single->stats().sequential_reads, extent->stats().sequential_reads);
+  EXPECT_EQ(single->stats().random_reads, extent->stats().random_reads);
+
+  // Damage one page in the middle of an extent on disk.
+  const int fd = ::open((dir + "/extent.pg").c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::pwrite(fd, "X", 1, 5 * kPageSize + 100), 1);
+  ::close(fd);
+  const Status damaged = extent->ReadPages(1, kExtentPages, read.data());
+  EXPECT_TRUE(damaged.IsCorruption()) << damaged.ToString();
+  EXPECT_NE(damaged.ToString().find("checksum mismatch on page 5"),
+            std::string::npos)
+      << damaged.ToString();
+}
+
+// With a failpoint armed, an extent meets the failpoint page by page: the
+// pages before the failing one land and are counted, the rest do not.
+TEST(PageManagerTest, ExtentAppendFailsAtTheArmedPage) {
+  const std::string dir = MakeTestDir("pm_extent_fault");
+  ASSERT_OK_AND_ASSIGN(auto pm, PageManager::Create(dir + "/f.pg"));
+  Page pages[kExtentPages];
+  for (Page& page : pages) page.Zero();
+  ASSERT_OK(FaultInjector::Instance().Arm("storage.page.append", "error@3"));
+  const Status status = pm->AppendPages(pages, kExtentPages).status();
+  FaultInjector::Instance().DisarmAll();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(pm->NumPages(), 2u);
+  EXPECT_EQ(pm->stats().TotalWrites(), 2u);
 }
 
 // --- Checksum sidecars ---------------------------------------------------
