@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -74,10 +75,14 @@ void BM_PackedRTreeBuild(benchmark::State& state) {
   BufferPool pool(256);
   RTreeOptions options;
   options.dims = 3;
+  std::optional<VectorPointSource> source;
   for (auto _ : state) {
-    VectorPointSource source(points);
+    // Copying the points into a fresh source is set-up, not packing.
+    state.PauseTiming();
+    source.emplace(points);
+    state.ResumeTiming();
     auto tree = PackedRTree::Build(std::string(kDir) + "/build.ctr",
-                                   options, &pool, &source,
+                                   options, &pool, &*source,
                                    [arity](uint32_t) { return arity; });
     if (!tree.ok()) state.SkipWithError("build failed");
     benchmark::DoNotOptimize(tree);
@@ -196,9 +201,12 @@ void BM_MergePack(benchmark::State& state) {
       PackedRTree::Build(std::string(kDir) + "/mp_base.ctr", options, &pool,
                          &base_source, arity_fn)
           .value());
+  std::optional<VectorPointSource> delta_source;
   for (auto _ : state) {
-    VectorPointSource delta_source(delta);
-    auto merged = MergePack(old_tree.get(), &delta_source,
+    state.PauseTiming();
+    delta_source.emplace(delta);
+    state.ResumeTiming();
+    auto merged = MergePack(old_tree.get(), &*delta_source,
                             std::string(kDir) + "/mp_out.ctr", options,
                             &pool, arity_fn);
     if (!merged.ok()) state.SkipWithError("merge failed");
@@ -249,9 +257,12 @@ void BM_MergePackRefreshShape(benchmark::State& state) {
       PackedRTree::Build(std::string(kDir) + "/mp_refresh_base.ctr", options,
                          &pool, &base_source, arity_fn)
           .value());
+  std::optional<VectorPointSource> delta_source;
   for (auto _ : state) {
-    VectorPointSource delta_source(delta);
-    auto merged = MergePack(old_tree.get(), &delta_source,
+    state.PauseTiming();
+    delta_source.emplace(delta);
+    state.ResumeTiming();
+    auto merged = MergePack(old_tree.get(), &*delta_source,
                             std::string(kDir) + "/mp_refresh_out.ctr",
                             options, &pool, arity_fn);
     if (!merged.ok()) state.SkipWithError("merge failed");

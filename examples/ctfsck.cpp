@@ -1,15 +1,14 @@
 // ctfsck: offline consistency checker for Cubetree stores, built on the
-// src/check invariant-checker framework. It validates packed R-tree files,
-// whole forests (manifest + SelectMapping + every tree), write-ahead logs
-// and B+-tree index files, and reports every violated invariant it can
-// find instead of stopping at the first.
+// src/check invariant-checker framework. It validates packed R-tree files
+// and whole forests (manifest + SelectMapping + every tree), and reports
+// every violated invariant it can find instead of stopping at the first.
 //
 // Usage: see PrintHelp() below (ctfsck --help).
 
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -44,8 +43,6 @@ void PrintHelp(std::FILE* out) {
       "usage:\n"
       "  ctfsck [options] tree <file.ctr>        check one packed R-tree\n"
       "  ctfsck [options] forest <dir> <name>    check a whole forest\n"
-      "  ctfsck [options] wal <file.wal>         check a write-ahead log\n"
-      "  ctfsck [options] btree <file.ctb>       check a B+-tree index\n"
       "  ctfsck                                  self-demo on a fresh "
       "forest\n"
       "\n"
@@ -211,15 +208,18 @@ int main(int argc, char** argv) {
       cli.stats = true;
       stats_dumper.enabled = true;
     } else if (arg.rfind("--pool-pages=", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long long n =
-          std::strtoull(arg.c_str() + std::strlen("--pool-pages="), &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
+      // Digits only: from_chars takes no sign or whitespace for an
+      // unsigned type and reports overflow, unlike strtoull.
+      const char* first = arg.c_str() + std::strlen("--pool-pages=");
+      const char* last = arg.c_str() + arg.size();
+      size_t n = 0;
+      const auto [stop, error] = std::from_chars(first, last, n);
+      if (error != std::errc() || stop != last || n == 0) {
         std::fprintf(stderr, "ctfsck: bad --pool-pages value: %s\n",
                      arg.c_str());
         return kExitUsage;
       }
-      cli.pool_pages = static_cast<size_t>(n);
+      cli.pool_pages = n;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "ctfsck: unknown option %s\n", arg.c_str());
       PrintHelp(stderr);
@@ -236,14 +236,14 @@ int main(int argc, char** argv) {
   if (args.empty()) return SelfDemo(cli);
 
   const std::string& cmd = args[0];
-  if (cmd != "tree" && cmd != "forest" && cmd != "wal" && cmd != "btree") {
+  if (cmd != "tree" && cmd != "forest") {
     std::fprintf(stderr, "ctfsck: unknown subcommand %s\n", cmd.c_str());
     PrintHelp(stderr);
     return kExitUsage;
   }
 
-  // File-based subcommands: distinguish "not there" (exit 3) from "there
-  // but unreadable" (exit 4) up front.
+  // `tree <file>`: distinguish "not there" (exit 3) from "there but
+  // unreadable" (exit 4) up front.
   if (args.size() == 2 && ::access(args[1].c_str(), F_OK) != 0) {
     std::fprintf(stderr, "ctfsck: %s: no such file\n", args[1].c_str());
     return kExitMissing;
@@ -256,14 +256,6 @@ int main(int argc, char** argv) {
   if (args[0] == "forest" && args.size() == 3) {
     BufferPool pool(cli.pool_pages);
     ForestChecker checker(args[1], args[2], &pool, check_options);
-    return RunChecker(&checker, cli);
-  }
-  if (args[0] == "wal" && args.size() == 2) {
-    WalChecker checker(args[1]);
-    return RunChecker(&checker, cli);
-  }
-  if (args[0] == "btree" && args.size() == 2) {
-    BTreeChecker checker(args[1], check_options);
     return RunChecker(&checker, cli);
   }
 

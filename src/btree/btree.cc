@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "btree/btree_node.h"
 #include "common/assert.h"
 #include "common/coding.h"
 
@@ -11,16 +10,34 @@ namespace cubetree {
 
 namespace {
 
-// Page layout lives in btree/btree_node.h, shared with the invariant
-// checker; local aliases keep the call sites below unchanged.
-constexpr size_t kNodeHeaderSize = kBTreeNodeHeaderSize;
+// Node header (8 bytes):
+//   [0]    uint8  is_leaf
+//   [1]    uint8  reserved
+//   [2..3] uint16 entry count
+//   [4..7] PageId next_leaf (leaves) / leftmost child (internal nodes)
+//
+// Meta page (page 0):
+//   [0..3]   magic "CTBT"
+//   [4]      uint8  key_parts
+//   [8..11]  uint32 value_size
+//   [12..15] PageId root
+//   [16..19] uint32 height (1 = root is a leaf)
+//   [20..27] uint64 num_entries
+constexpr size_t kNodeHeaderSize = 8;
+constexpr uint32_t kMetaMagic = 0x43544254;  // "CTBT"
 
-bool NodeIsLeaf(const char* page) { return BNodeIsLeaf(page); }
-void SetNodeIsLeaf(char* page, bool leaf) { BNodeSetIsLeaf(page, leaf); }
-uint16_t NodeCount(const char* page) { return BNodeCount(page); }
-void SetNodeCount(char* page, uint16_t count) { BNodeSetCount(page, count); }
-PageId NodeLink(const char* page) { return BNodeLink(page); }
-void SetNodeLink(char* page, PageId link) { BNodeSetLink(page, link); }
+bool NodeIsLeaf(const char* page) { return page[0] != 0; }
+void SetNodeIsLeaf(char* page, bool leaf) { page[0] = leaf ? 1 : 0; }
+uint16_t NodeCount(const char* page) {
+  uint16_t v;
+  std::memcpy(&v, page + 2, sizeof(v));
+  return v;
+}
+void SetNodeCount(char* page, uint16_t count) {
+  std::memcpy(page + 2, &count, sizeof(count));
+}
+PageId NodeLink(const char* page) { return DecodeFixed32(page + 4); }
+void SetNodeLink(char* page, PageId link) { EncodeFixed32(page + 4, link); }
 
 }  // namespace
 
@@ -57,30 +74,6 @@ Result<std::unique_ptr<BPlusTree>> BPlusTree::Create(
   return tree;
 }
 
-Result<std::unique_ptr<BPlusTree>> BPlusTree::Open(
-    const std::string& path, BufferPool* pool,
-    std::shared_ptr<IoStats> io_stats) {
-  CT_ASSIGN_OR_RETURN(auto file, PageManager::Open(path, std::move(io_stats)));
-  Page meta_page;
-  CT_RETURN_NOT_OK(file->ReadPage(0, &meta_page));
-  BTreeMeta meta;
-  if (!BTreeReadMeta(meta_page.data, &meta)) {
-    return Status::Corruption("btree: bad magic in " + path);
-  }
-  if (meta.key_parts == 0 || meta.key_parts > kMaxBTreeKeyParts) {
-    return Status::Corruption("btree: key_parts out of range in " + path);
-  }
-  BTreeOptions options;
-  options.key_parts = meta.key_parts;
-  options.value_size = meta.value_size;
-  auto tree = std::unique_ptr<BPlusTree>(
-      new BPlusTree(std::move(file), options, pool));
-  tree->root_ = meta.root;
-  tree->height_ = meta.height;
-  tree->num_entries_ = meta.num_entries;
-  return tree;
-}
-
 uint16_t BPlusTree::LeafCapacity() const {
   return static_cast<uint16_t>((kPageSize - kNodeHeaderSize) /
                                LeafEntryBytes());
@@ -110,13 +103,13 @@ inline void LoadKey(const char* entry, uint32_t* out, size_t parts) {
 
 Status BPlusTree::WriteMeta() {
   CT_ASSIGN_OR_RETURN(PageHandle meta, pool_->Fetch(file_.get(), 0));
-  BTreeMeta m;
-  m.key_parts = options_.key_parts;
-  m.value_size = options_.value_size;
-  m.root = root_;
-  m.height = height_;
-  m.num_entries = num_entries_;
-  BTreeWriteMeta(meta.data(), m);
+  char* page = meta.data();
+  EncodeFixed32(page, kMetaMagic);
+  page[4] = static_cast<char>(options_.key_parts);
+  EncodeFixed32(page + 8, options_.value_size);
+  EncodeFixed32(page + 12, root_);
+  EncodeFixed32(page + 16, height_);
+  EncodeFixed64(page + 20, num_entries_);
   meta.MarkDirty();
   return Status::OK();
 }

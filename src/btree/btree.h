@@ -39,13 +39,6 @@ class BPlusTree {
       const std::string& path, const BTreeOptions& options, BufferPool* pool,
       std::shared_ptr<IoStats> io_stats = nullptr);
 
-  /// Opens an existing tree file, reading its options and shape from the
-  /// metadata page (valid after Flush()). Used by the offline checker and
-  /// by warm restarts.
-  static Result<std::unique_ptr<BPlusTree>> Open(
-      const std::string& path, BufferPool* pool,
-      std::shared_ptr<IoStats> io_stats = nullptr);
-
   ~BPlusTree();
 
   BPlusTree(const BPlusTree&) = delete;

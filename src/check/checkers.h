@@ -75,23 +75,6 @@ class ForestChecker : public Checker {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Validates a write-ahead log file: record framing (length headers never
-/// spanning pages, zero padding actually zero), per-record CRC-32C, and
-/// replay idempotence (two passes observe the identical record sequence
-/// and digest).
-class WalChecker : public Checker {
- public:
-  explicit WalChecker(std::string path);
-  ~WalChecker() override;
-
-  std::string name() const override { return "wal"; }
-  Status Run(CheckReport* report) override;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 /// Reports buffer-pool pin leaks: any frame still pinned when the checker
 /// runs (intended at shutdown, after all structures released their pages)
 /// is a leaked PageHandle.
@@ -101,24 +84,6 @@ class BufferPoolChecker : public Checker {
   ~BufferPoolChecker() override;
 
   std::string name() const override { return "bufferpool"; }
-  Status Run(CheckReport* report) override;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Deep-validates one B+-tree (.ctb) file: metadata magic and ranges,
-/// uniform leaf depth equal to the recorded height, per-node occupancy
-/// within capacity, keys strictly ascending within and across nodes
-/// (separator bounds respected), leaf chain consistent with the tree
-/// walk, and entry-count agreement with the metadata.
-class BTreeChecker : public Checker {
- public:
-  explicit BTreeChecker(std::string path, CheckOptions options = {});
-  ~BTreeChecker() override;
-
-  std::string name() const override { return "btree"; }
   Status Run(CheckReport* report) override;
 
  private:

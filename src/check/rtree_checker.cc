@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "check/checkers.h"
-#include "common/coding.h"
 #include "common/crc32.h"
 #include "rtree/geometry.h"
 #include "rtree/node.h"
@@ -15,18 +14,6 @@
 namespace cubetree {
 
 namespace {
-
-constexpr uint32_t kRTreeMagic = 0x43545254;  // Must match packed_rtree.cc.
-
-/// Decoded R-tree metadata page (layout documented in packed_rtree.cc).
-struct RTreeMeta {
-  uint8_t dims = 0;
-  bool compress = false;
-  PageId root = kInvalidPageId;
-  uint32_t height = 0;
-  uint64_t num_points = 0;
-  PageId num_leaf_pages = 0;
-};
 
 std::string PageContext(const std::string& path, PageId page) {
   return path + " page " + std::to_string(page);
@@ -43,7 +30,7 @@ struct RTreeChecker::Impl {
   RTreeMeta meta;
   CheckReport* report = nullptr;
 
-  void CheckMeta(const Page& page);
+  void CheckMeta();
   void CheckChecksums();
   void CheckPageRoles();
   /// Recursive containment/reachability walk; fills `visited` and returns
@@ -70,15 +57,7 @@ RTreeChecker::RTreeChecker(std::string path, CheckOptions options,
 
 RTreeChecker::~RTreeChecker() = default;
 
-void RTreeChecker::Impl::CheckMeta(const Page& page) {
-  const char* p = page.data;
-  meta.dims = static_cast<uint8_t>(p[4]);
-  meta.compress = p[5] != 0;
-  meta.root = DecodeFixed32(p + 8);
-  meta.height = DecodeFixed32(p + 12);
-  meta.num_points = DecodeFixed64(p + 16);
-  meta.num_leaf_pages = DecodeFixed32(p + 24);
-
+void RTreeChecker::Impl::CheckMeta() {
   if (meta.dims == 0 || meta.dims > kMaxDims) {
     Error("meta-dims", "dims " + std::to_string(meta.dims) +
                            " outside [1, " + std::to_string(kMaxDims) + "]");
@@ -406,11 +385,11 @@ Status RTreeChecker::Run(CheckReport* report) {
   if (ctx.options.checksums) ctx.CheckChecksums();
   Page meta_page;
   CT_RETURN_NOT_OK(file->ReadPage(0, &meta_page));
-  if (DecodeFixed32(meta_page.data) != kRTreeMagic) {
+  if (!RTreeDecodeMeta(meta_page.data, &ctx.meta)) {
     ctx.Error("meta-magic", "bad magic in metadata page");
     return Status::OK();
   }
-  ctx.CheckMeta(meta_page);
+  ctx.CheckMeta();
   if (ctx.meta.dims == 0 || ctx.meta.dims > kMaxDims) return Status::OK();
   if (ctx.meta.root == kInvalidPageId) return Status::OK();
 

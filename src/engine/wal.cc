@@ -1,8 +1,5 @@
 #include "engine/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstring>
 
@@ -10,7 +7,6 @@
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "fault/fault_injector.h"
-#include "obs/trace.h"
 
 namespace cubetree {
 
@@ -30,8 +26,8 @@ Status WriteAheadLog::LogRecord(const char* data, size_t size) {
         "wal: empty records are not loggable (zero length marks padding)");
   }
   CT_DCHECK(page_used_ < kPageSize);
-  // Keep the header within one page so a reader can always parse it from a
-  // contiguous range: pad the tail (already zeroed) and open a new page.
+  // Keep the header within one page: pad the tail (already zeroed) and
+  // open a new page.
   if (kPageSize - page_used_ < kRecordHeader) {
     CT_RETURN_NOT_OK(file_->AppendPage(page_).status());
     page_.Zero();
@@ -76,166 +72,6 @@ Status WriteAheadLog::Force() {
     page_used_ = 0;
   }
   return file_->Sync();
-}
-
-namespace {
-
-Status WalCorruption(const std::string& path, PageId page, size_t offset,
-                     const std::string& what) {
-  return Status::Corruption("wal " + path + ": " + what + " at page " +
-                            std::to_string(page) + " offset " +
-                            std::to_string(offset));
-}
-
-/// One parse pass over a framed log, shared by strict and tolerant replay.
-/// Pages come from `read_page` (which may synthesize a zero-padded final
-/// partial page); `file_bytes` is the real on-disk size, used to size the
-/// discarded tail when a torn record ends a tolerant replay.
-Result<WriteAheadLog::ReplayStats> ReplayFromSource(
-    const std::string& path,
-    const std::function<Status(PageId, Page*)>& read_page, PageId num_pages,
-    uint64_t file_bytes, bool tolerant,
-    const std::function<void(const char* data, size_t size)>& apply) {
-  obs::Span replay_span("wal.replay");
-  replay_span.Annotate("pages", static_cast<uint64_t>(num_pages));
-  replay_span.Annotate("mode", tolerant ? "tolerant" : "strict");
-  WriteAheadLog::ReplayStats stats;
-  Page page;
-  PageId page_id = 0;
-  size_t offset = 0;
-  bool loaded = false;
-  std::string payload;
-  // Byte position of the record currently being parsed; everything from
-  // here on is discarded when tolerant replay hits a torn record.
-  uint64_t record_start = 0;
-  const auto torn_tail = [&]() {
-    stats.torn = true;
-    stats.torn_bytes =
-        file_bytes > record_start ? file_bytes - record_start : 0;
-    return stats;
-  };
-  while (true) {
-    if (!loaded) {
-      if (page_id >= num_pages) break;  // Clean end of log.
-      CT_RETURN_NOT_OK(read_page(page_id, &page));
-      loaded = true;
-      offset = 0;
-    }
-    record_start = static_cast<uint64_t>(page_id) * kPageSize + offset;
-    // A header never spans pages; fewer than kRecordHeader bytes of room
-    // means the writer padded the tail with zeros.
-    if (kPageSize - offset < WriteAheadLog::kRecordHeader) {
-      for (size_t i = offset; i < kPageSize; ++i) {
-        if (page.data[i] != 0) {
-          if (tolerant) return torn_tail();
-          return WalCorruption(path, page_id, i, "nonzero header padding");
-        }
-      }
-      ++page_id;
-      loaded = false;
-      continue;
-    }
-    const uint32_t length = DecodeFixed32(page.data + offset);
-    const uint32_t crc = DecodeFixed32(page.data + offset + 4);
-    if (length == 0) {
-      // Padding from Force(): the rest of this page must be zero.
-      if (crc != 0) {
-        if (tolerant) return torn_tail();
-        return WalCorruption(path, page_id, offset, "nonzero CRC in padding");
-      }
-      for (size_t i = offset; i < kPageSize; ++i) {
-        if (page.data[i] != 0) {
-          if (tolerant) return torn_tail();
-          return WalCorruption(path, page_id, i, "nonzero tail padding");
-        }
-      }
-      ++page_id;
-      loaded = false;
-      continue;
-    }
-    offset += WriteAheadLog::kRecordHeader;
-    payload.clear();
-    payload.reserve(length);
-    size_t left = length;
-    while (left > 0) {
-      if (offset == kPageSize) {
-        ++page_id;
-        if (page_id >= num_pages) {
-          if (tolerant) return torn_tail();
-          return WalCorruption(path, page_id, 0,
-                               "truncated record payload (length " +
-                                   std::to_string(length) + ")");
-        }
-        CT_RETURN_NOT_OK(read_page(page_id, &page));
-        offset = 0;
-      }
-      const size_t n = std::min(kPageSize - offset, left);
-      payload.append(page.data + offset, n);
-      offset += n;
-      left -= n;
-    }
-    if (offset == kPageSize) {
-      ++page_id;
-      loaded = false;
-    }
-    const uint32_t actual = Crc32c(payload.data(), payload.size());
-    if (actual != crc) {
-      if (tolerant) return torn_tail();
-      return WalCorruption(path, page_id, offset,
-                           "record CRC mismatch (stored " +
-                               std::to_string(crc) + ", computed " +
-                               std::to_string(actual) + ")");
-    }
-    if (apply) apply(payload.data(), payload.size());
-    ++stats.records;
-    stats.payload_bytes += payload.size();
-    stats.digest = Crc32c(payload.data(), payload.size(), stats.digest);
-  }
-  replay_span.Annotate("records", stats.records);
-  return stats;
-}
-
-}  // namespace
-
-Result<WriteAheadLog::ReplayStats> WriteAheadLog::Replay(
-    const std::string& path,
-    const std::function<void(const char* data, size_t size)>& apply,
-    std::shared_ptr<IoStats> io_stats) {
-  CT_ASSIGN_OR_RETURN(auto file, PageManager::Open(path, std::move(io_stats)));
-  PageManager* pm = file.get();
-  return ReplayFromSource(
-      path, [pm](PageId id, Page* page) { return pm->ReadPage(id, page); },
-      file->NumPages(), file->FileSizeBytes(), /*tolerant=*/false, apply);
-}
-
-Result<WriteAheadLog::ReplayStats> WriteAheadLog::ReplayTolerant(
-    const std::string& path,
-    const std::function<void(const char* data, size_t size)>& apply,
-    std::shared_ptr<IoStats> io_stats) {
-  uint64_t trailing = 0;
-  CT_ASSIGN_OR_RETURN(
-      auto file, PageManager::OpenPrefix(path, std::move(io_stats), &trailing));
-  const PageId full_pages = file->NumPages();
-  const PageId total_pages = full_pages + (trailing > 0 ? 1 : 0);
-  const uint64_t file_bytes =
-      static_cast<uint64_t>(full_pages) * kPageSize + trailing;
-  PageManager* pm = file.get();
-  const auto read_page = [pm, &path, full_pages, trailing](PageId id,
-                                                           Page* page) {
-    if (id < full_pages) return pm->ReadPage(id, page);
-    // The ragged tail a crash mid-append left behind, zero-padded to a
-    // full page so records written entirely before the cut still parse.
-    page->Zero();
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return Status::IOError("open " + path);
-    Status status = PreadFully(fd, page->data, trailing,
-                               static_cast<off_t>(id) * kPageSize,
-                               "pread tail of " + path);
-    ::close(fd);
-    return status;
-  };
-  return ReplayFromSource(path, read_page, total_pages, file_bytes,
-                          /*tolerant=*/true, apply);
 }
 
 }  // namespace cubetree

@@ -1,7 +1,6 @@
 #ifndef CUBETREE_ENGINE_WAL_H_
 #define CUBETREE_ENGINE_WAL_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -19,12 +18,17 @@ namespace cubetree {
 /// merge-packer write fresh files and swap them in, so that path runs —
 /// as its real counterpart did — without logging.
 ///
+/// The log is written and never read: it exists to reproduce the I/O of
+/// per-row logging, and the warehouse rebuilds the baseline's tables and
+/// B-trees on every load rather than replaying it.
+///
 /// On-disk framing: each record is an 8-byte header (4-byte payload length,
 /// 4-byte CRC-32C of the payload) followed by the payload. Headers never
 /// span a page boundary — if fewer than 8 bytes remain in a page the tail
 /// is zero-padded and the record starts on the next page (payloads may
-/// still span pages). A zero length+CRC therefore unambiguously marks
-/// padding, which also covers the tail of the partial page Force() writes.
+/// still span pages). Force() zero-pads the partial page it writes. The
+/// framing fixes the log's bytes and page count, which the baseline's I/O
+/// figures count.
 class WriteAheadLog {
  public:
   /// Size of the per-record header (length + CRC).
@@ -40,46 +44,6 @@ class WriteAheadLog {
 
   /// Commit: flush the current partial page (zero-padded) and fsync.
   Status Force();
-
-  /// Summary of one replay pass over a log file.
-  struct ReplayStats {
-    uint64_t records = 0;
-    uint64_t payload_bytes = 0;
-    /// CRC-32C over the concatenation of all payloads, in order; two
-    /// replays of the same log must agree (replay idempotence).
-    uint32_t digest = 0;
-    /// Tolerant replay only: true when the log ended in a torn record
-    /// (crash mid-append). The records counted above are the longest valid
-    /// prefix; `torn_bytes` is the length of the discarded tail, measured
-    /// from the start of the first invalid record.
-    bool torn = false;
-    uint64_t torn_bytes = 0;
-  };
-
-  /// Reads the log at `path` front to back, verifying record framing and
-  /// per-record CRCs, and invokes `apply` (if non-null) with each payload.
-  /// Returns Corruption on a bad CRC, malformed length, nonzero padding or
-  /// truncated payload. Only fully written pages are visible: records
-  /// buffered but never Force()d are not replayed, matching the commit
-  /// semantics of the writer.
-  static Result<ReplayStats> Replay(
-      const std::string& path,
-      const std::function<void(const char* data, size_t size)>& apply =
-          nullptr,
-      std::shared_ptr<IoStats> io_stats = nullptr);
-
-  /// Crash-recovery variant of Replay: recovers the longest valid prefix
-  /// of the log and never reports torn framing as an error. A ragged file
-  /// tail (crash mid-append left a non-page-aligned file) is read
-  /// zero-padded, so records written fully before the cut are still
-  /// replayed; the first invalid record (truncated payload, CRC mismatch,
-  /// nonzero padding) ends the replay cleanly with `torn` set in the
-  /// stats. Real I/O errors still propagate.
-  static Result<ReplayStats> ReplayTolerant(
-      const std::string& path,
-      const std::function<void(const char* data, size_t size)>& apply =
-          nullptr,
-      std::shared_ptr<IoStats> io_stats = nullptr);
 
   uint64_t BytesLogged() const { return bytes_logged_; }
   uint64_t records() const { return records_; }

@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "common/logging.h"
 #include "common/result.h"
@@ -54,32 +56,36 @@ Status BadSpec(const std::string& failpoint, const std::string& spec,
                                  spec + "' (" + why + ")");
 }
 
+/// Reads `text` whole as a positive count below 2^32. from_chars takes no
+/// sign or whitespace for an unsigned type and reports overflow, unlike
+/// strtoul.
+bool ParseCount(std::string_view text, uint32_t* count) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, *count);
+  return error == std::errc() && stop == end && *count > 0;
+}
+
 Result<FaultSpec> ParseSpec(const std::string& failpoint,
                             const std::string& text) {
   FaultSpec spec;
-  std::string body = text;
+  std::string_view body = text;
   // Optional trailing @N selects the triggering hit.
-  if (const size_t at = body.find('@'); at != std::string::npos) {
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(body.c_str() + at + 1, &end, 10);
-    if (end == nullptr || *end != '\0' || n == 0) {
+  if (const size_t at = body.find('@'); at != std::string_view::npos) {
+    if (!ParseCount(body.substr(at + 1), &spec.trigger_on_hit)) {
       return BadSpec(failpoint, text, "@N needs a positive hit index");
     }
-    spec.trigger_on_hit = static_cast<uint32_t>(n);
-    body.resize(at);
+    body = body.substr(0, at);
   }
   // Optional (K) bounds the number of triggers (transient faults).
-  if (const size_t paren = body.find('('); paren != std::string::npos) {
+  if (const size_t paren = body.find('('); paren != std::string_view::npos) {
     if (body.back() != ')') {
       return BadSpec(failpoint, text, "unbalanced parenthesis");
     }
-    char* end = nullptr;
-    const unsigned long k = std::strtoul(body.c_str() + paren + 1, &end, 10);
-    if (end == nullptr || *end != ')' || k == 0) {
+    if (!ParseCount(body.substr(paren + 1, body.size() - paren - 2),
+                    &spec.max_triggers)) {
       return BadSpec(failpoint, text, "(K) needs a positive trigger count");
     }
-    spec.max_triggers = static_cast<uint32_t>(k);
-    body.resize(paren);
+    body = body.substr(0, paren);
   }
   if (body == "error") {
     spec.action = FaultAction::kError;

@@ -10,7 +10,7 @@
 
 namespace cubetree {
 
-// On-page layouts of packed R-tree nodes.
+// On-page layouts of packed R-tree nodes and of the tree's metadata page.
 //
 // Every node starts with an 8-byte header:
 //   [0]    uint8  is_leaf
@@ -138,6 +138,60 @@ inline void RInternalReadEntry(const char* src, uint8_t dims, Rect* mbr,
     mbr->hi[i] = 0;
   }
   *child = DecodeFixed32(src + 2 * static_cast<size_t>(dims) * sizeof(Coord));
+}
+
+// Metadata page (page 0) of a packed R-tree file:
+//   [0..3]   uint32 magic "CTRT"
+//   [4]      uint8  dims
+//   [5]      uint8  compress flag
+//   [6..7]   pad
+//   [8..11]  PageId root
+//   [12..15] uint32 height
+//   [16..23] uint64 num_points
+//   [24..27] PageId num_leaf_pages
+// The rest of the page is zero.
+
+inline constexpr uint32_t kRTreeMagic = 0x43545254;  // "CTRT"
+inline constexpr size_t kRTreeMetaDims = 4;
+inline constexpr size_t kRTreeMetaCompress = 5;
+inline constexpr size_t kRTreeMetaRoot = 8;
+inline constexpr size_t kRTreeMetaHeight = 12;
+inline constexpr size_t kRTreeMetaNumPoints = 16;
+inline constexpr size_t kRTreeMetaNumLeafPages = 24;
+
+/// Decoded image of the metadata page.
+struct RTreeMeta {
+  uint8_t dims = 0;
+  bool compress_leaves = true;
+  PageId root = kInvalidPageId;
+  uint32_t height = 0;
+  uint64_t num_points = 0;
+  PageId num_leaf_pages = 0;
+};
+
+/// Writes `meta` as a whole metadata page at `page` (kPageSize bytes).
+inline void RTreeEncodeMeta(char* page, const RTreeMeta& meta) {
+  std::memset(page, 0, kPageSize);
+  EncodeFixed32(page, kRTreeMagic);
+  page[kRTreeMetaDims] = static_cast<char>(meta.dims);
+  page[kRTreeMetaCompress] = meta.compress_leaves ? 1 : 0;
+  EncodeFixed32(page + kRTreeMetaRoot, meta.root);
+  EncodeFixed32(page + kRTreeMetaHeight, meta.height);
+  EncodeFixed64(page + kRTreeMetaNumPoints, meta.num_points);
+  EncodeFixed32(page + kRTreeMetaNumLeafPages, meta.num_leaf_pages);
+}
+
+/// Decodes the metadata page at `page` into *meta. Returns false, leaving
+/// *meta untouched, when the page does not start with kRTreeMagic.
+inline bool RTreeDecodeMeta(const char* page, RTreeMeta* meta) {
+  if (DecodeFixed32(page) != kRTreeMagic) return false;
+  meta->dims = static_cast<uint8_t>(page[kRTreeMetaDims]);
+  meta->compress_leaves = page[kRTreeMetaCompress] != 0;
+  meta->root = DecodeFixed32(page + kRTreeMetaRoot);
+  meta->height = DecodeFixed32(page + kRTreeMetaHeight);
+  meta->num_points = DecodeFixed64(page + kRTreeMetaNumPoints);
+  meta->num_leaf_pages = DecodeFixed32(page + kRTreeMetaNumLeafPages);
+  return true;
 }
 
 }  // namespace cubetree

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 #include <optional>
 
 #include "common/assert.h"
@@ -18,32 +17,6 @@
 namespace cubetree {
 
 namespace {
-
-constexpr uint32_t kRTreeMagic = 0x43545254;  // "CTRT"
-
-// Meta page (page 0) layout:
-//   [0..3]   magic
-//   [4]      dims
-//   [5]      compress flag
-//   [6..7]   pad
-//   [8..11]  root page
-//   [12..15] height
-//   [16..23] num_points
-//   [24..27] num_leaf_pages
-
-void WriteMetaPage(Page* page, const RTreeOptions& options, PageId root,
-                   uint32_t height, uint64_t num_points,
-                   PageId num_leaf_pages) {
-  page->Zero();
-  char* p = page->data;
-  EncodeFixed32(p, kRTreeMagic);
-  p[4] = static_cast<char>(options.dims);
-  p[5] = options.compress_leaves ? 1 : 0;
-  EncodeFixed32(p + 8, root);
-  EncodeFixed32(p + 12, height);
-  EncodeFixed64(p + 16, num_points);
-  EncodeFixed32(p + 24, num_leaf_pages);
-}
 
 /// Checks a node header read from disk before any entry is decoded: a
 /// leaf's arity must be at most the tree's dims and its entry count must
@@ -464,8 +437,14 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
   tree->height_ = height;
 
   Page meta;
-  WriteMetaPage(&meta, options, tree->root_, tree->height_, num_points,
-                tree->num_leaf_pages_);
+  RTreeEncodeMeta(meta.data, RTreeMeta{.dims = options.dims,
+                                       .compress_leaves =
+                                           options.compress_leaves,
+                                       .root = tree->root_,
+                                       .height = tree->height_,
+                                       .num_points = num_points,
+                                       .num_leaf_pages =
+                                           tree->num_leaf_pages_});
   CT_RETURN_NOT_OK(pm->WritePage(0, meta));
   // Make the fresh tree durable before the forest manifest can name it:
   // the manifest commit protocol assumes every file it references has
@@ -488,21 +467,21 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Open(
     // unusable — surface it so the tree is quarantined, not trusted.
     if (!cs.IsNotFound()) return cs;
   }
-  Page meta;
-  CT_RETURN_NOT_OK(file->ReadPage(0, &meta));
-  const char* p = meta.data;
-  if (DecodeFixed32(p) != kRTreeMagic) {
+  Page meta_page;
+  CT_RETURN_NOT_OK(file->ReadPage(0, &meta_page));
+  RTreeMeta meta;
+  if (!RTreeDecodeMeta(meta_page.data, &meta)) {
     return Status::Corruption("rtree: bad magic in " + path);
   }
   RTreeOptions options;
-  options.dims = static_cast<uint8_t>(p[4]);
-  options.compress_leaves = p[5] != 0;
+  options.dims = meta.dims;
+  options.compress_leaves = meta.compress_leaves;
   auto tree = std::unique_ptr<PackedRTree>(
       new PackedRTree(std::move(file), options, pool));
-  tree->root_ = DecodeFixed32(p + 8);
-  tree->height_ = DecodeFixed32(p + 12);
-  tree->num_points_ = DecodeFixed64(p + 16);
-  tree->num_leaf_pages_ = DecodeFixed32(p + 24);
+  tree->root_ = meta.root;
+  tree->height_ = meta.height;
+  tree->num_points_ = meta.num_points;
+  tree->num_leaf_pages_ = meta.num_leaf_pages;
   return tree;
 }
 
@@ -618,129 +597,6 @@ Status PackedRTree::Search(
     profile->points_examined += examined;
   }
   return status;
-}
-
-namespace {
-
-/// Recursion helper for Validate: computes the actual bounding box of the
-/// subtree at `node` while checking invariants.
-struct ValidateContext {
-  PageManager* file;
-  BufferPool* pool;
-  uint8_t dims;
-  uint64_t points = 0;
-};
-
-Status ValidateNode(ValidateContext* ctx, PageId node_id, Rect* bounds) {
-  CT_ASSIGN_OR_RETURN(PageHandle handle,
-                      ctx->pool->Fetch(ctx->file, node_id));
-  const char* page = handle.data();
-  CT_RETURN_NOT_OK(
-      CheckNodeHeader(page, ctx->dims, node_id, ctx->file->path()));
-  const uint16_t count = RNodeCount(page);
-  if (count == 0) {
-    return Status::Corruption("rtree validate: empty node " +
-                              std::to_string(node_id));
-  }
-  if (RNodeIsLeaf(page)) {
-    const uint8_t arity = RNodeArity(page);
-    const uint32_t view_id = RNodeViewId(page);
-    const size_t entry_bytes = RLeafEntryBytes(arity);
-    PointRecord rec;
-    for (uint16_t i = 0; i < count; ++i) {
-      RLeafReadEntry(page + kRNodeHeaderSize + i * entry_bytes, arity,
-                     view_id, &rec);
-      for (size_t d = arity; d < ctx->dims; ++d) {
-        if (rec.coords[d] != 0) {
-          return Status::Corruption(
-              "rtree validate: non-zero suppressed coordinate");
-        }
-      }
-      if (i == 0) {
-        *bounds = Rect::FromPoint(rec.coords, ctx->dims);
-      } else {
-        bounds->ExpandToPoint(rec.coords, ctx->dims);
-      }
-      ++ctx->points;
-    }
-    return Status::OK();
-  }
-  const size_t entry_bytes = RInternalEntryBytes(ctx->dims);
-  std::vector<std::pair<Rect, PageId>> children;
-  Rect mbr;
-  PageId child;
-  for (uint16_t i = 0; i < count; ++i) {
-    RInternalReadEntry(page + kRNodeHeaderSize + i * entry_bytes, ctx->dims,
-                       &mbr, &child);
-    children.push_back({mbr, child});
-    if (i == 0) {
-      *bounds = mbr;
-    } else {
-      bounds->ExpandToRect(mbr, ctx->dims);
-    }
-  }
-  handle.Release();
-  for (const auto& [claimed, child_id] : children) {
-    Rect actual;
-    CT_RETURN_NOT_OK(ValidateNode(ctx, child_id, &actual));
-    for (size_t d = 0; d < ctx->dims; ++d) {
-      if (actual.lo[d] < claimed.lo[d] || actual.hi[d] > claimed.hi[d]) {
-        return Status::Corruption(
-            "rtree validate: child " + std::to_string(child_id) +
-            " exceeds its parent MBR in dim " + std::to_string(d));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status PackedRTree::Validate() {
-  if (root_ == kInvalidPageId) {
-    if (num_points_ != 0) {
-      return Status::Corruption("rtree validate: no root but points > 0");
-    }
-    return Status::OK();
-  }
-  ValidateContext ctx{file_.get(), pool_, options_.dims};
-  Rect bounds;
-  CT_RETURN_NOT_OK(ValidateNode(&ctx, root_, &bounds));
-  if (ctx.points != num_points_) {
-    return Status::Corruption("rtree validate: point count mismatch");
-  }
-  // Global pack order and single-view leaves, via the sequential scan.
-  Scanner scanner = ScanAll();
-  Coord prev[kMaxDims];
-  bool have_prev = false;
-  uint64_t scanned = 0;
-  uint32_t last_view = 0;
-  std::set<uint32_t> closed_views;
-  while (true) {
-    const PointRecord* rec = nullptr;
-    CT_RETURN_NOT_OK(scanner.Next(&rec));
-    if (rec == nullptr) break;
-    if (have_prev &&
-        PackOrderCompare(prev, rec->coords, options_.dims) >= 0) {
-      return Status::Corruption("rtree validate: leaves not in pack order");
-    }
-    std::memcpy(prev, rec->coords, sizeof(prev));
-    have_prev = true;
-    if (scanned == 0 || rec->view_id != last_view) {
-      // A view's run must be contiguous: once left, it cannot reappear.
-      if (scanned > 0) closed_views.insert(last_view);
-      if (closed_views.count(rec->view_id)) {
-        return Status::Corruption(
-            "rtree validate: view leaves are interleaved");
-      }
-      last_view = rec->view_id;
-    }
-    ++scanned;
-  }
-  if (scanned != num_points_) {
-    return Status::Corruption("rtree validate: scan count mismatch");
-  }
-  return Status::OK();
 }
 
 Status PackedRTree::Scanner::NextLeaf(const char** leaf) {

@@ -242,13 +242,6 @@ class PackedRTree {
     std::vector<uint32_t> closed_views_;
   };
 
-  /// Structural self-check: verifies that every internal entry's MBR
-  /// contains its child's actual bounding box, that leaf points are in
-  /// strict pack order globally, that each leaf holds a single view, and
-  /// that the point count matches the metadata. O(file size); intended
-  /// for tests and offline fsck-style tooling.
-  Status Validate();
-
   uint8_t dims() const { return options_.dims; }
   uint64_t num_points() const { return num_points_; }
   uint32_t height() const { return height_; }

@@ -263,30 +263,6 @@ Result<std::unique_ptr<PageManager>> PageManager::Open(
       new PageManager(path, fd, pages, std::move(stats)));
 }
 
-Result<std::unique_ptr<PageManager>> PageManager::OpenPrefix(
-    const std::string& path, std::shared_ptr<IoStats> stats,
-    uint64_t* trailing_bytes) {
-  CT_FAULT("storage.page.open");
-  int fd = ::open(path.c_str(), O_RDWR);
-  if (fd < 0) {
-    return errno == ENOENT ? Status::NotFound("open " + path +
-                                              ": no such file")
-                           : ErrnoStatus("open " + path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return ErrnoStatus("stat " + path);
-  }
-  PageId pages = static_cast<PageId>(st.st_size / kPageSize);
-  if (trailing_bytes != nullptr) {
-    *trailing_bytes = static_cast<uint64_t>(st.st_size) -
-                      static_cast<uint64_t>(pages) * kPageSize;
-  }
-  return std::unique_ptr<PageManager>(
-      new PageManager(path, fd, pages, std::move(stats)));
-}
-
 void PageManager::RecordRead(PageId id) {
   const PageId prev = last_read_page_.exchange(id, std::memory_order_relaxed);
   if (prev != kInvalidPageId && id == prev + 1) {

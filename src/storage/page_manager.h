@@ -39,15 +39,6 @@ class PageManager {
   static Result<std::unique_ptr<PageManager>> Open(
       const std::string& path, std::shared_ptr<IoStats> stats = nullptr);
 
-  /// Opens an existing page file tolerantly: a non-page-aligned size (the
-  /// aftermath of a crash mid-append) is not an error. Only the whole-page
-  /// prefix is visible through NumPages(); the length of the ragged tail is
-  /// reported through `trailing_bytes` (may be nullptr). Used by tolerant
-  /// WAL replay during recovery.
-  static Result<std::unique_ptr<PageManager>> OpenPrefix(
-      const std::string& path, std::shared_ptr<IoStats> stats,
-      uint64_t* trailing_bytes);
-
   /// Configures the retry loop on the read path (process-wide). A
   /// transient IOError from pread — injected or real — is retried with
   /// jittered exponential backoff: before retry k the thread sleeps a

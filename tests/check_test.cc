@@ -1,7 +1,7 @@
 // Tests of the src/check invariant-checker subsystem: clean stores must
 // produce zero findings, and injected corruption (bit flips in leaf pages,
-// internal pages, WAL segments, B-tree pages; manifest tampering; leaked
-// pins) must be reported in the right category.
+// internal pages and metadata; manifest tampering; leaked pins) must be
+// reported in the right category.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
-#include "btree/btree_node.h"
 #include "check/checkers.h"
 #include "check/invariant_checker.h"
 #include "cubetree/forest.h"
-#include "engine/wal.h"
 #include "rtree/node.h"
 #include "rtree/packed_rtree.h"
 #include "storage/buffer_pool.h"
@@ -58,7 +55,7 @@ TEST(CheckReportTest, CountsBySeverity) {
   CheckReport report;
   report.AddError("rtree", "pack-order", "broken");
   report.AddWarning("rtree", "leaf-fill", "thin");
-  report.AddInfo("wal", "replayed", "ok");
+  report.AddInfo("forest", "views", "ok");
   EXPECT_EQ(report.errors(), 1u);
   EXPECT_EQ(report.warnings(), 1u);
   EXPECT_EQ(report.findings().size(), 3u);
@@ -304,123 +301,6 @@ TEST_F(ForestCheckerTest, DeepModeFindsTreeFileCorruption) {
   FlipByte(tree_path, 1 * kPageSize + kRNodeHeaderSize + 3, 0x40);
   CheckReport report = Check();
   EXPECT_GT(report.errors(), 0u) << report.ToString();
-}
-
-// --- WalChecker ---------------------------------------------------------
-
-class WalCheckerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = MakeTestDir("check_wal");
-    path_ = dir_ + "/log.wal";
-    auto wal = std::move(WriteAheadLog::Create(path_).value());
-    std::string record(100, 'r');
-    for (int i = 0; i < 20; ++i) {
-      record[0] = static_cast<char>('a' + i);
-      ASSERT_OK(wal->LogRecord(record.data(), record.size()));
-    }
-    ASSERT_OK(wal->Force());
-  }
-
-  CheckReport Check() {
-    WalChecker checker(path_);
-    CheckReport report;
-    EXPECT_OK(checker.Run(&report));
-    return report;
-  }
-
-  std::string dir_;
-  std::string path_;
-};
-
-TEST_F(WalCheckerTest, CleanLogHasNoErrors) {
-  CheckReport report = Check();
-  EXPECT_EQ(report.errors(), 0u) << report.ToString();
-  EXPECT_EQ(report.warnings(), 0u) << report.ToString();
-  EXPECT_TRUE(HasCode(report, "replayed"));
-}
-
-TEST_F(WalCheckerTest, DetectsPayloadBitFlip) {
-  // Byte 10 of the third record's payload.
-  const uint64_t offset =
-      2 * (100 + WriteAheadLog::kRecordHeader) + WriteAheadLog::kRecordHeader +
-      10;
-  FlipByte(path_, offset, 0x01);
-  CheckReport report = Check();
-  EXPECT_TRUE(HasCode(report, "framing-or-crc")) << CodeList(report);
-}
-
-TEST_F(WalCheckerTest, DetectsHeaderBitFlip) {
-  // Length field of the first record.
-  FlipByte(path_, 0, 0x10);
-  CheckReport report = Check();
-  EXPECT_TRUE(HasCode(report, "framing-or-crc")) << CodeList(report);
-}
-
-// --- BTreeChecker -------------------------------------------------------
-
-class BTreeCheckerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = MakeTestDir("check_btree");
-    path_ = dir_ + "/index.ctb";
-    pool_ = std::make_unique<BufferPool>(256);
-    BTreeOptions options;
-    options.key_parts = 1;
-    options.value_size = 8;
-    auto tree =
-        std::move(BPlusTree::Create(path_, options, pool_.get()).value());
-    char value[8] = {0};
-    for (uint32_t k = 1; k <= 200; ++k) {
-      ASSERT_OK(tree->Insert(&k, value));
-    }
-    ASSERT_OK(tree->Flush());
-  }
-
-  CheckReport DeepCheck() {
-    CheckOptions options;
-    options.deep = true;
-    BTreeChecker checker(path_, options);
-    CheckReport report;
-    EXPECT_OK(checker.Run(&report));
-    return report;
-  }
-
-  std::string dir_;
-  std::string path_;
-  std::unique_ptr<BufferPool> pool_;
-};
-
-TEST_F(BTreeCheckerTest, CleanTreeHasNoFindings) {
-  CheckReport report = DeepCheck();
-  EXPECT_EQ(report.errors(), 0u) << report.ToString();
-  EXPECT_EQ(report.warnings(), 0u) << report.ToString();
-}
-
-TEST_F(BTreeCheckerTest, DetectsKeyBitFlip) {
-  // High byte of entry 10's key in the first leaf (page 1): the key jumps
-  // far out of order.
-  const size_t entry_bytes = BTreeLeafEntryBytes(1, 8);
-  FlipByte(path_, 1 * kPageSize + kBTreeNodeHeaderSize + 10 * entry_bytes + 3,
-           0x40);
-  CheckReport report = DeepCheck();
-  EXPECT_GT(report.errors(), 0u);
-  EXPECT_TRUE(HasCode(report, "key-order") ||
-              HasCode(report, "separator-bound"))
-      << CodeList(report);
-}
-
-TEST_F(BTreeCheckerTest, DetectsCountBitFlip) {
-  // Entry-count field of the first leaf's header.
-  FlipByte(path_, 1 * kPageSize + 2, 0x20);
-  CheckReport report = DeepCheck();
-  EXPECT_GT(report.errors(), 0u) << report.ToString();
-}
-
-TEST_F(BTreeCheckerTest, DetectsMetaBitFlip) {
-  FlipByte(path_, 0, 0x01);  // Magic.
-  CheckReport report = DeepCheck();
-  EXPECT_TRUE(HasCode(report, "meta-magic")) << CodeList(report);
 }
 
 // --- BufferPoolChecker --------------------------------------------------

@@ -667,7 +667,7 @@ TEST_F(ForestTest, PartialDeltasAnswerLikeMergedDeltas) {
   auto after = collect(partial.get(), 1, 2);
   EXPECT_EQ(before, after);
   for (size_t t = 0; t < compacted.num_trees(); ++t) {
-    EXPECT_OK(compacted.tree(t)->rtree()->Validate());
+    EXPECT_OK(CheckTreeDeep(compacted.tree(t)->rtree()->path()));
   }
 }
 
@@ -747,7 +747,7 @@ TEST_F(ForestTest, ReopenFromManifest) {
                                sum = agg.sum;
                              }));
   EXPECT_EQ(sum, 42);
-  ASSERT_OK(tree->rtree()->Validate());
+  ASSERT_OK(CheckTreeDeep(tree->rtree()->path()));
 
   // Updates persist across another reopen, and generations advance.
   VectorViewProvider delta;

@@ -64,6 +64,13 @@ TEST_F(FaultTest, SpecGrammar) {
   EXPECT_FALSE(injector.Arm("wal.force", "error(0x2)").ok());
   EXPECT_FALSE(injector.Arm("wal.force", "error@").ok());
   EXPECT_FALSE(injector.Arm("wal.force", "").ok());
+  // Counts are digits only and below 2^32: no wrap to the first hit or to
+  // "unlimited", no sign, no whitespace.
+  EXPECT_FALSE(injector.Arm("storage.page.sync", "error@4294967297").ok());
+  EXPECT_FALSE(injector.Arm("storage.page.sync", "error(4294967296)").ok());
+  EXPECT_FALSE(injector.Arm("storage.page.sync", "error@-1").ok());
+  EXPECT_FALSE(injector.Arm("storage.page.sync", "error@ 3").ok());
+  EXPECT_FALSE(injector.Arm("storage.page.sync", "error(+2)").ok());
   injector.DisarmAll();
   EXPECT_FALSE(FaultInjector::AnyArmed());
 }

@@ -316,7 +316,7 @@ TEST_F(PackedRTreeTest, RejectsPointsItsLeavesWouldTruncate) {
   ASSERT_OK_AND_ASSIGN(
       auto full, Build(points, 2, [](uint32_t) -> uint8_t { return 1; },
                        uncompressed));
-  ASSERT_OK(full->Validate());
+  ASSERT_OK(CheckTreeDeep(full->path()));
   Rect y7 = Rect::Full(2);
   y7.lo[1] = y7.hi[1] = 7;
   uint64_t found = 0;
@@ -572,7 +572,7 @@ TEST_F(PackedRTreeTest, ValidatePassesOnHealthyTrees) {
   auto points = MakeGridPoints(20000);
   ASSERT_OK_AND_ASSIGN(auto tree,
                        Build(points, 2, [](uint32_t) { return 2; }));
-  ASSERT_OK(tree->Validate());
+  ASSERT_OK(CheckTreeDeep(tree->path()));
   // Multi-view tree validates too.
   std::vector<PointRecord> multi;
   PointRecord origin;
@@ -588,10 +588,10 @@ TEST_F(PackedRTreeTest, ValidatePassesOnHealthyTrees) {
                        Build(multi, 3, [](uint32_t view) {
                          return static_cast<uint8_t>(view - 5);
                        }));
-  ASSERT_OK(multi_tree->Validate());
+  ASSERT_OK(CheckTreeDeep(multi_tree->path()));
   // Empty tree validates.
   ASSERT_OK_AND_ASSIGN(auto empty, Build({}, 2, [](uint32_t) { return 2; }));
-  ASSERT_OK(empty->Validate());
+  ASSERT_OK(CheckTreeDeep(empty->path()));
 }
 
 TEST_F(PackedRTreeTest, ValidateDetectsCorruptedMeta) {
@@ -607,16 +607,16 @@ TEST_F(PackedRTreeTest, ValidateDetectsCorruptedMeta) {
     ASSERT_OK_AND_ASSIGN(auto file, PageManager::Open(path));
     Page meta;
     ASSERT_OK(file->ReadPage(0, &meta));
-    EncodeFixed64(meta.data + 16, 999999);
+    EncodeFixed64(meta.data + kRTreeMetaNumPoints, 999999);
     ASSERT_OK(file->WritePage(0, meta));
   }
-  // Drop the checksum sidecar so the *structural* validator is what gets
+  // Drop the checksum sidecar so the *structural* checks are what get
   // exercised — with the sidecar present, verify-on-read catches the
-  // tampering at Open before Validate ever runs (covered separately by the
-  // integrity tests).
+  // tampering at Open before the deep check ever runs (covered separately
+  // by the integrity tests).
   ASSERT_OK(RemoveChecksumSidecar(path));
   ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(path, pool_.get()));
-  EXPECT_TRUE(tree->Validate().IsCorruption());
+  EXPECT_TRUE(CheckTreeDeep(path).IsCorruption());
 }
 
 TEST_F(PackedRTreeTest, ValidateDetectsCorruptedLeaf) {
@@ -643,14 +643,14 @@ TEST_F(PackedRTreeTest, ValidateDetectsCorruptedLeaf) {
   // verify-on-read, detects the damage.
   ASSERT_OK(RemoveChecksumSidecar(path));
   ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(path, pool_.get()));
-  EXPECT_TRUE(tree->Validate().IsCorruption());
+  EXPECT_TRUE(CheckTreeDeep(path).IsCorruption());
 }
 
 // Without a checksum sidecar a tree is read unverified, so a damaged node
 // header must be refused before any entry is decoded: a leaf whose arity is
 // above the tree's dims or whose count is above its page's capacity, and an
 // internal node whose count is above its page's capacity, make Search and
-// Validate return Corruption in every build.
+// the deep check return Corruption in every build.
 TEST_F(PackedRTreeTest, SmashedNodeHeadersAreCorruption) {
   struct Smash {
     const char* what;
@@ -686,7 +686,7 @@ TEST_F(PackedRTreeTest, SmashedNodeHeadersAreCorruption) {
     const Status searched =
         tree->Search(Rect::Full(2), [](const PointRecord&) {});
     EXPECT_TRUE(searched.IsCorruption()) << searched.ToString();
-    const Status validated = tree->Validate();
+    const Status validated = CheckTreeDeep(path);
     EXPECT_TRUE(validated.IsCorruption()) << validated.ToString();
   }
 }

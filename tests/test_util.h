@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <string>
 
+#include "check/checkers.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -56,6 +57,16 @@ inline std::string MakeTestDir(const std::string& name) {
                   << ec.message();
   }
   return dir;
+}
+
+/// Runs the deep R-tree checker over the tree file at `path`: OK when it
+/// reports no error, Corruption listing its findings otherwise.
+inline Status CheckTreeDeep(const std::string& path) {
+  RTreeChecker checker(path);
+  CheckReport report;
+  CT_RETURN_NOT_OK(checker.Run(&report));
+  if (report.errors() == 0) return Status::OK();
+  return Status::Corruption(report.ToString());
 }
 
 }  // namespace cubetree
