@@ -42,11 +42,10 @@ inline bool ParseIntArg(const char* text, int* out) {
 }
 
 inline bool ParseUint64Arg(const char* text, uint64_t* out) {
-  if (text == nullptr || *text == '\0' || *text == '-') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = static_cast<uint64_t>(v);
+  if (text == nullptr) return false;
+  const std::optional<uint64_t> v = ParseUint(text);
+  if (!v.has_value()) return false;
+  *out = *v;
   return true;
 }
 

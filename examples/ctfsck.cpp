@@ -7,7 +7,6 @@
 
 #include <unistd.h>
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -57,7 +56,8 @@ void PrintHelp(std::FILE* out) {
       "  --json            emit the report as JSON on stdout\n"
       "  --stats           dump the process metrics registry (buffer pool\n"
       "                    hits, pages touched, ...) to stderr on exit\n"
-      "  --pool-pages=N    buffer-pool capacity in pages (default 1024)\n"
+      "  --pool-pages=N    buffer-pool capacity in pages, 1 to 262144\n"
+      "                    (8 KiB each; default 1024)\n"
       "  --failpoints      list every registered fault-injection point and\n"
       "                    exit (see CUBETREE_FAILPOINTS below)\n"
       "  --help            this text\n"
@@ -70,6 +70,10 @@ void PrintHelp(std::FILE* out) {
       "  4   I/O failure while checking\n"
       "  64  usage error\n");
 }
+
+/// The largest --pool-pages: 2 GiB of 8 KiB frames, which the pool
+/// allocates up front.
+constexpr uint64_t kMaxPoolPages = uint64_t{1} << 18;
 
 struct CliOptions {
   bool deep = false;
@@ -208,18 +212,15 @@ int main(int argc, char** argv) {
       cli.stats = true;
       stats_dumper.enabled = true;
     } else if (arg.rfind("--pool-pages=", 0) == 0) {
-      // Digits only: from_chars takes no sign or whitespace for an
-      // unsigned type and reports overflow, unlike strtoull.
-      const char* first = arg.c_str() + std::strlen("--pool-pages=");
-      const char* last = arg.c_str() + arg.size();
-      size_t n = 0;
-      const auto [stop, error] = std::from_chars(first, last, n);
-      if (error != std::errc() || stop != last || n == 0) {
+      const std::optional<uint64_t> n = cubetree::ParseUint(
+          std::string_view(arg).substr(std::strlen("--pool-pages=")),
+          kMaxPoolPages);
+      if (!n.has_value() || *n == 0) {
         std::fprintf(stderr, "ctfsck: bad --pool-pages value: %s\n",
                      arg.c_str());
         return kExitUsage;
       }
-      cli.pool_pages = n;
+      cli.pool_pages = *n;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "ctfsck: unknown option %s\n", arg.c_str());
       PrintHelp(stderr);

@@ -58,21 +58,25 @@ void InitLogLevelFromEnv() {
   }
 }
 
+std::optional<uint64_t> ParseUint(std::string_view text, uint64_t max) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || value > max) return std::nullopt;
+  return value;
+}
+
 uint64_t EnvUint64(const char* name, uint64_t fallback) {
   const char* text = std::getenv(name);
   if (text == nullptr || text[0] == '\0') return fallback;
-  const char* end = text + std::strlen(text);
-  uint64_t value = 0;
-  // from_chars takes no sign or whitespace for an unsigned type and
-  // reports overflow, unlike strtoull.
-  const auto [stop, error] = std::from_chars(text, end, value);
-  if (error != std::errc() || stop != end) {
+  const std::optional<uint64_t> value = ParseUint(text);
+  if (!value.has_value()) {
     CT_LOG(Warn) << name << "='" << text
                  << "' is not a decimal integer below 2^64; using "
                  << fallback;
     return fallback;
   }
-  return value;
+  return *value;
 }
 
 namespace internal {

@@ -2,8 +2,11 @@
 #define CUBETREE_COMMON_LOGGING_H_
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace cubetree {
 
@@ -20,12 +23,18 @@ LogLevel GetLogLevel();
 /// startup by every example and bench binary.
 void InitLogLevelFromEnv();
 
-/// Reads the environment variable `name` as an unsigned decimal integer:
-/// digits only (no sign, whitespace or trailing bytes) and below 2^64.
-/// Returns `fallback` when it is unset or empty, and also, after one WARN
-/// line naming the variable, when it is malformed. Every CUBETREE_*
-/// integer setting is read through here; callers add their own range
-/// checks.
+/// Reads all of `text` as an unsigned decimal integer no greater than
+/// `max`: digits only, so a sign, whitespace or trailing text is refused,
+/// and so is overflow, which strtoull wraps or saturates. The one parser of
+/// the unsigned integers a user hands the program: environment variables,
+/// flags, failpoint specs and query literals.
+std::optional<uint64_t> ParseUint(
+    std::string_view text, uint64_t max = std::numeric_limits<uint64_t>::max());
+
+/// Reads the environment variable `name` with ParseUint. Returns `fallback`
+/// when it is unset or empty, and also, after one WARN line naming the
+/// variable, when it is malformed. Every CUBETREE_* integer setting is read
+/// through here; callers add their own range checks.
 uint64_t EnvUint64(const char* name, uint64_t fallback);
 
 namespace internal {

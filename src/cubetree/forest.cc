@@ -55,11 +55,13 @@ void SetAsideWithSidecar(const std::string& path,
   }
 }
 
-/// True when a refresh of `kind` writes tree `slot`: a rebuild writes
-/// exactly the quarantined trees, every other kind the healthy ones.
+/// True when a refresh of `kind` writes tree `slot`: the load and a rebuild
+/// fill the empty slots (every slot of an unbuilt forest, the quarantined
+/// trees of a built one), the other kinds rewrite the healthy trees.
 bool IsRefreshTarget(CubetreeForest::RefreshKind kind,
                      const forest_internal::TreeState& slot) {
-  return (kind == CubetreeForest::RefreshKind::kRebuild) ==
+  using Kind = CubetreeForest::RefreshKind;
+  return (kind == Kind::kLoad || kind == Kind::kRebuild) ==
          (slot.tree == nullptr);
 }
 
@@ -614,22 +616,7 @@ Status CubetreeForest::Build(const std::vector<ViewDef>& views,
   }
   next_delta_generation_.assign(plan_.trees.size(), 0);
   quarantine_files_.assign(plan_.trees.size(), {});
-
-  auto state = std::make_shared<EpochState>();
-  for (size_t t = 0; t < plan_.trees.size(); ++t) {
-    CT_ASSIGN_OR_RETURN(auto source, OpenTreeSource(t, provider));
-    RTreeOptions tree_options = options_.rtree;
-    tree_options.dims = plan_.trees[t].dims;
-    CT_ASSIGN_OR_RETURN(
-        auto rtree,
-        PackedRTree::Build(TreePath(t, 0), tree_options, pool_, {source.get()},
-                           ArityFn(), io_stats_));
-    state->trees.push_back(
-        {std::make_shared<Cubetree>(TreeViews(t), std::move(rtree)), 0, {}});
-  }
-  CT_RETURN_NOT_OK(SaveManifestDurable(*state));
-  PublishState(std::move(state));
-  return Status::OK();
+  return RefreshTxn(RefreshKind::kLoad, provider);
 }
 
 Status CubetreeForest::ApplyDelta(ViewDataProvider* delta_provider) {
@@ -660,14 +647,11 @@ uint64_t CubetreeForest::RefreshEstimate(
   // packer's slack per concurrent worker.
   uint64_t live_bytes = 0;
   size_t packs = 0;
-  if (auto live = Published()) {
-    for (const TreeState& slot : live->trees) {
-      if (!IsRefreshTarget(kind, slot)) continue;
-      ++packs;
-      if (kind == RefreshKind::kMerge) {
-        live_bytes += slot.tree->TotalSizeBytes();
-      }
-    }
+  const std::shared_ptr<EpochState> slots = StageState();
+  for (const TreeState& slot : slots->trees) {
+    if (!IsRefreshTarget(kind, slot)) continue;
+    ++packs;
+    if (kind == RefreshKind::kMerge) live_bytes += slot.tree->TotalSizeBytes();
   }
   return EstimateRefreshBytes(
       live_bytes, provider == nullptr ? 0 : provider->EstimatedInputBytes(),
@@ -676,8 +660,12 @@ uint64_t CubetreeForest::RefreshEstimate(
 
 Status CubetreeForest::RefreshTxn(RefreshKind kind,
                                   ViewDataProvider* provider) {
-  std::shared_ptr<EpochState> live = Published();
-  if (live == nullptr) return Status::InvalidArgument("forest: not built yet");
+  if (Published() == nullptr && kind != RefreshKind::kLoad) {
+    return Status::InvalidArgument("forest: not built yet");
+  }
+  // The next generation, staged from the published slots. Tasks read their
+  // inputs from it; outputs go in only once every pack has succeeded.
+  std::shared_ptr<EpochState> next = StageState();
 
   // One task per tree the transaction writes. Workers touch only their own
   // task: the inputs are prepared serially under refresh_mu_ (providers are
@@ -692,14 +680,16 @@ Status CubetreeForest::RefreshTxn(RefreshKind kind,
     std::unique_ptr<PackedRTree> output;
   };
   std::vector<Task> tasks;
-  for (size_t t = 0; t < live->trees.size(); ++t) {
-    if (kind != RefreshKind::kRebuild && live->trees[t].tree == nullptr) {
+  for (size_t t = 0; t < next->trees.size(); ++t) {
+    const bool target = IsRefreshTarget(kind, next->trees[t]);
+    if (!target && next->trees[t].tree == nullptr) {
       return Status::Unavailable(
           "forest: quarantined trees must be rebuilt before a refresh");
     }
-    if (IsRefreshTarget(kind, live->trees[t])) tasks.emplace_back().tree = t;
+    if (target) tasks.emplace_back().tree = t;
   }
-  if (tasks.empty()) return Status::OK();
+  // The load commits even a forest without trees.
+  if (tasks.empty() && kind != RefreshKind::kLoad) return Status::OK();
 
   // 1. Space preflight: refuse up front with a typed, retriable
   // StorageFull naming the shortfall rather than hit ENOSPC halfway through
@@ -707,15 +697,16 @@ Status CubetreeForest::RefreshTxn(RefreshKind kind,
   CT_RETURN_NOT_OK(PreflightRefreshLocked(RefreshEstimate(kind, provider)));
 
   // 2. Serial task preparation. Delta numbers come from the monotonic
-  // counter; main files take the next generation of the live one.
+  // counter; the load writes generation 0, and every later main file the
+  // next generation of the live one.
   Status status;
   for (Task& task : tasks) {
-    const TreeState& slot = live->trees[task.tree];
+    const TreeState& slot = next->trees[task.tree];
     if (kind == RefreshKind::kDelta) {
       task.generation = next_delta_generation_[task.tree]++;
       task.path = DeltaPath(task.tree, task.generation);
     } else {
-      task.generation = slot.generation + 1;
+      task.generation = kind == RefreshKind::kLoad ? 0 : slot.generation + 1;
       task.path = TreePath(task.tree, task.generation);
     }
     if (kind == RefreshKind::kMerge) task.folded = slot.tree;
@@ -729,7 +720,9 @@ Status CubetreeForest::RefreshTxn(RefreshKind kind,
   // 3. Pack every task's output beside the live files, one worker per
   // tree. The live trees keep serving queries; nothing is mutated yet.
   if (status.ok()) {
-    const char* span_name = kind == RefreshKind::kMerge ? "refresh.merge_pack"
+    const char* span_name = kind == RefreshKind::kLoad ? "refresh.load_pack"
+                            : kind == RefreshKind::kMerge
+                                ? "refresh.merge_pack"
                             : kind == RefreshKind::kDelta
                                 ? "refresh.delta_pack"
                                 : "refresh.rebuild_pack";
@@ -774,12 +767,11 @@ Status CubetreeForest::RefreshTxn(RefreshKind kind,
         });
   }
 
-  // 4. Stage the next generation: fresh Cubetree objects for the touched
-  // trees. The published epoch's objects are never mutated — readers
-  // pinned to it keep serving the old files until their snapshots drop.
-  std::shared_ptr<EpochState> next;
+  // 4. Install the outputs in the staged generation: fresh Cubetree objects
+  // for the touched trees. The published epoch's objects are never mutated
+  // — readers pinned to it keep serving the old files until their
+  // snapshots drop.
   if (status.ok()) {
-    next = StageState();
     for (Task& task : tasks) {
       if (task.output == nullptr) continue;
       TreeState& slot = next->trees[task.tree];
@@ -986,6 +978,8 @@ std::shared_ptr<forest_internal::EpochState> CubetreeForest::StageState()
   auto next = std::make_shared<EpochState>();
   if (auto live = Published()) {
     next->trees = live->trees;
+  } else {
+    next->trees.resize(plan_.trees.size());
   }
   return next;
 }

@@ -190,8 +190,8 @@ struct ForestRecoveryReport {
 
 /// A forest of Cubetrees materializing a set of ROLAP views — the complete
 /// storage organization the paper proposes. The forest plans view placement
-/// with SelectMapping, bulk-builds each tree from sorted per-view aggregate
-/// streams, and refreshes all trees by merge-packing sorted deltas.
+/// with SelectMapping, then loads and refreshes its trees through one
+/// transaction that packs sorted per-view aggregate streams bottom-up.
 ///
 /// Concurrency model: every committed state is published as an immutable
 /// generation (EpochState) behind one shared_ptr, and that generation is
@@ -199,8 +199,8 @@ struct ForestRecoveryReport {
 /// pointer copy under a leaf mutex that only publishing and other readers
 /// take — and query the pinned generation while refreshes build and commit
 /// the next one off to the side; mutators
-/// (ApplyDelta/ApplyDeltaPartial/Compact/RebuildQuarantined) serialize on
-/// an internal mutex. Files replaced by a refresh are retired,
+/// (Build/ApplyDelta/ApplyDeltaPartial/Compact/RebuildQuarantined)
+/// serialize on an internal mutex. Files replaced by a refresh are retired,
 /// not unlinked: reclamation happens when the last epoch referencing them
 /// dies (epoch-based reclamation), so a reader pinned three refreshes back
 /// still completes against intact files.
@@ -249,13 +249,15 @@ class CubetreeForest {
   };
 
   /// What one refresh transaction writes, per tree:
+  ///   kLoad     Build: the provider stream packed into generation 0 of
+  ///             every tree of a forest that has published nothing.
   ///   kMerge    ApplyDelta/Compact: main + pending deltas + the provider
   ///             stream merge-packed into a new main file.
   ///   kDelta    ApplyDeltaPartial: the provider stream packed into one
   ///             more delta file (empty outputs are dropped).
   ///   kRebuild  RebuildQuarantined: the provider stream packed into a new
   ///             main file, for the quarantined trees only.
-  enum class RefreshKind { kMerge, kDelta, kRebuild };
+  enum class RefreshKind { kLoad, kMerge, kDelta, kRebuild };
 
   static Result<std::unique_ptr<CubetreeForest>> Create(
       Options options, BufferPool* pool,
@@ -285,7 +287,8 @@ class CubetreeForest {
       std::shared_ptr<IoStats> io_stats = nullptr,
       ForestRecoveryReport* report = nullptr);
 
-  /// Plans placement and bulk-builds every tree, one at a time. Call once.
+  /// Plans placement, then packs every tree in one refresh transaction
+  /// (kLoad), in parallel; a failed load leaves no tree file. Call once.
   Status Build(const std::vector<ViewDef>& views, ViewDataProvider* provider)
       EXCLUDES(refresh_mu_);
 
@@ -396,11 +399,11 @@ class CubetreeForest {
   /// event.
   void QuarantineTree(EpochState* state, size_t t, const Status& why,
                       ForestRecoveryReport* report) REQUIRES(refresh_mu_);
-  /// The one refresh transaction behind ApplyDelta, ApplyDeltaPartial,
-  /// Compact and RebuildQuarantined: preflight, serial task preparation,
-  /// one parallel pack, stage the next EpochState, durable manifest swap,
-  /// abort sweep on failure, publish. A nullptr `provider` merges without
-  /// an increment (Compact).
+  /// The one refresh transaction behind Build, ApplyDelta,
+  /// ApplyDeltaPartial, Compact and RebuildQuarantined: preflight, serial
+  /// task preparation, one parallel pack, stage the next EpochState,
+  /// durable manifest swap, abort sweep on failure, publish. A nullptr
+  /// `provider` merges without an increment (Compact).
   Status RefreshTxn(RefreshKind kind, ViewDataProvider* provider)
       REQUIRES(refresh_mu_);
   /// This forest's files on disk that no live epoch references: tree and
@@ -418,8 +421,8 @@ class CubetreeForest {
   /// Arity of every view of the forest, by id.
   ViewArityFn ArityFn() const;
   /// A fresh, unpublished EpochState holding a copy of the published tree
-  /// slots, for a mutator to edit.
-  std::shared_ptr<EpochState> StageState() const REQUIRES(refresh_mu_);
+  /// slots (before the load, empty ones), for a mutator to edit.
+  std::shared_ptr<EpochState> StageState() const;
   /// Publishes `next` as the serving generation: numbers it, carries over
   /// file-reclamation tokens for files still live, retires tokens for
   /// files this generation dropped, and swaps the published pointer.

@@ -89,6 +89,16 @@ class ReplicaRepairProvider : public CubetreeForest::ViewDataProvider {
   std::map<uint32_t, std::pair<std::vector<char>, size_t>> buffers_;
 };
 
+/// The forest options Load and Recover open the forest with.
+CubetreeForest::Options ForestOptions(const CubetreeEngine::Options& options) {
+  CubetreeForest::Options forest_options;
+  forest_options.dir = options.dir;
+  forest_options.name = options.name;
+  forest_options.rtree = options.rtree;
+  forest_options.one_tree_per_view = options.one_tree_per_view;
+  return forest_options;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<CubetreeEngine>> CubetreeEngine::Create(
@@ -104,14 +114,9 @@ Result<std::unique_ptr<CubetreeEngine>> CubetreeEngine::Recover(
     const CubeSchema& schema, Options options, BufferPool* pool,
     ForestRecoveryReport* report) {
   CT_ASSIGN_OR_RETURN(auto engine, Create(schema, std::move(options), pool));
-  CubetreeForest::Options forest_options;
-  forest_options.dir = engine->options_.dir;
-  forest_options.name = engine->options_.name;
-  forest_options.rtree = engine->options_.rtree;
-  forest_options.one_tree_per_view = engine->options_.one_tree_per_view;
   CT_ASSIGN_OR_RETURN(
       engine->forest_,
-      CubetreeForest::Recover(forest_options, engine->pool_,
+      CubetreeForest::Recover(ForestOptions(engine->options_), engine->pool_,
                               engine->options_.io_stats, report));
   // Row counts were derived from the spools at load time; after a crash
   // the spools are gone, so re-derive them from the trees themselves.
@@ -122,12 +127,9 @@ Result<std::unique_ptr<CubetreeEngine>> CubetreeEngine::Recover(
 }
 
 Status CubetreeEngine::RebuildQuarantined(ComputedViews* data) {
-  if (forest_ == nullptr) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
-  CT_RETURN_NOT_OK(GatedWrite(
-      forest_->RefreshEstimate(CubetreeForest::RefreshKind::kRebuild, data),
-      [&] { return forest_->RebuildQuarantined(data); }));
+  CT_RETURN_NOT_OK(
+      GatedWrite(CubetreeForest::RefreshKind::kRebuild, data,
+                 [&] { return forest_->RebuildQuarantined(data); }));
   CT_ASSIGN_OR_RETURN(view_rows_,
                       forest_->AcquireSnapshot().CountPointsPerView());
   return Status::OK();
@@ -222,10 +224,9 @@ Status CubetreeEngine::RepairFromReplicas() {
   // Drop the pin before the rebuild publishes new generations, so the
   // quarantined files it retires can be reclaimed promptly.
   snapshot.Release();
-  CT_RETURN_NOT_OK(GatedWrite(
-      forest_->RefreshEstimate(CubetreeForest::RefreshKind::kRebuild,
-                               &provider),
-      [&] { return forest_->RebuildQuarantined(&provider); }));
+  CT_RETURN_NOT_OK(
+      GatedWrite(CubetreeForest::RefreshKind::kRebuild, &provider,
+                 [&] { return forest_->RebuildQuarantined(&provider); }));
   CT_ASSIGN_OR_RETURN(view_rows_,
                       forest_->AcquireSnapshot().CountPointsPerView());
   static obs::Counter* const repairs =
@@ -236,13 +237,8 @@ Status CubetreeEngine::RepairFromReplicas() {
 
 Status CubetreeEngine::Load(const std::vector<ViewDef>& views,
                             ComputedViews* data) {
-  CubetreeForest::Options forest_options;
-  forest_options.dir = options_.dir;
-  forest_options.name = options_.name;
-  forest_options.rtree = options_.rtree;
-  forest_options.one_tree_per_view = options_.one_tree_per_view;
-  CT_ASSIGN_OR_RETURN(forest_, CubetreeForest::Create(forest_options, pool_,
-                                                      options_.io_stats));
+  CT_ASSIGN_OR_RETURN(forest_, CubetreeForest::Create(ForestOptions(options_),
+                                                      pool_, options_.io_stats));
   CT_RETURN_NOT_OK(forest_->Build(views, data));
   view_rows_.clear();
   for (const ViewDef& view : views) {
@@ -252,9 +248,14 @@ Status CubetreeEngine::Load(const std::vector<ViewDef>& views,
   return Status::OK();
 }
 
-Status CubetreeEngine::GatedWrite(uint64_t estimated_bytes,
-                                  const std::function<Status()>& write) {
-  CT_RETURN_NOT_OK(degraded_.AdmitWrite(estimated_bytes));
+Status CubetreeEngine::GatedWrite(
+    CubetreeForest::RefreshKind kind,
+    const CubetreeForest::ViewDataProvider* data,
+    const std::function<Status()>& write) {
+  if (forest_ == nullptr) {
+    return Status::InvalidArgument("cubetree engine: not loaded");
+  }
+  CT_RETURN_NOT_OK(degraded_.AdmitWrite(forest_->RefreshEstimate(kind, data)));
   Status status = write();
   // A StorageFull that slipped past the preflight (the volume filled while
   // the refresh ran) flips the engine read-only; queries keep serving the
@@ -264,33 +265,21 @@ Status CubetreeEngine::GatedWrite(uint64_t estimated_bytes,
 }
 
 Status CubetreeEngine::ApplyDelta(ComputedViews* delta) {
-  if (forest_ == nullptr) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
   // Per-view row counts are not tracked inside the trees after a merge;
   // the stale counts only influence the routing heuristic, which stays
   // stable under proportional growth.
-  return GatedWrite(
-      forest_->RefreshEstimate(CubetreeForest::RefreshKind::kMerge, delta),
-      [&] { return forest_->ApplyDelta(delta); });
+  return GatedWrite(CubetreeForest::RefreshKind::kMerge, delta,
+                    [&] { return forest_->ApplyDelta(delta); });
 }
 
 Status CubetreeEngine::ApplyDeltaPartial(ComputedViews* delta) {
-  if (forest_ == nullptr) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
-  return GatedWrite(
-      forest_->RefreshEstimate(CubetreeForest::RefreshKind::kDelta, delta),
-      [&] { return forest_->ApplyDeltaPartial(delta); });
+  return GatedWrite(CubetreeForest::RefreshKind::kDelta, delta,
+                    [&] { return forest_->ApplyDeltaPartial(delta); });
 }
 
 Status CubetreeEngine::Compact() {
-  if (forest_ == nullptr) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
-  return GatedWrite(
-      forest_->RefreshEstimate(CubetreeForest::RefreshKind::kMerge, nullptr),
-      [&] { return forest_->Compact(); });
+  return GatedWrite(CubetreeForest::RefreshKind::kMerge, nullptr,
+                    [&] { return forest_->Compact(); });
 }
 
 namespace {

@@ -120,10 +120,12 @@ class CubetreeEngine : public ViewStore {
         pool_(pool),
         degraded_(DegradedModeController::Options{options_.dir}) {}
 
-  /// Shared mutator gate: admit through the degraded-mode controller, run
-  /// the refresh, and feed its outcome back (a StorageFull flips the
-  /// engine read-only).
-  Status GatedWrite(uint64_t estimated_bytes,
+  /// Shared mutator gate: refuse before the load, admit the refresh of
+  /// `kind` over `data` through the degraded-mode controller at the
+  /// forest's own estimate, run `write`, and feed its outcome back (a
+  /// StorageFull flips the engine read-only).
+  Status GatedWrite(CubetreeForest::RefreshKind kind,
+                    const CubetreeForest::ViewDataProvider* data,
                     const std::function<Status()>& write);
 
   /// The read-repair loop of Execute: routes and searches, quarantining

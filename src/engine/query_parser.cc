@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
+#include <optional>
 #include <vector>
+
+#include "common/logging.h"
 
 namespace cubetree {
 
@@ -13,7 +17,7 @@ enum class TokenKind { kIdent, kNumber, kComma, kLParen, kRParen, kEq, kEnd };
 struct Token {
   TokenKind kind = TokenKind::kEnd;
   std::string text;   // Identifiers (lower-cased) and numbers.
-  uint64_t number = 0;
+  Coord number = 0;
 };
 
 class Lexer {
@@ -51,7 +55,13 @@ class Lexer {
              std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
         token.text += input_[pos_++];
       }
-      token.number = std::stoull(token.text);
+      const std::optional<uint64_t> value =
+          ParseUint(token.text, std::numeric_limits<Coord>::max());
+      if (!value.has_value()) {
+        return Status::InvalidArgument("number " + token.text +
+                                       " does not fit a key value");
+      }
+      token.number = static_cast<Coord>(*value);
     } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       token.kind = TokenKind::kIdent;
       while (pos_ < input_.size() &&
@@ -154,20 +164,20 @@ class Parser {
           if (current_.kind != TokenKind::kNumber) {
             return Status::InvalidArgument("expected key value");
           }
-          predicates.emplace_back(attr, static_cast<Coord>(current_.number));
+          predicates.emplace_back(attr, current_.number);
           CT_RETURN_NOT_OK(Advance());
         } else if (IsKeyword("between")) {
           CT_RETURN_NOT_OK(Advance());
           if (current_.kind != TokenKind::kNumber) {
             return Status::InvalidArgument("expected BETWEEN lower bound");
           }
-          const Coord lo = static_cast<Coord>(current_.number);
+          const Coord lo = current_.number;
           CT_RETURN_NOT_OK(Advance());
           CT_RETURN_NOT_OK(ExpectKeyword("and"));
           if (current_.kind != TokenKind::kNumber) {
             return Status::InvalidArgument("expected BETWEEN upper bound");
           }
-          const Coord hi = static_cast<Coord>(current_.number);
+          const Coord hi = current_.number;
           if (hi < lo) {
             return Status::InvalidArgument("empty BETWEEN interval");
           }

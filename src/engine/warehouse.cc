@@ -155,6 +155,14 @@ Result<LoadReport> Warehouse::LoadConventional() {
   return report;
 }
 
+CubetreeEngine::Options Warehouse::CubetreeOptions() const {
+  CubetreeEngine::Options engine_options;
+  engine_options.dir = options_.dir;
+  engine_options.name = "cbt";
+  engine_options.io_stats = cbt_io_;
+  return engine_options;
+}
+
 Result<LoadReport> Warehouse::LoadCubetrees() {
   LoadReport report;
   auto facts = generator_->BaseFacts();
@@ -164,13 +172,9 @@ Result<LoadReport> Warehouse::LoadCubetrees() {
   CT_ASSIGN_OR_RETURN(auto data,
                       Compute(cubetree_views_, facts.get(), "cbt_base",
                               cbt_io_));
-  CubetreeEngine::Options engine_options;
-  engine_options.dir = options_.dir;
-  engine_options.name = "cbt";
-  engine_options.io_stats = cbt_io_;
-  CT_ASSIGN_OR_RETURN(cubetree_, CubetreeEngine::Create(
-                                     schema_, engine_options,
-                                     cbt_pool_.get()));
+  CT_ASSIGN_OR_RETURN(cubetree_,
+                      CubetreeEngine::Create(schema_, CubetreeOptions(),
+                                             cbt_pool_.get()));
   CT_RETURN_NOT_OK(cubetree_->Load(cubetree_views_, data.get()));
   report.views = FinishPhase("cubetree load", timer.ElapsedSeconds(), before,
                              cbt_io_);
@@ -185,12 +189,8 @@ Result<PhaseReport> Warehouse::RecoverCubetrees(uint32_t increments_applied,
   if (report == nullptr) report = &local_report;
   IoStats before = *cbt_io_;
   Timer timer;
-  CubetreeEngine::Options engine_options;
-  engine_options.dir = options_.dir;
-  engine_options.name = "cbt";
-  engine_options.io_stats = cbt_io_;
   CT_ASSIGN_OR_RETURN(cubetree_,
-                      CubetreeEngine::Recover(schema_, engine_options,
+                      CubetreeEngine::Recover(schema_, CubetreeOptions(),
                                               cbt_pool_.get(), report));
   if (cubetree_->forest()->AcquireSnapshot().HasQuarantine()) {
     // Fast path first: re-derive the lost views from surviving replicas /
@@ -219,54 +219,58 @@ Result<PhaseReport> Warehouse::RecoverCubetrees(uint32_t increments_applied,
 
 Result<PhaseReport> Warehouse::UpdateConventionalIncremental(
     uint32_t increment) {
+  return UpdateConventional(increment, /*recompute=*/false);
+}
+
+Result<PhaseReport> Warehouse::UpdateConventionalRecompute(
+    uint32_t increment) {
+  return UpdateConventional(increment, /*recompute=*/true);
+}
+
+Result<PhaseReport> Warehouse::UpdateConventional(uint32_t increment,
+                                                  bool recompute) {
   if (conventional_ == nullptr) {
     return Status::InvalidArgument("conventional configuration not loaded");
   }
   // The paper's footnote 7: the maintenance indexing exists before the
   // timed window.
-  CT_RETURN_NOT_OK(conventional_->BuildMaintenanceIndices());
-
-  auto facts =
-      generator_->IncrementFacts(options_.increment_fraction, increment);
+  if (!recompute) CT_RETURN_NOT_OK(conventional_->BuildMaintenanceIndices());
+  auto facts = recompute ? generator_->FactsThroughIncrement(
+                               options_.increment_fraction, increment + 1)
+                         : generator_->IncrementFacts(
+                               options_.increment_fraction, increment);
   IoStats before = *conv_io_;
   Timer timer;
   CT_ASSIGN_OR_RETURN(
-      auto delta,
-      Compute(selection_.views, facts.get(),
-              "conv_inc" + std::to_string(increment), conv_io_));
-  CT_RETURN_NOT_OK(conventional_->ApplyDeltaIncremental(delta.get()));
-  PhaseReport report = FinishPhase("conventional incremental update",
-                                   timer.ElapsedSeconds(), before, conv_io_);
-  CT_RETURN_NOT_OK(delta->Destroy());
-  return report;
-}
-
-Result<PhaseReport> Warehouse::UpdateConventionalRecompute(
-    uint32_t increment) {
-  if (conventional_ == nullptr) {
-    return Status::InvalidArgument("conventional configuration not loaded");
-  }
-  auto facts = generator_->FactsThroughIncrement(options_.increment_fraction,
-                                                 increment + 1);
-  IoStats before = *conv_io_;
-  Timer timer;
-  CT_ASSIGN_OR_RETURN(
-      auto data,
-      Compute(selection_.views, facts.get(),
-              "conv_full" + std::to_string(increment), conv_io_));
-  CT_RETURN_NOT_OK(conventional_->Rebuild(data.get()));
-  PhaseReport report = FinishPhase("conventional recompute",
-                                   timer.ElapsedSeconds(), before, conv_io_);
+      auto data, Compute(selection_.views, facts.get(),
+                         (recompute ? "conv_full" : "conv_inc") +
+                             std::to_string(increment),
+                         conv_io_));
+  CT_RETURN_NOT_OK(recompute
+                       ? conventional_->Rebuild(data.get())
+                       : conventional_->ApplyDeltaIncremental(data.get()));
+  PhaseReport report = FinishPhase(
+      recompute ? "conventional recompute" : "conventional incremental update",
+      timer.ElapsedSeconds(), before, conv_io_);
   CT_RETURN_NOT_OK(data->Destroy());
   return report;
 }
 
+Result<PhaseReport> Warehouse::UpdateCubetrees(uint32_t increment) {
+  return RefreshCubetrees(increment, /*partial=*/false);
+}
+
 Result<PhaseReport> Warehouse::UpdateCubetreesPartial(uint32_t increment) {
+  return RefreshCubetrees(increment, /*partial=*/true);
+}
+
+Result<PhaseReport> Warehouse::RefreshCubetrees(uint32_t increment,
+                                                bool partial) {
   if (cubetree_ == nullptr) {
     return Status::InvalidArgument("cubetree configuration not loaded");
   }
   obs::TraceScope trace("refresh", cbt_io_.get());
-  trace.Annotate("kind", "delta_tree");
+  trace.Annotate("kind", partial ? "delta_tree" : "merge_pack");
   trace.Annotate("increment", static_cast<uint64_t>(increment));
   auto facts =
       generator_->IncrementFacts(options_.increment_fraction, increment);
@@ -279,11 +283,15 @@ Result<PhaseReport> Warehouse::UpdateCubetreesPartial(uint32_t increment) {
     obs::Span sort_span("refresh.sort");
     CT_ASSIGN_OR_RETURN(
         delta, Compute(cubetree_views_, facts.get(),
-                       "cbt_part" + std::to_string(increment), cbt_io_));
+                       (partial ? "cbt_part" : "cbt_inc") +
+                           std::to_string(increment),
+                       cbt_io_));
   }
-  CT_RETURN_NOT_OK(cubetree_->ApplyDeltaPartial(delta.get()));
-  PhaseReport report = FinishPhase("cubetree delta-tree update",
-                                   timer.ElapsedSeconds(), before, cbt_io_);
+  CT_RETURN_NOT_OK(partial ? cubetree_->ApplyDeltaPartial(delta.get())
+                           : cubetree_->ApplyDelta(delta.get()));
+  PhaseReport report = FinishPhase(
+      partial ? "cubetree delta-tree update" : "cubetree merge-pack update",
+      timer.ElapsedSeconds(), before, cbt_io_);
   CT_RETURN_NOT_OK(delta->Destroy());
   return report;
 }
@@ -297,33 +305,6 @@ Result<PhaseReport> Warehouse::CompactCubetrees() {
   CT_RETURN_NOT_OK(cubetree_->Compact());
   return FinishPhase("cubetree compaction", timer.ElapsedSeconds(), before,
                      cbt_io_);
-}
-
-Result<PhaseReport> Warehouse::UpdateCubetrees(uint32_t increment) {
-  if (cubetree_ == nullptr) {
-    return Status::InvalidArgument("cubetree configuration not loaded");
-  }
-  obs::TraceScope trace("refresh", cbt_io_.get());
-  trace.Annotate("kind", "merge_pack");
-  trace.Annotate("increment", static_cast<uint64_t>(increment));
-  auto facts =
-      generator_->IncrementFacts(options_.increment_fraction, increment);
-  IoStats before = *cbt_io_;
-  Timer timer;
-  std::unique_ptr<ComputedViews> delta;
-  {
-    // Aggregation + external sort of the increment: the paper's "sort"
-    // phase of a refresh.
-    obs::Span sort_span("refresh.sort");
-    CT_ASSIGN_OR_RETURN(
-        delta, Compute(cubetree_views_, facts.get(),
-                       "cbt_inc" + std::to_string(increment), cbt_io_));
-  }
-  CT_RETURN_NOT_OK(cubetree_->ApplyDelta(delta.get()));
-  PhaseReport report = FinishPhase("cubetree merge-pack update",
-                                   timer.ElapsedSeconds(), before, cbt_io_);
-  CT_RETURN_NOT_OK(delta->Destroy());
-  return report;
 }
 
 }  // namespace cubetree

@@ -148,6 +148,14 @@ class Warehouse {
       : options_(std::move(options)) {}
 
   Status Init();
+  /// Options of the cubetree engine, shared by load and recovery.
+  CubetreeEngine::Options CubetreeOptions() const;
+  /// One conventional update with increment `increment`: applied tuple
+  /// by tuple, or recomputed from every fact through it.
+  Result<PhaseReport> UpdateConventional(uint32_t increment, bool recompute);
+  /// One cubetree refresh with increment `increment`: merge-packed into
+  /// the trees, or packed into delta trees when `partial`.
+  Result<PhaseReport> RefreshCubetrees(uint32_t increment, bool partial);
   Result<std::unique_ptr<ComputedViews>> Compute(
       const std::vector<ViewDef>& views, FactProvider* facts,
       const std::string& tag, const std::shared_ptr<IoStats>& io);

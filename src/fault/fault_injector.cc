@@ -2,10 +2,10 @@
 
 #include <unistd.h>
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string_view>
 
 #include "common/logging.h"
@@ -56,13 +56,13 @@ Status BadSpec(const std::string& failpoint, const std::string& spec,
                                  spec + "' (" + why + ")");
 }
 
-/// Reads `text` whole as a positive count below 2^32. from_chars takes no
-/// sign or whitespace for an unsigned type and reports overflow, unlike
-/// strtoul.
+/// Reads `text` whole as a positive count below 2^32.
 bool ParseCount(std::string_view text, uint32_t* count) {
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, *count);
-  return error == std::errc() && stop == end && *count > 0;
+  const std::optional<uint64_t> value =
+      ParseUint(text, std::numeric_limits<uint32_t>::max());
+  if (!value.has_value() || *value == 0) return false;
+  *count = static_cast<uint32_t>(*value);
+  return true;
 }
 
 Result<FaultSpec> ParseSpec(const std::string& failpoint,

@@ -55,13 +55,6 @@ CubeSchema SmallSchema() {
   return schema;
 }
 
-ViewDef MakeView(uint32_t id, std::vector<uint32_t> attrs) {
-  ViewDef v;
-  v.id = id;
-  v.attrs = std::move(attrs);
-  return v;
-}
-
 uint64_t FileSize(const std::string& path) {
   struct stat st;
   EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;

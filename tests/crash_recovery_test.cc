@@ -1,14 +1,17 @@
-// Deterministic crash-recovery harness for the Cubetree refresh pipeline.
+// Deterministic crash-recovery harness for the Cubetree write pipeline.
 //
 // The sweep tests enumerate EVERY registered failpoint and interrupt a
-// forest refresh at each one — with a real process crash (_Exit in a
-// forked child) and with the in-process throw action (sanitizer-friendly)
-// — once for a merge-pack refresh and once for a partial (delta-tree)
-// refresh followed by a compaction.
-// After each interruption the forest is reopened through Recover and must
-// come back checker-clean, holding exactly the pre-refresh or the
+// forest write at each one — with a real process crash (_Exit in a forked
+// child), with the in-process throw action (sanitizer-friendly) and with
+// an injected error — once for the initial load, once for a merge-pack
+// refresh and once for a partial (delta-tree) refresh followed by a
+// compaction.
+// After each interrupted refresh the forest is reopened through Recover
+// and must come back checker-clean, holding exactly the pre-refresh or the
 // post-refresh contents — never a hybrid — with all orphaned files
-// collected and a second Recover finding nothing left to do.
+// collected and a second Recover finding nothing left to do. An
+// interrupted load must have committed, or left nothing a fresh load and
+// one Recover do not clear.
 
 #include <gtest/gtest.h>
 
@@ -16,189 +19,49 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <optional>
+#include <set>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "check/checkers.h"
-#include "check/invariant_checker.h"
-#include "cubetree/cubetree.h"
 #include "cubetree/forest.h"
-#include "cubetree/view_def.h"
 #include "engine/warehouse.h"
 #include "fault/fault_injector.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_manager.h"
+#include "tests/forest_fixture.h"
 #include "tests/test_util.h"
 
 namespace cubetree {
 namespace {
 
-ViewDef MakeView(uint32_t id, std::vector<uint32_t> attrs) {
-  ViewDef view;
-  view.id = id;
-  view.attrs = std::move(attrs);
-  return view;
-}
-
-/// The paper's running example: V1{partkey,suppkey}, V2{suppkey,custkey},
-/// V3{partkey}, V4{} — two trees after SelectMapping.
-std::vector<ViewDef> PaperViews() {
-  return {MakeView(1, {0, 1}), MakeView(2, {1, 2}), MakeView(3, {0}),
-          MakeView(4, {})};
-}
-
-/// In-memory ViewDataProvider: per-view vectors of records, sorted into
-/// pack order on demand.
-class VectorViewProvider : public CubetreeForest::ViewDataProvider {
- public:
-  void Add(const ViewDef& view, std::vector<Coord> coords, AggValue agg) {
-    auto& rows = data_[view.id];
-    std::vector<char> rec(ViewRecordBytes(view.arity()));
-    coords.resize(kMaxDims, 0);
-    EncodeViewRecord(rec.data(), coords.data(), view.arity(), agg);
-    rows.push_back(std::move(rec));
-  }
-
-  Result<std::unique_ptr<RecordStream>> OpenViewStream(
-      const ViewDef& view) override {
-    auto rows = data_[view.id];  // Copy.
-    const uint8_t arity = view.arity();
-    std::sort(rows.begin(), rows.end(),
-              [arity](const std::vector<char>& a, const std::vector<char>& b) {
-                return ViewRecordCompare(a.data(), b.data(), arity) < 0;
-              });
-    std::vector<char> flat;
-    for (const auto& r : rows) flat.insert(flat.end(), r.begin(), r.end());
-    return std::unique_ptr<RecordStream>(new MemoryRecordStream(
-        std::move(flat), ViewRecordBytes(arity)));
-  }
-
- private:
-  std::map<uint32_t, std::vector<std::vector<char>>> data_;
-};
-
-void FillBase(VectorViewProvider* p, const std::vector<ViewDef>& views) {
-  int64_t total = 0;
-  for (uint32_t a = 1; a <= 12; ++a) {
-    for (uint32_t b = 1; b <= 4; ++b) {
-      p->Add(views[0], {a, b}, AggValue{int64_t(a * 100 + b), 1});
-      p->Add(views[1], {b, a}, AggValue{int64_t(b * 10 + a), 1});
-    }
-    p->Add(views[2], {a}, AggValue{int64_t(a), 1});
-    total += a;
-  }
-  p->Add(views[3], {}, AggValue{total, 12});
-}
-
-/// Half-overlapping delta: merges with existing groups and adds fresh ones.
-void FillDelta(VectorViewProvider* p, const std::vector<ViewDef>& views) {
-  for (uint32_t a = 7; a <= 18; ++a) {
-    p->Add(views[0], {a, 2}, AggValue{int64_t(a), 1});
-    p->Add(views[1], {2, a}, AggValue{int64_t(a * 2), 1});
-    p->Add(views[2], {a}, AggValue{int64_t(a * 3), 1});
-  }
-  p->Add(views[3], {}, AggValue{99, 12});
-}
-
-CubetreeForest::Options ForestOptions(const std::string& dir) {
-  CubetreeForest::Options options;
-  options.dir = dir;
-  options.name = "f";
-  return options;
-}
-
-/// Builds the base forest in `dir` and closes it again.
-void BuildBaseForest(const std::string& dir) {
-  BufferPool pool(256);
-  ASSERT_OK_AND_ASSIGN(auto forest,
-                       CubetreeForest::Create(ForestOptions(dir), &pool));
-  const auto views = PaperViews();
-  VectorViewProvider provider;
-  FillBase(&provider, views);
-  ASSERT_OK(forest->Build(views, &provider));
-}
-
-/// Forest contents as one sorted list of "view:coords=sum:count" strings,
-/// aggregated by group key so main+delta splits compare equal to merged
-/// trees. Directory-independent, so snapshots from different dirs compare.
-using Contents = std::vector<std::string>;
-
-Contents Dump(CubetreeForest* forest) {
-  std::map<std::string, std::pair<int64_t, uint64_t>> groups;
-  const ForestSnapshot snap = forest->AcquireSnapshot();
-  for (const ViewDef& view : forest->views()) {
-    EXPECT_FALSE(snap.IsViewQuarantined(view.id)) << view.id;
-    auto tree_result = snap.TreeForView(view.id);
-    EXPECT_TRUE(tree_result.ok()) << tree_result.status().ToString();
-    if (!tree_result.ok()) continue;
-    std::vector<std::optional<Coord>> open(view.arity(), std::nullopt);
-    EXPECT_OK(tree_result.value()->QuerySlice(
-        view.id, open, [&](const Coord* coords, const AggValue& agg) {
-          std::string key = std::to_string(view.id);
-          for (size_t i = 0; i < view.arity(); ++i) {
-            key += "," + std::to_string(coords[i]);
-          }
-          auto& group = groups[key];
-          group.first += agg.sum;
-          group.second += agg.count;
-        }));
-  }
-  Contents out;
-  for (const auto& [key, agg] : groups) {
-    out.push_back(key + "=" + std::to_string(agg.first) + ":" +
-                  std::to_string(agg.second));
-  }
-  return out;
-}
-
-/// Reference snapshots, computed once in a scratch dir with no faults
-/// armed: the forest contents before and after the standard refresh.
-struct Snapshots {
-  Contents before;
-  Contents after;
-};
-
-const Snapshots& ReferenceSnapshots() {
-  static const Snapshots* snapshots = [] {
-    // ct-lint: allow(no-naked-new)
-    auto* s = new Snapshots();  // Intentionally leaked static snapshot.
-    const std::string dir = MakeTestDir("crash_reference");
-    BuildBaseForest(dir);
-    BufferPool pool(256);
-    auto forest =
-        std::move(CubetreeForest::Open(ForestOptions(dir), &pool).value());
-    s->before = Dump(forest.get());
-    VectorViewProvider delta;
-    FillDelta(&delta, PaperViews());
-    Status applied = forest->ApplyDelta(&delta);
-    EXPECT_OK(applied);
-    s->after = Dump(forest.get());
-    return s;
-  }();
-  return *snapshots;
-}
-
-/// The refresh workloads the sweeps interrupt. Both apply the standard
-/// delta, so either one ends at the reference "after" contents.
-enum class Workload { kMerge, kPartialThenCompact };
-constexpr Workload kWorkloads[] = {Workload::kMerge,
+/// The workloads the sweeps interrupt: the standard load into an empty
+/// directory, and two refreshes of the loaded base forest. Both refreshes
+/// apply the standard delta, so either one ends at the reference "after"
+/// contents.
+enum class Workload { kLoad, kMerge, kPartialThenCompact };
+constexpr Workload kWorkloads[] = {Workload::kLoad, Workload::kMerge,
                                    Workload::kPartialThenCompact};
 
 std::string WorkloadName(Workload workload) {
-  return workload == Workload::kMerge ? "merge" : "partial+compact";
+  return workload == Workload::kLoad    ? "load"
+         : workload == Workload::kMerge ? "merge"
+                                        : "partial+compact";
 }
 
-/// Reopens the forest and runs `workload` with the standard delta: one
-/// merge-pack refresh, or a partial refresh then a compaction. Returns the
-/// first failing status.
-Status OpenAndRefresh(const std::string& dir,
-                      Workload workload = Workload::kMerge) {
+/// Prepares `dir` for `workload`: the refreshes start from the base
+/// forest, the load from an empty directory.
+void PrepareDir(const std::string& dir, Workload workload) {
+  if (workload != Workload::kLoad) BuildBaseForest(dir);
+}
+
+/// Runs `workload` over `dir`: the standard load, or the forest reopened
+/// and refreshed with the standard delta — one merge-pack refresh, or a
+/// partial refresh then a compaction. Returns the first failing status.
+Status RunWorkload(const std::string& dir,
+                   Workload workload = Workload::kMerge) {
+  if (workload == Workload::kLoad) return LoadBaseForest(dir);
   BufferPool pool(256);
   auto forest_result = CubetreeForest::Open(ForestOptions(dir), &pool);
   if (!forest_result.ok()) return forest_result.status();
@@ -210,10 +73,32 @@ Status OpenAndRefresh(const std::string& dir,
   return forest->Compact();
 }
 
-/// Forked child: arm `failpoint` with the crash action and run the refresh
-/// workload. Exits 0 when the refresh completes (the failpoint was not on
-/// this workload's path), kCrashExitCode on the simulated crash, and a
-/// distinct code on any unexpected error.
+/// The post-interruption invariant of `workload`; `crashed` when the write
+/// died without running its abort sweep.
+void ExpectConsistent(const std::string& dir, Workload workload,
+                      bool crashed, const std::string& at) {
+  if (workload == Workload::kLoad) {
+    ExpectLoadCommittedOrGone(dir, crashed, at);
+  } else {
+    ExpectRecoversToOldOrNew(dir, at);
+  }
+}
+
+/// Each workload must actually cross most of the registry — a sweep where
+/// nothing fires would silently test nothing.
+void ExpectFired(Workload workload, const std::set<std::string>& fired) {
+  if (workload == Workload::kLoad) {
+    ExpectLoadSweepFired(fired);
+    return;
+  }
+  EXPECT_GE(fired.size(), 15u) << WorkloadName(workload) << ": only "
+                               << fired.size() << " failpoints fired";
+}
+
+/// Forked child: arm `failpoint` with the crash action and run `workload`.
+/// Exits 0 when the workload completes (the failpoint was not on its
+/// path), kCrashExitCode on the simulated crash, and a distinct code on any
+/// unexpected error.
 int RunCrashChild(const std::string& dir, const char* failpoint,
                   Workload workload) {
   const pid_t pid = ::fork();
@@ -221,7 +106,7 @@ int RunCrashChild(const std::string& dir, const char* failpoint,
     if (!FaultInjector::Instance().Arm(failpoint, "crash").ok()) {
       std::_Exit(11);
     }
-    const Status status = OpenAndRefresh(dir, workload);
+    const Status status = RunWorkload(dir, workload);
     std::_Exit(status.ok() ? 0 : 12);
   }
   EXPECT_GT(pid, 0) << "fork failed";
@@ -229,45 +114,6 @@ int RunCrashChild(const std::string& dir, const char* failpoint,
   EXPECT_EQ(::waitpid(pid, &wstatus, 0), pid);
   if (!WIFEXITED(wstatus)) return -1;
   return WEXITSTATUS(wstatus);
-}
-
-/// Post-interruption invariant: Recover succeeds with nothing quarantined,
-/// the contents equal exactly the pre- or post-refresh snapshot, the deep
-/// forest checker is clean, and a second Recover finds nothing to do.
-void ExpectRecoversToOldOrNew(const std::string& dir, const std::string& at) {
-  const Snapshots& expected = ReferenceSnapshots();
-  {
-    BufferPool pool(256);
-    ForestRecoveryReport report;
-    auto recovered =
-        CubetreeForest::Recover(ForestOptions(dir), &pool, nullptr, &report);
-    ASSERT_TRUE(recovered.ok()) << at << ": " << recovered.status().ToString();
-    EXPECT_TRUE(report.quarantined_trees.empty())
-        << at << ": " << report.ToString();
-    const Contents contents = Dump(recovered.value().get());
-    EXPECT_TRUE(contents == expected.before || contents == expected.after)
-        << at << ": recovered contents match neither generation ("
-        << contents.size() << " groups vs " << expected.before.size()
-        << " before / " << expected.after.size() << " after)";
-  }
-  {
-    BufferPool pool(256);
-    CheckOptions check_options;
-    check_options.deep = true;
-    ForestChecker checker(dir, "f", &pool, check_options);
-    CheckReport report;
-    ASSERT_OK(checker.Run(&report));
-    EXPECT_EQ(report.errors(), 0u) << at << ":\n" << report.ToString();
-  }
-  {
-    BufferPool pool(256);
-    ForestRecoveryReport second;
-    auto again =
-        CubetreeForest::Recover(ForestOptions(dir), &pool, nullptr, &second);
-    ASSERT_TRUE(again.ok()) << at << ": " << again.status().ToString();
-    EXPECT_TRUE(second.clean())
-        << at << ": recovery is not idempotent — " << second.ToString();
-  }
 }
 
 class CrashRecoveryTest : public ::testing::Test {
@@ -284,65 +130,70 @@ TEST_F(CrashRecoveryTest, CrashAtEveryFailpoint) {
   const auto& points = FaultInjector::RegisteredPoints();
   ASSERT_GE(points.size(), 20u);
   for (Workload workload : kWorkloads) {
-    int crashed = 0;
+    std::set<std::string> fired;
     for (size_t i = 0; i < points.size(); ++i) {
       const std::string at = WorkloadName(workload) + ":" + points[i].name;
       const std::string dir =
           MakeTestDir("crash_fork_" + std::to_string(i));
-      BuildBaseForest(dir);
+      PrepareDir(dir, workload);
       const int code = RunCrashChild(dir, points[i].name, workload);
       ASSERT_TRUE(code == 0 || code == FaultInjector::kCrashExitCode)
           << at << ": child exited " << code;
-      if (code == FaultInjector::kCrashExitCode) ++crashed;
-      ExpectRecoversToOldOrNew(dir, at);
+      if (code != 0) fired.insert(points[i].name);
+      ExpectConsistent(dir, workload, /*crashed=*/code != 0, at);
     }
-    // The refresh path must actually cross most of the registry — a sweep
-    // where nothing fires would silently test nothing.
-    EXPECT_GE(crashed, 15) << WorkloadName(workload) << ": only " << crashed
-                           << " failpoints fired";
+    ExpectFired(workload, fired);
   }
 }
 
 TEST_F(CrashRecoveryTest, ThrowAtEveryFailpoint) {
   for (Workload workload : kWorkloads) {
+    std::set<std::string> fired;
     for (const auto& point : FaultInjector::RegisteredPoints()) {
       const std::string dir = MakeTestDir(std::string("crash_throw_") +
                                           point.name);
-      BuildBaseForest(dir);
+      PrepareDir(dir, workload);
       ASSERT_OK(FaultInjector::Instance().Arm(point.name, "throw"));
       bool crashed = false;
       try {
-        const Status status = OpenAndRefresh(dir, workload);
+        const Status status = RunWorkload(dir, workload);
         ASSERT_OK(status);  // Throw-armed points never return an error.
       } catch (const SimulatedCrash& crash) {
         crashed = true;
+        fired.insert(point.name);
         EXPECT_EQ(crash.failpoint(), point.name);
       }
       FaultInjector::Instance().DisarmAll();
-      (void)crashed;
-      ExpectRecoversToOldOrNew(
-          dir, "throw:" + WorkloadName(workload) + ":" + point.name);
+      ExpectConsistent(dir, workload, crashed,
+                       "throw:" + WorkloadName(workload) + ":" + point.name);
     }
+    ExpectFired(workload, fired);
   }
 }
 
 TEST_F(CrashRecoveryTest, ErrorAtEveryFailpoint) {
   for (Workload workload : kWorkloads) {
+    std::set<std::string> fired;
     for (const auto& point : FaultInjector::RegisteredPoints()) {
       const std::string dir = MakeTestDir(std::string("crash_error_") +
                                           point.name);
-      BuildBaseForest(dir);
+      PrepareDir(dir, workload);
       PageManager::SetReadRetryPolicy(2, 0);  // Keep read retries cheap.
+      const uint64_t hits = FaultInjector::Instance().HitCount(point.name);
       ASSERT_OK(FaultInjector::Instance().Arm(point.name, "error"));
-      // The refresh either fails with the injected error or succeeds (point
+      // The write either fails with the injected error or succeeds (point
       // off-path, or the protocol absorbs the failure — e.g. post-commit
       // dirsync/gc). Either way the on-disk state must stay two-sided.
-      (void)OpenAndRefresh(dir, workload);
+      (void)RunWorkload(dir, workload);
+      if (FaultInjector::Instance().HitCount(point.name) > hits) {
+        fired.insert(point.name);
+      }
       FaultInjector::Instance().DisarmAll();
       PageManager::SetReadRetryPolicy(4, 0);
-      ExpectRecoversToOldOrNew(
-          dir, "error:" + WorkloadName(workload) + ":" + point.name);
+      ExpectConsistent(dir, workload, /*crashed=*/false,
+                       "error:" + WorkloadName(workload) + ":" + point.name);
     }
+    ExpectFired(workload, fired);
   }
 }
 
@@ -355,7 +206,7 @@ TEST_F(CrashRecoveryTest, TransientReadErrorsDoNotAbortRefresh) {
   // Two read attempts fail, the retry loop absorbs them: the refresh must
   // complete and land on the new generation.
   ASSERT_OK(FaultInjector::Instance().Arm("storage.page.read", "error(2)"));
-  ASSERT_OK(OpenAndRefresh(dir));
+  ASSERT_OK(RunWorkload(dir));
   FaultInjector::Instance().DisarmAll();
 
   BufferPool pool(256);
@@ -439,7 +290,7 @@ TEST_F(CrashRecoveryTest, CrashDuringRecoveryIsIdempotent) {
   ASSERT_OK(FaultInjector::Instance().Arm("forest.refresh.commit", "throw"));
   bool crashed = false;
   try {
-    (void)OpenAndRefresh(dir);
+    (void)RunWorkload(dir);
   } catch (const SimulatedCrash&) {
     crashed = true;
   }
@@ -470,7 +321,7 @@ TEST_F(CrashRecoveryTest, FailedManifestSwapKeepsOldGeneration) {
   const std::string dir = MakeTestDir("crash_manifest_error");
   BuildBaseForest(dir);
   ASSERT_OK(FaultInjector::Instance().Arm("forest.manifest.write", "error"));
-  Status status = OpenAndRefresh(dir);
+  Status status = RunWorkload(dir);
   FaultInjector::Instance().DisarmAll();
   EXPECT_TRUE(status.IsIOError()) << status.ToString();
 

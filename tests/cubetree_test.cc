@@ -12,6 +12,7 @@
 #include "cubetree/select_mapping.h"
 #include "cubetree/view_def.h"
 #include "storage/buffer_pool.h"
+#include "tests/forest_fixture.h"
 #include "tests/test_util.h"
 
 namespace cubetree {
@@ -22,13 +23,6 @@ CubeSchema PaperSchema() {
   schema.attr_names = {"partkey", "suppkey", "custkey"};
   schema.attr_domains = {200, 50, 150};
   return schema;
-}
-
-ViewDef MakeView(uint32_t id, std::vector<uint32_t> attrs) {
-  ViewDef view;
-  view.id = id;
-  view.attrs = std::move(attrs);
-  return view;
 }
 
 TEST(ViewDefTest, ArityMaskAndName) {
@@ -153,37 +147,7 @@ TEST(SelectMappingTest, MinimalTreeCount) {
   EXPECT_EQ(plan.trees.size(), 3u);  // Three arity-1 views force 3 trees.
 }
 
-// --- Forest / provider helpers ------------------------------------------
-
-/// In-memory ViewDataProvider for tests: per-view vectors of (coords, agg),
-/// sorted on demand.
-class VectorViewProvider : public CubetreeForest::ViewDataProvider {
- public:
-  void Add(const ViewDef& view, std::vector<Coord> coords, AggValue agg) {
-    auto& rows = data_[view.id];
-    std::vector<char> rec(ViewRecordBytes(view.arity()));
-    coords.resize(kMaxDims, 0);
-    EncodeViewRecord(rec.data(), coords.data(), view.arity(), agg);
-    rows.push_back(std::move(rec));
-  }
-
-  Result<std::unique_ptr<RecordStream>> OpenViewStream(
-      const ViewDef& view) override {
-    auto rows = data_[view.id];  // Copy.
-    const uint8_t arity = view.arity();
-    std::sort(rows.begin(), rows.end(),
-              [arity](const std::vector<char>& a, const std::vector<char>& b) {
-                return ViewRecordCompare(a.data(), b.data(), arity) < 0;
-              });
-    std::vector<char> flat;
-    for (const auto& r : rows) flat.insert(flat.end(), r.begin(), r.end());
-    return std::unique_ptr<RecordStream>(new MemoryRecordStream(
-        std::move(flat), ViewRecordBytes(arity)));
-  }
-
- private:
-  std::map<uint32_t, std::vector<std::vector<char>>> data_;
-};
+// --- Forest ---------------------------------------------------------------
 
 class ForestTest : public ::testing::Test {
  protected:
@@ -715,6 +679,8 @@ TEST_F(ForestTest, DeltaBeforeBuildFails) {
   ASSERT_OK_AND_ASSIGN(auto forest, MakeForest());
   VectorViewProvider delta;
   EXPECT_FALSE(forest->ApplyDelta(&delta).ok());
+  // Only Build loads an unbuilt forest; a rebuild of one is refused too.
+  EXPECT_TRUE(forest->RebuildQuarantined(&delta).IsInvalidArgument());
 }
 
 TEST_F(ForestTest, ReopenFromManifest) {

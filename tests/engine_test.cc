@@ -30,13 +30,6 @@ CubeSchema SmallSchema() {
   return schema;
 }
 
-ViewDef MakeView(uint32_t id, std::vector<uint32_t> attrs) {
-  ViewDef v;
-  v.id = id;
-  v.attrs = std::move(attrs);
-  return v;
-}
-
 /// Shared fixture: a small deterministic fact table, the paper's view set
 /// shape (top view, ps, singletons, none), both engines loaded.
 class EngineTest : public ::testing::Test {
@@ -769,6 +762,20 @@ TEST(QueryParserTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseSliceQuery(
                    "SELECT SUM(price) FROM x WHERE partkey = 1", schema)
                    .ok());  // Wrong measure.
+  // A literal past a key value's 32 bits is refused by name, not wrapped.
+  for (const std::string literal : {"4294967296", "99999999999999999999"}) {
+    for (const std::string& where :
+         {"suppkey = " + literal, "suppkey BETWEEN 1 AND " + literal}) {
+      const auto parsed = ParseSliceQuery(
+          "SELECT partkey, SUM(quantity) FROM x WHERE " + where +
+              " GROUP BY partkey",
+          schema);
+      ASSERT_FALSE(parsed.ok()) << where;
+      EXPECT_TRUE(parsed.status().IsInvalidArgument()) << where;
+      EXPECT_NE(parsed.status().ToString().find(literal), std::string::npos)
+          << parsed.status().ToString();
+    }
+  }
 }
 
 TEST(QueryParserTest, ParsesBetween) {

@@ -1,14 +1,15 @@
 // Disk-full fault sweep for the refresh pipeline and the serving engine.
 //
 // The sweeps arm the `enospc` and `short_write` actions at every
-// registered failpoint and drive a forest refresh into each one. The
-// contract under test: the failure surfaces as a typed, retriable
-// StorageFull; the aborted refresh leaks no partial pack/run/sidecar
-// files; the old generation keeps answering queries with exactly the
-// pre-refresh contents; and once the fault clears the same refresh
-// succeeds. A fork-based sweep additionally kills the process right
-// after the StorageFull (the operator's kill -9 on a wedged box) and
-// requires the store to recover checker-clean. Engine-level tests cover
+// registered failpoint and drive a forest refresh, and the initial load,
+// into each one. The contract under test: the failure surfaces as a
+// typed, retriable StorageFull; the aborted write leaks no partial
+// pack/run/sidecar files; the old generation keeps answering queries with
+// exactly the pre-refresh contents (an aborted load leaves no forest at
+// all); and once the fault clears the same write succeeds. A fork-based
+// sweep additionally kills the process right after the StorageFull (the
+// operator's kill -9 on a wedged box) and requires the store to recover
+// checker-clean. Engine-level tests cover
 // the degraded read-only mode: enter on StorageFull, reject refreshes
 // with a retry-after hint, pause scrubber repair, keep serving queries,
 // and auto-recover when a probe sees space again.
@@ -19,21 +20,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <filesystem>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "check/checkers.h"
-#include "check/invariant_checker.h"
-#include "cubetree/cubetree.h"
 #include "cubetree/forest.h"
-#include "cubetree/view_def.h"
 #include "engine/cubetree_engine.h"
 #include "engine/degraded.h"
 #include "fault/fault_injector.h"
@@ -43,216 +37,11 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_space.h"
 #include "storage/page_manager.h"
+#include "tests/forest_fixture.h"
 #include "tests/test_util.h"
 
 namespace cubetree {
 namespace {
-
-ViewDef MakeView(uint32_t id, std::vector<uint32_t> attrs) {
-  ViewDef view;
-  view.id = id;
-  view.attrs = std::move(attrs);
-  return view;
-}
-
-/// The paper's running example, as in the crash-recovery harness.
-std::vector<ViewDef> PaperViews() {
-  return {MakeView(1, {0, 1}), MakeView(2, {1, 2}), MakeView(3, {0}),
-          MakeView(4, {})};
-}
-
-class VectorViewProvider : public CubetreeForest::ViewDataProvider {
- public:
-  void Add(const ViewDef& view, std::vector<Coord> coords, AggValue agg) {
-    auto& rows = data_[view.id];
-    std::vector<char> rec(ViewRecordBytes(view.arity()));
-    coords.resize(kMaxDims, 0);
-    EncodeViewRecord(rec.data(), coords.data(), view.arity(), agg);
-    rows.push_back(std::move(rec));
-  }
-
-  Result<std::unique_ptr<RecordStream>> OpenViewStream(
-      const ViewDef& view) override {
-    auto rows = data_[view.id];  // Copy.
-    const uint8_t arity = view.arity();
-    std::sort(rows.begin(), rows.end(),
-              [arity](const std::vector<char>& a, const std::vector<char>& b) {
-                return ViewRecordCompare(a.data(), b.data(), arity) < 0;
-              });
-    std::vector<char> flat;
-    for (const auto& r : rows) flat.insert(flat.end(), r.begin(), r.end());
-    return std::unique_ptr<RecordStream>(
-        new MemoryRecordStream(std::move(flat), ViewRecordBytes(arity)));
-  }
-
-  uint64_t EstimatedInputBytes() const override {
-    uint64_t total = 0;
-    for (const auto& [id, rows] : data_) {
-      for (const auto& r : rows) total += r.size();
-    }
-    return total;
-  }
-
- private:
-  std::map<uint32_t, std::vector<std::vector<char>>> data_;
-};
-
-void FillBase(VectorViewProvider* p, const std::vector<ViewDef>& views) {
-  int64_t total = 0;
-  for (uint32_t a = 1; a <= 12; ++a) {
-    for (uint32_t b = 1; b <= 4; ++b) {
-      p->Add(views[0], {a, b}, AggValue{int64_t(a * 100 + b), 1});
-      p->Add(views[1], {b, a}, AggValue{int64_t(b * 10 + a), 1});
-    }
-    p->Add(views[2], {a}, AggValue{int64_t(a), 1});
-    total += a;
-  }
-  p->Add(views[3], {}, AggValue{total, 12});
-}
-
-void FillDelta(VectorViewProvider* p, const std::vector<ViewDef>& views) {
-  for (uint32_t a = 7; a <= 18; ++a) {
-    p->Add(views[0], {a, 2}, AggValue{int64_t(a), 1});
-    p->Add(views[1], {2, a}, AggValue{int64_t(a * 2), 1});
-    p->Add(views[2], {a}, AggValue{int64_t(a * 3), 1});
-  }
-  p->Add(views[3], {}, AggValue{99, 12});
-}
-
-CubetreeForest::Options ForestOptions(const std::string& dir) {
-  CubetreeForest::Options options;
-  options.dir = dir;
-  options.name = "f";
-  return options;
-}
-
-void BuildBaseForest(const std::string& dir) {
-  BufferPool pool(256);
-  ASSERT_OK_AND_ASSIGN(auto forest,
-                       CubetreeForest::Create(ForestOptions(dir), &pool));
-  const auto views = PaperViews();
-  VectorViewProvider provider;
-  FillBase(&provider, views);
-  ASSERT_OK(forest->Build(views, &provider));
-}
-
-using Contents = std::vector<std::string>;
-
-Contents Dump(CubetreeForest* forest) {
-  std::map<std::string, std::pair<int64_t, uint64_t>> groups;
-  const ForestSnapshot snap = forest->AcquireSnapshot();
-  for (const ViewDef& view : forest->views()) {
-    EXPECT_FALSE(snap.IsViewQuarantined(view.id)) << view.id;
-    auto tree_result = snap.TreeForView(view.id);
-    EXPECT_TRUE(tree_result.ok()) << tree_result.status().ToString();
-    if (!tree_result.ok()) continue;
-    std::vector<std::optional<Coord>> open(view.arity(), std::nullopt);
-    EXPECT_OK(tree_result.value()->QuerySlice(
-        view.id, open, [&](const Coord* coords, const AggValue& agg) {
-          std::string key = std::to_string(view.id);
-          for (size_t i = 0; i < view.arity(); ++i) {
-            key += "," + std::to_string(coords[i]);
-          }
-          auto& group = groups[key];
-          group.first += agg.sum;
-          group.second += agg.count;
-        }));
-  }
-  Contents out;
-  for (const auto& [key, agg] : groups) {
-    out.push_back(key + "=" + std::to_string(agg.first) + ":" +
-                  std::to_string(agg.second));
-  }
-  return out;
-}
-
-struct Snapshots {
-  Contents before;
-  Contents after;
-};
-
-const Snapshots& ReferenceSnapshots() {
-  static const Snapshots* snapshots = [] {
-    // ct-lint: allow(no-naked-new)
-    auto* s = new Snapshots();  // Intentionally leaked static snapshot.
-    const std::string dir = MakeTestDir("enospc_reference");
-    BuildBaseForest(dir);
-    BufferPool pool(256);
-    auto forest =
-        std::move(CubetreeForest::Open(ForestOptions(dir), &pool).value());
-    s->before = Dump(forest.get());
-    VectorViewProvider delta;
-    FillDelta(&delta, PaperViews());
-    EXPECT_OK(forest->ApplyDelta(&delta));
-    s->after = Dump(forest.get());
-    return s;
-  }();
-  return *snapshots;
-}
-
-/// Every regular file name under `dir`.
-std::set<std::string> ListFiles(const std::string& dir) {
-  std::set<std::string> names;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file()) names.insert(entry.path().filename());
-  }
-  return names;
-}
-
-/// Files a cleanly-aborted refresh may legitimately add: a not-yet-renamed
-/// manifest draft, removed by the next Recover. Anything else new — a pack
-/// file, a sidecar, a sorter run — is a leaked partial file.
-bool AllowedAbortResidue(const std::string& name) {
-  const std::string tmp = ".manifest.tmp";
-  return name.size() >= tmp.size() &&
-         name.compare(name.size() - tmp.size(), tmp.size(), tmp) == 0;
-}
-
-/// Post-fault invariant shared with the crash harness: Recover succeeds
-/// with nothing quarantined, contents equal exactly one generation, the
-/// deep checker is clean, and a second Recover finds nothing to do.
-/// Returns the recovered contents for the caller's old/new dispatch.
-Contents ExpectRecoversToOldOrNew(const std::string& dir,
-                                  const std::string& at) {
-  const Snapshots& expected = ReferenceSnapshots();
-  Contents contents;
-  {
-    BufferPool pool(256);
-    ForestRecoveryReport report;
-    auto recovered =
-        CubetreeForest::Recover(ForestOptions(dir), &pool, nullptr, &report);
-    EXPECT_TRUE(recovered.ok()) << at << ": " << recovered.status().ToString();
-    if (!recovered.ok()) return contents;
-    EXPECT_TRUE(report.quarantined_trees.empty())
-        << at << ": " << report.ToString();
-    contents = Dump(recovered.value().get());
-    EXPECT_TRUE(contents == expected.before || contents == expected.after)
-        << at << ": recovered contents match neither generation ("
-        << contents.size() << " groups vs " << expected.before.size()
-        << " before / " << expected.after.size() << " after)";
-  }
-  {
-    BufferPool pool(256);
-    CheckOptions check_options;
-    check_options.deep = true;
-    ForestChecker checker(dir, "f", &pool, check_options);
-    CheckReport report;
-    EXPECT_OK(checker.Run(&report));
-    EXPECT_EQ(report.errors(), 0u) << at << ":\n" << report.ToString();
-  }
-  {
-    BufferPool pool(256);
-    ForestRecoveryReport second;
-    auto again =
-        CubetreeForest::Recover(ForestOptions(dir), &pool, nullptr, &second);
-    EXPECT_TRUE(again.ok()) << at << ": " << again.status().ToString();
-    if (again.ok()) {
-      EXPECT_TRUE(second.clean())
-          << at << ": recovery is not idempotent — " << second.ToString();
-    }
-  }
-  return contents;
-}
 
 class EnospcTest : public ::testing::Test {
  protected:
@@ -373,7 +162,7 @@ TEST_F(EnospcTest, DegradedControllerEntersAndRecovers) {
 /// its siblings and the abort must sweep every worker's partial output,
 /// not just the faulting tree's.
 void SweepPoint(const char* point, const char* action, int* fired,
-                unsigned refresh_threads = 1) {
+                unsigned refresh_threads) {
   SCOPED_TRACE(std::string(point) + ":" + action + " threads=" +
                std::to_string(refresh_threads));
   const std::string dir =
@@ -435,37 +224,59 @@ void SweepPoint(const char* point, const char* action, int* fired,
   }
 }
 
-TEST_F(EnospcTest, StorageFullAtEveryFailpoint) {
+/// One load sweep iteration: the standard load into an empty directory
+/// with `action` armed at `point` and `refresh_threads` pack workers. A
+/// failure must be the typed, retriable StorageFull, and the load must
+/// have committed or left nothing behind.
+void SweepLoadPoint(const char* point, const char* action,
+                    std::set<std::string>* fired, unsigned refresh_threads) {
+  SCOPED_TRACE(std::string("load:") + point + ":" + action + " threads=" +
+               std::to_string(refresh_threads));
+  const std::string dir =
+      MakeTestDir(std::string("enospc_load_") + point + "_" + action);
+  const uint64_t hits = FaultInjector::Instance().HitCount(point);
+  ASSERT_OK(FaultInjector::Instance().Arm(point, action));
+  const Status status = LoadBaseForest(dir, refresh_threads);
+  if (FaultInjector::Instance().HitCount(point) > hits) fired->insert(point);
+  FaultInjector::Instance().DisarmAll();
+  if (!status.ok()) {
+    EXPECT_TRUE(status.IsStorageFull()) << status.ToString();
+    EXPECT_TRUE(status.IsRetriable()) << status.ToString();
+  }
+  ExpectLoadCommittedOrGone(dir, /*crashed=*/false, point);
+}
+
+/// Sweeps `action` over every registered failpoint, once through the
+/// standard refresh and once through the load.
+void SweepEveryFailpoint(const char* action, unsigned refresh_threads) {
   int fired = 0;
+  std::set<std::string> load_fired;
   for (const auto& point : FaultInjector::RegisteredPoints()) {
-    SweepPoint(point.name, "enospc", &fired);
-    if (HasFatalFailure()) return;
+    SweepPoint(point.name, action, &fired, refresh_threads);
+    if (::testing::Test::HasFatalFailure()) return;
+    SweepLoadPoint(point.name, action, &load_fired, refresh_threads);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   // The refresh path must cross most of the registry, or the sweep would
   // silently test nothing.
   EXPECT_GE(fired, 12) << "only " << fired << " failpoints fired";
+  ExpectLoadSweepFired(load_fired);
+}
+
+TEST_F(EnospcTest, StorageFullAtEveryFailpoint) {
+  SweepEveryFailpoint("enospc", 1);
 }
 
 TEST_F(EnospcTest, ShortWriteAtEveryFailpoint) {
-  int fired = 0;
-  for (const auto& point : FaultInjector::RegisteredPoints()) {
-    SweepPoint(point.name, "short_write", &fired);
-    if (HasFatalFailure()) return;
-  }
-  EXPECT_GE(fired, 12) << "only " << fired << " failpoints fired";
+  SweepEveryFailpoint("short_write", 1);
 }
 
 TEST_F(EnospcTest, StorageFullAtEveryFailpointParallelRefresh) {
-  // Same contract, four merge-pack workers: the failing worker's
-  // StorageFull must cancel its siblings, and the abort must delete every
-  // worker's partial pack and sidecar — a serial-only cleanup loop would
-  // leak the non-faulting workers' output here.
-  int fired = 0;
-  for (const auto& point : FaultInjector::RegisteredPoints()) {
-    SweepPoint(point.name, "enospc", &fired, /*refresh_threads=*/4);
-    if (HasFatalFailure()) return;
-  }
-  EXPECT_GE(fired, 12) << "only " << fired << " failpoints fired";
+  // Same contract, four pack workers: the failing worker's StorageFull
+  // must cancel its siblings, and the abort must delete every worker's
+  // partial pack and sidecar — a serial-only cleanup loop would leak the
+  // non-faulting workers' output here.
+  SweepEveryFailpoint("enospc", 4);
 }
 
 /// Forked child: arm `failpoint` with enospc, refresh, and exit — the

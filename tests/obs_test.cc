@@ -333,6 +333,9 @@ TEST(BenchArgsTest, ParseUint64ArgStrict) {
   EXPECT_FALSE(bench::ParseUint64Arg("-3", &u));
   EXPECT_FALSE(bench::ParseUint64Arg("1.5", &u));
   EXPECT_FALSE(bench::ParseUint64Arg("seed", &u));
+  EXPECT_FALSE(bench::ParseUint64Arg("99999999999999999999", &u));
+  EXPECT_FALSE(bench::ParseUint64Arg(" -1", &u));
+  EXPECT_EQ(u, 19980601u);  // A refused value leaves the output alone.
 }
 
 // ---------------------------------------------------------------------------

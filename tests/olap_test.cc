@@ -224,13 +224,6 @@ class CubeBuilderTest : public ::testing::Test {
     return groups;
   }
 
-  ViewDef MakeView(uint32_t id, std::vector<uint32_t> attrs) {
-    ViewDef v;
-    v.id = id;
-    v.attrs = std::move(attrs);
-    return v;
-  }
-
   Result<std::unique_ptr<ComputedViews>> Compute(
       const std::vector<ViewDef>& views, Provider* provider) {
     CubeBuilder::Options options;

@@ -35,6 +35,7 @@
 #include "sort/external_sorter.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_manager.h"
+#include "tests/forest_fixture.h"
 #include "tests/test_util.h"
 
 namespace cubetree {
@@ -42,55 +43,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-ViewDef MakeView(uint32_t id, std::vector<uint32_t> attrs) {
-  ViewDef view;
-  view.id = id;
-  view.attrs = std::move(attrs);
-  return view;
-}
-
-/// The paper's running example: V1{partkey,suppkey}, V2{suppkey,custkey},
-/// V3{partkey}, V4{} — two trees after SelectMapping.
-std::vector<ViewDef> PaperViews() {
-  return {MakeView(1, {0, 1}), MakeView(2, {1, 2}), MakeView(3, {0}),
-          MakeView(4, {})};
-}
-
-/// In-memory ViewDataProvider (same idiom as the crash-recovery suite).
-class VectorViewProvider : public CubetreeForest::ViewDataProvider {
- public:
-  void Add(const ViewDef& view, std::vector<Coord> coords, AggValue agg) {
-    auto& rows = data_[view.id];
-    std::vector<char> rec(ViewRecordBytes(view.arity()));
-    coords.resize(kMaxDims, 0);
-    EncodeViewRecord(rec.data(), coords.data(), view.arity(), agg);
-    rows.push_back(std::move(rec));
-  }
-
-  Result<std::unique_ptr<RecordStream>> OpenViewStream(
-      const ViewDef& view) override {
-    auto rows = data_[view.id];  // Copy.
-    const uint8_t arity = view.arity();
-    std::sort(rows.begin(), rows.end(),
-              [arity](const std::vector<char>& a, const std::vector<char>& b) {
-                return ViewRecordCompare(a.data(), b.data(), arity) < 0;
-              });
-    std::vector<char> flat;
-    for (const auto& r : rows) flat.insert(flat.end(), r.begin(), r.end());
-    return std::unique_ptr<RecordStream>(
-        new MemoryRecordStream(std::move(flat), ViewRecordBytes(arity)));
-  }
-
- private:
-  std::map<uint32_t, std::vector<std::vector<char>>> data_;
-};
-
 constexpr uint64_t kBaseCount = 12;   // Per-view total count after Build.
 constexpr uint64_t kCycleCount = 8;   // Added to every view per cycle.
 
 /// Base load: 12 rows (total count 12) in every view, including the
 /// arity-0 view, so the lockstep invariant starts from equal counts.
-void FillBase(VectorViewProvider* p, const std::vector<ViewDef>& views) {
+void FillLockstepBase(VectorViewProvider* p,
+                      const std::vector<ViewDef>& views) {
   for (uint32_t k = 1; k <= kBaseCount; ++k) {
     p->Add(views[0], {k, 1}, AggValue{int64_t(k), 1});
     p->Add(views[1], {1, k}, AggValue{int64_t(k * 2), 1});
@@ -112,13 +71,6 @@ void FillCycle(VectorViewProvider* p, const std::vector<ViewDef>& views,
     p->Add(views[2], {key}, AggValue{int64_t(key), 1});
   }
   p->Add(views[3], {}, AggValue{int64_t(cycle), kCycleCount});
-}
-
-CubetreeForest::Options ForestOptions(const std::string& dir) {
-  CubetreeForest::Options options;
-  options.dir = dir;
-  options.name = "f";
-  return options;
 }
 
 /// Total count per view, read strictly through `snap` (never through the
@@ -171,7 +123,7 @@ TEST_F(OnlineRefreshTest, SnapshotIsolatedFromFullRefresh) {
                        CubetreeForest::Create(ForestOptions(dir), &pool));
   const auto views = PaperViews();
   VectorViewProvider base;
-  FillBase(&base, views);
+  FillLockstepBase(&base, views);
   ASSERT_OK(forest->Build(views, &base));
 
   ForestSnapshot old_snap = forest->AcquireSnapshot();
@@ -230,7 +182,7 @@ TEST_F(OnlineRefreshTest, SnapshotSurvivesManyRefreshCyclesAndCompact) {
                        CubetreeForest::Create(ForestOptions(dir), &pool));
   const auto views = PaperViews();
   VectorViewProvider base;
-  FillBase(&base, views);
+  FillLockstepBase(&base, views);
   ASSERT_OK(forest->Build(views, &base));
 
   ForestSnapshot pinned = forest->AcquireSnapshot();
@@ -277,7 +229,7 @@ TEST_F(OnlineRefreshTest, PartialRefreshSharesMainTreeFiles) {
                        CubetreeForest::Create(ForestOptions(dir), &pool));
   const auto views = PaperViews();
   VectorViewProvider base;
-  FillBase(&base, views);
+  FillLockstepBase(&base, views);
   ASSERT_OK(forest->Build(views, &base));
 
   ForestSnapshot old_snap = forest->AcquireSnapshot();
@@ -316,7 +268,7 @@ TEST_F(OnlineRefreshTest, DeltaPathsAreNotReusedWhilePinned) {
                          CubetreeForest::Create(ForestOptions(dir), &pool));
     const auto views = PaperViews();
     VectorViewProvider base;
-    FillBase(&base, views);
+    FillLockstepBase(&base, views);
     ASSERT_OK(forest->Build(views, &base));
     VectorViewProvider cycle1;
     FillCycle(&cycle1, views, 1);
@@ -353,7 +305,7 @@ TEST_F(OnlineRefreshTest, DeadlineBoundsQueryUnderStorageStall) {
                          CubetreeForest::Create(ForestOptions(dir), &pool));
     const auto views = PaperViews();
     VectorViewProvider base;
-    FillBase(&base, views);
+    FillLockstepBase(&base, views);
     ASSERT_OK(forest->Build(views, &base));
   }
   // Reopen cold so the scan must hit the (now always-failing) read path.
@@ -390,7 +342,7 @@ TEST_F(OnlineRefreshTest, CancelUnblocksStalledQueryFromAnotherThread) {
                          CubetreeForest::Create(ForestOptions(dir), &pool));
     const auto views = PaperViews();
     VectorViewProvider base;
-    FillBase(&base, views);
+    FillLockstepBase(&base, views);
     ASSERT_OK(forest->Build(views, &base));
   }
   BufferPool pool(256);
@@ -486,7 +438,7 @@ void RunReadersVsRefreshStress(unsigned refresh_threads) {
                        CubetreeForest::Create(forest_options, &pool));
   const auto views = PaperViews();
   VectorViewProvider base;
-  FillBase(&base, views);
+  FillLockstepBase(&base, views);
   ASSERT_OK(forest->Build(views, &base));
   const size_t num_trees = ForestDataFiles(dir).size();
 
@@ -634,7 +586,7 @@ TEST_F(OnlineRefreshTest, StressLongPinsDeferReclamation) {
                        CubetreeForest::Create(ForestOptions(dir), &pool));
   const auto views = PaperViews();
   VectorViewProvider base;
-  FillBase(&base, views);
+  FillLockstepBase(&base, views);
   ASSERT_OK(forest->Build(views, &base));
   const size_t num_trees = ForestDataFiles(dir).size();
 
@@ -713,7 +665,7 @@ TEST_F(OnlineRefreshTest, TreeAccessorHandlesSurviveConcurrentRefresh) {
                        CubetreeForest::Create(ForestOptions(dir), &pool));
   const auto views = PaperViews();
   VectorViewProvider base;
-  FillBase(&base, views);
+  FillLockstepBase(&base, views);
   ASSERT_OK(forest->Build(views, &base));
 
   constexpr int kAccessors = 4;
@@ -810,7 +762,7 @@ TEST_F(OnlineRefreshTest, ParallelRefreshAbortSweepsAllWorkerPartials) {
                        CubetreeForest::Create(options, &pool));
   const auto views = PaperViews();
   VectorViewProvider base;
-  FillBase(&base, views);
+  FillLockstepBase(&base, views);
   ASSERT_OK(forest->Build(views, &base));
   const auto files_before = ForestDataFiles(dir);
 

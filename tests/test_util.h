@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "check/checkers.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "cubetree/view_def.h"
 
 namespace cubetree {
 
@@ -57,6 +61,13 @@ inline std::string MakeTestDir(const std::string& name) {
                   << ec.message();
   }
   return dir;
+}
+
+inline ViewDef MakeView(uint32_t id, std::vector<uint32_t> attrs) {
+  ViewDef view;
+  view.id = id;
+  view.attrs = std::move(attrs);
+  return view;
 }
 
 /// Runs the deep R-tree checker over the tree file at `path`: OK when it
