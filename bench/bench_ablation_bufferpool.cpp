@@ -97,7 +97,7 @@ int Run(int argc, char** argv) {
   std::printf("\n(cubetree query I/O should be nearly flat across pool "
               "sizes; the conventional path degrades as index+heap "
               "working sets fall out of memory)\n");
-  bench::CheckOk(setup.data->Destroy(), "cleanup");
+  setup.data.reset();
   json.Finish();
   return 0;
 }

@@ -77,7 +77,7 @@ int Run(int argc, char** argv) {
               "mechanism's real job is making each view's leaf footprint "
               "equal\nto its unindexed relational width.\n",
               100.0 * (1.0 - static_cast<double>(sizes[0]) / sizes[1]));
-  bench::CheckOk(setup.data->Destroy(), "cleanup");
+  setup.data.reset();
 
   // --- Scenario 2: the Section 2.4 shape — many low-arity views placed in
   // 4-dimensional trees, where zero-suppression has real leverage.
@@ -132,7 +132,7 @@ int Run(int argc, char** argv) {
   std::printf("  compression saves %.0f%% on this configuration\n",
               100.0 * (1.0 - static_cast<double>(fig6_sizes[0]) /
                                  fig6_sizes[1]));
-  bench::CheckOk(data->Destroy(), "cleanup fig6");
+  data.reset();
   if (json.enabled()) {
     json.results().Set("tpcd_compressed_bytes", obs::JsonValue(sizes[0]));
     json.results().Set("tpcd_uncompressed_bytes", obs::JsonValue(sizes[1]));

@@ -76,7 +76,7 @@ int Run(int argc, char** argv) {
   }
   std::printf("\n(paper: SelectMapping uses the minimal number of trees "
               "while keeping every view in a contiguous leaf run)\n");
-  bench::CheckOk(setup.data->Destroy(), "cleanup");
+  setup.data.reset();
   json.Finish();
   return 0;
 }

@@ -84,7 +84,7 @@ int Run(int argc, char** argv) {
         entry.Set("tuples_per_query", obs::JsonValue(tuples_per_query));
       }
     }
-    bench::CheckOk(setup.data->Destroy(), "cleanup");
+    setup.data.reset();
   }
   std::printf("\n(paper: replicas substitute for the 3 selected B-tree "
               "orders; without them, queries binding attributes early in "

@@ -79,10 +79,7 @@ int main() {
   if (!engine_result.ok()) return 1;
   auto engine = std::move(engine_result).value();
   if (!engine->Load(views, data.get()).ok()) return 1;
-  if (Status destroyed = data->Destroy(); !destroyed.ok()) {
-    std::fprintf(stderr, "cleanup: %s\n", destroyed.ToString().c_str());
-    return 1;
-  }
+  data.reset();  // Removes the spool files.
 
   auto dims_result = DimensionTables::Load("hierarchy_data", generator,
                                            &pool);

@@ -108,7 +108,7 @@ int main() {
   if (!engine_result.ok()) return 1;
   auto engine = std::move(engine_result).value();
   CHECK_OK(engine->Load(views, data.get()));
-  CHECK_OK(data->Destroy());
+  data.reset();
 
   std::printf("forest: %zu cubetree(s), %llu points, %llu bytes\n",
               engine->forest()->plan().trees.size(),
@@ -142,7 +142,7 @@ int main() {
   if (!delta_result.ok()) return 1;
   auto delta_views = std::move(delta_result).value();
   CHECK_OK(engine->ApplyDelta(delta_views.get()));
-  CHECK_OK(delta_views->Destroy());
+  delta_views.reset();
 
   auto grand_total = ParseSliceQuery("SELECT SUM(quantity) FROM sales",
                                      schema);

@@ -11,12 +11,12 @@
 // queries run against whichever generation the crash left committed.
 //
 // If the volume fills mid-week (simulate with
-// CUBETREE_FAILPOINTS='disk.preflight=enospc'), the refresh is refused
-// with a typed StorageFull before any byte is written — the dashboard
-// keeps serving the committed generation — and the program reclaims dead
-// files and retries, the same loop an operator runs after freeing space.
-// CUBETREE_DISK_RESERVE_BYTES sets the free-space floor the preflight
-// protects (default 16 MiB).
+// CUBETREE_FAILPOINTS='disk.preflight=enospc@2'), the refresh is refused
+// with a typed, retriable StorageFull before any byte is written — the
+// preflight has already swept dead files to make room — and the program
+// stops while the committed generation stays queryable; rerun it once
+// space is back. CUBETREE_DISK_RESERVE_BYTES sets the free-space floor the
+// preflight protects (default 16 MiB).
 //
 // With --online, the dashboard does not wait for the nightly window:
 // reader threads keep querying (each under a 50 ms deadline) while every
@@ -141,7 +141,7 @@ int OnlineWeek(Warehouse* warehouse) {
     const uint64_t before = answered.load(std::memory_order_relaxed);
     auto update = warehouse->UpdateCubetrees(day);
     if (!update.ok()) {
-      std::fprintf(stderr, "day %u: %s\n", day,
+      std::fprintf(stderr, "day %u: %s\n", day + 1,
                    update.status().ToString().c_str());
       exit_code = 1;
       break;
@@ -307,13 +307,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<Scrubber> scrubber = Scrubber::CreateFromEnv(
       engine->forest(), [engine] { return engine->RepairFromReplicas(); });
   if (scrubber != nullptr) {
-    // Disk-full wiring: while the engine is degraded read-only, scrub
-    // passes keep detecting and quarantining corruption but skip the
-    // repair rebuild (it would write a fresh generation into a full
-    // volume). The hook resumes repairs when space returns.
-    Scrubber* scrub = scrubber.get();
-    engine->degraded()->SetOnModeChange(
-        [scrub](bool read_only) { scrub->SetRepairPaused(read_only); });
     scrubber->Start();
     std::printf("  background scrubber running (CUBETREE_SCRUB_*)\n");
   }
@@ -325,20 +318,8 @@ int main(int argc, char** argv) {
     SliceQueryGenerator gen = warehouse->MakeQueryGenerator(99);
     for (uint32_t day = 0; day < 7; ++day) {
       auto update = warehouse->UpdateCubetrees(day);
-      if (!update.ok() && update.status().IsStorageFull()) {
-        // The volume is (or is predicted to become) full. The old
-        // generation keeps serving the dashboard; reclaim any dead files
-        // a previous refresh left behind and retry once — the same loop
-        // an operator runs after freeing space (retriable, typed error).
-        std::printf("day %u: %s\n  reclaiming dead space and retrying...\n",
-                    day + 1, update.status().ToString().c_str());
-        const uint64_t reclaimed = engine->forest()->ReclaimSpace();
-        std::printf("  reclaimed %llu byte(s)\n",
-                    static_cast<unsigned long long>(reclaimed));
-        update = warehouse->UpdateCubetrees(day);
-      }
       if (!update.ok()) {
-        std::fprintf(stderr, "day %u: %s\n", day,
+        std::fprintf(stderr, "day %u: %s\n", day + 1,
                      update.status().ToString().c_str());
         return 1;
       }

@@ -207,19 +207,24 @@ Status ForestChecker::Run(CheckReport* report) {
   // --- Disk space -------------------------------------------------------
   // The live file footprint against the volume's free space, so an
   // operator sees how close the next refresh is to a StorageFull refusal
-  // (the preflight transiently needs roughly the live bytes again).
+  // (a compaction's preflight needs roughly the live tree bytes again).
   {
+    uint64_t tree_bytes = 0;
     uint64_t live_bytes = 0;
     for (const std::string& path : live_files) {
       struct stat st;
       if (::stat(path.c_str(), &st) == 0) {
-        live_bytes += static_cast<uint64_t>(st.st_size);
+        tree_bytes += static_cast<uint64_t>(st.st_size);
       }
       if (::stat((path + ".crc").c_str(), &st) == 0) {
         live_bytes += static_cast<uint64_t>(st.st_size);
       }
     }
-    DiskSpaceManager disk(DiskSpaceManager::Options{impl_->dir});
+    live_bytes += tree_bytes;
+    const uint64_t compaction_bytes =
+        EstimateRefreshBytes(RTreeOptions{}, tree_bytes, 0,
+                             snapshot.num_trees(), forest->views().size());
+    DiskSpaceManager disk(impl_->dir);
     auto space = disk.Probe();
     if (space.ok()) {
       report->AddInfo(
@@ -228,8 +233,8 @@ Status ForestChecker::Run(CheckReport* report) {
               "volume has " + std::to_string(space->free_bytes) +
               " free, " + std::to_string(space->usable_bytes()) +
               " usable after the " + std::to_string(space->reserve_bytes) +
-              "-byte reserve; a full refresh preflights ~" +
-              std::to_string(EstimateRefreshBytes(live_bytes, 0)) + " bytes",
+              "-byte reserve; a compaction preflights ~" +
+              std::to_string(compaction_bytes) + " bytes",
           impl_->dir);
     } else {
       report->AddWarning("forest", "disk-space",

@@ -65,7 +65,46 @@ bool IsRefreshTarget(CubetreeForest::RefreshKind kind,
          (slot.tree == nullptr);
 }
 
+/// How a disk-space refusal names a transaction of `kind`.
+const char* KindName(CubetreeForest::RefreshKind kind) {
+  static constexpr const char* kNames[] = {"load", "merge refresh",
+                                           "delta refresh", "rebuild"};
+  return kNames[static_cast<size_t>(kind)];
+}
+
+uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
+
 }  // namespace
+
+uint64_t EstimateRefreshBytes(const RTreeOptions& rtree,
+                              uint64_t live_tree_bytes, uint64_t input_bytes,
+                              uint64_t trees, uint64_t views) {
+  // The same caps PackedRTree::Build applies, at their tightest over every
+  // arity and dimensionality. A leaf storing entries of `arity` holds
+  // records of that arity — or, without leaf compression, of any lower one.
+  uint64_t leaf_payload = kPageSize;
+  for (uint8_t arity = 0; arity <= kMaxDims; ++arity) {
+    uint64_t entries = RLeafCapacity(arity);
+    if (rtree.max_leaf_entries > 0) {
+      entries = std::min<uint64_t>(entries, rtree.max_leaf_entries);
+    }
+    const uint64_t record =
+        RLeafEntryBytes(rtree.compress_leaves ? arity : 0);
+    leaf_payload = std::min(leaf_payload, entries * record);
+  }
+  uint64_t fanout = std::max<uint64_t>(2, RInternalCapacity(kMaxDims));
+  if (rtree.max_internal_entries > 1) {
+    fanout = std::min<uint64_t>(fanout, rtree.max_internal_entries);
+  }
+  const uint64_t leaves = CeilDiv(live_tree_bytes, kPageSize) +
+                          CeilDiv(input_bytes, leaf_payload) + views;
+  uint64_t levels = 0;
+  for (uint64_t span = 1; span < leaves; span *= fanout) ++levels;
+  const uint64_t internal = CeilDiv(leaves, fanout - 1) + trees * levels;
+  const uint64_t pages = leaves + internal + trees;
+  return pages * (kPageSize + kChecksumBytesPerPage) +
+         trees * kChecksumSidecarHeaderBytes;
+}
 
 namespace forest_internal {
 
@@ -582,7 +621,11 @@ Status CubetreeForest::Build(const std::vector<ViewDef>& views,
   if (Published() != nullptr) {
     return Status::InvalidArgument("forest: already built");
   }
+  // A refused or failed load published nothing, so it is simply planned
+  // again.
   views_ = views;
+  views_by_id_.clear();
+  plan_ = ForestPlan{};
   for (const ViewDef& v : views_) {
     if (!views_by_id_.emplace(v.id, v).second) {
       return Status::InvalidArgument("forest: duplicate view id");
@@ -640,24 +683,6 @@ Status CubetreeForest::RebuildQuarantined(ViewDataProvider* provider) {
   return RefreshTxn(RefreshKind::kRebuild, provider);
 }
 
-uint64_t CubetreeForest::RefreshEstimate(
-    RefreshKind kind, const ViewDataProvider* provider) const {
-  // The transaction transiently needs the repacked trees' old and new
-  // generations (plus sort runs and sidecars) on disk at once, and one
-  // packer's slack per concurrent worker.
-  uint64_t live_bytes = 0;
-  size_t packs = 0;
-  const std::shared_ptr<EpochState> slots = StageState();
-  for (const TreeState& slot : slots->trees) {
-    if (!IsRefreshTarget(kind, slot)) continue;
-    ++packs;
-    if (kind == RefreshKind::kMerge) live_bytes += slot.tree->TotalSizeBytes();
-  }
-  return EstimateRefreshBytes(
-      live_bytes, provider == nullptr ? 0 : provider->EstimatedInputBytes(),
-      ResolvedRefreshThreads(packs));
-}
-
 Status CubetreeForest::RefreshTxn(RefreshKind kind,
                                   ViewDataProvider* provider) {
   if (Published() == nullptr && kind != RefreshKind::kLoad) {
@@ -694,7 +719,19 @@ Status CubetreeForest::RefreshTxn(RefreshKind kind,
   // 1. Space preflight: refuse up front with a typed, retriable
   // StorageFull naming the shortfall rather than hit ENOSPC halfway through
   // the pack — the published epoch keeps serving either way.
-  CT_RETURN_NOT_OK(PreflightRefreshLocked(RefreshEstimate(kind, provider)));
+  uint64_t live_bytes = 0;
+  uint64_t views = 0;
+  for (const Task& task : tasks) {
+    views += plan_.trees[task.tree].view_ids.size();
+    if (kind == RefreshKind::kMerge) {
+      live_bytes += next->trees[task.tree].tree->TotalSizeBytes();
+    }
+  }
+  CT_RETURN_NOT_OK(PreflightRefreshLocked(
+      kind, EstimateRefreshBytes(
+                options_.rtree, live_bytes,
+                provider == nullptr ? 0 : provider->EstimatedInputBytes(),
+                tasks.size(), views)));
 
   // 2. Serial task preparation. Delta numbers come from the monotonic
   // counter; the load writes generation 0, and every later main file the
@@ -956,19 +993,25 @@ unsigned CubetreeForest::ResolvedRefreshThreads(size_t num_tasks) const {
       std::min<size_t>(std::max(configured, 1u), num_tasks));
 }
 
-Status CubetreeForest::PreflightRefreshLocked(uint64_t estimated_bytes) {
-  DiskSpaceManager disk(
-      DiskSpaceManager::Options{options_.dir, options_.disk_reserve_bytes});
-  Status space = disk.Preflight(estimated_bytes);
+Status CubetreeForest::PreflightRefreshLocked(RefreshKind kind,
+                                              uint64_t estimated_bytes) {
+  DiskSpaceManager disk(options_.dir);
+  const char* what = KindName(kind);
+  Status space = disk.Preflight(what, estimated_bytes);
   if (space.IsStorageFull()) {
     // Make room before refusing: sweep crash debris and files whose
     // deferred unlink was vetoed or failed, then probe again.
     const uint64_t reclaimed = ReclaimSpaceLocked();
     if (reclaimed > 0) {
-      CT_LOG(Info) << "forest: refresh preflight reclaimed " << reclaimed
-                   << " bytes, re-probing";
-      space = disk.Preflight(estimated_bytes);
+      CT_LOG(Info) << "forest: " << what << " preflight reclaimed "
+                   << reclaimed << " bytes, re-probing";
+      space = disk.Preflight(what, estimated_bytes);
     }
+  }
+  if (space.IsStorageFull()) {
+    static obs::Counter* const refusals =
+        obs::MetricsRegistry::Instance().GetCounter("disk.preflight_refusals");
+    refusals->Increment();
   }
   return space;
 }

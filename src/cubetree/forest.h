@@ -18,7 +18,6 @@
 #include "cubetree/view_def.h"
 #include "sort/external_sorter.h"
 #include "storage/buffer_pool.h"
-#include "storage/disk_space.h"
 
 namespace cubetree {
 
@@ -188,6 +187,31 @@ struct ForestRecoveryReport {
   std::string ToString() const;
 };
 
+/// Upper bound on the bytes one refresh transaction writes: its new tree
+/// files and their checksum sidecars. The transaction packs `trees` trees
+/// holding `views` views with `rtree`'s node caps, from `input_bytes` of
+/// provider records plus, for a merge, the `live_tree_bytes` of the main
+/// and delta files it folds in. The old generation stays on disk until the
+/// new one commits, so this is what the volume must hold beyond what the
+/// store already uses:
+///
+///   leaves   = live pages + input_bytes / leaf payload + one per view
+///   internal = leaves / (fan-out - 1) + one partial node per level per tree
+///   pages    = leaves + internal + one meta page per tree
+///   bytes    = pages * (page + one CRC) + one sidecar header per tree
+///
+/// The leaf payload is the fewest record bytes a full leaf holds at any
+/// arity (without leaf compression an entry may widen an arity-0 record to
+/// the tree's dimensionality), so the input fills at most input_bytes /
+/// payload full leaves and each view ends on one partial leaf; a merged
+/// view never needs more leaves than its old ones plus its input's. The
+/// fan-out is the smallest an internal node has at any dimensionality.
+/// Nothing is charged for sorting: every transaction reads its input
+/// already sorted.
+uint64_t EstimateRefreshBytes(const RTreeOptions& rtree,
+                              uint64_t live_tree_bytes, uint64_t input_bytes,
+                              uint64_t trees, uint64_t views);
+
 /// A forest of Cubetrees materializing a set of ROLAP views — the complete
 /// storage organization the paper proposes. The forest plans view placement
 /// with SelectMapping, then loads and refreshes its trees through one
@@ -217,9 +241,6 @@ class CubetreeForest {
     /// running SelectMapping. Costs extra non-leaf/metadata pages and
     /// lowers the buffer hit ratio on the trees' upper levels.
     bool one_tree_per_view = false;
-    /// Free space left untouched on the volume by the refresh preflight
-    /// (default from CUBETREE_DISK_RESERVE_BYTES; see DiskSpaceManager).
-    uint64_t disk_reserve_bytes = DiskSpaceManager::ReserveBytesFromEnv();
     /// Worker-pool width for refresh merge-packing: each Cubetree of the
     /// forest is packed by its own worker (the trees are disjoint by
     /// SelectMapping), capped at the number of trees. 0 resolves from
@@ -242,9 +263,9 @@ class CubetreeForest {
     virtual ~ViewDataProvider() = default;
     virtual Result<std::unique_ptr<RecordStream>> OpenViewStream(
         const ViewDef& view) = 0;
-    /// Best-effort total byte count of all streams this provider will
-    /// supply, for the refresh disk-space preflight. 0 means unknown (the
-    /// preflight then only covers repacking the live trees).
+    /// Total record bytes of all streams this provider will supply, for
+    /// the refresh disk-space preflight (EstimateRefreshBytes). 0 means
+    /// unknown: the preflight then covers only repacking the live trees.
     virtual uint64_t EstimatedInputBytes() const { return 0; }
   };
 
@@ -288,7 +309,8 @@ class CubetreeForest {
       ForestRecoveryReport* report = nullptr);
 
   /// Plans placement, then packs every tree in one refresh transaction
-  /// (kLoad), in parallel; a failed load leaves no tree file. Call once.
+  /// (kLoad), in parallel; a failed load leaves no tree file and may be
+  /// run again. InvalidArgument once a load has committed.
   Status Build(const std::vector<ViewDef>& views, ViewDataProvider* provider)
       EXCLUDES(refresh_mu_);
 
@@ -315,12 +337,6 @@ class CubetreeForest {
   /// manifest is swapped durably, and the ".quarantine" files are removed.
   Status RebuildQuarantined(ViewDataProvider* provider)
       EXCLUDES(refresh_mu_);
-
-  /// The disk-space estimate the refresh transaction of `kind` over
-  /// `provider` (nullptr: no input, as for Compact) preflights against the
-  /// current generation. The engine admits writes with the same number.
-  uint64_t RefreshEstimate(RefreshKind kind,
-                           const ViewDataProvider* provider) const;
 
   /// Read-repair entry point: takes the tree currently materializing
   /// `view_id` out of service after a read surfaced Corruption (checksum
@@ -400,7 +416,8 @@ class CubetreeForest {
   void QuarantineTree(EpochState* state, size_t t, const Status& why,
                       ForestRecoveryReport* report) REQUIRES(refresh_mu_);
   /// The one refresh transaction behind Build, ApplyDelta,
-  /// ApplyDeltaPartial, Compact and RebuildQuarantined: preflight, serial
+  /// ApplyDeltaPartial, Compact and RebuildQuarantined, and the only place
+  /// a write is admitted or refused for lack of space: preflight, serial
   /// task preparation, one parallel pack, stage the next EpochState,
   /// durable manifest swap, abort sweep on failure, publish. A nullptr
   /// `provider` merges without an increment (Compact).
@@ -434,11 +451,13 @@ class CubetreeForest {
   /// so that it is dropped outside published_mu_.
   std::shared_ptr<EpochState> SwapPublished(std::shared_ptr<EpochState> next)
       EXCLUDES(published_mu_);
-  /// Disk-space preflight for a refresh estimated at `estimated_bytes`:
-  /// probe the volume, and when short first run the online reclaim sweep
-  /// and re-probe. StorageFull (typed, retriable, naming the shortfall)
-  /// refuses the refresh while the published epoch keeps serving.
-  Status PreflightRefreshLocked(uint64_t estimated_bytes)
+  /// Disk-space preflight for a transaction of `kind` estimated at
+  /// `estimated_bytes`: probe the volume (less the
+  /// CUBETREE_DISK_RESERVE_BYTES reserve), and when short run the online
+  /// reclaim sweep and probe again. StorageFull (typed, retriable, naming
+  /// the kind and the shortfall; counted in disk.preflight_refusals)
+  /// refuses the transaction while the published epoch keeps serving.
+  Status PreflightRefreshLocked(RefreshKind kind, uint64_t estimated_bytes)
       REQUIRES(refresh_mu_);
   /// Worker count for a refresh over `num_tasks` independent tree packs:
   /// the configured/env-resolved pool width, capped at num_tasks, >= 1.

@@ -77,6 +77,46 @@ class SortedIndexEntrySource : public BPlusTree::EntrySource {
   std::vector<char> value_;
 };
 
+/// The filter-and-group loop of both query access paths: `next_row` yields
+/// candidate rows of `view`'s table one at a time (nullptr at the end).
+/// Each row inside every interval of `query` is merged into its group with
+/// MergeViewAggregate, so an overflowing group is InvalidArgument naming
+/// the view. The groups are appended to `result`.
+template <typename NextRow>
+Status FilterAndGroup(const ViewDef& view, const Schema& table_schema,
+                      const SliceQuery& query, NextRow&& next_row,
+                      QueryResult* result) {
+  CT_ASSIGN_OR_RETURN(std::vector<size_t> positions,
+                      PositionsInView(view, query.attrs));
+  const uint8_t arity = view.arity();
+  std::map<std::vector<Coord>, AggValue> groups;
+  std::vector<Coord> group;
+  const char* row = nullptr;
+  while (true) {
+    CT_RETURN_NOT_OK(next_row(&row));
+    if (row == nullptr) break;
+    RowRef ref(&table_schema, const_cast<char*>(row));
+    bool match = true;
+    for (size_t i = 0; i < query.attrs.size() && match; ++i) {
+      const auto [lo, hi] = query.AttrInterval(i);
+      const Coord value = ref.GetUInt32(positions[i]);
+      match = value >= lo && value <= hi;
+    }
+    if (!match) continue;
+    group.clear();
+    for (size_t i = 0; i < query.attrs.size(); ++i) {
+      if (query.IsGrouped(i)) group.push_back(ref.GetUInt32(positions[i]));
+    }
+    CT_RETURN_NOT_OK(MergeViewAggregate(
+        view.id, AggValue{ref.GetInt64(arity), ref.GetUInt32(arity + 1)},
+        &groups[group]));
+  }
+  for (auto& [key, agg] : groups) {
+    result->rows.push_back(ResultRow{key, agg});
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 ConventionalEngine::~ConventionalEngine() = default;
@@ -88,13 +128,11 @@ Result<std::unique_ptr<ConventionalEngine>> ConventionalEngine::Create(
   }
   auto engine = std::unique_ptr<ConventionalEngine>(
       new ConventionalEngine(schema, std::move(options), pool));
-  if (engine->options_.enable_wal) {
-    CT_ASSIGN_OR_RETURN(
-        engine->wal_,
-        WriteAheadLog::Create(engine->options_.dir + "/" +
-                                  engine->options_.name + ".wal",
-                              engine->options_.io_stats));
-  }
+  CT_ASSIGN_OR_RETURN(
+      engine->wal_,
+      WriteAheadLog::Create(
+          engine->options_.dir + "/" + engine->options_.name + ".wal",
+          engine->options_.io_stats));
   return engine;
 }
 
@@ -130,15 +168,11 @@ Status ConventionalEngine::LoadOneTable(ViewState* state,
     for (size_t i = 0; i < arity; ++i) ref.SetUInt32(i, coords[i]);
     ref.SetInt64(arity, agg.sum);
     ref.SetUInt32(arity + 1, agg.count);
-    if (wal_ != nullptr) {
-      CT_RETURN_NOT_OK(wal_->LogRecord(row.data(), row.size()));
-    }
+    CT_RETURN_NOT_OK(wal_->LogRecord(row.data(), row.size()));
     CT_ASSIGN_OR_RETURN(RowId rid, state->table->Append(row.data()));
     if (arity == 0) state->scalar_row = rid;
   }
-  if (wal_ != nullptr) {
-    CT_RETURN_NOT_OK(wal_->Force());  // Commit the view's load transaction.
-  }
+  CT_RETURN_NOT_OK(wal_->Force());  // Commit the view's load transaction.
   return state->table->Flush();
 }
 
@@ -265,44 +299,30 @@ Status ConventionalEngine::ApplyDeltaIncremental(ComputedViews* delta) {
       if (record == nullptr) break;
       DecodeViewRecord(record, arity, coords, &agg);
 
-      if (arity == 0) {
-        CT_RETURN_NOT_OK(state->table->Get(state->scalar_row,
-                                           existing.data()));
-        RowRef ref(&state->table_schema, existing.data());
-        ref.SetInt64(0, ref.GetInt64(0) + agg.sum);
-        ref.SetUInt32(1, ref.GetUInt32(1) + agg.count);
-        if (wal_ != nullptr) {
-          CT_RETURN_NOT_OK(wal_->LogRecord(existing.data(),
-                                           existing.size()));
-        }
-        CT_RETURN_NOT_OK(state->table->Update(state->scalar_row,
-                                              existing.data()));
-        continue;
+      // One-at-a-time: the group's row is the arity-0 view's single row,
+      // or found through the primary index.
+      RowId rid = state->scalar_row;
+      bool found = arity == 0;
+      if (!found) {
+        CT_ASSIGN_OR_RETURN(found, state->primary->Lookup(coords, rid_value));
+        if (found) rid = RowId::Decode(DecodeFixed64(rid_value));
       }
-
-      // One-at-a-time: look up the group row via the primary index.
-      CT_ASSIGN_OR_RETURN(bool found,
-                          state->primary->Lookup(coords, rid_value));
       if (found) {
-        const RowId rid = RowId::Decode(DecodeFixed64(rid_value));
         CT_RETURN_NOT_OK(state->table->Get(rid, existing.data()));
         RowRef ref(&state->table_schema, existing.data());
-        ref.SetInt64(arity, ref.GetInt64(arity) + agg.sum);
-        ref.SetUInt32(arity + 1, ref.GetUInt32(arity + 1) + agg.count);
-        if (wal_ != nullptr) {
-          CT_RETURN_NOT_OK(wal_->LogRecord(existing.data(),
-                                           existing.size()));
-        }
+        AggValue merged{ref.GetInt64(arity), ref.GetUInt32(arity + 1)};
+        CT_RETURN_NOT_OK(MergeViewAggregate(view.id, agg, &merged));
+        ref.SetInt64(arity, merged.sum);
+        ref.SetUInt32(arity + 1, merged.count);
+        CT_RETURN_NOT_OK(wal_->LogRecord(existing.data(), existing.size()));
         CT_RETURN_NOT_OK(state->table->Update(rid, existing.data()));
       } else {
         RowRef ref = row.ref();
         for (size_t i = 0; i < arity; ++i) ref.SetUInt32(i, coords[i]);
         ref.SetInt64(arity, agg.sum);
         ref.SetUInt32(arity + 1, agg.count);
-        if (wal_ != nullptr) {
-          CT_RETURN_NOT_OK(wal_->LogRecord(row.data(), row.size()));
-        }
-        CT_ASSIGN_OR_RETURN(RowId rid, state->table->Append(row.data()));
+        CT_RETURN_NOT_OK(wal_->LogRecord(row.data(), row.size()));
+        CT_ASSIGN_OR_RETURN(rid, state->table->Append(row.data()));
         EncodeFixed64(rid_value, rid.Encode());
         CT_RETURN_NOT_OK(state->primary->Insert(coords, rid_value));
         // Every secondary index on the view gains an entry too.
@@ -317,9 +337,7 @@ Status ConventionalEngine::ApplyDeltaIncremental(ComputedViews* delta) {
         }
       }
     }
-    if (wal_ != nullptr) {
-      CT_RETURN_NOT_OK(wal_->Force());  // Commit the view's delta batch.
-    }
+    CT_RETURN_NOT_OK(wal_->Force());  // Commit the view's delta batch.
     CT_RETURN_NOT_OK(state->table->Flush());
   }
   return pool_->FlushAll();
@@ -351,44 +369,19 @@ Status ConventionalEngine::ExecuteScan(ViewState* state,
                                        QueryResult* result,
                                        obs::QueryProfile* profile) {
   const ViewDef& view = state->def;
-  CT_ASSIGN_OR_RETURN(std::vector<size_t> positions,
-                      PositionsInView(view, query.attrs));
-  std::map<std::vector<Coord>, AggValue> groups;
   HeapTable::Iterator it = state->table->Scan();
-  const char* row = nullptr;
-  std::vector<Coord> group;
   uint64_t accessed = 0;
-  while (true) {
-    CT_RETURN_NOT_OK(it.Next(&row));
-    if (row == nullptr) break;
-    ++accessed;
-    RowRef ref(&state->table_schema, const_cast<char*>(row));
-    bool match = true;
-    for (size_t i = 0; i < query.attrs.size(); ++i) {
-      const auto [lo, hi] = query.AttrInterval(i);
-      const Coord value = ref.GetUInt32(positions[i]);
-      if (value < lo || value > hi) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    group.clear();
-    for (size_t i = 0; i < query.attrs.size(); ++i) {
-      if (query.IsGrouped(i)) {
-        group.push_back(ref.GetUInt32(positions[i]));
-      }
-    }
-    AggValue& agg = groups[group];
-    agg.sum += ref.GetInt64(view.arity());
-    agg.count += ref.GetUInt32(view.arity() + 1);
-  }
+  CT_RETURN_NOT_OK(FilterAndGroup(
+      view, state->table_schema, query,
+      [&](const char** row) -> Status {
+        CT_RETURN_NOT_OK(it.Next(row));
+        if (*row != nullptr) ++accessed;
+        return Status::OK();
+      },
+      result));
   if (profile != nullptr) {
     profile->points_examined = accessed;
     profile->plan = "scan " + view.Name(schema_);
-  }
-  for (auto& [key, agg] : groups) {
-    result->rows.push_back(ResultRow{key, agg});
   }
   return Status::OK();
 }
@@ -400,8 +393,6 @@ Status ConventionalEngine::ExecuteIndex(ViewState* state, size_t index_pos,
   const ViewDef& view = state->def;
   const IndexDef& def = state->indices[index_pos].first;
   BPlusTree* tree = state->indices[index_pos].second.get();
-  CT_ASSIGN_OR_RETURN(std::vector<size_t> positions,
-                      PositionsInView(view, query.attrs));
 
   // Constrained prefix of the index key: equality predicates extend the
   // prefix; the first range predicate bounds the scan and ends it (the
@@ -424,47 +415,28 @@ Status ConventionalEngine::ExecuteIndex(ViewState* state, size_t index_pos,
     if (!is_equality) break;  // Range predicate ends the usable prefix.
   }
 
-  std::map<std::vector<Coord>, AggValue> groups;
-  std::vector<char> row(state->table_schema.row_size());
-  std::vector<Coord> group;
+  // Each index entry in the key range costs an entry and a heap fetch.
+  std::vector<char> heap_row(state->table_schema.row_size());
   uint64_t accessed = 0;
   BPlusTree::Iterator it = tree->Scan(low.data(), high.data());
-  while (true) {
-    const uint32_t* key = nullptr;
-    const char* value = nullptr;
-    CT_RETURN_NOT_OK(it.Next(&key, &value));
-    if (key == nullptr) break;
-    ++accessed;
-    const RowId rid = RowId::Decode(DecodeFixed64(value));
-    CT_RETURN_NOT_OK(state->table->Get(rid, row.data()));
-    ++accessed;
-    RowRef ref(&state->table_schema, row.data());
-    bool match = true;
-    for (size_t i = 0; i < query.attrs.size(); ++i) {
-      const auto [lo, hi] = query.AttrInterval(i);
-      const Coord attr_value = ref.GetUInt32(positions[i]);
-      if (attr_value < lo || attr_value > hi) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    group.clear();
-    for (size_t i = 0; i < query.attrs.size(); ++i) {
-      if (query.IsGrouped(i)) {
-        group.push_back(ref.GetUInt32(positions[i]));
-      }
-    }
-    AggValue& agg = groups[group];
-    agg.sum += ref.GetInt64(view.arity());
-    agg.count += ref.GetUInt32(view.arity() + 1);
-  }
+  CT_RETURN_NOT_OK(FilterAndGroup(
+      view, state->table_schema, query,
+      [&](const char** row) -> Status {
+        const uint32_t* key = nullptr;
+        const char* value = nullptr;
+        CT_RETURN_NOT_OK(it.Next(&key, &value));
+        *row = nullptr;
+        if (key == nullptr) return Status::OK();
+        const RowId rid = RowId::Decode(DecodeFixed64(value));
+        CT_RETURN_NOT_OK(state->table->Get(rid, heap_row.data()));
+        accessed += 2;
+        *row = heap_row.data();
+        return Status::OK();
+      },
+      result));
   if (profile != nullptr) {
     profile->points_examined = accessed;
     profile->plan = "index " + def.Name(schema_) + " -> " + view.Name(schema_);
-  }
-  for (auto& [key, agg] : groups) {
-    result->rows.push_back(ResultRow{key, agg});
   }
   return Status::OK();
 }

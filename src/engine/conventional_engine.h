@@ -22,8 +22,12 @@ namespace cubetree {
 /// relational heap table (attrs + SUM + COUNT columns), query acceleration
 /// comes from composite-key B-trees whose entries point at heap rows, and
 /// incremental maintenance touches one group row at a time through a
-/// primary key index. This is a faithful stand-in for the IUS tables +
-/// B-tree setup the paper measures against.
+/// primary key index. Every inserted or updated row goes through a
+/// write-ahead log, as on the SQL insert/update path of the relational
+/// engine the paper measured (the Cubetree bulk loader writes fresh files
+/// and swaps them, so its path carries no log — same as the real
+/// Datablade). This is a faithful stand-in for the IUS tables + B-tree
+/// setup the paper measures against.
 class ConventionalEngine : public ViewStore {
  public:
   struct Options {
@@ -33,11 +37,6 @@ class ConventionalEngine : public ViewStore {
     std::shared_ptr<IoStats> io_stats;
     /// In-memory budget for index-build sorts.
     size_t sort_budget_bytes = 16u << 20;
-    /// Log every inserted/updated row through a write-ahead log, as the
-    /// relational engine the paper measured does on its SQL insert/update
-    /// path. (The Cubetree bulk loader writes fresh files and swaps them,
-    /// so its path carries no log — same as the real Datablade.)
-    bool enable_wal = true;
   };
 
   static Result<std::unique_ptr<ConventionalEngine>> Create(
@@ -98,8 +97,10 @@ class ConventionalEngine : public ViewStore {
   Status BuildOneIndex(ViewState* state, const IndexDef& def);
   Result<ViewState*> StateForView(uint32_t view_id);
 
-  /// Chooses the cheapest (view, index-or-scan) plan for `query` using the
-  /// GHRU tuple-cost model, then runs it.
+  /// The two access paths Execute chooses between by the GHRU tuple-cost
+  /// model. Both feed their rows through one filter-and-group loop, which
+  /// merges with MergeViewAggregate: an overflowing group is
+  /// InvalidArgument naming the view, never a wrapped sum.
   Status ExecuteScan(ViewState* state, const SliceQuery& query,
                      QueryResult* result, obs::QueryProfile* profile);
   Status ExecuteIndex(ViewState* state, size_t index_pos,

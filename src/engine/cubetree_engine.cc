@@ -85,6 +85,12 @@ class ReplicaRepairProvider : public CubetreeForest::ViewDataProvider {
         it->second.first, it->second.second));
   }
 
+  uint64_t EstimatedInputBytes() const override {
+    uint64_t total = 0;
+    for (const auto& [id, buffer] : buffers_) total += buffer.first.size();
+    return total;
+  }
+
  private:
   std::map<uint32_t, std::pair<std::vector<char>, size_t>> buffers_;
 };
@@ -127,18 +133,15 @@ Result<std::unique_ptr<CubetreeEngine>> CubetreeEngine::Recover(
 }
 
 Status CubetreeEngine::RebuildQuarantined(ComputedViews* data) {
-  CT_RETURN_NOT_OK(
-      GatedWrite(CubetreeForest::RefreshKind::kRebuild, data,
-                 [&] { return forest_->RebuildQuarantined(data); }));
+  CT_RETURN_NOT_OK(CheckLoaded());
+  CT_RETURN_NOT_OK(forest_->RebuildQuarantined(data));
   CT_ASSIGN_OR_RETURN(view_rows_,
                       forest_->AcquireSnapshot().CountPointsPerView());
   return Status::OK();
 }
 
 Status CubetreeEngine::RepairFromReplicas() {
-  if (forest_ == nullptr) {
-    return Status::InvalidArgument("cubetree engine: not loaded");
-  }
+  CT_RETURN_NOT_OK(CheckLoaded());
   ForestSnapshot snapshot = forest_->AcquireSnapshot();
   if (!snapshot.valid() || !snapshot.HasQuarantine()) return Status::OK();
   obs::Span repair_span("repair.replicas");
@@ -224,9 +227,7 @@ Status CubetreeEngine::RepairFromReplicas() {
   // Drop the pin before the rebuild publishes new generations, so the
   // quarantined files it retires can be reclaimed promptly.
   snapshot.Release();
-  CT_RETURN_NOT_OK(
-      GatedWrite(CubetreeForest::RefreshKind::kRebuild, &provider,
-                 [&] { return forest_->RebuildQuarantined(&provider); }));
+  CT_RETURN_NOT_OK(forest_->RebuildQuarantined(&provider));
   CT_ASSIGN_OR_RETURN(view_rows_,
                       forest_->AcquireSnapshot().CountPointsPerView());
   static obs::Counter* const repairs =
@@ -248,38 +249,29 @@ Status CubetreeEngine::Load(const std::vector<ViewDef>& views,
   return Status::OK();
 }
 
-Status CubetreeEngine::GatedWrite(
-    CubetreeForest::RefreshKind kind,
-    const CubetreeForest::ViewDataProvider* data,
-    const std::function<Status()>& write) {
+Status CubetreeEngine::CheckLoaded() const {
   if (forest_ == nullptr) {
     return Status::InvalidArgument("cubetree engine: not loaded");
   }
-  CT_RETURN_NOT_OK(degraded_.AdmitWrite(forest_->RefreshEstimate(kind, data)));
-  Status status = write();
-  // A StorageFull that slipped past the preflight (the volume filled while
-  // the refresh ran) flips the engine read-only; queries keep serving the
-  // still-published epoch.
-  degraded_.OnWriteStatus(status);
-  return status;
+  return Status::OK();
 }
 
 Status CubetreeEngine::ApplyDelta(ComputedViews* delta) {
   // Per-view row counts are not tracked inside the trees after a merge;
   // the stale counts only influence the routing heuristic, which stays
   // stable under proportional growth.
-  return GatedWrite(CubetreeForest::RefreshKind::kMerge, delta,
-                    [&] { return forest_->ApplyDelta(delta); });
+  CT_RETURN_NOT_OK(CheckLoaded());
+  return forest_->ApplyDelta(delta);
 }
 
 Status CubetreeEngine::ApplyDeltaPartial(ComputedViews* delta) {
-  return GatedWrite(CubetreeForest::RefreshKind::kDelta, delta,
-                    [&] { return forest_->ApplyDeltaPartial(delta); });
+  CT_RETURN_NOT_OK(CheckLoaded());
+  return forest_->ApplyDeltaPartial(delta);
 }
 
 Status CubetreeEngine::Compact() {
-  return GatedWrite(CubetreeForest::RefreshKind::kMerge, nullptr,
-                    [&] { return forest_->Compact(); });
+  CT_RETURN_NOT_OK(CheckLoaded());
+  return forest_->Compact();
 }
 
 namespace {

@@ -8,7 +8,6 @@
 #include "common/query_context.h"
 #include "cubetree/forest.h"
 #include "cubetree/view_def.h"
-#include "engine/degraded.h"
 #include "engine/view_store.h"
 #include "olap/cube_builder.h"
 #include "storage/buffer_pool.h"
@@ -21,6 +20,12 @@ namespace cubetree {
 /// boxes over the index space. Sort-order replicas of a view (the
 /// Datablade's replication feature) are simply additional ViewDefs with
 /// permuted projection lists, routed to like any other view.
+///
+/// Every mutator is one forest refresh transaction, and the forest alone
+/// decides whether the volume can take it: a write it cannot hold is
+/// refused up front with a retriable StorageFull naming the shortfall,
+/// after the forest's reclaim sweep, while queries keep serving the
+/// published generation. The engine keeps no disk-space state of its own.
 class CubetreeEngine : public ViewStore {
  public:
   struct Options {
@@ -106,27 +111,14 @@ class CubetreeEngine : public ViewStore {
   uint64_t StorageBytes() const override;
   CubetreeForest* forest() { return forest_.get(); }
 
-  /// Disk-full circuit breaker. Every mutator above passes through it:
-  /// after a StorageFull the engine serves queries read-only, rejects
-  /// refreshes with a retry-after hint, and recovers automatically when a
-  /// probe sees usable space again. Wire its SetOnModeChange hook to the
-  /// scrubber's SetRepairPaused so repairs pause while read-only.
-  DegradedModeController* degraded() { return &degraded_; }
-
  private:
   CubetreeEngine(const CubeSchema& schema, Options options, BufferPool* pool)
-      : schema_(schema),
-        options_(std::move(options)),
-        pool_(pool),
-        degraded_(DegradedModeController::Options{options_.dir}) {}
+      : schema_(schema), options_(std::move(options)), pool_(pool) {}
 
-  /// Shared mutator gate: refuse before the load, admit the refresh of
-  /// `kind` over `data` through the degraded-mode controller at the
-  /// forest's own estimate, run `write`, and feed its outcome back (a
-  /// StorageFull flips the engine read-only).
-  Status GatedWrite(CubetreeForest::RefreshKind kind,
-                    const CubetreeForest::ViewDataProvider* data,
-                    const std::function<Status()>& write);
+  /// InvalidArgument before Load or Recover has opened a forest. The
+  /// mutators check it; everything else about admitting a write, disk
+  /// space included, is the forest's refresh transaction's decision.
+  Status CheckLoaded() const;
 
   /// The read-repair loop of Execute: routes and searches, quarantining
   /// the routed tree and re-routing after each Corruption.
@@ -148,7 +140,6 @@ class CubetreeEngine : public ViewStore {
   CubeSchema schema_;
   Options options_;
   BufferPool* pool_;
-  DegradedModeController degraded_;
   std::unique_ptr<CubetreeForest> forest_;
   std::map<uint32_t, uint64_t> view_rows_;
 };

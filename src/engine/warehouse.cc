@@ -151,7 +151,6 @@ Result<LoadReport> Warehouse::LoadConventional() {
   report.indices =
       FinishPhase("conventional indices", timer.ElapsedSeconds(), before,
                   conv_io_);
-  CT_RETURN_NOT_OK(data->Destroy());
   return report;
 }
 
@@ -179,7 +178,6 @@ Result<LoadReport> Warehouse::LoadCubetrees() {
   report.views = FinishPhase("cubetree load", timer.ElapsedSeconds(), before,
                              cbt_io_);
   report.indices.phase = "cubetree indices (none needed)";
-  CT_RETURN_NOT_OK(data->Destroy());
   return report;
 }
 
@@ -211,7 +209,6 @@ Result<PhaseReport> Warehouse::RecoverCubetrees(uint32_t increments_applied,
     CT_ASSIGN_OR_RETURN(auto data, Compute(cubetree_views_, facts.get(),
                                            "cbt_rebuild", cbt_io_));
     CT_RETURN_NOT_OK(cubetree_->RebuildQuarantined(data.get()));
-    CT_RETURN_NOT_OK(data->Destroy());
   }
   return FinishPhase("cubetree recovery", timer.ElapsedSeconds(), before,
                      cbt_io_);
@@ -252,7 +249,6 @@ Result<PhaseReport> Warehouse::UpdateConventional(uint32_t increment,
   PhaseReport report = FinishPhase(
       recompute ? "conventional recompute" : "conventional incremental update",
       timer.ElapsedSeconds(), before, conv_io_);
-  CT_RETURN_NOT_OK(data->Destroy());
   return report;
 }
 
@@ -292,7 +288,6 @@ Result<PhaseReport> Warehouse::RefreshCubetrees(uint32_t increment,
   PhaseReport report = FinishPhase(
       partial ? "cubetree delta-tree update" : "cubetree merge-pack update",
       timer.ElapsedSeconds(), before, cbt_io_);
-  CT_RETURN_NOT_OK(delta->Destroy());
   return report;
 }
 

@@ -25,7 +25,7 @@ Result<std::unique_ptr<RecordStream>> ComputedViews::OpenViewStream(
 uint64_t ComputedViews::EstimatedInputBytes() const {
   uint64_t total = 0;
   for (const auto& [id, entry] : entries_) {
-    if (entry.spool != nullptr) total += entry.spool->FileSizeBytes();
+    total += entry.spool->FileSizeBytes();
   }
   return total;
 }
@@ -52,17 +52,6 @@ uint64_t ComputedViews::total_rows() const {
     total += entry.spool->num_records();
   }
   return total;
-}
-
-Status ComputedViews::Destroy() {
-  for (auto& [id, entry] : entries_) {
-    if (entry.spool != nullptr) {
-      CT_RETURN_NOT_OK(entry.spool->Destroy());
-      entry.spool.reset();
-    }
-  }
-  entries_.clear();
-  return Status::OK();
 }
 
 namespace {

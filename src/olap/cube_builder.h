@@ -68,7 +68,8 @@ class VectorFactSource : public FactSource {
 /// The set of computed views: one sealed, pack-order-sorted spool of
 /// aggregate records per view. Implements the forest's ViewDataProvider so
 /// it can be fed straight into Cubetree packing, and is equally the input
-/// of the conventional engine's view loader.
+/// of the conventional engine's view loader. Destroying it removes every
+/// spool file.
 class ComputedViews : public CubetreeForest::ViewDataProvider {
  public:
   Result<std::unique_ptr<RecordStream>> OpenViewStream(
@@ -81,9 +82,6 @@ class ComputedViews : public CubetreeForest::ViewDataProvider {
   Result<uint64_t> row_count(uint32_t view_id) const;
   uint64_t total_rows() const;
   const std::vector<ViewDef>& views() const { return views_; }
-
-  /// Removes all spool files.
-  Status Destroy();
 
  private:
   friend class CubeBuilder;

@@ -135,9 +135,7 @@ Status LeafPacker::PackRun(uint32_t view,
   constexpr size_t kBytes = RLeafEntryBytes(A);
   view_ = view;
   run_start_ = true;
-  leaf_target_ = std::max<uint16_t>(
-      1, static_cast<uint16_t>(RLeafCapacity(A) *
-                               std::clamp(options_.leaf_fill, 0.1, 1.0)));
+  leaf_target_ = RLeafCapacity(A);
   if (options_.max_leaf_entries > 0) {
     leaf_target_ = std::min(leaf_target_, options_.max_leaf_entries);
   }

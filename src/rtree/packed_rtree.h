@@ -21,11 +21,9 @@ namespace cubetree {
 struct RTreeOptions {
   /// Dimensionality of the index space (1..kMaxDims).
   uint8_t dims = 3;
-  /// Leaf fill fraction; 1.0 = packed to capacity (the paper's setting).
-  /// Internal nodes are always packed to capacity.
-  double leaf_fill = 1.0;
-  /// Hard caps on entries per node (0 = page capacity). Used by tests and
-  /// the paper-example program to reproduce the small fan-out figures.
+  /// Hard caps on entries per node (0 = page capacity, the paper's fully
+  /// packed setting). Used by tests and the paper-example program to
+  /// reproduce the small fan-out figures and to build under-full leaves.
   uint16_t max_leaf_entries = 0;
   uint16_t max_internal_entries = 0;
   /// Suppress implicit-zero coordinates on leaves (the paper's compression).

@@ -63,17 +63,15 @@ std::unique_ptr<Scrubber> Scrubber::CreateFromEnv(CubetreeForest* forest,
 
 bool Scrubber::TryRepair(uint32_t first_view_id) {
   if (!repair_) return false;
-  if (repair_paused_.load(std::memory_order_relaxed)) {
-    // Degraded (disk-full) mode: rebuilding a tree writes a fresh
-    // generation, which would only dig the hole deeper. The quarantine
-    // already keeps wrong answers off the wire; the rebuild waits for
-    // space to return.
-    CT_LOG(Warn) << "scrub: repair paused (degraded mode), view "
-                 << first_view_id << " stays quarantined";
+  // A refused repair (StorageFull from the preflight on a full volume)
+  // leaves the tree quarantined: wrong answers stay off the wire.
+  const Status repaired = repair_();
+  if (!repaired.ok()) {
+    CT_LOG(Warn) << "scrub: repair failed, view " << first_view_id
+                 << " stays quarantined: " << repaired.ToString();
     return false;
   }
-  return repair_().ok() &&
-         !forest_->AcquireSnapshot().IsViewQuarantined(first_view_id);
+  return !forest_->AcquireSnapshot().IsViewQuarantined(first_view_id);
 }
 
 void Scrubber::ScrubFile(const std::string& path, uint32_t first_view_id,

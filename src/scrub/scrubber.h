@@ -51,7 +51,11 @@ struct ScrubPassStats {
 /// so a tree that a refresh already replaced is left alone — and the
 /// optional repair callback (typically CubetreeEngine replica repair) is
 /// invoked to rebuild it. A corruption that remains quarantined after the
-/// callback counts as unrepairable.
+/// callback counts as unrepairable — among them a repair the forest's
+/// disk-space preflight refused because the volume cannot take the new
+/// generation. Detection and quarantine need no space, so reads stay safe
+/// on a full volume; ScrubOnce skips quarantined trees, so such a repair
+/// waits for the next RepairFromReplicas or RebuildQuarantined.
 ///
 /// Scrubbing reads bypass the buffer pool on a private PageManager: the
 /// point is to exercise the bytes on disk, not the cache, and pool
@@ -89,21 +93,10 @@ class Scrubber {
     return passes_.load(std::memory_order_relaxed);
   }
 
-  /// Pauses (or resumes) the repair callback without stopping scanning.
-  /// While paused, corruption is still detected and quarantined — reads
-  /// stay safe — but no rebuild is attempted: repair writes fresh tree
-  /// generations, which is exactly what a disk-full degraded mode must not
-  /// do. Findings made while paused count as unrepairable.
-  void SetRepairPaused(bool paused) {
-    repair_paused_.store(paused, std::memory_order_relaxed);
-  }
-  bool repair_paused() const {
-    return repair_paused_.load(std::memory_order_relaxed);
-  }
-
  private:
   void Run();
-  /// The repair callback, gated by the pause switch.
+  /// Runs the repair callback; true when the tree holding
+  /// `first_view_id` is back in service.
   bool TryRepair(uint32_t first_view_id);
   /// Scrubs one data file; `first_view_id` identifies the owning tree for
   /// quarantine. Updates `*stats` in place.
@@ -114,7 +107,6 @@ class Scrubber {
   ScrubOptions options_;
   RepairFn repair_;
   std::atomic<uint64_t> passes_{0};
-  std::atomic<bool> repair_paused_{false};
 
   Mutex mu_;
   CondVar cv_;

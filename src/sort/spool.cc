@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/logging.h"
 #include "fault/fault_injector.h"
 
 namespace cubetree {
@@ -14,7 +15,12 @@ RecordSpool::RecordSpool(std::unique_ptr<PageManager> file,
   tail_.Zero();
 }
 
-RecordSpool::~RecordSpool() = default;
+RecordSpool::~RecordSpool() {
+  const std::string path = file_->path();
+  file_.reset();
+  Status removed = RemoveFileIfExists(path);
+  if (!removed.ok()) CT_LOG(Warn) << "spool: " << removed.ToString();
+}
 
 Result<std::unique_ptr<RecordSpool>> RecordSpool::Create(
     const std::string& path, size_t record_size,
@@ -112,12 +118,6 @@ Status RecordSpool::Reader::NextPage() {
   page_index_ = 0;
   page_ = extent_[0].data;
   return Status::OK();
-}
-
-Status RecordSpool::Destroy() {
-  std::string path = file_->path();
-  file_.reset();
-  return RemoveFileIfExists(path);
 }
 
 }  // namespace cubetree

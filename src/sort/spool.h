@@ -15,13 +15,16 @@ namespace cubetree {
 /// Append-only page-backed file of fixed-width records with sequential
 /// read-back. Used to stage each computed view's sorted aggregate tuples
 /// between the cube builder and the Cubetree packer / conventional loader
-/// (the "sorted delta" boxes of the paper's Figures 11 and 15).
+/// (the "sorted delta" boxes of the paper's Figures 11 and 15). The file
+/// lives exactly as long as the spool: the destructor removes it, so no
+/// exit path — a refused refresh, a failed computation — leaves it behind.
 class RecordSpool {
  public:
   static Result<std::unique_ptr<RecordSpool>> Create(
       const std::string& path, size_t record_size,
       std::shared_ptr<IoStats> io_stats = nullptr);
 
+  /// Closes and removes the backing file.
   ~RecordSpool();
 
   RecordSpool(const RecordSpool&) = delete;
@@ -72,9 +75,6 @@ class RecordSpool {
   /// Returns a reader positioned at the first record. The spool must be
   /// sealed and must outlive the reader.
   Result<std::unique_ptr<Reader>> NewReader();
-
-  /// Removes the backing file (spool becomes unusable).
-  Status Destroy();
 
  private:
   RecordSpool(std::unique_ptr<PageManager> file, size_t record_size);

@@ -19,7 +19,6 @@ namespace {
 
 constexpr uint32_t kSidecarMagic = 0x4B435443;  // 'CTCK'
 constexpr uint32_t kSidecarVersion = 1;
-constexpr size_t kSidecarHeaderBytes = 16;
 
 }  // namespace
 
@@ -30,8 +29,8 @@ std::string ChecksumSidecarPath(const std::string& data_path) {
 Status WriteChecksumSidecar(const std::string& data_path,
                             const std::vector<uint32_t>& page_crcs) {
   const std::string path = ChecksumSidecarPath(data_path);
-  std::string blob(kSidecarHeaderBytes + page_crcs.size() * 4, '\0');
-  char* table = blob.data() + kSidecarHeaderBytes;
+  std::string blob(kChecksumSidecarHeaderBytes + page_crcs.size() * 4, '\0');
+  char* table = blob.data() + kChecksumSidecarHeaderBytes;
   for (size_t i = 0; i < page_crcs.size(); ++i) {
     EncodeFixed32(table + i * 4, page_crcs[i]);
   }
@@ -79,11 +78,11 @@ Status LoadChecksumSidecar(const std::string& data_path,
   }
   Status status;
   std::string blob;
-  if (st.st_size < static_cast<off_t>(kSidecarHeaderBytes)) {
+  if (st.st_size < static_cast<off_t>(kChecksumSidecarHeaderBytes)) {
     status = Status::Corruption("checksum sidecar " + path +
                                 " truncated: " + std::to_string(st.st_size) +
                                 " bytes, header needs " +
-                                std::to_string(kSidecarHeaderBytes));
+                                std::to_string(kChecksumSidecarHeaderBytes));
   } else {
     blob.resize(static_cast<size_t>(st.st_size));
     status = PreadFully(fd, blob.data(), blob.size(), 0, "pread " + path);
@@ -100,12 +99,13 @@ Status LoadChecksumSidecar(const std::string& data_path,
         std::to_string(DecodeFixed32(blob.data() + 4)));
   }
   const uint32_t count = DecodeFixed32(blob.data() + 8);
-  if (blob.size() != kSidecarHeaderBytes + static_cast<size_t>(count) * 4) {
+  if (blob.size() !=
+      kChecksumSidecarHeaderBytes + static_cast<size_t>(count) * 4) {
     return Status::Corruption(
         "checksum sidecar " + path + ": size " + std::to_string(blob.size()) +
         " does not match page count " + std::to_string(count));
   }
-  const char* table = blob.data() + kSidecarHeaderBytes;
+  const char* table = blob.data() + kChecksumSidecarHeaderBytes;
   const uint32_t table_crc = Crc32c(table, static_cast<size_t>(count) * 4);
   if (table_crc != DecodeFixed32(blob.data() + 12)) {
     return Status::Corruption("checksum sidecar " + path +

@@ -29,6 +29,10 @@ namespace cubetree {
 /// reported as Corruption (and quarantines the tree), never silently
 /// trusted.
 
+/// A sidecar's size: the 16-byte header, then one CRC per data page.
+inline constexpr uint64_t kChecksumSidecarHeaderBytes = 16;
+inline constexpr uint64_t kChecksumBytesPerPage = 4;
+
 /// `<data_path>.crc`.
 std::string ChecksumSidecarPath(const std::string& data_path);
 

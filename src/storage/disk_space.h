@@ -21,70 +21,39 @@ struct DiskSpaceInfo {
   }
 };
 
-/// Space accounting for refreshes. A bulk-incremental refresh transiently
-/// needs the old AND the new generation on disk (plus sort runs and
-/// checksum sidecars); running into ENOSPC halfway through wastes the whole
-/// merge-pack and stresses every error path at once. The manager preflights
-/// each refresh instead: probe the volume, subtract a configurable reserve
+/// Space accounting for writes. A bulk-incremental refresh transiently
+/// needs the old AND the new generation on disk; running into ENOSPC
+/// halfway through wastes the whole merge-pack and stresses every error
+/// path at once. The forest's refresh transaction preflights each write
+/// through this manager instead: probe the volume, subtract a reserve
 /// (CUBETREE_DISK_RESERVE_BYTES), and refuse with a typed StorageFull —
 /// naming the bytes still needed — while the old generation keeps serving.
 class DiskSpaceManager {
  public:
-  struct Options {
-    /// Directory whose backing volume is probed.
-    std::string dir = ".";
-    /// Bytes of free space left untouched on the volume. The default comes
-    /// from CUBETREE_DISK_RESERVE_BYTES (16 MiB when unset): headroom for
-    /// logs, manifests and the operator's own tooling once the store backs
-    /// off.
-    uint64_t reserve_bytes = ReserveBytesFromEnv();
-  };
-
   /// Parses CUBETREE_DISK_RESERVE_BYTES; 16 MiB when unset or malformed.
   static uint64_t ReserveBytesFromEnv();
 
-  explicit DiskSpaceManager(Options options) : options_(std::move(options)) {}
+  /// Accounts for the volume backing `dir`, leaving ReserveBytesFromEnv()
+  /// bytes of it untouched: headroom for logs, manifests and the
+  /// operator's own tooling once the store backs off.
+  explicit DiskSpaceManager(std::string dir)
+      : dir_(std::move(dir)), reserve_bytes_(ReserveBytesFromEnv()) {}
 
-  /// Current free space on the volume backing options.dir. Consults the
+  /// Current free space on the volume backing `dir`. Consults the
   /// `disk.probe` failpoint so harnesses can fail the probe itself.
   Result<DiskSpaceInfo> Probe() const;
 
-  /// OK when `estimated_bytes` fit into the usable (free minus reserve)
-  /// space, else StorageFull naming the estimate, the usable space and the
+  /// OK when the `estimated_bytes` a write names `what` (e.g. "load")
+  /// needs fit into the usable (free minus reserve) space, else
+  /// StorageFull naming the write, the estimate, the usable space and the
   /// shortfall. Consults the `disk.preflight` failpoint first, so tests can
   /// force a refusal on a volume with plenty of room.
-  Status Preflight(uint64_t estimated_bytes) const;
-
-  const Options& options() const { return options_; }
+  Status Preflight(const std::string& what, uint64_t estimated_bytes) const;
 
  private:
-  Options options_;
+  std::string dir_;
+  uint64_t reserve_bytes_;
 };
-
-/// Per-packer transient slack a parallel refresh adds beyond the serial
-/// estimate: each extra concurrent tree packer holds its own in-flight
-/// checksum-sidecar draft and a page-write frontier that land on disk
-/// before the serial accounting would have charged them.
-inline constexpr uint64_t kRefreshPackerSlackBytes = 64 * 1024;
-
-/// Projected peak footprint of one bulk-incremental refresh:
-///
-///   packed   = live_tree_bytes + delta_input_bytes   (merge-pack output:
-///              old generation's pages plus roughly the delta's pages)
-///   sidecars = 4 bytes per packed page + header      (.crc files)
-///   runs     = 2 * delta_input_bytes                 (external-sort spill
-///              plus one merge pass, both transient)
-///   slack    = (concurrent_packs - 1) * kRefreshPackerSlackBytes
-///
-/// Deliberately conservative: the old generation is retired only after the
-/// new one commits, so the peak holds both. `concurrent_packs` is the
-/// refresh worker-pool width: with K workers the temp-file peak is the sum
-/// of all K packers' in-flight output, not one packer's at a time, so the
-/// preflight must reserve the extra per-worker slack or a mid-refresh
-/// StorageFull can slip past. K <= 1 reproduces the serial estimate.
-uint64_t EstimateRefreshBytes(uint64_t live_tree_bytes,
-                              uint64_t delta_input_bytes,
-                              unsigned concurrent_packs = 1);
 
 }  // namespace cubetree
 

@@ -264,31 +264,6 @@ TEST(LoggingTest, RespectsLevel) {
   SUCCEED();
 }
 
-/// Sets one environment variable (nullptr unsets it) and restores its
-/// previous value on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    Set(value);
-  }
-  ~ScopedEnv() { Set(saved_ ? saved_->c_str() : nullptr); }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
-  void Set(const char* value) {
-    if (value == nullptr) {
-      ::unsetenv(name_);
-    } else {
-      ::setenv(name_, value, 1);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
-
 TEST(EnvUint64Test, AcceptsOnlyPlainDecimalsBelowTwoToThe64) {
   constexpr const char* kName = "CUBETREE_TEST_ENV_UINT64";
   ScopedEnv env(kName, nullptr);

@@ -122,7 +122,7 @@ class CorruptionTest : public ::testing::Test {
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     cbt_ = std::move(created).value();
     ASSERT_OK(cbt_->Load(views_, data.get()));
-    ASSERT_OK(data->Destroy());
+    data.reset();
   }
 
   void TearDown() override {
@@ -308,7 +308,7 @@ TEST_F(CorruptionTest, RepairUnavailableWithoutSourceFallsBackToBaseData) {
 
   auto data = Compute(views_, facts_, "rebuild");
   ASSERT_OK(cbt_->RebuildQuarantined(data.get()));
-  ASSERT_OK(data->Destroy());
+  data.reset();
   EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
   ExpectMatchesReference(TopQuery());
 }
@@ -363,7 +363,7 @@ TEST_F(CorruptionTest, SweepPersistentCorruptionNeverReturnsWrongRows) {
       if (repaired.IsUnavailable()) {
         auto data = Compute(views_, facts_, "sweep_rebuild");
         ASSERT_OK(cbt_->RebuildQuarantined(data.get()));
-        ASSERT_OK(data->Destroy());
+        data.reset();
       } else {
         ASSERT_OK(repaired);
       }

@@ -124,7 +124,7 @@ TEST_P(EnginePairProperty, EnginesAgreeAcrossConfigurations) {
     csp.view_id = 7;
     csp.key_attrs = {2, 1, 0};
     ASSERT_OK(conv->BuildIndices({csp}));
-    ASSERT_OK(data->Destroy());
+    data.reset();
   }
 
   // Cubetree engine with the swept physical parameters.
@@ -138,7 +138,7 @@ TEST_P(EnginePairProperty, EnginesAgreeAcrossConfigurations) {
     ASSERT_OK_AND_ASSIGN(auto data, builder.ComputeAll(Views(replicas),
                                                        &provider, "cbt"));
     ASSERT_OK(cbt->Load(Views(replicas), data.get()));
-    ASSERT_OK(data->Destroy());
+    data.reset();
   }
 
   auto check_queries = [&](const std::vector<FactTuple>& all, int rounds,
@@ -173,14 +173,14 @@ TEST_P(EnginePairProperty, EnginesAgreeAcrossConfigurations) {
                                                     &delta_provider,
                                                     "conv_d"));
     ASSERT_OK(conv->ApplyDeltaIncremental(d.get()));
-    ASSERT_OK(d->Destroy());
+    d.reset();
   }
   {
     ASSERT_OK_AND_ASSIGN(auto d, builder.ComputeAll(Views(replicas),
                                                     &delta_provider,
                                                     "cbt_d"));
     ASSERT_OK(cbt->ApplyDelta(d.get()));
-    ASSERT_OK(d->Destroy());
+    d.reset();
   }
   std::vector<FactTuple> all = facts;
   all.insert(all.end(), delta.begin(), delta.end());

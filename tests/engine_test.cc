@@ -110,7 +110,7 @@ class EngineTest : public ::testing::Test {
     conv_ = std::move(conv_result).value();
     ASSERT_OK(conv_->LoadTables(views_, data.get()));
     ASSERT_OK(conv_->BuildIndices(indices_));
-    ASSERT_OK(data->Destroy());
+    data.reset();
 
     // Cubetrees: same views + the two replicas the paper materializes.
     cbt_views_ = views_;
@@ -124,7 +124,7 @@ class EngineTest : public ::testing::Test {
     ASSERT_TRUE(cbt_result.ok());
     cbt_ = std::move(cbt_result).value();
     ASSERT_OK(cbt_->Load(cbt_views_, cbt_data.get()));
-    ASSERT_OK(cbt_data->Destroy());
+    cbt_data.reset();
   }
 
   /// Brute-force reference answer over the raw facts (equality and range
@@ -349,11 +349,11 @@ TEST_F(EngineTest, IncrementalUpdatesKeepEnginesConsistent) {
   ASSERT_OK(conv_->BuildMaintenanceIndices());
   auto conv_delta = Compute(views_, delta, "delta_conv");
   ASSERT_OK(conv_->ApplyDeltaIncremental(conv_delta.get()));
-  ASSERT_OK(conv_delta->Destroy());
+  conv_delta.reset();
 
   auto cbt_delta = Compute(cbt_views_, delta, "delta_cbt");
   ASSERT_OK(cbt_->ApplyDelta(cbt_delta.get()));
-  ASSERT_OK(cbt_delta->Destroy());
+  cbt_delta.reset();
 
   std::vector<FactTuple> all = facts_;
   all.insert(all.end(), delta.begin(), delta.end());
@@ -384,7 +384,7 @@ TEST_F(EngineTest, RebuildMatchesIncremental) {
   all.insert(all.end(), delta.begin(), delta.end());
   auto full = Compute(views_, all, "full");
   ASSERT_OK(conv_->Rebuild(full.get()));
-  ASSERT_OK(full->Destroy());
+  full.reset();
 
   SliceQueryGenerator gen(schema_, 17);
   for (int draw = 0; draw < 10; ++draw) {
@@ -412,7 +412,7 @@ TEST_F(EngineTest, DeltaTreeRefreshMatchesBruteForce) {
     }
     auto d = Compute(cbt_views_, delta, "dt" + std::to_string(round));
     ASSERT_OK(cbt_->ApplyDeltaPartial(d.get()));
-    ASSERT_OK(d->Destroy());
+    d.reset();
     all.insert(all.end(), delta.begin(), delta.end());
   }
   EXPECT_GT(cbt_->forest()->AcquireSnapshot().TotalDeltas(), 0u);
@@ -441,42 +441,91 @@ TEST_F(EngineTest, DeltaTreeRefreshMatchesBruteForce) {
 }
 
 TEST_F(EngineTest, WalAccountsForEveryLoadedRow) {
-  // A fresh engine with WAL on: every view row it loads must be logged.
+  // A fresh engine: every view row it loads must be logged.
   const std::string dir = MakeTestDir("engine_wal");
   BufferPool pool(128);
   auto stats = std::make_shared<IoStats>();
   ConventionalEngine::Options options;
   options.dir = dir;
   options.io_stats = stats;
-  options.enable_wal = true;
   ASSERT_OK_AND_ASSIGN(auto engine,
                        ConventionalEngine::Create(schema_, options, &pool));
   auto data = Compute(views_, facts_, "wal");
   const IoStats before = *stats;
   ASSERT_OK(engine->LoadTables(views_, data.get()));
   const IoStats during = *stats - before;
-  ASSERT_OK(data->Destroy());
-  // The WAL stream is sequential and non-trivial relative to the tables.
+  // The WAL stream is sequential and holds a framed record per row.
   EXPECT_GT(during.sequential_writes, 0u);
+  EXPECT_GE(std::filesystem::file_size(dir + "/conv.wal"),
+            data->total_rows() * WriteAheadLog::kRecordHeader);
+}
 
-  // Same load without WAL writes measurably fewer pages.
-  auto stats2 = std::make_shared<IoStats>();
-  ConventionalEngine::Options no_wal = options;
-  no_wal.name = "nowal";
-  no_wal.io_stats = stats2;
-  no_wal.enable_wal = false;
-  ASSERT_OK_AND_ASSIGN(auto engine2, ConventionalEngine::Create(
-                                         schema_, no_wal, &pool));
-  auto data2 = Compute(views_, facts_, "nowal");
-  ASSERT_OK(engine2->LoadTables(views_, data2.get()));
-  ASSERT_OK(data2->Destroy());
-  EXPECT_GT(during.TotalWrites(), stats2->TotalWrites());
+TEST_F(EngineTest, AggregateOverflowIsAnErrorOnBothEngines) {
+  // One view {partkey, suppkey} holding sums INT64_MAX and 1 under one
+  // partkey: grouping by partkey overflows, and so does a delta adding to
+  // the INT64_MAX row. Both engines refuse with InvalidArgument naming the
+  // view instead of answering a wrapped sum.
+  const std::vector<ViewDef> views = {MakeView(3, {0, 1})};
+  std::vector<FactTuple> facts(2);
+  for (FactTuple& t : facts) t.attr_values[0] = 1;
+  facts[0].attr_values[1] = 1;
+  facts[0].measure = INT64_MAX;
+  facts[1].attr_values[1] = 2;
+  facts[1].measure = 1;
+  std::vector<FactTuple> delta_facts = {facts[0]};
+  delta_facts[0].measure = 1;
+  auto data = Compute(views, facts, "overflow");
+
+  ConventionalEngine::Options conv_options;
+  conv_options.dir = dir_;
+  conv_options.name = "overflow";
+  ASSERT_OK_AND_ASSIGN(auto conv, ConventionalEngine::Create(
+                                      schema_, conv_options, pool_.get()));
+  ASSERT_OK(conv->LoadTables(views, data.get()));
+  IndexDef by_partkey;
+  by_partkey.id = 9;
+  by_partkey.view_id = 3;
+  by_partkey.key_attrs = {0, 1};
+  ASSERT_OK(conv->BuildIndices({by_partkey}));
+  ASSERT_OK(conv->BuildMaintenanceIndices());
+  CubetreeEngine::Options cbt_options;
+  cbt_options.dir = dir_;
+  cbt_options.name = "overflow";
+  ASSERT_OK_AND_ASSIGN(
+      auto cbt, CubetreeEngine::Create(schema_, cbt_options, pool_.get()));
+  ASSERT_OK(cbt->Load(views, data.get()));
+
+  auto expect_overflow = [](const Status& status, const std::string& what) {
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << what << ": " << status.ToString();
+    EXPECT_NE(status.ToString().find("view 3"), std::string::npos)
+        << what << ": " << status.ToString();
+  };
+  // Grouped by partkey the conventional engine scans the view; bound to
+  // partkey 1 it reads through the partkey index.
+  SliceQuery grouped;
+  grouped.node_mask = 0b001;
+  grouped.attrs = {0};
+  grouped.bindings = {std::nullopt};
+  SliceQuery bound = grouped;
+  bound.bindings = {Coord{1}};
+  for (const SliceQuery& query : {grouped, bound}) {
+    const std::string text = query.ToString(schema_);
+    expect_overflow(conv->Execute(query, nullptr).status(),
+                    "conventional " + text);
+    expect_overflow(cbt->Execute(query, nullptr).status(), "cubetree " + text);
+  }
+
+  auto delta = Compute(views, delta_facts, "overflow_delta");
+  expect_overflow(conv->ApplyDeltaIncremental(delta.get()),
+                  "conventional delta");
+  expect_overflow(cbt->ApplyDelta(delta.get()), "cubetree delta");
 }
 
 TEST_F(EngineTest, IncrementalWithoutMaintenanceIndicesFails) {
   auto delta = Compute(views_, facts_, "delta_none");
   EXPECT_FALSE(conv_->ApplyDeltaIncremental(delta.get()).ok());
-  ASSERT_OK(delta->Destroy());
+  delta.reset();
 }
 
 TEST_F(EngineTest, UnknownNodeFails) {
@@ -673,7 +722,7 @@ TEST_F(EngineTest, EachTreeSearchSpanReportsItsOwnCounts) {
   std::vector<FactTuple> delta(facts_.begin(), facts_.begin() + 300);
   auto d = Compute(cbt_views_, delta, "delta_spans");
   ASSERT_OK(cbt_->ApplyDeltaPartial(d.get()));
-  ASSERT_OK(d->Destroy());
+  d.reset();
   RecordedQueries recorded(dir_);
   SliceQuery query;
   query.node_mask = 0b111;

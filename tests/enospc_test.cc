@@ -9,10 +9,10 @@
 // all); and once the fault clears the same write succeeds. A fork-based
 // sweep additionally kills the process right after the StorageFull (the
 // operator's kill -9 on a wedged box) and requires the store to recover
-// checker-clean. Engine-level tests cover
-// the degraded read-only mode: enter on StorageFull, reject refreshes
-// with a retry-after hint, pause scrubber repair, keep serving queries,
-// and auto-recover when a probe sees space again.
+// checker-clean. The preflight estimate is checked against the bytes each
+// kind of transaction writes, and engine-level tests cover the one
+// disk-space gate: every refusal sweeps dead files first, leaks no spool,
+// keeps queries serving, and the write goes through once space is back.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -29,7 +32,7 @@
 
 #include "cubetree/forest.h"
 #include "engine/cubetree_engine.h"
-#include "engine/degraded.h"
+#include "engine/warehouse.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "olap/cube_builder.h"
@@ -54,40 +57,50 @@ class EnospcTest : public ::testing::Test {
 // --- Space accounting and preflight units --------------------------------
 
 TEST_F(EnospcTest, EstimateRefreshBytesFormula) {
-  // packed = live + delta; sidecars = 4 bytes/page + 1 KiB of headers;
-  // runs = 2x the delta (sorter spill + merge output coexist briefly).
-  const uint64_t live = 3 * kPageSize;
-  const uint64_t delta = kPageSize + 100;
-  const uint64_t packed = live + delta;
-  const uint64_t pages = (packed + kPageSize - 1) / kPageSize;
-  EXPECT_EQ(EstimateRefreshBytes(live, delta),
-            packed + pages * 4 + 1024 + 2 * delta);
-  // No delta: still accounts the repacked trees and their sidecars.
-  EXPECT_EQ(EstimateRefreshBytes(live, 0), live + 3 * 4 + 1024);
-  EXPECT_EQ(EstimateRefreshBytes(0, 0), 1024u);
+  // Default caps: a full leaf holds at least 8160 record bytes (255
+  // arity-5 or 204 arity-7 entries), an internal node at least 120
+  // children (8 dimensions). A page costs its 8 KiB and one 4-byte CRC;
+  // each tree adds a meta page and a 16-byte sidecar header.
+  const RTreeOptions packed;
+  const uint64_t page = kPageSize + 4;
+  EXPECT_EQ(EstimateRefreshBytes(packed, 0, 0, 0, 0), 0u);
+  // A load of one tree with two views from 3 spool pages: 4 full leaves'
+  // worth of records plus a partial leaf per view, one internal level
+  // (its nodes: 6 / 119 rounded up, plus the partial one), the meta page.
+  EXPECT_EQ(EstimateRefreshBytes(packed, 0, 3 * kPageSize, 1, 2),
+            (6 + (1 + 1) + 1) * page + 16);
+  // A compaction of two trees with three views over 10 live pages: the
+  // old pages bound the new leaves, and no sort runs are charged.
+  EXPECT_EQ(EstimateRefreshBytes(packed, 10 * kPageSize, 0, 2, 3),
+            (13 + (1 + 2) + 2) * page + 2 * 16);
 
-  // Concurrency-aware: K parallel packers hold K in-flight write
-  // frontiers, so each worker past the first adds its slack. K <= 1 must
-  // reproduce the serial estimate exactly (0 is "unspecified", not
-  // "minus one workers").
-  const uint64_t serial = EstimateRefreshBytes(live, delta);
-  EXPECT_EQ(EstimateRefreshBytes(live, delta, 1), serial);
-  EXPECT_EQ(EstimateRefreshBytes(live, delta, 0), serial);
-  EXPECT_EQ(EstimateRefreshBytes(live, delta, 4),
-            serial + 3 * kRefreshPackerSlackBytes);
-  EXPECT_EQ(EstimateRefreshBytes(0, 0, 8),
-            1024u + 7 * kRefreshPackerSlackBytes);
+  // Caps shrink nodes, and the estimate follows: 3 entries per leaf hold
+  // at least 36 record bytes (arity 0), and a fan-out of 2 builds four
+  // internal levels over 11 leaves.
+  RTreeOptions capped;
+  capped.max_leaf_entries = 3;
+  capped.max_internal_entries = 2;
+  EXPECT_EQ(EstimateRefreshBytes(capped, 0, 360, 1, 1),
+            (11 + (11 + 4) + 1) * page + 16);
+  // Without leaf compression a full leaf of 186 8-dimensional entries may
+  // hold nothing but 12-byte arity-0 records: 2,232 record bytes.
+  RTreeOptions uncompressed;
+  uncompressed.compress_leaves = false;
+  EXPECT_EQ(EstimateRefreshBytes(uncompressed, 0, 3 * 2232, 1, 1),
+            (4 + (1 + 1) + 1) * page + 16);
 }
 
 TEST_F(EnospcTest, PreflightRefusalReportsShortfall) {
   const std::string dir = MakeTestDir("enospc_preflight");
   // A reserve no volume can satisfy forces the refusal path without
   // actually filling the disk.
-  DiskSpaceManager disk(
-      DiskSpaceManager::Options{dir, ~uint64_t{0} >> 1});
-  const Status refused = disk.Preflight(12345);
+  ScopedEnv reserve("CUBETREE_DISK_RESERVE_BYTES",
+                    std::to_string(~uint64_t{0} >> 1).c_str());
+  DiskSpaceManager disk(dir);
+  const Status refused = disk.Preflight("merge refresh", 12345);
   ASSERT_TRUE(refused.IsStorageFull()) << refused.ToString();
-  EXPECT_NE(refused.ToString().find("12345"), std::string::npos)
+  EXPECT_NE(refused.ToString().find("merge refresh needs an estimated 12345"),
+            std::string::npos)
       << refused.ToString();
   EXPECT_NE(refused.ToString().find("more bytes"), std::string::npos)
       << refused.ToString();
@@ -95,14 +108,15 @@ TEST_F(EnospcTest, PreflightRefusalReportsShortfall) {
   EXPECT_TRUE(refused.IsRetriable());
 
   // A zero-byte ask always fits, and a sane reserve admits small asks.
-  EXPECT_OK(disk.Preflight(0));
-  DiskSpaceManager roomy(DiskSpaceManager::Options{dir, 0});
-  EXPECT_OK(roomy.Preflight(kPageSize));
+  EXPECT_OK(disk.Preflight("load", 0));
+  reserve.Set("0");
+  DiskSpaceManager roomy(dir);
+  EXPECT_OK(roomy.Preflight("load", kPageSize));
 }
 
 TEST_F(EnospcTest, ProbeFailpointForcesStorageFull) {
   const std::string dir = MakeTestDir("enospc_probe");
-  DiskSpaceManager disk(DiskSpaceManager::Options{dir, 0});
+  DiskSpaceManager disk(dir);
   ASSERT_OK(FaultInjector::Instance().Arm("disk.probe", "enospc"));
   const auto probed = disk.Probe();
   ASSERT_FALSE(probed.ok());
@@ -111,47 +125,113 @@ TEST_F(EnospcTest, ProbeFailpointForcesStorageFull) {
   ASSERT_OK(disk.Probe().status());
 }
 
-// --- Degraded-mode controller units --------------------------------------
-
-TEST_F(EnospcTest, DegradedControllerEntersAndRecovers) {
-  const std::string dir = MakeTestDir("enospc_controller");
-  DegradedModeController::Options options;
-  options.dir = dir;
-  options.reserve_bytes = 0;
-  DegradedModeController controller(options);
-  std::vector<bool> transitions;
-  controller.SetOnModeChange([&](bool ro) { transitions.push_back(ro); });
-
-  // Non-StorageFull outcomes never trip the breaker.
-  controller.OnWriteStatus(Status::OK());
-  controller.OnWriteStatus(Status::IOError("unrelated"));
-  EXPECT_FALSE(controller.read_only());
-  EXPECT_OK(controller.AdmitWrite(kPageSize));
-
-  // A StorageFull flips read-only (idempotently) and fires the hook once.
-  controller.OnWriteStatus(Status::StorageFull("volume full"));
-  controller.OnWriteStatus(Status::StorageFull("volume full again"));
-  EXPECT_TRUE(controller.read_only());
-  ASSERT_EQ(transitions, std::vector<bool>{true});
-
-  // While the volume stays full (the failpoint keeps the probe failing),
-  // writes are rejected with the cause and a retry-after hint.
-  ASSERT_OK(FaultInjector::Instance().Arm("disk.probe", "enospc"));
-  const Status rejected = controller.AdmitWrite(kPageSize);
-  ASSERT_TRUE(rejected.IsStorageFull()) << rejected.ToString();
-  EXPECT_NE(rejected.ToString().find("volume full"), std::string::npos)
-      << rejected.ToString();
-  EXPECT_NE(rejected.ToString().find("retry"), std::string::npos)
-      << rejected.ToString();
-  EXPECT_FALSE(controller.ProbeAndMaybeRecover());
-  EXPECT_TRUE(controller.read_only());
-
-  // Space comes back: the next admission probe recovers automatically.
+/// Runs `txn` twice: first under a one-shot `disk.preflight` refusal, to
+/// read the estimate its StorageFull names, then for real. The estimate
+/// must cover every tree and sidecar byte the second run creates in `dir`.
+/// Returns the estimate and the bytes written.
+std::pair<uint64_t, uint64_t> ExpectEstimateCovers(
+    const std::string& dir, const std::function<Status()>& txn) {
+  EXPECT_OK(FaultInjector::Instance().Arm("disk.preflight", "enospc(1)"));
+  const Status refused = txn();
   FaultInjector::Instance().DisarmAll();
-  EXPECT_OK(controller.AdmitWrite(kPageSize));
-  EXPECT_FALSE(controller.read_only());
-  ASSERT_EQ(transitions, (std::vector<bool>{true, false}));
-  EXPECT_TRUE(controller.ProbeAndMaybeRecover());
+  EXPECT_TRUE(refused.IsStorageFull()) << refused.ToString();
+  const std::string marker = "needs an estimated ";
+  const std::string text = refused.ToString();
+  const size_t at = text.find(marker);
+  const uint64_t estimate =
+      at == std::string::npos ? 0
+                              : std::stoull(text.substr(at + marker.size()));
+
+  const std::set<std::string> before = ListFiles(dir);
+  EXPECT_OK(txn());
+  uint64_t written = 0;
+  for (const std::string& name : ListFiles(dir)) {
+    if (before.count(name) == 0 &&
+        (name.ends_with(".ctr") || name.ends_with(".ctr.crc"))) {
+      written += std::filesystem::file_size(dir + "/" + name);
+    }
+  }
+  EXPECT_GT(written, 0u);
+  EXPECT_GE(estimate, written) << text;
+  return {estimate, written};
+}
+
+TEST_F(EnospcTest, PreflightEstimateCoversWhatEachTransactionWrites) {
+  // Every kind of transaction over the SF 0.05 warehouse, at one pack
+  // worker and at four. The load — spools in, trees out, nothing sorted —
+  // must also stay within 10% of what it writes.
+  for (const char* threads : {"1", "4"}) {
+    SCOPED_TRACE(std::string("threads=") + threads);
+    ScopedEnv workers("CUBETREE_REFRESH_THREADS", threads);
+    WarehouseOptions options;
+    options.scale_factor = 0.05;
+    options.dir = MakeTestDir(std::string("enospc_estimate_") + threads);
+    ASSERT_OK_AND_ASSIGN(auto warehouse, Warehouse::Create(options));
+    const auto [estimate, written] = ExpectEstimateCovers(
+        options.dir, [&] { return warehouse->LoadCubetrees().status(); });
+    EXPECT_LE(estimate, written + written / 10);
+    ExpectEstimateCovers(options.dir, [&] {
+      return warehouse->UpdateCubetrees(0).status();
+    });
+    ExpectEstimateCovers(options.dir, [&] {
+      return warehouse->UpdateCubetreesPartial(1).status();
+    });
+    ExpectEstimateCovers(options.dir, [&] {
+      return warehouse->CompactCubetrees().status();
+    });
+    ASSERT_OK(warehouse->cubetrees()
+                  ->forest()
+                  ->QuarantineForCorruption(
+                      warehouse->cubetree_views().front().id, "",
+                      Status::Corruption("test"))
+                  .status());
+    ExpectEstimateCovers(options.dir, [&] {
+      return warehouse->cubetrees()->RepairFromReplicas();
+    });
+  }
+
+  // Layouts whose leaves hold fewer record bytes than the default ones:
+  // the node caps the paper-example program uses (three entries a leaf,
+  // two children a node), and uncompressed leaves, which widen each
+  // record of the arity-1 view to the tree's three dimensions.
+  const std::vector<ViewDef> views = {MakeView(1, {0, 1, 2}),
+                                      MakeView(2, {0})};
+  auto fill = [&](VectorViewProvider* provider, uint32_t first,
+                  uint32_t groups) {
+    for (uint32_t a = first; a < first + groups; ++a) {
+      provider->Add(views[1], {a}, AggValue{int64_t{a}, 1});
+      if (a % 20 == 0) {
+        provider->Add(views[0], {a, a % 7 + 1, a % 5 + 1},
+                      AggValue{int64_t{a}, 1});
+      }
+    }
+  };
+  RTreeOptions small_nodes;
+  small_nodes.max_leaf_entries = 3;
+  small_nodes.max_internal_entries = 2;
+  RTreeOptions uncompressed;
+  uncompressed.compress_leaves = false;
+  for (const auto& [rtree, groups] :
+       {std::pair{small_nodes, 60u}, std::pair{uncompressed, 8000u}}) {
+    const std::string name =
+        rtree.compress_leaves ? "small_nodes" : "uncompressed";
+    SCOPED_TRACE(name);
+    const std::string dir = MakeTestDir("enospc_estimate_" + name);
+    BufferPool pool(256);
+    CubetreeForest::Options options = ForestOptions(dir);
+    options.rtree = rtree;
+    VectorViewProvider base;
+    fill(&base, 1, groups);
+    VectorViewProvider delta;  // Half of it overlaps the base.
+    fill(&delta, 1 + groups / 2, groups);
+    // The refused load is retried on the same forest.
+    ASSERT_OK_AND_ASSIGN(auto forest, CubetreeForest::Create(options, &pool));
+    ExpectEstimateCovers(dir, [&] { return forest->Build(views, &base); });
+    ExpectEstimateCovers(dir, [&] { return forest->ApplyDelta(&delta); });
+    ExpectEstimateCovers(dir,
+                         [&] { return forest->ApplyDeltaPartial(&delta); });
+    ExpectEstimateCovers(dir, [&] { return forest->Compact(); });
+  }
 }
 
 // --- The sweeps ----------------------------------------------------------
@@ -362,7 +442,7 @@ TEST_F(EnospcTest, ReclaimSpaceCollectsLeakedFilesWithoutRestart) {
   ExpectRecoversToOldOrNew(dir, "reclaim");
 }
 
-// --- Engine-level degraded read-only serving -----------------------------
+// --- The one disk-space gate, seen from the engine -----------------------
 
 CubeSchema SmallSchema() {
   CubeSchema schema;
@@ -411,10 +491,32 @@ QueryResult GroupByPartkey(const std::vector<FactTuple>& facts) {
   return result;
 }
 
-TEST_F(EnospcTest, EngineDegradedModeServesReadOnlyAndAutoRecovers) {
+TEST_F(EnospcTest, RefusedRefreshLeavesNoSpool) {
+  // The increment's spools exist only for the refresh that reads them: a
+  // refused refresh must not leave them on the very volume it protects.
+  WarehouseOptions options;
+  options.scale_factor = 0.005;
+  options.dir = MakeTestDir("enospc_spools");
+  ASSERT_OK_AND_ASSIGN(auto warehouse, Warehouse::Create(options));
+  ASSERT_OK(warehouse->LoadCubetrees().status());
+  ASSERT_OK(FaultInjector::Instance().Arm("disk.preflight", "enospc"));
+  const auto merge = warehouse->UpdateCubetrees(0);
+  ASSERT_TRUE(merge.status().IsStorageFull()) << merge.status().ToString();
+  const auto delta = warehouse->UpdateCubetreesPartial(0);
+  ASSERT_TRUE(delta.status().IsStorageFull()) << delta.status().ToString();
+  FaultInjector::Instance().DisarmAll();
+  for (const std::string& name : ListFiles(options.dir)) {
+    EXPECT_FALSE(name.ends_with(".spl")) << "leaked spool " << name;
+  }
+}
+
+TEST_F(EnospcTest, EngineRefusesWritesOnFullVolumeAndKeepsServing) {
   const std::string dir = MakeTestDir("enospc_engine");
   const CubeSchema schema = SmallSchema();
+  // The top view and a sort-order replica of it land in two trees, so a
+  // quarantined tree's queries have a healthy route and repair a source.
   const std::vector<ViewDef> views = {MakeView(7, {0, 1, 2}),
+                                      MakeView(8, {2, 1, 0}),
                                       MakeView(1, {0}), MakeView(0, {})};
   const std::vector<FactTuple> base_facts = MakeFacts(31, 1500);
   const std::vector<FactTuple> delta_facts = MakeFacts(77, 400);
@@ -434,70 +536,87 @@ TEST_F(EnospcTest, EngineDegradedModeServesReadOnlyAndAutoRecovers) {
     ASSERT_OK_AND_ASSIGN(auto data,
                          builder.ComputeAll(views, &provider, "base"));
     ASSERT_OK(engine->Load(views, data.get()));
-    ASSERT_OK(data->Destroy());
   }
-
-  // Wire the scrubber's repair pause to the degraded-mode hook, as an
-  // embedder would at startup.
-  Scrubber scrubber(engine->forest(), ScrubOptions{});
-  engine->degraded()->SetOnModeChange(
-      [&scrubber](bool read_only) { scrubber.SetRepairPaused(read_only); });
+  Scrubber scrubber(engine->forest(), ScrubOptions{},
+                    [&engine] { return engine->RepairFromReplicas(); });
 
   SliceQuery query;
   query.node_mask = 0b001;
   query.attrs = {0};
   query.bindings = {std::nullopt};
+  auto expect_answers = [&](const QueryResult& expected, const char* when) {
+    obs::QueryProfile profile;
+    auto result = engine->Execute(query, &profile);
+    ASSERT_TRUE(result.ok()) << when << ": " << result.status().ToString();
+    result->SortRows();
+    EXPECT_TRUE(result->SameRowsAs(expected)) << when;
+  };
   const QueryResult base_expected = GroupByPartkey(base_facts);
-
-  auto* gauge = obs::MetricsRegistry::Instance().GetGauge("degraded.read_only");
 
   FactsProvider delta_provider(&delta_facts);
   ASSERT_OK_AND_ASSIGN(auto delta,
                        builder.ComputeAll(views, &delta_provider, "delta"));
+  obs::Counter* refusals =
+      obs::MetricsRegistry::Instance().GetCounter("disk.preflight_refusals");
+  const uint64_t refusals_before = refusals->value();
 
-  // The volume "fills": the refresh preflight refuses with StorageFull
-  // and the engine flips read-only.
+  // The volume "fills": every refresh is refused up front with a typed,
+  // retriable StorageFull naming the shortfall, and each refusal runs the
+  // reclaim sweep first — an orphan tree file that appears between the
+  // two refusals is gone after the second.
   ASSERT_OK(FaultInjector::Instance().Arm("disk.preflight", "enospc"));
-  const Status full = engine->ApplyDelta(delta.get());
-  ASSERT_TRUE(full.IsStorageFull()) << full.ToString();
-  EXPECT_TRUE(engine->degraded()->read_only());
-  EXPECT_TRUE(scrubber.repair_paused());
-  EXPECT_EQ(gauge->value(), 1);
-
-  // Further refreshes are rejected up front with a retry-after hint...
-  const Status rejected = engine->ApplyDelta(delta.get());
-  ASSERT_TRUE(rejected.IsStorageFull()) << rejected.ToString();
-  EXPECT_NE(rejected.ToString().find("retry"), std::string::npos)
-      << rejected.ToString();
-
-  // ...while queries keep serving the published epoch, answers intact.
-  {
-    obs::QueryProfile profile;
-    ASSERT_OK_AND_ASSIGN(auto result, engine->Execute(query, &profile));
-    result.SortRows();
-    EXPECT_TRUE(result.SameRowsAs(base_expected))
-        << "degraded mode changed query answers";
+  const std::string orphan = dir + "/cbt_t0_g99.ctr";
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    SCOPED_TRACE(attempt);
+    const Status refused = engine->ApplyDelta(delta.get());
+    ASSERT_TRUE(refused.IsStorageFull()) << refused.ToString();
+    EXPECT_TRUE(refused.IsRetriable());
+    EXPECT_NE(refused.ToString().find("merge refresh needs an estimated"),
+              std::string::npos)
+        << refused.ToString();
+    EXPECT_NE(refused.ToString().find("more bytes"), std::string::npos)
+        << refused.ToString();
+    expect_answers(base_expected, "after a refusal");
+    if (attempt == 0) {
+      std::ofstream(orphan) << std::string(kPageSize, 'x');
+    }
   }
+  EXPECT_FALSE(std::filesystem::exists(orphan))
+      << "the second refusal did not sweep dead files first";
+  EXPECT_EQ(refusals->value(), refusals_before + 2);
 
-  // Space frees up: the next refresh admission probes, recovers, and the
-  // refresh goes through; the scrubber resumes repairing.
+  // Corruption found while the volume is full: the scrubber quarantines
+  // the tree, the preflight refuses its repair (counted unrepairable), and
+  // queries route around the tree to the replica.
+  ForestSnapshot snapshot = engine->forest()->AcquireSnapshot();
+  ASSERT_OK_AND_ASSIGN(Cubetree * tree, snapshot.TreeForView(1));
+  const std::string tree_path = tree->rtree()->path();
+  snapshot.Release();
+  {
+    // Flip one byte of the first leaf: only its checksum can tell.
+    std::fstream file(tree_path,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(kPageSize + 123);
+    const char byte = static_cast<char>(file.get());
+    file.seekp(kPageSize + 123);
+    file.put(static_cast<char>(byte ^ 0xFF));
+  }
+  ScrubPassStats stats;
+  ASSERT_OK(scrubber.ScrubOnce(&stats));
+  EXPECT_EQ(stats.corruptions_found, 1u);
+  EXPECT_EQ(stats.corruptions_repaired, 0u);
+  EXPECT_EQ(stats.corruptions_unrepairable, 1u);
+  EXPECT_TRUE(engine->forest()->AcquireSnapshot().IsViewQuarantined(1));
+  expect_answers(base_expected, "with the tree quarantined");
+
+  // Space is back: the repair and then the refresh go through, and the
+  // answers are the brute-force sums over base and delta facts.
   FaultInjector::Instance().DisarmAll();
+  ASSERT_OK(engine->RepairFromReplicas());
   ASSERT_OK(engine->ApplyDelta(delta.get()));
-  EXPECT_FALSE(engine->degraded()->read_only());
-  EXPECT_FALSE(scrubber.repair_paused());
-  EXPECT_EQ(gauge->value(), 0);
-  ASSERT_OK(delta->Destroy());
-
   std::vector<FactTuple> all_facts = base_facts;
   all_facts.insert(all_facts.end(), delta_facts.begin(), delta_facts.end());
-  const QueryResult merged_expected = GroupByPartkey(all_facts);
-  {
-    obs::QueryProfile profile;
-    ASSERT_OK_AND_ASSIGN(auto result, engine->Execute(query, &profile));
-    result.SortRows();
-    EXPECT_TRUE(result.SameRowsAs(merged_expected))
-        << "post-recovery refresh lost rows";
-  }
+  expect_answers(GroupByPartkey(all_facts), "after the refresh");
 }
 
 }  // namespace

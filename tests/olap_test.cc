@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <vector>
@@ -272,7 +273,7 @@ TEST_F(CubeBuilderTest, TopViewFromFactsMatchesReference) {
   auto expected = Reference(views[0]);
   EXPECT_EQ(got.size(), expected.size());
   EXPECT_EQ(got, expected);
-  ASSERT_OK(data->Destroy());
+  data.reset();
 }
 
 TEST_F(CubeBuilderTest, DerivedViewsMatchReference) {
@@ -295,7 +296,7 @@ TEST_F(CubeBuilderTest, DerivedViewsMatchReference) {
   EXPECT_EQ(data->total_rows(),
             Reference(views[0]).size() + Reference(views[1]).size() +
                 Reference(views[2]).size() + Reference(views[3]).size() + 1);
-  ASSERT_OK(data->Destroy());
+  data.reset();
 }
 
 TEST_F(CubeBuilderTest, ReplicaComputedFromOriginal) {
@@ -312,7 +313,7 @@ TEST_F(CubeBuilderTest, ReplicaComputedFromOriginal) {
   ASSERT_OK_AND_ASSIGN(uint64_t rows7, data->row_count(7));
   ASSERT_OK_AND_ASSIGN(uint64_t rows42, data->row_count(42));
   EXPECT_EQ(rows7, rows42);
-  ASSERT_OK(data->Destroy());
+  data.reset();
 }
 
 TEST_F(CubeBuilderTest, SmallestParentChosen) {
@@ -328,7 +329,7 @@ TEST_F(CubeBuilderTest, SmallestParentChosen) {
   auto p_groups = Drain(data.get(), views[2]);
   auto expected = Reference(views[2]);
   EXPECT_EQ(p_groups, expected);
-  ASSERT_OK(data->Destroy());
+  data.reset();
 }
 
 TEST_F(CubeBuilderTest, PipelinedAggregationSkipsSortsAndMatches) {
@@ -365,8 +366,8 @@ TEST_F(CubeBuilderTest, PipelinedAggregationSkipsSortsAndMatches) {
     EXPECT_EQ(Drain(fast_data.get(), view), Reference(view))
         << view.Name(schema_);
   }
-  ASSERT_OK(fast_data->Destroy());
-  ASSERT_OK(slow_data->Destroy());
+  fast_data.reset();
+  slow_data.reset();
 }
 
 TEST_F(CubeBuilderTest, CombineEqualKeysFoldsAdjacentGroups) {
@@ -443,6 +444,32 @@ TEST_F(CubeBuilderTest, SumOverflowIsAnErrorNamingTheView) {
         << computed.status().ToString();
     EXPECT_EQ(builder.pipelined_views(),
               c.pipelined && c.second_partkey != 3 ? 1u : 0u);
+  }
+}
+
+// The same overflow, found in the child after the top view's spool is
+// sealed: the failed computation removes every spool it wrote, the sealed
+// one and the partial one alike, and the sorter's runs.
+TEST_F(CubeBuilderTest, FailedComputeLeavesNoSpool) {
+  const std::vector<ViewDef> views = {MakeView(7, {0, 1}), MakeView(5, {1})};
+  facts_.clear();
+  FactTuple t;
+  t.attr_values[1] = 2;
+  for (const auto& [partkey, measure] :
+       {std::pair<Coord, int64_t>{3, INT64_MAX}, {4, 1}}) {
+    t.attr_values[0] = partkey;
+    t.measure = measure;
+    facts_.push_back(t);
+  }
+  CubeBuilder::Options options;
+  options.temp_dir = dir_;
+  CubeBuilder builder(schema_, options);
+  Provider provider(&facts_);
+  const auto computed = builder.ComputeAll(views, &provider, "leak");
+  ASSERT_TRUE(computed.status().IsInvalidArgument())
+      << computed.status().ToString();
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    ADD_FAILURE() << "failed computation left " << entry.path();
   }
 }
 

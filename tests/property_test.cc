@@ -21,6 +21,7 @@
 #include "cubetree/select_mapping.h"
 #include "cubetree/view_def.h"
 #include "olap/cube_builder.h"
+#include "rtree/node.h"
 #include "rtree/packed_rtree.h"
 #include "sort/external_sorter.h"
 #include "sort/spool.h"
@@ -71,7 +72,11 @@ TEST_P(PackedRTreeProperty, RangeQueriesMatchBruteForce) {
   BufferPool pool(128);
   RTreeOptions options;
   options.dims = static_cast<uint8_t>(dims);
-  options.leaf_fill = leaf_fill;
+  // An under-full case caps leaves at that fraction of their capacity.
+  if (leaf_fill < 1.0) {
+    options.max_leaf_entries = static_cast<uint16_t>(
+        RLeafCapacity(static_cast<uint8_t>(dims)) * leaf_fill);
+  }
   options.compress_leaves = compress;
   VectorPointSource source(points);
   ASSERT_OK_AND_ASSIGN(

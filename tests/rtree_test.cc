@@ -525,7 +525,7 @@ TEST_F(PackedRTreeTest, OpenReloadsMeta) {
 TEST_F(PackedRTreeTest, LeafFillFactorRespected) {
   auto points = MakeGridPoints(10000);
   RTreeOptions half;
-  half.leaf_fill = 0.5;
+  half.max_leaf_entries = RLeafCapacity(2) / 2;
   ASSERT_OK_AND_ASSIGN(auto loose,
                        Build(points, 2, [](uint32_t) { return 2; }, half));
   ASSERT_OK_AND_ASSIGN(auto packed,

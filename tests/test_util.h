@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,6 +37,31 @@ namespace cubetree {
   auto tmp = (expr);                                               \
   ASSERT_TRUE(tmp.ok()) << tmp.status().ToString();                \
   lhs = std::move(tmp).value()
+
+/// Sets one environment variable (nullptr unsets it) and restores its
+/// previous value on destruction.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    Set(value);
+  }
+  ~ScopedEnv() { Set(saved_ ? saved_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  void Set(const char* value) {
+    if (value == nullptr) {
+      ::unsetenv(name_);
+    } else {
+      ::setenv(name_, value, 1);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
 
 /// Per-test scratch directory under the build tree, wiped on creation.
 /// The running test's suite.name is folded into the path: fixtures pass a
