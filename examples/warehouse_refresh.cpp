@@ -302,10 +302,16 @@ int main(int argc, char** argv) {
   // CUBETREE_SCRUB_ENABLE=1 turns on the background integrity scrubber:
   // it re-reads every page of the live generation between refreshes
   // (throttled by CUBETREE_SCRUB_RATE, paced by CUBETREE_SCRUB_INTERVAL_MS)
-  // and repairs anything it quarantines from the sort-order replicas.
+  // and repairs anything it quarantines from the surviving sort-order
+  // replicas and superset views, through the cube builder the load uses.
+  // It passes no facts: a view nothing covers stays quarantined.
   CubetreeEngine* engine = warehouse->cubetrees();
-  std::unique_ptr<Scrubber> scrubber = Scrubber::CreateFromEnv(
-      engine->forest(), [engine] { return engine->RepairFromReplicas(); });
+  const CubeBuilder::Options build =
+      warehouse->BuilderOptions(warehouse->cubetree_io());
+  std::unique_ptr<Scrubber> scrubber =
+      Scrubber::CreateFromEnv(engine->forest(), [engine, build] {
+        return engine->Repair(nullptr, build);
+      });
   if (scrubber != nullptr) {
     scrubber->Start();
     std::printf("  background scrubber running (CUBETREE_SCRUB_*)\n");

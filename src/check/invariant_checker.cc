@@ -128,19 +128,4 @@ std::string CheckReport::ToJson() const {
   return out.str();
 }
 
-void InvariantChecker::Add(std::unique_ptr<Checker> checker) {
-  checkers_.push_back(std::move(checker));
-}
-
-Status InvariantChecker::RunAll(CheckReport* report) {
-  for (const auto& checker : checkers_) {
-    Status status = checker->Run(report);
-    if (!status.ok()) {
-      report->AddError(checker->name(), "check-failed",
-                       "checker could not run: " + status.ToString());
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace cubetree

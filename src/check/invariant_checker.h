@@ -2,7 +2,6 @@
 #define CUBETREE_CHECK_INVARIANT_CHECKER_H_
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,9 +72,9 @@ class CheckReport {
   size_t suppressed_ = 0;
 };
 
-/// One pluggable invariant checker (per component or per file). Run()
-/// returns non-OK only when the check could not be performed at all (e.g.
-/// the target file does not exist); invariant violations are reported as
+/// One invariant checker (per component or per file). Run() returns
+/// non-OK only when the check could not be performed at all (e.g. the
+/// target file does not exist); invariant violations are reported as
 /// findings, not as an error Status, so one corrupt structure does not
 /// mask the rest of the report.
 class Checker {
@@ -83,21 +82,6 @@ class Checker {
   virtual ~Checker() = default;
   virtual std::string name() const = 0;
   virtual Status Run(CheckReport* report) = 0;
-};
-
-/// Registry-and-driver for a set of checkers: the entry point ctfsck and
-/// the tests use. RunAll runs every registered checker against one shared
-/// report; a checker that cannot run at all contributes a finding with
-/// code "check-failed" (severity error) rather than aborting the sweep.
-class InvariantChecker {
- public:
-  void Add(std::unique_ptr<Checker> checker);
-  size_t num_checkers() const { return checkers_.size(); }
-
-  Status RunAll(CheckReport* report);
-
- private:
-  std::vector<std::unique_ptr<Checker>> checkers_;
 };
 
 }  // namespace cubetree

@@ -15,7 +15,6 @@
 #include <sstream>
 
 #include "check/checkers.h"
-#include "check/invariant_checker.h"
 #include "common/assert.h"
 #include "common/logging.h"
 #include "common/parallel_for.h"

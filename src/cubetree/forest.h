@@ -174,7 +174,9 @@ struct ForestRecoveryReport {
   /// Indices of trees recovery had to take out of service (unopenable or
   /// failed their invariant check); their files were renamed aside with a
   /// ".quarantine" suffix. The forest stays queryable on the remaining
-  /// trees; RebuildQuarantined() restores the rest from base data.
+  /// trees; RebuildQuarantined() packs the rest again from their views'
+  /// full contents, which CubetreeEngine::Repair derives from the
+  /// surviving views, or from the facts where none covers a lost one.
   std::vector<size_t> quarantined_trees;
   /// The views those trees materialized (unavailable until rebuilt).
   std::vector<uint32_t> quarantined_views;
@@ -332,9 +334,9 @@ class CubetreeForest {
   Status Compact() EXCLUDES(refresh_mu_);
 
   /// Rebuilds every quarantined tree from scratch: `provider` must supply
-  /// the full current contents of each affected view (base data, not a
-  /// delta). New generations are built beside the quarantined files, the
-  /// manifest is swapped durably, and the ".quarantine" files are removed.
+  /// the full current contents of each affected view (not a delta). New
+  /// generations are built beside the quarantined files, the manifest is
+  /// swapped durably, and the ".quarantine" files are removed.
   Status RebuildQuarantined(ViewDataProvider* provider)
       EXCLUDES(refresh_mu_);
 

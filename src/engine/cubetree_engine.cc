@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,34 +66,44 @@ obs::QueryOutcome OutcomeOf(const Status& status,
   return obs::QueryOutcome::kError;
 }
 
-/// ViewDataProvider over per-view record buffers derived in memory ahead of
-/// the rebuild (from healthy replicas / superset views), already sorted in
-/// pack order.
-class ReplicaRepairProvider : public CubetreeForest::ViewDataProvider {
+/// The records of one view of a pinned generation, for a repair: the
+/// view's leaf run in the main tree and then in each pending delta tree,
+/// from the sequential leaf scan, which decodes uncompressed leaves too.
+/// Keys ascend within each tree's run and repeat across the trees.
+class ViewLeafStream final : public RecordStream {
  public:
-  void Add(uint32_t view_id, std::vector<char> buffer, size_t record_size) {
-    buffers_[view_id] = {std::move(buffer), record_size};
-  }
+  ViewLeafStream(std::vector<PackedRTree*> trees, const ViewDef& view)
+      : trees_(std::move(trees)), view_id_(view.id), arity_(view.arity()) {}
 
-  Result<std::unique_ptr<RecordStream>> OpenViewStream(
-      const ViewDef& view) override {
-    auto it = buffers_.find(view.id);
-    if (it == buffers_.end()) {
-      return Status::NotFound("replica repair: no derived data for view " +
-                              std::to_string(view.id));
+  Status Next(const char** record) override {
+    while (tree_ < trees_.size()) {
+      if (!scanner_.has_value()) scanner_.emplace(trees_[tree_]->ScanAll());
+      const PointRecord* point = nullptr;
+      CT_RETURN_NOT_OK(scanner_->Next(&point));
+      if (point != nullptr && point->view_id == view_id_) {
+        in_run_ = true;
+        EncodeViewRecord(record_, point->coords, arity_, point->agg);
+        *record = record_;
+        return Status::OK();
+      }
+      if (point == nullptr || in_run_) {  // This tree's run is over.
+        scanner_.reset();
+        in_run_ = false;
+        ++tree_;
+      }
     }
-    return std::unique_ptr<RecordStream>(std::make_unique<MemoryRecordStream>(
-        it->second.first, it->second.second));
-  }
-
-  uint64_t EstimatedInputBytes() const override {
-    uint64_t total = 0;
-    for (const auto& [id, buffer] : buffers_) total += buffer.first.size();
-    return total;
+    *record = nullptr;
+    return Status::OK();
   }
 
  private:
-  std::map<uint32_t, std::pair<std::vector<char>, size_t>> buffers_;
+  std::vector<PackedRTree*> trees_;
+  uint32_t view_id_;
+  uint8_t arity_;
+  size_t tree_ = 0;
+  std::optional<PackedRTree::Scanner> scanner_;
+  bool in_run_ = false;
+  char record_[ViewRecordBytes(kMaxDims)];
 };
 
 /// The forest options Load and Recover open the forest with.
@@ -127,112 +138,56 @@ Result<std::unique_ptr<CubetreeEngine>> CubetreeEngine::Recover(
   // Row counts were derived from the spools at load time; after a crash
   // the spools are gone, so re-derive them from the trees themselves.
   CT_ASSIGN_OR_RETURN(
-      engine->view_rows_,
+      const auto counts,
       engine->forest_->AcquireSnapshot().CountPointsPerView());
+  for (const auto& [view_id, rows] : counts) engine->view_rows_[view_id] = rows;
   return engine;
 }
 
-Status CubetreeEngine::RebuildQuarantined(ComputedViews* data) {
-  CT_RETURN_NOT_OK(CheckLoaded());
-  CT_RETURN_NOT_OK(forest_->RebuildQuarantined(data));
-  CT_ASSIGN_OR_RETURN(view_rows_,
-                      forest_->AcquireSnapshot().CountPointsPerView());
-  return Status::OK();
-}
-
-Status CubetreeEngine::RepairFromReplicas() {
+Status CubetreeEngine::Repair(FactProvider* facts,
+                              const CubeBuilder::Options& build) {
   CT_RETURN_NOT_OK(CheckLoaded());
   ForestSnapshot snapshot = forest_->AcquireSnapshot();
   if (!snapshot.valid() || !snapshot.HasQuarantine()) return Status::OK();
-  obs::Span repair_span("repair.replicas");
-  const std::vector<ViewDef>& views = forest_->views();
-  ReplicaRepairProvider provider;
-  size_t repaired_views = 0;
-  for (const ViewDef& view : views) {
-    if (!snapshot.IsViewQuarantined(view.id)) continue;
-    // Source selection mirrors routing: the cheapest healthy view whose
-    // attribute set covers the lost view's — a same-set replica rebuilds
-    // 1:1, a superset re-aggregates down.
-    const ViewDef* source = nullptr;
-    uint64_t source_rows = 0;
-    for (const ViewDef& cand : views) {
-      if (cand.id == view.id || snapshot.IsViewQuarantined(cand.id)) continue;
-      if (!cand.Covers(view.AttrMask())) continue;
-      auto it = view_rows_.find(cand.id);
-      const uint64_t rows =
-          it == view_rows_.end() ? UINT64_MAX : std::max<uint64_t>(it->second, 1);
-      if (source == nullptr || rows < source_rows) {
-        source = &cand;
-        source_rows = rows;
-      }
+  obs::Span repair_span("repair");
+  std::vector<ViewDef> lost;
+  std::vector<MaterializedView> healthy;
+  for (const ViewDef& view : forest_->views()) {
+    if (snapshot.IsViewQuarantined(view.id)) {
+      lost.push_back(view);
+      continue;
     }
-    if (source == nullptr) {
-      return Status::Unavailable("replica repair: no healthy view covers " +
-                                 view.Name(schema_));
-    }
-    // Position of each of the lost view's attrs inside the source's
-    // projection list, for coordinate remapping.
-    std::vector<size_t> pos(view.attrs.size(), 0);
-    for (size_t i = 0; i < view.attrs.size(); ++i) {
-      for (size_t j = 0; j < source->attrs.size(); ++j) {
-        if (source->attrs[j] == view.attrs[i]) {
-          pos[i] = j;
-          break;
-        }
-      }
-    }
-    // Full-box scan of the source, re-aggregated into the lost view's
-    // groups. The map's comparator IS pack order (last attr most
-    // significant), so iteration yields records already sorted for the
-    // bulk rebuild. Merge is required twice over: a superset view folds
-    // many source tuples into one group, and QueryBox emits a key once per
-    // tree (main + each pending delta).
-    const uint8_t arity = view.arity();
-    auto pack_less = [arity](const std::vector<Coord>& a,
-                             const std::vector<Coord>& b) {
-      for (size_t i = arity; i > 0; --i) {
-        if (a[i - 1] != b[i - 1]) return a[i - 1] < b[i - 1];
-      }
-      return false;
-    };
-    std::map<std::vector<Coord>, AggValue, decltype(pack_less)> groups(
-        pack_less);
-    std::vector<std::pair<Coord, Coord>> intervals(source->arity(),
-                                                   {1, kCoordMax});
-    CT_ASSIGN_OR_RETURN(Cubetree * tree, snapshot.TreeForView(source->id));
-    std::vector<Coord> key(view.attrs.size());
-    Status merged;
-    CT_RETURN_NOT_OK(tree->QueryBox(
-        source->id, intervals,
-        [&](const Coord* coords, const AggValue& agg) {
-          for (size_t i = 0; i < pos.size(); ++i) key[i] = coords[pos[i]];
-          if (merged.ok()) {
-            merged = MergeViewAggregate(view.id, agg, &groups[key]);
-          }
-        }));
-    CT_RETURN_NOT_OK(merged);
-    const size_t record_size = ViewRecordBytes(arity);
-    std::vector<char> buffer(groups.size() * record_size);
-    size_t off = 0;
-    for (const auto& [group_key, agg] : groups) {
-      EncodeViewRecord(buffer.data() + off, group_key.data(), arity, agg);
-      off += record_size;
-    }
-    provider.Add(view.id, std::move(buffer), record_size);
-    ++repaired_views;
+    // The snapshot pins the tree until the rebuild's input is computed.
+    CT_ASSIGN_OR_RETURN(Cubetree * tree, snapshot.TreeForView(view.id));
+    healthy.push_back(MaterializedView{
+        view, view_rows_.at(view.id).load(),
+        [tree, view]() -> Result<std::unique_ptr<RecordStream>> {
+          return std::unique_ptr<RecordStream>(
+              std::make_unique<ViewLeafStream>(tree->main_and_deltas(), view));
+        }});
   }
+  CubeBuilder builder(schema_, build);
+  CT_ASSIGN_OR_RETURN(
+      auto computed,
+      builder.ComputeAll(lost, facts, "repair" + std::to_string(repairs_++),
+                         healthy));
   if (repair_span.active()) {
-    repair_span.Annotate("views", static_cast<uint64_t>(repaired_views));
+    repair_span.Annotate("views", static_cast<uint64_t>(lost.size()));
+    repair_span.Annotate("fact_views", builder.fact_views());
   }
   // Drop the pin before the rebuild publishes new generations, so the
   // quarantined files it retires can be reclaimed promptly.
   snapshot.Release();
-  CT_RETURN_NOT_OK(forest_->RebuildQuarantined(&provider));
-  CT_ASSIGN_OR_RETURN(view_rows_,
-                      forest_->AcquireSnapshot().CountPointsPerView());
-  static obs::Counter* const repairs =
-      obs::MetricsRegistry::Instance().GetCounter("engine.replica_repairs");
-  repairs->Increment();
+  CT_RETURN_NOT_OK(forest_->RebuildQuarantined(computed.get()));
+  for (const ViewDef& view : lost) {
+    CT_ASSIGN_OR_RETURN(const uint64_t rows, computed->row_count(view.id));
+    view_rows_.at(view.id) = rows;
+  }
+  if (builder.fact_views() == 0) {  // From replicas and supersets alone.
+    obs::MetricsRegistry::Instance()
+        .GetCounter("engine.replica_repairs")
+        ->Increment();
+  }
   return Status::OK();
 }
 
@@ -460,7 +415,7 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(
         exact_family_primary = std::min(exact_family_primary, view.id);
       }
       auto it = view_rows_.find(view.id);
-      const uint64_t rows = it == view_rows_.end() ? 1 : it->second;
+      const uint64_t rows = it == view_rows_.end() ? 1 : it->second.load();
       const double cost = EstimateCost(schema_, view, query, rows);
       if (best == nullptr || cost < route.estimated_cost) {
         best = &view;

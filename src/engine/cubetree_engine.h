@@ -1,6 +1,8 @@
 #ifndef CUBETREE_ENGINE_CUBETREE_ENGINE_H_
 #define CUBETREE_ENGINE_CUBETREE_ENGINE_H_
 
+#include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +28,10 @@ namespace cubetree {
 /// refused up front with a retriable StorageFull naming the shortfall,
 /// after the forest's reclaim sweep, while queries keep serving the
 /// published generation. The engine keeps no disk-space state of its own.
+///
+/// A tree quarantined for corruption (by read-repair, the scrubber or
+/// recovery) is out of service until Repair derives its views again,
+/// through the cube builder the load uses.
 class CubetreeEngine : public ViewStore {
  public:
   struct Options {
@@ -44,26 +50,22 @@ class CubetreeEngine : public ViewStore {
   /// CubetreeForest::Recover and re-derives the router's per-view row
   /// counts by scanning the surviving trees. Views whose tree was
   /// quarantined are skipped by the router (queries fall back to a
-  /// covering superset view when one survives) until RebuildQuarantined
-  /// restores them.
+  /// covering superset view when one survives) until Repair restores them.
   static Result<std::unique_ptr<CubetreeEngine>> Recover(
       const CubeSchema& schema, Options options, BufferPool* pool,
       ForestRecoveryReport* report = nullptr);
 
-  /// Rebuilds every quarantined tree from recomputed view contents (the
-  /// same spool set Load consumes) and refreshes the router statistics.
-  Status RebuildQuarantined(ComputedViews* data);
-
-  /// Rebuilds every quarantined tree from the surviving healthy views
-  /// instead of recomputed base data: each quarantined view is re-derived
-  /// by scanning the cheapest healthy covering view (typically its sort
-  /// order replica — same tuples, different physical order — or a superset
-  /// view re-aggregated down). No access to the fact table is needed, so
-  /// this is the fast path after a corruption quarantine. Unavailable when
-  /// some quarantined view has no healthy covering source; the forest is
-  /// left unchanged in that case and the caller falls back to
-  /// RebuildQuarantined with recomputed base data.
-  Status RepairFromReplicas();
+  /// Rebuilds every quarantined tree (OK at once when none is), computing
+  /// its views with CubeBuilder::ComputeAll under `build`, the options the
+  /// caller loads with. The builder is offered the pinned generation's
+  /// healthy views as materialized parents, read by a leaf scan of their
+  /// main and delta trees and ranked by the router's row counts, so each
+  /// lost view comes from the cheapest covering view — a replica, or a
+  /// superset aggregated down — and from `facts` (everything the forest
+  /// has absorbed) only when none covers it. With `facts` null that is
+  /// Unavailable before any I/O, and the forest is left unchanged. The
+  /// rebuilt views' spool record counts become their router rows.
+  Status Repair(FactProvider* facts, const CubeBuilder::Options& build);
 
   /// Plans and bulk-builds the forest from the computed view spools.
   /// `views` must include any replicas, and `data` must have spools for all
@@ -141,7 +143,10 @@ class CubetreeEngine : public ViewStore {
   Options options_;
   BufferPool* pool_;
   std::unique_ptr<CubetreeForest> forest_;
-  std::map<uint32_t, uint64_t> view_rows_;
+  /// The router's row count per view: keys fixed by Load or Recover,
+  /// counts atomic because a repair updates them while queries route.
+  std::map<uint32_t, std::atomic<uint64_t>> view_rows_;
+  std::atomic<uint64_t> repairs_{0};  // Keeps repairs' spool names apart.
 };
 
 }  // namespace cubetree

@@ -101,14 +101,19 @@ Status Warehouse::Init() {
   return Status::OK();
 }
 
-Result<std::unique_ptr<ComputedViews>> Warehouse::Compute(
-    const std::vector<ViewDef>& views, FactProvider* facts,
-    const std::string& tag, const std::shared_ptr<IoStats>& io) {
+CubeBuilder::Options Warehouse::BuilderOptions(
+    const std::shared_ptr<IoStats>& io) const {
   CubeBuilder::Options builder_options;
   builder_options.temp_dir = options_.dir;
   builder_options.sort_budget_bytes = options_.sort_budget_bytes;
   builder_options.io_stats = io;
-  CubeBuilder builder(schema_, builder_options);
+  return builder_options;
+}
+
+Result<std::unique_ptr<ComputedViews>> Warehouse::Compute(
+    const std::vector<ViewDef>& views, FactProvider* facts,
+    const std::string& tag, const std::shared_ptr<IoStats>& io) {
+  CubeBuilder builder(schema_, BuilderOptions(io));
   return builder.ComputeAll(views, facts, tag);
 }
 
@@ -190,26 +195,12 @@ Result<PhaseReport> Warehouse::RecoverCubetrees(uint32_t increments_applied,
   CT_ASSIGN_OR_RETURN(cubetree_,
                       CubetreeEngine::Recover(schema_, CubetreeOptions(),
                                               cbt_pool_.get(), report));
-  if (cubetree_->forest()->AcquireSnapshot().HasQuarantine()) {
-    // Fast path first: re-derive the lost views from surviving replicas /
-    // superset views — no fact-table recomputation. Falls through to the
-    // base-data rebuild when no healthy covering source survives.
-    Status replica_repair = cubetree_->RepairFromReplicas();
-    if (!replica_repair.ok() && !replica_repair.IsUnavailable()) {
-      return replica_repair;
-    }
-  }
-  if (cubetree_->forest()->AcquireSnapshot().HasQuarantine()) {
-    // Rebuild the lost views from base data: recompute their contents over
-    // everything the forest had absorbed before the crash.
-    auto facts = increments_applied == 0
-                     ? generator_->BaseFacts()
-                     : generator_->FactsThroughIncrement(
-                           options_.increment_fraction, increments_applied);
-    CT_ASSIGN_OR_RETURN(auto data, Compute(cubetree_views_, facts.get(),
-                                           "cbt_rebuild", cbt_io_));
-    CT_RETURN_NOT_OK(cubetree_->RebuildQuarantined(data.get()));
-  }
+  // The facts are read only for a lost view no surviving view covers.
+  auto facts = increments_applied == 0
+                   ? generator_->BaseFacts()
+                   : generator_->FactsThroughIncrement(
+                         options_.increment_fraction, increments_applied);
+  CT_RETURN_NOT_OK(cubetree_->Repair(facts.get(), BuilderOptions(cbt_io_)));
   return FinishPhase("cubetree recovery", timer.ElapsedSeconds(), before,
                      cbt_io_);
 }

@@ -105,9 +105,10 @@ class Warehouse {
 
   /// Reopens a previously persisted Cubetree configuration after an
   /// unclean shutdown (crash-consistent recovery instead of a fresh
-  /// load). Quarantined trees are rebuilt from base data recomputed over
-  /// base plus the first `increments_applied` increments — the state the
-  /// forest held before the crash.
+  /// load), then repairs any quarantined tree: from the surviving views
+  /// where they cover the lost ones, else from base plus the first
+  /// `increments_applied` increments — the facts the forest held before
+  /// the crash.
   Result<PhaseReport> RecoverCubetrees(uint32_t increments_applied = 0,
                                        ForestRecoveryReport* report =
                                            nullptr);
@@ -137,6 +138,11 @@ class Warehouse {
   SliceQueryGenerator MakeQueryGenerator(uint64_t seed) const {
     return SliceQueryGenerator(schema_, seed);
   }
+
+  /// The cube builder options of the configuration accounted to `io`; with
+  /// cubetree_io(), those of the Cubetree load, refreshes and repairs.
+  CubeBuilder::Options BuilderOptions(
+      const std::shared_ptr<IoStats>& io) const;
 
   const std::shared_ptr<IoStats>& conventional_io() const { return conv_io_; }
   const std::shared_ptr<IoStats>& cubetree_io() const { return cbt_io_; }

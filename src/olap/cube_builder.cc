@@ -71,11 +71,25 @@ bool IsSuffixProjection(const ViewDef& child, const ViewDef& parent) {
 
 Result<std::unique_ptr<ComputedViews>> CubeBuilder::ComputeAll(
     const std::vector<ViewDef>& views, FactProvider* facts,
-    const std::string& tag) {
-  auto out = std::make_unique<ComputedViews>();
-  out->views_ = views;
+    const std::string& tag, const std::vector<MaterializedView>& materialized) {
   pipelined_views_ = 0;
   sorted_views_ = 0;
+  fact_views_ = 0;
+  for (const ViewDef& view : views) {
+    // Covering is transitive: without the facts, a view is computable
+    // exactly when a materialized view covers it.
+    auto covers = [&](const MaterializedView& m) {
+      return m.view.id != view.id && m.view.Covers(view.AttrMask());
+    };
+    if (facts == nullptr &&
+        std::none_of(materialized.begin(), materialized.end(), covers)) {
+      return Status::Unavailable("cube builder: no fact provider, and no "
+                                 "materialized view covers " +
+                                 view.Name(*schema_));
+    }
+  }
+  auto out = std::make_unique<ComputedViews>();
+  out->views_ = views;
 
   // Compute in descending arity so every view's potential parents (strict
   // or same-set supersets, e.g. a replica's original) are ready first.
@@ -87,10 +101,12 @@ Result<std::unique_ptr<ComputedViews>> CubeBuilder::ComputeAll(
                    });
 
   for (const ViewDef* view : order) {
-    // Smallest already-computed parent covering this view's attribute
-    // set; also track the smallest parent whose pack order the child can
-    // reuse without sorting (projection list a suffix of the parent's).
+    // Smallest already-computed or materialized parent covering this
+    // view's attribute set; also track the smallest computed parent whose
+    // pack order the child can reuse without sorting (projection list a
+    // suffix of the parent's).
     const ViewDef* parent = nullptr;
+    const MaterializedView* parent_source = nullptr;
     uint64_t parent_rows = 0;
     const ViewDef* suffix_parent = nullptr;
     uint64_t suffix_rows = 0;
@@ -110,14 +126,24 @@ Result<std::unique_ptr<ComputedViews>> CubeBuilder::ComputeAll(
         suffix_rows = rows;
       }
     }
+    for (const MaterializedView& m : materialized) {
+      if (m.view.id == view->id || !m.view.Covers(view->AttrMask())) continue;
+      if (parent == nullptr || m.rows < parent_rows) {
+        parent = &m.view;
+        parent_source = &m;
+        parent_rows = m.rows;
+      }
+    }
     // Streaming a moderately larger parent beats sorting a smaller one:
     // the pipelined path reads once sequentially, the sorted path reads,
     // spills and merges. 4x is a conservative crossover.
     if (options_.pipelined_aggregation && suffix_parent != nullptr &&
         parent != nullptr && suffix_rows <= 4 * parent_rows) {
       parent = suffix_parent;
+      parent_source = nullptr;
     }
-    CT_RETURN_NOT_OK(ComputeOne(*view, parent, out.get(), facts, tag));
+    CT_RETURN_NOT_OK(
+        ComputeOne(*view, parent, parent_source, out.get(), facts, tag));
   }
   return out;
 }
@@ -125,13 +151,15 @@ Result<std::unique_ptr<ComputedViews>> CubeBuilder::ComputeAll(
 namespace {
 
 /// Streams a child view's (unaggregated) records of arity A projected from
-/// its parent's spool. A view record is its coordinates then the aggregate
-/// payload, so projecting copies A coordinates and the payload verbatim.
-template <size_t A>
+/// its parent's records, which `Reader` yields: a spool's reader, called
+/// directly since that class is final, or any RecordStream. A view record
+/// is its coordinates then the aggregate payload, so projecting copies A
+/// coordinates and the payload verbatim.
+template <size_t A, typename Reader>
 class ProjectingStream {
  public:
-  ProjectingStream(std::unique_ptr<RecordSpool::Reader> reader,
-                   uint8_t parent_arity, const std::vector<size_t>& positions)
+  ProjectingStream(std::unique_ptr<Reader> reader, uint8_t parent_arity,
+                   const std::vector<size_t>& positions)
       : reader_(std::move(reader)),
         payload_offset_(parent_arity * sizeof(Coord)) {
     for (size_t i = 0; i < A; ++i) {
@@ -157,15 +185,27 @@ class ProjectingStream {
   }
 
  private:
-  std::unique_ptr<RecordSpool::Reader> reader_;
+  std::unique_ptr<Reader> reader_;
   size_t coord_offsets_[kMaxDims] = {0};
   size_t payload_offset_;
   char record_[ViewRecordBytes(A)];
 };
 
+/// Adds every record `input` yields to `sorter`.
+template <typename Stream>
+Status AddAll(Stream* input, ExternalSorter* sorter) {
+  const char* record = nullptr;
+  while (true) {
+    CT_RETURN_NOT_OK(input->Next(&record));
+    if (record == nullptr) return Status::OK();
+    CT_RETURN_NOT_OK(sorter->Add(record));
+  }
+}
+
 }  // namespace
 
 Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
+                               const MaterializedView* materialized,
                                ComputedViews* out, FactProvider* facts,
                                const std::string& tag) {
   const uint8_t arity = view.arity();
@@ -193,8 +233,8 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
       positions.push_back(pos);
     }
   }
-  // Pipelined path: the parent's order is the child's pack order.
-  const bool already_sorted = parent != nullptr &&
+  // Pipelined path: the computed parent's order is the child's pack order.
+  const bool already_sorted = parent != nullptr && materialized == nullptr &&
                               options_.pipelined_aggregation &&
                               IsSuffixProjection(view, *parent);
 
@@ -211,25 +251,27 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
   // this view's arity; the combine loop appends straight to the spool.
   CT_RETURN_NOT_OK(DispatchArity(arity, [&](auto a) -> Status {
     constexpr uint8_t A = a;
-    if (parent != nullptr) {
+    if (materialized != nullptr) {
+      CT_ASSIGN_OR_RETURN(std::unique_ptr<RecordStream> stream,
+                          materialized->open());
+      ProjectingStream<A, RecordStream> input(std::move(stream),
+                                              parent->arity(), positions);
+      CT_RETURN_NOT_OK(AddAll(&input, &sorter));
+    } else if (parent != nullptr) {
       CT_ASSIGN_OR_RETURN(RecordSpool * parent_spool, out->spool(parent->id));
       CT_ASSIGN_OR_RETURN(auto reader, parent_spool->NewReader());
-      ProjectingStream<A> input(std::move(reader), parent->arity(),
-                                positions);
+      ProjectingStream<A, RecordSpool::Reader> input(
+          std::move(reader), parent->arity(), positions);
       if (already_sorted) {
         ++pipelined_views_;
         CT_ASSIGN_OR_RETURN(spool, RecordSpool::Create(path, record_bytes,
                                                        options_.io_stats));
         return CombineEqualKeys<A>(&input, view.id, spool.get());
       }
-      const char* rec = nullptr;
-      while (true) {
-        CT_RETURN_NOT_OK(input.Next(&rec));
-        if (rec == nullptr) break;
-        CT_RETURN_NOT_OK(sorter.Add(rec));
-      }
+      CT_RETURN_NOT_OK(AddAll(&input, &sorter));
     } else {
       // No parent: project straight off the fact stream.
+      ++fact_views_;
       CT_ASSIGN_OR_RETURN(auto fact_stream, facts->Open());
       char record[ViewRecordBytes(A)];
       Coord coords[kMaxDims] = {0};

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -95,13 +96,25 @@ class ComputedViews : public CubetreeForest::ViewDataProvider {
   std::map<uint32_t, Entry> entries_;
 };
 
+/// A view materialized outside the builder (a healthy view of a forest)
+/// that ComputeAll may derive children from. `open` streams its
+/// ViewRecordBytes(arity) records in no particular order, a key possibly
+/// more than once, so a child of it is always sorted and combined.
+struct MaterializedView {
+  ViewDef view;
+  uint64_t rows = 0;  // Ranks it among a child's candidate parents.
+  std::function<Result<std::unique_ptr<RecordStream>>()> open;
+};
+
 /// Sort-based computation of a set of aggregate views from the fact table,
 /// following the paper's loading pipeline (Figure 11): each view is
 /// computed from its smallest already-computed parent (the dependency graph
 /// of Figure 10, per [AAD+96]) — or from the fact stream when it has none —
 /// by sorting the parent's tuples in the child's pack order and merging
 /// adjacent groups. The outputs double as the packing inputs, which is why
-/// the paper counts the sort as part of the load, not as overhead.
+/// the paper counts the sort as part of the load, not as overhead. Since
+/// SUM and COUNT are distributive, any covering view is an exact parent,
+/// so a repair derives lost views the same way from the surviving ones.
 class CubeBuilder {
  public:
   struct Options {
@@ -120,27 +133,36 @@ class CubeBuilder {
   CubeBuilder(const CubeSchema& schema, Options options)
       : schema_(&schema), options_(std::move(options)) {}
 
-  /// Computes all `views` (any order, replicas included) from the fact
-  /// provider. Spool files are named after `tag` in temp_dir.
+  /// Computes all `views` (any order, replicas included), each from the
+  /// smallest covering view already computed or in `materialized`, else
+  /// from the fact provider. With `facts` null such a view is Unavailable,
+  /// naming it, before any view is computed. Spool files are named after
+  /// `tag` in temp_dir.
   Result<std::unique_ptr<ComputedViews>> ComputeAll(
       const std::vector<ViewDef>& views, FactProvider* facts,
-      const std::string& tag);
+      const std::string& tag,
+      const std::vector<MaterializedView>& materialized = {});
 
   /// Views of the last ComputeAll that skipped their sort (already in
   /// pack order when projected from their parent).
   uint64_t pipelined_views() const { return pipelined_views_; }
   /// Views of the last ComputeAll that went through a full sort.
   uint64_t sorted_views() const { return sorted_views_; }
+  /// Views of the last ComputeAll computed from the fact stream.
+  uint64_t fact_views() const { return fact_views_; }
 
  private:
+  /// Computes `view` from `parent`, which is `materialized`'s view when
+  /// that is set, else a view of `out`; from the facts when it is null.
   Status ComputeOne(const ViewDef& view, const ViewDef* parent,
-                    ComputedViews* out, FactProvider* facts,
-                    const std::string& tag);
+                    const MaterializedView* materialized, ComputedViews* out,
+                    FactProvider* facts, const std::string& tag);
 
   const CubeSchema* schema_;
   Options options_;
   uint64_t pipelined_views_ = 0;
   uint64_t sorted_views_ = 0;
+  uint64_t fact_views_ = 0;
 };
 
 /// The sort key of view records of `arity`: their coordinates as 4-byte

@@ -1,6 +1,7 @@
 #include "scrub/scrubber.h"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -61,17 +62,28 @@ std::unique_ptr<Scrubber> Scrubber::CreateFromEnv(CubetreeForest* forest,
   return std::make_unique<Scrubber>(forest, options, std::move(repair));
 }
 
-bool Scrubber::TryRepair(uint32_t first_view_id) {
-  if (!repair_) return false;
-  // A refused repair (StorageFull from the preflight on a full volume)
-  // leaves the tree quarantined: wrong answers stay off the wire.
-  const Status repaired = repair_();
-  if (!repaired.ok()) {
-    CT_LOG(Warn) << "scrub: repair failed, view " << first_view_id
-                 << " stays quarantined: " << repaired.ToString();
-    return false;
+void Scrubber::RepairAndCount(std::optional<uint32_t> view_id,
+                              ScrubPassStats* stats) {
+  bool repaired = false;
+  if (repair_) {
+    // A refused repair (StorageFull from the preflight on a full volume)
+    // leaves the tree quarantined: wrong answers stay off the wire.
+    const Status status = repair_();
+    const ForestSnapshot after = forest_->AcquireSnapshot();
+    repaired = status.ok() && !(view_id.has_value()
+                                    ? after.IsViewQuarantined(*view_id)
+                                    : after.HasQuarantine());
+    if (repaired) {
+      CT_LOG(Info) << "scrub: repair put the quarantined tree back in service";
+    } else {
+      CT_LOG(Warn) << "scrub: repair failed, the tree stays quarantined: "
+                   << status.ToString();
+    }
   }
-  return !forest_->AcquireSnapshot().IsViewQuarantined(first_view_id);
+  const ScrubMetrics& m = ScrubMetrics::Get();
+  ++(repaired ? stats->corruptions_repaired : stats->corruptions_unrepairable);
+  (repaired ? m.corruptions_repaired : m.corruptions_unrepairable)
+      ->Increment();
 }
 
 void Scrubber::ScrubFile(const std::string& path, uint32_t first_view_id,
@@ -102,15 +114,7 @@ void Scrubber::ScrubFile(const std::string& path, uint32_t first_view_id,
     CT_LOG(Warn) << "scrub: bad checksum sidecar for " << path << ": "
                  << cs.ToString();
     auto q = forest_->QuarantineForCorruption(first_view_id, path, cs);
-    if (!q.ok() || !q.value()) return;
-    const bool repaired = TryRepair(first_view_id);
-    if (repaired) {
-      ++stats->corruptions_repaired;
-      m.corruptions_repaired->Increment();
-    } else {
-      ++stats->corruptions_unrepairable;
-      m.corruptions_unrepairable->Increment();
-    }
+    if (q.ok() && q.value()) RepairAndCount(first_view_id, stats);
     return;
   }
 
@@ -158,16 +162,7 @@ void Scrubber::ScrubFile(const std::string& path, uint32_t first_view_id,
       CT_LOG(Warn) << "scrub: quarantine failed: " << q.status().ToString();
       return;
     }
-    if (q.value()) {
-      const bool repaired = TryRepair(first_view_id);
-      if (repaired) {
-        ++stats->corruptions_repaired;
-        m.corruptions_repaired->Increment();
-      } else {
-        ++stats->corruptions_unrepairable;
-        m.corruptions_unrepairable->Increment();
-      }
-    }
+    if (q.value()) RepairAndCount(first_view_id, stats);
     // One finding quarantines the whole tree; scanning the rest of the
     // file adds nothing.
     return;
@@ -186,13 +181,19 @@ Status Scrubber::ScrubOnce(ScrubPassStats* stats) {
   if (!snapshot.valid()) {
     return Status::Unavailable("scrub: forest has no published state");
   }
+  // A tree still quarantined (its repair refused on a full volume, or its
+  // damage found by a query or recovery) gets one repair before the scan.
+  if (repair_ && snapshot.HasQuarantine()) {
+    snapshot.Release();
+    RepairAndCount(std::nullopt, stats);
+    snapshot = forest_->AcquireSnapshot();
+  }
 
   for (size_t t = 0; t < snapshot.num_trees(); ++t) {
+    // A quarantined tree (nullptr) has no live files worth scanning.
     Cubetree* tree = snapshot.tree(t);
     if (tree == nullptr || tree->views().empty()) continue;
     const uint32_t view_id = tree->views()[0].id;
-    // A tree already quarantined has no live files worth scanning.
-    if (snapshot.IsViewQuarantined(view_id)) continue;
     for (PackedRTree* rtree : tree->main_and_deltas()) {
       ScrubFile(rtree->path(), view_id, stats);
     }

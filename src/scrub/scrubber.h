@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -35,6 +36,8 @@ struct ScrubPassStats {
   /// not verifiable, so corruption in them is invisible to the scrubber.
   uint64_t files_unverified = 0;
   uint64_t corruptions_found = 0;
+  /// Outcomes of the repairs the pass ran: one per corruption it found and
+  /// quarantined, and one for the trees quarantined before it began.
   uint64_t corruptions_repaired = 0;
   uint64_t corruptions_unrepairable = 0;
 };
@@ -49,13 +52,14 @@ struct ScrubPassStats {
 /// On corruption the affected tree is quarantined through
 /// CubetreeForest::QuarantineForCorruption — passing the exact file path,
 /// so a tree that a refresh already replaced is left alone — and the
-/// optional repair callback (typically CubetreeEngine replica repair) is
-/// invoked to rebuild it. A corruption that remains quarantined after the
-/// callback counts as unrepairable — among them a repair the forest's
-/// disk-space preflight refused because the volume cannot take the new
-/// generation. Detection and quarantine need no space, so reads stay safe
-/// on a full volume; ScrubOnce skips quarantined trees, so such a repair
-/// waits for the next RepairFromReplicas or RebuildQuarantined.
+/// optional repair callback (typically CubetreeEngine::Repair) is invoked
+/// to rebuild it. A corruption that remains quarantined after the callback
+/// counts as unrepairable — among them a repair the forest's disk-space
+/// preflight refused because the volume cannot take the new generation.
+/// Detection and quarantine need no space, so reads stay safe on a full
+/// volume, and a pass that starts with a quarantined tree runs the
+/// callback once before it scans (counted the same way), so a refused
+/// repair is retried every pass until space returns.
 ///
 /// Scrubbing reads bypass the buffer pool on a private PageManager: the
 /// point is to exercise the bytes on disk, not the cache, and pool
@@ -95,9 +99,10 @@ class Scrubber {
 
  private:
   void Run();
-  /// Runs the repair callback; true when the tree holding
-  /// `first_view_id` is back in service.
-  bool TryRepair(uint32_t first_view_id);
+  /// Runs the repair callback, if any, and counts it in `*stats` and the
+  /// metrics as repaired when the tree holding `view_id` (every tree, for
+  /// nullopt) is back in service, else as unrepairable.
+  void RepairAndCount(std::optional<uint32_t> view_id, ScrubPassStats* stats);
   /// Scrubs one data file; `first_view_id` identifies the owning tree for
   /// quarantine. Updates `*stats` in place.
   void ScrubFile(const std::string& path, uint32_t first_view_id,

@@ -49,7 +49,7 @@ std::string CodeList(const CheckReport& report) {
   return out;
 }
 
-// --- CheckReport / InvariantChecker framework ---------------------------
+// --- CheckReport ---------------------------------------------------------
 
 TEST(CheckReportTest, CountsBySeverity) {
   CheckReport report;
@@ -75,29 +75,6 @@ TEST(CheckReportTest, CapsFindingsPerCode) {
   EXPECT_EQ(report.suppressed(), 5u);
   // Suppressed findings still count toward the severity totals.
   EXPECT_EQ(report.errors(), CheckReport::kMaxFindingsPerCode + 6);
-}
-
-TEST(InvariantCheckerTest, RunAllTurnsCheckerFailureIntoFinding) {
-  class FailingChecker : public Checker {
-   public:
-    std::string name() const override { return "failing"; }
-    Status Run(CheckReport*) override {
-      return Status::NotFound("no such file");
-    }
-  };
-  class CleanChecker : public Checker {
-   public:
-    std::string name() const override { return "fine"; }
-    Status Run(CheckReport*) override { return Status::OK(); }
-  };
-  InvariantChecker driver;
-  driver.Add(std::make_unique<FailingChecker>());
-  driver.Add(std::make_unique<CleanChecker>());
-  EXPECT_EQ(driver.num_checkers(), 2u);
-  CheckReport report;
-  ASSERT_OK(driver.RunAll(&report));
-  EXPECT_TRUE(HasCode(report, "check-failed"));
-  EXPECT_EQ(report.errors(), 1u);
 }
 
 // --- RTreeChecker -------------------------------------------------------

@@ -23,12 +23,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -43,6 +47,7 @@
 #include "sort/external_sorter.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_manager.h"
+#include "tests/forest_fixture.h"
 #include "tests/test_util.h"
 
 namespace cubetree {
@@ -86,6 +91,22 @@ uint64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Instance().GetCounter(name)->value();
 }
 
+/// The fact stream over a vector, counting how often it is opened.
+class FactsProvider : public FactProvider {
+ public:
+  explicit FactsProvider(const std::vector<FactTuple>* facts)
+      : facts_(facts) {}
+  Result<std::unique_ptr<FactSource>> Open() override {
+    ++opens;
+    return std::unique_ptr<FactSource>(new VectorFactSource(facts_));
+  }
+
+  int opens = 0;
+
+ private:
+  const std::vector<FactTuple>* facts_;
+};
+
 /// EngineTest's schema/view shape plus the two sort-order replicas, but
 /// every view in its own tree (so quarantining one view's file cannot
 /// collaterally kill its replicas) and a buffer pool smaller than any one
@@ -98,15 +119,7 @@ class CorruptionTest : public ::testing::Test {
   void SetUp() override {
     dir_ = MakeTestDir("corruption");
     schema_ = SmallSchema();
-    Rng rng(47);
-    for (int i = 0; i < 4000; ++i) {
-      FactTuple t;
-      t.attr_values[0] = static_cast<Coord>(1 + rng.Uniform(30));
-      t.attr_values[1] = static_cast<Coord>(1 + rng.Uniform(8));
-      t.attr_values[2] = static_cast<Coord>(1 + rng.Uniform(20));
-      t.measure = static_cast<int64_t>(1 + rng.Uniform(50));
-      facts_.push_back(t);
-    }
+    facts_ = MakeFacts(47, 4000);
     views_ = {
         MakeView(7, {0, 1, 2}), MakeView(3, {0, 1}), MakeView(4, {2}),
         MakeView(2, {1}),       MakeView(1, {0}),    MakeView(0, {}),
@@ -114,15 +127,9 @@ class CorruptionTest : public ::testing::Test {
         MakeView(1001, {2, 0, 1}),  // (c,p,s) replica of the top view.
     };
     pool_ = std::make_unique<BufferPool>(kPoolPages);
-    auto data = Compute(views_, facts_, "base");
     CubetreeEngine::Options options;
-    options.dir = dir_;
     options.one_tree_per_view = true;
-    auto created = CubetreeEngine::Create(schema_, options, pool_.get());
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-    cbt_ = std::move(created).value();
-    ASSERT_OK(cbt_->Load(views_, data.get()));
-    data.reset();
+    LoadEngine(options);
   }
 
   void TearDown() override {
@@ -131,23 +138,57 @@ class CorruptionTest : public ::testing::Test {
     pool_.reset();
   }
 
-  std::unique_ptr<ComputedViews> Compute(const std::vector<ViewDef>& views,
-                                         const std::vector<FactTuple>& facts,
-                                         const std::string& tag) {
+  static std::vector<FactTuple> MakeFacts(uint64_t seed, int n) {
+    Rng rng(seed);
+    std::vector<FactTuple> facts;
+    for (int i = 0; i < n; ++i) {
+      FactTuple t;
+      t.attr_values[0] = static_cast<Coord>(1 + rng.Uniform(30));
+      t.attr_values[1] = static_cast<Coord>(1 + rng.Uniform(8));
+      t.attr_values[2] = static_cast<Coord>(1 + rng.Uniform(20));
+      t.measure = static_cast<int64_t>(1 + rng.Uniform(50));
+      facts.push_back(t);
+    }
+    return facts;
+  }
+
+  /// (Re)creates the engine with `options` in dir_ and loads views_ over
+  /// facts_ into it.
+  void LoadEngine(CubetreeEngine::Options options) {
+    cbt_.reset();
+    options.dir = dir_;
+    auto data = Compute(views_, facts_, "base");
+    auto created = CubetreeEngine::Create(schema_, options, pool_.get());
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    cbt_ = std::move(created).value();
+    ASSERT_OK(cbt_->Load(views_, data.get()));
+  }
+
+  /// The cube builder options the views are loaded, refreshed and
+  /// repaired with.
+  CubeBuilder::Options BuildOptions() const {
     CubeBuilder::Options options;
     options.temp_dir = dir_;
     options.sort_budget_bytes = 1 << 18;
-    CubeBuilder builder(schema_, options);
-    struct Provider : FactProvider {
-      explicit Provider(const std::vector<FactTuple>* f) : facts(f) {}
-      Result<std::unique_ptr<FactSource>> Open() override {
-        return std::unique_ptr<FactSource>(new VectorFactSource(facts));
-      }
-      const std::vector<FactTuple>* facts;
-    } provider(&facts);
+    return options;
+  }
+
+  std::unique_ptr<ComputedViews> Compute(const std::vector<ViewDef>& views,
+                                         const std::vector<FactTuple>& facts,
+                                         const std::string& tag) {
+    CubeBuilder builder(schema_, BuildOptions());
+    FactsProvider provider(&facts);
     auto result = builder.ComputeAll(views, &provider, tag);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
+  }
+
+  /// Takes the tree of `view_id` out of service, as a corrupt read would.
+  void Quarantine(uint32_t view_id) {
+    auto quarantined = cbt_->forest()->QuarantineForCorruption(
+        view_id, "", Status::Corruption("test damage"));
+    ASSERT_TRUE(quarantined.ok()) << quarantined.status().ToString();
+    ASSERT_TRUE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(view_id));
   }
 
   std::string TreePath(uint32_t view_id) {
@@ -205,6 +246,46 @@ class CorruptionTest : public ::testing::Test {
     EXPECT_TRUE(result->SameRowsAs(expected))
         << "plan=" << profile.plan << " got " << result->rows.size()
         << " rows, want " << expected.rows.size();
+  }
+
+  /// Every lattice node's answer, grouped by all of its attributes, and
+  /// every view's stored contents (main and delta trees combined) against
+  /// brute force over the raw facts.
+  void ExpectEveryNodeAndViewMatch() {
+    for (uint32_t mask = 0; mask < 8; ++mask) {
+      SCOPED_TRACE("node " + std::to_string(mask));
+      SliceQuery query;
+      query.node_mask = mask;
+      for (uint32_t attr = 0; attr < 3; ++attr) {
+        if ((mask & (1u << attr)) == 0) continue;
+        query.attrs.push_back(attr);
+        query.bindings.push_back(std::nullopt);
+      }
+      ExpectMatchesReference(query);
+    }
+    const ForestSnapshot snapshot = cbt_->forest()->AcquireSnapshot();
+    for (const ViewDef& view : views_) {
+      SCOPED_TRACE(view.Name(schema_));
+      auto tree = snapshot.TreeForView(view.id);
+      ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+      std::map<std::vector<Coord>, AggValue> stored;
+      ASSERT_OK((*tree)->QueryBox(
+          view.id, std::vector<std::pair<Coord, Coord>>(view.arity(),
+                                                        {1, kCoordMax}),
+          [&](const Coord* coords, const AggValue& agg) {
+            stored[std::vector<Coord>(coords, coords + view.arity())].Merge(
+                agg);
+          }));
+      SliceQuery query;
+      query.node_mask = view.AttrMask();
+      query.attrs = view.attrs;
+      query.bindings.assign(view.arity(), std::nullopt);
+      QueryResult got;
+      for (auto& [key, agg] : stored) got.rows.push_back({key, agg});
+      got.SortRows();
+      EXPECT_TRUE(got.SameRowsAs(Reference(query)))
+          << "stored " << got.rows.size() << " groups";
+    }
   }
 
   std::string dir_;
@@ -278,7 +359,7 @@ TEST_F(CorruptionTest, RepairFromReplicasRestoresQuarantinedView) {
     ASSERT_TRUE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(view_id));
 
     const uint64_t repairs_before = CounterValue("engine.replica_repairs");
-    ASSERT_OK(cbt_->RepairFromReplicas());
+    ASSERT_OK(cbt_->Repair(nullptr, BuildOptions()));
     EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(view_id));
     EXPECT_GT(CounterValue("engine.replica_repairs"), repairs_before);
 
@@ -299,16 +380,16 @@ TEST_F(CorruptionTest, RepairUnavailableWithoutSourceFallsBackToBaseData) {
   ASSERT_TRUE(!result.ok() && result.status().IsCorruption())
       << result.status().ToString();
 
-  // All three {0,1,2} views are quarantined and none can cover another:
-  // the replica fast path must refuse (leaving the forest unchanged), and
-  // the base-data rebuild — the warehouse recovery fallback — restores it.
-  Status replica_repair = cbt_->RepairFromReplicas();
+  // All three {0,1,2} views are quarantined and no healthy view covers
+  // them: without a fact provider the repair must refuse (leaving the
+  // forest unchanged), and with one — as warehouse recovery passes — it
+  // restores them from the facts.
+  Status replica_repair = cbt_->Repair(nullptr, BuildOptions());
   ASSERT_TRUE(replica_repair.IsUnavailable()) << replica_repair.ToString();
   ASSERT_TRUE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
 
-  auto data = Compute(views_, facts_, "rebuild");
-  ASSERT_OK(cbt_->RebuildQuarantined(data.get()));
-  data.reset();
+  FactsProvider facts(&facts_);
+  ASSERT_OK(cbt_->Repair(&facts, BuildOptions()));
   EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
   ExpectMatchesReference(TopQuery());
 }
@@ -357,16 +438,10 @@ TEST_F(CorruptionTest, SweepPersistentCorruptionNeverReturnsWrongRows) {
 
     // The on-disk files are healthy (corruption was injected on the read
     // path only), but a quarantine decision is deliberately sticky:
-    // restore via the replica path before the next round.
+    // repair — from the replicas, else the facts — before the next round.
     if (cbt_->forest()->AcquireSnapshot().HasQuarantine()) {
-      Status repaired = cbt_->RepairFromReplicas();
-      if (repaired.IsUnavailable()) {
-        auto data = Compute(views_, facts_, "sweep_rebuild");
-        ASSERT_OK(cbt_->RebuildQuarantined(data.get()));
-        data.reset();
-      } else {
-        ASSERT_OK(repaired);
-      }
+      FactsProvider facts(&facts_);
+      ASSERT_OK(cbt_->Repair(&facts, BuildOptions()));
       ASSERT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine())
           << "hit " << hit;
     }
@@ -396,7 +471,7 @@ TEST_F(CorruptionTest, ScrubberDrivesReplicaRepairEndToEnd) {
   CorruptAllDataPages(TreePath(7));
   ScrubOptions options;
   Scrubber scrubber(cbt_->forest(), options,
-                    [this] { return cbt_->RepairFromReplicas(); });
+                    [this] { return cbt_->Repair(nullptr, BuildOptions()); });
   ScrubPassStats stats;
   ASSERT_OK(scrubber.ScrubOnce(&stats));
   EXPECT_EQ(stats.corruptions_found, 1u);  // Scan stops at first finding.
@@ -410,6 +485,118 @@ TEST_F(CorruptionTest, ScrubberDrivesReplicaRepairEndToEnd) {
   ASSERT_OK(scrubber.ScrubOnce(&clean));
   EXPECT_EQ(clean.corruptions_found, 0u);
   EXPECT_EQ(clean.files_unverified, 0u);
+}
+
+TEST_F(CorruptionTest, RepairCombinesSourceKeysAcrossPendingDeltaTrees) {
+  // A partial refresh leaves every tree a delta tree, so a source view's
+  // keys repeat across its main and delta trees and must be combined.
+  const std::vector<FactTuple> delta_facts = MakeFacts(48, 1500);
+  auto delta = Compute(views_, delta_facts, "delta");
+  ASSERT_OK(cbt_->ApplyDeltaPartial(delta.get()));
+  delta.reset();
+  facts_.insert(facts_.end(), delta_facts.begin(), delta_facts.end());
+  ASSERT_GT(cbt_->forest()->AcquireSnapshot().TotalDeltas(), 0u);
+
+  Quarantine(7);
+  Quarantine(3);
+  Quarantine(0);
+  ASSERT_OK(cbt_->Repair(nullptr, BuildOptions()));
+  EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
+  ExpectEveryNodeAndViewMatch();
+}
+
+TEST_F(CorruptionTest, RepairReadsUncompressedLeaves) {
+  // Without leaf compression a tree stores every entry at its own
+  // dimensionality. The lost {suppkey} view's cheapest healthy cover is
+  // the {partkey, suppkey} view in a three-dimensional tree, whose entries
+  // the repair narrows back to two coordinates.
+  CubetreeEngine::Options options;
+  options.name = "uncompressed";
+  options.rtree.compress_leaves = false;
+  LoadEngine(options);
+  std::vector<ViewDef> lost;
+  {
+    const ForestSnapshot snapshot = cbt_->forest()->AcquireSnapshot();
+    ASSERT_OK_AND_ASSIGN(Cubetree * lost_tree, snapshot.TreeForView(2));
+    ASSERT_OK_AND_ASSIGN(Cubetree * source, snapshot.TreeForView(3));
+    ASSERT_NE(lost_tree, source);
+    ASSERT_EQ(source->dims(), 3);
+    lost = lost_tree->views();
+  }
+  for (const ViewDef& view : lost) Quarantine(view.id);
+  ASSERT_OK(cbt_->Repair(nullptr, BuildOptions()));
+  EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
+  ExpectEveryNodeAndViewMatch();
+}
+
+TEST_F(CorruptionTest, RepairDerivesFromReplicasAndFactsInOneCall) {
+  // No healthy view covers the top node, so one of its three views comes
+  // from the facts and the other two from it; the lost {partkey} view
+  // comes from the healthy {partkey, suppkey} superset.
+  Quarantine(7);
+  Quarantine(1000);
+  Quarantine(1001);
+  Quarantine(1);
+  FactsProvider facts(&facts_);
+  ASSERT_OK(cbt_->Repair(&facts, BuildOptions()));
+  EXPECT_EQ(facts.opens, 1);
+  EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
+  ExpectEveryNodeAndViewMatch();
+}
+
+TEST_F(CorruptionTest, RepairWithoutFactsRefusesUncoveredViewUpFront) {
+  Quarantine(7);
+  Quarantine(1000);
+  Quarantine(1001);
+  const uint64_t epoch = cbt_->forest()->AcquireSnapshot().epoch();
+  const std::set<std::string> files = ListFiles(dir_);
+
+  const Status refused = cbt_->Repair(nullptr, BuildOptions());
+  ASSERT_TRUE(refused.IsUnavailable()) << refused.ToString();
+  EXPECT_NE(refused.ToString().find(views_[0].Name(schema_)),
+            std::string::npos)
+      << refused.ToString();
+  EXPECT_EQ(cbt_->forest()->AcquireSnapshot().epoch(), epoch);
+  EXPECT_EQ(ListFiles(dir_), files);
+  for (const uint32_t view_id : {7u, 1000u, 1001u}) {
+    EXPECT_TRUE(cbt_->forest()->AcquireSnapshot().IsViewQuarantined(view_id));
+  }
+  // The healthy views keep answering.
+  SliceQuery ps;
+  ps.node_mask = 0b011;
+  ps.attrs = {0, 1};
+  ps.bindings = {std::nullopt, std::nullopt};
+  ExpectMatchesReference(ps);
+}
+
+TEST_F(CorruptionTest, RepairWhileQueriesRoute) {
+  // Readers route by the router's row counts while a repair on this
+  // thread rebuilds the top view and updates its count.
+  const SliceQuery query = TopQuery();
+  const QueryResult expected = Reference(query);
+  Quarantine(7);
+  std::atomic<bool> done{false};
+  std::atomic<int> attempts{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        auto result = cbt_->Execute(query, nullptr);
+        if (result.ok()) result->SortRows();
+        if (!result.ok() || !result->SameRowsAs(expected)) ++failed;
+        ++attempts;
+      }
+    });
+  }
+  const Status repaired = cbt_->Repair(nullptr, BuildOptions());
+  const int before = attempts.load();
+  while (attempts.load() < before + 20) std::this_thread::yield();
+  done = true;
+  for (std::thread& reader : readers) reader.join();
+  ASSERT_OK(repaired);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
 }
 
 // ---------------------------------------------------------------------------

@@ -186,7 +186,8 @@ TEST_F(EnospcTest, PreflightEstimateCoversWhatEachTransactionWrites) {
                       Status::Corruption("test"))
                   .status());
     ExpectEstimateCovers(options.dir, [&] {
-      return warehouse->cubetrees()->RepairFromReplicas();
+      return warehouse->cubetrees()->Repair(
+          nullptr, warehouse->BuilderOptions(warehouse->cubetree_io()));
     });
   }
 
@@ -537,8 +538,9 @@ TEST_F(EnospcTest, EngineRefusesWritesOnFullVolumeAndKeepsServing) {
                          builder.ComputeAll(views, &provider, "base"));
     ASSERT_OK(engine->Load(views, data.get()));
   }
-  Scrubber scrubber(engine->forest(), ScrubOptions{},
-                    [&engine] { return engine->RepairFromReplicas(); });
+  Scrubber scrubber(engine->forest(), ScrubOptions{}, [&] {
+    return engine->Repair(nullptr, build_options);
+  });
 
   SliceQuery query;
   query.node_mask = 0b001;
@@ -609,10 +611,15 @@ TEST_F(EnospcTest, EngineRefusesWritesOnFullVolumeAndKeepsServing) {
   EXPECT_TRUE(engine->forest()->AcquireSnapshot().IsViewQuarantined(1));
   expect_answers(base_expected, "with the tree quarantined");
 
-  // Space is back: the repair and then the refresh go through, and the
-  // answers are the brute-force sums over base and delta facts.
+  // Space is back: the next scrub pass repairs the tree before it scans,
+  // the refresh then goes through, and the answers are the brute-force
+  // sums over base and delta facts.
   FaultInjector::Instance().DisarmAll();
-  ASSERT_OK(engine->RepairFromReplicas());
+  ASSERT_OK(scrubber.ScrubOnce(&stats));
+  EXPECT_EQ(stats.corruptions_found, 0u);
+  EXPECT_EQ(stats.corruptions_repaired, 1u);
+  EXPECT_EQ(stats.corruptions_unrepairable, 0u);
+  EXPECT_FALSE(engine->forest()->AcquireSnapshot().HasQuarantine());
   ASSERT_OK(engine->ApplyDelta(delta.get()));
   std::vector<FactTuple> all_facts = base_facts;
   all_facts.insert(all_facts.end(), delta_facts.begin(), delta_facts.end());
