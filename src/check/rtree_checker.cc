@@ -207,7 +207,7 @@ bool RTreeChecker::Impl::WalkNode(PageId node_id, uint32_t depth,
             PageContext(path, node_id));
       return false;
     }
-    const size_t entry_bytes = RLeafEntryBytes(arity);
+    const size_t entry_bytes = ViewRecordBytes(arity);
     PointRecord rec;
     char scratch[kPageSize];
     for (uint16_t i = 0; i < count; ++i) {
@@ -217,7 +217,7 @@ bool RTreeChecker::Impl::WalkNode(PageId node_id, uint32_t depth,
         // Compression round-trip: re-encoding the decoded entry must
         // reproduce the on-page bytes exactly (the implicit-zero
         // suppression is lossless).
-        RLeafWriteEntry(scratch, rec.coords, arity, rec.agg);
+        EncodeViewRecord(scratch, rec.coords, arity, rec.agg);
         if (std::memcmp(scratch, src, entry_bytes) != 0) {
           Error("compression-roundtrip",
                 "leaf entry " + std::to_string(i) +
@@ -347,7 +347,7 @@ void RTreeChecker::Impl::CheckLeafScan() {
       if (count > run_max_count) run_max_count = count;
     }
     prev_count = count;
-    const size_t entry_bytes = RLeafEntryBytes(arity);
+    const size_t entry_bytes = ViewRecordBytes(arity);
     for (uint16_t i = 0; i < count; ++i) {
       RLeafReadEntry(page.data + kRNodeHeaderSize + i * entry_bytes, arity,
                      view_id, &rec);

@@ -88,7 +88,7 @@ uint64_t EstimateRefreshBytes(const RTreeOptions& rtree,
       entries = std::min<uint64_t>(entries, rtree.max_leaf_entries);
     }
     const uint64_t record =
-        RLeafEntryBytes(rtree.compress_leaves ? arity : 0);
+        ViewRecordBytes(rtree.compress_leaves ? arity : 0);
     leaf_payload = std::min(leaf_payload, entries * record);
   }
   uint64_t fanout = std::max<uint64_t>(2, RInternalCapacity(kMaxDims));

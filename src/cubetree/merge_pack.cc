@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "cubetree/view_def.h"
-#include "rtree/node.h"
 
 namespace cubetree {
 
@@ -40,7 +39,7 @@ Status ViewStreamSource::NextSpan(uint8_t leaf_arity, const char** records,
   const size_t key_bytes = current.arity * sizeof(Coord);
   const size_t zero_bytes = (leaf_arity - current.arity) * sizeof(Coord);
   const size_t in_bytes = ViewRecordBytes(current.arity);
-  const size_t out_bytes = RLeafEntryBytes(leaf_arity);
+  const size_t out_bytes = ViewRecordBytes(leaf_arity);
   widened_.resize(n * out_bytes);
   for (size_t i = 0; i < n; ++i) {
     const char* src = raw + i * in_bytes;

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/coding.h"
 #include "common/status.h"
 #include "rtree/geometry.h"
 
@@ -54,52 +53,6 @@ struct ViewDef {
 
   bool operator==(const ViewDef&) const = default;
 };
-
-/// Fixed-width on-disk record of one view tuple: arity coordinates followed
-/// by the 12-byte aggregate payload. This is the format of view spools, sort
-/// runs and (identically) compressed Cubetree leaf entries.
-constexpr size_t ViewRecordBytes(uint8_t arity) {
-  return static_cast<size_t>(arity) * sizeof(Coord) + kAggValueBytes;
-}
-
-/// The aggregate payload that follows a view record's coordinates.
-inline void EncodeAggPayload(char* dst, const AggValue& agg) {
-  EncodeFixed64(dst, static_cast<uint64_t>(agg.sum));
-  EncodeFixed32(dst + 8, agg.count);
-}
-
-inline AggValue DecodeAggPayload(const char* src) {
-  return AggValue{static_cast<int64_t>(DecodeFixed64(src)),
-                  DecodeFixed32(src + 8)};
-}
-
-/// `coords` may be null for the arity-0 apex view, which has no key.
-inline void EncodeViewRecord(char* dst, const Coord* coords, uint8_t arity,
-                             const AggValue& agg) {
-  const size_t key_bytes = static_cast<size_t>(arity) * sizeof(Coord);
-  if (key_bytes != 0) std::memcpy(dst, coords, key_bytes);
-  EncodeAggPayload(dst + key_bytes, agg);
-}
-
-inline void DecodeViewRecord(const char* src, uint8_t arity, Coord* coords,
-                             AggValue* agg) {
-  const size_t key_bytes = static_cast<size_t>(arity) * sizeof(Coord);
-  if (key_bytes != 0) std::memcpy(coords, src, key_bytes);
-  *agg = DecodeAggPayload(src + key_bytes);
-}
-
-/// Comparator for view records of one view in pack order: the LAST
-/// projected attribute is the most significant sort key (the paper sorts
-/// R{x,y} in (y, x) order).
-inline int ViewRecordCompare(const char* a, const char* b, uint8_t arity) {
-  for (size_t i = arity; i > 0; --i) {
-    const Coord ca = DecodeFixed32(a + (i - 1) * sizeof(Coord));
-    const Coord cb = DecodeFixed32(b + (i - 1) * sizeof(Coord));
-    if (ca < cb) return -1;
-    if (ca > cb) return 1;
-  }
-  return 0;
-}
 
 }  // namespace cubetree
 

@@ -184,19 +184,19 @@ Status CombineEqualKeys(Stream* input, uint32_t view_id, RecordSpool* spool) {
   if (record == nullptr) return Status::OK();
   char group[kBytes];
   std::memcpy(group, record, kBytes);
-  AggValue agg = DecodeAggPayload(group + kKeyBytes);
+  AggValue agg = ViewRecordAgg(group, A);
   while (true) {
     CT_RETURN_NOT_OK(input->Next(&record));
     if (record != nullptr && std::memcmp(record, group, kKeyBytes) == 0) {
       CT_RETURN_NOT_OK(MergeViewAggregate(
-          view_id, DecodeAggPayload(record + kKeyBytes), &agg));
+          view_id, ViewRecordAgg(record, A), &agg));
       continue;
     }
-    EncodeAggPayload(group + kKeyBytes, agg);
+    SetViewRecordAgg(group, A, agg);
     CT_RETURN_NOT_OK(spool->Append(group));
     if (record == nullptr) return Status::OK();
     std::memcpy(group, record, kBytes);
-    agg = DecodeAggPayload(group + kKeyBytes);
+    agg = ViewRecordAgg(group, A);
   }
 }
 

@@ -2,10 +2,12 @@
 #define CUBETREE_RTREE_GEOMETRY_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <type_traits>
 
 #include "common/assert.h"
+#include "common/coding.h"
 #include "common/status.h"
 
 namespace cubetree {
@@ -169,6 +171,58 @@ inline int PackOrderCompare(const Coord* a, const Coord* b, size_t dims) {
   for (size_t i = dims; i > 0; --i) {
     if (a[i - 1] < b[i - 1]) return -1;
     if (a[i - 1] > b[i - 1]) return 1;
+  }
+  return 0;
+}
+
+// View records. A view tuple is stored as `arity` coordinates followed by
+// the 12-byte aggregate payload (int64 sum, uint32 count), little-endian.
+// Spools, sort runs and compressed leaf entries (rtree/node.h) all hold
+// records in this format, so the packer moves them into leaves as bytes.
+
+constexpr size_t ViewRecordBytes(size_t arity) {
+  return arity * sizeof(Coord) + kAggValueBytes;
+}
+
+/// Coordinate `d` of the record at `record`.
+inline Coord ViewRecordCoord(const char* record, size_t d) {
+  return DecodeFixed32(record + d * sizeof(Coord));
+}
+
+/// The aggregate payload of a record of `arity` coordinates.
+inline AggValue ViewRecordAgg(const char* record, size_t arity) {
+  const char* p = record + arity * sizeof(Coord);
+  return AggValue{static_cast<int64_t>(DecodeFixed64(p)), DecodeFixed32(p + 8)};
+}
+
+inline void SetViewRecordAgg(char* record, size_t arity, const AggValue& agg) {
+  char* p = record + arity * sizeof(Coord);
+  EncodeFixed64(p, static_cast<uint64_t>(agg.sum));
+  EncodeFixed32(p + 8, agg.count);
+}
+
+/// `coords` may be null for the arity-0 apex view, which has no key.
+inline void EncodeViewRecord(char* dst, const Coord* coords, size_t arity,
+                             const AggValue& agg) {
+  if (arity != 0) std::memcpy(dst, coords, arity * sizeof(Coord));
+  SetViewRecordAgg(dst, arity, agg);
+}
+
+inline void DecodeViewRecord(const char* src, size_t arity, Coord* coords,
+                             AggValue* agg) {
+  if (arity != 0) std::memcpy(coords, src, arity * sizeof(Coord));
+  *agg = ViewRecordAgg(src, arity);
+}
+
+/// Pack order of two records of arity A, compared in place: the last
+/// coordinate is the most significant (PackOrderCompare). Returns
+/// negative/zero/positive like memcmp.
+template <size_t A>
+inline int ViewRecordCompare(const char* a, const char* b) {
+  for (size_t i = A; i > 0; --i) {
+    const Coord ca = ViewRecordCoord(a, i - 1);
+    const Coord cb = ViewRecordCoord(b, i - 1);
+    if (ca != cb) return ca < cb ? -1 : 1;
   }
   return 0;
 }

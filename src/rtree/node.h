@@ -18,12 +18,11 @@ namespace cubetree {
 //   [2..3] uint16 entry count
 //   [4..7] uint32 view_id (leaves) / unused (internal)
 //
-// Leaf entries (compressed): arity * 4 bytes of coordinates followed by the
-// 12-byte aggregate payload. Coordinates arity..dims-1 are implicitly zero —
-// this is the paper's leaf compression, legal because packing places each
-// view in its own contiguous run of leaves. A leaf entry has the byte
-// format of a view record (cubetree/view_def.h) of the same arity, so the
-// packer copies spool records and old leaf entries into leaves as bytes.
+// Leaf entries (compressed) are view records (rtree/geometry.h) of the
+// leaf's arity: arity * 4 bytes of coordinates followed by the 12-byte
+// aggregate payload. Coordinates arity..dims-1 are implicitly zero — this
+// is the paper's leaf compression, legal because packing places each view
+// in its own contiguous run of leaves.
 //
 // Internal entries: 2 * dims * 4 bytes MBR (lo then hi) + 4-byte child page.
 
@@ -51,29 +50,17 @@ inline void RNodeSetCount(char* page, uint16_t count) {
   std::memcpy(page + 2, &count, sizeof(count));
 }
 
-constexpr size_t RLeafEntryBytes(uint8_t arity) {
-  return static_cast<size_t>(arity) * sizeof(Coord) + kAggValueBytes;
-}
 inline size_t RInternalEntryBytes(uint8_t dims) {
   return 2 * static_cast<size_t>(dims) * sizeof(Coord) + sizeof(uint32_t);
 }
 
 inline uint16_t RLeafCapacity(uint8_t arity) {
   return static_cast<uint16_t>((kPageSize - kRNodeHeaderSize) /
-                               RLeafEntryBytes(arity));
+                               ViewRecordBytes(arity));
 }
 inline uint16_t RInternalCapacity(uint8_t dims) {
   return static_cast<uint16_t>((kPageSize - kRNodeHeaderSize) /
                                RInternalEntryBytes(dims));
-}
-
-/// Writes one leaf entry at `dest`.
-inline void RLeafWriteEntry(char* dest, const Coord* coords, uint8_t arity,
-                            const AggValue& agg) {
-  std::memcpy(dest, coords, static_cast<size_t>(arity) * sizeof(Coord));
-  char* p = dest + static_cast<size_t>(arity) * sizeof(Coord);
-  EncodeFixed64(p, static_cast<uint64_t>(agg.sum));
-  EncodeFixed32(p + 8, agg.count);
 }
 
 /// Reads one leaf entry from `src` into a full-width point record, zeroing
@@ -81,41 +68,8 @@ inline void RLeafWriteEntry(char* dest, const Coord* coords, uint8_t arity,
 inline void RLeafReadEntry(const char* src, uint8_t arity, uint32_t view_id,
                            PointRecord* out) {
   out->view_id = view_id;
-  std::memcpy(out->coords, src, static_cast<size_t>(arity) * sizeof(Coord));
+  DecodeViewRecord(src, arity, out->coords, &out->agg);
   for (size_t i = arity; i < kMaxDims; ++i) out->coords[i] = 0;
-  const char* p = src + static_cast<size_t>(arity) * sizeof(Coord);
-  out->agg.sum = static_cast<int64_t>(DecodeFixed64(p));
-  out->agg.count = DecodeFixed32(p + 8);
-}
-
-/// Coordinate `d` of the leaf entry at `entry`.
-inline Coord RLeafEntryCoord(const char* entry, size_t d) {
-  return DecodeFixed32(entry + d * sizeof(Coord));
-}
-
-/// Pack order of two leaf entries of arity A, compared in place: the last
-/// coordinate is the most significant (PackOrderCompare). Returns
-/// negative/zero/positive like memcmp.
-template <size_t A>
-inline int RLeafEntryCompare(const char* a, const char* b) {
-  for (size_t i = A; i > 0; --i) {
-    const Coord ca = RLeafEntryCoord(a, i - 1);
-    const Coord cb = RLeafEntryCoord(b, i - 1);
-    if (ca != cb) return ca < cb ? -1 : 1;
-  }
-  return 0;
-}
-
-/// The aggregate payload of a leaf entry of `arity` coordinates.
-inline AggValue RLeafEntryAgg(const char* entry, uint8_t arity) {
-  const char* p = entry + static_cast<size_t>(arity) * sizeof(Coord);
-  return AggValue{static_cast<int64_t>(DecodeFixed64(p)), DecodeFixed32(p + 8)};
-}
-
-inline void RLeafSetEntryAgg(char* entry, uint8_t arity, const AggValue& agg) {
-  char* p = entry + static_cast<size_t>(arity) * sizeof(Coord);
-  EncodeFixed64(p, static_cast<uint64_t>(agg.sum));
-  EncodeFixed32(p + 8, agg.count);
 }
 
 /// Writes one internal entry (MBR + child) at `dest`.

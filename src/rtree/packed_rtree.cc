@@ -13,6 +13,7 @@
 #include "obs/trace.h"
 #include "rtree/node.h"
 #include "storage/checksum.h"
+#include "storage/extent.h"
 
 namespace cubetree {
 
@@ -39,39 +40,6 @@ Status CheckNodeHeader(const char* page, uint8_t dims, PageId id,
                             " of " + path + " claims " +
                             std::to_string(count) + " entries");
 }
-
-/// Pages of one tree on their way to the file: each page is assembled in
-/// place in an extent buffer, and the buffer is appended kExtentPages pages
-/// per write. Ids follow from the single writer: the page being assembled
-/// lands at the file's page count plus the pages buffered before it.
-class ExtentWriter {
- public:
-  explicit ExtentWriter(PageManager* file)
-      : file_(file),
-        pages_(std::make_unique_for_overwrite<Page[]>(kExtentPages)) {}
-
-  char* page() { return pages_[used_].data; }
-  PageId page_id() const {
-    return file_->NumPages() + static_cast<PageId>(used_);
-  }
-
-  /// The page being assembled is complete.
-  Status Commit() {
-    return ++used_ == kExtentPages ? Flush() : Status::OK();
-  }
-
-  Status Flush() {
-    if (used_ == 0) return Status::OK();
-    CT_RETURN_NOT_OK(file_->AppendPages(pages_.get(), used_).status());
-    used_ = 0;
-    return Status::OK();
-  }
-
- private:
-  PageManager* file_;
-  std::unique_ptr<Page[]> pages_;
-  size_t used_ = 0;
-};
 
 struct LevelEntry {
   Rect mbr;
@@ -132,7 +100,7 @@ class LeafPacker {
 template <size_t A>
 Status LeafPacker::PackRun(uint32_t view,
                            const std::vector<ViewRunSource*>& inputs) {
-  constexpr size_t kBytes = RLeafEntryBytes(A);
+  constexpr size_t kBytes = ViewRecordBytes(A);
   view_ = view;
   run_start_ = true;
   leaf_target_ = RLeafCapacity(A);
@@ -158,7 +126,7 @@ Status LeafPacker::PackRun(uint32_t view,
     }
     return Status::OK();
   };
-  char combined[RLeafEntryBytes(kMaxDims)];
+  char combined[ViewRecordBytes(kMaxDims)];
   while (!cursors_.empty()) {
     if (cursors_.size() == 1) {
       CT_RETURN_NOT_OK(Emit<A>(cursors_[0].at, cursors_[0].left));
@@ -169,16 +137,16 @@ Status LeafPacker::PackRun(uint32_t view,
     // smallest larger next key of the others.
     size_t m = 0;
     for (size_t j = 1; j < cursors_.size(); ++j) {
-      if (RLeafEntryCompare<A>(cursors_[j].at, cursors_[m].at) < 0) m = j;
+      if (ViewRecordCompare<A>(cursors_[j].at, cursors_[m].at) < 0) m = j;
     }
     const char* bound = nullptr;
     bool tie = false;
     for (size_t j = 0; j < cursors_.size(); ++j) {
       if (j == m) continue;
-      if (RLeafEntryCompare<A>(cursors_[j].at, cursors_[m].at) == 0) {
+      if (ViewRecordCompare<A>(cursors_[j].at, cursors_[m].at) == 0) {
         tie = true;
       } else if (bound == nullptr ||
-                 RLeafEntryCompare<A>(cursors_[j].at, bound) < 0) {
+                 ViewRecordCompare<A>(cursors_[j].at, bound) < 0) {
         bound = cursors_[j].at;
       }
     }
@@ -187,7 +155,7 @@ Status LeafPacker::PackRun(uint32_t view,
       const Cursor& c = cursors_[m];
       size_t n = 1;
       while (n < c.left &&
-             RLeafEntryCompare<A>(c.at + n * kBytes, bound) < 0) {
+             ViewRecordCompare<A>(c.at + n * kBytes, bound) < 0) {
         ++n;
       }
       CT_RETURN_NOT_OK(Emit<A>(c.at, n));
@@ -197,17 +165,17 @@ Status LeafPacker::PackRun(uint32_t view,
     // Equal keys: input m's record, with every later equal input's
     // aggregate added in input order.
     std::memcpy(combined, cursors_[m].at, kBytes);
-    AggValue agg = RLeafEntryAgg(combined, A);
+    AggValue agg = ViewRecordAgg(combined, A);
     for (size_t j = m + 1; j < cursors_.size(); ++j) {
-      if (RLeafEntryCompare<A>(cursors_[j].at, combined) != 0) continue;
+      if (ViewRecordCompare<A>(cursors_[j].at, combined) != 0) continue;
       CT_RETURN_NOT_OK(
-          MergeViewAggregate(view, RLeafEntryAgg(cursors_[j].at, A), &agg));
+          MergeViewAggregate(view, ViewRecordAgg(cursors_[j].at, A), &agg));
     }
-    RLeafSetEntryAgg(combined, A, agg);
+    SetViewRecordAgg(combined, A, agg);
     CT_RETURN_NOT_OK(Emit<A>(combined, 1));
     // Backwards, so dropping an exhausted cursor keeps the rest in place.
     for (size_t j = cursors_.size(); j-- > m;) {
-      if (j == m || RLeafEntryCompare<A>(cursors_[j].at, combined) == 0) {
+      if (j == m || ViewRecordCompare<A>(cursors_[j].at, combined) == 0) {
         CT_RETURN_NOT_OK(advance(j, 1));
       }
     }
@@ -220,7 +188,7 @@ Status LeafPacker::Emit(const char* records, size_t n) {
   while (n > 0) {
     const size_t take = std::min<size_t>(n, leaf_target_ - in_leaf_);
     CT_RETURN_NOT_OK(Append<A>(records, take));
-    records += take * RLeafEntryBytes(A);
+    records += take * ViewRecordBytes(A);
     n -= take;
     if (in_leaf_ == leaf_target_) CT_RETURN_NOT_OK(FlushLeaf(A));
   }
@@ -229,21 +197,21 @@ Status LeafPacker::Emit(const char* records, size_t n) {
 
 template <size_t A>
 Status LeafPacker::Append(const char* records, size_t n) {
-  constexpr size_t kBytes = RLeafEntryBytes(A);
+  constexpr size_t kBytes = ViewRecordBytes(A);
   char* dest = out_->page() + kRNodeHeaderSize + in_leaf_ * kBytes;
   std::memcpy(dest, records, n * kBytes);
   size_t i = 0;
   if (in_leaf_ == 0) {
     leaf_mbr_ = Rect();
     for (size_t d = 0; d < A; ++d) {
-      leaf_mbr_.lo[d] = leaf_mbr_.hi[d] = RLeafEntryCoord(dest, d);
+      leaf_mbr_.lo[d] = leaf_mbr_.hi[d] = ViewRecordCoord(dest, d);
     }
   }
   if (run_start_) {
     // The first record of a run follows the previous view's last record:
     // compare over all dimensions, both zero beyond their arity.
     Coord first[kMaxDims] = {0};
-    for (size_t d = 0; d < A; ++d) first[d] = RLeafEntryCoord(dest, d);
+    for (size_t d = 0; d < A; ++d) first[d] = ViewRecordCoord(dest, d);
     if (options_.enforce_pack_order && have_prev_ &&
         PackOrderCompare(prev_, first, options_.dims) >= 0) {
       return Status::InvalidArgument(
@@ -261,7 +229,7 @@ Status LeafPacker::Append(const char* records, size_t n) {
     if (options_.enforce_pack_order) {
       int cmp = 0;
       for (size_t d = A; d > 0 && cmp == 0; --d) {
-        const Coord c = RLeafEntryCoord(entry, d - 1);
+        const Coord c = ViewRecordCoord(entry, d - 1);
         if (prev_[d - 1] != c) cmp = prev_[d - 1] < c ? -1 : 1;
       }
       if (cmp >= 0) {
@@ -270,7 +238,7 @@ Status LeafPacker::Append(const char* records, size_t n) {
       }
     }
     for (size_t d = 0; d < A; ++d) {
-      const Coord c = RLeafEntryCoord(entry, d);
+      const Coord c = ViewRecordCoord(entry, d);
       prev_[d] = c;
       leaf_mbr_.lo[d] = std::min(leaf_mbr_.lo[d], c);
       leaf_mbr_.hi[d] = std::max(leaf_mbr_.hi[d], c);
@@ -281,14 +249,12 @@ Status LeafPacker::Append(const char* records, size_t n) {
 }
 
 Status LeafPacker::FlushLeaf(uint8_t arity) {
-  char* page = out_->page();
-  RNodeSetHeader(page, /*is_leaf=*/true, arity, in_leaf_, view_);
-  const size_t used = kRNodeHeaderSize + in_leaf_ * RLeafEntryBytes(arity);
-  std::memset(page + used, 0, kPageSize - used);
+  RNodeSetHeader(out_->page(), /*is_leaf=*/true, arity, in_leaf_, view_);
   level_.push_back(LevelEntry{leaf_mbr_, out_->page_id()});
+  const size_t used = kRNodeHeaderSize + in_leaf_ * ViewRecordBytes(arity);
   num_points_ += in_leaf_;
   in_leaf_ = 0;
-  CT_RETURN_NOT_OK(out_->Commit());
+  CT_RETURN_NOT_OK(out_->Commit(used));
   // A sibling worker's failure dooms this tree: stop within a page.
   if (cancel_ != nullptr && cancel_->cancelled()) {
     return Status::Cancelled(
@@ -413,7 +379,6 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
     while (i < level.size()) {
       const size_t children = std::min<size_t>(fanout, level.size() - i);
       char* node = out.page();
-      std::memset(node, 0, kPageSize);
       RNodeSetHeader(node, /*is_leaf=*/false, options.dims,
                      static_cast<uint16_t>(children), 0);
       Rect mbr = level[i].mbr;
@@ -424,13 +389,14 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Build(
         mbr.ExpandToRect(level[i + c].mbr, options.dims);
       }
       next_level.push_back(LevelEntry{mbr, out.page_id()});
-      CT_RETURN_NOT_OK(out.Commit());
+      CT_RETURN_NOT_OK(out.Commit(kRNodeHeaderSize +
+                                  children * RInternalEntryBytes(options.dims)));
       i += children;
     }
     level.swap(next_level);
     ++height;
   }
-  CT_RETURN_NOT_OK(out.Flush());
+  CT_RETURN_NOT_OK(out.Finish());
   tree->root_ = level.empty() ? kInvalidPageId : level[0].page;
   tree->height_ = height;
 
@@ -537,7 +503,7 @@ Status PackedRTree::ScanLeaf(
   const uint16_t count = RNodeCount(page);
   const uint8_t arity = RNodeArity(page);
   const uint32_t view_id = RNodeViewId(page);
-  const size_t entry_bytes = RLeafEntryBytes(arity);
+  const size_t entry_bytes = ViewRecordBytes(arity);
   PointRecord rec;
   for (uint16_t i = 0; i < count; ++i) {
     RLeafReadEntry(page + kRNodeHeaderSize + i * entry_bytes, arity, view_id,
@@ -598,26 +564,13 @@ Status PackedRTree::Search(
 }
 
 Status PackedRTree::Scanner::NextLeaf(const char** leaf) {
-  if (page_index_ + 1 < extent_pages_) {
-    ++page_index_;
-  } else {
-    const PageId leaves = tree_->num_leaf_pages_;
-    if (next_page_ > leaves) {
-      *leaf = nullptr;
-      return Status::OK();
-    }
-    if (extent_ == nullptr) {
-      extent_ = std::make_unique_for_overwrite<Page[]>(
-          std::min<size_t>(kExtentPages, leaves));
-    }
-    const size_t n = std::min<size_t>(kExtentPages, leaves - next_page_ + 1);
-    // Pages 1..num_leaf_pages are leaves by the packed file layout.
-    CT_RETURN_NOT_OK(tree_->file_->ReadPages(next_page_, n, extent_.get()));
-    next_page_ += static_cast<PageId>(n);
-    extent_pages_ = n;
-    page_index_ = 0;
+  // Pages 1..num_leaf_pages are leaves by the packed file layout.
+  const char* page = nullptr;
+  CT_RETURN_NOT_OK(pages_.Next(&page));
+  if (page == nullptr) {
+    *leaf = nullptr;
+    return Status::OK();
   }
-  const char* page = extent_[page_index_].data;
   if (!RNodeIsLeaf(page)) {
     return Status::Corruption("rtree: page " + std::to_string(leaf_page()) +
                               " in the leaf region of " + tree_->path() +
@@ -645,7 +598,7 @@ Status PackedRTree::Scanner::Next(const PointRecord** record) {
       const char* entry = page + kRNodeHeaderSize;
       for (PointRecord& rec : records_) {
         RLeafReadEntry(entry, A, view_id, &rec);
-        entry += RLeafEntryBytes(A);
+        entry += ViewRecordBytes(A);
       }
     });
   }
@@ -745,7 +698,7 @@ Status PointRunSource::NextSpan(uint8_t leaf_arity, const char** records,
   // leaf arity.
   return DispatchArity(leaf_arity, [&](auto arity_constant) -> Status {
     constexpr uint8_t A = arity_constant;
-    constexpr size_t kBytes = RLeafEntryBytes(A);
+    constexpr size_t kBytes = ViewRecordBytes(A);
     size_t n = 0;
     while (n < kPageSize / kBytes && point_ != nullptr &&
            point_->view_id == run_view_) {
@@ -761,7 +714,7 @@ Status PointRunSource::NextSpan(uint8_t leaf_arity, const char** records,
           }
         }
       }
-      RLeafWriteEntry(buffer_.data() + n * kBytes, point_->coords, A,
+      EncodeViewRecord(buffer_.data() + n * kBytes, point_->coords, A,
                       point_->agg);
       ++n;
       CT_RETURN_NOT_OK(source_->Next(&point_));

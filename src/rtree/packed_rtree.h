@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "rtree/geometry.h"
 #include "storage/buffer_pool.h"
+#include "storage/extent.h"
 #include "storage/page_manager.h"
 
 namespace cubetree {
@@ -44,8 +45,8 @@ using ViewArityFn = std::function<std::optional<uint8_t>(uint32_t)>;
 /// views, each view's records in one run, a span of encoded leaf entries at
 /// a time. Within a run the records ascend in pack order; across an input,
 /// runs come in ascending view arity. Spools, sort output and the leaves of
-/// an existing tree all hold records in exactly the leaf-entry format
-/// (rtree/node.h), so the packer moves them into leaves as bytes.
+/// an existing tree all hold view records (rtree/geometry.h), so the packer
+/// moves them into leaves as bytes.
 class ViewRunSource {
  public:
   virtual ~ViewRunSource() = default;
@@ -186,19 +187,17 @@ class PackedRTree {
     Status Next(const PointRecord** record);
 
     /// Page id of the leaf NextLeaf returned last.
-    PageId leaf_page() const {
-      return next_page_ - static_cast<PageId>(extent_pages_ - page_index_);
-    }
+    PageId leaf_page() const { return pages_.page_id(); }
 
    private:
     friend class PackedRTree;
-    explicit Scanner(PackedRTree* tree) : tree_(tree) {}
+    /// Leaves start right after the meta page.
+    explicit Scanner(PackedRTree* tree)
+        : tree_(tree),
+          pages_(tree->file_.get(), 1, tree->num_leaf_pages_ + 1) {}
 
     PackedRTree* tree_;
-    std::unique_ptr<Page[]> extent_;
-    size_t extent_pages_ = 0;  // Leaves loaded into extent_.
-    size_t page_index_ = 0;    // The current leaf within extent_.
-    PageId next_page_ = 1;     // Leaves start right after the meta page.
+    ExtentReader pages_;
     std::vector<PointRecord> records_;
     size_t slot_ = 0;
   };

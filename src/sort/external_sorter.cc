@@ -8,11 +8,11 @@
 #include <unistd.h>
 
 #include "common/coding.h"
-#include "common/logging.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sort/loser_tree.h"
+#include "sort/spool.h"
 
 namespace cubetree {
 
@@ -32,48 +32,6 @@ struct SorterMetrics {
     }();
     return m;
   }
-};
-
-std::string NextRunPath(const std::string& dir) {
-  static std::atomic<uint64_t> counter{0};
-  return dir + "/ctsort_run_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1)) + ".tmp";
-}
-
-/// Sequential reader over one spilled run file.
-class RunReader {
- public:
-  RunReader(PageManager* file, size_t record_size, uint64_t num_records)
-      : file_(file),
-        record_size_(record_size),
-        remaining_(num_records),
-        per_page_(kPageSize / record_size) {}
-
-  /// Sets *record to the next record or nullptr when the run is exhausted.
-  Status Next(const char** record) {
-    if (remaining_ == 0) {
-      *record = nullptr;
-      return Status::OK();
-    }
-    if (in_page_ == per_page_ || next_page_ == 0) {
-      CT_RETURN_NOT_OK(file_->ReadPage(next_page_, &page_));
-      ++next_page_;
-      in_page_ = 0;
-    }
-    *record = page_.data + in_page_ * record_size_;
-    ++in_page_;
-    --remaining_;
-    return Status::OK();
-  }
-
- private:
-  PageManager* file_;
-  size_t record_size_;
-  uint64_t remaining_;
-  size_t per_page_;
-  Page page_;
-  PageId next_page_ = 0;
-  size_t in_page_ = per_page_;  // Forces a page read on first Next().
 };
 
 /// The value of key field `f` of `record`.
@@ -257,8 +215,8 @@ class RadixSort {
 /// Loser-tree merge of several runs, copied out a batch at a time.
 class SortedStream::Merge {
  public:
-  Merge(std::vector<RunReader> readers, const std::vector<KeyField>& key,
-        size_t record_size)
+  Merge(std::vector<std::unique_ptr<RecordSpool::Reader>> readers,
+        const std::vector<KeyField>& key, size_t record_size)
       : readers_(std::move(readers)),
         less_(key),
         record_size_(record_size),
@@ -270,7 +228,7 @@ class SortedStream::Merge {
     *count = 0;
     if (!tree_.has_value()) {
       for (size_t i = 0; i < readers_.size(); ++i) {
-        CT_RETURN_NOT_OK(readers_[i].Next(&current_[i]));
+        CT_RETURN_NOT_OK(readers_[i]->Next(&current_[i]));
       }
       tree_.emplace(readers_.size(), PlayerLess{this});
     }
@@ -281,7 +239,7 @@ class SortedStream::Merge {
       if (current_[w] == nullptr) break;  // The winner is exhausted: all are.
       std::memcpy(out + n * record_size_, current_[w], record_size_);
       ++n;
-      CT_RETURN_NOT_OK(readers_[w].Next(&current_[w]));
+      CT_RETURN_NOT_OK(readers_[w]->Next(&current_[w]));
       tree_->Replay();
     }
     *count = n;
@@ -301,7 +259,7 @@ class SortedStream::Merge {
     }
   };
 
-  std::vector<RunReader> readers_;
+  std::vector<std::unique_ptr<RecordSpool::Reader>> readers_;
   KeyLess less_;
   size_t record_size_;
   /// Each run's current record; null once the run is exhausted.
@@ -335,11 +293,10 @@ Status SortedStream::NextBatch() {
 
 ExternalSorter::ExternalSorter(Options options, std::vector<KeyField> key)
     : options_(std::move(options)), key_(std::move(key)) {
-  // Spill and merge lay records out per page as kPageSize / record_size;
-  // a zero or page-exceeding record size would make that quotient 0 and
-  // turn WriteRun's page loop into an out-of-page overrun (and RunReader
-  // likewise). Latch the error here — constructors cannot fail — and
-  // surface it from the first Add/Finish.
+  // Runs lay records out per page as kPageSize / record_size; a zero or
+  // page-exceeding record size would make that quotient 0. Latch the error
+  // here — constructors cannot fail — and surface it from the first
+  // Add/Finish.
   if (options_.record_size == 0 || options_.record_size > kPageSize) {
     init_status_ = Status::InvalidArgument(
         "ExternalSorter: record_size " +
@@ -373,18 +330,8 @@ ExternalSorter::ExternalSorter(Options options, std::vector<KeyField> key)
       options_.memory_budget_bytes);
 }
 
-ExternalSorter::~ExternalSorter() {
-  for (Run& run : runs_) {
-    run.file.reset();
-    // Cannot propagate from a destructor, but a leaked run file should not
-    // vanish silently: temp-dir growth is an operator-visible problem.
-    Status removed = RemoveFileIfExists(run.path);
-    if (!removed.ok()) {
-      CT_LOG(Warn) << "external sorter: leaked run file: "
-                   << removed.ToString();
-    }
-  }
-}
+// Each run's spool removes its file.
+ExternalSorter::~ExternalSorter() = default;
 
 Status ExternalSorter::Add(const char* record) {
   if (finished_) return Status::Internal("ExternalSorter: Add after Finish");
@@ -393,7 +340,7 @@ Status ExternalSorter::Add(const char* record) {
     CT_RETURN_NOT_OK(SpillRun());
     // Keep the number of simultaneously open run files bounded even while
     // records are still arriving.
-    if (runs_.size() >= 2 * std::max<size_t>(2, options_.max_merge_fanin)) {
+    if (runs_.size() >= 2 * kMaxMergeFanin) {
       CT_RETURN_NOT_OK(ReduceRuns());
     }
   }
@@ -431,76 +378,38 @@ Status ExternalSorter::SpillRun() {
   obs::Span spill_span("sort.spill");
   spill_span.Annotate("records", bytes / options_.record_size);
   spill_span.Annotate("bytes", bytes);
-  bool written = false;
-  CT_RETURN_NOT_OK(WriteRun([&](const char** records, size_t* count) {
-    *records = buffer_.get();
-    *count = written ? 0 : buffered_ / options_.record_size;
-    written = true;
-    return Status::OK();
-  }));
+  CT_ASSIGN_OR_RETURN(std::unique_ptr<RecordSpool> run, NewRun());
+  CT_RETURN_NOT_OK(
+      run->Append(buffer_.get(), buffered_ / options_.record_size));
+  CT_RETURN_NOT_OK(run->Seal());
+  runs_.push_back(std::move(run));
   buffered_ = 0;
   SorterMetrics::Get().runs_spilled->Increment();
   SorterMetrics::Get().bytes_spilled->Increment(bytes);
   return Status::OK();
 }
 
-template <typename Next>
-Status ExternalSorter::WriteRun(Next&& next) {
-  const size_t rs = options_.record_size;
-  const size_t per_page = kPageSize / rs;
-  Run run;
-  run.path = NextRunPath(options_.temp_dir);
-  CT_ASSIGN_OR_RETURN(run.file,
-                      PageManager::Create(run.path, options_.io_stats));
-  const auto write_pages = [&]() -> Status {
-    Page page;
-    page.Zero();
-    size_t in_page = 0;
-    while (true) {
-      const char* records = nullptr;
-      size_t count = 0;
-      CT_RETURN_NOT_OK(next(&records, &count));
-      if (count == 0) break;
-      run.records += count;
-      while (count > 0) {
-        const size_t batch = std::min(count, per_page - in_page);
-        std::memcpy(page.data + in_page * rs, records, batch * rs);
-        records += batch * rs;
-        count -= batch;
-        in_page += batch;
-        if (in_page == per_page) {
-          CT_RETURN_NOT_OK(run.file->AppendPage(page).status());
-          page.Zero();
-          in_page = 0;
-        }
-      }
-    }
-    if (in_page > 0) {
-      CT_RETURN_NOT_OK(run.file->AppendPage(page).status());
-    }
-    return Status::OK();
-  };
-  Status wrote = write_pages();
-  if (!wrote.ok()) {
-    // The run joins runs_ only after a complete write, so nothing else
-    // would ever delete this partial file — not even the destructor's
-    // sweep. Remove it now, under the typed error (StorageFull on a full
-    // disk) that the caller sees.
-    run.file.reset();
-    (void)RemoveFileIfExists(run.path);  // Best effort beneath the error.
-    return wrote;
-  }
-  runs_.push_back(std::move(run));
-  return Status::OK();
+Result<std::unique_ptr<RecordSpool>> ExternalSorter::NewRun() const {
+  static std::atomic<uint64_t> counter{0};
+  return RecordSpool::Create(options_.temp_dir + "/ctsort_run_" +
+                                 std::to_string(::getpid()) + "_" +
+                                 std::to_string(counter.fetch_add(1)) +
+                                 ".tmp",
+                             options_.record_size, options_.io_stats);
 }
 
-std::unique_ptr<SortedStream::Merge> ExternalSorter::MergeRuns(
+Result<std::unique_ptr<SortedStream::Merge>> ExternalSorter::MergeRuns(
     size_t begin, size_t end) const {
-  std::vector<RunReader> readers;
+  // The runs' read-ahead together stays within the sort budget: up to
+  // kExtentPages pages per run, and one page when the budget is smaller.
+  const size_t extent_pages = std::clamp<size_t>(
+      options_.memory_budget_bytes / ((end - begin) * kPageSize), 1,
+      kExtentPages);
+  std::vector<std::unique_ptr<RecordSpool::Reader>> readers;
   readers.reserve(end - begin);
   for (size_t i = begin; i < end; ++i) {
-    readers.emplace_back(runs_[i].file.get(), options_.record_size,
-                         runs_[i].records);
+    CT_ASSIGN_OR_RETURN(auto reader, runs_[i]->NewReader(extent_pages));
+    readers.push_back(std::move(reader));
   }
   return std::make_unique<SortedStream::Merge>(std::move(readers), key_,
                                                options_.record_size);
@@ -510,21 +419,23 @@ Status ExternalSorter::MergeRunRange(size_t begin, size_t end) {
   CT_FAULT("sort.merge");
   obs::Span merge_span("sort.merge");
   merge_span.Annotate("runs", static_cast<uint64_t>(end - begin));
-  std::unique_ptr<SortedStream::Merge> merge = MergeRuns(begin, end);
+  CT_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream::Merge> merge,
+                      MergeRuns(begin, end));
+  CT_ASSIGN_OR_RETURN(std::unique_ptr<RecordSpool> run, NewRun());
   // Every buffered record has spilled, so the run buffer carries the
   // merged batches on their way to the new run. A failed write leaves the
   // input runs intact for a retry.
   const size_t batch = BatchRecords();
-  CT_RETURN_NOT_OK(WriteRun([&](const char** records, size_t* count) {
-    *records = buffer_.get();
-    return merge->Fill(buffer_.get(), batch, count);
-  }));
-  // Retire the merged inputs; the combined run is already appended.
-  for (size_t i = begin; i < end; ++i) {
-    runs_[i].file.reset();
-    CT_RETURN_NOT_OK(RemoveFileIfExists(runs_[i].path));
+  while (true) {
+    size_t count = 0;
+    CT_RETURN_NOT_OK(merge->Fill(buffer_.get(), batch, &count));
+    if (count == 0) break;
+    CT_RETURN_NOT_OK(run->Append(buffer_.get(), count));
   }
+  CT_RETURN_NOT_OK(run->Seal());
+  // The merged inputs' spools remove their files.
   runs_.erase(runs_.begin() + begin, runs_.begin() + end);
+  runs_.push_back(std::move(run));
   SorterMetrics::Get().merge_passes->Increment();
   return Status::OK();
 }
@@ -535,9 +446,9 @@ size_t ExternalSorter::BatchRecords() const {
 }
 
 Status ExternalSorter::ReduceRuns() {
-  const size_t fanin = std::max<size_t>(2, options_.max_merge_fanin);
-  while (runs_.size() > fanin) {
-    const size_t batch = std::min(fanin, runs_.size() - fanin + 1);
+  while (runs_.size() > kMaxMergeFanin) {
+    const size_t batch =
+        std::min(kMaxMergeFanin, runs_.size() - kMaxMergeFanin + 1);
     CT_RETURN_NOT_OK(MergeRunRange(0, batch));
   }
   return Status::OK();
@@ -557,9 +468,12 @@ Result<std::unique_ptr<SortedStream>> ExternalSorter::Finish() {
       CT_RETURN_NOT_OK(SpillRun());
     }
     CT_RETURN_NOT_OK(ReduceRuns());
-    merge = MergeRuns(0, runs_.size());
-    // The merged batches reuse the run buffer, whose records all spilled.
+    // Every record has spilled: trade the run buffer for one batch, so the
+    // runs' read-ahead takes the memory the buffer held.
     bytes = BatchRecords() * options_.record_size;
+    buffer_.reset();
+    buffer_ = std::make_unique_for_overwrite<char[]>(bytes);
+    CT_ASSIGN_OR_RETURN(merge, MergeRuns(0, runs_.size()));
   }
   return std::unique_ptr<SortedStream>(
       new SortedStream(std::move(buffer_), bytes, options_.record_size,

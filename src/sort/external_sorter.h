@@ -13,6 +13,8 @@
 
 namespace cubetree {
 
+class RecordSpool;
+
 /// Pull-based stream of fixed-width records in some defined order. This is
 /// the common currency between the sorter, the cube builder (sort-based
 /// aggregation) and the Cubetree packer / merge-packer.
@@ -118,6 +120,11 @@ class SortedStream final : public RecordStream {
   const char* end_ = nullptr;
 };
 
+/// Most runs one merge pass reads at once. When more runs exist,
+/// intermediate passes combine them, bounding open file descriptors and
+/// keeping each run's read-ahead worth a read.
+inline constexpr size_t kMaxMergeFanin = 64;
+
 /// External merge sorter over fixed-width records.
 ///
 /// Records are ordered by a key of unsigned little-endian integer fields,
@@ -125,10 +132,11 @@ class SortedStream final : public RecordStream {
 /// particular order. Two phases, both on the calling thread. Run generation
 /// buffers records up to `memory_budget_bytes`; each full buffer is sorted
 /// in place by MSD radix partitioning over the key's bytes and spilled as a
-/// page-formatted run in `temp_dir`. Finish() then returns a stream that
-/// merges all runs through a loser tree. If everything fits in memory no
-/// file is created. Run file I/O flows through PageManager so it shows up
-/// (as sequential I/O) in the configuration's IoStats — the paper counts
+/// run: a RecordSpool in `temp_dir`, which owns and removes its file.
+/// Finish() then returns a stream that merges all runs through a loser
+/// tree, each run read up to kExtentPages pages at a time within the
+/// budget. If everything fits in memory no file is created. Run I/O shows
+/// up (as sequential I/O) in the configuration's IoStats — the paper counts
 /// sorting as part of Cubetree load cost.
 class ExternalSorter {
  public:
@@ -138,10 +146,6 @@ class ExternalSorter {
     std::string temp_dir = ".";
     /// Shared stats sink for run-file I/O; may be null.
     std::shared_ptr<IoStats> io_stats;
-    /// Maximum runs merged at once. When more runs exist, intermediate
-    /// merge passes combine them (bounding open file descriptors and
-    /// keeping per-run read-ahead viable on a real disk).
-    size_t max_merge_fanin = 64;
   };
 
   /// `key` lists the sort key's fields, most significant first: at most
@@ -159,7 +163,7 @@ class ExternalSorter {
   /// Number of records added so far.
   uint64_t num_records() const { return num_records_; }
 
-  /// Number of runs spilled to disk so far (0 = in-memory sort).
+  /// Number of runs on disk (0 = in-memory sort).
   size_t num_runs() const { return runs_.size(); }
 
   /// Sorts everything and returns the fully ordered stream. The sorter (and
@@ -167,31 +171,22 @@ class ExternalSorter {
   Result<std::unique_ptr<SortedStream>> Finish();
 
  private:
-  /// One spilled, sorted run file.
-  struct Run {
-    std::unique_ptr<PageManager> file;
-    std::string path;
-    uint64_t records = 0;
-  };
-
   /// Sorts the buffered run in place.
   void SortBuffer();
   /// Sorts the buffered run and writes it out as a new run.
   Status SpillRun();
-  /// Writes the records `next` yields as a new run appended to runs_. Each
-  /// call `next(&records, &count)` yields `count` consecutive records at
-  /// `records`; a count of 0 ends the run.
-  template <typename Next>
-  Status WriteRun(Next&& next);
+  /// A new, empty run file in temp_dir.
+  Result<std::unique_ptr<RecordSpool>> NewRun() const;
   /// Loser-tree merge over runs_[begin, end).
-  std::unique_ptr<SortedStream::Merge> MergeRuns(size_t begin,
-                                                 size_t end) const;
-  /// Merges runs_[begin, end) into one new run appended to runs_.
+  Result<std::unique_ptr<SortedStream::Merge>> MergeRuns(size_t begin,
+                                                         size_t end) const;
+  /// Merges runs_[begin, end) into one new run appended to runs_; the
+  /// merged runs leave runs_.
   Status MergeRunRange(size_t begin, size_t end);
-  /// Records per merge batch: a page's worth, the unit runs are read and
-  /// written in, or the whole run buffer when the budget is smaller.
+  /// Records per merge batch: a page's worth, or the whole run buffer when
+  /// the budget is smaller.
   size_t BatchRecords() const;
-  /// Reduces runs_ to at most max_merge_fanin via intermediate passes.
+  /// Reduces runs_ to at most kMaxMergeFanin via intermediate passes.
   Status ReduceRuns();
 
   Options options_;
@@ -204,7 +199,7 @@ class ExternalSorter {
   std::unique_ptr<char[]> buffer_;
   size_t buffered_ = 0;
   uint64_t num_records_ = 0;
-  std::vector<Run> runs_;
+  std::vector<std::unique_ptr<RecordSpool>> runs_;
   bool finished_ = false;
 };
 

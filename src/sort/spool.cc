@@ -11,9 +11,10 @@ namespace cubetree {
 
 RecordSpool::RecordSpool(std::unique_ptr<PageManager> file,
                          size_t record_size)
-    : file_(std::move(file)), record_size_(record_size) {
-  tail_.Zero();
-}
+    : file_(std::move(file)),
+      record_size_(record_size),
+      per_page_(kPageSize / record_size),
+      out_(file_.get()) {}
 
 RecordSpool::~RecordSpool() {
   const std::string path = file_->path();
@@ -35,15 +36,20 @@ Result<std::unique_ptr<RecordSpool>> RecordSpool::Create(
       new RecordSpool(std::move(file), record_size));
 }
 
-Status RecordSpool::Append(const char* record) {
+Status RecordSpool::Append(const char* records, size_t count) {
   if (sealed_) return Status::Internal("spool: append after Seal");
-  std::memcpy(tail_.data + in_tail_ * record_size_, record, record_size_);
-  ++in_tail_;
-  ++num_records_;
-  if (in_tail_ == PerPage()) {
-    CT_RETURN_NOT_OK(file_->AppendPage(tail_).status());
-    tail_.Zero();
-    in_tail_ = 0;
+  num_records_ += count;
+  while (count > 0) {
+    const size_t n = std::min(count, per_page_ - in_page_);
+    std::memcpy(out_.page() + in_page_ * record_size_, records,
+                n * record_size_);
+    records += n * record_size_;
+    count -= n;
+    in_page_ += n;
+    if (in_page_ == per_page_) {
+      CT_RETURN_NOT_OK(out_.Commit(per_page_ * record_size_));
+      in_page_ = 0;
+    }
   }
   return Status::OK();
 }
@@ -51,72 +57,52 @@ Status RecordSpool::Append(const char* record) {
 Status RecordSpool::Seal() {
   CT_FAULT("spool.seal");
   if (sealed_) return Status::OK();
-  if (in_tail_ > 0) {
-    CT_RETURN_NOT_OK(file_->AppendPage(tail_).status());
-    in_tail_ = 0;
+  if (in_page_ > 0) {
+    CT_RETURN_NOT_OK(out_.Commit(in_page_ * record_size_));
+    in_page_ = 0;
   }
+  CT_RETURN_NOT_OK(out_.Finish());
   sealed_ = true;
   return Status::OK();
 }
 
-Result<std::unique_ptr<RecordSpool::Reader>> RecordSpool::NewReader() {
+Result<std::unique_ptr<RecordSpool::Reader>> RecordSpool::NewReader(
+    size_t extent_pages) {
   if (!sealed_) return Status::Internal("spool: read before Seal");
-  auto reader = std::unique_ptr<Reader>(new Reader(this));
-  reader->remaining_ = num_records_;
-  return reader;
+  return std::unique_ptr<Reader>(new Reader(*this, extent_pages));
 }
 
-Status RecordSpool::Reader::Next(const char** record) {
-  size_t count = 0;
-  return Take(1, record, &count);
-}
-
-Status RecordSpool::Reader::NextSpan(const char** records, size_t* count) {
-  return Take(SIZE_MAX, records, count);
-}
+RecordSpool::Reader::Reader(const RecordSpool& spool, size_t extent_pages)
+    : record_size_(spool.record_size_),
+      per_page_(spool.per_page_),
+      // The pages the records fill, so a record count the file cannot hold
+      // surfaces as ReadPages' read-past-end error.
+      pages_(spool.file_.get(), 0,
+             static_cast<PageId>((spool.num_records_ + per_page_ - 1) /
+                                 per_page_),
+             extent_pages),
+      remaining_(spool.num_records_),
+      in_page_(per_page_) {}
 
 Status RecordSpool::Reader::Take(size_t max, const char** records,
                                  size_t* count) {
+  if (remaining_ == 0 || in_page_ == per_page_) {
+    // Past the last page this frees the page buffer, so a finished reader
+    // holds no pages while its owner lives on.
+    CT_RETURN_NOT_OK(pages_.Next(&page_));
+    in_page_ = 0;
+  }
   if (remaining_ == 0) {
-    // The last span has been consumed: release the extent buffer, so a
-    // finished reader holds no pages while its owner lives on.
-    extent_.reset();
     *records = nullptr;
     *count = 0;
     return Status::OK();
   }
-  const size_t per_page = spool_->PerPage();
-  if (page_ == nullptr || in_page_ == per_page) CT_RETURN_NOT_OK(NextPage());
   const size_t n = static_cast<size_t>(
-      std::min<uint64_t>({max, per_page - in_page_, remaining_}));
-  *records = page_ + in_page_ * spool_->record_size_;
+      std::min<uint64_t>({max, per_page_ - in_page_, remaining_}));
+  *records = page_ + in_page_ * record_size_;
   *count = n;
   in_page_ += n;
   remaining_ -= n;
-  return Status::OK();
-}
-
-Status RecordSpool::Reader::NextPage() {
-  in_page_ = 0;
-  if (page_ != nullptr && ++page_index_ < extent_pages_) {
-    page_ = extent_[page_index_].data;
-    return Status::OK();
-  }
-  const PageId file_pages = spool_->file_->NumPages();
-  if (extent_ == nullptr) {
-    extent_capacity_ = std::clamp<size_t>(file_pages, 1, kExtentPages);
-    extent_ = std::make_unique_for_overwrite<Page[]>(extent_capacity_);
-  }
-  // At least one page, so a record count the file cannot hold surfaces as
-  // ReadPage's read-past-end error.
-  const size_t n = std::clamp<size_t>(
-      file_pages > next_page_ ? file_pages - next_page_ : 0, 1,
-      extent_capacity_);
-  CT_RETURN_NOT_OK(spool_->file_->ReadPages(next_page_, n, extent_.get()));
-  next_page_ += static_cast<PageId>(n);
-  extent_pages_ = n;
-  page_index_ = 0;
-  page_ = extent_[0].data;
   return Status::OK();
 }
 

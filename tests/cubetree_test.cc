@@ -59,9 +59,9 @@ TEST(ViewDefTest, RecordCompareUsesPackOrder) {
   std::vector<char> ra(ViewRecordBytes(2)), rb(ViewRecordBytes(2));
   EncodeViewRecord(ra.data(), a, 2, AggValue{});
   EncodeViewRecord(rb.data(), b, 2, AggValue{});
-  EXPECT_LT(ViewRecordCompare(ra.data(), rb.data(), 2), 0);
-  EXPECT_GT(ViewRecordCompare(rb.data(), ra.data(), 2), 0);
-  EXPECT_EQ(ViewRecordCompare(ra.data(), ra.data(), 2), 0);
+  EXPECT_LT(ViewRecordCompare<2>(ra.data(), rb.data()), 0);
+  EXPECT_GT(ViewRecordCompare<2>(rb.data(), ra.data()), 0);
+  EXPECT_EQ(ViewRecordCompare<2>(ra.data(), ra.data()), 0);
 }
 
 // --- SelectMapping -------------------------------------------------------

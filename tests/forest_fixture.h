@@ -54,7 +54,10 @@ class VectorViewProvider : public CubetreeForest::ViewDataProvider {
     const uint8_t arity = view.arity();
     std::sort(rows.begin(), rows.end(),
               [arity](const std::vector<char>& a, const std::vector<char>& b) {
-                return ViewRecordCompare(a.data(), b.data(), arity) < 0;
+                return DispatchArity(arity, [&](auto n) {
+                         return ViewRecordCompare<decltype(n)::value>(
+                             a.data(), b.data());
+                       }) < 0;
               });
     std::vector<char> flat;
     for (const auto& r : rows) flat.insert(flat.end(), r.begin(), r.end());

@@ -250,7 +250,12 @@ class CubeBuilderTest : public ::testing::Test {
       if (rec == nullptr) break;
       // Verify pack-order sortedness and uniqueness on the way.
       if (!prev.empty()) {
-        EXPECT_LT(ViewRecordCompare(prev.data(), rec, view.arity()), 0);
+        EXPECT_LT(DispatchArity(view.arity(),
+                                [&](auto a) {
+                                  return ViewRecordCompare<decltype(a)::value>(
+                                      prev.data(), rec);
+                                }),
+                  0);
       }
       prev.assign(rec, rec + ViewRecordBytes(view.arity()));
       DecodeViewRecord(rec, view.arity(), coords, &agg);

@@ -106,7 +106,7 @@ TEST(NodeLayoutTest, LeafEntryRoundTrip) {
   char buf[64];
   Coord coords[3] = {7, 8, 9};
   AggValue agg{-123456789, 42};
-  RLeafWriteEntry(buf, coords, 3, agg);
+  EncodeViewRecord(buf, coords, 3, agg);
   PointRecord rec;
   RLeafReadEntry(buf, 3, 17, &rec);
   EXPECT_EQ(rec.view_id, 17u);
@@ -119,8 +119,8 @@ TEST(NodeLayoutTest, LeafEntryRoundTrip) {
 
 TEST(NodeLayoutTest, CompressionShrinksLeafEntries) {
   // An arity-1 entry stores 1 coordinate instead of dims coordinates.
-  EXPECT_EQ(RLeafEntryBytes(1), 4u + kAggValueBytes);
-  EXPECT_EQ(RLeafEntryBytes(3), 12u + kAggValueBytes);
+  EXPECT_EQ(ViewRecordBytes(1), 4u + kAggValueBytes);
+  EXPECT_EQ(ViewRecordBytes(3), 12u + kAggValueBytes);
   EXPECT_GT(RLeafCapacity(1), RLeafCapacity(3));
 }
 
@@ -635,7 +635,7 @@ TEST_F(PackedRTreeTest, ValidateDetectsCorruptedLeaf) {
     const PageId victim = 40;
     ASSERT_OK(file->ReadPage(victim, &page));
     ASSERT_TRUE(RNodeIsLeaf(page.data));
-    char* entry = page.data + kRNodeHeaderSize + 5 * RLeafEntryBytes(2);
+    char* entry = page.data + kRNodeHeaderSize + 5 * ViewRecordBytes(2);
     EncodeFixed32(entry, 0xFFFFFFF0u);
     ASSERT_OK(file->WritePage(victim, page));
   }

@@ -196,28 +196,27 @@ TEST(ExternalSorterTest, SpillFailureLeavesNoPartialRunFile) {
 TEST(ExternalSorterTest, MergeFailureKeepsInputRunsAndNoPartialOutput) {
   const std::string dir = MakeTestDir("sort_merge_enospc");
   {
-    ExternalSorter::Options options = SmallSorterOptions(dir, 4, 400);
-    options.max_merge_fanin = 2;  // Merges kick in while adding.
-    ExternalSorter sorter(options, U32Key());
-    // Each 100-record run spills as one page, and the fourth spill
-    // triggers ReduceRuns, whose merged output is the fifth page append:
-    // let the spills succeed and fail the merge output's first page. The
-    // partial merged file must be deleted while the input runs survive
-    // registered for the destructor's cleanup.
+    ExternalSorter sorter(SmallSorterOptions(dir, 4, 400), U32Key());
+    // Each 100-record run spills as one page, and the 12,801st record
+    // spills the 128th run, which starts the first merge pass: its output
+    // is the 129th page append. Let the spills succeed and fail the merge
+    // output's first page. The partial merged file must be deleted while
+    // the input runs survive, each removed by its own spool.
     ASSERT_OK(
-        FaultInjector::Instance().Arm("storage.page.append", "enospc@5"));
+        FaultInjector::Instance().Arm("storage.page.append", "enospc@129"));
     Rng rng(13);
     char buf[4];
     Status status = Status::OK();
-    for (int i = 0; i < 4000 && status.ok(); ++i) {
+    for (int i = 0; i < 13000 && status.ok(); ++i) {
       EncodeFixed32(buf, static_cast<uint32_t>(rng.Uniform(1u << 30)));
       status = sorter.Add(buf);
     }
     EXPECT_TRUE(status.IsStorageFull()) << status.ToString();
+    EXPECT_EQ(sorter.num_runs(), 2 * kMaxMergeFanin);
     FaultInjector::Instance().DisarmAll();
   }
-  // The destructor removed the registered input runs; nothing — neither
-  // they nor a partial merge output — may remain.
+  // The runs' spools removed their files; nothing — neither the input runs
+  // nor a partial merge output — may remain.
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     ADD_FAILURE() << "leaked run file: " << entry.path();
   }
@@ -369,9 +368,7 @@ TEST(ExternalSorterTest, RunFileIoIsSequential) {
 
 TEST(ExternalSorterTest, MultiPassMergeWithTinyFanin) {
   const std::string dir = MakeTestDir("sort_multipass");
-  ExternalSorter::Options options = SmallSorterOptions(dir, 4, 4 * 64);
-  options.max_merge_fanin = 3;  // Forces several intermediate passes.
-  ExternalSorter sorter(options, U32Key());
+  ExternalSorter sorter(SmallSorterOptions(dir, 4, 4 * 64), U32Key());
   Rng rng(41);
   std::vector<uint32_t> values;
   char buf[4];
@@ -381,8 +378,11 @@ TEST(ExternalSorterTest, MultiPassMergeWithTinyFanin) {
     EncodeFixed32(buf, v);
     ASSERT_OK(sorter.Add(buf));
   }
-  // 20000/64 = ~312 raw runs, reduced during Add to stay under 2*fanin.
-  EXPECT_LE(sorter.num_runs(), 6u);
+  // 20000/64 = 312 raw runs, reduced during Add to stay under 2*fanin: the
+  // 128th, 192nd and 256th spills each merge the runs back to 64, and 56
+  // more spills follow.
+  EXPECT_LE(sorter.num_runs(), 2 * kMaxMergeFanin);
+  EXPECT_EQ(sorter.num_runs(), 120u);
   ASSERT_OK_AND_ASSIGN(auto stream, sorter.Finish());
   std::sort(values.begin(), values.end());
   EXPECT_EQ(DrainU32(stream.get()), values);
@@ -390,11 +390,11 @@ TEST(ExternalSorterTest, MultiPassMergeWithTinyFanin) {
 
 TEST(ExternalSorterTest, MultiPassKeepsDuplicatesAndPayloads) {
   const std::string dir = MakeTestDir("sort_multipass_dup");
-  ExternalSorter::Options options = SmallSorterOptions(dir, 8, 8 * 64);
-  options.max_merge_fanin = 2;
-  ExternalSorter sorter(options, U32Key());
+  // 64 records per run: the 8,193rd record spills the 128th run and starts
+  // the first intermediate pass.
+  ExternalSorter sorter(SmallSorterOptions(dir, 8, 8 * 64), U32Key());
   char buf[8];
-  const int n = 5000;
+  const int n = 10000;
   for (int i = 0; i < n; ++i) {
     EncodeFixed32(buf, static_cast<uint32_t>(i % 100));
     EncodeFixed32(buf + 4, static_cast<uint32_t>(i));
@@ -442,17 +442,17 @@ TEST(ExternalSorterTest, SpillAndMergeSpansNestUnderCallersTrace) {
   const uint64_t merges_before = merge_passes->value();
   {
     obs::TraceScope root("sort");
-    ExternalSorter::Options options = SmallSorterOptions(dir, 4, 400);
-    options.max_merge_fanin = 2;
-    ExternalSorter sorter(options, U32Key());
+    // 100 records per run: the 12,801st record spills the 128th run and
+    // starts the intermediate passes.
+    ExternalSorter sorter(SmallSorterOptions(dir, 4, 400), U32Key());
     Rng rng(17);
     char buf[4];
-    for (int i = 0; i < 5000; ++i) {
+    for (int i = 0; i < 13000; ++i) {
       EncodeFixed32(buf, static_cast<uint32_t>(rng.Uniform(1u << 30)));
       ASSERT_OK(sorter.Add(buf));
     }
     ASSERT_OK_AND_ASSIGN(auto stream, sorter.Finish());
-    EXPECT_EQ(DrainU32(stream.get()).size(), 5000u);
+    EXPECT_EQ(DrainU32(stream.get()).size(), 13000u);
   }
   const std::shared_ptr<const obs::Trace> trace =
       obs::Tracer::Instance().LastTrace();
@@ -477,7 +477,7 @@ TEST(ExternalSorterTest, SpillAndMergeSpansNestUnderCallersTrace) {
   EXPECT_EQ(spills, runs_spilled->value() - runs_before);
   EXPECT_GT(merges, 0u);
   EXPECT_EQ(merges, merge_passes->value() - merges_before);
-  EXPECT_EQ(spilled_records, 5000.0);
+  EXPECT_EQ(spilled_records, 13000.0);
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     ADD_FAILURE() << "leaked run file: " << entry.path();
   }
@@ -538,6 +538,90 @@ TEST(RecordSpoolTest, SpansCrossExtents) {
     std::vector<uint32_t> out = DrainU32(by_record.get());
     ASSERT_EQ(out.size(), records);
     for (uint32_t i = 0; i < records; ++i) ASSERT_EQ(out[i], i);
+  }
+}
+
+// The writer moves kExtentPages pages per write; every page is still one
+// sequential page write, its slack past the last whole record is zero on
+// disk, and spans appended across page and extent boundaries read back in
+// order.
+TEST(RecordSpoolTest, SpanAppendsCrossExtents) {
+  const std::string dir = MakeTestDir("spool_span_writes");
+  constexpr size_t kRecord = 28;
+  constexpr size_t kPerPage = kPageSize / kRecord;  // 292, 16 bytes slack.
+  for (const size_t pages : {kExtentPages - 1, kExtentPages, kExtentPages + 1,
+                             2 * kExtentPages + 1}) {
+    auto stats = std::make_shared<IoStats>();
+    ASSERT_OK_AND_ASSIGN(
+        auto spool, RecordSpool::Create(dir + "/s.spl", kRecord, stats));
+    const uint32_t records = static_cast<uint32_t>(pages * kPerPage);
+    std::vector<char> chunk(100 * kRecord, 0);
+    for (uint32_t i = 0; i < records;) {
+      const uint32_t n = std::min<uint32_t>(100, records - i);
+      for (uint32_t j = 0; j < n; ++j) {
+        EncodeFixed32(chunk.data() + j * kRecord, i + j);
+        EncodeFixed32(chunk.data() + j * kRecord + 24, ~(i + j));
+      }
+      ASSERT_OK(spool->Append(chunk.data(), n));
+      i += n;
+    }
+    ASSERT_OK(spool->Seal());
+    EXPECT_EQ(spool->num_records(), records);
+    EXPECT_EQ(stats->sequential_writes, pages);
+    EXPECT_EQ(stats->random_writes, 0u);
+    {
+      ASSERT_OK_AND_ASSIGN(auto file, PageManager::Open(spool->path()));
+      ASSERT_EQ(file->NumPages(), pages);
+      Page page;
+      const char zeros[kPageSize - kPerPage * kRecord] = {};
+      for (PageId id = 0; id < pages; ++id) {
+        ASSERT_OK(file->ReadPage(id, &page));
+        EXPECT_EQ(std::memcmp(page.data + kPerPage * kRecord, zeros,
+                              sizeof(zeros)),
+                  0)
+            << "page " << id;
+      }
+    }
+    ASSERT_OK_AND_ASSIGN(auto reader, spool->NewReader());
+    const char* rec = nullptr;
+    for (uint32_t i = 0; i < records; ++i) {
+      ASSERT_OK(reader->Next(&rec));
+      ASSERT_NE(rec, nullptr);
+      ASSERT_EQ(DecodeFixed32(rec), i);
+      ASSERT_EQ(DecodeFixed32(rec + 24), ~i);
+    }
+    ASSERT_OK(reader->Next(&rec));
+    EXPECT_EQ(rec, nullptr);
+  }
+}
+
+// A full disk inside the second extent surfaces as StorageFull from the
+// Append that completes the extent or from Seal, and the spool removes its
+// partial file when it is destroyed.
+TEST(RecordSpoolTest, FullDiskInSecondExtentLeavesNoFile) {
+  const std::string dir = MakeTestDir("spool_enospc");
+  constexpr size_t kRecord = 28;
+  constexpr size_t kPerPage = kPageSize / kRecord;
+  for (const size_t pages : {kExtentPages + 3, 2 * kExtentPages + 1}) {
+    {
+      ASSERT_OK_AND_ASSIGN(auto spool,
+                           RecordSpool::Create(dir + "/s.spl", kRecord));
+      const std::string spec = "enospc@" + std::to_string(kExtentPages + 2);
+      ASSERT_OK(FaultInjector::Instance().Arm("storage.page.append", spec));
+      std::vector<char> rec(kRecord, 0);
+      Status status = Status::OK();
+      for (uint32_t i = 0; i < pages * kPerPage && status.ok(); ++i) {
+        EncodeFixed32(rec.data(), i);
+        status = spool->Append(rec.data());
+      }
+      if (status.ok()) status = spool->Seal();
+      FaultInjector::Instance().DisarmAll();
+      EXPECT_TRUE(status.IsStorageFull()) << status.ToString();
+      EXPECT_TRUE(FileExists(dir + "/s.spl"));
+    }
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      ADD_FAILURE() << "leaked spool file: " << entry.path();
+    }
   }
 }
 
