@@ -1,7 +1,8 @@
-// ctfsck: offline consistency checker for Cubetree stores, built on the
-// src/check invariant-checker framework. It validates packed R-tree files
-// and whole forests (manifest + SelectMapping + every tree), and reports
-// every violated invariant it can find instead of stopping at the first.
+// ctfsck: offline consistency checker for Cubetree stores, built on
+// src/check. It checks packed R-tree files, each in one forward pass, and
+// whole forests (manifest, plan, every main and delta tree, orphan files),
+// and reports every violated invariant it can find instead of stopping at
+// the first.
 //
 // Usage: see PrintHelp() below (ctfsck --help).
 
@@ -14,9 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "check/checkers.h"
+#include "check/check.h"
 #include "common/logging.h"
-#include "check/invariant_checker.h"
 #include "cubetree/forest.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
@@ -45,14 +45,13 @@ void PrintHelp(std::FILE* out) {
       "  ctfsck                                  self-demo on a fresh "
       "forest\n"
       "\n"
+      "Every check reads each page of each tree file once and verifies\n"
+      "its CRC against the .crc sidecar, the metadata, the node headers,\n"
+      "pack order, view runs, leaf fill and zero suppression, and the\n"
+      "MBRs, child pointers and levels of the internal nodes. A forest\n"
+      "check also reports every file Recover would sweep.\n"
+      "\n"
       "options:\n"
-      "  --deep            read every page: MBR containment, pack order,\n"
-      "                    fill factors, compression round-trips, CRCs\n"
-      "                    (default: metadata-level checks only)\n"
-      "  --checksums       verify every page of each tree file against its\n"
-      "                    .crc sidecar. Findings: checksum-mismatch /\n"
-      "                    checksum-sidecar / checksum-count (errors,\n"
-      "                    exit 1), checksum-missing (warning, exit 2)\n"
       "  --json            emit the report as JSON on stdout\n"
       "  --stats           dump the process metrics registry (buffer pool\n"
       "                    hits, pages touched, ...) to stderr on exit\n"
@@ -76,8 +75,6 @@ void PrintHelp(std::FILE* out) {
 constexpr uint64_t kMaxPoolPages = uint64_t{1} << 18;
 
 struct CliOptions {
-  bool deep = false;
-  bool checksums = false;
   bool json = false;
   bool stats = false;
   size_t pool_pages = 1024;
@@ -94,14 +91,14 @@ struct StatsDumper {
   }
 };
 
-/// Runs one checker, prints the report, and maps the outcome to an exit
-/// code. A non-OK Run() means the check could not execute at all.
-int RunChecker(Checker* checker, const CliOptions& cli) {
-  CheckReport report;
-  Status status = checker->Run(&report);
+/// Prints the report of a `what` check that ended with `status`, and maps
+/// the outcome to an exit code. A non-OK status means the check could not
+/// run at all.
+int Report(const char* what, const Status& status, const CheckReport& report,
+           const CliOptions& cli) {
   if (!status.ok()) {
-    std::fprintf(stderr, "ctfsck: %s check could not run: %s\n",
-                 checker->name().c_str(), status.ToString().c_str());
+    std::fprintf(stderr, "ctfsck: %s check could not run: %s\n", what,
+                 status.ToString().c_str());
     return status.IsNotFound() ? kExitMissing : kExitIo;
   }
   if (cli.json) {
@@ -181,11 +178,9 @@ int SelfDemo(const CliOptions& cli) {
     return kExitIo;
   }
   forest.reset();
-  CheckOptions check_options;
-  check_options.deep = true;  // The demo always shows the deep checks.
-  check_options.checksums = true;
-  ForestChecker checker("ctfsck_demo", "demo", &pool, check_options);
-  return RunChecker(&checker, cli);
+  CheckReport report;
+  const Status status = CheckForest("ctfsck_demo", "demo", &pool, &report);
+  return Report("forest", status, report, cli);
 }
 
 }  // namespace
@@ -202,10 +197,6 @@ int main(int argc, char** argv) {
       return kExitClean;
     } else if (arg == "--failpoints") {
       return ListFailpoints();
-    } else if (arg == "--deep") {
-      cli.deep = true;
-    } else if (arg == "--checksums") {
-      cli.checksums = true;
     } else if (arg == "--json") {
       cli.json = true;
     } else if (arg == "--stats") {
@@ -230,10 +221,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  CheckOptions check_options;
-  check_options.deep = cli.deep;
-  check_options.checksums = cli.checksums;
-
   if (args.empty()) return SelfDemo(cli);
 
   const std::string& cmd = args[0];
@@ -250,14 +237,16 @@ int main(int argc, char** argv) {
     return kExitMissing;
   }
 
+  CheckReport report;
   if (args[0] == "tree" && args.size() == 2) {
-    RTreeChecker checker(args[1], check_options);
-    return RunChecker(&checker, cli);
+    // A lone file's views are unknown: no view arities to check against.
+    const Status status = CheckTree(args[1], nullptr, &report);
+    return Report("tree", status, report, cli);
   }
   if (args[0] == "forest" && args.size() == 3) {
     BufferPool pool(cli.pool_pages);
-    ForestChecker checker(args[1], args[2], &pool, check_options);
-    return RunChecker(&checker, cli);
+    const Status status = CheckForest(args[1], args[2], &pool, &report);
+    return Report("forest", status, report, cli);
   }
 
   PrintHelp(stderr);

@@ -1,7 +1,7 @@
-#include "check/invariant_checker.h"
-
-#include <cstdio>
 #include <sstream>
+
+#include "check/check.h"
+#include "obs/json.h"
 
 namespace cubetree {
 
@@ -16,41 +16,6 @@ const char* SeverityName(Severity severity) {
   }
   return "UNKNOWN";
 }
-
-namespace {
-
-/// Escapes a string for inclusion in a JSON string literal.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void CheckReport::Add(Finding finding) {
   size_t same_code = 0;
@@ -111,21 +76,24 @@ std::string CheckReport::ToString() const {
 }
 
 std::string CheckReport::ToJson() const {
-  std::ostringstream out;
-  out << "{\"findings\":[";
-  for (size_t i = 0; i < findings_.size(); ++i) {
-    const Finding& f = findings_[i];
-    if (i > 0) out << ",";
-    out << "{\"severity\":\"" << SeverityName(f.severity)
-        << "\",\"component\":\"" << JsonEscape(f.component)
-        << "\",\"code\":\"" << JsonEscape(f.code) << "\",\"message\":\""
-        << JsonEscape(f.message) << "\",\"context\":\""
-        << JsonEscape(f.context) << "\"}";
+  using obs::JsonValue;
+  JsonValue findings = JsonValue::MakeArray();
+  for (const Finding& f : findings_) {
+    JsonValue finding = JsonValue::MakeObject();
+    finding.Set("severity", JsonValue(SeverityName(f.severity)));
+    finding.Set("component", JsonValue(f.component));
+    finding.Set("code", JsonValue(f.code));
+    finding.Set("message", JsonValue(f.message));
+    finding.Set("context", JsonValue(f.context));
+    findings.Append(std::move(finding));
   }
-  out << "],\"errors\":" << errors_ << ",\"warnings\":" << warnings_
-      << ",\"suppressed\":" << suppressed_ << ",\"clean\":"
-      << (clean() ? "true" : "false") << "}";
-  return out.str();
+  JsonValue doc = JsonValue::MakeObject();
+  doc.Set("findings", std::move(findings));
+  doc.Set("errors", JsonValue(static_cast<uint64_t>(errors_)));
+  doc.Set("warnings", JsonValue(static_cast<uint64_t>(warnings_)));
+  doc.Set("suppressed", JsonValue(static_cast<uint64_t>(suppressed_)));
+  doc.Set("clean", JsonValue(clean()));
+  return doc.Dump(/*indent=*/-1);
 }
 
 }  // namespace cubetree

@@ -12,6 +12,16 @@ Result<const ViewDef*> Cubetree::FindView(uint32_t view_id) const {
                           " not stored in this Cubetree");
 }
 
+ViewArityFn Cubetree::ViewArity() const {
+  // By value, so the function does not depend on this object's lifetime.
+  return [views = views_](uint32_t view_id) -> std::optional<uint8_t> {
+    for (const ViewDef& v : views) {
+      if (v.id == view_id) return v.arity();
+    }
+    return std::nullopt;
+  };
+}
+
 Result<Rect> Cubetree::SliceRect(
     uint32_t view_id,
     const std::vector<std::optional<Coord>>& bindings) const {

@@ -42,6 +42,9 @@ class Cubetree {
   Cubetree& operator=(const Cubetree&) = delete;
 
   const std::vector<ViewDef>& views() const { return views_; }
+  /// The arity of each view this tree stores: what a check of its main and
+  /// delta files expects to find in them.
+  ViewArityFn ViewArity() const;
   PackedRTree* rtree() { return tree_.get(); }
   const PackedRTree* rtree() const { return tree_.get(); }
   const std::shared_ptr<PackedRTree>& shared_rtree() const { return tree_; }

@@ -14,8 +14,7 @@
 #include <set>
 #include <sstream>
 
-#include "check/checkers.h"
-#include "common/assert.h"
+#include "check/check.h"
 #include "common/logging.h"
 #include "common/parallel_for.h"
 #include "cubetree/merge_pack.h"
@@ -280,10 +279,8 @@ std::vector<std::string> CubetreeForest::TreeFiles(
 
 std::string CubetreeForest::SerializeManifest(const EpochState& state) const {
   std::ostringstream out;
-  // v2 adds the `checksums` line: every tree file this manifest names was
-  // built with a checksum sidecar, and the loader refuses to serve a tree
-  // whose sidecar is missing or invalid. v1 manifests (no line) stay
-  // loadable with verification off, for files built before checksums.
+  // Every tree file a manifest names has a checksum sidecar; the loader
+  // refuses any other version or `checksums` value.
   out << "cubetree-forest-manifest v2\n";
   out << "checksums 1\n";
   out << "views " << views_.size() << "\n";
@@ -360,14 +357,14 @@ Status CubetreeForest::SaveManifestDurable(const EpochState& state) const {
 }
 
 Result<std::shared_ptr<PackedRTree>> CubetreeForest::OpenTreeFile(
-    const std::string& path, bool expect_checksums) const {
+    size_t t, const std::string& path) const {
   CT_ASSIGN_OR_RETURN(std::shared_ptr<PackedRTree> rtree,
                       PackedRTree::Open(path, pool_, io_stats_));
-  if (expect_checksums && !rtree->checksums_enabled()) {
-    // A v2 manifest promises a sidecar for every file it names; a missing
-    // one means the file set was tampered with or torn.
-    return Status::Corruption("missing checksum sidecar for " +
-                              ChecksumSidecarPath(path));
+  if (rtree->dims() != plan_.trees[t].dims) {
+    return Status::Corruption(
+        path + " has " + std::to_string(rtree->dims()) +
+        " dimensions, the manifest plans tree " + std::to_string(t) +
+        " with " + std::to_string(plan_.trees[t].dims));
   }
   return rtree;
 }
@@ -379,21 +376,14 @@ Status CubetreeForest::LoadManifest(bool tolerant, EpochState* state,
     return Status::NotFound("no forest manifest at " + ManifestPath());
   }
   std::string line;
-  if (!std::getline(in, line)) {
-    return Status::Corruption("bad forest manifest header");
-  }
-  bool expect_checksums = false;
-  if (line == "cubetree-forest-manifest v2") {
-    expect_checksums = true;
-  } else if (line != "cubetree-forest-manifest v1") {
+  if (!std::getline(in, line) || line != "cubetree-forest-manifest v2") {
     return Status::Corruption("bad forest manifest header");
   }
   auto malformed = [] { return Status::Corruption("malformed manifest"); };
   std::string word;
-  if (expect_checksums) {
-    int flag = 0;
-    if (!(in >> word >> flag) || word != "checksums") return malformed();
-    expect_checksums = flag != 0;
+  int checksums = 0;
+  if (!(in >> word >> checksums) || word != "checksums" || checksums != 1) {
+    return malformed();
   }
   size_t num_views = 0;
   if (!(in >> word >> num_views) || word != "views") return malformed();
@@ -417,7 +407,8 @@ Status CubetreeForest::LoadManifest(bool tolerant, EpochState* state,
   for (size_t t = 0; t < num_trees; ++t) {
     int dims = 0;
     TreeState slot;
-    if (!(in >> word >> dims >> slot.generation) || word != "tree") {
+    if (!(in >> word >> dims >> slot.generation) || word != "tree" ||
+        dims < 0 || dims > static_cast<int>(kMaxDims)) {
       return malformed();
     }
     ForestPlan::TreeSpec spec;
@@ -434,6 +425,10 @@ Status CubetreeForest::LoadManifest(bool tolerant, EpochState* state,
     plan_.trees.push_back(std::move(spec));
     state->trees.push_back(std::move(slot));
   }
+  if (Status valid = ValidatePlan(plan_, views_); !valid.ok()) {
+    return Status::Corruption("forest manifest " + ManifestPath() + ": " +
+                              valid.message());
+  }
   next_delta_generation_.assign(num_trees, 0);
   quarantine_files_.assign(num_trees, {});
   while (in >> word) {
@@ -449,13 +444,11 @@ Status CubetreeForest::LoadManifest(bool tolerant, EpochState* state,
   for (size_t t = 0; t < num_trees; ++t) {
     TreeState& slot = state->trees[t];
     auto open_tree = [&]() -> Status {
-      CT_ASSIGN_OR_RETURN(
-          auto main, OpenTreeFile(TreePath(t, slot.generation),
-                                  expect_checksums));
+      CT_ASSIGN_OR_RETURN(auto main,
+                          OpenTreeFile(t, TreePath(t, slot.generation)));
       auto tree = std::make_shared<Cubetree>(TreeViews(t), std::move(main));
       for (uint32_t g : slot.delta_generations) {
-        CT_ASSIGN_OR_RETURN(auto delta,
-                            OpenTreeFile(DeltaPath(t, g), expect_checksums));
+        CT_ASSIGN_OR_RETURN(auto delta, OpenTreeFile(t, DeltaPath(t, g)));
         tree->AddDelta(std::move(delta));
       }
       slot.tree = std::move(tree);
@@ -537,21 +530,27 @@ Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Recover(
   CT_RETURN_NOT_OK(forest->LoadManifest(/*tolerant=*/true, state.get(),
                                         report));
 
-  // 2. Deep-check the trees that did open; quarantine the ones that fail
-  // their invariants (a torn page write can leave an openable but
-  // inconsistent file).
+  // 2. Check every file of the trees that did open, one forward pass
+  // each; quarantine the trees that fail (a torn page write or a flipped
+  // bit can leave an openable but inconsistent file).
   for (size_t t = 0; t < state->trees.size(); ++t) {
-    if (state->trees[t].tree == nullptr) continue;
+    const std::shared_ptr<Cubetree>& tree = state->trees[t].tree;
+    if (tree == nullptr) continue;
+    const ViewArityFn view_arity = tree->ViewArity();
     Status verdict;
     for (const std::string& path : forest->TreeFiles(t, state->trees[t])) {
-      RTreeChecker checker(path, CheckOptions{/*deep=*/true},
-                           [arity = forest->ArityFn()](uint32_t view) {
-                             return arity(view).value_or(0);
-                           });
       CheckReport check_report;
-      verdict = checker.Run(&check_report);
+      verdict = CheckTree(path, view_arity, &check_report);
       if (verdict.ok() && !check_report.clean()) {
-        verdict = Status::Corruption("invariant check failed for " + path);
+        // Name the first error, so the quarantine note says what failed.
+        std::string first;
+        for (const Finding& f : check_report.findings()) {
+          if (f.severity != Severity::kError) continue;
+          first = f.code + ": " + f.message + " (" + f.context + ")";
+          break;
+        }
+        verdict = Status::Corruption("invariant check failed for " + path +
+                                     ": " + first);
       }
       if (!verdict.ok()) break;
     }
@@ -565,7 +564,7 @@ Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Recover(
   // one) — as is a stale manifest tmp. ".quarantine" files are kept for
   // RebuildQuarantined.
   CT_ASSIGN_OR_RETURN(std::vector<std::string> orphans,
-                      forest->OrphanFiles());
+                      forest->OrphanFilesLocked());
   for (const std::string& path : orphans) {
     forest->RemoveOrphan(path, report);
   }
@@ -592,11 +591,6 @@ Result<std::unique_ptr<ViewStreamSource>> CubetreeForest::OpenTreeSource(
             });
   std::vector<ViewStreamSource::ViewStream> streams;
   for (const ViewDef& view : views) {
-    if (view.arity() > kMaxDims) {
-      return Status::InvalidArgument(
-          "forest: view " + std::to_string(view.id) + " has arity " +
-          std::to_string(view.arity()) + " above " + std::to_string(kMaxDims));
-    }
     CT_ASSIGN_OR_RETURN(auto stream, provider->OpenViewStream(view));
     streams.push_back({view.id, view.arity(), std::move(stream)});
   }
@@ -641,21 +635,9 @@ Status CubetreeForest::Build(const std::vector<ViewDef>& views,
   } else {
     plan_ = SelectMapping(views_);
   }
-  if (CT_DCHECK_IS_ON()) {
-    // Whichever planner ran, the SelectMapping invariant must hold: every
-    // view placed exactly once, at most one view per arity per tree.
-    std::set<uint32_t> placed;
-    for (const ForestPlan::TreeSpec& spec : plan_.trees) {
-      std::set<uint8_t> arities;
-      for (uint32_t vid : spec.view_ids) {
-        CT_DCHECK(placed.insert(vid).second)
-            << "view " << vid << " placed in two trees";
-        CT_DCHECK(arities.insert(views_by_id_.at(vid).arity()).second)
-            << "two views of one arity share a tree";
-      }
-    }
-    CT_DCHECK(placed.size() == views_.size()) << "plan left a view unplaced";
-  }
+  // Whichever planner ran, the plan must keep the SelectMapping invariant
+  // the manifest loader checks it against.
+  CT_RETURN_NOT_OK(ValidatePlan(plan_, views_));
   next_delta_generation_.assign(plan_.trees.size(), 0);
   quarantine_files_.assign(plan_.trees.size(), {});
   return RefreshTxn(RefreshKind::kLoad, provider);
@@ -915,6 +897,11 @@ Result<const ViewDef*> CubetreeForest::view(uint32_t view_id) const {
 }
 
 Result<std::vector<std::string>> CubetreeForest::OrphanFiles() const {
+  MutexLock lock(refresh_mu_);
+  return OrphanFilesLocked();
+}
+
+Result<std::vector<std::string>> CubetreeForest::OrphanFilesLocked() const {
   // A file with a live TrackedFile token is referenced by some epoch —
   // the published one, or a retired one a reader still pins — and must
   // survive. refresh_mu_ keeps a refresh's not-yet-published outputs out of
@@ -964,7 +951,7 @@ uint64_t CubetreeForest::ReclaimSpace() {
 uint64_t CubetreeForest::ReclaimSpaceLocked() {
   // The GC counters are left alone; they describe the deferred-unlink
   // backlog, not this sweep.
-  auto orphans = OrphanFiles();
+  auto orphans = OrphanFilesLocked();
   if (!orphans.ok()) return 0;
   uint64_t reclaimed = 0;
   for (const std::string& path : *orphans) {

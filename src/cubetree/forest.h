@@ -297,7 +297,8 @@ class CubetreeForest {
       std::shared_ptr<IoStats> io_stats = nullptr);
 
   /// Crash-recovery variant of Open. Quarantines trees that cannot be
-  /// opened or fail the deep invariant check — renaming their files aside
+  /// opened or whose main or delta file fails CheckTree (check/check.h)
+  /// against the tree's own views — renaming their files aside
   /// with a ".quarantine" suffix so the forest stays queryable on the
   /// surviving trees — then removes the stale manifest tmp and any
   /// tree-generation files the manifest does not reference (the half-built
@@ -375,10 +376,15 @@ class CubetreeForest {
   uint64_t ReclaimSpace() EXCLUDES(refresh_mu_);
 
   /// Paths of every file the published generation references (main trees
-  /// and pending deltas). Anything else matching the forest's file naming
-  /// on disk is retired-but-unreclaimed or crash-orphaned; ctfsck reports
-  /// it and Recover sweeps it.
+  /// and pending deltas).
   std::vector<std::string> LiveFiles() const;
+
+  /// This forest's files on disk that no live epoch references: tree and
+  /// sidecar files without a TrackedFile token (retired but unreclaimed,
+  /// or crash debris), a stale manifest tmp, and the refresh journal older
+  /// stores left behind. Sorted. Recover and ReclaimSpace delete exactly
+  /// these; ctfsck reports them.
+  Result<std::vector<std::string>> OrphanFiles() const EXCLUDES(refresh_mu_);
 
   /// Removes all tree files.
   Status Destroy() EXCLUDES(refresh_mu_);
@@ -408,10 +414,10 @@ class CubetreeForest {
   /// mode an unopenable tree is quarantined instead of failing the load.
   Status LoadManifest(bool tolerant, EpochState* state,
                       ForestRecoveryReport* report) REQUIRES(refresh_mu_);
-  /// Opens one tree file the manifest names, enforcing its checksum
-  /// sidecar when the manifest promises one.
+  /// Opens one file of tree `t` the manifest names; a file whose dims
+  /// differ from the plan's is Corruption.
   Result<std::shared_ptr<PackedRTree>> OpenTreeFile(
-      const std::string& path, bool expect_checksums) const;
+      size_t t, const std::string& path) const;
   /// Takes tree `t` of the staged `state` out of service: drops it,
   /// renames its files aside with a ".quarantine" suffix, and records the
   /// event.
@@ -425,10 +431,8 @@ class CubetreeForest {
   /// `provider` merges without an increment (Compact).
   Status RefreshTxn(RefreshKind kind, ViewDataProvider* provider)
       REQUIRES(refresh_mu_);
-  /// This forest's files on disk that no live epoch references: tree and
-  /// sidecar files without a TrackedFile token, a stale manifest tmp, and
-  /// the refresh journal older stores left behind. Sorted.
-  Result<std::vector<std::string>> OrphanFiles() const REQUIRES(refresh_mu_);
+  Result<std::vector<std::string>> OrphanFilesLocked() const
+      REQUIRES(refresh_mu_);
   /// Deletes files recovery identified as orphans, consulting the
   /// forest.recover.gc failpoint per file.
   void RemoveOrphan(const std::string& path, ForestRecoveryReport* report);

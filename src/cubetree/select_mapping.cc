@@ -1,6 +1,8 @@
 #include "cubetree/select_mapping.h"
 
 #include <deque>
+#include <set>
+#include <string>
 
 namespace cubetree {
 
@@ -40,6 +42,54 @@ ForestPlan SelectMapping(const std::vector<ViewDef>& views) {
     plan.trees.push_back(std::move(tree));
   }
   return plan;
+}
+
+Status ValidatePlan(const ForestPlan& plan,
+                    const std::vector<ViewDef>& views) {
+  std::map<uint32_t, uint8_t> arity_of;
+  for (const ViewDef& v : views) arity_of[v.id] = v.arity();
+  std::map<uint32_t, size_t> placed;
+  for (size_t t = 0; t < plan.trees.size(); ++t) {
+    const ForestPlan::TreeSpec& spec = plan.trees[t];
+    const std::string tree = "tree " + std::to_string(t);
+    std::set<uint8_t> arities;
+    uint8_t max_arity = 0;
+    for (uint32_t vid : spec.view_ids) {
+      const std::string view = "view " + std::to_string(vid);
+      auto it = arity_of.find(vid);
+      if (it == arity_of.end()) {
+        return Status::InvalidArgument(tree + " holds undeclared " + view);
+      }
+      if (auto [at, inserted] = placed.emplace(vid, t); !inserted) {
+        return Status::InvalidArgument(view + " is placed in trees " +
+                                       std::to_string(at->second) + " and " +
+                                       std::to_string(t));
+      }
+      if (!arities.insert(it->second).second) {
+        return Status::InvalidArgument(tree + " holds two views of arity " +
+                                       std::to_string(it->second));
+      }
+      max_arity = std::max(max_arity, it->second);
+    }
+    const uint8_t dims = std::max<uint8_t>(1, max_arity);
+    if (spec.dims != dims || dims > kMaxDims) {
+      return Status::InvalidArgument(
+          tree + " has dims " + std::to_string(spec.dims) +
+          ", its views need " + std::to_string(dims) + " (at most " +
+          std::to_string(kMaxDims) + ")");
+    }
+  }
+  for (const ViewDef& v : views) {
+    if (placed.count(v.id) == 0) {
+      return Status::InvalidArgument("view " + std::to_string(v.id) +
+                                     " is placed in no tree");
+    }
+  }
+  if (plan.view_to_tree != placed) {
+    return Status::InvalidArgument(
+        "the plan's view index disagrees with its trees");
+  }
+  return Status::OK();
 }
 
 }  // namespace cubetree

@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "common/status.h"
 #include "cubetree/view_def.h"
 
 namespace cubetree {
@@ -35,6 +36,14 @@ struct ForestPlan {
 /// contains two views of the same arity — which guarantees every view
 /// occupies a distinct contiguous run of leaves after packing.
 ForestPlan SelectMapping(const std::vector<ViewDef>& views);
+
+/// Checks the invariants every plan a forest builds or reads back must
+/// keep: each tree holds only declared views and at most one view per
+/// arity, its dims are its views' largest arity (at least 1, at most
+/// kMaxDims), every declared view is placed in exactly one tree, and
+/// `view_to_tree` agrees with the trees. InvalidArgument naming the first
+/// violation.
+Status ValidatePlan(const ForestPlan& plan, const std::vector<ViewDef>& views);
 
 }  // namespace cubetree
 

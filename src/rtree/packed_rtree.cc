@@ -17,13 +17,6 @@
 
 namespace cubetree {
 
-namespace {
-
-/// Checks a node header read from disk before any entry is decoded: a
-/// leaf's arity must be at most the tree's dims and its entry count must
-/// fit its page, as must an internal node's. A tree without a checksum
-/// sidecar (a pre-checksum store) is read unverified, so this check is what
-/// stands between a damaged header and a read past the page frame.
 Status CheckNodeHeader(const char* page, uint8_t dims, PageId id,
                        const std::string& path) {
   const uint16_t count = RNodeCount(page);
@@ -40,6 +33,8 @@ Status CheckNodeHeader(const char* page, uint8_t dims, PageId id,
                             " of " + path + " claims " +
                             std::to_string(count) + " entries");
 }
+
+namespace {
 
 struct LevelEntry {
   Rect mbr;
@@ -425,12 +420,14 @@ Result<std::unique_ptr<PackedRTree>> PackedRTree::Open(
     const std::string& path, BufferPool* pool,
     std::shared_ptr<IoStats> io_stats) {
   CT_ASSIGN_OR_RETURN(auto file, PageManager::Open(path, std::move(io_stats)));
-  if (Status cs = file->LoadChecksums(); !cs.ok()) {
-    // NotFound = pre-checksum file (manifest v1): reads stay unverified
-    // for back-compat. Anything else means the sidecar exists but is
-    // unusable — surface it so the tree is quarantined, not trusted.
-    if (!cs.IsNotFound()) return cs;
+  // Every tree is built with its sidecar, so a missing one means the file
+  // set was torn or tampered with: the tree is quarantined, not trusted.
+  const Status loaded = file->LoadChecksums();
+  if (loaded.IsNotFound()) {
+    return Status::Corruption("rtree: missing checksum sidecar " +
+                              ChecksumSidecarPath(path));
   }
+  CT_RETURN_NOT_OK(loaded);
   Page meta_page;
   CT_RETURN_NOT_OK(file->ReadPage(0, &meta_page));
   RTreeMeta meta;

@@ -41,6 +41,17 @@ struct RTreeOptions {
 /// view id; nullopt for a view the tree does not hold.
 using ViewArityFn = std::function<std::optional<uint8_t>(uint32_t)>;
 
+/// Checks node page `id` of the tree at `path`, read from disk, before any
+/// entry is decoded: a leaf's arity must be at most the tree's `dims` and
+/// its entry count must fit its page, as must an internal node's; anything
+/// else is Corruption. Search and the leaf scan run it on every page they
+/// read, and CheckTree on every page it checks. A CRC describes the bytes
+/// the packer wrote, so it cannot vouch for a header the packer got wrong;
+/// this check is what stands between such a header and a read past the
+/// page frame.
+Status CheckNodeHeader(const char* page, uint8_t dims, PageId id,
+                       const std::string& path);
+
 /// One input of a bulk load or merge-pack: the records of one or more
 /// views, each view's records in one run, a span of encoded leaf entries at
 /// a time. Within a run the records ascend in pack order; across an input,
@@ -155,7 +166,8 @@ class PackedRTree {
       PointSource* source, const ViewArityFn& view_arity,
       std::shared_ptr<IoStats> io_stats = nullptr);
 
-  /// Opens an existing tree file.
+  /// Opens an existing tree file and its checksum sidecar, which arms
+  /// verify-on-read; a missing or invalid sidecar is Corruption.
   static Result<std::unique_ptr<PackedRTree>> Open(
       const std::string& path, BufferPool* pool,
       std::shared_ptr<IoStats> io_stats = nullptr);
@@ -246,9 +258,6 @@ class PackedRTree {
   uint64_t FileSizeBytes() const { return file_->FileSizeBytes(); }
   const std::string& path() const { return file_->path(); }
   const RTreeOptions& tree_options() const { return options_; }
-  /// True when every page read of this tree is checksum-verified (the
-  /// `.crc` sidecar was written at build time or loaded at open).
-  bool checksums_enabled() const { return file_->checksums_enabled(); }
 
  private:
   PackedRTree(std::unique_ptr<PageManager> file, RTreeOptions options,

@@ -101,14 +101,9 @@ void Scrubber::ScrubFile(const std::string& path, uint32_t first_view_id,
   }
   std::unique_ptr<PageManager> file = std::move(pm).value();
   if (Status cs = file->LoadChecksums(); !cs.ok()) {
-    if (cs.IsNotFound()) {
-      // Pre-checksum generation: readable but unverifiable.
-      ++stats->files_unverified;
-      ++stats->files_scanned;
-      return;
-    }
-    // A present-but-invalid sidecar is itself corruption of the tree's
-    // on-disk state: quarantine just like a page mismatch.
+    // Every tree has a sidecar, so a missing or invalid one is itself
+    // corruption of the tree's on-disk state: quarantine just like a page
+    // mismatch.
     ++stats->corruptions_found;
     m.corruptions_found->Increment();
     CT_LOG(Warn) << "scrub: bad checksum sidecar for " << path << ": "

@@ -32,9 +32,6 @@ struct ScrubOptions {
 struct ScrubPassStats {
   uint64_t files_scanned = 0;
   uint64_t pages_scrubbed = 0;
-  /// Files without a checksum sidecar (pre-checksum generations): read but
-  /// not verifiable, so corruption in them is invisible to the scrubber.
-  uint64_t files_unverified = 0;
   uint64_t corruptions_found = 0;
   /// Outcomes of the repairs the pass ran: one per corruption it found and
   /// quarantined, and one for the trees quarantined before it began.

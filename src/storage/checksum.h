@@ -43,8 +43,8 @@ Status WriteChecksumSidecar(const std::string& data_path,
                             const std::vector<uint32_t>& page_crcs);
 
 /// Loads the sidecar for `data_path` into `*page_crcs`. NotFound when no
-/// sidecar exists (a pre-checksum file); Corruption — with path context —
-/// when the sidecar is present but fails its own validation.
+/// sidecar exists; Corruption — with path context — when the sidecar is
+/// present but fails its own validation.
 Status LoadChecksumSidecar(const std::string& data_path,
                            std::vector<uint32_t>* page_crcs);
 

@@ -110,9 +110,8 @@ class PageManager {
   Status FinalizeChecksums();
 
   /// Loads the sidecar written by FinalizeChecksums and arms
-  /// verify-on-read. NotFound when no sidecar exists (a pre-checksum
-  /// file: reads stay unverified); Corruption when the sidecar is present
-  /// but invalid.
+  /// verify-on-read. NotFound when no sidecar exists (reads stay
+  /// unverified); Corruption when the sidecar is present but invalid.
   Status LoadChecksums();
 
   /// True when ReadPage verifies every page against a checksum table.

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -127,6 +128,37 @@ TEST(SelectMappingTest, NoTreeHoldsTwoViewsOfSameArity) {
     EXPECT_EQ(std::adjacent_find(arities.begin(), arities.end()),
               arities.end())
         << "tree " << tree << " holds two views of equal arity";
+  }
+}
+
+TEST(SelectMappingTest, ValidatePlanNamesEachViolation) {
+  // SelectMapping places views 2 and 1 in tree 0 (2-d), view 3 in tree 1.
+  const std::vector<ViewDef> views = {MakeView(1, {0}), MakeView(2, {0, 1}),
+                                      MakeView(3, {1})};
+  ASSERT_OK(ValidatePlan(SelectMapping(views), views));
+  struct Case {
+    const char* violation;
+    std::function<void(ForestPlan*)> edit;
+  };
+  const std::vector<Case> cases = {
+      {"holds undeclared view 9",
+       [](ForestPlan* p) { p->trees[1].view_ids.push_back(9); }},
+      {"view 2 is placed in trees 0 and 1",
+       [](ForestPlan* p) { p->trees[1].view_ids.push_back(2); }},
+      {"tree 0 holds two views of arity 1",
+       [](ForestPlan* p) { p->trees[0].view_ids.push_back(3); }},
+      {"tree 1 has dims 2", [](ForestPlan* p) { p->trees[1].dims = 2; }},
+      {"view 3 is placed in no tree",
+       [](ForestPlan* p) { p->trees.pop_back(); }},
+      {"view index", [](ForestPlan* p) { p->view_to_tree[3] = 0; }},
+  };
+  for (const Case& c : cases) {
+    ForestPlan plan = SelectMapping(views);
+    c.edit(&plan);
+    const Status status = ValidatePlan(plan, views);
+    EXPECT_TRUE(status.IsInvalidArgument()) << c.violation;
+    EXPECT_NE(status.ToString().find(c.violation), std::string::npos)
+        << status.ToString();
   }
 }
 
@@ -631,7 +663,7 @@ TEST_F(ForestTest, PartialDeltasAnswerLikeMergedDeltas) {
   auto after = collect(partial.get(), 1, 2);
   EXPECT_EQ(before, after);
   for (size_t t = 0; t < compacted.num_trees(); ++t) {
-    EXPECT_OK(CheckTreeDeep(compacted.tree(t)->rtree()->path()));
+    EXPECT_OK(CheckTreeFile(compacted.tree(t)->rtree()->path()));
   }
 }
 
@@ -713,7 +745,7 @@ TEST_F(ForestTest, ReopenFromManifest) {
                                sum = agg.sum;
                              }));
   EXPECT_EQ(sum, 42);
-  ASSERT_OK(CheckTreeDeep(tree->rtree()->path()));
+  ASSERT_OK(CheckTreeFile(tree->rtree()->path()));
 
   // Updates persist across another reopen, and generations advance.
   VectorViewProvider delta;

@@ -17,8 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "check/checkers.h"
-#include "check/invariant_checker.h"
+#include "check/check.h"
 #include "cubetree/cubetree.h"
 #include "cubetree/forest.h"
 #include "cubetree/view_def.h"
@@ -202,7 +201,7 @@ inline bool AllowedAbortResidue(const std::string& name) {
 }
 
 /// Post-fault invariant: Recover succeeds with nothing quarantined,
-/// contents equal exactly one generation, the deep checker is clean, and a
+/// contents equal exactly one generation, CheckForest reports no error, and a
 /// second Recover finds nothing to do. Returns the recovered contents for
 /// the caller's old/new dispatch.
 inline Contents ExpectRecoversToOldOrNew(const std::string& dir,
@@ -226,11 +225,8 @@ inline Contents ExpectRecoversToOldOrNew(const std::string& dir,
   }
   {
     BufferPool pool(256);
-    CheckOptions check_options;
-    check_options.deep = true;
-    ForestChecker checker(dir, "f", &pool, check_options);
     CheckReport report;
-    EXPECT_OK(checker.Run(&report));
+    EXPECT_OK(CheckForest(dir, "f", &pool, &report));
     EXPECT_EQ(report.errors(), 0u) << at << ":\n" << report.ToString();
   }
   {

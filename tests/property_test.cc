@@ -569,7 +569,7 @@ TEST_P(MultiViewTreeProperty, BuildScanAndMergePackMatchReference) {
     ASSERT_EQ(got.agg, want.agg);
   };
   const auto check = [&](PackedRTree* tree) {
-    ASSERT_OK(CheckTreeDeep(tree->path()));
+    ASSERT_OK(CheckTreeFile(tree->path()));
     ASSERT_EQ(tree->num_points(), reference.size());
     // The scan yields every point, in pack order.
     auto scanner = tree->ScanAll();

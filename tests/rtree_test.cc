@@ -11,7 +11,6 @@
 #include "rtree/packed_rtree.h"
 #include "rtree/zorder.h"
 #include "storage/buffer_pool.h"
-#include "storage/checksum.h"
 #include "tests/test_util.h"
 
 namespace cubetree {
@@ -316,7 +315,7 @@ TEST_F(PackedRTreeTest, RejectsPointsItsLeavesWouldTruncate) {
   ASSERT_OK_AND_ASSIGN(
       auto full, Build(points, 2, [](uint32_t) -> uint8_t { return 1; },
                        uncompressed));
-  ASSERT_OK(CheckTreeDeep(full->path()));
+  ASSERT_OK(CheckTreeFile(full->path()));
   Rect y7 = Rect::Full(2);
   y7.lo[1] = y7.hi[1] = 7;
   uint64_t found = 0;
@@ -572,7 +571,7 @@ TEST_F(PackedRTreeTest, ValidatePassesOnHealthyTrees) {
   auto points = MakeGridPoints(20000);
   ASSERT_OK_AND_ASSIGN(auto tree,
                        Build(points, 2, [](uint32_t) { return 2; }));
-  ASSERT_OK(CheckTreeDeep(tree->path()));
+  ASSERT_OK(CheckTreeFile(tree->path()));
   // Multi-view tree validates too.
   std::vector<PointRecord> multi;
   PointRecord origin;
@@ -588,10 +587,10 @@ TEST_F(PackedRTreeTest, ValidatePassesOnHealthyTrees) {
                        Build(multi, 3, [](uint32_t view) {
                          return static_cast<uint8_t>(view - 5);
                        }));
-  ASSERT_OK(CheckTreeDeep(multi_tree->path()));
+  ASSERT_OK(CheckTreeFile(multi_tree->path()));
   // Empty tree validates.
   ASSERT_OK_AND_ASSIGN(auto empty, Build({}, 2, [](uint32_t) { return 2; }));
-  ASSERT_OK(CheckTreeDeep(empty->path()));
+  ASSERT_OK(CheckTreeFile(empty->path()));
 }
 
 TEST_F(PackedRTreeTest, ValidateDetectsCorruptedMeta) {
@@ -610,13 +609,18 @@ TEST_F(PackedRTreeTest, ValidateDetectsCorruptedMeta) {
     EncodeFixed64(meta.data + kRTreeMetaNumPoints, 999999);
     ASSERT_OK(file->WritePage(0, meta));
   }
-  // Drop the checksum sidecar so the *structural* checks are what get
-  // exercised — with the sidecar present, verify-on-read catches the
-  // tampering at Open before the deep check ever runs (covered separately
-  // by the integrity tests).
-  ASSERT_OK(RemoveChecksumSidecar(path));
+  // Re-sign the sidecar over the tampered bytes so the *structural*
+  // checks are what get exercised — with the old sidecar, verify-on-read
+  // catches the tampering at Open before the check ever runs (covered
+  // separately by the integrity tests).
+  ASSERT_OK(ResignSidecar(path));
   ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(path, pool_.get()));
-  EXPECT_TRUE(CheckTreeDeep(path).IsCorruption());
+  const Status checked = CheckTreeFile(path);
+  EXPECT_TRUE(checked.IsCorruption());
+  EXPECT_NE(checked.ToString().find("point-count"), std::string::npos)
+      << checked.ToString();
+  EXPECT_EQ(checked.ToString().find("checksum"), std::string::npos)
+      << checked.ToString();
 }
 
 TEST_F(PackedRTreeTest, ValidateDetectsCorruptedLeaf) {
@@ -639,18 +643,21 @@ TEST_F(PackedRTreeTest, ValidateDetectsCorruptedLeaf) {
     EncodeFixed32(entry, 0xFFFFFFF0u);
     ASSERT_OK(file->WritePage(victim, page));
   }
-  // As above: remove the sidecar so structural validation, not
-  // verify-on-read, detects the damage.
-  ASSERT_OK(RemoveChecksumSidecar(path));
+  // As above: re-sign the sidecar so structural validation, not the CRC,
+  // detects the damage.
+  ASSERT_OK(ResignSidecar(path));
   ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(path, pool_.get()));
-  EXPECT_TRUE(CheckTreeDeep(path).IsCorruption());
+  const Status checked = CheckTreeFile(path);
+  EXPECT_TRUE(checked.IsCorruption());
+  EXPECT_EQ(checked.ToString().find("checksum"), std::string::npos)
+      << checked.ToString();
 }
 
-// Without a checksum sidecar a tree is read unverified, so a damaged node
-// header must be refused before any entry is decoded: a leaf whose arity is
-// above the tree's dims or whose count is above its page's capacity, and an
-// internal node whose count is above its page's capacity, make Search and
-// the deep check return Corruption in every build.
+// A damaged node header that its CRC vouches for (the sidecar re-signed
+// over it) must be refused before any entry is decoded: a leaf whose arity
+// is above the tree's dims or whose count is above its page's capacity, and
+// an internal node whose count is above its page's capacity, make Search
+// and the check return Corruption in every build.
 TEST_F(PackedRTreeTest, SmashedNodeHeadersAreCorruption) {
   struct Smash {
     const char* what;
@@ -680,14 +687,16 @@ TEST_F(PackedRTreeTest, SmashedNodeHeadersAreCorruption) {
       std::memset(page.data + smash.offset, 0xFF, smash.width);
       ASSERT_OK(file->WritePage(victim, page));
     }
-    ASSERT_OK(RemoveChecksumSidecar(path));
+    ASSERT_OK(ResignSidecar(path));
     BufferPool pool(64);
     ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(path, &pool));
     const Status searched =
         tree->Search(Rect::Full(2), [](const PointRecord&) {});
     EXPECT_TRUE(searched.IsCorruption()) << searched.ToString();
-    const Status validated = CheckTreeDeep(path);
+    const Status validated = CheckTreeFile(path);
     EXPECT_TRUE(validated.IsCorruption()) << validated.ToString();
+    EXPECT_EQ(validated.ToString().find("checksum"), std::string::npos)
+        << validated.ToString();
   }
 }
 

@@ -193,6 +193,23 @@ TEST(BufferPoolTest, PinnedPagesAreNotEvicted) {
   ASSERT_OK(pool.New(pm.get()).status());
 }
 
+TEST(BufferPoolTest, PinnedPagesCountsLiveHandles) {
+  const std::string dir = MakeTestDir("bp_pinned");
+  ASSERT_OK_AND_ASSIGN(auto pm, PageManager::Create(dir + "/f.pg"));
+  ASSERT_OK(pm->AllocatePage().status());
+  BufferPool pool(16);
+  {
+    ASSERT_OK_AND_ASSIGN(PageHandle handle, pool.Fetch(pm.get(), 0));
+    EXPECT_EQ(pool.PinnedPages(), 1u);
+    handle.Release();
+    EXPECT_EQ(pool.PinnedPages(), 0u);
+    ASSERT_OK_AND_ASSIGN(PageHandle again, pool.Fetch(pm.get(), 0));
+    EXPECT_EQ(pool.PinnedPages(), 1u);
+  }
+  // A handle going out of scope unpins its frame.
+  EXPECT_EQ(pool.PinnedPages(), 0u);
+}
+
 TEST(BufferPoolTest, FlushAllPersistsDirtyPages) {
   const std::string dir = MakeTestDir("bp_flush");
   ASSERT_OK_AND_ASSIGN(auto pm, PageManager::Create(dir + "/f.pg"));

@@ -11,10 +11,13 @@
 #include <utility>
 #include <vector>
 
-#include "check/checkers.h"
+#include "check/check.h"
+#include "common/crc32.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "cubetree/view_def.h"
+#include "storage/checksum.h"
+#include "storage/page_manager.h"
 
 namespace cubetree {
 
@@ -96,14 +99,28 @@ inline ViewDef MakeView(uint32_t id, std::vector<uint32_t> attrs) {
   return view;
 }
 
-/// Runs the deep R-tree checker over the tree file at `path`: OK when it
-/// reports no error, Corruption listing its findings otherwise.
-inline Status CheckTreeDeep(const std::string& path) {
-  RTreeChecker checker(path);
+/// Runs CheckTree over the tree file at `path`: OK when it reports no
+/// error, Corruption listing its findings otherwise.
+inline Status CheckTreeFile(const std::string& path) {
   CheckReport report;
-  CT_RETURN_NOT_OK(checker.Run(&report));
+  CT_RETURN_NOT_OK(CheckTree(path, nullptr, &report));
   if (report.errors() == 0) return Status::OK();
   return Status::Corruption(report.ToString());
+}
+
+/// Rewrites the checksum sidecar of the page file at `path` over the
+/// file's current bytes, so that a test's tampering passes the CRC checks
+/// and reaches the structural ones.
+inline Status ResignSidecar(const std::string& path) {
+  CT_ASSIGN_OR_RETURN(std::unique_ptr<PageManager> file,
+                      PageManager::Open(path));
+  std::vector<uint32_t> crcs(file->NumPages());
+  Page page;
+  for (PageId id = 0; id < file->NumPages(); ++id) {
+    CT_RETURN_NOT_OK(file->ReadPage(id, &page));
+    crcs[id] = Crc32c(page.data, kPageSize);
+  }
+  return WriteChecksumSidecar(path, crcs);
 }
 
 }  // namespace cubetree
