@@ -2,6 +2,8 @@
 #define CUBETREE_CHECK_CHECK_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,9 @@ class CheckReport {
   size_t suppressed() const { return suppressed_; }
   /// True when no error-severity finding was recorded.
   bool clean() const { return errors_ == 0; }
+  /// Corruption naming the first error finding recorded after the first
+  /// `from` findings ("code: message (context)"); OK when there is none.
+  Status FirstError(size_t from = 0) const;
 
   /// Multi-line human-readable listing ("<SEV> [component/code] message
   /// (context)"), ending with a one-line summary.
@@ -103,19 +108,23 @@ class CheckReport {
 /// (point-count).
 ///
 /// `view_arity` may be empty: a lone file's views are unknown, so its
-/// stray views and zero suppression go unchecked. Returns non-OK only when
-/// the file cannot be opened; every violation is a finding.
+/// stray views and zero suppression go unchecked. `view_points`, when
+/// given, gains each leaf's count under its view: the stored points per
+/// view, when the report gains no error.
+///
+/// Damage is a finding, a short read among it (unreadable-page). Any other
+/// error opening or reading the file or its sidecar (NotFound, IOError,
+/// StorageFull) means the check could not run, and is returned.
 Status CheckTree(const std::string& path, const ViewArityFn& view_arity,
-                 CheckReport* report);
+                 CheckReport* report,
+                 std::map<uint32_t, uint64_t>* view_points = nullptr);
 
-/// Checks a Cubetree forest: opens it (a manifest that fails to load,
-/// including a plan that breaks the SelectMapping invariant, is
-/// manifest-corrupt), runs CheckTree on every main and pending delta file
-/// of the published generation with its tree's own views, and reports
-/// each file of the forest's orphan list (CubetreeForest::OrphanFiles, the
-/// files Recover deletes) as unreferenced-file. Informational findings
-/// describe the snapshot layer and the volume's free space. Returns non-OK
-/// only when the check cannot run at all (no manifest, I/O failure).
+/// Checks a Cubetree forest: CubetreeForest::Open with `report`, which
+/// checks every file the manifest names (a manifest that fails to load,
+/// its plan included, is manifest-corrupt), then each file of the orphan
+/// list (CubetreeForest::OrphanFiles, what Recover deletes) is an
+/// unreferenced-file warning, and the volume's free space disk-space info.
+/// Returns non-OK only when the check cannot run (no manifest, I/O).
 Status CheckForest(const std::string& dir, const std::string& name,
                    BufferPool* pool, CheckReport* report);
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -24,10 +25,12 @@ std::string PageContext(const std::string& path, PageId page) {
 class TreePass {
  public:
   TreePass(const std::string& path, const ViewArityFn& view_arity,
-           PageId num_pages, CheckReport* report)
+           PageId num_pages, std::map<uint32_t, uint64_t>* view_points,
+           CheckReport* report)
       : path_(path),
         view_arity_(view_arity),
         num_pages_(num_pages),
+        view_points_(view_points),
         report_(report) {}
 
   /// Decodes and checks the metadata page. False when the other pages
@@ -68,6 +71,7 @@ class TreePass {
   const std::string& path_;
   const ViewArityFn& view_arity_;
   const PageId num_pages_;
+  std::map<uint32_t, uint64_t>* view_points_;
   CheckReport* report_;
   RTreeMeta meta_;
   std::vector<PageInfo> pages_;
@@ -194,7 +198,9 @@ void TreePass::Leaf(PageId id, const char* page) {
     run_max_count_ = count;
   } else {
     // The packer fills every leaf of a view's run to one target, all but
-    // the run's last.
+    // the run's last. The arriving leaf shows the previous one was not the
+    // last, and counts toward the target it is held to.
+    run_max_count_ = std::max(run_max_count_, count);
     if (prev_count_ < run_max_count_) {
       report_->AddWarning(
           "rtree", "leaf-fill",
@@ -203,11 +209,11 @@ void TreePass::Leaf(PageId id, const char* page) {
               std::to_string(run_max_count_) + " entries)",
           PageContext(path_, prev_leaf_));
     }
-    run_max_count_ = std::max(run_max_count_, count);
   }
   prev_leaf_ = id;
   prev_count_ = count;
   points_ += count;
+  if (view_points_ != nullptr) (*view_points_)[view] += count;
 
   // Coordinates from zero_from up to A must be zero: the view has fewer.
   size_t zero_from = A;
@@ -345,11 +351,20 @@ void TreePass::Finish() {
 }  // namespace
 
 Status CheckTree(const std::string& path, const ViewArityFn& view_arity,
-                 CheckReport* report) {
-  CT_ASSIGN_OR_RETURN(std::unique_ptr<PageManager> file,
-                      PageManager::Open(path));
+                 CheckReport* report,
+                 std::map<uint32_t, uint64_t>* view_points) {
+  // Damage is a finding; any other failure to open or read the file means
+  // the check could not run.
+  const auto damaged = [&](const Status& status) {
+    if (!status.IsCorruption()) return status;
+    report->AddError("rtree", "unreadable-page", status.ToString(), path);
+    return Status::OK();
+  };
+  auto opened = PageManager::Open(path);
+  if (!opened.ok()) return damaged(opened.status());
+  const std::unique_ptr<PageManager> file = std::move(opened).value();
   const PageId num_pages = file->NumPages();
-  TreePass pass(path, view_arity, num_pages, report);
+  TreePass pass(path, view_arity, num_pages, view_points, report);
   // The file is read unverified and each page's CRC compared here, so a
   // mismatch is one finding rather than the end of the pass, and no page
   // is re-read to heal it.
@@ -358,9 +373,11 @@ Status CheckTree(const std::string& path, const ViewArityFn& view_arity,
   if (Status loaded = LoadChecksumSidecar(path, &crcs); loaded.IsNotFound()) {
     pass.Error("checksum-missing",
                "no checksum sidecar (" + ChecksumSidecarPath(path) + ")");
-  } else if (!loaded.ok()) {
+  } else if (loaded.IsCorruption()) {
     pass.Error("checksum-sidecar",
                "checksum sidecar invalid: " + loaded.ToString());
+  } else if (!loaded.ok()) {
+    return loaded;
   } else if (crcs.size() != num_pages) {
     pass.Error("checksum-count",
                "sidecar covers " + std::to_string(crcs.size()) +
@@ -376,10 +393,7 @@ Status CheckTree(const std::string& path, const ViewArityFn& view_arity,
   bool structure = false;
   while (true) {
     const char* page = nullptr;
-    if (Status read = pages.Next(&page); !read.ok()) {
-      pass.Error("unreadable-page", read.ToString());
-      return Status::OK();
-    }
+    if (Status read = pages.Next(&page); !read.ok()) return damaged(read);
     if (page == nullptr) break;
     const PageId id = pages.page_id();
     if (verify) {

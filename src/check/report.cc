@@ -61,6 +61,16 @@ void CheckReport::AddInfo(const std::string& component,
   Add(Finding{Severity::kInfo, component, code, message, context});
 }
 
+Status CheckReport::FirstError(size_t from) const {
+  for (size_t i = from; i < findings_.size(); ++i) {
+    const Finding& f = findings_[i];
+    if (f.severity != Severity::kError) continue;
+    return Status::Corruption(f.code + ": " + f.message +
+                              (f.context.empty() ? "" : " (" + f.context + ")"));
+  }
+  return Status::OK();
+}
+
 std::string CheckReport::ToString() const {
   std::ostringstream out;
   for (const Finding& f : findings_) {

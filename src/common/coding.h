@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 
 namespace cubetree {
 
@@ -29,50 +28,6 @@ inline uint64_t DecodeFixed64(const char* src) {
   uint64_t value;
   std::memcpy(&value, src, sizeof(value));
   return value;
-}
-
-inline void PutFixed32(std::string* dst, uint32_t value) {
-  char buf[sizeof(value)];
-  EncodeFixed32(buf, value);
-  dst->append(buf, sizeof(buf));
-}
-
-inline void PutFixed64(std::string* dst, uint64_t value) {
-  char buf[sizeof(value)];
-  EncodeFixed64(buf, value);
-  dst->append(buf, sizeof(buf));
-}
-
-/// Appends `value` to `dst` as a LEB128 varint (1-5 bytes).
-void PutVarint32(std::string* dst, uint32_t value);
-
-/// Appends `value` to `dst` as a LEB128 varint (1-10 bytes).
-void PutVarint64(std::string* dst, uint64_t value);
-
-/// Encodes `value` as a varint into `dst` (which must have >= 5 bytes of
-/// room) and returns the number of bytes written.
-size_t EncodeVarint32(char* dst, uint32_t value);
-
-/// Decodes a varint32 from [p, limit). On success stores it in *value and
-/// returns the first byte past the encoding; returns nullptr on malformed or
-/// truncated input.
-const char* GetVarint32(const char* p, const char* limit, uint32_t* value);
-
-/// Decodes a varint64 from [p, limit); same contract as GetVarint32.
-const char* GetVarint64(const char* p, const char* limit, uint64_t* value);
-
-/// Number of bytes PutVarint32 would append for `value`.
-size_t VarintLength32(uint32_t value);
-
-/// Encodes a signed 64-bit value with zigzag so small magnitudes (positive or
-/// negative) stay short; used for aggregate deltas.
-inline uint64_t ZigZagEncode64(int64_t value) {
-  return (static_cast<uint64_t>(value) << 1) ^
-         static_cast<uint64_t>(value >> 63);
-}
-
-inline int64_t ZigZagDecode64(uint64_t value) {
-  return static_cast<int64_t>((value >> 1) ^ (~(value & 1) + 1));
 }
 
 }  // namespace cubetree

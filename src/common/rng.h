@@ -51,9 +51,6 @@ class Rng {
     return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0);
   }
 
-  /// True with probability p.
-  bool Bernoulli(double p) { return NextDouble() < p; }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 

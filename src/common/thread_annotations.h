@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 /// Clang Thread Safety Analysis support: capability attribute macros plus
 /// annotated mutex wrappers. Under clang the annotations turn the locking
@@ -54,30 +53,15 @@
 /// The annotated function acquires the capability and does not release it.
 #define ACQUIRE(...) \
   CT_THREAD_ANNOTATION_ATTRIBUTE_(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  CT_THREAD_ANNOTATION_ATTRIBUTE_(acquire_shared_capability(__VA_ARGS__))
 
 /// The annotated function releases a capability acquired earlier.
 #define RELEASE(...) \
   CT_THREAD_ANNOTATION_ATTRIBUTE_(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  CT_THREAD_ANNOTATION_ATTRIBUTE_(release_shared_capability(__VA_ARGS__))
-#define RELEASE_GENERIC(...) \
-  CT_THREAD_ANNOTATION_ATTRIBUTE_(release_generic_capability(__VA_ARGS__))
-
-/// The annotated function acquires the capability when it returns the
-/// given value.
-#define TRY_ACQUIRE(...) \
-  CT_THREAD_ANNOTATION_ATTRIBUTE_(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  CT_THREAD_ANNOTATION_ATTRIBUTE_(try_acquire_shared_capability(__VA_ARGS__))
 
 /// The caller must hold the capability to call the annotated function
 /// (internal helpers that expect the lock held, e.g. *Locked() methods).
 #define REQUIRES(...) \
   CT_THREAD_ANNOTATION_ATTRIBUTE_(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  CT_THREAD_ANNOTATION_ATTRIBUTE_(requires_shared_capability(__VA_ARGS__))
 
 /// The caller must NOT hold the capability (the function acquires it
 /// itself; calling with it held would self-deadlock).
@@ -110,33 +94,10 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class MutexLock;
   std::mutex mu_;
-};
-
-/// Annotated reader/writer mutex for the read-mostly structures the
-/// worker-pool executor will add (ROADMAP item 1). Writer side is a
-/// "mutex" capability; readers use ReaderLock / REQUIRES_SHARED.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() { mu_.lock(); }
-  void Unlock() RELEASE() { mu_.unlock(); }
-  void LockShared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  bool TryLockShared() TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
 };
 
 /// RAII exclusive lock on a Mutex (the library's std::lock_guard /
@@ -153,34 +114,6 @@ class SCOPED_CAPABILITY MutexLock {
  private:
   friend class CondVar;
   std::unique_lock<std::mutex> lock_;
-};
-
-/// RAII shared (reader) lock on a SharedMutex.
-class SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ReaderLock() RELEASE_GENERIC() { mu_.UnlockShared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII exclusive (writer) lock on a SharedMutex.
-class SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
-  ~WriterLock() RELEASE() { mu_.Unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable that waits on a MutexLock. Waiting releases and

@@ -12,9 +12,9 @@ Result<const ViewDef*> Cubetree::FindView(uint32_t view_id) const {
                           " not stored in this Cubetree");
 }
 
-ViewArityFn Cubetree::ViewArity() const {
-  // By value, so the function does not depend on this object's lifetime.
-  return [views = views_](uint32_t view_id) -> std::optional<uint8_t> {
+ViewArityFn ViewArityOf(std::vector<ViewDef> views) {
+  return [views = std::move(views)](
+             uint32_t view_id) -> std::optional<uint8_t> {
     for (const ViewDef& v : views) {
       if (v.id == view_id) return v.arity();
     }

@@ -14,6 +14,11 @@
 
 namespace cubetree {
 
+/// The arity of each of `views` by id, nullopt for any other view: what a
+/// pack of those views stores, and what a check of a tree holding them
+/// expects to find.
+ViewArityFn ViewArityOf(std::vector<ViewDef> views);
+
 /// One Cubetree: a packed R-tree together with the set of views it stores
 /// (at most one per arity, per SelectMapping). Provides the view-level query
 /// interface — translating a slice over a view into a range box in the
@@ -42,9 +47,6 @@ class Cubetree {
   Cubetree& operator=(const Cubetree&) = delete;
 
   const std::vector<ViewDef>& views() const { return views_; }
-  /// The arity of each view this tree stores: what a check of its main and
-  /// delta files expects to find in them.
-  ViewArityFn ViewArity() const;
   PackedRTree* rtree() { return tree_.get(); }
   const PackedRTree* rtree() const { return tree_.get(); }
   const std::shared_ptr<PackedRTree>& shared_rtree() const { return tree_; }

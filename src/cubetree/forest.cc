@@ -31,28 +31,6 @@ namespace cubetree {
 
 namespace {
 
-/// Sets aside `path` and its checksum sidecar under a ".quarantine"
-/// suffix, recording the aside names for the post-rebuild cleanup. The
-/// sidecar follows its data file so a rebuilt generation never pairs with
-/// stale checksums. Best effort: a rename failure is logged, and the
-/// original path is left for a later recovery pass.
-void SetAsideWithSidecar(const std::string& path,
-                         std::vector<std::string>* aside_files) {
-  for (const std::string& file : {path, ChecksumSidecarPath(path)}) {
-    if (!FileExists(file)) continue;
-    const std::string aside = file + ".quarantine";
-    // Not a commit point: best-effort tidying of an already-quarantined
-    // file; crash coverage lives at the manifest swap.
-    // ct-lint: allow(fault-pair)
-    if (std::rename(file.c_str(), aside.c_str()) != 0) {
-      CT_LOG(Warn) << "forest: cannot quarantine " << file << ": "
-                   << std::strerror(errno);
-      continue;
-    }
-    aside_files->push_back(aside);
-  }
-}
-
 /// True when a refresh of `kind` writes tree `slot`: the load and a rebuild
 /// fill the empty slots (every slot of an unbuilt forest, the quarantined
 /// trees of a built one), the other kinds rewrite the healthy trees.
@@ -216,25 +194,6 @@ Result<Cubetree*> ForestSnapshot::TreeForView(uint32_t view_id) const {
   return tree;
 }
 
-Result<std::map<uint32_t, uint64_t>> ForestSnapshot::CountPointsPerView()
-    const {
-  std::map<uint32_t, uint64_t> counts;
-  for (const auto& entry : state_->view_to_tree) counts[entry.first] = 0;
-  for (const auto& slot : state_->trees) {
-    if (slot.tree == nullptr) continue;
-    for (PackedRTree* rtree : slot.tree->main_and_deltas()) {
-      PackedRTree::Scanner scanner = rtree->ScanAll();
-      const char* leaf = nullptr;
-      while (true) {
-        CT_RETURN_NOT_OK(scanner.NextLeaf(&leaf));
-        if (leaf == nullptr) break;
-        counts[RNodeViewId(leaf)] += RNodeCount(leaf);
-      }
-    }
-  }
-  return counts;
-}
-
 std::string ForestRecoveryReport::ToString() const {
   std::ostringstream out;
   out << "recovery: orphans_removed=" << removed_orphans.size()
@@ -356,21 +315,7 @@ Status CubetreeForest::SaveManifestDurable(const EpochState& state) const {
   return Status::OK();
 }
 
-Result<std::shared_ptr<PackedRTree>> CubetreeForest::OpenTreeFile(
-    size_t t, const std::string& path) const {
-  CT_ASSIGN_OR_RETURN(std::shared_ptr<PackedRTree> rtree,
-                      PackedRTree::Open(path, pool_, io_stats_));
-  if (rtree->dims() != plan_.trees[t].dims) {
-    return Status::Corruption(
-        path + " has " + std::to_string(rtree->dims()) +
-        " dimensions, the manifest plans tree " + std::to_string(t) +
-        " with " + std::to_string(plan_.trees[t].dims));
-  }
-  return rtree;
-}
-
-Status CubetreeForest::LoadManifest(bool tolerant, EpochState* state,
-                                    ForestRecoveryReport* report) {
+Status CubetreeForest::LoadManifest(EpochState* state) {
   std::ifstream in(ManifestPath());
   if (!in) {
     return Status::NotFound("no forest manifest at " + ManifestPath());
@@ -440,59 +385,128 @@ Status CubetreeForest::LoadManifest(bool tolerant, EpochState* state,
     next_delta_generation_[t] =
         std::max(next_delta_generation_[t], generation + 1);
   }
-  // Open every tree: its main file, then its pending deltas.
-  for (size_t t = 0; t < num_trees; ++t) {
-    TreeState& slot = state->trees[t];
-    auto open_tree = [&]() -> Status {
-      CT_ASSIGN_OR_RETURN(auto main,
-                          OpenTreeFile(t, TreePath(t, slot.generation)));
-      auto tree = std::make_shared<Cubetree>(TreeViews(t), std::move(main));
-      for (uint32_t g : slot.delta_generations) {
-        CT_ASSIGN_OR_RETURN(auto delta, OpenTreeFile(t, DeltaPath(t, g)));
-        tree->AddDelta(std::move(delta));
-      }
-      slot.tree = std::move(tree);
-      return Status::OK();
-    };
-    Status opened = open_tree();
-    if (opened.ok()) continue;
-    if (!tolerant) return opened;
-    QuarantineTree(state, t, opened, report);
-  }
   return Status::OK();
 }
 
-Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Open(
-    Options options, BufferPool* pool, std::shared_ptr<IoStats> io_stats) {
+Result<std::shared_ptr<Cubetree>> CubetreeForest::OpenTree(
+    size_t t, const TreeState& slot, CheckReport* report,
+    std::map<uint32_t, uint64_t>* view_points) const {
+  const std::vector<ViewDef> views = TreeViews(t);
+  const std::vector<std::string> paths = TreeFiles(t, slot);
+  const size_t errors = report->errors();
+  const size_t findings = report->findings().size();
+  // Every file is checked, past a damaged one too, so the report names all
+  // the damage.
+  const ViewArityFn view_arity = ViewArityOf(views);
+  for (const std::string& path : paths) {
+    const Status checked = CheckTree(path, view_arity, report, view_points);
+    if (checked.IsNotFound()) {
+      const std::string aside = path + ".quarantine";
+      report->AddError("forest", "file-missing",
+                       FileExists(aside)
+                           ? "set aside as " + aside +
+                                 " by recovery; Repair rebuilds the tree"
+                           : "the manifest names a file that does not exist",
+                       path);
+    } else if (!checked.ok()) {
+      return checked;
+    }
+  }
+  std::shared_ptr<Cubetree> tree;
+  for (const std::string& path : paths) {
+    if (report->errors() > errors) break;
+    auto opened = PackedRTree::Open(path, pool_, io_stats_);
+    if (!opened.ok()) {
+      // Damage the pass did not see, such as a metadata page that read bad
+      // this time, is a finding like any other.
+      if (!opened.status().IsCorruption()) return opened.status();
+      report->AddError("rtree", "unreadable-page",
+                       opened.status().ToString(), path);
+      break;
+    }
+    std::shared_ptr<PackedRTree> rtree = std::move(opened).value();
+    if (rtree->dims() != plan_.trees[t].dims) {
+      report->AddError("forest", "tree-dims",
+                       "file has " + std::to_string(rtree->dims()) +
+                           " dimensions, the manifest plans tree " +
+                           std::to_string(t) + " with " +
+                           std::to_string(plan_.trees[t].dims),
+                       path);
+    } else if (tree == nullptr) {
+      tree = std::make_shared<Cubetree>(views, std::move(rtree));
+    } else {
+      tree->AddDelta(std::move(rtree));
+    }
+  }
+  if (report->errors() == errors) return tree;
+  const Status why = report->FirstError(findings);
+  // Every finding of the tree may lie past the report's per-code cap.
+  return why.ok() ? Status::Corruption("tree " + std::to_string(t) +
+                                       " failed its check")
+                  : why;
+}
+
+Result<std::unique_ptr<CubetreeForest>> CubetreeForest::OpenChecked(
+    Options options, BufferPool* pool, std::shared_ptr<IoStats> io_stats,
+    CheckReport* report, ForestRecoveryReport* recovery) {
   CT_ASSIGN_OR_RETURN(auto forest,
                       Create(std::move(options), pool, std::move(io_stats)));
+  // The forest is not yet visible to other threads; the lock only lets the
+  // guarded state be built under it.
   MutexLock lock(forest->refresh_mu_);
   auto state = std::make_shared<EpochState>();
-  CT_RETURN_NOT_OK(
-      forest->LoadManifest(/*tolerant=*/false, state.get(), nullptr));
+  CT_RETURN_NOT_OK(forest->LoadManifest(state.get()));
+  for (size_t t = 0; t < state->trees.size(); ++t) {
+    TreeState& slot = state->trees[t];
+    std::map<uint32_t, uint64_t> tree_points;
+    auto tree = forest->OpenTree(t, slot, report, &tree_points);
+    if (tree.ok()) {
+      slot.tree = std::move(tree).value();
+      // Each view lives in one tree, so the tallies never collide.
+      if (recovery != nullptr) recovery->view_points.merge(tree_points);
+      continue;
+    }
+    // Damage takes the tree out of service; any other error means the
+    // check could not run.
+    if (!tree.status().IsCorruption()) return tree.status();
+    if (recovery != nullptr) {
+      recovery->quarantined_trees.push_back(t);
+      for (uint32_t vid : forest->plan_.trees[t].view_ids) {
+        recovery->quarantined_views.push_back(vid);
+      }
+      recovery->notes.push_back("quarantined tree " + std::to_string(t) +
+                                ": " + tree.status().ToString());
+    }
+  }
   forest->PublishState(std::move(state));
   return forest;
 }
 
-void CubetreeForest::QuarantineTree(EpochState* state, size_t t,
-                                    const Status& why,
-                                    ForestRecoveryReport* report) {
-  TreeState& slot = state->trees[t];
-  const std::vector<std::string> paths = TreeFiles(t, slot);
-  // Drop the staged reference before renaming; the buffer pool drops the
-  // file's pages once no published epoch holds the tree either.
-  slot.tree.reset();
-  slot.delta_generations.clear();
-  for (const std::string& path : paths) {
-    SetAsideWithSidecar(path, &quarantine_files_[t]);
-  }
-  if (report != nullptr) {
-    report->quarantined_trees.push_back(t);
-    for (uint32_t vid : plan_.trees[t].view_ids) {
-      report->quarantined_views.push_back(vid);
+Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Open(
+    Options options, BufferPool* pool, std::shared_ptr<IoStats> io_stats,
+    CheckReport* report) {
+  CheckReport unread;
+  return OpenChecked(std::move(options), pool, std::move(io_stats),
+                     report != nullptr ? report : &unread, nullptr);
+}
+
+void CubetreeForest::SetAside(size_t t, const TreeState& slot) {
+  for (const std::string& path : TreeFiles(t, slot)) {
+    // The sidecar follows its data file, so a rebuilt generation never
+    // pairs with stale checksums.
+    for (const std::string& file : {path, ChecksumSidecarPath(path)}) {
+      const std::string aside = file + ".quarantine";
+      // Not a commit point: best-effort tidying of a file already out of
+      // service; a failed rename leaves it for a later recovery pass.
+      // ct-lint: allow(fault-pair)
+      if (FileExists(file) && std::rename(file.c_str(), aside.c_str()) != 0) {
+        CT_LOG(Warn) << "forest: cannot quarantine " << file << ": "
+                     << std::strerror(errno);
+        continue;
+      }
+      // Renamed just now, or by an earlier recovery.
+      if (FileExists(aside)) quarantine_files_[t].push_back(aside);
     }
-    report->notes.push_back("quarantined tree " + std::to_string(t) + ": " +
-                            why.ToString());
   }
 }
 
@@ -517,46 +531,21 @@ void CubetreeForest::RemoveOrphan(const std::string& path,
 Result<std::unique_ptr<CubetreeForest>> CubetreeForest::Recover(
     Options options, BufferPool* pool, std::shared_ptr<IoStats> io_stats,
     ForestRecoveryReport* report) {
-  CT_ASSIGN_OR_RETURN(auto forest,
-                      Create(std::move(options), pool, std::move(io_stats)));
   ForestRecoveryReport local_report;
   if (report == nullptr) report = &local_report;
-
-  // 1. Load the manifest, quarantining any tree that will not open. The
-  // forest is not yet visible to other threads; the lock covers the whole
-  // recovery so the guarded state is built under it.
+  // 1. Open, which checks every tree file and leaves damaged trees out of
+  // service.
+  CheckReport checked;
+  CT_ASSIGN_OR_RETURN(auto forest,
+                      OpenChecked(std::move(options), pool,
+                                  std::move(io_stats), &checked, report));
   MutexLock lock(forest->refresh_mu_);
-  auto state = std::make_shared<EpochState>();
-  CT_RETURN_NOT_OK(forest->LoadManifest(/*tolerant=*/true, state.get(),
-                                        report));
 
-  // 2. Check every file of the trees that did open, one forward pass
-  // each; quarantine the trees that fail (a torn page write or a flipped
-  // bit can leave an openable but inconsistent file).
-  for (size_t t = 0; t < state->trees.size(); ++t) {
-    const std::shared_ptr<Cubetree>& tree = state->trees[t].tree;
-    if (tree == nullptr) continue;
-    const ViewArityFn view_arity = tree->ViewArity();
-    Status verdict;
-    for (const std::string& path : forest->TreeFiles(t, state->trees[t])) {
-      CheckReport check_report;
-      verdict = CheckTree(path, view_arity, &check_report);
-      if (verdict.ok() && !check_report.clean()) {
-        // Name the first error, so the quarantine note says what failed.
-        std::string first;
-        for (const Finding& f : check_report.findings()) {
-          if (f.severity != Severity::kError) continue;
-          first = f.code + ": " + f.message + " (" + f.context + ")";
-          break;
-        }
-        verdict = Status::Corruption("invariant check failed for " + path +
-                                     ": " + first);
-      }
-      if (!verdict.ok()) break;
-    }
-    if (!verdict.ok()) forest->QuarantineTree(state.get(), t, verdict, report);
+  // 2. Set the out-of-service trees' files aside until they are rebuilt.
+  const std::shared_ptr<EpochState> live = forest->Published();
+  for (size_t t : report->quarantined_trees) {
+    forest->SetAside(t, live->trees[t]);
   }
-  forest->PublishState(std::move(state));
 
   // 3. Sweep the directory: any tree-generation file of this forest the
   // manifest does not reference is the debris of an interrupted refresh
@@ -595,17 +584,6 @@ Result<std::unique_ptr<ViewStreamSource>> CubetreeForest::OpenTreeSource(
     streams.push_back({view.id, view.arity(), std::move(stream)});
   }
   return std::make_unique<ViewStreamSource>(std::move(streams));
-}
-
-ViewArityFn CubetreeForest::ArityFn() const {
-  // Capture a by-value arity map so the callback stays valid.
-  std::map<uint32_t, uint8_t> arities;
-  for (const auto& [id, view] : views_by_id_) arities[id] = view.arity();
-  return [arities](uint32_t view_id) -> std::optional<uint8_t> {
-    auto it = arities.find(view_id);
-    if (it == arities.end()) return std::nullopt;
-    return it->second;
-  };
 }
 
 Status CubetreeForest::Build(const std::vector<ViewDef>& views,
@@ -744,7 +722,7 @@ Status CubetreeForest::RefreshTxn(RefreshKind kind,
                             : kind == RefreshKind::kDelta
                                 ? "refresh.delta_pack"
                                 : "refresh.rebuild_pack";
-    const auto arity_fn = ArityFn();
+    const ViewArityFn arity_fn = ViewArityOf(views_);
     // Each worker builds its spans in a private child trace and splices
     // them back under the refresh trace when its task ends.
     obs::TraceHandoff handoff;
@@ -877,7 +855,10 @@ Result<bool> CubetreeForest::QuarantineForCorruption(
   }
   CT_LOG(Warn) << "forest: quarantining tree " << t << " for corruption: "
                << why.ToString();
-  QuarantineTree(next.get(), t, why, nullptr);
+  // Drop the staged reference; the buffer pool drops the file's pages once
+  // no published epoch holds the tree either.
+  next->trees[t].tree.reset();
+  SetAside(t, next->trees[t]);
   // Publish immediately: in-flight queries keep their pinned snapshots,
   // but every re-route from here on skips the quarantined views.
   PublishState(std::move(next));
@@ -910,6 +891,16 @@ Result<std::vector<std::string>> CubetreeForest::OrphanFilesLocked() const {
   {
     MutexLock gc_lock(gc_->mu);
     keep = gc_->tracked_paths;
+  }
+  // A quarantined tree's files are named by the manifest: recovery sets
+  // them aside, it does not sweep them.
+  if (const std::shared_ptr<EpochState> live = Published()) {
+    for (size_t t = 0; t < live->trees.size(); ++t) {
+      if (live->trees[t].tree != nullptr) continue;
+      for (std::string& path : TreeFiles(t, live->trees[t])) {
+        keep.insert(std::move(path));
+      }
+    }
   }
   DIR* dir = ::opendir(options_.dir.c_str());
   if (dir == nullptr) {

@@ -21,6 +21,8 @@
 
 namespace cubetree {
 
+class CheckReport;
+
 /// In-process garbage-collection state of the snapshot layer, for ops
 /// tooling (ctfsck --json) and the stress harness.
 struct ForestGcStats {
@@ -87,7 +89,7 @@ struct TreeState {
   /// is quarantined so a rebuild writes the next one.
   uint32_t generation = 0;
   /// Generation numbers of the pending delta files (`_d<N>.ctr`), oldest
-  /// first.
+  /// first; kept, like `generation`, while the tree is quarantined.
   std::vector<uint32_t> delta_generations;
 };
 
@@ -137,10 +139,6 @@ class ForestSnapshot {
   uint64_t TotalPoints() const { return Sum(&Cubetree::TotalPoints); }
   uint64_t TotalSizeBytes() const { return Sum(&Cubetree::TotalSizeBytes); }
   size_t TotalDeltas() const { return Sum(&Cubetree::num_deltas); }
-  /// Stored points per view id, from a full scan of every healthy tree
-  /// (main + deltas); views of quarantined trees count 0. Used to re-derive
-  /// router statistics after recovery.
-  Result<std::map<uint32_t, uint64_t>> CountPointsPerView() const;
 
   /// Drops the pin early (the destructor also releases it).
   void Release() { state_.reset(); }
@@ -171,15 +169,19 @@ struct ForestRecoveryReport {
   /// Files recovery deleted: stale manifest tmp, tree generations no
   /// manifest references, and the refresh journal of an older store.
   std::vector<std::string> removed_orphans;
-  /// Indices of trees recovery had to take out of service (unopenable or
-  /// failed their invariant check); their files were renamed aside with a
-  /// ".quarantine" suffix. The forest stays queryable on the remaining
-  /// trees; RebuildQuarantined() packs the rest again from their views'
-  /// full contents, which CubetreeEngine::Repair derives from the
-  /// surviving views, or from the facts where none covers a lost one.
+  /// Indices of the trees Open left out of service (a file the manifest
+  /// names is missing, or CheckTree found an error in one); recovery
+  /// renamed their files aside with a ".quarantine" suffix. The forest
+  /// stays queryable on the remaining trees; RebuildQuarantined() packs the
+  /// rest again from their views' full contents, which
+  /// CubetreeEngine::Repair derives from the surviving views, or from the
+  /// facts where none covers a lost one.
   std::vector<size_t> quarantined_trees;
   /// The views those trees materialized (unavailable until rebuilt).
   std::vector<uint32_t> quarantined_views;
+  /// Stored points per view of the trees left in service (main + deltas),
+  /// tallied by the check from the leaves it reads.
+  std::map<uint32_t, uint64_t> view_points;
   /// Human-readable log of notable recovery events.
   std::vector<std::string> notes;
 
@@ -286,26 +288,24 @@ class CubetreeForest {
       Options options, BufferPool* pool,
       std::shared_ptr<IoStats> io_stats = nullptr);
 
-  /// Reopens a forest persisted by a previous Build/ApplyDelta in the same
-  /// directory (the manifest records views, plan and tree generations; the
-  /// manifest is replaced atomically after every change, so a crash during
-  /// merge-pack leaves the previous generation intact and reopenable).
-  /// Strict: any unopenable tree file is an error. After an unclean
-  /// shutdown use Recover() instead.
+  /// Reopens a forest persisted in `options.dir`: reads the manifest (a
+  /// missing one is NotFound, a damaged one Corruption), runs CheckTree
+  /// (check/check.h) on every main and delta file each tree names against
+  /// the tree's own views, and opens the trees whose files pass. Any other
+  /// tree, with an error finding or a named file missing, stays out of
+  /// service as a quarantined tree, its findings in `report`. Open writes
+  /// nothing. Any other error opening or reading a file (IOError,
+  /// StorageFull) means the check could not run, and is returned.
   static Result<std::unique_ptr<CubetreeForest>> Open(
       Options options, BufferPool* pool,
-      std::shared_ptr<IoStats> io_stats = nullptr);
+      std::shared_ptr<IoStats> io_stats = nullptr,
+      CheckReport* report = nullptr);
 
-  /// Crash-recovery variant of Open. Quarantines trees that cannot be
-  /// opened or whose main or delta file fails CheckTree (check/check.h)
-  /// against the tree's own views — renaming their files aside
-  /// with a ".quarantine" suffix so the forest stays queryable on the
-  /// surviving trees — then removes the stale manifest tmp and any
-  /// tree-generation files the manifest does not reference (the half-built
-  /// output of an interrupted refresh, or the un-reclaimed input of a
-  /// committed one). Recovery is idempotent: crashing inside Recover and
-  /// running it again converges to the same state. Only a missing or
-  /// corrupt manifest is an error.
+  /// Crash recovery: Open, then rename the files of every tree it left out
+  /// of service aside with a ".quarantine" suffix, then delete the files
+  /// OrphanFiles names (an interrupted refresh's half-built output, a
+  /// committed one's un-reclaimed input). Idempotent: crashing inside
+  /// Recover and running it again converges. Errors are Open's.
   static Result<std::unique_ptr<CubetreeForest>> Recover(
       Options options, BufferPool* pool,
       std::shared_ptr<IoStats> io_stats = nullptr,
@@ -381,9 +381,9 @@ class CubetreeForest {
 
   /// This forest's files on disk that no live epoch references: tree and
   /// sidecar files without a TrackedFile token (retired but unreclaimed,
-  /// or crash debris), a stale manifest tmp, and the refresh journal older
-  /// stores left behind. Sorted. Recover and ReclaimSpace delete exactly
-  /// these; ctfsck reports them.
+  /// or crash debris) that no quarantined tree names, a stale manifest
+  /// tmp, and the refresh journal older stores left behind. Sorted.
+  /// Recover and ReclaimSpace delete exactly these; ctfsck reports them.
   Result<std::vector<std::string>> OrphanFiles() const EXCLUDES(refresh_mu_);
 
   /// Removes all tree files.
@@ -410,19 +410,24 @@ class CubetreeForest {
   /// the directory. Once the rename has happened the commit is in effect;
   /// later failures are logged, not returned.
   Status SaveManifestDurable(const EpochState& state) const;
-  /// Parses the manifest into `state` and opens every tree. In tolerant
-  /// mode an unopenable tree is quarantined instead of failing the load.
-  Status LoadManifest(bool tolerant, EpochState* state,
-                      ForestRecoveryReport* report) REQUIRES(refresh_mu_);
-  /// Opens one file of tree `t` the manifest names; a file whose dims
-  /// differ from the plan's is Corruption.
-  Result<std::shared_ptr<PackedRTree>> OpenTreeFile(
-      size_t t, const std::string& path) const;
-  /// Takes tree `t` of the staged `state` out of service: drops it,
-  /// renames its files aside with a ".quarantine" suffix, and records the
-  /// event.
-  void QuarantineTree(EpochState* state, size_t t, const Status& why,
-                      ForestRecoveryReport* report) REQUIRES(refresh_mu_);
+  /// Open, with the trees it leaves out of service, why, and the others'
+  /// points per view in `recovery` (nullable).
+  static Result<std::unique_ptr<CubetreeForest>> OpenChecked(
+      Options options, BufferPool* pool, std::shared_ptr<IoStats> io_stats,
+      CheckReport* report, ForestRecoveryReport* recovery);
+  /// Parses the manifest into the plan, the views and `state`'s slots.
+  Status LoadManifest(EpochState* state) REQUIRES(refresh_mu_);
+  /// Runs CheckTree on every file `slot` names, then opens them as tree
+  /// `t`, its stored points per view added to `view_points`. Corruption,
+  /// naming the first error finding in `report`, when the tree must stay
+  /// out of service; any other error when the check could not run.
+  Result<std::shared_ptr<Cubetree>> OpenTree(
+      size_t t, const TreeState& slot, CheckReport* report,
+      std::map<uint32_t, uint64_t>* view_points) const;
+  /// Renames the files tree `t`'s `slot` names, and their sidecars, aside
+  /// with a ".quarantine" suffix, and records those already there too, for
+  /// the rebuild to delete.
+  void SetAside(size_t t, const TreeState& slot) REQUIRES(refresh_mu_);
   /// The one refresh transaction behind Build, ApplyDelta,
   /// ApplyDeltaPartial, Compact and RebuildQuarantined, and the only place
   /// a write is admitted or refused for lack of space: preflight, serial
@@ -441,8 +446,6 @@ class CubetreeForest {
   /// The pack input over `provider`'s streams of tree `t`'s views.
   Result<std::unique_ptr<ViewStreamSource>> OpenTreeSource(
       size_t t, ViewDataProvider* provider) const;
-  /// Arity of every view of the forest, by id.
-  ViewArityFn ArityFn() const;
   /// A fresh, unpublished EpochState holding a copy of the published tree
   /// slots (before the load, empty ones), for a mutator to edit.
   std::shared_ptr<EpochState> StageState() const;

@@ -131,16 +131,20 @@ Result<std::unique_ptr<CubetreeEngine>> CubetreeEngine::Recover(
     const CubeSchema& schema, Options options, BufferPool* pool,
     ForestRecoveryReport* report) {
   CT_ASSIGN_OR_RETURN(auto engine, Create(schema, std::move(options), pool));
+  ForestRecoveryReport local_report;
+  if (report == nullptr) report = &local_report;
   CT_ASSIGN_OR_RETURN(
       engine->forest_,
       CubetreeForest::Recover(ForestOptions(engine->options_), engine->pool_,
                               engine->options_.io_stats, report));
-  // Row counts were derived from the spools at load time; after a crash
-  // the spools are gone, so re-derive them from the trees themselves.
-  CT_ASSIGN_OR_RETURN(
-      const auto counts,
-      engine->forest_->AcquireSnapshot().CountPointsPerView());
-  for (const auto& [view_id, rows] : counts) engine->view_rows_[view_id] = rows;
+  // The load took its row counts from the spools, which are gone after a
+  // restart; recovery's check tallied the trees' points as it read them.
+  // A quarantined tree's views count 0.
+  for (const ViewDef& view : engine->forest_->views()) {
+    const auto it = report->view_points.find(view.id);
+    engine->view_rows_[view.id] =
+        it == report->view_points.end() ? 0 : it->second;
+  }
   return engine;
 }
 

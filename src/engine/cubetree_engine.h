@@ -47,9 +47,9 @@ class CubetreeEngine : public ViewStore {
       const CubeSchema& schema, Options options, BufferPool* pool);
 
   /// Reopens a persisted forest after an unclean shutdown via
-  /// CubetreeForest::Recover and re-derives the router's per-view row
-  /// counts by scanning the surviving trees. Views whose tree was
-  /// quarantined are skipped by the router (queries fall back to a
+  /// CubetreeForest::Recover and seeds the router's per-view row counts
+  /// from the points its check tallied in the surviving trees. Views whose
+  /// tree was quarantined are skipped by the router (queries fall back to a
   /// covering superset view when one survives) until Repair restores them.
   static Result<std::unique_ptr<CubetreeEngine>> Recover(
       const CubeSchema& schema, Options options, BufferPool* pool,

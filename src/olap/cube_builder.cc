@@ -137,8 +137,8 @@ Result<std::unique_ptr<ComputedViews>> CubeBuilder::ComputeAll(
     // Streaming a moderately larger parent beats sorting a smaller one:
     // the pipelined path reads once sequentially, the sorted path reads,
     // spills and merges. 4x is a conservative crossover.
-    if (options_.pipelined_aggregation && suffix_parent != nullptr &&
-        parent != nullptr && suffix_rows <= 4 * parent_rows) {
+    if (suffix_parent != nullptr && parent != nullptr &&
+        suffix_rows <= 4 * parent_rows) {
       parent = suffix_parent;
       parent_source = nullptr;
     }
@@ -235,7 +235,6 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
   }
   // Pipelined path: the computed parent's order is the child's pack order.
   const bool already_sorted = parent != nullptr && materialized == nullptr &&
-                              options_.pipelined_aggregation &&
                               IsSuffixProjection(view, *parent);
 
   const std::string path = options_.temp_dir + "/" + tag + "_view" +

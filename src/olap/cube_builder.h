@@ -111,8 +111,11 @@ struct MaterializedView {
 /// computed from its smallest already-computed parent (the dependency graph
 /// of Figure 10, per [AAD+96]) — or from the fact stream when it has none —
 /// by sorting the parent's tuples in the child's pack order and merging
-/// adjacent groups. The outputs double as the packing inputs, which is why
-/// the paper counts the sort as part of the load, not as overhead. Since
+/// adjacent groups. The sort is skipped when the child's projection list
+/// is a suffix of a computed parent's, whose stream is then already in the
+/// child's pack order ([AAD+96]-style pipelined aggregation). The outputs
+/// double as the packing inputs, which is why the paper counts the sort as
+/// part of the load, not as overhead. Since
 /// SUM and COUNT are distributive, any covering view is an exact parent,
 /// so a repair derives lost views the same way from the surviving ones.
 class CubeBuilder {
@@ -123,11 +126,6 @@ class CubeBuilder {
     size_t sort_budget_bytes = 16u << 20;
     /// Shared I/O accounting for sort runs and spools.
     std::shared_ptr<IoStats> io_stats;
-    /// Skip the sort when a child's pack order is a projection-compatible
-    /// prefix of its parent's — i.e. the child's projection list is a
-    /// suffix of the parent's, so the parent's stream is already in the
-    /// child's pack order ([AAD+96]-style pipelined aggregation).
-    bool pipelined_aggregation = true;
   };
 
   CubeBuilder(const CubeSchema& schema, Options options)

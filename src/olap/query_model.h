@@ -48,14 +48,6 @@ struct SliceQuery {
     }
     return mask;
   }
-  /// Attributes restricted by a range predicate.
-  uint32_t RangeMask() const {
-    uint32_t mask = 0;
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      if (ranges[i].has_value()) mask |= (1u << attrs[i]);
-    }
-    return mask;
-  }
   uint32_t GroupMask() const { return node_mask & ~BoundMask(); }
   size_t NumBound() const {
     size_t n = 0;

@@ -5,12 +5,12 @@
 #include <utility>
 #include <vector>
 
+#include "check/check.h"
 #include "common/logging.h"
 #include "cubetree/cubetree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/page.h"
-#include "storage/page_manager.h"
 
 namespace cubetree {
 
@@ -86,82 +86,43 @@ void Scrubber::RepairAndCount(std::optional<uint32_t> view_id,
       ->Increment();
 }
 
-void Scrubber::ScrubFile(const std::string& path, uint32_t first_view_id,
-                         ScrubPassStats* stats) {
+void Scrubber::ScrubFile(const PackedRTree& rtree,
+                         const ViewArityFn& view_arity,
+                         uint32_t first_view_id, ScrubPassStats* stats) {
   const ScrubMetrics& m = ScrubMetrics::Get();
-  auto pm = PageManager::Open(path);
-  if (!pm.ok()) {
-    // The file vanishing or failing to open mid-pass is not corruption from
-    // the scrubber's point of view (a refresh may have retired it between
-    // the snapshot pin and here is impossible — the pin keeps it alive —
-    // but transient I/O errors are real). Log and move on.
-    CT_LOG(Warn) << "scrub: cannot open " << path << ": "
-                 << pm.status().ToString();
-    return;
-  }
-  std::unique_ptr<PageManager> file = std::move(pm).value();
-  if (Status cs = file->LoadChecksums(); !cs.ok()) {
-    // Every tree has a sidecar, so a missing or invalid one is itself
-    // corruption of the tree's on-disk state: quarantine just like a page
-    // mismatch.
-    ++stats->corruptions_found;
-    m.corruptions_found->Increment();
-    CT_LOG(Warn) << "scrub: bad checksum sidecar for " << path << ": "
-                 << cs.ToString();
-    auto q = forest_->QuarantineForCorruption(first_view_id, path, cs);
-    if (q.ok() && q.value()) RepairAndCount(first_view_id, stats);
-    return;
-  }
-
+  const std::string& path = rtree.path();
+  const uint64_t pages = rtree.FileSizeBytes() / kPageSize;
   ++stats->files_scanned;
-  const PageId pages = file->NumPages();
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point next_read = Clock::now();
-  const auto per_page_budget =
-      options_.pages_per_second == 0
-          ? std::chrono::nanoseconds(0)
-          : std::chrono::nanoseconds(1000000000ull / options_.pages_per_second);
-
-  Page page;
-  for (PageId id = 0; id < pages; ++id) {
-    if (options_.pages_per_second != 0) {
-      {
-        // Abort the file promptly on Stop() instead of sleeping out the
-        // throttle budget.
-        MutexLock lock(mu_);
-        if (stop_) return;
-        cv_.WaitUntil(lock, next_read);
-        if (stop_) return;
-      }
-      next_read += per_page_budget;
-    }
-    Status read = file->ReadPage(id, &page);
-    ++stats->pages_scrubbed;
-    m.pages_scrubbed->Increment();
-    if (read.ok()) continue;
-    if (!read.IsCorruption()) {
-      // Transient I/O trouble (after the storage layer's own retries):
-      // not a checksum finding; skip the rest of the file.
-      CT_LOG(Warn) << "scrub: read error on " << path << ": "
-                   << read.ToString();
+  // A finding can be transient (a bit flipped in flight), so the file
+  // leaves service only when a second pass over it finds damage again.
+  Status why;
+  for (int pass = 0; pass < 2; ++pass) {
+    CheckReport report;
+    const Status checked = CheckTree(path, view_arity, &report);
+    if (!checked.ok()) {
+      // I/O trouble (after the storage layer's own retries) is not a
+      // finding; the next scrub pass reads the file again.
+      CT_LOG(Warn) << "scrub: cannot check " << path << ": "
+                   << checked.ToString();
       return;
     }
-    ++stats->corruptions_found;
-    m.corruptions_found->Increment();
-    CT_LOG(Warn) << "scrub: corruption in " << path << ": " << read.ToString();
-    // Quarantine only if this exact file is still the live one — a refresh
-    // that replaced it since the snapshot pin already made the corruption
-    // moot, and quarantining the fresh tree would be wrong.
-    auto q = forest_->QuarantineForCorruption(first_view_id, path, read);
-    if (!q.ok()) {
-      CT_LOG(Warn) << "scrub: quarantine failed: " << q.status().ToString();
-      return;
-    }
-    if (q.value()) RepairAndCount(first_view_id, stats);
-    // One finding quarantines the whole tree; scanning the rest of the
-    // file adds nothing.
+    stats->pages_scrubbed += pages;
+    m.pages_scrubbed->Increment(pages);
+    if (report.clean()) return;
+    why = report.FirstError();
+  }
+  ++stats->corruptions_found;
+  m.corruptions_found->Increment();
+  CT_LOG(Warn) << "scrub: corruption in " << path << ": " << why.ToString();
+  // Quarantine only if this exact file is still the live one — a refresh
+  // that replaced it since the snapshot pin already made the corruption
+  // moot, and quarantining the fresh tree would be wrong.
+  auto q = forest_->QuarantineForCorruption(first_view_id, path, why);
+  if (!q.ok()) {
+    CT_LOG(Warn) << "scrub: quarantine failed: " << q.status().ToString();
     return;
   }
+  if (q.value()) RepairAndCount(first_view_id, stats);
 }
 
 Status Scrubber::ScrubOnce(ScrubPassStats* stats) {
@@ -184,17 +145,30 @@ Status Scrubber::ScrubOnce(ScrubPassStats* stats) {
     snapshot = forest_->AcquireSnapshot();
   }
 
+  // The throttle paces whole files: each is read at full speed, and the
+  // next one starts once the pages already read have used their budget.
+  using Clock = std::chrono::steady_clock;
+  const auto per_page =
+      options_.pages_per_second == 0
+          ? std::chrono::nanoseconds(0)
+          : std::chrono::nanoseconds(1000000000ull / options_.pages_per_second);
+  Clock::time_point next_file = Clock::now();
   for (size_t t = 0; t < snapshot.num_trees(); ++t) {
     // A quarantined tree (nullptr) has no live files worth scanning.
     Cubetree* tree = snapshot.tree(t);
     if (tree == nullptr || tree->views().empty()) continue;
-    const uint32_t view_id = tree->views()[0].id;
+    const ViewArityFn view_arity = ViewArityOf(tree->views());
     for (PackedRTree* rtree : tree->main_and_deltas()) {
-      ScrubFile(rtree->path(), view_id, stats);
-    }
-    {
-      MutexLock lock(mu_);
-      if (stop_) break;
+      {
+        // Stop() ends the wait and the pass promptly.
+        MutexLock lock(mu_);
+        while (!stop_ && Clock::now() < next_file) {
+          cv_.WaitUntil(lock, next_file);
+        }
+        if (stop_) break;
+      }
+      next_file += per_page * (rtree->FileSizeBytes() / kPageSize);
+      ScrubFile(*rtree, view_arity, tree->views()[0].id, stats);
     }
   }
 

@@ -20,7 +20,8 @@ namespace cubetree {
 ///   CUBETREE_SCRUB_INTERVAL_MS=N  pause between passes (default 60000)
 struct ScrubOptions {
   bool enabled = false;
-  /// Pages per second; 0 scrubs unthrottled.
+  /// Pages per second on average, paced between files; 0 scrubs
+  /// unthrottled.
   uint64_t pages_per_second = 0;
   /// Sleep between the end of one pass and the start of the next.
   uint64_t interval_ms = 60000;
@@ -39,15 +40,17 @@ struct ScrubPassStats {
   uint64_t corruptions_unrepairable = 0;
 };
 
-/// Background integrity scrubber: periodically walks every file of the
-/// live forest generation and re-reads each page, letting the storage
-/// layer's verify-on-read surface latent corruption before a query ever
-/// touches it. Each pass pins a ForestSnapshot, so epoch-based reclamation
-/// keeps every scanned file alive even while refreshes retire it, and the
-/// scrubber never blocks mutators (it takes no forest lock).
+/// Background integrity scrubber: periodically runs CheckTree, the pass
+/// Open and Recover judge a tree file by, over every file of the live
+/// forest generation, so latent damage — a CRC mismatch or a structural
+/// fault under a valid sidecar — surfaces before a query ever touches it.
+/// Each pass pins a ForestSnapshot, so epoch-based reclamation keeps every
+/// scanned file alive even while refreshes retire it, and the scrubber
+/// never blocks mutators (it takes no forest lock).
 ///
-/// On corruption the affected tree is quarantined through
-/// CubetreeForest::QuarantineForCorruption — passing the exact file path,
+/// A file whose check reports an error is checked again, and only when
+/// the second check also reports one is the tree quarantined — through
+/// CubetreeForest::QuarantineForCorruption, passing the exact file path,
 /// so a tree that a refresh already replaced is left alone — and the
 /// optional repair callback (typically CubetreeEngine::Repair) is invoked
 /// to rebuild it. A corruption that remains quarantined after the callback
@@ -58,9 +61,9 @@ struct ScrubPassStats {
 /// callback once before it scans (counted the same way), so a refused
 /// repair is retried every pass until space returns.
 ///
-/// Scrubbing reads bypass the buffer pool on a private PageManager: the
-/// point is to exercise the bytes on disk, not the cache, and pool
-/// hit-rate metrics stay untouched.
+/// The check reads each file through its own page file, bypassing the
+/// buffer pool: the point is to exercise the bytes on disk, not the cache,
+/// and pool hit-rate metrics stay untouched.
 class Scrubber {
  public:
   /// Invoked after a corrupt tree is quarantined; returns OK when every
@@ -100,10 +103,11 @@ class Scrubber {
   /// metrics as repaired when the tree holding `view_id` (every tree, for
   /// nullopt) is back in service, else as unrepairable.
   void RepairAndCount(std::optional<uint32_t> view_id, ScrubPassStats* stats);
-  /// Scrubs one data file; `first_view_id` identifies the owning tree for
-  /// quarantine. Updates `*stats` in place.
-  void ScrubFile(const std::string& path, uint32_t first_view_id,
-                 ScrubPassStats* stats);
+  /// Checks one file of a tree holding views of `view_arity`, a second
+  /// time when the first pass finds an error, and quarantines the tree
+  /// (`first_view_id` names it) when both do. Updates `*stats` in place.
+  void ScrubFile(const PackedRTree& rtree, const ViewArityFn& view_arity,
+                 uint32_t first_view_id, ScrubPassStats* stats);
 
   CubetreeForest* forest_;
   ScrubOptions options_;

@@ -9,12 +9,14 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "check/check.h"
 #include "cubetree/forest.h"
+#include "fault/fault_injector.h"
 #include "obs/json.h"
 #include "obs/query_profile.h"
 #include "rtree/node.h"
@@ -63,6 +65,26 @@ std::string CodeList(const CheckReport& report) {
   std::string out;
   for (const Finding& f : report.findings()) out += f.code + " ";
   return out;
+}
+
+/// True when `report` holds a `code` finding whose context is `context`.
+bool HasFinding(const CheckReport& report, const std::string& code,
+                const std::string& context) {
+  for (const Finding& f : report.findings()) {
+    if (f.code == code && f.context == context) return true;
+  }
+  return false;
+}
+
+/// Every file under `dir` by name, with its bytes.
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
 }
 
 // --- CheckReport ---------------------------------------------------------
@@ -226,6 +248,8 @@ TEST(CheckTreeTamperTest, EveryCodeHasACase) {
     const char* code;
     bool resign;
     std::function<void(const std::string& path)> tamper;
+    /// The page the finding must name, when the row pins one.
+    std::optional<PageId> page = std::nullopt;
   };
   const auto edit = [](PageId id, std::function<void(char*)> fn) {
     return [id, fn](const std::string& path) { EditPage(path, id, fn); };
@@ -268,6 +292,9 @@ TEST(CheckTreeTamperTest, EveryCodeHasACase) {
        edit(2, [](char* p) { EncodeFixed32(p + 4, 8); })},
       {"stray-view", true, edit(4, [](char* p) { EncodeFixed32(p + 4, 99); })},
       {"leaf-fill", true, edit(2, [&](char* p) { set_count(p, 500); })},
+      // The first leaf of a run is held to the target its successors show
+      // (the points it loses also make a point-count error).
+      {"leaf-fill", true, edit(1, [&](char* p) { set_count(p, 500); }), 1},
       {"point-count", true,
        edit(0,
             [](char* p) {
@@ -315,6 +342,11 @@ TEST(CheckTreeTamperTest, EveryCodeHasACase) {
     CheckReport report;
     ASSERT_OK(CheckTree(path, View7, &report));
     EXPECT_TRUE(HasCode(report, row.code)) << report.ToString();
+    if (row.page.has_value()) {
+      EXPECT_TRUE(HasFinding(report, row.code,
+                             path + " page " + std::to_string(*row.page)))
+          << report.ToString();
+    }
     if (row.resign) {
       for (const Finding& f : report.findings()) {
         EXPECT_EQ(f.code.rfind("checksum-", 0), std::string::npos)
@@ -375,34 +407,42 @@ class ForestCheckerTest : public ::testing::Test {
   void SetUp() override {
     dir_ = MakeTestDir("check_forest");
     pool_ = std::make_unique<BufferPool>(256);
-    auto forest = std::move(CubetreeForest::Create(OpenOptions(), pool_.get())
-                                .value());
-    // Arity-1 and arity-2 views: SelectMapping places both in one 2-d tree.
+    manifest_path_ = dir_ + "/f.manifest";
+    BuildForest(OpenOptions());
+  }
+
+  /// The full contents of every view: 100 points each.
+  struct Provider : CubetreeForest::ViewDataProvider {
+    Result<std::unique_ptr<RecordStream>> OpenViewStream(
+        const ViewDef& view) override {
+      std::vector<char> flat;
+      std::vector<char> rec(ViewRecordBytes(view.arity()));
+      // Pack order sorts by the last coordinate first, so keep the
+      // second coordinate constant and ascend on the first.
+      for (Coord x = 1; x <= 100; ++x) {
+        Coord coords[kMaxDims] = {x, 5};
+        EncodeViewRecord(rec.data(), coords, view.arity(),
+                         AggValue{static_cast<int64_t>(x), 1});
+        flat.insert(flat.end(), rec.begin(), rec.end());
+      }
+      return std::unique_ptr<RecordStream>(new MemoryRecordStream(
+          std::move(flat), ViewRecordBytes(view.arity())));
+    }
+  };
+
+  /// Arity-1 and arity-2 views: SelectMapping places both in one 2-d tree,
+  /// `one_tree_per_view` each in its own.
+  void BuildForest(const CubetreeForest::Options& options) {
+    auto forest =
+        std::move(CubetreeForest::Create(options, pool_.get()).value());
     ViewDef v1;
     v1.id = 1;
     v1.attrs = {0};
     ViewDef v2;
     v2.id = 2;
     v2.attrs = {0, 1};
-    struct Provider : CubetreeForest::ViewDataProvider {
-      Result<std::unique_ptr<RecordStream>> OpenViewStream(
-          const ViewDef& view) override {
-        std::vector<char> flat;
-        std::vector<char> rec(ViewRecordBytes(view.arity()));
-        // Pack order sorts by the last coordinate first, so keep the
-        // second coordinate constant and ascend on the first.
-        for (Coord x = 1; x <= 100; ++x) {
-          Coord coords[kMaxDims] = {x, 5};
-          EncodeViewRecord(rec.data(), coords, view.arity(),
-                           AggValue{static_cast<int64_t>(x), 1});
-          flat.insert(flat.end(), rec.begin(), rec.end());
-        }
-        return std::unique_ptr<RecordStream>(new MemoryRecordStream(
-            std::move(flat), ViewRecordBytes(view.arity())));
-      }
-    } provider;
+    Provider provider;
     ASSERT_OK(forest->Build({v1, v2}, &provider));
-    manifest_path_ = dir_ + "/f.manifest";
   }
 
   CubetreeForest::Options OpenOptions() const {
@@ -410,6 +450,33 @@ class ForestCheckerTest : public ::testing::Test {
     options.dir = dir_;
     options.name = "f";
     return options;
+  }
+
+  /// One partial refresh: a pending delta tree beside each main tree.
+  void ApplyPartialRefresh() {
+    ASSERT_OK_AND_ASSIGN(auto forest,
+                         CubetreeForest::Open(OpenOptions(), pool_.get()));
+    struct Provider : CubetreeForest::ViewDataProvider {
+      Result<std::unique_ptr<RecordStream>> OpenViewStream(
+          const ViewDef& view) override {
+        std::vector<char> rec(ViewRecordBytes(view.arity()));
+        Coord coords[kMaxDims] = {7, 5};
+        EncodeViewRecord(rec.data(), coords, view.arity(), AggValue{7, 1});
+        return std::unique_ptr<RecordStream>(new MemoryRecordStream(
+            std::move(rec), ViewRecordBytes(view.arity())));
+      }
+    } provider;
+    ASSERT_OK(forest->ApplyDeltaPartial(&provider));
+    ASSERT_EQ(forest->AcquireSnapshot().TotalDeltas(), 1u);
+  }
+
+  /// Damage only the structure check sees: the recorded point count of
+  /// the tree file at `path`, under a re-signed sidecar.
+  static void MiscountPoints(const std::string& path) {
+    EditPage(path, 0, [](char* p) {
+      EncodeFixed64(p + kRTreeMetaNumPoints, 3);
+    });
+    ASSERT_OK(ResignSidecar(path));
   }
 
   CheckReport Check() {
@@ -445,6 +512,24 @@ class ForestCheckerTest : public ::testing::Test {
         << recovered.status().ToString();
   }
 
+  /// Open leaves view `view`'s tree out of service with a `code` finding
+  /// naming `context`, and changes nothing on disk: the directory listing
+  /// and every file's bytes are as they were.
+  void ExpectOpenLeavesOutOfService(uint32_t view, const std::string& code,
+                                    const std::string& context) {
+    const auto before = DirContents(dir_);
+    {
+      BufferPool pool(64);
+      CheckReport report;
+      ASSERT_OK_AND_ASSIGN(
+          auto forest,
+          CubetreeForest::Open(OpenOptions(), &pool, nullptr, &report));
+      EXPECT_TRUE(forest->AcquireSnapshot().IsViewQuarantined(view));
+      EXPECT_TRUE(HasFinding(report, code, context)) << report.ToString();
+    }
+    EXPECT_EQ(DirContents(dir_), before);
+  }
+
   /// Recover takes the one tree out of service, naming `code`.
   void ExpectRecoverQuarantines(const std::string& code) {
     BufferPool pool(64);
@@ -471,31 +556,12 @@ TEST_F(ForestCheckerTest, CleanForestHasNoFindings) {
 TEST_F(ForestCheckerTest, PendingDeltaTreeIsScannedAndCounted) {
   // One partial refresh leaves a pending delta tree beside each main tree,
   // and the check covers the delta file too: damage to it is found.
-  {
-    ASSERT_OK_AND_ASSIGN(auto forest,
-                         CubetreeForest::Open(OpenOptions(), pool_.get()));
-    struct Provider : CubetreeForest::ViewDataProvider {
-      Result<std::unique_ptr<RecordStream>> OpenViewStream(
-          const ViewDef& view) override {
-        std::vector<char> rec(ViewRecordBytes(view.arity()));
-        Coord coords[kMaxDims] = {7, 5};
-        EncodeViewRecord(rec.data(), coords, view.arity(), AggValue{7, 1});
-        return std::unique_ptr<RecordStream>(new MemoryRecordStream(
-            std::move(rec), ViewRecordBytes(view.arity())));
-      }
-    } provider;
-    ASSERT_OK(forest->ApplyDeltaPartial(&provider));
-    ASSERT_EQ(forest->AcquireSnapshot().TotalDeltas(), 1u);
-  }
+  ApplyPartialRefresh();
   CheckReport report = Check();
   EXPECT_EQ(report.errors(), 0u) << report.ToString();
   EXPECT_EQ(report.warnings(), 0u) << report.ToString();
 
-  const std::string delta = dir_ + "/f_t0_d0.ctr";
-  EditPage(delta, 0, [](char* p) {
-    EncodeFixed64(p + kRTreeMetaNumPoints, 3);
-  });
-  ASSERT_OK(ResignSidecar(delta));
+  MiscountPoints(dir_ + "/f_t0_d0.ctr");
   report = Check();
   EXPECT_TRUE(HasCode(report, "point-count")) << report.ToString();
 }
@@ -536,18 +602,30 @@ TEST_F(ForestCheckerTest, RefusesStoresWithoutChecksums) {
   });
   ExpectRefused();
   restore();
-  // A tree file without its sidecar: Open refuses it, Recover quarantines
-  // it.
-  ASSERT_OK(RemoveChecksumSidecar(dir_ + "/f_t0_g0.ctr"));
-  BufferPool pool(64);
-  auto opened = CubetreeForest::Open(OpenOptions(), &pool);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
-  ForestRecoveryReport recovery;
-  ASSERT_OK_AND_ASSIGN(
-      auto recovered,
-      CubetreeForest::Recover(OpenOptions(), &pool, nullptr, &recovery));
-  EXPECT_EQ(recovery.quarantined_trees, std::vector<size_t>{0});
+  // A tree file without its sidecar: Open leaves the tree out of service,
+  // Recover sets it aside.
+  const std::string main = dir_ + "/f_t0_g0.ctr";
+  ASSERT_OK(RemoveChecksumSidecar(main));
+  ExpectOpenLeavesOutOfService(1, "checksum-missing", main);
+  ExpectRecoverQuarantines("checksum-missing");
+}
+
+TEST_F(ForestCheckerTest, MissingSidecarStillChecksTheDeltaFile) {
+  // The main file's sidecar is gone and the delta file is damaged: the
+  // check reports both, each against its own file.
+  ApplyPartialRefresh();
+  const std::string main = dir_ + "/f_t0_g0.ctr";
+  const std::string delta = dir_ + "/f_t0_d0.ctr";
+  ASSERT_OK(RemoveChecksumSidecar(main));
+  MiscountPoints(delta);
+  CheckReport report = Check();
+  EXPECT_TRUE(HasFinding(report, "checksum-missing", main))
+      << report.ToString();
+  EXPECT_TRUE(HasFinding(report, "point-count", delta)) << report.ToString();
+  // The manifest still names the tree's files: Recover sets them aside,
+  // it would not sweep them.
+  EXPECT_EQ(report.warnings(), 0u) << report.ToString();
+  ExpectOpenLeavesOutOfService(1, "point-count", delta);
 }
 
 TEST_F(ForestCheckerTest, RefusesTreeFileOfOtherDims) {
@@ -561,19 +639,90 @@ TEST_F(ForestCheckerTest, RefusesTreeFileOfOtherDims) {
   RTreeOptions options;
   options.dims = 3;
   VectorPointSource source(points);
-  ASSERT_OK(PackedRTree::Build(dir_ + "/f_t0_g0.ctr", options, pool_.get(),
-                               &source,
+  const std::string main = dir_ + "/f_t0_g0.ctr";
+  ASSERT_OK(PackedRTree::Build(main, options, pool_.get(), &source,
                                [](uint32_t view) -> std::optional<uint8_t> {
                                  return static_cast<uint8_t>(view);
                                })
                 .status());
+  ExpectOpenLeavesOutOfService(1, "tree-dims", main);
+  CheckReport report = Check();
+  bool named = false;
+  for (const Finding& f : report.findings()) {
+    named |= f.code == "tree-dims" &&
+             f.message.find("3 dimensions") != std::string::npos;
+  }
+  EXPECT_TRUE(named) << report.ToString();
+}
+
+TEST_F(ForestCheckerTest, ChecksEveryTreeBesideOneRecoverSetAside) {
+  // Each view in its own tree. Recover sets aside tree 0, damaged; later
+  // damage to tree 1 is still found, and the set-aside file is an error
+  // that names it, not a store that cannot be checked.
+  const std::string main0 = dir_ + "/g_t0_g0.ctr";
+  const std::string main1 = dir_ + "/g_t1_g0.ctr";
+  CubetreeForest::Options options = OpenOptions();
+  options.name = "g";
+  options.one_tree_per_view = true;
+  BuildForest(options);
+  FlipByte(main0, 1 * kPageSize + kRNodeHeaderSize + 4, 1);
+  {
+    BufferPool pool(64);
+    ForestRecoveryReport recovery;
+    ASSERT_OK(
+        CubetreeForest::Recover(options, &pool, nullptr, &recovery).status());
+    ASSERT_EQ(recovery.quarantined_trees, std::vector<size_t>{0});
+  }
+  ASSERT_TRUE(FileExists(main0 + ".quarantine"));
+  MiscountPoints(main1);
+
   BufferPool pool(64);
-  auto opened = CubetreeForest::Open(OpenOptions(), &pool);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
-  EXPECT_NE(opened.status().ToString().find("3 dimensions"),
-            std::string::npos)
-      << opened.status().ToString();
+  CheckReport report;
+  ASSERT_OK(CheckForest(dir_, "g", &pool, &report));
+  EXPECT_TRUE(HasFinding(report, "file-missing", main0)) << report.ToString();
+  EXPECT_TRUE(HasFinding(report, "point-count", main1)) << report.ToString();
+  EXPECT_EQ(report.warnings(), 0u) << report.ToString();
+}
+
+TEST_F(ForestCheckerTest, RebuildDeletesFilesAnEarlierRecoverySetAside) {
+  // A restart between the quarantine and the rebuild: the second recovery
+  // finds the damaged tree's files already set aside and still hands them
+  // to the rebuild to delete.
+  FlipByte(dir_ + "/f_t0_g0.ctr", 1 * kPageSize + kRNodeHeaderSize + 4, 1);
+  {
+    BufferPool pool(64);
+    ASSERT_OK(CubetreeForest::Recover(OpenOptions(), &pool).status());
+  }
+  BufferPool pool(64);
+  ForestRecoveryReport recovery;
+  ASSERT_OK_AND_ASSIGN(
+      auto forest,
+      CubetreeForest::Recover(OpenOptions(), &pool, nullptr, &recovery));
+  ASSERT_EQ(recovery.quarantined_trees, std::vector<size_t>{0});
+  Provider provider;
+  ASSERT_OK(forest->RebuildQuarantined(&provider));
+  for (const auto& [name, bytes] : DirContents(dir_)) {
+    EXPECT_FALSE(name.ends_with(".quarantine")) << name;
+  }
+  CheckReport report = Check();
+  EXPECT_EQ(report.errors() + report.warnings(), 0u) << report.ToString();
+}
+
+TEST_F(ForestCheckerTest, RecoverReturnsIoErrorsTypedAndSetsNothingAside) {
+  // An I/O failure opening or reading a tree file means the check could
+  // not run: a healthy tree must not be quarantined for it.
+  for (const char* point : {"storage.page.open", "storage.page.read"}) {
+    SCOPED_TRACE(point);
+    const auto before = DirContents(dir_);
+    ASSERT_OK(FaultInjector::Instance().Arm(point, "enospc(1)"));
+    BufferPool pool(64);
+    auto recovered = CubetreeForest::Recover(OpenOptions(), &pool);
+    FaultInjector::Instance().DisarmAll();
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_TRUE(recovered.status().IsStorageFull())
+        << recovered.status().ToString();
+    EXPECT_EQ(DirContents(dir_), before);
+  }
 }
 
 TEST_F(ForestCheckerTest, ReportsWhatRecoverSweeps) {
@@ -608,8 +757,9 @@ TEST_F(ForestCheckerTest, ReportsWhatRecoverSweeps) {
 TEST_F(ForestCheckerTest, RecoverQuarantinesOnChecksumMismatch) {
   // Page 1 is view 1's leaf; byte 12 is in its first entry's sum, which
   // no structural check constrains.
-  EditPage(dir_ + "/f_t0_g0.ctr", 1,
-           [](char* p) { p[kRNodeHeaderSize + 4] ^= 1; });
+  const std::string main = dir_ + "/f_t0_g0.ctr";
+  EditPage(main, 1, [](char* p) { p[kRNodeHeaderSize + 4] ^= 1; });
+  ExpectOpenLeavesOutOfService(1, "checksum-mismatch", main + " page 1");
   ExpectRecoverQuarantines("checksum-mismatch");
 }
 
@@ -617,6 +767,7 @@ TEST_F(ForestCheckerTest, RecoverQuarantinesOnStrayView) {
   const std::string tree_path = dir_ + "/f_t0_g0.ctr";
   EditPage(tree_path, 1, [](char* p) { EncodeFixed32(p + 4, 99); });
   ASSERT_OK(ResignSidecar(tree_path));
+  ExpectOpenLeavesOutOfService(1, "stray-view", tree_path + " page 1");
   ExpectRecoverQuarantines("stray-view");
 }
 

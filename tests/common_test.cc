@@ -111,71 +111,6 @@ TEST(CodingTest, Fixed64RoundTrip) {
   }
 }
 
-TEST(CodingTest, PutFixedAppends) {
-  std::string s;
-  PutFixed32(&s, 7);
-  PutFixed64(&s, 9);
-  ASSERT_EQ(s.size(), 12u);
-  EXPECT_EQ(DecodeFixed32(s.data()), 7u);
-  EXPECT_EQ(DecodeFixed64(s.data() + 4), 9u);
-}
-
-TEST(CodingTest, Varint32RoundTrip) {
-  std::vector<uint32_t> values = {0, 1, 127, 128, 16383, 16384,
-                                  0x0FFFFFFF, 0xFFFFFFFF};
-  std::string buf;
-  for (uint32_t v : values) PutVarint32(&buf, v);
-  const char* p = buf.data();
-  const char* limit = buf.data() + buf.size();
-  for (uint32_t expected : values) {
-    uint32_t v = 0;
-    p = GetVarint32(p, limit, &v);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(v, expected);
-  }
-  EXPECT_EQ(p, limit);
-}
-
-TEST(CodingTest, Varint64RoundTrip) {
-  std::vector<uint64_t> values = {0, 1, 127, 128, 1ull << 40, ~0ull};
-  std::string buf;
-  for (uint64_t v : values) PutVarint64(&buf, v);
-  const char* p = buf.data();
-  const char* limit = buf.data() + buf.size();
-  for (uint64_t expected : values) {
-    uint64_t v = 0;
-    p = GetVarint64(p, limit, &v);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(v, expected);
-  }
-}
-
-TEST(CodingTest, VarintTruncatedInputReturnsNull) {
-  std::string buf;
-  PutVarint32(&buf, 0xFFFFFFFF);  // 5 bytes.
-  uint32_t v;
-  EXPECT_EQ(GetVarint32(buf.data(), buf.data() + 2, &v), nullptr);
-}
-
-TEST(CodingTest, VarintLengthMatchesEncoding) {
-  for (uint32_t v : {0u, 127u, 128u, 16384u, 0xFFFFFFFFu}) {
-    std::string buf;
-    PutVarint32(&buf, v);
-    EXPECT_EQ(VarintLength32(v), buf.size());
-  }
-}
-
-TEST(CodingTest, ZigZagRoundTrip) {
-  const std::vector<int64_t> values = {
-      0, 1, -1, 1234567, -1234567, std::numeric_limits<int64_t>::min(),
-      std::numeric_limits<int64_t>::max()};
-  for (int64_t v : values) {
-    EXPECT_EQ(ZigZagDecode64(ZigZagEncode64(v)), v);
-  }
-  // Small magnitudes encode small.
-  EXPECT_LT(ZigZagEncode64(-3), 10u);
-}
-
 TEST(RngTest, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) {

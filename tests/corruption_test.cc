@@ -23,6 +23,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -43,6 +44,7 @@
 #include "obs/metrics.h"
 #include "olap/cube_builder.h"
 #include "olap/query_model.h"
+#include "rtree/node.h"
 #include "scrub/scrubber.h"
 #include "sort/external_sorter.h"
 #include "storage/buffer_pool.h"
@@ -474,7 +476,7 @@ TEST_F(CorruptionTest, ScrubberDrivesReplicaRepairEndToEnd) {
                     [this] { return cbt_->Repair(nullptr, BuildOptions()); });
   ScrubPassStats stats;
   ASSERT_OK(scrubber.ScrubOnce(&stats));
-  EXPECT_EQ(stats.corruptions_found, 1u);  // Scan stops at first finding.
+  EXPECT_EQ(stats.corruptions_found, 1u);  // One damaged file.
   EXPECT_EQ(stats.corruptions_repaired, 1u);
   EXPECT_EQ(stats.corruptions_unrepairable, 0u);
   EXPECT_FALSE(cbt_->forest()->AcquireSnapshot().HasQuarantine());
@@ -671,6 +673,51 @@ TEST(ScrubberTest, FindsAndQuarantinesSingleFlippedByte) {
   EXPECT_EQ(stats.corruptions_unrepairable, 1u);
   EXPECT_TRUE(sf.forest->AcquireSnapshot().IsViewQuarantined(1));
   EXPECT_FALSE(sf.forest->AcquireSnapshot().IsViewQuarantined(2));
+}
+
+TEST(ScrubberTest, QuarantinesStructuralDamageUnderAValidSidecar) {
+  // The first two entries of view 1's first leaf swapped out of pack
+  // order, and the sidecar re-signed over them: every CRC matches, so only
+  // the structural check can tell.
+  ScrubForest sf = MakeScrubForest("scrub_structure");
+  const std::string path = ForestTreePath(sf.forest.get(), 1);
+  {
+    ASSERT_OK_AND_ASSIGN(auto file, PageManager::Open(path));
+    Page page;
+    ASSERT_OK(file->ReadPage(1, &page));
+    char* first = page.data + kRNodeHeaderSize;
+    std::swap_ranges(first, first + ViewRecordBytes(1),
+                     first + ViewRecordBytes(1));
+    ASSERT_OK(file->WritePage(1, page));
+  }
+  ASSERT_OK(ResignSidecar(path));
+  Scrubber scrubber(sf.forest.get(), ScrubOptions());
+  ScrubPassStats stats;
+  ASSERT_OK(scrubber.ScrubOnce(&stats));
+  EXPECT_EQ(stats.corruptions_found, 1u);
+  EXPECT_TRUE(sf.forest->AcquireSnapshot().IsViewQuarantined(1));
+  EXPECT_FALSE(sf.forest->AcquireSnapshot().IsViewQuarantined(2));
+}
+
+TEST(ScrubberTest, TransientBitflipQuarantinesNothing) {
+  // One bit flipped in flight on one read of a pass: the file that read
+  // it is checked again, clean, and nothing leaves service.
+  ScrubForest sf = MakeScrubForest("scrub_transient");
+  Scrubber scrubber(sf.forest.get(), ScrubOptions());
+  for (const uint64_t hit : {1u, 2u, 3u, 6u}) {
+    SCOPED_TRACE(hit);
+    FaultInjector& faults = FaultInjector::Instance();
+    const uint64_t before = faults.HitCount("storage.page.read");
+    ASSERT_OK(faults.Arm("storage.page.read",
+                         "bitflip(1)@" + std::to_string(hit)));
+    ScrubPassStats stats;
+    ASSERT_OK(scrubber.ScrubOnce(&stats));
+    const uint64_t reads = faults.HitCount("storage.page.read") - before;
+    faults.DisarmAll();
+    EXPECT_GE(reads, hit) << "the flip never fired";
+    EXPECT_EQ(stats.corruptions_found, 0u);
+    EXPECT_FALSE(sf.forest->AcquireSnapshot().HasQuarantine());
+  }
 }
 
 TEST(ScrubberTest, RepairCallbackRestoresTree) {

@@ -522,6 +522,51 @@ TEST_F(EngineTest, AggregateOverflowIsAnErrorOnBothEngines) {
   expect_overflow(cbt->ApplyDelta(delta.get()), "cubetree delta");
 }
 
+TEST_F(EngineTest, RecoverReadsOnlyMetadataAndRoutesByTheLoadedRows) {
+  // Recovery's check reads every tree file once, outside the engine's I/O
+  // accounting, and tallies each view's points as it goes: the engine
+  // itself reads one metadata page per tree file, the tallies are the
+  // load's spool counts, and the router estimates every query as the
+  // loaded engine did.
+  std::map<uint32_t, uint64_t> spool_rows;
+  {
+    auto data = Compute(cbt_views_, facts_, "rows");
+    for (const ViewDef& view : cbt_views_) {
+      ASSERT_OK_AND_ASSIGN(spool_rows[view.id], data->row_count(view.id));
+    }
+  }
+  SliceQueryGenerator gen(schema_, 5);
+  CubeLattice lattice(schema_);
+  std::vector<SliceQuery> queries;
+  std::vector<double> loaded_costs;
+  for (size_t node = 1; node < lattice.num_nodes(); ++node) {
+    queries.push_back(gen.ForNode(lattice.node(node).attrs, false));
+    obs::QueryProfile profile;
+    ASSERT_OK(cbt_->Execute(queries.back(), &profile).status());
+    loaded_costs.push_back(profile.route.estimated_cost);
+  }
+  const size_t files = cbt_->forest()->LiveFiles().size();
+  cbt_.reset();
+
+  CubetreeEngine::Options options;
+  options.dir = dir_;
+  options.io_stats = std::make_shared<IoStats>();
+  BufferPool pool(512);
+  ForestRecoveryReport report;
+  ASSERT_OK_AND_ASSIGN(
+      auto recovered,
+      CubetreeEngine::Recover(schema_, options, &pool, &report));
+  EXPECT_TRUE(report.clean()) << report.ToString();
+  EXPECT_EQ(options.io_stats->TotalReads(), files);
+  EXPECT_EQ(report.view_points, spool_rows);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    obs::QueryProfile profile;
+    ASSERT_OK(recovered->Execute(queries[i], &profile).status());
+    EXPECT_EQ(profile.route.estimated_cost, loaded_costs[i])
+        << queries[i].ToString(schema_);
+  }
+}
+
 TEST_F(EngineTest, IncrementalWithoutMaintenanceIndicesFails) {
   auto delta = Compute(views_, facts_, "delta_none");
   EXPECT_FALSE(conv_->ApplyDeltaIncremental(delta.get()).ok());

@@ -339,7 +339,7 @@ TEST_F(CubeBuilderTest, SmallestParentChosen) {
 
 TEST_F(CubeBuilderTest, PipelinedAggregationSkipsSortsAndMatches) {
   // psc -> sc (suffix) and sc -> c (suffix) can stream without sorting;
-  // ps requires a sort. Results must be identical either way.
+  // ps requires a sort. Every view must equal the reference aggregation.
   std::vector<ViewDef> views = {
       MakeView(7, {0, 1, 2}),  // psc
       MakeView(6, {1, 2}),     // sc: suffix of psc
@@ -350,29 +350,15 @@ TEST_F(CubeBuilderTest, PipelinedAggregationSkipsSortsAndMatches) {
   CubeBuilder::Options options;
   options.temp_dir = dir_;
   options.sort_budget_bytes = 1 << 16;
-
-  options.pipelined_aggregation = true;
-  CubeBuilder fast(schema_, options);
+  CubeBuilder builder(schema_, options);
   Provider provider(&facts_);
-  ASSERT_OK_AND_ASSIGN(auto fast_data,
-                       fast.ComputeAll(views, &provider, "fast"));
-  EXPECT_GE(fast.pipelined_views(), 3u);  // sc, c, none at least.
-  EXPECT_LE(fast.sorted_views(), 2u);     // psc (from facts) and ps.
-
-  options.pipelined_aggregation = false;
-  CubeBuilder slow(schema_, options);
-  ASSERT_OK_AND_ASSIGN(auto slow_data,
-                       slow.ComputeAll(views, &provider, "slow"));
-  EXPECT_EQ(slow.pipelined_views(), 0u);
-
+  ASSERT_OK_AND_ASSIGN(auto data, builder.ComputeAll(views, &provider, "cube"));
+  EXPECT_GE(builder.pipelined_views(), 3u);  // sc, c, none at least.
+  EXPECT_LE(builder.sorted_views(), 2u);     // psc (from facts) and ps.
   for (const ViewDef& view : views) {
-    EXPECT_EQ(Drain(fast_data.get(), view), Drain(slow_data.get(), view))
-        << view.Name(schema_);
-    EXPECT_EQ(Drain(fast_data.get(), view), Reference(view))
-        << view.Name(schema_);
+    EXPECT_EQ(Drain(data.get(), view), Reference(view)) << view.Name(schema_);
   }
-  fast_data.reset();
-  slow_data.reset();
+  data.reset();
 }
 
 TEST_F(CubeBuilderTest, CombineEqualKeysFoldsAdjacentGroups) {
@@ -416,39 +402,41 @@ TEST_F(CubeBuilderTest, CombineEqualKeysFoldsAdjacentGroups) {
 // Two facts of one group whose measures sum past INT64_MAX: the load must
 // fail with a typed error naming the view, not store a wrapped sum. The
 // group is the top view's (combined off the sort of the fact stream) or
-// only its child's (combined off the child's sort, or pipelined straight
-// from the parent's spool).
+// only its child's: pipelined straight from the top view's spool when the
+// child's projection list is a suffix of the top view's, else combined off
+// the child's sort.
 TEST_F(CubeBuilderTest, SumOverflowIsAnErrorNamingTheView) {
-  const std::vector<ViewDef> views = {MakeView(7, {0, 1}), MakeView(5, {1})};
   struct Case {
-    Coord second_partkey;
-    bool pipelined;
+    ViewDef child;
+    Coord second[2];  // The second fact's attributes 0 and 1.
     const char* view;
+    uint64_t pipelined_views;
   };
-  for (const Case& c : {Case{3, true, "view 7"}, Case{4, true, "view 5"},
-                        Case{4, false, "view 5"}}) {
+  for (const Case& c : {Case{MakeView(5, {1}), {3, 2}, "view 7", 0},
+                        Case{MakeView(5, {1}), {4, 2}, "view 5", 1},
+                        Case{MakeView(6, {0}), {3, 4}, "view 6", 0}}) {
     facts_.clear();
     FactTuple t;
     t.attr_values[0] = 3;
     t.attr_values[1] = 2;
     t.measure = INT64_MAX;
     facts_.push_back(t);
-    t.attr_values[0] = c.second_partkey;
+    t.attr_values[0] = c.second[0];
+    t.attr_values[1] = c.second[1];
     t.measure = 1;
     facts_.push_back(t);
     CubeBuilder::Options options;
     options.temp_dir = dir_;
-    options.pipelined_aggregation = c.pipelined;
     CubeBuilder builder(schema_, options);
     Provider provider(&facts_);
-    const auto computed = builder.ComputeAll(views, &provider, "overflow");
+    const auto computed = builder.ComputeAll({MakeView(7, {0, 1}), c.child},
+                                             &provider, "overflow");
     ASSERT_FALSE(computed.ok()) << c.view;
     EXPECT_TRUE(computed.status().IsInvalidArgument())
         << computed.status().ToString();
     EXPECT_NE(computed.status().ToString().find(c.view), std::string::npos)
         << computed.status().ToString();
-    EXPECT_EQ(builder.pipelined_views(),
-              c.pipelined && c.second_partkey != 3 ? 1u : 0u);
+    EXPECT_EQ(builder.pipelined_views(), c.pipelined_views) << c.view;
   }
 }
 
