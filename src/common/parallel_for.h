@@ -25,7 +25,9 @@ class CancelFlag {
 
 /// Resolves the refresh worker-pool width: CUBETREE_REFRESH_THREADS when
 /// set to a positive integer, else std::thread::hardware_concurrency()
-/// (itself floored at 1), both clamped to 64.
+/// (itself floored at 1), both clamped to 64. The same width computes a
+/// load's, refresh's or repair's views (CubeBuilder::ComputeAll) and packs
+/// the forest's trees, one after the other.
 unsigned RefreshThreadsFromEnv();
 
 /// Runs fn(task_index, cancel) for every index in [0, num_tasks) on a

@@ -86,6 +86,13 @@ void Trace::Annotate(int32_t index, const char* key, JsonValue value) {
 }
 
 void Trace::SpliceChild(const Trace& child, int32_t attach_parent) {
+  if (attach_parent < 0) {
+    unspanned_.pages_read += child.unspanned_.pages_read;
+    unspanned_.pool_hits += child.unspanned_.pool_hits;
+  } else {
+    spans_[attach_parent].pages_read += child.unspanned_.pages_read;
+    spans_[attach_parent].pool_hits += child.unspanned_.pool_hits;
+  }
   const int32_t offset = static_cast<int32_t>(spans_.size());
   spans_.reserve(spans_.size() + child.spans_.size());
   open_io_.reserve(open_io_.size() + child.open_io_.size());
@@ -344,7 +351,6 @@ TraceHandoff::Adopt::Adopt(TraceHandoff& handoff) {
 TraceHandoff::Adopt::~Adopt() {
   if (handoff_ == nullptr) return;
   t_ambient = saved_;
-  if (local_->spans().empty()) return;
   // Workers may close their Adopt scopes concurrently; the coordinator is
   // blocked joining them, so the parent trace itself is quiescent and the
   // mutex only has to serialize the splices against each other.

@@ -94,15 +94,23 @@ class Trace {
   int32_t OpenSpan(const char* name, int32_t parent);
   void CloseSpan(int32_t index);
   void Annotate(int32_t index, const char* key, JsonValue value);
-  void AddPageRead(int32_t index) { ++spans_[index].pages_read; }
-  void AddPoolHit(int32_t index) { ++spans_[index].pool_hits; }
+  /// Counts a page read or pool hit toward span `index`. Index -1 is a
+  /// worker's adopted trace before it opens a span: the count waits in the
+  /// trace and goes to the attach point when the trace is spliced.
+  void AddPageRead(int32_t index) {
+    ++(index < 0 ? unspanned_.pages_read : spans_[index].pages_read);
+  }
+  void AddPoolHit(int32_t index) {
+    ++(index < 0 ? unspanned_.pool_hits : spans_[index].pool_hits);
+  }
 
   /// Appends every span of `child` into this trace, re-rooting child roots
   /// (parent < 0) under `attach_parent` and shifting all other parent
-  /// indices. Used by TraceHandoff to graft worker-thread span subtrees
-  /// back into the coordinator's trace; the caller is responsible for
-  /// serializing splices (TraceHandoff holds a mutex) and for making sure
-  /// this trace is not concurrently being built on another thread.
+  /// indices; the reads and hits `child` counted outside its spans go to
+  /// `attach_parent`. Used by TraceHandoff to graft worker-thread span
+  /// subtrees back into the coordinator's trace; the caller is responsible
+  /// for serializing splices (TraceHandoff holds a mutex) and for making
+  /// sure this trace is not concurrently being built on another thread.
   void SpliceChild(const Trace& child, int32_t attach_parent);
 
  private:
@@ -117,6 +125,11 @@ class Trace {
   const IoStats* io_;  // Nullable; snapshotted per span when present.
   std::vector<SpanRecord> spans_;
   std::vector<IoStats> open_io_;  // Per-span IoStats snapshot at open.
+  /// Reads and hits counted while no span was open (see AddPageRead).
+  struct {
+    uint64_t pages_read = 0;
+    uint64_t pool_hits = 0;
+  } unspanned_;
 };
 
 /// RAII span. Construction is a no-op (one thread-local load and a branch)
@@ -184,8 +197,10 @@ class TraceScope {
 /// trace) until every adopting worker has exited its Adopt scope; in
 /// practice it blocks joining the pool, which is exactly that barrier.
 /// Page-read / pool-hit attribution on the worker lands in the child spans
-/// and survives the splice; per-span IoStats deltas do not (the attached
-/// IoStats is process-wide, so a per-worker delta would be noise anyway).
+/// and survives the splice, and a worker's reads outside any span of its
+/// own count toward the coordinator's span; per-span IoStats deltas do not
+/// survive (the attached IoStats is process-wide, so a per-worker delta
+/// would be noise anyway).
 class TraceHandoff {
  public:
   /// Captures the calling thread's ambient trace and innermost span.

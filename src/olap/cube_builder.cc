@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+
+#include "common/parallel_for.h"
+#include "common/thread_annotations.h"
+#include "obs/trace.h"
 
 namespace cubetree {
 
@@ -67,7 +72,67 @@ bool IsSuffixProjection(const ViewDef& child, const ViewDef& parent) {
                     parent.attrs.end() - m);
 }
 
+/// A child's parent: a computed view, a materialized one (`materialized`
+/// set) or, when `view` is null, the fact stream.
+struct Parent {
+  const ViewDef* view = nullptr;
+  const MaterializedView* materialized = nullptr;
+};
+
+/// The smallest covering parent of `view` among `computed`, in ascending
+/// id order, each one's attribute set in `set_rows` (attribute mask to
+/// row count), and `materialized`: ties go to the lowest id, then to the
+/// first materialized view listed. A computed parent whose projection
+/// list ends in the child's wins instead unless it is more than 4x
+/// larger, since streaming it reads once sequentially where a sort reads,
+/// spills and merges.
+Parent ChooseParent(const ViewDef& view,
+                    const std::vector<const ViewDef*>& computed,
+                    const std::map<uint32_t, uint64_t>& set_rows,
+                    const std::vector<MaterializedView>& materialized) {
+  Parent parent;
+  uint64_t parent_rows = 0;
+  const ViewDef* suffix_parent = nullptr;
+  uint64_t suffix_rows = 0;
+  for (const ViewDef* c : computed) {
+    const uint64_t rows = set_rows.at(c->AttrMask());
+    if (parent.view == nullptr || rows < parent_rows) {
+      parent.view = c;
+      parent_rows = rows;
+    }
+    if (IsSuffixProjection(view, *c) &&
+        (suffix_parent == nullptr || rows < suffix_rows)) {
+      suffix_parent = c;
+      suffix_rows = rows;
+    }
+  }
+  for (const MaterializedView& m : materialized) {
+    if (m.view.id == view.id || !m.view.Covers(view.AttrMask())) continue;
+    if (parent.view == nullptr || m.rows < parent_rows) {
+      parent = Parent{&m.view, &m};
+      parent_rows = m.rows;
+    }
+  }
+  if (suffix_parent != nullptr && parent.view != nullptr &&
+      suffix_rows <= 4 * parent_rows) {
+    parent = Parent{suffix_parent, nullptr};
+  }
+  return parent;
+}
+
 }  // namespace
+
+/// Where ComputeOne reads a view's tuples: its parent's records, projected
+/// onto the view, or the fact stream when `parent` is null.
+struct CubeBuilder::Input {
+  const ViewDef* parent = nullptr;
+  /// A computed parent's spool; `pipelined` when its order is already the
+  /// view's pack order.
+  std::unique_ptr<RecordSpool::Reader> spool;
+  bool pipelined = false;
+  std::unique_ptr<RecordStream> materialized;
+  std::unique_ptr<FactSource> facts;
+};
 
 Result<std::unique_ptr<ComputedViews>> CubeBuilder::ComputeAll(
     const std::vector<ViewDef>& views, FactProvider* facts,
@@ -92,7 +157,7 @@ Result<std::unique_ptr<ComputedViews>> CubeBuilder::ComputeAll(
   out->views_ = views;
 
   // Compute in descending arity so every view's potential parents (strict
-  // or same-set supersets, e.g. a replica's original) are ready first.
+  // or same-set supersets, e.g. a replica's original) come first.
   std::vector<const ViewDef*> order;
   for (const ViewDef& v : views) order.push_back(&v);
   std::stable_sort(order.begin(), order.end(),
@@ -100,50 +165,107 @@ Result<std::unique_ptr<ComputedViews>> CubeBuilder::ComputeAll(
                      return a->arity() > b->arity();
                    });
 
-  for (const ViewDef* view : order) {
-    // Smallest already-computed or materialized parent covering this
-    // view's attribute set; also track the smallest computed parent whose
-    // pack order the child can reuse without sorting (projection list a
-    // suffix of the parent's).
-    const ViewDef* parent = nullptr;
-    const MaterializedView* parent_source = nullptr;
-    uint64_t parent_rows = 0;
-    const ViewDef* suffix_parent = nullptr;
-    uint64_t suffix_rows = 0;
-    for (const auto& [id, entry] : out->entries_) {
-      if (id == view->id) continue;
-      if ((entry.view.AttrMask() & view->AttrMask()) != view->AttrMask()) {
-        continue;
-      }
-      const uint64_t rows = entry.spool->num_records();
-      if (parent == nullptr || rows < parent_rows) {
-        parent = &entry.view;
-        parent_rows = rows;
-      }
-      if (IsSuffixProjection(*view, entry.view) &&
-          (suffix_parent == nullptr || rows < suffix_rows)) {
-        suffix_parent = &entry.view;
-        suffix_rows = rows;
+  // Task i computes order[i] and waits only for views before it, so the
+  // earliest unfinished task never waits and width 1 is the serial loop.
+  struct Shared {
+    Mutex mu;
+    CondVar changed;  // A view finished or a task failed.
+    /// The row count of each attribute set a finished view has: a view's
+    /// row count is the group count of its attribute set, so one view of
+    /// a set tells it for the set's other views.
+    std::map<uint32_t, uint64_t> set_rows GUARDED_BY(mu);
+    Status failure GUARDED_BY(mu);
+  } shared;
+  const auto compute = [&](size_t i) -> Status {
+    const ViewDef& view = *order[i];
+    // The candidate parents: views before this one that cover it, in the
+    // id order the serial loop met them.
+    std::vector<const ViewDef*> covering;
+    for (size_t j = 0; j < i; ++j) {
+      if (order[j]->id != view.id && order[j]->Covers(view.AttrMask())) {
+        covering.push_back(order[j]);
       }
     }
-    for (const MaterializedView& m : materialized) {
-      if (m.view.id == view->id || !m.view.Covers(view->AttrMask())) continue;
-      if (parent == nullptr || m.rows < parent_rows) {
-        parent = &m.view;
-        parent_source = &m;
-        parent_rows = m.rows;
+    std::stable_sort(covering.begin(), covering.end(),
+                     [](const ViewDef* a, const ViewDef* b) {
+                       return a->id < b->id;
+                     });
+    Input input;
+    {
+      MutexLock lock(shared.mu);
+      for (const ViewDef* c : covering) {
+        while (shared.failure.ok() &&
+               shared.set_rows.count(c->AttrMask()) == 0) {
+          shared.changed.Wait(lock);
+        }
+      }
+      if (!shared.failure.ok()) {
+        return Status::Cancelled("cube builder: another view failed");
+      }
+      const Parent parent =
+          ChooseParent(view, covering, shared.set_rows, materialized);
+      // A computed parent is read once its spool is sealed.
+      while (shared.failure.ok() && parent.view != nullptr &&
+             parent.materialized == nullptr &&
+             out->entries_.count(parent.view->id) == 0) {
+        shared.changed.Wait(lock);
+      }
+      if (!shared.failure.ok()) {
+        return Status::Cancelled("cube builder: another view failed");
+      }
+      // Sources open one at a time, so providers need not be thread-safe.
+      input.parent = parent.view;
+      if (parent.materialized != nullptr) {
+        CT_ASSIGN_OR_RETURN(input.materialized, parent.materialized->open());
+        ++sorted_views_;
+      } else if (parent.view != nullptr) {
+        CT_ASSIGN_OR_RETURN(RecordSpool * spool, out->spool(parent.view->id));
+        CT_ASSIGN_OR_RETURN(input.spool, spool->NewReader());
+        input.pipelined = IsSuffixProjection(view, *parent.view);
+        ++(input.pipelined ? pipelined_views_ : sorted_views_);
+      } else {
+        CT_ASSIGN_OR_RETURN(input.facts, facts->Open());
+        ++fact_views_;
+        ++sorted_views_;
       }
     }
-    // Streaming a moderately larger parent beats sorting a smaller one:
-    // the pipelined path reads once sequentially, the sorted path reads,
-    // spills and merges. 4x is a conservative crossover.
-    if (suffix_parent != nullptr && parent != nullptr &&
-        suffix_rows <= 4 * parent_rows) {
-      parent = suffix_parent;
-      parent_source = nullptr;
-    }
-    CT_RETURN_NOT_OK(
-        ComputeOne(*view, parent, parent_source, out.get(), facts, tag));
+    CT_ASSIGN_OR_RETURN(
+        std::unique_ptr<RecordSpool> spool,
+        ComputeOne(view, std::move(input),
+                   options_.temp_dir + "/" + tag + "_view" +
+                       std::to_string(view.id) + ".spl"));
+    MutexLock lock(shared.mu);
+    shared.set_rows.emplace(view.AttrMask(), spool->num_records());
+    out->entries_[view.id] = ComputedViews::Entry{view, std::move(spool)};
+    shared.changed.NotifyAll();
+    return Status::OK();
+  };
+  const auto fail = [&shared](const Status& status) {
+    MutexLock lock(shared.mu);
+    if (shared.failure.ok()) shared.failure = status;
+    shared.changed.NotifyAll();
+  };
+  // Each task's sorter spans, and its reads outside them, land under the
+  // caller's span.
+  obs::TraceHandoff handoff;
+  const Status status = ParallelFor(
+      order.size(), RefreshThreadsFromEnv(),
+      [&](size_t i, CancelFlag*) -> Status {
+        obs::TraceHandoff::Adopt adopt(handoff);
+        Status result;
+        try {
+          result = compute(i);
+        } catch (...) {
+          fail(Status::Cancelled("cube builder: a view's task threw"));
+          throw;
+        }
+        if (!result.ok()) fail(result);
+        return result;
+      });
+  if (!status.ok()) {
+    // The first failure, not a woken sibling's Cancelled.
+    MutexLock lock(shared.mu);
+    return shared.failure;
   }
   return out;
 }
@@ -204,10 +326,8 @@ Status AddAll(Stream* input, ExternalSorter* sorter) {
 
 }  // namespace
 
-Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
-                               const MaterializedView* materialized,
-                               ComputedViews* out, FactProvider* facts,
-                               const std::string& tag) {
+Result<std::unique_ptr<RecordSpool>> CubeBuilder::ComputeOne(
+    const ViewDef& view, Input input, const std::string& path) {
   const uint8_t arity = view.arity();
   if (arity > kMaxDims) {
     return Status::InvalidArgument(
@@ -215,6 +335,7 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
         std::to_string(arity) + " above " + std::to_string(kMaxDims));
   }
   const size_t record_bytes = ViewRecordBytes(arity);
+  const ViewDef* parent = input.parent;
 
   // Positions of this view's attributes inside the parent's projection.
   std::vector<size_t> positions;
@@ -233,12 +354,7 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
       positions.push_back(pos);
     }
   }
-  // Pipelined path: the computed parent's order is the child's pack order.
-  const bool already_sorted = parent != nullptr && materialized == nullptr &&
-                              IsSuffixProjection(view, *parent);
 
-  const std::string path = options_.temp_dir + "/" + tag + "_view" +
-                           std::to_string(view.id) + ".spl";
   std::unique_ptr<RecordSpool> spool;
   ExternalSorter::Options sort_options;
   sort_options.record_size = record_bytes;
@@ -250,33 +366,26 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
   // this view's arity; the combine loop appends straight to the spool.
   CT_RETURN_NOT_OK(DispatchArity(arity, [&](auto a) -> Status {
     constexpr uint8_t A = a;
-    if (materialized != nullptr) {
-      CT_ASSIGN_OR_RETURN(std::unique_ptr<RecordStream> stream,
-                          materialized->open());
-      ProjectingStream<A, RecordStream> input(std::move(stream),
-                                              parent->arity(), positions);
-      CT_RETURN_NOT_OK(AddAll(&input, &sorter));
-    } else if (parent != nullptr) {
-      CT_ASSIGN_OR_RETURN(RecordSpool * parent_spool, out->spool(parent->id));
-      CT_ASSIGN_OR_RETURN(auto reader, parent_spool->NewReader());
-      ProjectingStream<A, RecordSpool::Reader> input(
-          std::move(reader), parent->arity(), positions);
-      if (already_sorted) {
-        ++pipelined_views_;
+    if (input.materialized != nullptr) {
+      ProjectingStream<A, RecordStream> projected(
+          std::move(input.materialized), parent->arity(), positions);
+      CT_RETURN_NOT_OK(AddAll(&projected, &sorter));
+    } else if (input.spool != nullptr) {
+      ProjectingStream<A, RecordSpool::Reader> projected(
+          std::move(input.spool), parent->arity(), positions);
+      if (input.pipelined) {
         CT_ASSIGN_OR_RETURN(spool, RecordSpool::Create(path, record_bytes,
                                                        options_.io_stats));
-        return CombineEqualKeys<A>(&input, view.id, spool.get());
+        return CombineEqualKeys<A>(&projected, view.id, spool.get());
       }
-      CT_RETURN_NOT_OK(AddAll(&input, &sorter));
+      CT_RETURN_NOT_OK(AddAll(&projected, &sorter));
     } else {
       // No parent: project straight off the fact stream.
-      ++fact_views_;
-      CT_ASSIGN_OR_RETURN(auto fact_stream, facts->Open());
       char record[ViewRecordBytes(A)];
       Coord coords[kMaxDims] = {0};
       const FactTuple* tuple = nullptr;
       while (true) {
-        CT_RETURN_NOT_OK(fact_stream->Next(&tuple));
+        CT_RETURN_NOT_OK(input.facts->Next(&tuple));
         if (tuple == nullptr) break;
         for (size_t i = 0; i < A; ++i) {
           coords[i] = tuple->attr_values[view.attrs[i]];
@@ -287,14 +396,12 @@ Status CubeBuilder::ComputeOne(const ViewDef& view, const ViewDef* parent,
     }
     CT_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> sorted,
                         sorter.Finish());
-    ++sorted_views_;
     CT_ASSIGN_OR_RETURN(spool, RecordSpool::Create(path, record_bytes,
                                                    options_.io_stats));
     return CombineEqualKeys<A>(sorted.get(), view.id, spool.get());
   }));
   CT_RETURN_NOT_OK(spool->Seal());
-  out->entries_[view.id] = ComputedViews::Entry{view, std::move(spool)};
-  return Status::OK();
+  return spool;
 }
 
 }  // namespace cubetree

@@ -39,7 +39,9 @@ class FactSource {
 };
 
 /// Re-openable provider of the fact stream (the builder may need more than
-/// one pass when several views have no materialized ancestor).
+/// one pass when several views have no materialized ancestor). The builder
+/// calls Open one call at a time but may read the sources it returns on
+/// several threads at once, each source on one thread.
 class FactProvider {
  public:
   virtual ~FactProvider() = default;
@@ -99,7 +101,9 @@ class ComputedViews : public CubetreeForest::ViewDataProvider {
 /// A view materialized outside the builder (a healthy view of a forest)
 /// that ComputeAll may derive children from. `open` streams its
 /// ViewRecordBytes(arity) records in no particular order, a key possibly
-/// more than once, so a child of it is always sorted and combined.
+/// more than once, so a child of it is always sorted and combined. Like
+/// FactProvider::Open, `open` is called one call at a time, and each
+/// stream is read on one worker thread.
 struct MaterializedView {
   ViewDef view;
   uint64_t rows = 0;  // Ranks it among a child's candidate parents.
@@ -117,7 +121,10 @@ struct MaterializedView {
 /// double as the packing inputs, which is why the paper counts the sort as
 /// part of the load, not as overhead. Since
 /// SUM and COUNT are distributive, any covering view is an exact parent,
-/// so a repair derives lost views the same way from the surviving ones.
+/// so a repair derives lost views the same way from the surviving ones,
+/// and the graph's independent branches may be computed at once: each view
+/// is one task on a ParallelFor pool of RefreshThreadsFromEnv() workers,
+/// and up to that many sorts run at once, each within sort_budget_bytes.
 class CubeBuilder {
  public:
   struct Options {
@@ -132,10 +139,18 @@ class CubeBuilder {
       : schema_(&schema), options_(std::move(options)) {}
 
   /// Computes all `views` (any order, replicas included), each from the
-  /// smallest covering view already computed or in `materialized`, else
-  /// from the fact provider. With `facts` null such a view is Unavailable,
-  /// naming it, before any view is computed. Spool files are named after
-  /// `tag` in temp_dir.
+  /// smallest covering view before it in descending-arity order or in
+  /// `materialized` (ties to the lowest id), else from the fact provider.
+  /// With `facts` null such a view is Unavailable, naming it, before any
+  /// view is computed. Spool files are named after `tag` in temp_dir.
+  ///
+  /// Views are tasks dispatched in that order, and a task waits only for
+  /// views before it: until it knows each candidate parent's row count,
+  /// which is the group count of the parent's attribute set, so any
+  /// computed view of that set tells it, and then for the parent it chose.
+  /// Every worker count therefore picks the serial loop's parents and
+  /// writes the same spools, sort runs and I/O. The first failure wakes and
+  /// stops the waiting tasks and is the status returned.
   Result<std::unique_ptr<ComputedViews>> ComputeAll(
       const std::vector<ViewDef>& views, FactProvider* facts,
       const std::string& tag,
@@ -150,11 +165,13 @@ class CubeBuilder {
   uint64_t fact_views() const { return fact_views_; }
 
  private:
-  /// Computes `view` from `parent`, which is `materialized`'s view when
-  /// that is set, else a view of `out`; from the facts when it is null.
-  Status ComputeOne(const ViewDef& view, const ViewDef* parent,
-                    const MaterializedView* materialized, ComputedViews* out,
-                    FactProvider* facts, const std::string& tag);
+  struct Input;
+
+  /// Computes `view` from `input` into a sealed spool at `path`. Touches
+  /// nothing another task shares, so tasks run it unlocked.
+  Result<std::unique_ptr<RecordSpool>> ComputeOne(const ViewDef& view,
+                                                  Input input,
+                                                  const std::string& path);
 
   const CubeSchema* schema_;
   Options options_;

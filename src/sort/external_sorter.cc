@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <optional>
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include "common/coding.h"
@@ -33,6 +35,18 @@ struct SorterMetrics {
     return m;
   }
 };
+
+/// A MappedBuffer of `bytes` bytes, its pages untouched.
+Result<MappedBuffer> MapBuffer(size_t bytes) {
+  void* data = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (data == MAP_FAILED) {
+    return Status::ResourceExhausted("ExternalSorter: mapping " +
+                                     std::to_string(bytes) + " bytes: " +
+                                     std::strerror(errno));
+  }
+  return MappedBuffer(static_cast<char*>(data), Unmap{bytes});
+}
 
 /// The value of key field `f` of `record`.
 inline uint64_t FieldValue(const char* record, const KeyField& f) {
@@ -267,7 +281,9 @@ class SortedStream::Merge {
   std::optional<LoserTree<PlayerLess>> tree_;
 };
 
-SortedStream::SortedStream(std::unique_ptr<char[]> buffer, size_t bytes,
+void Unmap::operator()(char* data) const { ::munmap(data, bytes); }
+
+SortedStream::SortedStream(MappedBuffer buffer, size_t bytes,
                            size_t record_size, std::unique_ptr<Merge> merge)
     : buffer_(std::move(buffer)),
       bytes_(bytes),
@@ -325,9 +341,12 @@ ExternalSorter::ExternalSorter(Options options, std::vector<KeyField> key)
   // each record into its own run.
   options_.memory_budget_bytes =
       std::max(options_.memory_budget_bytes, options_.record_size * 64);
-  // Left uninitialized: a page of it costs memory only once written.
-  buffer_ = std::make_unique_for_overwrite<char[]>(
-      options_.memory_budget_bytes);
+  Result<MappedBuffer> buffer = MapBuffer(options_.memory_budget_bytes);
+  if (!buffer.ok()) {
+    init_status_ = buffer.status();
+    return;
+  }
+  buffer_ = std::move(buffer).value();
 }
 
 // Each run's spool removes its file.
@@ -472,7 +491,7 @@ Result<std::unique_ptr<SortedStream>> ExternalSorter::Finish() {
     // runs' read-ahead takes the memory the buffer held.
     bytes = BatchRecords() * options_.record_size;
     buffer_.reset();
-    buffer_ = std::make_unique_for_overwrite<char[]>(bytes);
+    CT_ASSIGN_OR_RETURN(buffer_, MapBuffer(bytes));
     CT_ASSIGN_OR_RETURN(merge, MergeRuns(0, runs_.size()));
   }
   return std::unique_ptr<SortedStream>(

@@ -79,6 +79,18 @@ struct KeyField {
 /// sort's recursion is at most 64 levels deep.
 inline constexpr size_t kMaxKeyFields = 8;
 
+/// Unmaps a MappedBuffer of `bytes` bytes.
+struct Unmap {
+  size_t bytes = 0;
+  void operator()(char* data) const;
+};
+
+/// A sorter's run or batch buffer: an anonymous private mapping, so a page
+/// of it costs memory only once written, and freeing it returns every page
+/// at once, on whichever thread frees it (a freed heap block can linger in
+/// that thread's malloc arena).
+using MappedBuffer = std::unique_ptr<char[], Unmap>;
+
 /// The sorter's ordered output: its in-memory buffer when nothing spilled,
 /// else a loser-tree merge of its spilled runs, produced a page of records
 /// at a time. The class is final, so a caller holding it by its own type
@@ -106,13 +118,13 @@ class SortedStream final : public RecordStream {
 
   /// `buffer` holds the sorted in-memory run of `bytes` bytes when `merge`
   /// is null, else room for `bytes` of merged records.
-  SortedStream(std::unique_ptr<char[]> buffer, size_t bytes,
-               size_t record_size, std::unique_ptr<Merge> merge);
+  SortedStream(MappedBuffer buffer, size_t bytes, size_t record_size,
+               std::unique_ptr<Merge> merge);
 
   /// Refills [next_, end_) from the merge; leaves it empty at the end.
   Status NextBatch();
 
-  std::unique_ptr<char[]> buffer_;
+  MappedBuffer buffer_;
   size_t bytes_;
   size_t record_size_;
   std::unique_ptr<Merge> merge_;
@@ -196,7 +208,7 @@ class ExternalSorter {
   Status init_status_;
   /// The run buffer, memory_budget_bytes long; its first `buffered_` bytes
   /// hold the records of the run being gathered.
-  std::unique_ptr<char[]> buffer_;
+  MappedBuffer buffer_;
   size_t buffered_ = 0;
   uint64_t num_records_ = 0;
   std::vector<std::unique_ptr<RecordSpool>> runs_;

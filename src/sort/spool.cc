@@ -69,15 +69,21 @@ Status RecordSpool::Seal() {
 Result<std::unique_ptr<RecordSpool::Reader>> RecordSpool::NewReader(
     size_t extent_pages) {
   if (!sealed_) return Status::Internal("spool: read before Seal");
-  return std::unique_ptr<Reader>(new Reader(*this, extent_pages));
+  CT_ASSIGN_OR_RETURN(auto file,
+                      PageManager::Open(path(), file_->shared_stats()));
+  return std::unique_ptr<Reader>(
+      new Reader(*this, std::move(file), extent_pages));
 }
 
-RecordSpool::Reader::Reader(const RecordSpool& spool, size_t extent_pages)
+RecordSpool::Reader::Reader(const RecordSpool& spool,
+                            std::unique_ptr<PageManager> file,
+                            size_t extent_pages)
     : record_size_(spool.record_size_),
       per_page_(spool.per_page_),
+      file_(std::move(file)),
       // The pages the records fill, so a record count the file cannot hold
       // surfaces as ReadPages' read-past-end error.
-      pages_(spool.file_.get(), 0,
+      pages_(file_.get(), 0,
              static_cast<PageId>((spool.num_records_ + per_page_ - 1) /
                                  per_page_),
              extent_pages),

@@ -51,8 +51,11 @@ class RecordSpool {
 
   /// Sequential reader over the sealed spool. NextSpan hands out the rest
   /// of a page at a time, and the page buffer is freed once the last span
-  /// has been consumed. Final, so a caller holding it by its own type calls
-  /// Next without a virtual dispatch.
+  /// has been consumed. Each reader reads through its own handle on the
+  /// spool's file, one file descriptor, counting into the spool's IoStats,
+  /// so readers running at once each classify their own pass as
+  /// sequential. Final, so a caller holding it by its own type calls Next
+  /// without a virtual dispatch.
   class Reader final : public RecordStream {
    public:
     Status Next(const char** record) override {
@@ -65,7 +68,8 @@ class RecordSpool {
 
    private:
     friend class RecordSpool;
-    Reader(const RecordSpool& spool, size_t extent_pages);
+    Reader(const RecordSpool& spool, std::unique_ptr<PageManager> file,
+           size_t extent_pages);
 
     /// Returns up to `max` records of the current page, moving to the next
     /// page first when this one is used up.
@@ -73,6 +77,7 @@ class RecordSpool {
 
     size_t record_size_;
     size_t per_page_;
+    std::unique_ptr<PageManager> file_;
     ExtentReader pages_;
     const char* page_ = nullptr;
     uint64_t remaining_;

@@ -2,15 +2,22 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
+#include "fault/fault_injector.h"
+#include "obs/metrics.h"
 #include "olap/cube_builder.h"
 #include "olap/lattice.h"
 #include "olap/query_model.h"
 #include "olap/selection.h"
 #include "tests/test_util.h"
+#include "tpcd/dbgen.h"
 
 namespace cubetree {
 namespace {
@@ -181,6 +188,10 @@ TEST(SelectionTest, IndexNamesReadable) {
 }
 
 // --- Cube builder --------------------------------------------------------
+
+/// The worker counts the builder's tests run at: the serial loop, and
+/// views computed side by side.
+constexpr const char* kWidths[] = {"1", "4"};
 
 class CubeBuilderTest : public ::testing::Test {
  protected:
@@ -412,31 +423,36 @@ TEST_F(CubeBuilderTest, SumOverflowIsAnErrorNamingTheView) {
     const char* view;
     uint64_t pipelined_views;
   };
-  for (const Case& c : {Case{MakeView(5, {1}), {3, 2}, "view 7", 0},
-                        Case{MakeView(5, {1}), {4, 2}, "view 5", 1},
-                        Case{MakeView(6, {0}), {3, 4}, "view 6", 0}}) {
-    facts_.clear();
-    FactTuple t;
-    t.attr_values[0] = 3;
-    t.attr_values[1] = 2;
-    t.measure = INT64_MAX;
-    facts_.push_back(t);
-    t.attr_values[0] = c.second[0];
-    t.attr_values[1] = c.second[1];
-    t.measure = 1;
-    facts_.push_back(t);
-    CubeBuilder::Options options;
-    options.temp_dir = dir_;
-    CubeBuilder builder(schema_, options);
-    Provider provider(&facts_);
-    const auto computed = builder.ComputeAll({MakeView(7, {0, 1}), c.child},
-                                             &provider, "overflow");
-    ASSERT_FALSE(computed.ok()) << c.view;
-    EXPECT_TRUE(computed.status().IsInvalidArgument())
-        << computed.status().ToString();
-    EXPECT_NE(computed.status().ToString().find(c.view), std::string::npos)
-        << computed.status().ToString();
-    EXPECT_EQ(builder.pipelined_views(), c.pipelined_views) << c.view;
+  const Case cases[] = {{MakeView(5, {1}), {3, 2}, "view 7", 0},
+                        {MakeView(5, {1}), {4, 2}, "view 5", 1},
+                        {MakeView(6, {0}), {3, 4}, "view 6", 0}};
+  for (const char* width : kWidths) {
+    ScopedEnv threads("CUBETREE_REFRESH_THREADS", width);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.view) + " overflows, width " + width);
+      facts_.clear();
+      FactTuple t;
+      t.attr_values[0] = 3;
+      t.attr_values[1] = 2;
+      t.measure = INT64_MAX;
+      facts_.push_back(t);
+      t.attr_values[0] = c.second[0];
+      t.attr_values[1] = c.second[1];
+      t.measure = 1;
+      facts_.push_back(t);
+      CubeBuilder::Options options;
+      options.temp_dir = dir_;
+      CubeBuilder builder(schema_, options);
+      Provider provider(&facts_);
+      const auto computed = builder.ComputeAll(
+          {MakeView(7, {0, 1}), c.child}, &provider, "overflow");
+      ASSERT_FALSE(computed.ok());
+      EXPECT_TRUE(computed.status().IsInvalidArgument())
+          << computed.status().ToString();
+      EXPECT_NE(computed.status().ToString().find(c.view), std::string::npos)
+          << computed.status().ToString();
+      EXPECT_EQ(builder.pipelined_views(), c.pipelined_views);
+    }
   }
 }
 
@@ -454,12 +470,123 @@ TEST_F(CubeBuilderTest, FailedComputeLeavesNoSpool) {
     t.measure = measure;
     facts_.push_back(t);
   }
-  CubeBuilder::Options options;
-  options.temp_dir = dir_;
-  CubeBuilder builder(schema_, options);
-  Provider provider(&facts_);
-  const auto computed = builder.ComputeAll(views, &provider, "leak");
-  ASSERT_TRUE(computed.status().IsInvalidArgument())
+  for (const char* width : kWidths) {
+    SCOPED_TRACE(std::string("width ") + width);
+    ScopedEnv threads("CUBETREE_REFRESH_THREADS", width);
+    CubeBuilder::Options options;
+    options.temp_dir = dir_;
+    CubeBuilder builder(schema_, options);
+    Provider provider(&facts_);
+    const auto computed = builder.ComputeAll(views, &provider, "leak");
+    ASSERT_TRUE(computed.status().IsInvalidArgument())
+        << computed.status().ToString();
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      ADD_FAILURE() << "failed computation left " << entry.path();
+    }
+  }
+}
+
+// The schedule's tests compute the paper's views and both top-view
+// replicas over SF 0.01 facts, about 60,000, at a sort budget that spills
+// the arity-3 sorts.
+class CubeScheduleTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = MakeTestDir("cubeschedule");
+    tpcd::TpcdOptions options;
+    options.scale_factor = 0.01;
+    generator_ = std::make_unique<tpcd::Generator>(options);
+    schema_ = generator_->MakeBaseSchema();
+    facts_ = generator_->BaseFacts();
+  }
+  void TearDown() override { FaultInjector::Instance().DisarmAll(); }
+
+  CubeBuilder::Options Options() const {
+    CubeBuilder::Options options;
+    options.temp_dir = dir_;
+    options.sort_budget_bytes = 256 << 10;
+    options.io_stats = std::make_shared<IoStats>();
+    return options;
+  }
+
+  const std::vector<ViewDef> views_ = bench::PaperViews(/*with_replicas=*/true);
+  std::string dir_;
+  std::unique_ptr<tpcd::Generator> generator_;
+  CubeSchema schema_;
+  std::unique_ptr<FactProvider> facts_;
+};
+
+// The view tasks pick the serial loop's parents at every worker count:
+// one worker and four write byte-identical spools, derive the same views
+// by each path, and count the same page I/O and sorter work.
+TEST_F(CubeScheduleTest, EveryWidthComputesTheSerialSpools) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  const char* const sorter_counters[] = {
+      "sorter.runs_spilled", "sorter.bytes_spilled", "sorter.merge_passes"};
+  std::map<uint32_t, std::string> spools[2];
+  std::map<std::string, uint64_t> counts[2];
+  for (int w = 0; w < 2; ++w) {
+    ScopedEnv threads("CUBETREE_REFRESH_THREADS", kWidths[w]);
+    const CubeBuilder::Options options = Options();
+    std::map<std::string, uint64_t> sorter_before;
+    for (const char* name : sorter_counters) {
+      sorter_before[name] = registry.GetCounter(name)->value();
+    }
+    CubeBuilder builder(schema_, options);
+    ASSERT_OK_AND_ASSIGN(auto data,
+                         builder.ComputeAll(views_, facts_.get(), "width"));
+    for (const ViewDef& view : views_) {
+      ASSERT_OK_AND_ASSIGN(RecordSpool * spool, data->spool(view.id));
+      std::ifstream file(spool->path(), std::ios::binary);
+      spools[w][view.id].assign(std::istreambuf_iterator<char>(file), {});
+    }
+    const IoStats& io = *options.io_stats;
+    counts[w] = {{"pipelined_views", builder.pipelined_views()},
+                 {"sorted_views", builder.sorted_views()},
+                 {"fact_views", builder.fact_views()},
+                 {"sequential_reads", io.sequential_reads},
+                 {"random_reads", io.random_reads},
+                 {"sequential_writes", io.sequential_writes},
+                 {"random_writes", io.random_writes}};
+    for (const char* name : sorter_counters) {
+      counts[w][name] = registry.GetCounter(name)->value() -
+                        sorter_before[name];
+    }
+  }
+  EXPECT_GT(counts[0]["sorter.runs_spilled"], 0u);
+  EXPECT_EQ(counts[0], counts[1]);
+  ASSERT_EQ(spools[0].size(), views_.size());
+  for (const auto& [id, bytes] : spools[0]) {
+    EXPECT_TRUE(bytes == spools[1][id]) << "view " << id << "'s spool differs";
+  }
+}
+
+// One replica's sort fails while the other replica sorts beside it: the
+// builder returns the injected, typed error, stops the tasks that wait on
+// the replicas, and leaves no spool or sort run behind.
+TEST_F(CubeScheduleTest, FailedReplicaSortStopsEveryTaskAndLeavesNoFile) {
+  ScopedEnv threads("CUBETREE_REFRESH_THREADS", "4");
+  obs::Counter* runs =
+      obs::MetricsRegistry::Instance().GetCounter("sorter.runs_spilled");
+  // Every other view waits for the top view's row count, so its sort's
+  // spills come first; the next one is a replica's.
+  const uint64_t before = runs->value();
+  {
+    CubeBuilder builder(schema_, Options());
+    ASSERT_OK(builder.ComputeAll({views_[0]}, facts_.get(), "top").status());
+  }
+  const uint64_t top_runs = runs->value() - before;
+  ASSERT_GT(top_runs, 0u);
+  ASSERT_OK(FaultInjector::Instance().Arm(
+      "sort.spill", "enospc@" + std::to_string(top_runs + 1)));
+  CubeBuilder builder(schema_, Options());
+  const auto computed = builder.ComputeAll(views_, facts_.get(), "replica");
+  FaultInjector::Instance().DisarmAll();
+  ASSERT_FALSE(computed.ok());
+  EXPECT_TRUE(computed.status().IsStorageFull())
+      << computed.status().ToString();
+  EXPECT_NE(computed.status().ToString().find("sort.spill"),
+            std::string::npos)
       << computed.status().ToString();
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     ADD_FAILURE() << "failed computation left " << entry.path();

@@ -640,6 +640,62 @@ TEST(RecordSpoolTest, MultipleReaders) {
   }
 }
 
+// Each reader reads through its own handle, so two readers of one spool
+// taking turns extent by extent, as two views derived from one parent do
+// on two workers, count the reads of two passes one after the other: one
+// random read each, at page 0, and the rest sequential.
+TEST(RecordSpoolTest, InterleavedReadersCountLikeBackToBackPasses) {
+  const std::string dir = MakeTestDir("spool_interleaved");
+  constexpr size_t kPerPage = kPageSize / 4;
+  constexpr size_t kPages = 3 * kExtentPages + 2;
+  auto stats = std::make_shared<IoStats>();
+  ASSERT_OK_AND_ASSIGN(auto spool,
+                       RecordSpool::Create(dir + "/s.spl", 4, stats));
+  char buf[4];
+  for (uint32_t i = 0; i < kPages * kPerPage; ++i) {
+    EncodeFixed32(buf, i);
+    ASSERT_OK(spool->Append(buf));
+  }
+  ASSERT_OK(spool->Seal());
+
+  stats->Clear();
+  for (int pass = 0; pass < 2; ++pass) {
+    ASSERT_OK_AND_ASSIGN(auto reader, spool->NewReader());
+    EXPECT_EQ(DrainU32(reader.get()).size(), kPages * kPerPage);
+  }
+  const IoStats back_to_back = *stats;
+  EXPECT_EQ(back_to_back.random_reads, 2u);
+  EXPECT_EQ(back_to_back.sequential_reads, 2 * (kPages - 1));
+
+  stats->Clear();
+  ASSERT_OK_AND_ASSIGN(auto first, spool->NewReader());
+  ASSERT_OK_AND_ASSIGN(auto second, spool->NewReader());
+  std::vector<uint32_t> got[2];
+  for (bool more = true; more;) {
+    more = false;
+    int turn = 0;
+    for (RecordSpool::Reader* reader : {first.get(), second.get()}) {
+      // A page's records per span: one extent is kExtentPages spans.
+      for (size_t page = 0; page < kExtentPages; ++page) {
+        const char* span = nullptr;
+        size_t count = 0;
+        ASSERT_OK(reader->NextSpan(&span, &count));
+        for (size_t i = 0; i < count; ++i) {
+          got[turn].push_back(DecodeFixed32(span + 4 * i));
+        }
+        more = more || count != 0;
+      }
+      ++turn;
+    }
+  }
+  for (const std::vector<uint32_t>& records : got) {
+    ASSERT_EQ(records.size(), kPages * kPerPage);
+    for (uint32_t i = 0; i < records.size(); ++i) ASSERT_EQ(records[i], i);
+  }
+  EXPECT_EQ(stats->random_reads, back_to_back.random_reads);
+  EXPECT_EQ(stats->sequential_reads, back_to_back.sequential_reads);
+}
+
 TEST(RecordSpoolTest, ReadBeforeSealFails) {
   const std::string dir = MakeTestDir("spool_seal");
   ASSERT_OK_AND_ASSIGN(auto spool, RecordSpool::Create(dir + "/s.spl", 4));

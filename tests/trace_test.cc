@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/query_context.h"
@@ -272,6 +273,42 @@ TEST_F(TraceTest, AttributionHooksBumpInnermostSpan) {
   EXPECT_EQ(trace->spans()[0].pool_hits, 1u);
   EXPECT_EQ(trace->spans()[1].pages_read, 2u);
   EXPECT_EQ(trace->spans()[1].pool_hits, 1u);
+}
+
+// A worker that adopts a trace may read before it opens a span of its own,
+// as the cube builder's view tasks read their parents' spools: those reads
+// count toward the span the handoff was made under, and the worker's own
+// spans keep theirs.
+TEST_F(TraceTest, AdoptedReadsOutsideAnySpanCountTowardTheHandoffSpan) {
+  {
+    TraceScope root("refresh");
+    Span sort("refresh.sort");
+    obs::TraceHandoff handoff;
+    std::thread worker([&handoff] {
+      obs::TraceHandoff::Adopt adopt(handoff);
+      obs::NotePageRead();
+      obs::NotePageRead();
+      obs::NotePoolHit();
+      Span spill("sort.spill");
+      obs::NotePageRead();
+    });
+    worker.join();
+    obs::NotePageRead();
+  }
+  auto trace = Tracer::Instance().LastTrace();
+  ASSERT_NE(trace, nullptr);
+  ASSERT_EQ(trace->spans().size(), 3u);
+  const obs::SpanRecord& root = trace->spans()[0];
+  const obs::SpanRecord& sort = trace->spans()[1];
+  const obs::SpanRecord& spill = trace->spans()[2];
+  EXPECT_EQ(root.pages_read, 0u);
+  EXPECT_EQ(sort.name, "refresh.sort");
+  EXPECT_EQ(sort.pages_read, 3u);
+  EXPECT_EQ(sort.pool_hits, 1u);
+  EXPECT_EQ(spill.name, "sort.spill");
+  EXPECT_EQ(spill.parent, 1);
+  EXPECT_EQ(spill.pages_read, 1u);
+  EXPECT_EQ(spill.pool_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
