@@ -61,7 +61,8 @@ double AvgLeafPages(PackedRTree* tree, const std::vector<Rect>& queries) {
   for (const Rect& query : queries) {
     obs::QueryProfile profile;
     obs::QueryProfile::Scope scope(&profile);
-    bench::CheckOk(tree->Search(query, [](const PointRecord&) {}), "search");
+    bench::CheckOk(
+        tree->Search(query, [](uint32_t, uint8_t, const char*) {}), "search");
     total += profile.leaf_pages;
   }
   return static_cast<double>(total) / queries.size();

@@ -118,7 +118,8 @@ void BM_PackedRTreeSearch(benchmark::State& state) {
     const Coord z = 1 + static_cast<Coord>(rng.Uniform(n));
     query.lo[2] = z;
     query.hi[2] = z + 200;
-    Status st = tree->Search(query, [&](const PointRecord&) { ++found; });
+    Status st =
+        tree->Search(query, [&](uint32_t, uint8_t, const char*) { ++found; });
     if (!st.ok()) state.SkipWithError("search failed");
   }
   benchmark::DoNotOptimize(found);
@@ -175,7 +176,8 @@ void BM_PackedRTreeSearchColdRead(benchmark::State& state) {
     const Coord z = 1 + static_cast<Coord>(rng.Uniform(n));
     query.lo[2] = z;
     query.hi[2] = z + 2000;
-    Status st = tree->Search(query, [&](const PointRecord&) { ++found; });
+    Status st =
+        tree->Search(query, [&](uint32_t, uint8_t, const char*) { ++found; });
     if (!st.ok()) state.SkipWithError("search failed");
   }
   benchmark::DoNotOptimize(found);

@@ -1,6 +1,7 @@
 // Refresh scalability: the same TPC-D increment is merge-packed into a
-// fresh forest with the refresh worker pool at widths 1/2/4/8 while four
-// reader threads keep serving old-epoch snapshot queries throughout.
+// fresh forest with the refresh worker pool at widths 1/2/4/8 (set through
+// CUBETREE_REFRESH_THREADS) while four reader threads keep serving
+// old-epoch snapshot queries throughout.
 //
 // On one spindle the merge-pack is transfer-bound, so wall-clock speedup
 // needs real cores AND independent disks — neither of which a small CI
@@ -14,7 +15,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -60,7 +63,8 @@ int Run(int argc, char** argv) {
   const std::string dir = args.dir + "_refreshpar";
 
   // The paper's 10% increment, computed once into its own sorted spools
-  // and replayed against every pool width.
+  // and replayed against every pool width, so the table varies only the
+  // pack width.
   CubeBuilder::Options build_options;
   build_options.temp_dir = dir;
   build_options.sort_budget_bytes = std::max<size_t>(
@@ -95,7 +99,7 @@ int Run(int argc, char** argv) {
     CubetreeForest::Options forest_options;
     forest_options.dir = sub;
     forest_options.name = "f";
-    forest_options.refresh_threads = width;
+    ::setenv("CUBETREE_REFRESH_THREADS", std::to_string(width).c_str(), 1);
     auto forest = bench::CheckOk(
         CubetreeForest::Create(forest_options, &pool, run_io), "forest");
     bench::CheckOk(forest->Build(views, base.data.get()), "build");
@@ -131,7 +135,7 @@ int Run(int argc, char** argv) {
                                                    std::nullopt);
             const Status status = (*tree)->QuerySlice(
                 view.id, open,
-                [&rows](const Coord*, const AggValue&) { ++rows; });
+                [&rows](uint32_t, uint8_t, const char*) { ++rows; });
             if (status.ok() && rows > 0) {
               reads.fetch_add(1, std::memory_order_relaxed);
             } else if (!status.ok()) {

@@ -15,6 +15,7 @@
 #include "common/logging.h"
 #include "cubetree/cubetree.h"
 #include "cubetree/select_mapping.h"
+#include "rtree/node.h"
 #include "rtree/packed_rtree.h"
 #include "storage/buffer_pool.h"
 #include "tpcd/dbgen.h"
@@ -102,38 +103,37 @@ int main() {
   auto rtree = std::move(tree_result).value();
   std::printf("\nFigure 8 (Cubetree R3, fan-out 3, height %u):\n",
               rtree->height());
-  // Print leaves exactly as stored: V8 leaves carry 1 coordinate per
-  // entry (compressed), V9 leaves carry 2.
+  // Print each leaf page's entries as they are stored: V8 leaves carry 1
+  // coordinate per entry (compressed), V9 leaves carry 2, each followed by
+  // the aggregate.
   {
     auto scanner = rtree->ScanAll();
-    const PointRecord* rec = nullptr;
     uint32_t current_view = 0;
-    int leaf_slot = 0;
     while (true) {
-      if (!scanner.Next(&rec).ok()) return 1;
-      if (rec == nullptr) break;
-      if (rec->view_id != current_view || leaf_slot == 3) {
-        if (rec->view_id != current_view) {
-          std::printf("  -- leaves of %s (%s)\n",
-                      rec->view_id == 8 ? "V8" : "V9",
-                      rec->view_id == 8
-                          ? "compressed: x coordinate only"
-                          : "x,y coordinates");
+      const char* leaf = nullptr;
+      if (!scanner.NextLeaf(&leaf).ok()) return 1;
+      if (leaf == nullptr) break;
+      const uint32_t view = RNodeViewId(leaf);
+      const uint8_t arity = RNodeArity(leaf);
+      if (view != current_view) {
+        std::printf("  -- leaves of %s (%s)\n", view == 8 ? "V8" : "V9",
+                    view == 8 ? "compressed: x coordinate only"
+                              : "x,y coordinates");
+        current_view = view;
+      }
+      std::printf("  leaf:");
+      const char* entry = leaf + kRNodeHeaderSize;
+      for (uint16_t i = 0; i < RNodeCount(leaf); ++i) {
+        std::printf(" (");
+        for (uint8_t d = 0; d < arity; ++d) {
+          std::printf("%u,", ViewRecordCoord(entry, d));
         }
-        std::printf("  leaf:");
-        current_view = rec->view_id;
-        leaf_slot = 0;
+        std::printf("%lld)",
+                    static_cast<long long>(ViewRecordAgg(entry, arity).sum));
+        entry += ViewRecordBytes(arity);
       }
-      if (rec->view_id == 8) {
-        std::printf(" (%u,%lld)", rec->coords[0],
-                    static_cast<long long>(rec->agg.sum));
-      } else {
-        std::printf(" (%u,%u,%lld)", rec->coords[0], rec->coords[1],
-                    static_cast<long long>(rec->agg.sum));
-      }
-      if (++leaf_slot == 3) std::printf("\n");
+      std::printf("\n");
     }
-    std::printf("\n");
   }
 
   // --- Figure 4: queries as slices of the index space ------------------
@@ -143,9 +143,9 @@ int main() {
               "customer C=1 (plane y=1):\n");
   Status st = cubetree.QuerySlice(
       9, {std::nullopt, Coord{1}},
-      [](const Coord* coords, const AggValue& agg) {
-        std::printf("  suppkey %u -> %lld\n", coords[0],
-                    static_cast<long long>(agg.sum));
+      [](uint32_t, uint8_t arity, const char* entry) {
+        std::printf("  suppkey %u -> %lld\n", ViewRecordCoord(entry, 0),
+                    static_cast<long long>(ViewRecordAgg(entry, arity).sum));
       });
   if (!st.ok()) return 1;
 

@@ -1,6 +1,6 @@
 #include "cubetree/cubetree.h"
 
-#include "common/assert.h"
+#include <algorithm>
 
 namespace cubetree {
 
@@ -22,9 +22,12 @@ ViewArityFn ViewArityOf(std::vector<ViewDef> views) {
   };
 }
 
-Result<Rect> Cubetree::SliceRect(
-    uint32_t view_id,
-    const std::vector<std::optional<Coord>>& bindings) const {
+namespace {
+
+/// A slice's bindings as box intervals: a bound attribute is its key, an
+/// open one every real key.
+std::vector<std::pair<Coord, Coord>> SliceIntervals(
+    const std::vector<std::optional<Coord>>& bindings) {
   std::vector<std::pair<Coord, Coord>> intervals;
   intervals.reserve(bindings.size());
   for (const auto& binding : bindings) {
@@ -34,7 +37,15 @@ Result<Rect> Cubetree::SliceRect(
       intervals.emplace_back(1, kCoordMax);
     }
   }
-  return BoxRect(view_id, intervals);
+  return intervals;
+}
+
+}  // namespace
+
+Result<Rect> Cubetree::SliceRect(
+    uint32_t view_id,
+    const std::vector<std::optional<Coord>>& bindings) const {
+  return BoxRect(view_id, SliceIntervals(bindings));
 }
 
 Result<Rect> Cubetree::BoxRect(
@@ -63,31 +74,17 @@ Result<Rect> Cubetree::BoxRect(
 
 Status Cubetree::QuerySlice(
     uint32_t view_id, const std::vector<std::optional<Coord>>& bindings,
-    const std::function<void(const Coord*, const AggValue&)>& emit) {
-  std::vector<std::pair<Coord, Coord>> intervals;
-  intervals.reserve(bindings.size());
-  for (const auto& binding : bindings) {
-    if (binding.has_value()) {
-      intervals.emplace_back(*binding, *binding);
-    } else {
-      intervals.emplace_back(1, kCoordMax);
-    }
-  }
-  return QueryBox(view_id, intervals, emit);
+    const LeafEntryFn& emit) {
+  return QueryBox(view_id, SliceIntervals(bindings), emit);
 }
 
 Status Cubetree::QueryBox(
     uint32_t view_id, const std::vector<std::pair<Coord, Coord>>& intervals,
-    const std::function<void(const Coord*, const AggValue&)>& emit) {
+    const LeafEntryFn& emit) {
   CT_ASSIGN_OR_RETURN(Rect rect, BoxRect(view_id, intervals));
-  auto filter = [&](const PointRecord& rec) {
-    CT_DCHECK(rect.ContainsPoint(rec.coords, tree_->dims()))
-        << "search emitted a point outside the query box";
-    if (rec.view_id == view_id) emit(rec.coords, rec.agg);
-  };
-  CT_RETURN_NOT_OK(tree_->Search(rect, filter));
+  CT_RETURN_NOT_OK(tree_->Search(rect, emit, view_id));
   for (const auto& delta : deltas_) {
-    CT_RETURN_NOT_OK(delta->Search(rect, filter));
+    CT_RETURN_NOT_OK(delta->Search(rect, emit, view_id));
   }
   return Status::OK();
 }

@@ -1,7 +1,6 @@
 #ifndef CUBETREE_CUBETREE_CUBETREE_H_
 #define CUBETREE_CUBETREE_CUBETREE_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -100,20 +99,19 @@ class Cubetree {
       uint32_t view_id,
       const std::vector<std::pair<Coord, Coord>>& intervals) const;
 
-  /// Runs a slice query: emits (coords, agg) for each qualifying tuple of
-  /// the view. Coordinates are in the view's attribute order.
+  /// Runs a slice query: emits each qualifying tuple of the view as its
+  /// leaf entry, whose coordinates are in the view's attribute order.
   Status QuerySlice(uint32_t view_id,
                     const std::vector<std::optional<Coord>>& bindings,
-                    const std::function<void(const Coord*, const AggValue&)>&
-                        emit);
+                    const LeafEntryFn& emit);
 
   /// Box-query variant of QuerySlice with per-attribute intervals. Emits
-  /// from the main tree and every delta tree; a group key present in
-  /// several trees is emitted once per tree (callers aggregate).
+  /// from the main tree and every delta tree, and from the view's leaves
+  /// only; a group key present in several trees is emitted once per tree
+  /// (callers aggregate).
   Status QueryBox(uint32_t view_id,
                   const std::vector<std::pair<Coord, Coord>>& intervals,
-                  const std::function<void(const Coord*, const AggValue&)>&
-                      emit);
+                  const LeafEntryFn& emit);
 
  private:
   std::vector<ViewDef> views_;

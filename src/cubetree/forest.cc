@@ -723,11 +723,13 @@ Status CubetreeForest::RefreshTxn(RefreshKind kind,
                                 ? "refresh.delta_pack"
                                 : "refresh.rebuild_pack";
     const ViewArityFn arity_fn = ViewArityOf(views_);
-    // Each worker builds its spans in a private child trace and splices
-    // them back under the refresh trace when its task ends.
+    // One worker per tree, at most the refresh width (ParallelFor caps it
+    // at the task count). Each worker builds its spans in a private child
+    // trace and splices them back under the refresh trace when its task
+    // ends.
     obs::TraceHandoff handoff;
     status = ParallelFor(
-        tasks.size(), ResolvedRefreshThreads(tasks.size()),
+        tasks.size(), RefreshThreadsFromEnv(),
         [&](size_t i, CancelFlag* cancel) -> Status {
           obs::TraceHandoff::Adopt adopt(handoff);
           Task& task = tasks[i];
@@ -959,15 +961,6 @@ uint64_t CubetreeForest::ReclaimSpaceLocked() {
     reclaimed += bytes;
   }
   return reclaimed;
-}
-
-unsigned CubetreeForest::ResolvedRefreshThreads(size_t num_tasks) const {
-  const unsigned configured = options_.refresh_threads != 0
-                                  ? options_.refresh_threads
-                                  : RefreshThreadsFromEnv();
-  if (num_tasks == 0) return 1;
-  return static_cast<unsigned>(
-      std::min<size_t>(std::max(configured, 1u), num_tasks));
 }
 
 Status CubetreeForest::PreflightRefreshLocked(RefreshKind kind,

@@ -245,11 +245,6 @@ class CubetreeForest {
     /// running SelectMapping. Costs extra non-leaf/metadata pages and
     /// lowers the buffer hit ratio on the trees' upper levels.
     bool one_tree_per_view = false;
-    /// Worker-pool width for refresh merge-packing: each Cubetree of the
-    /// forest is packed by its own worker (the trees are disjoint by
-    /// SelectMapping), capped at the number of trees. 0 resolves from
-    /// CUBETREE_REFRESH_THREADS, falling back to hardware_concurrency.
-    unsigned refresh_threads = 0;
   };
 
   /// Supplies, per view, the stream of its aggregate tuples — fixed-width
@@ -468,9 +463,6 @@ class CubetreeForest {
   /// refuses the transaction while the published epoch keeps serving.
   Status PreflightRefreshLocked(RefreshKind kind, uint64_t estimated_bytes)
       REQUIRES(refresh_mu_);
-  /// Worker count for a refresh over `num_tasks` independent tree packs:
-  /// the configured/env-resolved pool width, capped at num_tasks, >= 1.
-  unsigned ResolvedRefreshThreads(size_t num_tasks) const;
   uint64_t ReclaimSpaceLocked() REQUIRES(refresh_mu_);
 
   Options options_;

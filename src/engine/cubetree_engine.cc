@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -15,6 +16,7 @@
 #include "obs/query_profile.h"
 #include "obs/trace.h"
 #include "obs/workload.h"
+#include "rtree/node.h"
 #include "sort/external_sorter.h"
 
 namespace cubetree {
@@ -68,8 +70,9 @@ obs::QueryOutcome OutcomeOf(const Status& status,
 
 /// The records of one view of a pinned generation, for a repair: the
 /// view's leaf run in the main tree and then in each pending delta tree,
-/// from the sequential leaf scan, which decodes uncompressed leaves too.
-/// Keys ascend within each tree's run and repeat across the trees.
+/// from the sequential leaf scan. A compressed leaf's entries are served
+/// where they lie; an uncompressed leaf's are narrowed to the view's
+/// arity. Keys ascend within each tree's run and repeat across the trees.
 class ViewLeafStream final : public RecordStream {
  public:
   ViewLeafStream(std::vector<PackedRTree*> trees, const ViewDef& view)
@@ -77,16 +80,37 @@ class ViewLeafStream final : public RecordStream {
 
   Status Next(const char** record) override {
     while (tree_ < trees_.size()) {
-      if (!scanner_.has_value()) scanner_.emplace(trees_[tree_]->ScanAll());
-      const PointRecord* point = nullptr;
-      CT_RETURN_NOT_OK(scanner_->Next(&point));
-      if (point != nullptr && point->view_id == view_id_) {
-        in_run_ = true;
-        EncodeViewRecord(record_, point->coords, arity_, point->agg);
-        *record = record_;
+      if (left_ > 0) {
+        --left_;
+        *record = entry_;
+        if (leaf_arity_ != arity_) {
+          std::memcpy(record_, entry_, arity_ * sizeof(Coord));
+          std::memcpy(record_ + arity_ * sizeof(Coord),
+                      entry_ + leaf_arity_ * sizeof(Coord), kAggValueBytes);
+          *record = record_;
+        }
+        entry_ += ViewRecordBytes(leaf_arity_);
         return Status::OK();
       }
-      if (point == nullptr || in_run_) {  // This tree's run is over.
+      if (!scanner_.has_value()) scanner_.emplace(trees_[tree_]->ScanAll());
+      const char* leaf = nullptr;
+      CT_RETURN_NOT_OK(scanner_->NextLeaf(&leaf));
+      if (leaf != nullptr && RNodeViewId(leaf) == view_id_) {
+        leaf_arity_ = RNodeArity(leaf);
+        if (leaf_arity_ < arity_) {
+          return Status::Corruption(
+              "repair: leaf page " + std::to_string(scanner_->leaf_page()) +
+              " of " + trees_[tree_]->path() + " holds view " +
+              std::to_string(view_id_) + " at arity " +
+              std::to_string(leaf_arity_) + ", below the view's " +
+              std::to_string(arity_));
+        }
+        in_run_ = true;
+        entry_ = leaf + kRNodeHeaderSize;
+        left_ = RNodeCount(leaf);
+        continue;
+      }
+      if (leaf == nullptr || in_run_) {  // This tree's run is over.
         scanner_.reset();
         in_run_ = false;
         ++tree_;
@@ -103,6 +127,10 @@ class ViewLeafStream final : public RecordStream {
   size_t tree_ = 0;
   std::optional<PackedRTree::Scanner> scanner_;
   bool in_run_ = false;
+  /// The unserved entries of the current leaf, stored at leaf_arity_.
+  const char* entry_ = nullptr;
+  uint16_t left_ = 0;
+  uint8_t leaf_arity_ = 0;
   char record_[ViewRecordBytes(kMaxDims)];
 };
 
@@ -493,11 +521,13 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(
       // Every qualifying point is exactly one result group.
       CT_RETURN_NOT_OK(tree->QueryBox(
           best->id, intervals,
-          [&](const Coord* coords, const AggValue& agg) {
+          [&](uint32_t, uint8_t arity, const char* entry) {
             ResultRow row;
             row.group.reserve(group_positions.size());
-            for (size_t pos : group_positions) row.group.push_back(coords[pos]);
-            row.agg = agg;
+            for (size_t pos : group_positions) {
+              row.group.push_back(ViewRecordCoord(entry, pos));
+            }
+            row.agg = ViewRecordAgg(entry, arity);
             result.rows.push_back(std::move(row));
           }));
     } else {
@@ -508,11 +538,14 @@ Result<QueryResult> CubetreeEngine::ExecuteAttempt(
       Status merged;
       CT_RETURN_NOT_OK(tree->QueryBox(
           best->id, intervals,
-          [&](const Coord* coords, const AggValue& agg) {
+          [&](uint32_t, uint8_t arity, const char* entry) {
             key.clear();
-            for (size_t pos : group_positions) key.push_back(coords[pos]);
+            for (size_t pos : group_positions) {
+              key.push_back(ViewRecordCoord(entry, pos));
+            }
             if (merged.ok()) {
-              merged = MergeViewAggregate(best->id, agg, &groups[key]);
+              merged = MergeViewAggregate(
+                  best->id, ViewRecordAgg(entry, arity), &groups[key]);
             }
           }));
       CT_RETURN_NOT_OK(merged);

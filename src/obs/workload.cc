@@ -143,9 +143,6 @@ std::optional<ReplicaMiss> ScoreReplicaMiss(const QueryLogRecord& record) {
   return miss;
 }
 
-WorkloadProfiler::WorkloadProfiler(Options options)
-    : options_(options), shapes_(options.sketch_capacity) {}
-
 void WorkloadProfiler::Observe(const QueryLogRecord& record) {
   std::optional<ReplicaMiss> miss = ScoreReplicaMiss(record);
   const std::string shape = ShapeKey(record);
@@ -253,7 +250,7 @@ JsonValue WorkloadProfiler::ReportJson() const {
   out.Set("views", std::move(views));
 
   JsonValue shapes = JsonValue::MakeArray();
-  for (const SpaceSavingSketch::Entry& entry : shapes_.TopK(options_.top_k)) {
+  for (const SpaceSavingSketch::Entry& entry : shapes_.TopK(kTopShapes)) {
     JsonValue shape = JsonValue::MakeObject();
     shape.Set("shape", JsonValue(entry.key));
     shape.Set("count", JsonValue(static_cast<int64_t>(entry.count)));

@@ -94,13 +94,12 @@ std::optional<ReplicaMiss> ScoreReplicaMiss(const QueryLogRecord& record);
 /// when a profiler is attached).
 class WorkloadProfiler {
  public:
-  struct Options {
-    size_t sketch_capacity = 64;
-    size_t top_k = 10;
-  };
+  /// Query shapes the heavy-hitter sketch tracks, and how many of them the
+  /// report lists.
+  static constexpr size_t kSketchCapacity = 64;
+  static constexpr size_t kTopShapes = 10;
 
-  WorkloadProfiler() : WorkloadProfiler(Options()) {}
-  explicit WorkloadProfiler(Options options);
+  WorkloadProfiler() : shapes_(kSketchCapacity) {}
   WorkloadProfiler(const WorkloadProfiler&) = delete;
   WorkloadProfiler& operator=(const WorkloadProfiler&) = delete;
 
@@ -152,7 +151,6 @@ class WorkloadProfiler {
     uint64_t pages_touched = 0;
   };
 
-  const Options options_;
   mutable Mutex mu_;
   uint64_t records_ GUARDED_BY(mu_) = 0;
   uint64_t invalid_records_ GUARDED_BY(mu_) = 0;

@@ -389,6 +389,16 @@ Result<std::unique_ptr<RecordSpool>> CubeBuilder::ComputeOne(
         if (tuple == nullptr) break;
         for (size_t i = 0; i < A; ++i) {
           coords[i] = tuple->attr_values[view.attrs[i]];
+          // 0 marks an unused dimension (rtree/geometry.h): stored below
+          // the view's arity, it would move the record into another
+          // view's region of the tree.
+          if (coords[i] == 0) {
+            return Status::InvalidArgument(
+                "cube builder: view " + std::to_string(view.id) +
+                ": a fact has key 0 in attribute " +
+                schema_->attr_names[view.attrs[i]] +
+                "; keys start at 1, 0 marks an unused dimension");
+          }
         }
         EncodeViewRecord(record, coords, A, AggValue{tuple->measure, 1});
         CT_RETURN_NOT_OK(sorter.Add(record));

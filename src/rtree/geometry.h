@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <type_traits>
 
 #include "common/assert.h"
@@ -92,9 +91,11 @@ Status AggregateOverflow(uint32_t view_id, const AggValue& agg,
   return AggregateOverflow(view_id, *agg, other);
 }
 
-/// A point of the multidimensional index space together with its view tag
-/// and aggregate payload. Unused coordinates (>= arity of the owning view)
-/// must be zero.
+/// A decoded point of the multidimensional index space: its view tag,
+/// coordinates and aggregate payload. It is the input of the write-side
+/// adapter (PointSource, PointRunSource) through which tests, benches and
+/// examples build trees; readers get a tree's entries as view records.
+/// Unused coordinates (>= arity of the owning view) must be zero.
 struct PointRecord {
   uint32_t view_id = 0;
   Coord coords[kMaxDims] = {0};
@@ -155,8 +156,6 @@ struct Rect {
       if (other.hi[i] > hi[i]) hi[i] = other.hi[i];
     }
   }
-
-  std::string ToString(size_t dims) const;
 };
 
 /// The Cubetree packing order: points are sorted by the LAST coordinate

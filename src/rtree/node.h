@@ -63,15 +63,6 @@ inline uint16_t RInternalCapacity(uint8_t dims) {
                                RInternalEntryBytes(dims));
 }
 
-/// Reads one leaf entry from `src` into a full-width point record, zeroing
-/// the suppressed coordinates.
-inline void RLeafReadEntry(const char* src, uint8_t arity, uint32_t view_id,
-                           PointRecord* out) {
-  out->view_id = view_id;
-  DecodeViewRecord(src, arity, out->coords, &out->agg);
-  for (size_t i = arity; i < kMaxDims; ++i) out->coords[i] = 0;
-}
-
 /// Writes one internal entry (MBR + child) at `dest`.
 inline void RInternalWriteEntry(char* dest, const Rect& mbr, uint8_t dims,
                                 PageId child) {

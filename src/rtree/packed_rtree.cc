@@ -487,10 +487,10 @@ Status PackedRTree::CollectLeaves(PageId node_id, const Rect& query,
   return Status::OK();
 }
 
-Status PackedRTree::ScanLeaf(
-    PageId leaf_id, const Rect& query,
-    const std::function<void(const PointRecord&)>& emit, uint64_t* examined,
-    uint64_t* emitted) {
+Status PackedRTree::ScanLeaf(PageId leaf_id, const Rect& query,
+                             std::optional<uint32_t> view,
+                             const LeafEntryFn& emit, uint64_t* examined,
+                             uint64_t* emitted) {
   CT_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(file_.get(), leaf_id));
   const char* page = handle.data();
   if (!RNodeIsLeaf(page)) {
@@ -500,22 +500,30 @@ Status PackedRTree::ScanLeaf(
   const uint16_t count = RNodeCount(page);
   const uint8_t arity = RNodeArity(page);
   const uint32_t view_id = RNodeViewId(page);
+  *examined += count;
+  if (view.has_value() && *view != view_id) return Status::OK();
+  // Every entry is zero past the leaf's arity.
+  for (size_t d = arity; d < options_.dims; ++d) {
+    if (query.lo[d] != 0) return Status::OK();
+  }
   const size_t entry_bytes = ViewRecordBytes(arity);
-  PointRecord rec;
-  for (uint16_t i = 0; i < count; ++i) {
-    RLeafReadEntry(page + kRNodeHeaderSize + i * entry_bytes, arity, view_id,
-                   &rec);
-    ++*examined;
-    if (query.ContainsPoint(rec.coords, options_.dims)) {
+  const char* entry = page + kRNodeHeaderSize;
+  for (uint16_t i = 0; i < count; ++i, entry += entry_bytes) {
+    bool inside = true;
+    for (size_t d = 0; d < arity && inside; ++d) {
+      const Coord c = ViewRecordCoord(entry, d);
+      inside = query.lo[d] <= c && c <= query.hi[d];
+    }
+    if (inside) {
       ++*emitted;
-      emit(rec);
+      emit(view_id, arity, entry);
     }
   }
   return Status::OK();
 }
 
-Status PackedRTree::Search(
-    const Rect& query, const std::function<void(const PointRecord&)>& emit) {
+Status PackedRTree::Search(const Rect& query, const LeafEntryFn& emit,
+                           std::optional<uint32_t> view) {
   if (root_ == kInvalidPageId) return Status::OK();
   // This call's work, counted in locals so its spans report their own
   // counts, then added to the ambient query profile once, on every path.
@@ -542,7 +550,7 @@ Status PackedRTree::Search(
   if (status.ok()) {
     obs::Span scan("rtree.scan");
     for (PageId leaf : leaves) {
-      status = ScanLeaf(leaf, query, emit, &examined, &emitted);
+      status = ScanLeaf(leaf, query, view, emit, &examined, &emitted);
       if (!status.ok()) break;
       ++leaf_pages;
     }
@@ -576,30 +584,6 @@ Status PackedRTree::Scanner::NextLeaf(const char** leaf) {
   CT_RETURN_NOT_OK(
       CheckNodeHeader(page, tree_->dims(), leaf_page(), tree_->path()));
   *leaf = page;
-  return Status::OK();
-}
-
-Status PackedRTree::Scanner::Next(const PointRecord** record) {
-  while (slot_ == records_.size()) {
-    const char* page = nullptr;
-    CT_RETURN_NOT_OK(NextLeaf(&page));
-    if (page == nullptr) {
-      *record = nullptr;
-      return Status::OK();
-    }
-    const uint32_t view_id = RNodeViewId(page);
-    records_.resize(RNodeCount(page));
-    slot_ = 0;
-    DispatchArity(RNodeArity(page), [&](auto arity_constant) {
-      constexpr uint8_t A = arity_constant;
-      const char* entry = page + kRNodeHeaderSize;
-      for (PointRecord& rec : records_) {
-        RLeafReadEntry(entry, A, view_id, &rec);
-        entry += ViewRecordBytes(A);
-      }
-    });
-  }
-  *record = &records_[slot_++];
   return Status::OK();
 }
 

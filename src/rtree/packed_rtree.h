@@ -41,6 +41,14 @@ struct RTreeOptions {
 /// view id; nullopt for a view the tree does not hold.
 using ViewArityFn = std::function<std::optional<uint8_t>(uint32_t)>;
 
+/// Receives one stored point of a search: the view and the stored arity of
+/// its leaf, and its entry, a view record of that arity (rtree/geometry.h)
+/// read where it lies on the leaf page and valid for the call. An
+/// uncompressed leaf stores more coordinates than its view has; those past
+/// the view's arity are zero.
+using LeafEntryFn =
+    std::function<void(uint32_t view_id, uint8_t arity, const char* entry)>;
+
 /// Checks node page `id` of the tree at `path`, read from disk, before any
 /// entry is decoded: a leaf's arity must be at most the tree's `dims` and
 /// its entry count must fit its page, as must an internal node's; anything
@@ -76,7 +84,8 @@ class ViewRunSource {
 };
 
 /// Pull stream of points in pack order; the input to bulk loading from
-/// decoded points (tests, examples and the ablation benches).
+/// decoded points (tests, examples and the ablation benches). Readers of a
+/// tree get its entries as view records, never as points.
 class PointSource {
  public:
   virtual ~PointSource() = default;
@@ -177,12 +186,15 @@ class PackedRTree {
   PackedRTree(const PackedRTree&) = delete;
   PackedRTree& operator=(const PackedRTree&) = delete;
 
-  /// Emits every point contained in `query` (over the first dims()
-  /// coordinates). Points carry their view_id; callers typically restrict
-  /// the query rect so only one view's region matches. The call's pages
-  /// and points are added once to the ambient obs::QueryProfile, if any.
-  Status Search(const Rect& query,
-                const std::function<void(const PointRecord&)>& emit);
+  /// Emits every stored point contained in `query` (over the first dims()
+  /// coordinates); with `view` set, only that view's points, which the
+  /// leaf header settles since a leaf holds one view. The box is tested
+  /// against the entries where they lie, and once per leaf for the
+  /// coordinates past the leaf's arity, which are zero. Every entry of a
+  /// scanned leaf counts as examined. The call's pages and points are
+  /// added once to the ambient obs::QueryProfile, if any.
+  Status Search(const Rect& query, const LeafEntryFn& emit,
+                std::optional<uint32_t> view = std::nullopt);
 
   /// Sequential pack-order scan over all leaves. Reads leaf pages directly
   /// (sequential I/O, bypassing the pool), kExtentPages per read, and
@@ -193,10 +205,6 @@ class PackedRTree {
     /// Sets *leaf to the next leaf page, or nullptr at end. The page stays
     /// valid until the next call.
     Status NextLeaf(const char** leaf);
-
-    /// Sets *record to the next point or nullptr at end. The record stays
-    /// valid until the scan moves past its leaf page.
-    Status Next(const PointRecord** record);
 
     /// Page id of the leaf NextLeaf returned last.
     PageId leaf_page() const { return pages_.page_id(); }
@@ -210,8 +218,6 @@ class PackedRTree {
 
     PackedRTree* tree_;
     ExtentReader pages_;
-    std::vector<PointRecord> records_;
-    size_t slot_ = 0;
   };
 
   Scanner ScanAll() { return Scanner(this); }
@@ -275,7 +281,7 @@ class PackedRTree {
   Status CollectLeaves(PageId node, const Rect& query,
                        std::vector<PageId>* leaves, uint64_t* internal_pages);
   Status ScanLeaf(PageId leaf, const Rect& query,
-                  const std::function<void(const PointRecord&)>& emit,
+                  std::optional<uint32_t> view, const LeafEntryFn& emit,
                   uint64_t* examined, uint64_t* emitted);
 
   std::unique_ptr<PageManager> file_;

@@ -274,9 +274,9 @@ class CorruptionTest : public ::testing::Test {
       ASSERT_OK((*tree)->QueryBox(
           view.id, std::vector<std::pair<Coord, Coord>>(view.arity(),
                                                         {1, kCoordMax}),
-          [&](const Coord* coords, const AggValue& agg) {
-            stored[std::vector<Coord>(coords, coords + view.arity())].Merge(
-                agg);
+          [&](uint32_t, uint8_t arity, const char* entry) {
+            stored[EntryKey(entry, view.arity())].Merge(
+                ViewRecordAgg(entry, arity));
           }));
       SliceQuery query;
       query.node_mask = view.AttrMask();

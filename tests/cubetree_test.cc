@@ -241,8 +241,9 @@ TEST_F(ForestTest, BuildQueryPaperViews) {
   std::vector<std::pair<Coord, int64_t>> hits;
   ASSERT_OK(tree->QuerySlice(
       1, {std::nullopt, Coord{3}},
-      [&](const Coord* coords, const AggValue& agg) {
-        hits.push_back({coords[0], agg.sum});
+      [&](uint32_t, uint8_t arity, const char* entry) {
+        hits.push_back(
+            {ViewRecordCoord(entry, 0), ViewRecordAgg(entry, arity).sum});
       }));
   ASSERT_EQ(hits.size(), 20u);
   for (const auto& [p, sum] : hits) {
@@ -254,7 +255,8 @@ TEST_F(ForestTest, BuildQueryPaperViews) {
   int none_hits = 0;
   ASSERT_OK(tree_none->QuerySlice(
       4, {},
-      [&](const Coord*, const AggValue& agg) {
+      [&](uint32_t, uint8_t arity, const char* entry) {
+        const AggValue agg = ViewRecordAgg(entry, arity);
         EXPECT_EQ(agg.sum, total);
         EXPECT_EQ(agg.count, 20u);
         ++none_hits;
@@ -402,12 +404,11 @@ TEST(MergePackTest, EmptySidesMerge) {
   ASSERT_EQ(one_point->num_points(), 1u);
   ASSERT_OK_AND_ASSIGN(auto kept, merge(one_point.get(), {}, "kept.ctr"));
   ASSERT_EQ(kept->num_points(), 1u);
-  auto scanner = kept->ScanAll();
-  const PointRecord* rec = nullptr;
-  ASSERT_OK(scanner.Next(&rec));
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->coords[0], 7u);
-  EXPECT_EQ(rec->agg, (AggValue{5, 1}));
+  ASSERT_OK_AND_ASSIGN(const std::vector<PointRecord> points,
+                       ReadPoints(kept.get()));
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_EQ(points[0].coords[0], 7u);
+  EXPECT_EQ(points[0].agg, (AggValue{5, 1}));
 }
 
 // A sibling worker's failure cancels the flag; the pack stops at its next
@@ -541,22 +542,22 @@ TEST_F(ForestTest, ApplyDeltaMergePacks) {
   ASSERT_OK_AND_ASSIGN(Cubetree * tree, snap.TreeForView(1));
   int64_t sum = 0;
   ASSERT_OK(tree->QuerySlice(1, {Coord{10}, Coord{1}},
-                             [&](const Coord*, const AggValue& agg) {
-                               sum = agg.sum;
+                             [&](uint32_t, uint8_t arity, const char* entry) {
+                               sum = ViewRecordAgg(entry, arity).sum;
                              }));
   EXPECT_EQ(sum, 10 + 1000);
   // New group present.
   int found = 0;
   ASSERT_OK(tree->QuerySlice(1, {Coord{60}, Coord{1}},
-                             [&](const Coord*, const AggValue& agg) {
-                               EXPECT_EQ(agg.sum, 600);
+                             [&](uint32_t, uint8_t arity, const char* entry) {
+                               EXPECT_EQ(ViewRecordAgg(entry, arity).sum, 600);
                                ++found;
                              }));
   EXPECT_EQ(found, 1);
   // Untouched group unchanged.
   ASSERT_OK(tree->QuerySlice(1, {Coord{20}, Coord{2}},
-                             [&](const Coord*, const AggValue& agg) {
-                               EXPECT_EQ(agg.sum, 20);
+                             [&](uint32_t, uint8_t arity, const char* entry) {
+                               EXPECT_EQ(ViewRecordAgg(entry, arity).sum, 20);
                              }));
 }
 
@@ -576,9 +577,9 @@ TEST_F(ForestTest, RepeatedDeltasAccumulate) {
   int64_t sum = 0;
   uint32_t count = 0;
   ASSERT_OK(tree->QuerySlice(1, {Coord{1}},
-                             [&](const Coord*, const AggValue& agg) {
-                               sum = agg.sum;
-                               count = agg.count;
+                             [&](uint32_t, uint8_t arity, const char* entry) {
+                               sum = ViewRecordAgg(entry, arity).sum;
+                               count = ViewRecordAgg(entry, arity).count;
                              }));
   EXPECT_EQ(sum, 51);
   EXPECT_EQ(count, 6u);
@@ -641,11 +642,10 @@ TEST_F(ForestTest, PartialDeltasAnswerLikeMergedDeltas) {
     std::vector<std::optional<Coord>> open(arity, std::nullopt);
     EXPECT_OK((*tree_result)
                   ->QuerySlice(view_id, open,
-                               [&](const Coord* coords,
-                                   const AggValue& agg) {
-                                 out[std::vector<Coord>(coords,
-                                                        coords + arity)]
-                                     .Merge(agg);
+                               [&](uint32_t, uint8_t stored,
+                                   const char* entry) {
+                                 out[EntryKey(entry, arity)].Merge(
+                                     ViewRecordAgg(entry, stored));
                                }));
     return out;
   };
@@ -699,8 +699,9 @@ TEST_F(ForestTest, PartialDeltasSurviveReopen) {
   ASSERT_OK_AND_ASSIGN(Cubetree * tree, snap.TreeForView(1));
   std::map<Coord, AggValue> got;
   ASSERT_OK(tree->QuerySlice(1, {std::nullopt},
-                             [&](const Coord* coords, const AggValue& agg) {
-                               got[coords[0]].Merge(agg);
+                             [&](uint32_t, uint8_t arity, const char* entry) {
+                               got[ViewRecordCoord(entry, 0)].Merge(
+                                   ViewRecordAgg(entry, arity));
                              }));
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[1], (AggValue{15, 2}));
@@ -741,8 +742,8 @@ TEST_F(ForestTest, ReopenFromManifest) {
   ASSERT_OK_AND_ASSIGN(Cubetree * tree, snap.TreeForView(1));
   int64_t sum = -1;
   ASSERT_OK(tree->QuerySlice(1, {Coord{42}, Coord{3}},
-                             [&](const Coord*, const AggValue& agg) {
-                               sum = agg.sum;
+                             [&](uint32_t, uint8_t arity, const char* entry) {
+                               sum = ViewRecordAgg(entry, arity).sum;
                              }));
   EXPECT_EQ(sum, 42);
   ASSERT_OK(CheckTreeFile(tree->rtree()->path()));
@@ -760,8 +761,8 @@ TEST_F(ForestTest, ReopenFromManifest) {
     ASSERT_OK_AND_ASSIGN(Cubetree * t2, snap2.TreeForView(1));
     int64_t sum2 = -1;
     ASSERT_OK(t2->QuerySlice(1, {Coord{42}, Coord{3}},
-                             [&](const Coord*, const AggValue& agg) {
-                               sum2 = agg.sum;
+                             [&](uint32_t, uint8_t arity, const char* entry) {
+                               sum2 = ViewRecordAgg(entry, arity).sum;
                              }));
     EXPECT_EQ(sum2, 1042);
   }
@@ -802,6 +803,30 @@ TEST_F(ForestTest, BoxRectClampsZeroLowerBound) {
   EXPECT_EQ(rect.lo[0], 1u);
   EXPECT_EQ(rect.lo[1], 1u);
   EXPECT_EQ(rect.hi[0], 10u);
+
+  // A record with key 0 below its view's arity (the cube builder refuses
+  // such a fact; a hand-made input does not) lies in the box of the
+  // lower-arity view: the query still returns only its own view's points.
+  const std::vector<ViewDef> pair = {MakeView(2, {0}), MakeView(1, {0, 1})};
+  VectorViewProvider zero;
+  zero.Add(pair[0], {1}, AggValue{10, 1});
+  zero.Add(pair[0], {2}, AggValue{20, 1});
+  zero.Add(pair[1], {5, 0}, AggValue{500, 1});
+  zero.Add(pair[1], {3, 1}, AggValue{300, 1});
+  ASSERT_OK_AND_ASSIGN(auto zero_forest, MakeForest());
+  ASSERT_OK(zero_forest->Build(pair, &zero));
+  const ForestSnapshot zero_snap = zero_forest->AcquireSnapshot();
+  ASSERT_OK_AND_ASSIGN(Cubetree * both, zero_snap.TreeForView(2));
+  ASSERT_EQ(both->views().size(), 2u);
+  std::map<Coord, int64_t> got;
+  ASSERT_OK(both->QuerySlice(2, {std::nullopt},
+                             [&](uint32_t view, uint8_t arity,
+                                 const char* entry) {
+                               EXPECT_EQ(view, 2u);
+                               got[ViewRecordCoord(entry, 0)] =
+                                   ViewRecordAgg(entry, arity).sum;
+                             }));
+  EXPECT_EQ(got, (std::map<Coord, int64_t>{{1, 10}, {2, 20}}));
 }
 
 TEST_F(ForestTest, OpenWithoutManifestFails) {

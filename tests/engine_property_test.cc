@@ -1,7 +1,9 @@
 // Parameterized end-to-end property tests: both storage organizations,
 // configured across pool sizes, compression and replication settings,
-// must give identical answers to random slice queries (checked against
-// brute force over the raw facts), before and after increments.
+// must give identical answers to random slice and BETWEEN queries, some
+// collapsing their ranged attributes (checked against brute force over the
+// raw facts), after the load, with an increment pending as a delta tree,
+// and after the merge refresh.
 
 #include <gtest/gtest.h>
 
@@ -53,19 +55,15 @@ class EnginePairProperty : public ::testing::TestWithParam<EngineParam> {
     std::map<std::vector<Coord>, AggValue> groups;
     for (const FactTuple& t : facts) {
       bool match = true;
-      for (size_t i = 0; i < query.attrs.size(); ++i) {
-        if (query.bindings[i].has_value() &&
-            t.attr_values[query.attrs[i]] != *query.bindings[i]) {
-          match = false;
-          break;
-        }
+      for (size_t i = 0; i < query.attrs.size() && match; ++i) {
+        const auto [lo, hi] = query.AttrInterval(i);
+        const Coord value = t.attr_values[query.attrs[i]];
+        match = lo <= value && value <= hi;
       }
       if (!match) continue;
       std::vector<Coord> key;
       for (size_t i = 0; i < query.attrs.size(); ++i) {
-        if (!query.bindings[i].has_value()) {
-          key.push_back(t.attr_values[query.attrs[i]]);
-        }
+        if (query.IsGrouped(i)) key.push_back(t.attr_values[query.attrs[i]]);
       }
       groups[key].Merge(AggValue{t.measure, 1});
     }
@@ -146,45 +144,62 @@ TEST_P(EnginePairProperty, EnginesAgreeAcrossConfigurations) {
     SliceQueryGenerator gen(schema, qseed);
     CubeLattice lattice(schema);
     for (size_t node = 0; node < lattice.num_nodes(); ++node) {
+      const std::vector<uint32_t>& attrs = lattice.node(node).attrs;
       for (int draw = 0; draw < rounds; ++draw) {
-        SliceQuery query = gen.ForNode(lattice.node(node).attrs, false);
-        QueryResult expected = Reference(query, all);
-        auto a = conv->Execute(query, nullptr);
-        ASSERT_TRUE(a.ok()) << a.status().ToString();
-        a->SortRows();
-        ASSERT_TRUE(a->SameRowsAs(expected))
-            << "conventional: " << query.ToString(schema);
-        auto b = cbt->Execute(query, nullptr);
-        ASSERT_TRUE(b.ok()) << b.status().ToString();
-        b->SortRows();
-        ASSERT_TRUE(b->SameRowsAs(expected))
-            << "cubetree: " << query.ToString(schema);
+        // An equality slice; a BETWEEN query over about a third of each
+        // ranged attribute's domain; the same ranges with the ranged
+        // attributes left out of the grouping, so several stored points
+        // fold into one row.
+        const SliceQuery range = gen.ForNodeRange(attrs, 0.35, false);
+        SliceQuery collapsed = range;
+        for (size_t i = 0; i < attrs.size(); ++i) {
+          collapsed.grouped.push_back(!range.ranges[i].has_value());
+        }
+        for (const SliceQuery& query :
+             {gen.ForNode(attrs, false), range, collapsed}) {
+          QueryResult expected = Reference(query, all);
+          auto a = conv->Execute(query, nullptr);
+          ASSERT_TRUE(a.ok()) << a.status().ToString();
+          a->SortRows();
+          ASSERT_TRUE(a->SameRowsAs(expected))
+              << "conventional: " << query.ToString(schema);
+          auto b = cbt->Execute(query, nullptr);
+          ASSERT_TRUE(b.ok()) << b.status().ToString();
+          b->SortRows();
+          ASSERT_TRUE(b->SameRowsAs(expected))
+              << "cubetree: " << query.ToString(schema);
+        }
       }
     }
   };
   check_queries(facts, 3, seed * 11);
 
-  // One increment through both refresh paths, then re-check.
-  auto delta = MakeFacts(500, seed + 1000);
-  Provider delta_provider(&delta);
+  // Two increments through both refresh paths, re-checked after each. The
+  // first stays pending as a delta tree, so its keys repeat across the
+  // main and delta trees; the merge refresh then packs both into the main
+  // tree.
   ASSERT_OK(conv->BuildMaintenanceIndices());
-  {
-    ASSERT_OK_AND_ASSIGN(auto d, builder.ComputeAll(Views(false),
-                                                    &delta_provider,
-                                                    "conv_d"));
-    ASSERT_OK(conv->ApplyDeltaIncremental(d.get()));
-    d.reset();
-  }
-  {
-    ASSERT_OK_AND_ASSIGN(auto d, builder.ComputeAll(Views(replicas),
-                                                    &delta_provider,
-                                                    "cbt_d"));
-    ASSERT_OK(cbt->ApplyDelta(d.get()));
-    d.reset();
-  }
   std::vector<FactTuple> all = facts;
-  all.insert(all.end(), delta.begin(), delta.end());
-  check_queries(all, 2, seed * 13);
+  for (int step = 0; step < 2; ++step) {
+    SCOPED_TRACE(step == 0 ? "delta pending" : "after the merge");
+    auto delta = MakeFacts(500, seed + 1000 + step);
+    Provider delta_provider(&delta);
+    {
+      ASSERT_OK_AND_ASSIGN(auto d, builder.ComputeAll(Views(false),
+                                                      &delta_provider,
+                                                      "conv_d"));
+      ASSERT_OK(conv->ApplyDeltaIncremental(d.get()));
+    }
+    {
+      ASSERT_OK_AND_ASSIGN(auto d, builder.ComputeAll(Views(replicas),
+                                                      &delta_provider,
+                                                      "cbt_d"));
+      ASSERT_OK(step == 0 ? cbt->ApplyDeltaPartial(d.get())
+                          : cbt->ApplyDelta(d.get()));
+    }
+    all.insert(all.end(), delta.begin(), delta.end());
+    check_queries(all, 2, seed * 13 + step);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

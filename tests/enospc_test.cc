@@ -237,15 +237,12 @@ TEST_F(EnospcTest, PreflightEstimateCoversWhatEachTransactionWrites) {
 
 // --- The sweeps ----------------------------------------------------------
 
-/// One in-process sweep iteration: refresh with `action` armed at `point`
-/// and `refresh_threads` merge-pack workers, then check the full
-/// disk-full contract. With several workers the failing one must cancel
-/// its siblings and the abort must sweep every worker's partial output,
-/// not just the faulting tree's.
-void SweepPoint(const char* point, const char* action, int* fired,
-                unsigned refresh_threads) {
-  SCOPED_TRACE(std::string(point) + ":" + action + " threads=" +
-               std::to_string(refresh_threads));
+/// One in-process sweep iteration: refresh with `action` armed at `point`,
+/// then check the full disk-full contract. With several merge-pack workers
+/// the failing one must cancel its siblings and the abort must sweep every
+/// worker's partial output, not just the faulting tree's.
+void SweepPoint(const char* point, const char* action, int* fired) {
+  SCOPED_TRACE(std::string(point) + ":" + action);
   const std::string dir =
       MakeTestDir(std::string("enospc_sweep_") + point + "_" + action);
   BuildBaseForest(dir);
@@ -256,10 +253,8 @@ void SweepPoint(const char* point, const char* action, int* fired,
   std::set<std::string> after_abort;
   {
     BufferPool pool(256);
-    CubetreeForest::Options forest_options = ForestOptions(dir);
-    forest_options.refresh_threads = refresh_threads;
     ASSERT_OK_AND_ASSIGN(auto forest,
-                         CubetreeForest::Open(forest_options, &pool));
+                         CubetreeForest::Open(ForestOptions(dir), &pool));
     PageManager::SetReadRetryPolicy(2, 0);  // Keep read retries cheap.
     ASSERT_OK(FaultInjector::Instance().Arm(point, action));
     VectorViewProvider delta;
@@ -306,18 +301,16 @@ void SweepPoint(const char* point, const char* action, int* fired,
 }
 
 /// One load sweep iteration: the standard load into an empty directory
-/// with `action` armed at `point` and `refresh_threads` pack workers. A
-/// failure must be the typed, retriable StorageFull, and the load must
-/// have committed or left nothing behind.
+/// with `action` armed at `point`. A failure must be the typed, retriable
+/// StorageFull, and the load must have committed or left nothing behind.
 void SweepLoadPoint(const char* point, const char* action,
-                    std::set<std::string>* fired, unsigned refresh_threads) {
-  SCOPED_TRACE(std::string("load:") + point + ":" + action + " threads=" +
-               std::to_string(refresh_threads));
+                    std::set<std::string>* fired) {
+  SCOPED_TRACE(std::string("load:") + point + ":" + action);
   const std::string dir =
       MakeTestDir(std::string("enospc_load_") + point + "_" + action);
   const uint64_t hits = FaultInjector::Instance().HitCount(point);
   ASSERT_OK(FaultInjector::Instance().Arm(point, action));
-  const Status status = LoadBaseForest(dir, refresh_threads);
+  const Status status = LoadBaseForest(dir);
   if (FaultInjector::Instance().HitCount(point) > hits) fired->insert(point);
   FaultInjector::Instance().DisarmAll();
   if (!status.ok()) {
@@ -328,14 +321,16 @@ void SweepLoadPoint(const char* point, const char* action,
 }
 
 /// Sweeps `action` over every registered failpoint, once through the
-/// standard refresh and once through the load.
-void SweepEveryFailpoint(const char* action, unsigned refresh_threads) {
+/// standard refresh and once through the load, at `threads` pack workers.
+void SweepEveryFailpoint(const char* action, const char* threads) {
+  SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+  ScopedEnv workers("CUBETREE_REFRESH_THREADS", threads);
   int fired = 0;
   std::set<std::string> load_fired;
   for (const auto& point : FaultInjector::RegisteredPoints()) {
-    SweepPoint(point.name, action, &fired, refresh_threads);
+    SweepPoint(point.name, action, &fired);
     if (::testing::Test::HasFatalFailure()) return;
-    SweepLoadPoint(point.name, action, &load_fired, refresh_threads);
+    SweepLoadPoint(point.name, action, &load_fired);
     if (::testing::Test::HasFatalFailure()) return;
   }
   // The refresh path must cross most of the registry, or the sweep would
@@ -345,11 +340,11 @@ void SweepEveryFailpoint(const char* action, unsigned refresh_threads) {
 }
 
 TEST_F(EnospcTest, StorageFullAtEveryFailpoint) {
-  SweepEveryFailpoint("enospc", 1);
+  SweepEveryFailpoint("enospc", "1");
 }
 
 TEST_F(EnospcTest, ShortWriteAtEveryFailpoint) {
-  SweepEveryFailpoint("short_write", 1);
+  SweepEveryFailpoint("short_write", "1");
 }
 
 TEST_F(EnospcTest, StorageFullAtEveryFailpointParallelRefresh) {
@@ -357,7 +352,7 @@ TEST_F(EnospcTest, StorageFullAtEveryFailpointParallelRefresh) {
   // must cancel its siblings, and the abort must delete every worker's
   // partial pack and sidecar — a serial-only cleanup loop would leak the
   // non-faulting workers' output here.
-  SweepEveryFailpoint("enospc", 4);
+  SweepEveryFailpoint("enospc", "4");
 }
 
 /// Forked child: arm `failpoint` with enospc, refresh, and exit — the

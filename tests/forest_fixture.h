@@ -108,14 +108,12 @@ inline CubetreeForest::Options ForestOptions(const std::string& dir) {
 }
 
 /// The standard load: a fresh Create + Build of the paper forest over
-/// `dir` with the base data, packed by `refresh_threads` workers (0: the
-/// CUBETREE_REFRESH_THREADS default). The forest is closed again.
-inline Status LoadBaseForest(const std::string& dir,
-                             unsigned refresh_threads = 0) {
+/// `dir` with the base data, packed at the CUBETREE_REFRESH_THREADS width.
+/// The forest is closed again.
+inline Status LoadBaseForest(const std::string& dir) {
   BufferPool pool(256);
-  CubetreeForest::Options options = ForestOptions(dir);
-  options.refresh_threads = refresh_threads;
-  CT_ASSIGN_OR_RETURN(auto forest, CubetreeForest::Create(options, &pool));
+  CT_ASSIGN_OR_RETURN(auto forest,
+                      CubetreeForest::Create(ForestOptions(dir), &pool));
   VectorViewProvider provider;
   FillBase(&provider, PaperViews());
   return forest->Build(PaperViews(), &provider);
@@ -140,14 +138,14 @@ inline Contents Dump(CubetreeForest* forest) {
     if (!tree_result.ok()) continue;
     std::vector<std::optional<Coord>> open(view.arity(), std::nullopt);
     EXPECT_OK(tree_result.value()->QuerySlice(
-        view.id, open, [&](const Coord* coords, const AggValue& agg) {
+        view.id, open, [&](uint32_t, uint8_t arity, const char* entry) {
           std::string key = std::to_string(view.id);
           for (size_t i = 0; i < view.arity(); ++i) {
-            key += "," + std::to_string(coords[i]);
+            key += "," + std::to_string(ViewRecordCoord(entry, i));
           }
           auto& group = groups[key];
-          group.first += agg.sum;
-          group.second += agg.count;
+          group.first += ViewRecordAgg(entry, arity).sum;
+          group.second += ViewRecordAgg(entry, arity).count;
         }));
   }
   Contents out;

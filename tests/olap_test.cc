@@ -456,6 +456,49 @@ TEST_F(CubeBuilderTest, SumOverflowIsAnErrorNamingTheView) {
   }
 }
 
+// 0 marks an unused dimension, so it is never a key: a fact with 0 in one
+// of a view's attributes is InvalidArgument naming the view and the
+// attribute, also when other views project the attribute away. The sort
+// has spilled runs by the time it meets the fact; the failed computation
+// leaves no run or spool behind.
+TEST_F(CubeBuilderTest, ZeroKeyIsAnErrorNamingTheViewAndAttribute) {
+  struct Case {
+    std::vector<ViewDef> views;
+    size_t attr;  // The attribute the fact leaves at 0.
+    const char* view;
+    const char* attr_name;
+  };
+  const Case cases[] = {
+      {{MakeView(7, {0, 1, 2}), MakeView(3, {0, 1})}, 2, "view 7", "custkey"},
+      {{MakeView(5, {1})}, 1, "view 5", "suppkey"}};
+  for (const char* width : kWidths) {
+    ScopedEnv threads("CUBETREE_REFRESH_THREADS", width);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.view << " " << c.attr_name << ", width " << width);
+      std::vector<FactTuple> facts = facts_;
+      facts[3000].attr_values[c.attr] = 0;
+      CubeBuilder::Options options;
+      options.temp_dir = dir_;
+      options.sort_budget_bytes = 16 << 10;
+      options.io_stats = std::make_shared<IoStats>();
+      CubeBuilder builder(schema_, options);
+      Provider provider(&facts);
+      const auto computed = builder.ComputeAll(c.views, &provider, "zero");
+      ASSERT_FALSE(computed.ok());
+      const std::string message = computed.status().ToString();
+      EXPECT_TRUE(computed.status().IsInvalidArgument()) << message;
+      EXPECT_NE(message.find(c.view), std::string::npos) << message;
+      EXPECT_NE(message.find(c.attr_name), std::string::npos) << message;
+      EXPECT_GT(options.io_stats->TotalWrites(), 0u)
+          << "the sort spilled no run before the zero key";
+      for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+        ADD_FAILURE() << "failed computation left " << entry.path();
+      }
+    }
+  }
+}
+
 // The same overflow, found in the child after the top view's spool is
 // sealed: the failed computation removes every spool it wrote, the sealed
 // one and the partial one alike, and the sorter's runs.

@@ -82,8 +82,8 @@ Status CountAll(const ForestSnapshot& snap, const std::vector<ViewDef>& views,
     CT_ASSIGN_OR_RETURN(Cubetree * tree, snap.TreeForView(views[i].id));
     std::vector<std::optional<Coord>> open(views[i].arity(), std::nullopt);
     CT_RETURN_NOT_OK(tree->QuerySlice(
-        views[i].id, open, [&](const Coord*, const AggValue& agg) {
-          (*out)[i] += agg.count;
+        views[i].id, open, [&](uint32_t, uint8_t arity, const char* entry) {
+          (*out)[i] += ViewRecordAgg(entry, arity).count;
         }));
   }
   return Status::OK();
@@ -429,13 +429,12 @@ TEST_F(OnlineRefreshTest, MetricsRegistryIsThreadSafeUnderLoad) {
 /// non-decreasing per reader. Readers alternate plain and deadlined
 /// contexts; deadline/cancel/IO outcomes are tolerated, torn states and
 /// cross-generation mixes are not.
-void RunReadersVsRefreshStress(unsigned refresh_threads) {
+void RunReadersVsRefreshStress(const char* refresh_threads) {
+  ScopedEnv workers("CUBETREE_REFRESH_THREADS", refresh_threads);
   const std::string dir = MakeTestDir("online");
   BufferPool pool(512);
-  CubetreeForest::Options forest_options = ForestOptions(dir);
-  forest_options.refresh_threads = refresh_threads;
   ASSERT_OK_AND_ASSIGN(auto forest,
-                       CubetreeForest::Create(forest_options, &pool));
+                       CubetreeForest::Create(ForestOptions(dir), &pool));
   const auto views = PaperViews();
   VectorViewProvider base;
   FillLockstepBase(&base, views);
@@ -564,7 +563,7 @@ void RunReadersVsRefreshStress(unsigned refresh_threads) {
 }
 
 TEST_F(OnlineRefreshTest, StressReadersVsRefreshWithFailpoints) {
-  RunReadersVsRefreshStress(1);
+  RunReadersVsRefreshStress("1");
 }
 
 // The same harness with the refresh worker pool on: each cycle's
@@ -573,7 +572,7 @@ TEST_F(OnlineRefreshTest, StressReadersVsRefreshWithFailpoints) {
 // cleanup and GC invariants are identical — parallelism must be
 // unobservable except in wall time.
 TEST_F(OnlineRefreshTest, StressReadersVsParallelRefreshWithFailpoints) {
-  RunReadersVsRefreshStress(4);
+  RunReadersVsRefreshStress("4");
 }
 
 /// Readers holding snapshots across whole refresh cycles (long-running
@@ -694,7 +693,9 @@ TEST_F(OnlineRefreshTest, TreeAccessorHandlesSurviveConcurrentRefresh) {
       std::vector<std::optional<Coord>> open(views[0].arity(), std::nullopt);
       const Status status = tree->QuerySlice(
           views[0].id, open,
-          [&count](const Coord*, const AggValue& agg) { count += agg.count; });
+          [&count](uint32_t, uint8_t arity, const char* entry) {
+            count += ViewRecordAgg(entry, arity).count;
+          });
       if (!status.ok()) {
         if (errors[r].empty()) errors[r] = status.ToString();
         return;
@@ -755,11 +756,10 @@ TEST_F(OnlineRefreshTest, TreeAccessorHandlesSurviveConcurrentRefresh) {
 // generation serving — so a disarm-and-retry then succeeds cleanly.
 TEST_F(OnlineRefreshTest, ParallelRefreshAbortSweepsAllWorkerPartials) {
   const std::string dir = MakeTestDir("online");
+  ScopedEnv workers("CUBETREE_REFRESH_THREADS", "4");
   BufferPool pool(256);
-  CubetreeForest::Options options = ForestOptions(dir);
-  options.refresh_threads = 4;
   ASSERT_OK_AND_ASSIGN(auto forest,
-                       CubetreeForest::Create(options, &pool));
+                       CubetreeForest::Create(ForestOptions(dir), &pool));
   const auto views = PaperViews();
   VectorViewProvider base;
   FillLockstepBase(&base, views);

@@ -106,8 +106,9 @@ TEST_P(PackedRTreeProperty, RangeQueriesMatchBruteForce) {
     }
     int64_t sum = 0;
     uint64_t count = 0;
-    ASSERT_OK(tree->Search(query, [&](const PointRecord& rec) {
-      sum += rec.agg.sum;
+    ASSERT_OK(tree->Search(query, [&](uint32_t, uint8_t arity,
+                                      const char* entry) {
+      sum += ViewRecordAgg(entry, arity).sum;
       ++count;
     }));
     ASSERT_EQ(count, expected_count) << "query " << q;
@@ -481,19 +482,15 @@ TEST_P(MergePackProperty, RepeatedDeltasConverge) {
   }
 
   // Final content equals the reference exactly.
-  auto scanner = tree->ScanAll();
-  size_t count = 0;
-  while (true) {
-    const PointRecord* rec = nullptr;
-    ASSERT_OK(scanner.Next(&rec));
-    if (rec == nullptr) break;
-    std::vector<Coord> key(rec->coords, rec->coords + dims);
+  ASSERT_OK_AND_ASSIGN(const std::vector<PointRecord> scanned,
+                       ReadPoints(tree.get()));
+  for (const PointRecord& rec : scanned) {
+    std::vector<Coord> key(rec.coords, rec.coords + dims);
     auto it = reference.find(key);
     ASSERT_NE(it, reference.end());
-    ASSERT_EQ(rec->agg, it->second);
-    ++count;
+    ASSERT_EQ(rec.agg, it->second);
   }
-  ASSERT_EQ(count, reference.size());
+  ASSERT_EQ(scanned.size(), reference.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MergePackProperty,
@@ -572,14 +569,12 @@ TEST_P(MultiViewTreeProperty, BuildScanAndMergePackMatchReference) {
     ASSERT_OK(CheckTreeFile(tree->path()));
     ASSERT_EQ(tree->num_points(), reference.size());
     // The scan yields every point, in pack order.
-    auto scanner = tree->ScanAll();
+    ASSERT_OK_AND_ASSIGN(const std::vector<PointRecord> scanned,
+                         ReadPoints(tree));
     auto want = reference.begin();
-    while (true) {
-      const PointRecord* rec = nullptr;
-      ASSERT_OK(scanner.Next(&rec));
-      if (rec == nullptr) break;
+    for (const PointRecord& rec : scanned) {
       ASSERT_NE(want, reference.end());
-      ASSERT_NO_FATAL_FAILURE(expect_same(*rec, want->second));
+      ASSERT_NO_FATAL_FAILURE(expect_same(rec, want->second));
       ++want;
     }
     ASSERT_EQ(want, reference.end());
@@ -593,7 +588,9 @@ TEST_P(MultiViewTreeProperty, BuildScanAndMergePackMatchReference) {
         box.hi[d] = std::max(a, b);
       }
       std::map<Key, PointRecord> found;
-      ASSERT_OK(tree->Search(box, [&](const PointRecord& rec) {
+      ASSERT_OK(tree->Search(box, [&](uint32_t view, uint8_t arity,
+                                      const char* entry) {
+        const PointRecord rec = EntryPoint(view, arity, entry);
         EXPECT_TRUE(found.emplace(key_of(rec), rec).second) << "emitted twice";
       }));
       size_t expected = 0;

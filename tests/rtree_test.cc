@@ -102,18 +102,22 @@ TEST(GeometryTest, AggValueMergeAndAvg) {
 }
 
 TEST(NodeLayoutTest, LeafEntryRoundTrip) {
+  // A compressed leaf entry is a view record of the leaf's arity, read in
+  // place: its aggregate follows the stored coordinates directly.
   char buf[64];
   Coord coords[3] = {7, 8, 9};
   AggValue agg{-123456789, 42};
   EncodeViewRecord(buf, coords, 3, agg);
-  PointRecord rec;
-  RLeafReadEntry(buf, 3, 17, &rec);
+  EXPECT_EQ(ViewRecordCoord(buf, 0), 7u);
+  EXPECT_EQ(ViewRecordCoord(buf, 2), 9u);
+  EXPECT_EQ(ViewRecordAgg(buf, 3).sum, -123456789);
+  EXPECT_EQ(ViewRecordAgg(buf, 3).count, 42u);
+  // Suppressed dims decode to zero.
+  const PointRecord rec = EntryPoint(17, 3, buf);
   EXPECT_EQ(rec.view_id, 17u);
-  EXPECT_EQ(rec.coords[0], 7u);
   EXPECT_EQ(rec.coords[2], 9u);
-  EXPECT_EQ(rec.coords[3], 0u);  // Suppressed dims decode to zero.
-  EXPECT_EQ(rec.agg.sum, -123456789);
-  EXPECT_EQ(rec.agg.count, 42u);
+  EXPECT_EQ(rec.coords[3], 0u);
+  EXPECT_EQ(rec.agg, agg);
 }
 
 TEST(NodeLayoutTest, CompressionShrinksLeafEntries) {
@@ -221,10 +225,11 @@ TEST_F(PackedRTreeTest, BuildAndFullSearch) {
 
   uint64_t found = 0;
   int64_t total = 0;
-  ASSERT_OK(tree->Search(Rect::Full(2), [&](const PointRecord& rec) {
-    ++found;
-    total += rec.agg.sum;
-  }));
+  ASSERT_OK(tree->Search(Rect::Full(2),
+                         [&](uint32_t, uint8_t arity, const char* entry) {
+                           ++found;
+                           total += ViewRecordAgg(entry, arity).sum;
+                         }));
   EXPECT_EQ(found, 5000u);
   EXPECT_EQ(total, 2ll * 5000 * 5001 / 2);
 }
@@ -243,8 +248,9 @@ TEST_F(PackedRTreeTest, RangeSearchExact) {
     if (query.ContainsPoint(rec.coords, 2)) ++expected;
   }
   uint64_t found = 0;
-  ASSERT_OK(tree->Search(query, [&](const PointRecord& rec) {
-    ASSERT_TRUE(query.ContainsPoint(rec.coords, 2));
+  ASSERT_OK(tree->Search(query, [&](uint32_t view, uint8_t arity,
+                                    const char* entry) {
+    ASSERT_TRUE(query.ContainsPoint(EntryPoint(view, arity, entry).coords, 2));
     ++found;
   }));
   EXPECT_EQ(found, expected);
@@ -263,7 +269,8 @@ TEST_F(PackedRTreeTest, SearchPrunesLeaves) {
   uint64_t found = 0;
   {
     obs::QueryProfile::Scope scope(&profile);
-    ASSERT_OK(tree->Search(query, [&](const PointRecord&) { ++found; }));
+    ASSERT_OK(tree->Search(query,
+                           [&](uint32_t, uint8_t, const char*) { ++found; }));
   }
   EXPECT_GT(found, 0u);
   EXPECT_LT(profile.leaf_pages, tree->num_leaf_pages() / 10)
@@ -319,7 +326,7 @@ TEST_F(PackedRTreeTest, RejectsPointsItsLeavesWouldTruncate) {
   Rect y7 = Rect::Full(2);
   y7.lo[1] = y7.hi[1] = 7;
   uint64_t found = 0;
-  ASSERT_OK(full->Search(y7, [&](const PointRecord&) { ++found; }));
+  ASSERT_OK(full->Search(y7, [&](uint32_t, uint8_t, const char*) { ++found; }));
   EXPECT_EQ(found, 5u);
 }
 
@@ -340,31 +347,26 @@ TEST_F(PackedRTreeTest, EmptyTree) {
   EXPECT_EQ(tree->num_points(), 0u);
   uint64_t found = 0;
   ASSERT_OK(tree->Search(Rect::Full(3),
-                         [&](const PointRecord&) { ++found; }));
+                         [&](uint32_t, uint8_t, const char*) { ++found; }));
   EXPECT_EQ(found, 0u);
   auto scanner = tree->ScanAll();
-  const PointRecord* rec = nullptr;
-  ASSERT_OK(scanner.Next(&rec));
-  EXPECT_EQ(rec, nullptr);
+  const char* leaf = nullptr;
+  ASSERT_OK(scanner.NextLeaf(&leaf));
+  EXPECT_EQ(leaf, nullptr);
 }
 
 TEST_F(PackedRTreeTest, ScanAllReturnsPackOrder) {
   auto points = MakeGridPoints(3000);
   ASSERT_OK_AND_ASSIGN(auto tree,
                        Build(points, 2, [](uint32_t) { return 2; }));
-  auto scanner = tree->ScanAll();
-  size_t i = 0;
-  while (true) {
-    const PointRecord* rec = nullptr;
-    ASSERT_OK(scanner.Next(&rec));
-    if (rec == nullptr) break;
-    ASSERT_LT(i, points.size());
-    ASSERT_EQ(rec->coords[0], points[i].coords[0]);
-    ASSERT_EQ(rec->coords[1], points[i].coords[1]);
-    ASSERT_EQ(rec->agg, points[i].agg);
-    ++i;
+  ASSERT_OK_AND_ASSIGN(const std::vector<PointRecord> scanned,
+                       ReadPoints(tree.get()));
+  ASSERT_EQ(scanned.size(), points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_EQ(scanned[i].coords[0], points[i].coords[0]);
+    ASSERT_EQ(scanned[i].coords[1], points[i].coords[1]);
+    ASSERT_EQ(scanned[i].agg, points[i].agg);
   }
-  EXPECT_EQ(i, points.size());
 }
 
 TEST_F(PackedRTreeTest, MultiViewTreeSeparatesViews) {
@@ -404,8 +406,8 @@ TEST_F(PackedRTreeTest, MultiViewTreeSeparatesViews) {
   q1.lo[1] = 0;
   q1.hi[1] = 0;
   uint64_t count11 = 0;
-  ASSERT_OK(tree->Search(q1, [&](const PointRecord& rec) {
-    ASSERT_EQ(rec.view_id, 11u);
+  ASSERT_OK(tree->Search(q1, [&](uint32_t view, uint8_t, const char*) {
+    ASSERT_EQ(view, 11u);
     ++count11;
   }));
   EXPECT_EQ(count11, 500u);
@@ -415,9 +417,10 @@ TEST_F(PackedRTreeTest, MultiViewTreeSeparatesViews) {
   q0.lo[0] = q0.hi[0] = 0;
   q0.lo[1] = q0.hi[1] = 0;
   uint64_t count10 = 0;
-  ASSERT_OK(tree->Search(q0, [&](const PointRecord& rec) {
-    ASSERT_EQ(rec.view_id, 10u);
-    ASSERT_EQ(rec.agg.sum, 1000);
+  ASSERT_OK(tree->Search(q0, [&](uint32_t view, uint8_t arity,
+                                 const char* entry) {
+    ASSERT_EQ(view, 10u);
+    ASSERT_EQ(ViewRecordAgg(entry, arity).sum, 1000);
     ++count10;
   }));
   EXPECT_EQ(count10, 1u);
@@ -427,17 +430,51 @@ TEST_F(PackedRTreeTest, MultiViewTreeSeparatesViews) {
   q2.lo[0] = q2.lo[1] = 1;
   q2.hi[0] = q2.hi[1] = kCoordMax;
   uint64_t count12 = 0;
-  ASSERT_OK(tree->Search(q2, [&](const PointRecord& rec) {
-    ASSERT_EQ(rec.view_id, 12u);
+  ASSERT_OK(tree->Search(q2, [&](uint32_t view, uint8_t, const char*) {
+    ASSERT_EQ(view, 12u);
     ++count12;
   }));
   EXPECT_EQ(count12, 1600u);
+
+  // Restricted to a view, the whole space yields only that view's points.
+  uint64_t only11 = 0;
+  ASSERT_OK(tree->Search(
+      Rect::Full(2),
+      [&](uint32_t view, uint8_t arity, const char*) {
+        ASSERT_EQ(view, 11u);
+        ASSERT_EQ(arity, 1u);
+        ++only11;
+      },
+      11));
+  EXPECT_EQ(only11, 500u);
+
+  // A tree of one leaf: its root is the leaf, so descent applies no MBR
+  // test and the leaf scan alone keeps a box that excludes 0 in the
+  // suppressed coordinate from the arity-1 entries. Every entry still
+  // counts as examined.
+  std::vector<PointRecord> one_leaf(points.begin() + 1, points.begin() + 51);
+  ASSERT_OK_AND_ASSIGN(auto single, Build(one_leaf, 2, arity));
+  ASSERT_EQ(single->num_leaf_pages(), 1u);
+  ASSERT_EQ(single->height(), 1u);
+  obs::QueryProfile profile;
+  uint64_t emitted = 0;
+  {
+    obs::QueryProfile::Scope scope(&profile);
+    ASSERT_OK(single->Search(
+        q2, [&](uint32_t, uint8_t, const char*) { ++emitted; }));
+  }
+  EXPECT_EQ(emitted, 0u);
+  EXPECT_EQ(profile.internal_pages, 0u);
+  EXPECT_EQ(profile.leaf_pages, 1u);
+  EXPECT_EQ(profile.points_examined, 50u);
+  ASSERT_OK(single->Search(
+      q1, [&](uint32_t, uint8_t, const char*) { ++emitted; }));
+  EXPECT_EQ(emitted, 50u);
 }
 
 TEST_F(PackedRTreeTest, LeavesAreSingleView) {
   // Verify the "no interleaving" property: every leaf page carries one
-  // view id, checked via the scanner's page-at-a-time decoding implicitly
-  // and by counting leaf view transitions (must equal #views - 1).
+  // view id, so the leaf scan's view transitions equal #views - 1.
   std::vector<PointRecord> points;
   for (uint32_t i = 1; i <= 1000; ++i) {
     PointRecord rec;
@@ -464,11 +501,11 @@ TEST_F(PackedRTreeTest, LeavesAreSingleView) {
   uint32_t transitions = 0;
   uint32_t last_view = 0;
   while (true) {
-    const PointRecord* rec = nullptr;
-    ASSERT_OK(scanner.Next(&rec));
-    if (rec == nullptr) break;
-    if (rec->view_id != last_view && last_view != 0) ++transitions;
-    last_view = rec->view_id;
+    const char* leaf = nullptr;
+    ASSERT_OK(scanner.NextLeaf(&leaf));
+    if (leaf == nullptr) break;
+    if (RNodeViewId(leaf) != last_view && last_view != 0) ++transitions;
+    last_view = RNodeViewId(leaf);
   }
   EXPECT_EQ(transitions, 1u);
 }
@@ -497,8 +534,10 @@ TEST_F(PackedRTreeTest, CompressionReducesFileSize) {
       << " uncompressed: " << big->FileSizeBytes();
   // Same answers either way.
   uint64_t a = 0, b = 0;
-  ASSERT_OK(small->Search(Rect::Full(3), [&](const PointRecord&) { ++a; }));
-  ASSERT_OK(big->Search(Rect::Full(3), [&](const PointRecord&) { ++b; }));
+  ASSERT_OK(small->Search(Rect::Full(3),
+                          [&](uint32_t, uint8_t, const char*) { ++a; }));
+  ASSERT_OK(big->Search(Rect::Full(3),
+                        [&](uint32_t, uint8_t, const char*) { ++b; }));
   EXPECT_EQ(a, b);
 }
 
@@ -517,7 +556,8 @@ TEST_F(PackedRTreeTest, OpenReloadsMeta) {
   EXPECT_EQ(tree->dims(), 2u);
   EXPECT_EQ(tree->FileSizeBytes(), size);
   uint64_t found = 0;
-  ASSERT_OK(tree->Search(Rect::Full(2), [&](const PointRecord&) { ++found; }));
+  ASSERT_OK(tree->Search(Rect::Full(2),
+                         [&](uint32_t, uint8_t, const char*) { ++found; }));
   EXPECT_EQ(found, 2000u);
 }
 
@@ -562,7 +602,8 @@ TEST_F(PackedRTreeTest, ZOrderPackedTreeAnswersCorrectly) {
       expected += query.ContainsPoint(rec.coords, 2);
     }
     uint64_t found = 0;
-    ASSERT_OK(tree->Search(query, [&](const PointRecord&) { ++found; }));
+    ASSERT_OK(tree->Search(query,
+                           [&](uint32_t, uint8_t, const char*) { ++found; }));
     ASSERT_EQ(found, expected);
   }
 }
@@ -691,7 +732,7 @@ TEST_F(PackedRTreeTest, SmashedNodeHeadersAreCorruption) {
     BufferPool pool(64);
     ASSERT_OK_AND_ASSIGN(auto tree, PackedRTree::Open(path, &pool));
     const Status searched =
-        tree->Search(Rect::Full(2), [](const PointRecord&) {});
+        tree->Search(Rect::Full(2), [](uint32_t, uint8_t, const char*) {});
     EXPECT_TRUE(searched.IsCorruption()) << searched.ToString();
     const Status validated = CheckTreeFile(path);
     EXPECT_TRUE(validated.IsCorruption()) << validated.ToString();
@@ -710,9 +751,9 @@ TEST_F(PackedRTreeTest, PointQueryFindsExactlyOne) {
     Rect q = Rect::FromPoint(target.coords, 2);
     uint64_t found = 0;
     AggValue agg;
-    ASSERT_OK(tree->Search(q, [&](const PointRecord& rec) {
+    ASSERT_OK(tree->Search(q, [&](uint32_t, uint8_t arity, const char* entry) {
       ++found;
-      agg = rec.agg;
+      agg = ViewRecordAgg(entry, arity);
     }));
     ASSERT_EQ(found, 1u);
     ASSERT_EQ(agg, target.agg);

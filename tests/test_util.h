@@ -16,6 +16,8 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "cubetree/view_def.h"
+#include "rtree/node.h"
+#include "rtree/packed_rtree.h"
 #include "storage/checksum.h"
 #include "storage/page_manager.h"
 
@@ -106,6 +108,41 @@ inline Status CheckTreeFile(const std::string& path) {
   CT_RETURN_NOT_OK(CheckTree(path, nullptr, &report));
   if (report.errors() == 0) return Status::OK();
   return Status::Corruption(report.ToString());
+}
+
+/// A leaf entry that a search or a leaf scan read, as a full-width point
+/// (zero past the leaf's arity): what a test compares with the points it
+/// built the tree from.
+inline PointRecord EntryPoint(uint32_t view_id, uint8_t arity,
+                              const char* entry) {
+  PointRecord point;
+  point.view_id = view_id;
+  DecodeViewRecord(entry, arity, point.coords, &point.agg);
+  return point;
+}
+
+/// The first `arity` coordinates of a leaf entry, as a group key.
+inline std::vector<Coord> EntryKey(const char* entry, size_t arity) {
+  std::vector<Coord> key(arity);
+  for (size_t d = 0; d < arity; ++d) key[d] = ViewRecordCoord(entry, d);
+  return key;
+}
+
+/// Every point of `tree`, leaf by leaf in pack order (see EntryPoint).
+inline Result<std::vector<PointRecord>> ReadPoints(PackedRTree* tree) {
+  std::vector<PointRecord> points;
+  PackedRTree::Scanner scanner = tree->ScanAll();
+  while (true) {
+    const char* leaf = nullptr;
+    CT_RETURN_NOT_OK(scanner.NextLeaf(&leaf));
+    if (leaf == nullptr) return points;
+    const uint8_t arity = RNodeArity(leaf);
+    const char* entry = leaf + kRNodeHeaderSize;
+    for (uint16_t i = 0; i < RNodeCount(leaf); ++i) {
+      points.push_back(EntryPoint(RNodeViewId(leaf), arity, entry));
+      entry += ViewRecordBytes(arity);
+    }
+  }
 }
 
 /// Rewrites the checksum sidecar of the page file at `path` over the
